@@ -6,8 +6,10 @@ Layers, bottom up: :mod:`~magictrap.units` and :mod:`~magictrap.angular`
 :mod:`~magictrap.polarizability` (real and imaginary responses, closed
 form and sum over states), :mod:`~magictrap.hyperfine` (field-dressed
 eigenstates), :mod:`~magictrap.magic` (crossing searches and
-calibration), :mod:`~magictrap.narb` (bundled constants), and the
-:mod:`~magictrap.cli` scan tool.
+calibration), :mod:`~magictrap.config` (INI run configuration, the one
+source of the NaRb numbers), :mod:`~magictrap.narb` (the surrogate
+excited complex built from a config), and the :mod:`~magictrap.cli`
+scan tool.
 """
 
 from .angular import (

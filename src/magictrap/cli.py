@@ -11,7 +11,7 @@ calibrate       linewidth scale reproducing a target magic detuning
 
 Every run writes ``<subcommand>.csv`` (dashes as underscores) and
 ``effective-config.ini`` into ``--out``.  Output is byte-stable: same
-config, same bytes, regardless of ``--threads``.
+config, same bytes.
 
 Exit codes: 0 success, 2 configuration problem, 3 numerical failure
 (no bracketed root, pole proximity, calibration impossible, grid too
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,9 +48,8 @@ from .hyperfine import (
 )
 from .magic import calibrate_gamma, find_magic_angle, find_magic_detuning
 from .polarizability import alpha_analytic, alpha_imag
-from .potentials import CoupledModel, DipoleFunction, MorseCurve, calibrate_morse
 from .radial import linewidth, radial_matrix_element, solve_coupled, solve_single
-from .units import AMU_TO_ME, HARTREE_TO_CM1, HARTREE_TO_GHZ
+from .units import HARTREE_TO_CM1, HARTREE_TO_GHZ
 
 __all__ = ["main", "run", "emit_csv", "fmt12"]
 
@@ -90,67 +88,18 @@ def emit_csv(headers: list[str], rows: list[list], path: str | Path) -> None:
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8", newline="\n")
 
 
-def _parallel_map(fn, items, threads: int) -> list:
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-# ---- surrogate model shared by solve-rovib and imag-scan ------------
-
-
-def _build_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunction]:
-    """Ground curve, aligned coupled model and dipole from config constants.
-
-    Well shapes follow the bundled surrogate; the printed rotational
-    constants, masses and transition energy come from the config.
-    """
-    mass = cfg.reduced_mass_amu()
-    mu = mass * AMU_TO_ME
-    ground = calibrate_morse(
-        cfg.get("molecule", "b_v_cm1"), narb.OMEGA_X_CM1, mass,
-        d_e_cm1=narb.D_X_CM1, label="X",
-    )
-    d_b = narb.D_B_CM1 / HARTREE_TO_CM1
-    omega_b = narb.OMEGA_B_CM1 / HARTREE_TO_CM1
-    b_curve = MorseCurve(
-        label="b", d_e=d_b, a=omega_b * math.sqrt(mu / (2.0 * d_b)),
-        r_e=1.0 / math.sqrt(
-            2.0 * mu * cfg.get("molecule", "b_vprime_cm1") / HARTREE_TO_CM1
-        ),
-        asymptote=0.0,
-    )
-    d_a = narb.A_DE_CM1 / HARTREE_TO_CM1
-    a_trial = MorseCurve(label="A", d_e=d_a, a=narb.A_WIDTH_INV_BOHR,
-                         r_e=narb.A_RE_BOHR, asymptote=0.0)
-    offset = float(b_curve(narb.CROSSING_BOHR)) - float(a_trial(narb.CROSSING_BOHR))
-    a_curve = MorseCurve(label="A", d_e=d_a, a=narb.A_WIDTH_INV_BOHR,
-                         r_e=narb.A_RE_BOHR, asymptote=offset)
-    model = CoupledModel.constant_coupling(
-        labels=("A", "b"), curves=(a_curve, b_curve),
-        xi=narb.XI_CM1 / HARTREE_TO_CM1,
-    )
-    grid = cfg.radial_grid()
-    e_ground = solve_single(ground, 0, mass, grid, max_levels=1)[0].energy
-    e_line = solve_coupled(model, 1, mass, grid, max_levels=1)[0].energy
-    shift = cfg.get("molecule", "transition_cm1") / HARTREE_TO_CM1 + e_ground - e_line
-    dipole = DipoleFunction.constant(("X", "A"), narb.DIPOLE_XA_EA0)
-    return ground, model.with_shift(shift), dipole
-
-
 # ---- subcommands ----------------------------------------------------
 
 
-def _cmd_solve_rovib(cfg: RunConfig, threads: int):
-    ground, model, _ = _build_models(cfg)
+def _cmd_solve_rovib(cfg: RunConfig):
+    ground, model, _ = narb.radial_models(cfg)
     grid = cfg.radial_grid()
     mass = cfg.reduced_mass_amu()
     j_values = cfg.get("scan", "j_values")
     max_levels = cfg.get("scan", "max_levels", 12)
 
-    def solve_j(j: int):
-        rows = []
+    rows = []
+    for j in j_values:
         for lv in solve_single(ground, j, mass, grid, max_levels=max_levels):
             rows.append(["X", lv.v, lv.j, lv.energy * HARTREE_TO_CM1,
                          lv.rotational_constant() * HARTREE_TO_CM1, 1.0, 0.0])
@@ -158,17 +107,13 @@ def _cmd_solve_rovib(cfg: RunConfig, threads: int):
             rows.append(["Ab", lv.v, lv.j, lv.energy * HARTREE_TO_CM1,
                          lv.rotational_constant() * HARTREE_TO_CM1,
                          lv.channel_fractions[0], lv.channel_fractions[1]])
-        return rows
-
-    chunks = _parallel_map(solve_j, list(j_values), threads)
-    rows = [row for chunk in chunks for row in chunk]
     headers = ["state", "v", "j", "energy_cm1", "b_rot_cm1", "frac_a", "frac_b"]
     summary = (f"solved {len(rows)} levels (X and coupled A-b) "
                f"for J in {list(j_values)}")
     return headers, rows, summary
 
 
-def _cmd_alpha_scan(cfg: RunConfig, threads: int):
+def _cmd_alpha_scan(cfg: RunConfig):
     spec = cfg.spec()
     theta_p = math.radians(cfg.get("fields", "theta_p_deg"))
     m = cfg.get("scan", "m")
@@ -177,16 +122,13 @@ def _cmd_alpha_scan(cfg: RunConfig, threads: int):
                          cfg.get("scan", "stop_ghz"),
                          cfg.get("scan", "points"))
     notes: set[str] = set()
-
-    def eval_point(args):
-        j, delta = args
-        val = alpha_analytic(spec, spec.reference.energy + delta / HARTREE_TO_GHZ,
-                             j, m, theta_p)
-        notes.update(val.notes)
-        return [float(delta), j, m, val.real]
-
-    tasks = [(j, d) for j in j_values for d in deltas]
-    rows = _parallel_map(eval_point, tasks, threads)
+    rows = []
+    for j in j_values:
+        for delta in deltas:
+            val = alpha_analytic(spec, spec.reference.energy + delta / HARTREE_TO_GHZ,
+                                 j, m, theta_p)
+            notes.update(val.notes)
+            rows.append([float(delta), j, m, val.real])
     for note in sorted(notes):
         print(f"note: {note} (some scan points)", file=sys.stderr)
     headers = ["detuning_ghz", "j", "m", "alpha_au"]
@@ -197,7 +139,7 @@ def _cmd_alpha_scan(cfg: RunConfig, threads: int):
 
 
 def _imag_inputs(cfg: RunConfig):
-    ground, model, dipole = _build_models(cfg)
+    ground, model, dipole = narb.radial_models(cfg)
     grid = cfg.radial_grid()
     mass = cfg.reduced_mass_amu()
     j_values = cfg.get("scan", "j_values")
@@ -220,7 +162,7 @@ def _imag_inputs(cfg: RunConfig):
     return x_levels, ab_levels, dipoles, gammas
 
 
-def _cmd_imag_scan(cfg: RunConfig, threads: int):
+def _cmd_imag_scan(cfg: RunConfig):
     x_levels, ab_levels, dipoles, gammas = _imag_inputs(cfg)
     theta_p = math.radians(cfg.get("fields", "theta_p_deg"))
     m = cfg.get("scan", "m")
@@ -229,41 +171,31 @@ def _cmd_imag_scan(cfg: RunConfig, threads: int):
     deltas = np.linspace(cfg.get("scan", "start_ghz"),
                          cfg.get("scan", "stop_ghz"),
                          cfg.get("scan", "points"))
-
-    def eval_point(args):
-        j, delta = args
-        val = alpha_imag(x_levels, ab_levels, dipoles, gammas,
-                         ref + delta / HARTREE_TO_GHZ, j, m, theta_p)
-        return [float(delta), j, m, val.imag]
-
-    tasks = [(j, d) for j in j_values for d in deltas]
-    rows = _parallel_map(eval_point, tasks, threads)
+    rows = [[float(delta), j, m,
+             alpha_imag(x_levels, ab_levels, dipoles, gammas,
+                        ref + delta / HARTREE_TO_GHZ, j, m, theta_p).imag]
+            for j in j_values for delta in deltas]
     headers = ["detuning_ghz", "j", "m", "im_alpha_au"]
     summary = (f"Im alpha for J in {list(j_values)}, M={m} from "
                f"{len(ab_levels)} retained coupled levels")
     return headers, rows, summary
 
 
-def _cmd_hyperfine_scan(cfg: RunConfig, threads: int):
+def _cmd_hyperfine_scan(cfg: RunConfig):
     fields = cfg.field_configuration()
     terms = cfg.terms()
-    spins = cfg.spins()
-    basis = build_basis(1, *spins)
+    basis = build_basis(1, fields.constants.i_a, fields.constants.i_b)
     thetas = np.linspace(cfg.get("scan", "start_deg"),
                          cfg.get("scan", "stop_deg"),
                          cfg.get("scan", "points"))
-
-    def solve_theta(theta_deg: float):
-        at = replace(fields, theta_p=math.radians(float(theta_deg)))
-        sol = diagonalize(build_hamiltonian(basis, at, terms), basis)
-        return eigenstate_polarizability(sol, at)
-
-    sols = _parallel_map(solve_theta, [float(t) for t in thetas], threads)
     # chain curve indices through maximal-overlap tracking
     order = np.arange(basis.dim)
     rows = []
     prev = None
-    for theta_deg, sol in zip(thetas, sols):
+    for theta_deg in thetas:
+        at = replace(fields, theta_p=math.radians(float(theta_deg)))
+        sol = eigenstate_polarizability(
+            diagonalize(build_hamiltonian(basis, at, terms), basis), at)
         if prev is not None:
             order = track_states(prev, sol)[order]
         for curve, idx in enumerate(order):
@@ -283,11 +215,23 @@ def _magic_headers():
             "location", "residual", "bracket_lo", "bracket_hi"]
 
 
-def _cmd_magic_find(cfg: RunConfig, threads: int):
+def _shared_m(cfg: RunConfig) -> int:
+    """The one M that detuning searches and calibration use for both states."""
+    m = cfg.get("magic", "m_a", 0)
+    m_b = cfg.get("magic", "m_b", m)
+    if m_b != m:
+        raise ConfigError(
+            f"[magic] m_b = {m_b} differs from m_a = {m}; detuning searches "
+            "and calibrate use one M for both states"
+        )
+    return m
+
+
+def _cmd_magic_find(cfg: RunConfig):
     kind = cfg.get("magic", "kind")
     j_a, j_b = cfg.get("magic", "j_a"), cfg.get("magic", "j_b")
     if kind == "detuning":
-        m = cfg.get("magic", "m_a", 0)
+        m = _shared_m(cfg)
         sol = find_magic_detuning(
             cfg.spec(), j_a, j_b, m=m,
             theta_p=math.radians(cfg.get("fields", "theta_p_deg")),
@@ -325,9 +269,9 @@ def _cmd_magic_find(cfg: RunConfig, threads: int):
     return _magic_headers(), [row], summary
 
 
-def _cmd_calibrate(cfg: RunConfig, threads: int):
+def _cmd_calibrate(cfg: RunConfig):
     j_a, j_b = cfg.get("magic", "j_a"), cfg.get("magic", "j_b")
-    m = cfg.get("magic", "m_a", 0)
+    m = _shared_m(cfg)
     target = cfg.get("magic", "target_ghz")
     theta_p = math.radians(cfg.get("fields", "theta_p_deg"))
     calibrated = calibrate_gamma(cfg.spec(), (j_a, j_b), target, m=m,
@@ -354,10 +298,9 @@ _SUBCOMMANDS = {
 }
 
 
-def run(subcommand: str, cfg: RunConfig, out_dir: str | Path = ".",
-        threads: int = 1) -> Path:
+def run(subcommand: str, cfg: RunConfig, out_dir: str | Path = ".") -> Path:
     """Execute one subcommand; returns the CSV path it wrote."""
-    headers, rows, summary = _SUBCOMMANDS[subcommand](cfg, threads)
+    headers, rows, summary = _SUBCOMMANDS[subcommand](cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{subcommand.replace('-', '_')}.csv"
@@ -380,7 +323,6 @@ def _parser() -> argparse.ArgumentParser:
         s.add_argument("--config", default=None,
                        help="INI config (default: bundled NaRb constants)")
         s.add_argument("--out", default=".", help="output directory")
-        s.add_argument("--threads", type=int, default=1)
         s.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE")
     return p
@@ -390,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.override)
-        run(args.subcommand, cfg, args.out, args.threads)
+        run(args.subcommand, cfg, args.out)
     except (ConfigError, UnitError, DataFormatError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

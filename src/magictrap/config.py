@@ -110,9 +110,6 @@ SCHEMA: dict[str, dict[str, object]] = {
         "bracket_hi_deg": _parse_float,
         "target_ghz": _parse_float,
     },
-    "output": {
-        "prefix": _parse_str,
-    },
 }
 
 _MISSING = object()
@@ -175,6 +172,8 @@ class RunConfig:
             alpha_par=self.get("molecule", "alpha_par_hz_wcm2"),
             alpha_perp=self.get("molecule", "alpha_perp_hz_wcm2"),
             quadrupole_denominator=denom,
+            i_a=self.get("molecule", "spin_na", 1.5),
+            i_b=self.get("molecule", "spin_rb", 1.5),
         )
 
     def field_configuration(self) -> FieldConfiguration:
@@ -203,10 +202,6 @@ class RunConfig:
             r_max=self.get("grid", "r_max_bohr"),
             n=self.get("grid", "points"),
         )
-
-    def spins(self) -> tuple[float, float]:
-        return (self.get("molecule", "spin_na", 1.5),
-                self.get("molecule", "spin_rb", 1.5))
 
     # ---- dump -----------------------------------------------------
 

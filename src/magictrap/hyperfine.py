@@ -62,7 +62,8 @@ class MolecularConstants:
     ``b_v`` in MHz, ``eqq_a``/``eqq_b`` in MHz, ``d0`` in debye,
     ``alpha_par``/``alpha_perp`` in Hz/(W/cm^2) at the trap frequency.
     ``quadrupole_denominator`` selects i(2i-1) ("standard") or the
-    i(i-1) variant ("literal") in the quadrupole prefactor.
+    i(i-1) variant ("literal") in the quadrupole prefactor.  ``i_a``
+    and ``i_b`` are the nuclear spins that size the spin basis.
     """
 
     b_v: float | None = None
@@ -74,6 +75,8 @@ class MolecularConstants:
     alpha_par: float | None = None
     alpha_perp: float | None = None
     quadrupole_denominator: str = "standard"
+    i_a: float = 1.5
+    i_b: float = 1.5
 
     def __post_init__(self):
         if self.quadrupole_denominator not in ("standard", "literal"):

@@ -153,7 +153,7 @@ def _angle_objective(fields: FieldConfiguration, state_a, state_b,
     if method == "bare":
         return (_bare_alpha(fields, state_a[0], state_a[1], theta_deg)
                 - _bare_alpha(fields, state_b[0], state_b[1], theta_deg))
-    basis = build_basis(j_max, 1.5, 1.5)
+    basis = build_basis(j_max, fields.constants.i_a, fields.constants.i_b)
     at = replace(fields, theta_p=math.radians(theta_deg))
     sol = diagonalize(build_hamiltonian(basis, at, terms), basis)
     sol = eigenstate_polarizability(sol, at)

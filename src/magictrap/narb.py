@@ -1,9 +1,9 @@
-"""Bundled NaRb ground-state constants and a surrogate excited complex.
+"""Surrogate excited A-b complex of NaRb, built from a run configuration.
 
-Measured constants (rotational constants, transition energy, trap-laser
-backgrounds, quadrupole couplings, field settings) are taken at face
-value.  The nuclear g-factors and the permanent dipole are standard
-literature numbers for 23Na and 87Rb / NaRb.
+The measured numbers (rotational constants, transition energy, masses,
+trap-laser backgrounds, hyperfine constants, field settings) live only
+in the INI configuration (bundled: ``data/narb-defaults.ini``) and
+reach the model through :class:`~magictrap.config.RunConfig`.
 
 Everything about the excited A-b pair beyond its lowest transition
 energy and rotational constant is NOT publicly tabulated, so the
@@ -18,50 +18,10 @@ from __future__ import annotations
 
 import math
 
-from .hyperfine import FieldConfiguration, MolecularConstants
-from .polarizability import Background, PolarizabilitySpec, ResonantLine
+from .config import RunConfig
 from .potentials import CoupledModel, DipoleFunction, MorseCurve, calibrate_morse
-from .radial import RadialGrid, solve_coupled, solve_single
-from .units import AMU_TO_ME, HARTREE_TO_CM1, HARTREE_TO_MHZ, Unit, convert
-
-__all__ = [
-    "MASS_NA_AMU",
-    "MASS_RB_AMU",
-    "GAMMA_HZ",
-    "reduced_mass_amu",
-    "background",
-    "constants",
-    "field_configuration",
-    "default_spec",
-    "ground_curve",
-    "excited_model",
-    "transition_dipole",
-    "default_grid",
-]
-
-MASS_NA_AMU = 22.98976928
-MASS_RB_AMU = 86.909180527
-
-B_GROUND_CM1 = 0.06970        # X(v=0)
-B_EXCITED_CM1 = 0.06988       # lowest coupled A-b level
-TRANSITION_CM1 = 11306.4      # X(0,0) -> (A-b)(v'=0, J'=1)
-
-ALPHA_PAR_HZ_WCM2 = 57.904    # 1064 nm background, parallel
-ALPHA_PERP_HZ_WCM2 = 19.079   # 1064 nm background, perpendicular
-
-EQQ_NA_MHZ = 0.132
-EQQ_RB_MHZ = -2.984
-G_NA = 1.4784                 # nuclear g-factor, 23Na (literature)
-G_RB = 1.8341                 # nuclear g-factor, 87Rb (literature)
-D0_DEBYE = 3.2                # NaRb permanent dipole (literature)
-
-B_FIELD_GAUSS = 335.6
-INTENSITY_W_CM2 = 2000.0
-
-# Linewidth/h (Hz) of the v'=0 band, calibrated so the J=0 and J=1
-# polarizabilities cross at a detuning of +103 GHz for the constants
-# above.  Regenerate with the `calibrate` CLI subcommand.
-GAMMA_HZ = 6372.115303897459
+from .radial import solve_coupled, solve_single
+from .units import AMU_TO_ME, HARTREE_TO_CM1
 
 # Surrogate well shapes, chosen, not fitted: the X and b wells match
 # the printed rotational constants, the A well sits outside with a
@@ -78,117 +38,46 @@ XI_CM1 = 20.0
 DIPOLE_XA_EA0 = 1.0
 
 
-def reduced_mass_amu() -> float:
-    return MASS_NA_AMU * MASS_RB_AMU / (MASS_NA_AMU + MASS_RB_AMU)
+def radial_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunction]:
+    """Ground curve, aligned coupled model and dipole from config constants.
 
-
-def background() -> Background:
-    return Background(
-        alpha_par=convert(ALPHA_PAR_HZ_WCM2, Unit.HZ_PER_WCM2, Unit.AU_POL),
-        alpha_perp=convert(ALPHA_PERP_HZ_WCM2, Unit.HZ_PER_WCM2, Unit.AU_POL),
-    )
-
-
-def constants(quadrupole_denominator: str = "standard") -> MolecularConstants:
-    return MolecularConstants(
-        b_v=B_GROUND_CM1 * HARTREE_TO_MHZ / HARTREE_TO_CM1,
-        eqq_a=EQQ_NA_MHZ,
-        eqq_b=EQQ_RB_MHZ,
-        g_a=G_NA,
-        g_b=G_RB,
-        d0=D0_DEBYE,
-        alpha_par=ALPHA_PAR_HZ_WCM2,
-        alpha_perp=ALPHA_PERP_HZ_WCM2,
-        quadrupole_denominator=quadrupole_denominator,
-    )
-
-
-def field_configuration(**overrides) -> FieldConfiguration:
-    """Default operating point: B along z, trap light on, no dc field."""
-    kw = dict(
-        constants=constants(),
-        b_field=B_FIELD_GAUSS,
-        e_field=0.0,
-        theta_e=0.0,
-        theta_p=0.0,
-        intensity=INTENSITY_W_CM2,
-    )
-    kw.update(overrides)
-    return FieldConfiguration(**kw)
-
-
-def default_spec(gamma_hz: float = GAMMA_HZ) -> PolarizabilitySpec:
-    """Single-band closed-form inputs around the v'=0 line."""
-    line = ResonantLine(
-        vprime=0,
-        energy=TRANSITION_CM1 / HARTREE_TO_CM1,
-        gamma=gamma_hz / 1e6 / HARTREE_TO_MHZ,
-        b_rot=B_EXCITED_CM1 / HARTREE_TO_CM1,
-    )
-    return PolarizabilitySpec(
-        lines=(line,),
-        b_v=B_GROUND_CM1 / HARTREE_TO_CM1,
-        background=background(),
-    )
-
-
-def ground_curve() -> MorseCurve:
-    return calibrate_morse(
-        B_GROUND_CM1, OMEGA_X_CM1, reduced_mass_amu(),
+    Well shapes follow the surrogate above; the printed rotational
+    constants, masses and transition energy come from the config.  The
+    coupled model is shifted so E(v'=0, J'=1) - E_X(0, 0) equals the
+    configured transition energy on the configured grid, which gives
+    scans built from it and from :meth:`RunConfig.spec` the same
+    detuning origin.  The X <-> A moment is R-independent; the b
+    channel is dark on its own.
+    """
+    mass = cfg.reduced_mass_amu()
+    mu = mass * AMU_TO_ME
+    ground = calibrate_morse(
+        cfg.get("molecule", "b_v_cm1"), OMEGA_X_CM1, mass,
         d_e_cm1=D_X_CM1, label="X",
     )
-
-
-def _excited_curves() -> tuple[MorseCurve, MorseCurve]:
-    mu = reduced_mass_amu() * AMU_TO_ME
     d_b = D_B_CM1 / HARTREE_TO_CM1
     omega_b = OMEGA_B_CM1 / HARTREE_TO_CM1
     b_curve = MorseCurve(
-        label="b",
-        d_e=d_b,
-        a=omega_b * math.sqrt(mu / (2.0 * d_b)),
-        r_e=1.0 / math.sqrt(2.0 * mu * (B_EXCITED_CM1 / HARTREE_TO_CM1)),
+        label="b", d_e=d_b, a=omega_b * math.sqrt(mu / (2.0 * d_b)),
+        r_e=1.0 / math.sqrt(
+            2.0 * mu * cfg.get("molecule", "b_vprime_cm1") / HARTREE_TO_CM1
+        ),
         asymptote=0.0,
     )
     d_a = A_DE_CM1 / HARTREE_TO_CM1
-    a_trial = MorseCurve(
-        label="A", d_e=d_a, a=A_WIDTH_INV_BOHR, r_e=A_RE_BOHR, asymptote=0.0,
-    )
+    a_trial = MorseCurve(label="A", d_e=d_a, a=A_WIDTH_INV_BOHR,
+                         r_e=A_RE_BOHR, asymptote=0.0)
     # raise the A asymptote until the diabats cross at the chosen radius
     offset = float(b_curve(CROSSING_BOHR)) - float(a_trial(CROSSING_BOHR))
-    a_curve = MorseCurve(
-        label="A", d_e=d_a, a=A_WIDTH_INV_BOHR, r_e=A_RE_BOHR, asymptote=offset,
-    )
-    return a_curve, b_curve
-
-
-def excited_model(grid: "RadialGrid | None" = None) -> CoupledModel:
-    """Coupled A-b surrogate, shifted so the reference line is exact.
-
-    The shift pins E(v'=0, J'=1) - E_X(0, 0) to the measured transition
-    energy on the given grid (default :func:`default_grid`), so scans
-    built from this model and from :func:`default_spec` share the same
-    detuning origin.
-    """
-    if grid is None:
-        grid = default_grid()
-    a_curve, b_curve = _excited_curves()
+    a_curve = MorseCurve(label="A", d_e=d_a, a=A_WIDTH_INV_BOHR,
+                         r_e=A_RE_BOHR, asymptote=offset)
     model = CoupledModel.constant_coupling(
-        labels=("A", "b"),
-        curves=(a_curve, b_curve),
+        labels=("A", "b"), curves=(a_curve, b_curve),
         xi=XI_CM1 / HARTREE_TO_CM1,
     )
-    mass = reduced_mass_amu()
-    e_ground = solve_single(ground_curve(), 0, mass, grid, max_levels=1)[0].energy
+    grid = cfg.radial_grid()
+    e_ground = solve_single(ground, 0, mass, grid, max_levels=1)[0].energy
     e_line = solve_coupled(model, 1, mass, grid, max_levels=1)[0].energy
-    shift = TRANSITION_CM1 / HARTREE_TO_CM1 + e_ground - e_line
-    return model.with_shift(shift)
-
-
-def transition_dipole() -> DipoleFunction:
-    """R-independent X <-> A moment; the b channel is dark on its own."""
-    return DipoleFunction.constant(("X", "A"), DIPOLE_XA_EA0)
-
-
-def default_grid(n: int = 1200) -> RadialGrid:
-    return RadialGrid(r_min=4.5, r_max=20.0, n=n)
+    shift = cfg.get("molecule", "transition_cm1") / HARTREE_TO_CM1 + e_ground - e_line
+    dipole = DipoleFunction.constant(("X", "A"), DIPOLE_XA_EA0)
+    return ground, model.with_shift(shift), dipole

@@ -4,6 +4,7 @@ The session-scoped fixtures build the two expensive radial models once:
 the bundled molecule surrogate (used by the resonance and linewidth
 tests) and a stiff two-channel model whose closed-form constants are
 recovered from its own levels (used by the dual-route comparisons).
+Every NaRb input comes from the bundled defaults via ``load_config()``.
 """
 
 from __future__ import annotations
@@ -15,28 +16,32 @@ import pytest
 
 import magictrap as mt
 from magictrap import narb
+from magictrap.config import load_config
 from magictrap.potentials import CoupledModel, DipoleFunction, MorseCurve, calibrate_morse
 from magictrap.units import AMU_TO_ME, HARTREE_TO_CM1
 
 
 @pytest.fixture(scope="session")
-def narb_spec():
-    return narb.default_spec()
+def narb_config():
+    return load_config()
 
 
 @pytest.fixture(scope="session")
-def narb_fields():
-    return narb.field_configuration()
+def narb_spec(narb_config):
+    return narb_config.spec()
 
 
 @pytest.fixture(scope="session")
-def narb_radial():
+def narb_fields(narb_config):
+    return narb_config.field_configuration()
+
+
+@pytest.fixture(scope="session")
+def narb_radial(narb_config):
     """Ground curve, coupled excited model, dipole, and solved levels."""
-    grid = narb.default_grid()
-    ground = narb.ground_curve()
-    model = narb.excited_model(grid)
-    dipole = narb.transition_dipole()
-    mass = narb.reduced_mass_amu()
+    grid = narb_config.radial_grid()
+    ground, model, dipole = narb.radial_models(narb_config)
+    mass = narb_config.reduced_mass_amu()
     x_levels = {j: mt.solve_single(ground, j, mass, grid, max_levels=3)
                 for j in range(6)}
     ab_levels = {j: mt.solve_coupled(model, j, mass, grid, max_levels=6)
@@ -59,7 +64,8 @@ def build_stiff_pair():
     vibrational overlap has no first-order J dependence; that keeps the
     two polarizability routes consistent at the 1e-7 level.
     """
-    mass = narb.reduced_mass_amu()
+    cfg = load_config()
+    mass = cfg.reduced_mass_amu()
     mu = mass * AMU_TO_ME
     grid = mt.RadialGrid(4.5, 12.0, 700)
     omega = 800.0
@@ -73,7 +79,8 @@ def build_stiff_pair():
     model = CoupledModel.constant_coupling(("A", "b"), (bright, dark), xi=1e-6)
     e_g0 = mt.solve_single(ground, 0, mass, grid, max_levels=1)[0].energy
     e_l1 = mt.solve_coupled(model, 1, mass, grid, max_levels=1)[0].energy
-    model = model.with_shift(narb.TRANSITION_CM1 / HARTREE_TO_CM1 + e_g0 - e_l1)
+    model = model.with_shift(cfg.get("molecule", "transition_cm1") / HARTREE_TO_CM1
+                             + e_g0 - e_l1)
 
     x_levels = [mt.solve_single(ground, j, mass, grid, max_levels=1)[0]
                 for j in range(5)]
@@ -88,7 +95,7 @@ def build_stiff_pair():
         for ai, ab in enumerate(ab_levels)
         if abs(ab.j - x.j) == 1
     }
-    background = narb.background()
+    background = cfg.background()
     spec = mt.spec_from_levels(x_levels, ab_levels, dipoles, background)
     return {
         "x": x_levels,
@@ -105,13 +112,12 @@ def stiff_pair():
 
 
 @pytest.fixture(scope="session")
-def narb_hyperfine():
+def narb_hyperfine(narb_fields):
     """Default-field 64-state solution with polarizabilities attached."""
-    fields = narb.field_configuration()
     basis = mt.build_basis(1)
-    h = mt.build_hamiltonian(basis, fields)
+    h = mt.build_hamiltonian(basis, narb_fields)
     sol = mt.diagonalize(h, basis)
-    return mt.eigenstate_polarizability(sol, fields)
+    return mt.eigenstate_polarizability(sol, narb_fields)
 
 
 def assert_close(actual, expected, rel=0.0, abs_tol=0.0, label=""):

@@ -21,6 +21,7 @@ from scipy.special import sph_harm_y
 
 import magictrap as mt
 from magictrap import narb
+from magictrap.config import load_config
 from magictrap.magic import calibrate_gamma, find_magic_angle, find_magic_detuning
 from magictrap.units import (
     AMU_TO_ME,
@@ -45,7 +46,7 @@ def report(n: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_magic_angle():
     t0 = time.perf_counter()
-    fields = narb.field_configuration()
+    fields = load_config().field_configuration()
     sol = find_magic_angle(fields, (1, 0), (0, 0),
                            terms={"rotation", "polarization", "zeeman"})
     elapsed = time.perf_counter() - t0
@@ -57,7 +58,8 @@ def test_criterion_1_magic_angle():
 
 def test_criterion_2_magic_detuning_ladder():
     t0 = time.perf_counter()
-    calibrated = calibrate_gamma(narb.default_spec(gamma_hz=1000.0), (0, 1), 103.0)
+    template = load_config(overrides=[f"molecule.gamma_hz={1000.0!r}"]).spec()
+    calibrated = calibrate_gamma(template, (0, 1), 103.0)
     anchor = find_magic_detuning(calibrated, 0, 1).location
     targets = {2: 105.0, 3: 108.0, 4: 112.0, 5: 116.0}
     crossings = {jp: find_magic_detuning(calibrated, 0, jp).location
@@ -137,9 +139,10 @@ def test_criterion_4_dual_route_equivalence():
 
 def test_criterion_5_dvr_fidelity():
     t0 = time.perf_counter()
-    grid = narb.default_grid()          # n = 1200
-    ground = narb.ground_curve()
-    mass = narb.reduced_mass_amu()
+    cfg = load_config()
+    grid = cfg.radial_grid()            # n = 1200
+    ground, _, _ = narb.radial_models(cfg)
+    mass = cfg.reduced_mass_amu()
     numeric = mt.solve_single(ground, 0, mass, grid, max_levels=10)
     exact = ground.analytic_levels(mass * AMU_TO_ME)[:10]
     morse_rel = max(abs(lv.energy - ex) / abs(ex)
@@ -164,11 +167,10 @@ def test_criterion_5_dvr_fidelity():
 
 def test_criterion_6_imaginary_part():
     t0 = time.perf_counter()
-    grid = narb.default_grid()
-    ground = narb.ground_curve()
-    model = narb.excited_model(grid)
-    dipole = narb.transition_dipole()
-    mass = narb.reduced_mass_amu()
+    cfg = load_config()
+    grid = cfg.radial_grid()
+    ground, model, dipole = narb.radial_models(cfg)
+    mass = cfg.reduced_mass_amu()
     x_levels = [mt.solve_single(ground, j, mass, grid, max_levels=1)[0]
                 for j in (0, 1)]
     ab_levels = []
@@ -212,7 +214,7 @@ def test_criterion_6_imaginary_part():
 def test_criterion_7_hyperfine_suite():
     t0 = time.perf_counter()
     basis = mt.build_basis(1)
-    fields = narb.field_configuration()
+    fields = load_config().field_configuration()
     h = mt.build_hamiltonian(basis, fields)
     dim_ok = basis.dim == 64 and h.shape == (64, 64)
     hermitian_ok = np.abs(h - h.T.conj()).max() <= 1e-12 * np.abs(h).max()
@@ -235,8 +237,8 @@ def test_criterion_7_hyperfine_suite():
     def theta_spread(e_field):
         worst = 0.0
         for theta_deg in np.linspace(0.0, 90.0, 13):
-            f = narb.field_configuration(e_field=e_field,
-                                         theta_p=math.radians(theta_deg))
+            f = replace(fields, e_field=e_field,
+                        theta_p=math.radians(theta_deg))
             s = mt.eigenstate_polarizability(
                 mt.diagonalize(mt.build_hamiltonian(basis, f), basis), f)
             vals = s.polarizabilities[s.select((1, 0))]

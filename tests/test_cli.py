@@ -66,9 +66,6 @@ bracket_hi_ghz = 140.0
 bracket_lo_deg = 40.0
 bracket_hi_deg = 70.0
 target_ghz = 103.0
-
-[output]
-prefix = magictrap
 """
 
 
@@ -192,6 +189,37 @@ def test_magic_find_angle(small_config, tmp_path):
     assert int(rows[0][3]) == 0 and int(rows[0][6]) == 0
 
 
+def test_magic_find_angle_uses_configured_spins(small_config, tmp_path):
+    """The eigen angle search sizes its basis from the [molecule] spins."""
+    found = {}
+    for spin in ("1.5", "2.5"):
+        out = tmp_path / spin
+        assert main(["magic-find", "--config", str(small_config),
+                     "--out", str(out),
+                     "--override", "magic.kind=angle",
+                     "--override", "magic.method=eigen",
+                     "--override", "fields.e_field_kv_cm=0.1",
+                     "--override", "magic.j_a=1",
+                     "--override", "magic.j_b=0",
+                     "--override", "magic.rank_a=0",
+                     "--override", "magic.rank_b=0",
+                     "--override", f"molecule.spin_na={spin}"]) == 0
+        found[spin] = float(read_rows(out / "magic_find.csv")[1][0][7])
+    # 54.583178 and 54.581925 degrees
+    assert abs(found["2.5"] - found["1.5"]) > 1e-4
+
+
+@pytest.mark.parametrize("subcommand", ["magic-find", "calibrate"])
+def test_m_b_differing_from_m_a_exits_2(subcommand, small_config, tmp_path,
+                                        capsys):
+    assert main([subcommand, "--config", str(small_config),
+                 "--out", str(tmp_path),
+                 "--override", "magic.m_b=1"]) == 2
+    err = capsys.readouterr().err
+    assert "m_b" in err and "m_a" in err
+    assert not (tmp_path / (subcommand.replace("-", "_") + ".csv")).exists()
+
+
 def test_calibrate(small_config, tmp_path):
     assert main(["calibrate", "--config", str(small_config),
                  "--out", str(tmp_path),
@@ -217,25 +245,17 @@ def test_console_entry_point(small_config, tmp_path):
 # ---- determinism -----------------------------------------------------
 
 
-def test_reruns_are_byte_identical(small_config, tmp_path):
+@pytest.mark.parametrize("subcommand", ["alpha-scan", "hyperfine-scan"])
+def test_reruns_are_byte_identical(subcommand, small_config, tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    assert main(["alpha-scan", "--config", str(small_config),
+    assert main([subcommand, "--config", str(small_config),
                  "--out", str(d1)]) == 0
-    assert main(["alpha-scan", "--config", str(small_config),
+    assert main([subcommand, "--config", str(small_config),
                  "--out", str(d2)]) == 0
-    assert (d1 / "alpha_scan.csv").read_bytes() == (d2 / "alpha_scan.csv").read_bytes()
+    name = subcommand.replace("-", "_") + ".csv"
+    assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
     assert (d1 / "effective-config.ini").read_bytes() == \
         (d2 / "effective-config.ini").read_bytes()
-
-
-def test_threads_do_not_change_bytes(small_config, tmp_path):
-    d1, d2 = tmp_path / "serial", tmp_path / "pool"
-    assert main(["hyperfine-scan", "--config", str(small_config),
-                 "--out", str(d1)]) == 0
-    assert main(["hyperfine-scan", "--config", str(small_config),
-                 "--out", str(d2), "--threads", "2"]) == 0
-    assert (d1 / "hyperfine_scan.csv").read_bytes() == \
-        (d2 / "hyperfine_scan.csv").read_bytes()
 
 
 def test_effective_config_round_trips(small_config, tmp_path):

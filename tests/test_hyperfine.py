@@ -20,14 +20,14 @@ from magictrap import (
     polarization_operator,
     track_states,
 )
-from magictrap import narb
+from magictrap.config import load_config
 
-
-B_V_MHZ = narb.constants().b_v
+DEFAULTS = load_config()
+B_V_MHZ = DEFAULTS.molecular_constants().b_v
 
 
 def fields_with(**overrides):
-    return narb.field_configuration(**overrides)
+    return replace(DEFAULTS.field_configuration(), **overrides)
 
 
 def test_basis_dimensions_and_order():
@@ -93,17 +93,18 @@ def test_quadrupole_denominator_conventions_differ_by_factor_four():
     """For spin 3/2: i(2i - 1) = 3 versus i(i - 1) = 3/4."""
     basis = build_basis(1)
     std = build_hamiltonian(
-        basis, fields_with(constants=narb.constants("standard")),
+        basis, fields_with(constants=DEFAULTS.molecular_constants()),
         terms={"quadrupole"})
     lit = build_hamiltonian(
-        basis, fields_with(constants=narb.constants("literal")),
+        basis, fields_with(constants=load_config(overrides=[
+            "molecule.quadrupole_denominator=literal"]).molecular_constants()),
         terms={"quadrupole"})
     np.testing.assert_allclose(lit, 4.0 * std, atol=1e-12)
 
 
 def test_quadrupole_spin_half_rejected_for_standard_denominator():
     basis = build_basis(1, i_a=0.5)
-    consts = narb.constants()
+    consts = DEFAULTS.molecular_constants()
     f = FieldConfiguration(constants=consts)
     with pytest.raises(ConfigError):
         build_hamiltonian(basis, f, terms={"quadrupole"})
@@ -115,7 +116,7 @@ def test_zeeman_is_diagonal_with_projection_weights():
     h = build_hamiltonian(basis, fields_with(b_field=b_gauss),
                           terms={"zeeman"})
     mu_n = sc.physical_constants["nuclear magneton"][0] / sc.h / 1e10  # MHz/G
-    c = narb.constants()
+    c = DEFAULTS.molecular_constants()
     expected = np.array([
         -(c.g_a * ma + c.g_b * mb) * mu_n * b_gauss
         for (_, _, ma, mb) in basis.states
@@ -262,7 +263,7 @@ def test_missing_constants_are_named():
 
 
 def test_field_configuration_validation():
-    c = narb.constants()
+    c = DEFAULTS.molecular_constants()
     with pytest.raises(ValueError):
         FieldConfiguration(constants=c, b_field=-1.0)
     with pytest.raises(ValueError):
@@ -270,7 +271,7 @@ def test_field_configuration_validation():
 
 
 def test_from_vectors():
-    c = narb.constants()
+    c = DEFAULTS.molecular_constants()
     theta = 0.37
     f = FieldConfiguration.from_vectors(
         c, e_field=0.5, e_vec=(math.sin(theta), 0.0, math.cos(theta)),

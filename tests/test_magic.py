@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import magictrap as mt
-from magictrap import narb
 from magictrap.angular import MAGIC_ANGLE_DEG
+from magictrap.config import load_config
 from magictrap.errors import CalibrationError, NoRootError, PoleProximityError
 from magictrap.magic import (
     ANGLE_RESIDUAL_TOL,
@@ -26,9 +27,13 @@ from magictrap.magic import (
 BARE_TERMS = {"rotation", "polarization", "zeeman"}
 
 
+def default_fields(**overrides):
+    return replace(load_config().field_configuration(), **overrides)
+
+
 def test_differential_alpha_same_state_is_zero(narb_spec):
     assert differential_alpha(narb_spec, (1, 0), (1, 0), 80.0) == 0.0
-    fields = narb.field_configuration(b_field=0.0)
+    fields = default_fields(b_field=0.0)
     assert differential_alpha(fields, (0, 0), (0, 0), 10.0,
                               terms=BARE_TERMS) == 0.0
 
@@ -45,7 +50,7 @@ def test_scan_constants_are_frozen():
 
 
 def test_bare_magic_angle_is_the_geometric_one():
-    fields = narb.field_configuration(b_field=0.0)
+    fields = default_fields(b_field=0.0)
     sol = find_magic_angle(fields, (1, 0), (0, 0), terms=BARE_TERMS)
     assert sol.kind == "angle"
     assert sol.location == pytest.approx(MAGIC_ANGLE_DEG, abs=1e-6)
@@ -54,20 +59,20 @@ def test_bare_magic_angle_is_the_geometric_one():
 
 def test_bare_magic_angle_for_m1_pair():
     # (1, +/-1) crosses J=0 at the same geometric angle from below
-    fields = narb.field_configuration(b_field=0.0)
+    fields = default_fields(b_field=0.0)
     sol = find_magic_angle(fields, (1, 1), (0, 0), terms=BARE_TERMS)
     assert sol.location == pytest.approx(MAGIC_ANGLE_DEG, abs=1e-6)
 
 
 def test_magic_angle_bracket_without_root():
-    fields = narb.field_configuration(b_field=0.0)
+    fields = default_fields(b_field=0.0)
     with pytest.raises(NoRootError, match=r"no sign change over \(0.0, 30.0\)"):
         find_magic_angle(fields, (1, 0), (0, 0), bracket=(0.0, 30.0),
                          terms=BARE_TERMS)
 
 
 def test_magic_angle_bracket_validation():
-    fields = narb.field_configuration(b_field=0.0)
+    fields = default_fields(b_field=0.0)
     with pytest.raises(ValueError, match="0 <= lo < hi <= 180"):
         find_magic_angle(fields, (1, 0), (0, 0), bracket=(-5.0, 30.0))
     with pytest.raises(ValueError, match="unknown method"):
@@ -81,7 +86,7 @@ def test_eigen_magic_angle_with_dc_field():
     (J=1, M=0)-character state crosses the J=0 manifold within a small
     fraction of a degree of the bare angle.
     """
-    fields = narb.field_configuration(e_field=0.5)
+    fields = default_fields(e_field=0.5)
     roots = []
     for rank in range(3):
         sol = find_magic_angle(fields, (1, 0, rank), (0, 0, 0),
@@ -92,10 +97,23 @@ def test_eigen_magic_angle_with_dc_field():
     assert max(roots) - min(roots) < 0.05
 
 
+def test_eigen_magic_angle_sizes_the_basis_from_the_spins():
+    # a spin-5/2 Na gives 24 (J=1, M=0)-character states, spin 3/2 only 16
+    fields = default_fields(e_field=0.1)
+    wide = replace(fields, constants=replace(fields.constants, i_a=2.5))
+    sol = find_magic_angle(wide, (1, 0, 20), (0, 0, 0), bracket=(40.0, 70.0),
+                           method="eigen")
+    assert 40.0 < sol.location < 70.0
+    assert abs(sol.residual) <= ANGLE_RESIDUAL_TOL
+    with pytest.raises(ValueError, match="rank 20 out of range"):
+        find_magic_angle(fields, (1, 0, 20), (0, 0, 0), bracket=(40.0, 70.0),
+                         method="eigen")
+
+
 def test_quadrupole_shifts_the_magic_angle():
     # at the default operating point the eigen search must disagree
     # with the bare geometric angle by a visible margin
-    sol = find_magic_angle(narb.field_configuration(), (1, 0, 0), (0, 0, 0))
+    sol = find_magic_angle(default_fields(), (1, 0, 0), (0, 0, 0))
     assert abs(sol.location - MAGIC_ANGLE_DEG) > 0.5
 
 
@@ -153,13 +171,13 @@ def test_bracket_scan_skips_nonfinite_samples():
         bracket_scan(math.sin, 2.0, 1.0)
 
 
-def test_calibrate_gamma_hits_the_target():
-    template = narb.default_spec(gamma_hz=1000.0)
+def test_calibrate_gamma_hits_the_target(narb_spec):
+    template = load_config(overrides=[f"molecule.gamma_hz={1000.0!r}"]).spec()
     calibrated = calibrate_gamma(template, (0, 1), 103.0)
     sol = find_magic_detuning(calibrated, 0, 1)
     assert abs(sol.location - 103.0) < 1e-6
     # and reproduces the bundled linewidth from a cold start
-    ratio = calibrated.lines[0].gamma / narb.default_spec().lines[0].gamma
+    ratio = calibrated.lines[0].gamma / narb_spec.lines[0].gamma
     assert ratio == pytest.approx(1.0, rel=1e-6)
 
 

@@ -24,7 +24,6 @@ from magictrap import (
     line_strength,
     spec_from_levels,
 )
-from magictrap import narb
 from magictrap.units import HARTREE_TO_CM1, HARTREE_TO_GHZ
 
 from conftest import assert_close
