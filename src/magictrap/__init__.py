@@ -46,9 +46,7 @@ from .hyperfine import (
 )
 from .magic import (
     MagicSolution,
-    bracket_scan,
     calibrate_gamma,
-    differential_alpha,
     find_magic_angle,
     find_magic_detuning,
 )
@@ -112,8 +110,7 @@ __all__ = [
     "polarization_operator", "diagonalize", "eigenstate_polarizability",
     "track_states",
     # magic
-    "MagicSolution", "differential_alpha", "bracket_scan",
-    "find_magic_detuning", "find_magic_angle", "calibrate_gamma",
+    "MagicSolution", "find_magic_detuning", "find_magic_angle", "calibrate_gamma",
     # errors
     "MagicTrapError", "UnitError", "DataFormatError", "GridError",
     "ConfigError", "PoleProximityError", "NoRootError", "CalibrationError",

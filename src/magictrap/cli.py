@@ -113,22 +113,26 @@ def _cmd_solve_rovib(cfg: RunConfig):
     return headers, rows, summary
 
 
+def _detuning_axis(cfg: RunConfig):
+    """Scan detunings (GHz) from the reference line and their photon energies."""
+    deltas = np.linspace(cfg.get("scan", "start_ghz"),
+                         cfg.get("scan", "stop_ghz"),
+                         cfg.get("scan", "points"))
+    return deltas, cfg.spec().reference.energy + deltas / HARTREE_TO_GHZ
+
+
 def _cmd_alpha_scan(cfg: RunConfig):
     spec = cfg.spec()
     theta_p = math.radians(cfg.get("fields", "theta_p_deg"))
     m = cfg.get("scan", "m")
     j_values = cfg.get("scan", "j_values")
-    deltas = np.linspace(cfg.get("scan", "start_ghz"),
-                         cfg.get("scan", "stop_ghz"),
-                         cfg.get("scan", "points"))
+    deltas, nu = _detuning_axis(cfg)
     notes: set[str] = set()
     rows = []
     for j in j_values:
-        for delta in deltas:
-            val = alpha_analytic(spec, spec.reference.energy + delta / HARTREE_TO_GHZ,
-                                 j, m, theta_p)
-            notes.update(val.notes)
-            rows.append([float(delta), j, m, val.real])
+        val = alpha_analytic(spec, nu, j, m, theta_p)
+        notes.update(val.notes)
+        rows.extend([delta, j, m, a] for delta, a in zip(deltas, val.real))
     for note in sorted(notes):
         print(f"note: {note} (some scan points)", file=sys.stderr)
     headers = ["detuning_ghz", "j", "m", "alpha_au"]
@@ -167,14 +171,11 @@ def _cmd_imag_scan(cfg: RunConfig):
     theta_p = math.radians(cfg.get("fields", "theta_p_deg"))
     m = cfg.get("scan", "m")
     j_values = cfg.get("scan", "j_values")
-    ref = cfg.get("molecule", "transition_cm1") / HARTREE_TO_CM1
-    deltas = np.linspace(cfg.get("scan", "start_ghz"),
-                         cfg.get("scan", "stop_ghz"),
-                         cfg.get("scan", "points"))
-    rows = [[float(delta), j, m,
-             alpha_imag(x_levels, ab_levels, dipoles, gammas,
-                        ref + delta / HARTREE_TO_GHZ, j, m, theta_p).imag]
-            for j in j_values for delta in deltas]
+    deltas, nu = _detuning_axis(cfg)
+    rows = []
+    for j in j_values:
+        val = alpha_imag(x_levels, ab_levels, dipoles, gammas, nu, j, m, theta_p)
+        rows.extend([delta, j, m, a] for delta, a in zip(deltas, val.imag))
     headers = ["detuning_ghz", "j", "m", "im_alpha_au"]
     summary = (f"Im alpha for J in {list(j_values)}, M={m} from "
                f"{len(ab_levels)} retained coupled levels")

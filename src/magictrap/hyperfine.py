@@ -342,11 +342,19 @@ def polarization_operator(basis: HyperfineBasis, c: MolecularConstants,
 
 def build_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
                       terms: frozenset[str] | set[str] = TERMS) -> np.ndarray:
-    """Assemble the selected terms; result is real symmetric, in MHz."""
+    """Assemble the selected terms; result is real symmetric, in MHz.
+
+    The basis must be built for the constants' nuclear spins.
+    """
     unknown = set(terms) - TERMS
     if unknown:
         raise ValueError(f"unknown terms {sorted(unknown)}; valid: {sorted(TERMS)}")
     c = fields.constants
+    if (basis.i_a, basis.i_b) != (c.i_a, c.i_b):
+        raise ValueError(
+            f"basis spins ({basis.i_a}, {basis.i_b}) differ from the "
+            f"constants' nuclear spins ({c.i_a}, {c.i_b})"
+        )
     h = np.zeros((basis.dim, basis.dim))
     if "rotation" in terms:
         h += _h_rotation(basis, c)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -36,14 +36,10 @@ from .units import HARTREE_TO_GHZ
 
 __all__ = [
     "MagicSolution",
-    "differential_alpha",
-    "bracket_scan",
     "find_magic_detuning",
     "find_magic_angle",
     "calibrate_gamma",
 ]
-
-SCAN_POINTS = 512
 
 # residual |alpha_a - alpha_b| accepted at a detuning root, atomic units
 DETUNING_RESIDUAL_TOL = 1e-10
@@ -71,31 +67,6 @@ class MagicSolution:
         lo, hi = self.bracket
         if not lo < self.location < hi:
             raise ValueError("root must lie strictly inside the bracket")
-
-
-def differential_alpha(spec_or_fields, state_a, state_b, x: float, *,
-                       theta_p: float = 0.0,
-                       terms: frozenset[str] | set[str] = TERMS,
-                       method: str = "auto", j_max: int = 1) -> float:
-    """alpha(state_a) - alpha(state_b) at scan position ``x``.
-
-    With a :class:`PolarizabilitySpec`, ``x`` is a detuning in GHz,
-    states are (J, M) pairs and ``theta_p`` applies to both.  With a
-    :class:`FieldConfiguration`, ``x`` is a polarization angle in
-    degrees and states are (J, M) or (J, M, rank) identifiers resolved
-    against the hyperfine eigensolution (see :func:`find_magic_angle`).
-    """
-    if isinstance(spec_or_fields, PolarizabilitySpec):
-        return _detuning_objective(spec_or_fields, state_a, state_b, x, theta_p)
-    if isinstance(spec_or_fields, FieldConfiguration):
-        resolved = _angle_method(spec_or_fields, terms, method)
-        return _angle_objective(
-            spec_or_fields, state_a, state_b, x, terms, resolved, j_max
-        )
-    raise TypeError(
-        "expected PolarizabilitySpec or FieldConfiguration, got "
-        f"{type(spec_or_fields).__name__}"
-    )
 
 
 def _detuning_objective(spec: PolarizabilitySpec, state_a, state_b,
@@ -159,28 +130,6 @@ def _angle_objective(fields: FieldConfiguration, state_a, state_b,
     sol = eigenstate_polarizability(sol, at)
     alphas = sol.polarizabilities
     return float(alphas[_pick_state(sol, state_a)] - alphas[_pick_state(sol, state_b)])
-
-
-def bracket_scan(f: Callable[[float], float], lo: float, hi: float,
-                 n: int = SCAN_POINTS) -> list[tuple[float, float]]:
-    """All sign-change brackets of ``f`` on a uniform grid over [lo, hi].
-
-    Non-finite samples (poles) break the intervals they touch.  Returns
-    brackets in ascending order; no roots are selected silently.
-    """
-    if not hi > lo:
-        raise ValueError("need hi > lo")
-    xs = np.linspace(lo, hi, n)
-    ys = np.array([f(x) for x in xs])
-    out = []
-    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
-        if not (np.isfinite(y0) and np.isfinite(y1)):
-            continue
-        if y0 == 0.0:
-            continue
-        if np.sign(y0) != np.sign(y1):
-            out.append((float(x0), float(x1)))
-    return out
 
 
 def _poles_in_window(spec: PolarizabilitySpec, js: Sequence[int], m: int,

@@ -29,6 +29,12 @@ width.  The imaginary part follows the same convention, giving
                    / ((E_f - E_i)^2 - (h nu)^2)
 
 in atomic units (negative below every resonance).
+
+Every route takes the photon energy ``nu`` as a scalar or as an array
+(a scan axis) and returns values of the same shape; the angular weights
+and the transition table are built once per (J, M, theta_p), not once
+per point.  Each point gets the same floating-point operations in the
+same order whichever way it is passed.
 """
 
 from __future__ import annotations
@@ -123,14 +129,20 @@ class PolarizabilitySpec:
 
 @dataclass(frozen=True)
 class PolarizabilityValue:
-    """One evaluated polarizability sample (atomic units)."""
+    """Polarizability at one photon energy or over an axis of them (atomic units).
 
-    nu: float
+    ``real``/``imag`` have the shape of ``nu``: a float for a scalar
+    ``nu``, an array for an array.  ``notes`` are the validity notes of
+    the closed-form routes; over an array they are the union of the
+    notes at its points.
+    """
+
+    nu: float | np.ndarray
     j: int
     m: int
     theta_p: float
-    real: float | None = None
-    imag: float | None = None
+    real: float | np.ndarray | None = None
+    imag: float | np.ndarray | None = None
     notes: tuple[str, ...] = field(default=())
 
 
@@ -152,27 +164,30 @@ def gamma_from_dipole(energy: float, dipole: float) -> float:
     return (4.0 / 3.0) * energy ** 3 * dipole ** 2 / C_AU ** 3
 
 
-def _window_notes(spec: PolarizabilitySpec, nu: float, j: int) -> tuple[str, ...]:
-    notes: list[str] = []
-    deltas = [abs(nu - ln.energy) for ln in spec.lines]
-    i_near = int(np.argmin(deltas))
-    near = spec.lines[i_near]
-    offs = resonance_offsets(j, spec.b_v, near.b_rot)
-    rot_scale = max(abs(offs.l), abs(offs.r), 2.0 * near.b_rot)
-    if deltas[i_near] < 3.0 * rot_scale:
-        notes.append("detuning inside the rotational branch structure")
-    if deltas[i_near] < 1e3 * near.gamma:
-        notes.append("detuning not large against the linewidth")
+def _window_notes(spec: PolarizabilitySpec, nu: np.ndarray, j: int) -> tuple[str, ...]:
+    energies = np.array([ln.energy for ln in spec.lines])
+    dist = np.abs(np.asarray(nu)[..., None] - energies)
+    near = dist.argmin(axis=-1)
+    dist = dist.min(axis=-1)
+    offs = [(resonance_offsets(j, spec.b_v, ln.b_rot), ln.b_rot) for ln in spec.lines]
+    rot_scale = np.array([max(abs(o.l), abs(o.r), 2.0 * b) for o, b in offs])
+    gammas = np.array([ln.gamma for ln in spec.lines])
     if len(spec.lines) > 1:
-        gaps = np.diff([ln.energy for ln in spec.lines])
-        if deltas[i_near] > 0.3 * float(np.min(gaps)):
-            notes.append("detuning comparable to the band spacing")
-    elif deltas[i_near] > 0.02 * near.energy:
-        notes.append("detuning comparable to the transition energy")
-    return tuple(notes)
+        far = ("detuning comparable to the band spacing",
+               dist > 0.3 * float(np.min(np.diff(energies))))
+    else:
+        far = ("detuning comparable to the transition energy",
+               dist > 0.02 * energies[0])
+    checks = (
+        ("detuning inside the rotational branch structure",
+         dist < 3.0 * rot_scale[near]),
+        ("detuning not large against the linewidth", dist < 1e3 * gammas[near]),
+        far,
+    )
+    return tuple(note for note, hit in checks if hit.any())
 
 
-def alpha_analytic(spec: PolarizabilitySpec, nu: float, j: int, m: int,
+def alpha_analytic(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m: int,
                    theta_p: float = 0.0) -> PolarizabilityValue:
     """Closed-form real polarizability at photon energy ``nu`` (Hartree).
 
@@ -182,24 +197,23 @@ def alpha_analytic(spec: PolarizabilitySpec, nu: float, j: int, m: int,
     """
     fac = angular_factors(j, m, theta_p)
     bg = spec.background
-    total = fac.total * bg.anisotropy + bg.alpha_perp
+    x = np.asarray(nu, dtype=float)
+    total = np.full(x.shape, fac.total * bg.anisotropy + bg.alpha_perp)
     for ln in spec.lines:
-        delta = nu - ln.energy
+        delta = x - ln.energy
         offs = resonance_offsets(j, spec.b_v, ln.b_rot)
-        amp = line_strength(ln)
         with np.errstate(divide="ignore"):
-            res = -amp * (
+            total += -line_strength(ln) * (
                 np.divide(fac.a, delta + offs.l)
                 + np.divide(fac.b, delta + offs.r)
             )
-        total += float(res)
     return PolarizabilityValue(
-        nu=nu, j=j, m=m, theta_p=theta_p, real=float(total),
-        notes=_window_notes(spec, nu, j),
+        nu=nu, j=j, m=m, theta_p=theta_p, real=total[()],
+        notes=_window_notes(spec, x, j),
     )
 
 
-def alpha_fardetuned(spec: PolarizabilitySpec, nu: float, j: int, m: int,
+def alpha_fardetuned(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m: int,
                      theta_p: float = 0.0) -> PolarizabilityValue:
     """First-order far-detuned form: branch offsets collapsed to zero.
 
@@ -211,14 +225,14 @@ def alpha_fardetuned(spec: PolarizabilitySpec, nu: float, j: int, m: int,
     """
     fac = angular_factors(j, m, theta_p)
     bg = spec.background
-    total = fac.total * bg.anisotropy + bg.alpha_perp
+    x = np.asarray(nu, dtype=float)
+    total = np.full(x.shape, fac.total * bg.anisotropy + bg.alpha_perp)
     for ln in spec.lines:
-        delta = nu - ln.energy
         with np.errstate(divide="ignore"):
-            total += float(-line_strength(ln) * np.divide(fac.total, delta))
+            total += -line_strength(ln) * np.divide(fac.total, x - ln.energy)
     return PolarizabilityValue(
-        nu=nu, j=j, m=m, theta_p=theta_p, real=float(total),
-        notes=_window_notes(spec, nu, j),
+        nu=nu, j=j, m=m, theta_p=theta_p, real=total[()],
+        notes=_window_notes(spec, x, j),
     )
 
 
@@ -233,16 +247,22 @@ def _polarization_weight(jp: int, j: int, m: int, theta_p: float) -> float:
 
 
 def _transitions(x_levels, ab_levels, dipoles, j, m, theta_p):
-    """Yield (dE, |d|^2 * W) for every retained line out of (J, M)."""
+    """The transition table out of (J, M), independent of the photon energy.
+
+    Returns the polarization weight W of each branch J' = J +- 1, and one
+    row (dE, ab index, d, W) per retained line in ``ab_levels`` order.
+    """
     try:
         x_idx, x_level = next(
             (i, lv) for i, lv in enumerate(x_levels) if lv.j == j
         )
     except StopIteration:
         raise ValueError(f"no ground level with J = {j} among x_levels")
-    out = []
+    weights = {jp: _polarization_weight(jp, j, m, theta_p)
+               for jp in (j - 1, j + 1) if jp >= 0}
+    rows = []
     for a_idx, ab in enumerate(ab_levels):
-        if abs(ab.j - j) != 1:
+        if ab.j not in weights:
             continue
         d = dipoles.get((x_idx, a_idx))
         if d is None:
@@ -250,22 +270,30 @@ def _transitions(x_levels, ab_levels, dipoles, j, m, theta_p):
                 f"missing dipole for pair (x={x_idx}, ab={a_idx}); "
                 "provide all J' = J +- 1 moments"
             )
-        w = _polarization_weight(ab.j, j, m, theta_p)
-        out.append((ab.energy - x_level.energy, d * d * w, ab.j))
-    if not out:
+        rows.append((ab.energy - x_level.energy, a_idx, d, weights[ab.j]))
+    if not rows:
         raise ValueError(f"no retained lines couple to J = {j}")
-    return out
+    return weights, rows
 
 
-def _pole_guard_scale(trans_energies: list[float]) -> float:
-    uniq = sorted(set(trans_energies))
+def _guard_poles(rows, nu: np.ndarray) -> None:
+    """Raise if any photon energy sits within the pole guard of a line."""
+    uniq = sorted({row[0] for row in rows})
     if len(uniq) > 1:
-        return min(b - a for a, b in zip(uniq, uniq[1:]))
-    return uniq[0] * _SINGLE_LINE_GUARD / _POLE_GUARD
+        scale = min(b - a for a, b in zip(uniq, uniq[1:]))
+    else:
+        scale = uniq[0] * _SINGLE_LINE_GUARD / _POLE_GUARD
+    guard = _POLE_GUARD * scale
+    for de, *_ in rows:
+        if np.any(np.abs(de - nu) < guard):
+            raise PoleProximityError(
+                f"photon energy within {guard:.3e} Eh of the line at {de:.6e} Eh"
+            )
 
 
 def alpha_sum_over_states(x_levels: list[RovibLevel], ab_levels: list[RovibLevel],
-                          dipoles: dict[tuple[int, int], float], nu: float,
+                          dipoles: dict[tuple[int, int], float],
+                          nu: float | np.ndarray,
                           j: int, m: int, theta_p: float = 0.0,
                           background: Background | None = None) -> PolarizabilityValue:
     """Explicit second-order polarizability sum (atomic units).
@@ -276,25 +304,21 @@ def alpha_sum_over_states(x_levels: list[RovibLevel], ab_levels: list[RovibLevel
     background, when given, is added with angular weights computed from
     the same 3-j route (never from the closed-form factors).
     """
-    trans = _transitions(x_levels, ab_levels, dipoles, j, m, theta_p)
-    guard = _POLE_GUARD * _pole_guard_scale([t[0] for t in trans])
-    total = 0.0
-    for de, strength, _jp in trans:
-        if abs(de - nu) < guard:
-            raise PoleProximityError(
-                f"photon energy within {guard:.3e} Eh of the line at {de:.6e} Eh"
-            )
-        total += strength * (1.0 / (de - nu) + 1.0 / (de + nu))
+    weights, rows = _transitions(x_levels, ab_levels, dipoles, j, m, theta_p)
+    x = np.asarray(nu, dtype=float)
+    _guard_poles(rows, x)
+    total = np.zeros(x.shape)
+    for de, _, d, w in rows:
+        total += d * d * w * (1.0 / (de - x) + 1.0 / (de + x))
     if background is not None:
-        w_down = _polarization_weight(j - 1, j, m, theta_p) if j > 0 else 0.0
-        w_up = _polarization_weight(j + 1, j, m, theta_p)
-        total += (w_down + w_up) * background.anisotropy + background.alpha_perp
-    return PolarizabilityValue(nu=nu, j=j, m=m, theta_p=theta_p, real=float(total))
+        w = weights.get(j - 1, 0.0) + weights[j + 1]
+        total += w * background.anisotropy + background.alpha_perp
+    return PolarizabilityValue(nu=nu, j=j, m=m, theta_p=theta_p, real=total[()])
 
 
 def alpha_imag(x_levels: list[RovibLevel], ab_levels: list[RovibLevel],
                dipoles: dict[tuple[int, int], float], gammas: list[float],
-               nu: float, j: int, m: int,
+               nu: float | np.ndarray, j: int, m: int,
                theta_p: float = 0.0) -> PolarizabilityValue:
     """Imaginary polarizability from the retained lines (atomic units).
 
@@ -306,23 +330,13 @@ def alpha_imag(x_levels: list[RovibLevel], ab_levels: list[RovibLevel],
     """
     if len(gammas) != len(ab_levels):
         raise ValueError("gammas must align with ab_levels")
-    trans = _transitions(x_levels, ab_levels, dipoles, j, m, theta_p)
-    guard = _POLE_GUARD * _pole_guard_scale([t[0] for t in trans])
-    x_idx = next(i for i, lv in enumerate(x_levels) if lv.j == j)
-    x_level = x_levels[x_idx]
-    total = 0.0
-    for a_idx, ab in enumerate(ab_levels):
-        if abs(ab.j - j) != 1:
-            continue
-        de = ab.energy - x_level.energy
-        if abs(de - nu) < guard:
-            raise PoleProximityError(
-                f"photon energy within {guard:.3e} Eh of the line at {de:.6e} Eh"
-            )
-        d = dipoles[(x_idx, a_idx)]
-        w = _polarization_weight(ab.j, j, m, theta_p)
-        total -= gammas[a_idx] * d * d * w / (de * de - nu * nu)
-    return PolarizabilityValue(nu=nu, j=j, m=m, theta_p=theta_p, imag=float(total))
+    _, rows = _transitions(x_levels, ab_levels, dipoles, j, m, theta_p)
+    x = np.asarray(nu, dtype=float)
+    _guard_poles(rows, x)
+    total = np.zeros(x.shape)
+    for de, a_idx, d, w in rows:
+        total -= gammas[a_idx] * d * d * w / (de * de - x * x)
+    return PolarizabilityValue(nu=nu, j=j, m=m, theta_p=theta_p, imag=total[()])
 
 
 def spec_from_levels(x_levels: list[RovibLevel], ab_levels: list[RovibLevel],

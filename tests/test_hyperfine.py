@@ -104,10 +104,19 @@ def test_quadrupole_denominator_conventions_differ_by_factor_four():
 
 def test_quadrupole_spin_half_rejected_for_standard_denominator():
     basis = build_basis(1, i_a=0.5)
-    consts = DEFAULTS.molecular_constants()
+    consts = replace(DEFAULTS.molecular_constants(), i_a=0.5)
     f = FieldConfiguration(constants=consts)
     with pytest.raises(ConfigError):
         build_hamiltonian(basis, f, terms={"quadrupole"})
+
+
+def test_basis_spins_must_match_the_constants():
+    fields = load_config(overrides=["molecule.spin_na=2.5"]).field_configuration()
+    with pytest.raises(ValueError, match="spins"):
+        build_hamiltonian(build_basis(1), fields)
+    h = build_hamiltonian(build_basis(1, fields.constants.i_a,
+                                      fields.constants.i_b), fields)
+    assert h.shape == (96, 96)
 
 
 def test_zeeman_is_diagonal_with_projection_weights():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,11 +14,8 @@ from magictrap.errors import CalibrationError, NoRootError, PoleProximityError
 from magictrap.magic import (
     ANGLE_RESIDUAL_TOL,
     DETUNING_RESIDUAL_TOL,
-    SCAN_POINTS,
     MagicSolution,
-    bracket_scan,
     calibrate_gamma,
-    differential_alpha,
     find_magic_angle,
     find_magic_detuning,
 )
@@ -31,20 +27,7 @@ def default_fields(**overrides):
     return replace(load_config().field_configuration(), **overrides)
 
 
-def test_differential_alpha_same_state_is_zero(narb_spec):
-    assert differential_alpha(narb_spec, (1, 0), (1, 0), 80.0) == 0.0
-    fields = default_fields(b_field=0.0)
-    assert differential_alpha(fields, (0, 0), (0, 0), 10.0,
-                              terms=BARE_TERMS) == 0.0
-
-
-def test_differential_alpha_rejects_unknown_inputs():
-    with pytest.raises(TypeError, match="PolarizabilitySpec or FieldConfiguration"):
-        differential_alpha({"b_v": 0.07}, (0, 0), (1, 0), 80.0)
-
-
 def test_scan_constants_are_frozen():
-    assert SCAN_POINTS == 512
     assert DETUNING_RESIDUAL_TOL == 1e-10
     assert ANGLE_RESIDUAL_TOL == 1e-6
 
@@ -149,26 +132,6 @@ def test_solution_rejects_root_outside_bracket():
     with pytest.raises(ValueError, match="strictly inside"):
         MagicSolution(kind="detuning", location=150.0, state_a=(0, 0),
                       state_b=(1, 0), residual=0.0, bracket=(30.0, 100.0))
-
-
-def test_bracket_scan_finds_every_sign_change():
-    brackets = bracket_scan(math.sin, 0.5, 7.0, n=64)
-    assert len(brackets) == 2
-    assert brackets[0][0] < math.pi < brackets[0][1]
-    assert brackets[1][0] < 2.0 * math.pi < brackets[1][1]
-
-
-def test_bracket_scan_skips_nonfinite_samples():
-    def holed(x):
-        if 2.9 < x < 3.3:
-            return float("nan")
-        return math.sin(x)
-
-    brackets = bracket_scan(holed, 0.5, 7.0, n=64)
-    assert len(brackets) == 1
-    assert brackets[0][0] < 2.0 * math.pi < brackets[0][1]
-    with pytest.raises(ValueError, match="hi > lo"):
-        bracket_scan(math.sin, 2.0, 1.0)
 
 
 def test_calibrate_gamma_hits_the_target(narb_spec):

@@ -23,6 +23,15 @@ GOLDEN = {
         ["--override", "scan.points=201"],
         "35e38bf00cda6342b5e465629511c845c7d012bbfa28c0b483d4b0ff97046d76",
     ),
+    "hyperfine-scan": (
+        ["--override", "scan.points=16"],
+        "20966d4eabe61e0f9d18556c2d42e088b5feb15becda13def117ec3a269e59fa",
+    ),
+    "imag-scan": (
+        ["--override", "grid.points=300", "--override", "scan.j_values=0,1",
+         "--override", "scan.max_levels=3", "--override", "scan.points=64"],
+        "9812d30c377aaf05e34105acdf6cce727e0aeb1194eec404304a09eab3091720",
+    ),
     "magic-find": (
         [],
         "844d1701567929394fb810429e6af5dc7a0fedc401e0002acb40d88d4df0e244",

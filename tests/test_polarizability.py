@@ -20,10 +20,13 @@ from magictrap import (
     alpha_fardetuned,
     alpha_imag,
     alpha_sum_over_states,
+    angular_factors,
     gamma_from_dipole,
     line_strength,
+    resonance_offsets,
     spec_from_levels,
 )
+from magictrap.polarizability import _polarization_weight
 from magictrap.units import HARTREE_TO_CM1, HARTREE_TO_GHZ
 
 from conftest import assert_close
@@ -119,6 +122,16 @@ def test_window_notes(narb_spec):
     assert clean.notes == ()
     huge = alpha_analytic(narb_spec, e0 * 0.5, 0, 0)
     assert any("transition energy" in n for n in huge.notes)
+    # over an axis the notes are the union of the notes at its points
+    axis = np.array([e0 + 5.0 / HARTREE_TO_GHZ, e0 + 103.0 / HARTREE_TO_GHZ,
+                     e0 * 0.5])
+    for j in (0, 1):
+        whole = alpha_analytic(narb_spec, axis, j, 0).notes
+        points = [alpha_analytic(narb_spec, float(nu), j, 0).notes for nu in axis]
+        assert len(set(whole)) == len(whole)
+        assert set(whole) == set().union(*points)
+        assert any("branch structure" in n for n in whole)
+        assert any("transition energy" in n for n in whole)
 
 
 def test_dual_routes_agree_on_sample(stiff_pair):
@@ -194,6 +207,73 @@ def test_sum_route_guards_poles(stiff_pair):
         alpha_sum_over_states(x, ab, d, line_e, 0, 0)
     with pytest.raises(PoleProximityError):
         alpha_imag(x, ab, d, [1e-12] * len(ab), line_e, 0, 0)
+    # one point of an axis on the line is enough
+    axis = line_e + np.linspace(-100.0, 100.0, 5) / HARTREE_TO_GHZ
+    assert axis[2] == line_e
+    with pytest.raises(PoleProximityError):
+        alpha_sum_over_states(x, ab, d, axis, 0, 0)
+    with pytest.raises(PoleProximityError):
+        alpha_imag(x, ab, d, [1e-12] * len(ab), axis, 0, 0)
+
+
+# (J, M, theta_p) cases for the axis-versus-points oracles
+AXIS_CASES = ((0, 0, 0.0), (1, 0, 0.4), (1, 1, 1.2), (2, 1, 0.9),
+              (3, 2, math.pi / 2))
+
+
+def _assert_axis_matches_points(call, axis, part):
+    """One call over ``axis`` equals, bit for bit, a scalar call per point."""
+    whole = getattr(call(axis), part)
+    assert isinstance(whole, np.ndarray) and whole.shape == axis.shape
+    points = [getattr(call(float(nu)), part) for nu in axis]
+    assert all(isinstance(v, float) for v in points)
+    assert np.array_equal(whole, np.array(points), equal_nan=True)
+
+
+# a pole whose branch weight is zero evaluates 0/0 = nan on either path
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("route", [alpha_analytic, alpha_fardetuned])
+def test_closed_forms_over_an_axis_match_points(stiff_pair, route):
+    spec = stiff_pair["spec"]
+    ref = spec.reference
+    window = ref.energy + np.linspace(-300.0, 300.0, 41) / HARTREE_TO_GHZ
+    for j, m, theta in AXIS_CASES:
+        offs = resonance_offsets(j, spec.b_v, ref.b_rot)
+        # each branch pole, and points just off it
+        near = [(ref.energy - off) * (1.0 + eps) for off in (offs.l, offs.r)
+                for eps in (0.0, -1e-12, 1e-12, -1e-9, 1e-9)]
+        axis = np.concatenate([window, near])
+        _assert_axis_matches_points(
+            lambda nu: route(spec, nu, j, m, theta), axis, "real")
+
+
+def _sum_axis(stiff_pair, j):
+    """A detuning window plus points just off each line out of J."""
+    x = stiff_pair["x"]
+    lines = [lv.energy - x[j].energy for lv in stiff_pair["ab"]
+             if abs(lv.j - j) == 1]
+    window = lines[0] + np.linspace(-300.0, 300.0, 40) / HARTREE_TO_GHZ
+    near = [de * (1.0 + eps) for de in lines for eps in (-1e-6, -1e-8, 1e-8, 1e-6)]
+    return np.concatenate([window, near])
+
+
+def test_sum_over_states_over_an_axis_matches_points(stiff_pair):
+    x, ab, d = stiff_pair["x"], stiff_pair["ab"], stiff_pair["dipoles"]
+    for background in (None, stiff_pair["background"]):
+        for j, m, theta in AXIS_CASES:
+            _assert_axis_matches_points(
+                lambda nu: alpha_sum_over_states(x, ab, d, nu, j, m, theta,
+                                                 background=background),
+                _sum_axis(stiff_pair, j), "real")
+
+
+def test_alpha_imag_over_an_axis_matches_points(stiff_pair):
+    x, ab, d = stiff_pair["x"], stiff_pair["ab"], stiff_pair["dipoles"]
+    gammas = list(np.linspace(1e-12, 3e-12, len(ab)))
+    for j, m, theta in AXIS_CASES:
+        _assert_axis_matches_points(
+            lambda nu: alpha_imag(x, ab, d, gammas, nu, j, m, theta),
+            _sum_axis(stiff_pair, j), "imag")
 
 
 def test_transitions_require_complete_inputs(stiff_pair):
@@ -279,3 +359,49 @@ def test_spec_from_levels_counter_rotating_fold(stiff_pair):
     cr = line_strength(spec.reference) / (e_ref + e_ref)
     assert spec.background.alpha_par - bg.alpha_par == pytest.approx(
         cr, rel=1e-6)
+
+
+def _closed_form_by_hand(spec, nu, j, m, theta):
+    """alpha_analytic at one float ``nu``, in plain floats, line by line."""
+    fac = angular_factors(j, m, theta)
+    bg = spec.background
+    total = fac.total * bg.anisotropy + bg.alpha_perp
+    for ln in spec.lines:
+        delta = nu - ln.energy
+        offs = resonance_offsets(j, spec.b_v, ln.b_rot)
+        total += -line_strength(ln) * (fac.a / (delta + offs.l)
+                                       + fac.b / (delta + offs.r))
+    return total
+
+
+def _state_sums_by_hand(stiff_pair, gammas, nu, j, m, theta):
+    """Real and imaginary state sums at one float ``nu``, line by line."""
+    x, d = stiff_pair["x"], stiff_pair["dipoles"]
+    real = imag = 0.0
+    for ai, lv in enumerate(stiff_pair["ab"]):
+        if abs(lv.j - j) == 1:
+            de = lv.energy - x[j].energy
+            dd = d[(j, ai)]
+            w = _polarization_weight(lv.j, j, m, theta)
+            real += dd * dd * w * (1.0 / (de - nu) + 1.0 / (de + nu))
+            imag -= gammas[ai] * dd * dd * w / (de * de - nu * nu)
+    return real, imag
+
+
+def test_axis_keeps_the_per_line_float_order(stiff_pair):
+    """The CSVs stay byte-identical only if each point gets the same float ops."""
+    spec = stiff_pair["spec"]
+    x, ab, d = stiff_pair["x"], stiff_pair["ab"], stiff_pair["dipoles"]
+    gammas = list(np.linspace(1e-12, 3e-12, len(ab)))
+    # an even count keeps zero detuning, the J=0 pole, off the window
+    window = spec.reference.energy + np.linspace(-300.0, 300.0, 40) / HARTREE_TO_GHZ
+    for j, m, theta in AXIS_CASES:
+        closed = [_closed_form_by_hand(spec, float(nu), j, m, theta) for nu in window]
+        assert np.array_equal(alpha_analytic(spec, window, j, m, theta).real, closed)
+        axis = _sum_axis(stiff_pair, j)
+        sums = np.array([_state_sums_by_hand(stiff_pair, gammas, float(nu), j, m, theta)
+                         for nu in axis])
+        assert np.array_equal(alpha_sum_over_states(x, ab, d, axis, j, m, theta).real,
+                              sums[:, 0])
+        assert np.array_equal(alpha_imag(x, ab, d, gammas, axis, j, m, theta).imag,
+                              sums[:, 1])
