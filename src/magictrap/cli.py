@@ -96,7 +96,7 @@ def _cmd_solve_rovib(cfg: RunConfig):
     grid = cfg.radial_grid()
     mass = cfg.reduced_mass_amu()
     j_values = cfg.get("scan", "j_values")
-    max_levels = cfg.get("scan", "max_levels", 12)
+    max_levels = cfg.get("scan", "max_levels")
 
     rows = []
     for j in j_values:
@@ -147,7 +147,7 @@ def _imag_inputs(cfg: RunConfig):
     grid = cfg.radial_grid()
     mass = cfg.reduced_mass_amu()
     j_values = cfg.get("scan", "j_values")
-    max_levels = cfg.get("scan", "max_levels", 12)
+    max_levels = cfg.get("scan", "max_levels")
     j_excited = sorted({j + s for j in j_values for s in (-1, 1) if j + s >= 0})
 
     x_levels = [solve_single(ground, j, mass, grid, max_levels=1)[0]
@@ -184,27 +184,22 @@ def _cmd_imag_scan(cfg: RunConfig):
 
 def _cmd_hyperfine_scan(cfg: RunConfig):
     fields = cfg.field_configuration()
-    terms = cfg.terms()
     basis = build_basis(1, fields.constants.i_a, fields.constants.i_b)
     thetas = np.linspace(cfg.get("scan", "start_deg"),
                          cfg.get("scan", "stop_deg"),
                          cfg.get("scan", "points"))
+    at = replace(fields, theta_p=np.radians(thetas))
+    sol = eigenstate_polarizability(
+        diagonalize(build_hamiltonian(basis, at, cfg.terms()), basis), at)
     # chain curve indices through maximal-overlap tracking
     order = np.arange(basis.dim)
     rows = []
-    prev = None
-    for theta_deg in thetas:
-        at = replace(fields, theta_p=math.radians(float(theta_deg)))
-        sol = eigenstate_polarizability(
-            diagonalize(build_hamiltonian(basis, at, terms), basis), at)
-        if prev is not None:
-            order = track_states(prev, sol)[order]
-        for curve, idx in enumerate(order):
-            j, m = sol.labels[idx]
-            rows.append([float(theta_deg), curve, j, m,
-                         float(sol.energies[idx]),
-                         float(sol.polarizabilities[idx])])
-        prev = sol
+    for k, theta_deg in enumerate(thetas.tolist()):
+        if k:
+            order = track_states(sol[k - 1], sol[k])[order]
+        at_k = sol[k]
+        rows.extend([theta_deg, curve, *at_k.labels[i], at_k.energies[i],
+                     at_k.polarizabilities[i]] for curve, i in enumerate(order))
     headers = ["theta_deg", "curve", "j", "m", "energy_mhz", "alpha_hz_wcm2"]
     summary = (f"{basis.dim} eigenstate curves over theta in "
                f"[{thetas[0]:g}, {thetas[-1]:g}] deg, {len(thetas)} points")
@@ -218,7 +213,7 @@ def _magic_headers():
 
 def _shared_m(cfg: RunConfig) -> int:
     """The one M that detuning searches and calibration use for both states."""
-    m = cfg.get("magic", "m_a", 0)
+    m = cfg.get("magic", "m_a")
     m_b = cfg.get("magic", "m_b", m)
     if m_b != m:
         raise ConfigError(
@@ -257,7 +252,7 @@ def _cmd_magic_find(cfg: RunConfig):
             bracket=(cfg.get("magic", "bracket_lo_deg"),
                      cfg.get("magic", "bracket_hi_deg")),
             terms=cfg.terms(),
-            method=cfg.get("magic", "method", "auto"),
+            method=cfg.get("magic", "method"),
         )
         row = [sol.kind,
                j_a, state_a[1], rank_a if rank_a is not None else -1,

@@ -161,7 +161,6 @@ class RunConfig:
         )
 
     def molecular_constants(self) -> MolecularConstants:
-        denom = self.get("molecule", "quadrupole_denominator", "standard")
         return MolecularConstants(
             b_v=self.get("molecule", "b_v_cm1") * HARTREE_TO_MHZ / HARTREE_TO_CM1,
             eqq_a=self.get("molecule", "eqq_na_mhz"),
@@ -171,9 +170,9 @@ class RunConfig:
             d0=self.get("molecule", "d0_debye"),
             alpha_par=self.get("molecule", "alpha_par_hz_wcm2"),
             alpha_perp=self.get("molecule", "alpha_perp_hz_wcm2"),
-            quadrupole_denominator=denom,
-            i_a=self.get("molecule", "spin_na", 1.5),
-            i_b=self.get("molecule", "spin_rb", 1.5),
+            quadrupole_denominator=self.get("molecule", "quadrupole_denominator"),
+            i_a=self.get("molecule", "spin_na"),
+            i_b=self.get("molecule", "spin_rb"),
         )
 
     def field_configuration(self) -> FieldConfiguration:
@@ -187,7 +186,7 @@ class RunConfig:
         )
 
     def terms(self) -> frozenset[str]:
-        names = self.get("fields", "terms", tuple(sorted(TERMS)))
+        names = self.get("fields", "terms")
         unknown = set(names) - TERMS
         if unknown:
             raise ConfigError(

@@ -14,6 +14,9 @@ Hamiltonian collects five switchable terms:
 All directions (static E field, linear laser polarization) are given as
 polar angles against the magnetic-field axis and lie in the x-z plane,
 so every operator is a real symmetric matrix.  Energies are in MHz.
+``theta_p`` may be a 1-D array, a scan axis: the theta_p-independent
+terms are built once and every function then carries a leading angle
+axis, ``(..., dim, dim)``, so a whole scan is one batched ``eigh``.
 
 Shielding, rotational Zeeman, centrifugal distortion, spin-rotation and
 spin-spin terms are deliberately left out; they are far below the MHz
@@ -24,10 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 from scipy import constants as _sc
+from scipy.optimize import linear_sum_assignment
 
 from .angular import rot_tensor_element
 from .errors import ConfigError
@@ -96,8 +101,9 @@ class FieldConfiguration:
     """External fields and the trap light.
 
     ``b_field`` in G along z; ``e_field`` in kV/cm at polar angle
-    ``theta_e``; linear polarization at polar angle ``theta_p``;
-    ``intensity`` in W/cm^2.  Angles are radians in the x-z plane.
+    ``theta_e``; linear polarization at polar angle ``theta_p``, a
+    scalar or a 1-D array (a scan axis); ``intensity`` in W/cm^2.
+    Angles are radians in the x-z plane.
     ``nu`` optionally records the photon energy (Hartree) the
     polarizability constants refer to.
     """
@@ -161,15 +167,6 @@ class HyperfineBasis:
             (j, m) for j in range(self.j_max + 1) for m in range(-j, j + 1)
         )
 
-    def rotational_weights(self, vector: np.ndarray) -> dict[tuple[int, int], float]:
-        """Total |amplitude|^2 per (J, M) block of one eigenvector."""
-        n_spin = _spin_dim(self.i_a) * _spin_dim(self.i_b)
-        blocks = vector.reshape(len(self.rot_states), n_spin)
-        return {
-            jm: float(np.sum(blocks[i] ** 2))
-            for i, jm in enumerate(self.rot_states)
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class EigenSolution:
@@ -178,13 +175,20 @@ class EigenSolution:
     ``energies`` in MHz ascending; ``vectors[:, i]`` belongs to
     ``energies[i]``; ``labels[i]`` is the (J, M) block carrying the
     largest weight; ``polarizabilities`` in Hz/(W/cm^2) when attached.
+    A solution over a theta_p axis stacks these along a leading axis
+    (``labels`` as one tuple per angle); ``sol[k]`` is the k-th angle.
     """
 
     basis: HyperfineBasis
     energies: np.ndarray
     vectors: np.ndarray
-    labels: tuple[tuple[int, int], ...]
+    labels: tuple
     polarizabilities: np.ndarray | None = None
+
+    def __getitem__(self, k: int) -> "EigenSolution":
+        alphas = self.polarizabilities
+        return EigenSolution(self.basis, self.energies[k], self.vectors[k], self.labels[k],
+                             None if alphas is None else alphas[k])
 
     def select(self, label: tuple[int, int]) -> list[int]:
         """Indices of all eigenstates with the given (J, M) character."""
@@ -222,11 +226,8 @@ def _spin_z(i: float) -> np.ndarray:
 
 
 def _spin_raise(i: float) -> np.ndarray:
-    n = _spin_dim(i)
-    op = np.zeros((n, n))
-    for k, m in enumerate(_spin_projections(i)[:-1]):
-        op[k + 1, k] = math.sqrt(i * (i + 1) - m * (m + 1))
-    return op
+    m = np.array(_spin_projections(i)[:-1])
+    return np.diag(np.sqrt(i * (i + 1) - m * (m + 1)), -1)
 
 
 def _spin_t2(i: float) -> dict[int, np.ndarray]:
@@ -244,18 +245,18 @@ def _spin_t2(i: float) -> dict[int, np.ndarray]:
     return t
 
 
-def _rot_ckq(rot_states: Sequence[tuple[int, int]], k: int, q: int) -> np.ndarray:
-    n = len(rot_states)
-    op = np.zeros((n, n))
-    for col, (j, m) in enumerate(rot_states):
-        for row, (jp, mp) in enumerate(rot_states):
-            if mp == m + q:
-                op[row, col] = rot_tensor_element(jp, mp, k, q, j, m)
-    return op
-
-
-def _kron3(rot: np.ndarray, spin_a: np.ndarray, spin_b: np.ndarray) -> np.ndarray:
-    return np.kron(rot, np.kron(spin_a, spin_b))
+@lru_cache(maxsize=None)
+def _rot_tensors(j_max: int) -> dict[tuple[int, int], np.ndarray]:
+    """Read-only C_kq matrices, k = 1 and 2, over the rotational states."""
+    rot = build_basis(j_max).rot_states
+    table = {}
+    for k in (1, 2):
+        for q in range(-k, k + 1):
+            table[k, q] = np.array([[rot_tensor_element(jp, mp, k, q, j, m)
+                                     if mp == m + q else 0.0 for j, m in rot]
+                                    for jp, mp in rot])
+            table[k, q].flags.writeable = False
+    return table
 
 
 def _h_rotation(basis: HyperfineBasis, c: MolecularConstants) -> np.ndarray:
@@ -265,8 +266,7 @@ def _h_rotation(basis: HyperfineBasis, c: MolecularConstants) -> np.ndarray:
 
 def _h_quadrupole(basis: HyperfineBasis, c: MolecularConstants) -> np.ndarray:
     c.require("quadrupole", "eqq_a", "eqq_b")
-    rot = basis.rot_states
-    c2 = {q: _rot_ckq(rot, 2, q) for q in range(-2, 3)}
+    ckq = _rot_tensors(basis.j_max)
     eye_a = np.eye(_spin_dim(basis.i_a))
     eye_b = np.eye(_spin_dim(basis.i_b))
     h = np.zeros((basis.dim, basis.dim))
@@ -286,7 +286,7 @@ def _h_quadrupole(basis: HyperfineBasis, c: MolecularConstants) -> np.ndarray:
         for q in range(-2, 3):
             spin_a = t2[-q] if slot == 0 else eye_a
             spin_b = t2[-q] if slot == 1 else eye_b
-            h += (-1) ** q * (eqq / denom) * _kron3(c2[q], spin_a, spin_b)
+            h += (-1) ** q * (eqq / denom) * np.kron(ckq[2, q], np.kron(spin_a, spin_b))
     return h
 
 
@@ -302,49 +302,47 @@ def _h_zeeman(basis: HyperfineBasis, c: MolecularConstants, b_field: float) -> n
 def _h_stark(basis: HyperfineBasis, c: MolecularConstants, e_field: float,
              theta_e: float) -> np.ndarray:
     c.require("stark", "d0")
-    rot = basis.rot_states
+    ckq = _rot_tensors(basis.j_max)
     # e . C1 for a field in the x-z plane at polar angle theta_e
     direction = (
-        math.cos(theta_e) * _rot_ckq(rot, 1, 0)
-        + (math.sin(theta_e) / math.sqrt(2.0))
-        * (_rot_ckq(rot, 1, -1) - _rot_ckq(rot, 1, +1))
+        math.cos(theta_e) * ckq[1, 0]
+        + (math.sin(theta_e) / math.sqrt(2.0)) * (ckq[1, -1] - ckq[1, +1])
     )
     scale = c.d0 * e_field * 1e5 * _DEBYE_V_M_TO_MHZ
-    eye_a = np.eye(_spin_dim(basis.i_a))
-    eye_b = np.eye(_spin_dim(basis.i_b))
-    return -scale * _kron3(direction, eye_a, eye_b)
+    return -scale * np.kron(direction, np.eye(basis.dim // len(basis.rot_states)))
 
 
 def polarization_operator(basis: HyperfineBasis, c: MolecularConstants,
-                          theta_p: float) -> np.ndarray:
+                          theta_p: float | np.ndarray) -> np.ndarray:
     """Light-shift operator per unit intensity, in Hz/(W/cm^2).
 
     The polarization term of the Hamiltonian is -I times this matrix.
     Its expectation value in an eigenstate is the state's dynamic
     polarizability, which is how the Hellmann-Feynman extraction works.
+    An array ``theta_p`` gives one matrix per angle, ``(..., dim, dim)``.
     """
     c.require("polarization", "alpha_par", "alpha_perp")
-    rot = basis.rot_states
-    cth, sth = math.cos(theta_p), math.sin(theta_p)
+    ckq = _rot_tensors(basis.j_max)
+    theta = np.asarray(theta_p, dtype=float)[..., None, None]
+    cth, sth = np.cos(theta), np.sin(theta)
     # sqrt(6)/3 * sum_q (-1)^q T2q(e,e) C2,-q, all components real
     aniso = (math.sqrt(6.0) / 3.0) * (
-        (3.0 * cth * cth - 1.0) / math.sqrt(6.0) * _rot_ckq(rot, 2, 0)
-        + sth * cth * (_rot_ckq(rot, 2, -1) - _rot_ckq(rot, 2, +1))
-        + 0.5 * sth * sth * (_rot_ckq(rot, 2, -2) + _rot_ckq(rot, 2, +2))
+        (3.0 * cth * cth - 1.0) / math.sqrt(6.0) * ckq[2, 0]
+        + sth * cth * (ckq[2, -1] - ckq[2, +1])
+        + 0.5 * sth * sth * (ckq[2, -2] + ckq[2, +2])
     )
     iso = (c.alpha_par + 2.0 * c.alpha_perp) / 3.0
     delta = c.alpha_par - c.alpha_perp
-    op = iso * np.eye(len(rot)) + delta * aniso
-    eye_a = np.eye(_spin_dim(basis.i_a))
-    eye_b = np.eye(_spin_dim(basis.i_b))
-    return _kron3(op, eye_a, eye_b)
+    op = iso * np.eye(len(basis.rot_states)) + delta * aniso
+    return np.kron(op, np.eye(basis.dim // len(basis.rot_states)))
 
 
 def build_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
                       terms: frozenset[str] | set[str] = TERMS) -> np.ndarray:
     """Assemble the selected terms; result is real symmetric, in MHz.
 
-    The basis must be built for the constants' nuclear spins.
+    The basis must be built for the constants' nuclear spins.  An array
+    ``fields.theta_p`` gives one matrix per angle, ``(..., dim, dim)``.
     """
     unknown = set(terms) - TERMS
     if unknown:
@@ -355,6 +353,18 @@ def build_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
             f"basis spins ({basis.i_a}, {basis.i_b}) differ from the "
             f"constants' nuclear spins ({c.i_a}, {c.i_b})"
         )
+    # the cache key leaves theta_p out: it may be an (unhashable) array
+    h = _fixed_terms(basis, replace(fields, theta_p=0.0), frozenset(terms))
+    if "polarization" in terms:
+        return h + -fields.intensity * 1e-6 * polarization_operator(basis, c, fields.theta_p)
+    return np.broadcast_to(h, np.shape(fields.theta_p) + h.shape).copy()
+
+
+@lru_cache(maxsize=8)
+def _fixed_terms(basis: HyperfineBasis, fields: FieldConfiguration,
+                 terms: frozenset[str]) -> np.ndarray:
+    """The theta_p-independent terms, read-only; a search reuses them per step."""
+    c = fields.constants
     h = np.zeros((basis.dim, basis.dim))
     if "rotation" in terms:
         h += _h_rotation(basis, c)
@@ -364,8 +374,7 @@ def build_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
         h += _h_zeeman(basis, c, fields.b_field)
     if "stark" in terms:
         h += _h_stark(basis, c, fields.e_field, fields.theta_e)
-    if "polarization" in terms:
-        h += -fields.intensity * 1e-6 * polarization_operator(basis, c, fields.theta_p)
+    h.flags.writeable = False
     return h
 
 
@@ -373,27 +382,26 @@ def diagonalize(h: np.ndarray, basis: HyperfineBasis) -> EigenSolution:
     """Eigensystem with a deterministic phase convention.
 
     The largest-magnitude component of each eigenvector is made
-    positive.  Raises ValueError when the matrix is not symmetric
-    within 1e-10 relative.
+    positive.  A stack ``(..., dim, dim)`` is solved in one call.  Raises
+    ValueError when a matrix is not symmetric within 1e-10 relative.
     """
     h = np.asarray(h, dtype=float)
-    if h.shape != (basis.dim, basis.dim):
+    if h.shape[-2:] != (basis.dim, basis.dim):
         raise ValueError(f"matrix shape {h.shape} does not match basis dim {basis.dim}")
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if np.max(np.abs(h - h.T)) > 1e-10 * scale:
+    scale = np.maximum(1.0, np.max(np.abs(h), axis=(-2, -1)))
+    if np.any(np.max(np.abs(h - np.swapaxes(h, -2, -1)), axis=(-2, -1)) > 1e-10 * scale):
         raise ValueError("Hamiltonian is not symmetric within 1e-10 relative")
     energies, vectors = np.linalg.eigh(h)
-    for i in range(vectors.shape[1]):
-        col = vectors[:, i]
-        if col[int(np.argmax(np.abs(col)))] < 0.0:
-            vectors[:, i] = -col
-    labels = []
-    for i in range(vectors.shape[1]):
-        weights = basis.rotational_weights(vectors[:, i])
-        labels.append(max(weights, key=weights.get))
-    return EigenSolution(
-        basis=basis, energies=energies, vectors=vectors, labels=tuple(labels),
-    )
+    pivot = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    vectors *= np.where(np.take_along_axis(vectors, pivot, axis=-2) < 0.0, -1.0, 1.0)
+    # |amplitude|^2 summed over the spins of each (J, M) block, per vector
+    rot = basis.rot_states
+    blocks = np.ascontiguousarray(np.swapaxes(vectors, -2, -1)).reshape(
+        vectors.shape[:-1] + (len(rot), -1))
+    dominant = np.argmax(np.sum(blocks ** 2, axis=-1), axis=-1)
+    # one (J, M) tuple per vector, and one tuple of those per angle of a stack
+    labels = tuple(map(tuple, np.fromiter(rot, dtype=object)[dominant]))
+    return EigenSolution(basis=basis, energies=energies, vectors=vectors, labels=labels)
 
 
 def eigenstate_polarizability(sol: EigenSolution, fields: FieldConfiguration
@@ -402,27 +410,20 @@ def eigenstate_polarizability(sol: EigenSolution, fields: FieldConfiguration
 
     Hellmann-Feynman: the polarization term is linear in intensity, so
     alpha_i = <psi_i| (-dH_pol/dI) |psi_i> at any operating intensity.
+    ``fields.theta_p`` must match the angle axis ``sol`` was solved on.
     """
     op = polarization_operator(sol.basis, fields.constants, fields.theta_p)
-    alphas = np.einsum("ij,ik,kj->j", sol.vectors, op, sol.vectors)
+    alphas = np.einsum("...ij,...ik,...kj->...j", sol.vectors, op, sol.vectors)
     return replace(sol, polarizabilities=alphas)
 
 
 def track_states(a: EigenSolution, b: EigenSolution) -> np.ndarray:
-    """Greedy maximal-overlap matching between two eigensolutions.
+    """Maximal-overlap matching between two eigensolutions.
 
     Returns ``perm`` with ``perm[i]`` the index in ``b`` continuing
-    state ``i`` of ``a``; each target is used once.
+    state ``i`` of ``a``; each target is used once, and the summed
+    |overlap| is the largest any one-to-one matching reaches.
     """
     if a.basis.dim != b.basis.dim:
         raise ValueError("eigensolutions live in different bases")
-    overlap = np.abs(a.vectors.T @ b.vectors)
-    n = overlap.shape[0]
-    perm = np.full(n, -1, dtype=int)
-    work = overlap.copy()
-    for _ in range(n):
-        i, j = np.unravel_index(np.argmax(work), work.shape)
-        perm[i] = j
-        work[i, :] = -1.0
-        work[:, j] = -1.0
-    return perm
+    return linear_sum_assignment(np.abs(a.vectors.T @ b.vectors), maximize=True)[1]

@@ -26,6 +26,7 @@ from .errors import CalibrationError, NoRootError, PoleProximityError
 from .hyperfine import (
     TERMS,
     FieldConfiguration,
+    HyperfineBasis,
     build_basis,
     build_hamiltonian,
     diagonalize,
@@ -120,14 +121,13 @@ def _pick_state(sol, state) -> int:
 
 
 def _angle_objective(fields: FieldConfiguration, state_a, state_b,
-                     theta_deg: float, terms, method: str, j_max: int) -> float:
-    if method == "bare":
+                     theta_deg: float, terms, basis: HyperfineBasis | None) -> float:
+    if basis is None:
         return (_bare_alpha(fields, state_a[0], state_a[1], theta_deg)
                 - _bare_alpha(fields, state_b[0], state_b[1], theta_deg))
-    basis = build_basis(j_max, fields.constants.i_a, fields.constants.i_b)
     at = replace(fields, theta_p=math.radians(theta_deg))
-    sol = diagonalize(build_hamiltonian(basis, at, terms), basis)
-    sol = eigenstate_polarizability(sol, at)
+    sol = eigenstate_polarizability(
+        diagonalize(build_hamiltonian(basis, at, terms), basis), at)
     alphas = sol.polarizabilities
     return float(alphas[_pick_state(sol, state_a)] - alphas[_pick_state(sol, state_b)])
 
@@ -205,11 +205,11 @@ def find_magic_angle(fields: FieldConfiguration, state_a, state_b,
     ``"auto"`` picks "eigen" exactly when an active quadrupole or dc
     Stark term breaks the bare picture.
     """
-    resolved = _angle_method(fields, terms, method)
+    eigen = _angle_method(fields, terms, method) == "eigen"
+    basis = build_basis(j_max, fields.constants.i_a, fields.constants.i_b) if eigen else None
 
     def objective(theta: float) -> float:
-        return _angle_objective(fields, state_a, state_b, theta,
-                                terms, resolved, j_max)
+        return _angle_objective(fields, state_a, state_b, theta, terms, basis)
 
     lo, hi = bracket
     if not 0.0 <= lo < hi <= 180.0:

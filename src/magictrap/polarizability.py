@@ -202,10 +202,11 @@ def alpha_analytic(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m: 
     for ln in spec.lines:
         delta = x - ln.energy
         offs = resonance_offsets(j, spec.b_v, ln.b_rot)
+        # a branch of zero weight has no pole: skip it, not 0/0 = nan
         with np.errstate(divide="ignore"):
-            total += -line_strength(ln) * (
-                np.divide(fac.a, delta + offs.l)
-                + np.divide(fac.b, delta + offs.r)
+            total += -line_strength(ln) * sum(
+                np.divide(w, delta + off)
+                for w, off in ((fac.a, offs.l), (fac.b, offs.r)) if w != 0.0
             )
     return PolarizabilityValue(
         nu=nu, j=j, m=m, theta_p=theta_p, real=total[()],
@@ -227,7 +228,7 @@ def alpha_fardetuned(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m
     bg = spec.background
     x = np.asarray(nu, dtype=float)
     total = np.full(x.shape, fac.total * bg.anisotropy + bg.alpha_perp)
-    for ln in spec.lines:
+    for ln in spec.lines if fac.total != 0.0 else ():
         with np.errstate(divide="ignore"):
             total += -line_strength(ln) * np.divide(fac.total, x - ln.energy)
     return PolarizabilityValue(

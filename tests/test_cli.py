@@ -281,6 +281,15 @@ def test_missing_required_key_exits_2(small_config, tmp_path, capsys):
     assert "b_v_cm1" in err and "[molecule]" in err
 
 
+def test_missing_max_levels_exits_2(small_config, tmp_path, capsys):
+    pruned = tmp_path / "pruned.ini"
+    pruned.write_text(SMALL_CONFIG.replace("max_levels = 4\n", ""))
+    assert main(["solve-rovib", "--config", str(pruned),
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "max_levels" in err and "[scan]" in err
+
+
 def test_unknown_key_exits_2(small_config, tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text(SMALL_CONFIG.replace("[scan]", "[scan]\nfrobnicate = 3"))

@@ -1,5 +1,6 @@
 """Hyperfine-rotational Hamiltonian in the coupled spin basis."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -20,7 +21,10 @@ from magictrap import (
     polarization_operator,
     track_states,
 )
+from magictrap.angular import rot_tensor_element
+from magictrap.cli import main
 from magictrap.config import load_config
+from magictrap.hyperfine import _rot_tensors
 
 DEFAULTS = load_config()
 B_V_MHZ = DEFAULTS.molecular_constants().b_v
@@ -314,3 +318,122 @@ def test_eigen_solution_select_and_labels(narb_hyperfine):
     # labels cover all four rotational characters at the default fields
     assert set(counts) == {(0, 0), (1, -1), (1, 0), (1, 1)}
     assert counts[(0, 0)] == 16
+
+
+def _greedy_match(overlap):
+    """Largest-entry-first matching, the pairing the assignment replaced."""
+    work = overlap.copy()
+    perm = np.full(len(work), -1)
+    for _ in range(len(work)):
+        i, j = np.unravel_index(np.argmax(work), work.shape)
+        perm[i] = j
+        work[i, :] = -1.0
+        work[:, j] = -1.0
+    return tuple(perm.tolist())
+
+
+def _givens(i, j, deg):
+    r = np.eye(4)
+    c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
+    r[i, i] = r[j, j] = c
+    r[i, j], r[j, i] = -s, s
+    return r
+
+
+def test_track_states_maximizes_the_summed_overlap():
+    """A rotation whose largest overlap is a trap for a greedy match."""
+    basis = build_basis(0, 0.5, 0.5)
+    rotation = _givens(0, 1, 50) @ _givens(1, 2, 60) @ _givens(0, 1, 40)
+    a = EigenSolution(basis=basis, energies=np.zeros(4), vectors=np.eye(4),
+                      labels=((0, 0),) * 4)
+    b = replace(a, vectors=rotation)
+    overlap = np.abs(rotation)
+
+    def total(perm):
+        return sum(overlap[i, k] for i, k in enumerate(perm))
+
+    best = max(itertools.permutations(range(4)), key=total)
+    assert total(_greedy_match(overlap)) < total(best) - 0.1
+    assert tuple(track_states(a, b).tolist()) == best
+
+
+def _rot_ckq(rot_states, k, q):
+    """C_kq over ``rot_states``, one 3-j evaluation per element."""
+    n = len(rot_states)
+    op = np.zeros((n, n))
+    for col, (j, m) in enumerate(rot_states):
+        for row, (jp, mp) in enumerate(rot_states):
+            if mp == m + q:
+                op[row, col] = rot_tensor_element(jp, mp, k, q, j, m)
+    return op
+
+
+def test_rot_tensor_table_matches_per_element_build():
+    for j_max in (0, 1, 2):
+        rot = build_basis(j_max).rot_states
+        table = _rot_tensors(j_max)
+        assert sorted(table) == [(k, q) for k in (1, 2) for q in range(-k, k + 1)]
+        for (k, q), op in table.items():
+            assert not op.flags.writeable
+            assert np.array_equal(op, _rot_ckq(rot, k, q))
+
+
+def _per_vector_phases_and_labels(h, basis):
+    """eigh, then the phase convention and labels one eigenvector at a time."""
+    energies, vectors = np.linalg.eigh(h)
+    labels = []
+    for i in range(vectors.shape[1]):
+        col = vectors[:, i]
+        if col[int(np.argmax(np.abs(col)))] < 0.0:
+            vectors[:, i] = -col
+        blocks = vectors[:, i].reshape(len(basis.rot_states), -1)
+        weights = {jm: float(np.sum(blocks[r] ** 2))
+                   for r, jm in enumerate(basis.rot_states)}
+        labels.append(max(weights, key=weights.get))
+    return energies, vectors, tuple(labels)
+
+
+@pytest.mark.parametrize("terms", [TERMS, TERMS - {"polarization"}])
+def test_angle_axis_matches_per_angle_calls(terms):
+    basis = build_basis(1)
+    f = fields_with(e_field=0.5, theta_e=0.35)
+    thetas = np.radians(np.linspace(0.0, 90.0, 13))
+    at = replace(f, theta_p=thetas)
+    h = build_hamiltonian(basis, at, terms)
+    assert h.shape == (len(thetas), 64, 64)
+    sol = diagonalize(h, basis)
+    if "polarization" in terms:
+        sol = eigenstate_polarizability(sol, at)
+    for k, theta in enumerate(thetas.tolist()):
+        one = replace(f, theta_p=theta)
+        h_k = build_hamiltonian(basis, one, terms)
+        assert h_k.shape == (64, 64) and np.array_equal(h[k], h_k)
+        sol_k = diagonalize(h_k, basis)
+        energies, vectors, labels = _per_vector_phases_and_labels(h_k, basis)
+        assert np.array_equal(sol_k.energies, energies)
+        assert np.array_equal(sol_k.vectors, vectors)
+        assert sol_k.labels == labels
+        assert np.array_equal(sol.energies[k], energies)
+        assert np.array_equal(sol.vectors[k], vectors)
+        assert sol.labels[k] == sol[k].labels == labels
+        if "polarization" in terms:
+            alphas = eigenstate_polarizability(sol_k, one).polarizabilities
+            assert np.array_equal(sol.polarizabilities[k], alphas)
+            assert np.array_equal(
+                alphas, np.einsum("ij,ik,kj->j", vectors,
+                                  polarization_operator(basis, f.constants, theta),
+                                  vectors))
+
+
+def test_hyperfine_scan_is_one_eigh_call(tmp_path, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert main(["hyperfine-scan", "--out", str(tmp_path),
+                 "--override", "scan.points=8"]) == 0
+    assert calls == [(8, 64, 64)]

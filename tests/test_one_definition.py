@@ -18,37 +18,50 @@ import magictrap
 from magictrap.cli import main
 from magictrap.config import load_config
 
+# case -> (argv: subcommand and overrides, SHA-256 of the CSV it writes)
 GOLDEN = {
     "alpha-scan": (
-        ["--override", "scan.points=201"],
+        ["alpha-scan", "--override", "scan.points=201"],
         "35e38bf00cda6342b5e465629511c845c7d012bbfa28c0b483d4b0ff97046d76",
     ),
     "hyperfine-scan": (
-        ["--override", "scan.points=16"],
+        ["hyperfine-scan", "--override", "scan.points=16"],
         "20966d4eabe61e0f9d18556c2d42e088b5feb15becda13def117ec3a269e59fa",
     ),
+    "hyperfine-scan-stark": (
+        ["hyperfine-scan", "--override", "fields.e_field_kv_cm=0.5",
+         "--override", "fields.e_theta_deg=20", "--override", "scan.points=32"],
+        "4d4506f9c1f8ea903144d12088bec9f03edad0b552e0af8e98b2ed088d022381",
+    ),
     "imag-scan": (
-        ["--override", "grid.points=300", "--override", "scan.j_values=0,1",
+        ["imag-scan", "--override", "grid.points=300", "--override", "scan.j_values=0,1",
          "--override", "scan.max_levels=3", "--override", "scan.points=64"],
         "9812d30c377aaf05e34105acdf6cce727e0aeb1194eec404304a09eab3091720",
     ),
     "magic-find": (
-        [],
+        ["magic-find"],
         "844d1701567929394fb810429e6af5dc7a0fedc401e0002acb40d88d4df0e244",
     ),
+    "magic-find-angle": (
+        ["magic-find", "--override", "magic.kind=angle", "--override", "magic.method=eigen",
+         "--override", "fields.e_field_kv_cm=0.5",
+         "--override", "magic.j_a=1", "--override", "magic.rank_a=0",
+         "--override", "magic.j_b=0", "--override", "magic.rank_b=0"],
+        "e2dcac94a246a7baa0158a298b6c6220c02bbf349ea7db21fe3ed40a8352cdb9",
+    ),
     "solve-rovib": (
-        ["--override", "grid.points=300", "--override", "scan.j_values=0,1",
+        ["solve-rovib", "--override", "grid.points=300", "--override", "scan.j_values=0,1",
          "--override", "scan.max_levels=3"],
         "77f1e98bc604e9f7cdbb6ea624190bce5bffbdd930ac836d3b3f428eeb007351",
     ),
 }
 
 
-@pytest.mark.parametrize("subcommand", sorted(GOLDEN))
-def test_bundled_defaults_csv_is_golden(subcommand, tmp_path):
-    overrides, digest = GOLDEN[subcommand]
-    assert main([subcommand, "--out", str(tmp_path), *overrides]) == 0
-    csv = tmp_path / f"{subcommand.replace('-', '_')}.csv"
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_bundled_defaults_csv_is_golden(case, tmp_path):
+    argv, digest = GOLDEN[case]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    csv = tmp_path / f"{argv[0].replace('-', '_')}.csv"
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
 
 

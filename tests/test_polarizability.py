@@ -230,8 +230,6 @@ def _assert_axis_matches_points(call, axis, part):
     assert np.array_equal(whole, np.array(points), equal_nan=True)
 
 
-# a pole whose branch weight is zero evaluates 0/0 = nan on either path
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("route", [alpha_analytic, alpha_fardetuned])
 def test_closed_forms_over_an_axis_match_points(stiff_pair, route):
     spec = stiff_pair["spec"]
@@ -245,6 +243,21 @@ def test_closed_forms_over_an_axis_match_points(stiff_pair, route):
         axis = np.concatenate([window, near])
         _assert_axis_matches_points(
             lambda nu: route(spec, nu, j, m, theta), axis, "real")
+
+
+def test_zero_weight_pole_is_no_pole(stiff_pair):
+    """J=0 has no P branch; at its would-be pole both closed forms agree.
+
+    The docstring promises exact agreement of the two forms for J=0, so
+    the zero-weight branch must drop out instead of evaluating 0/0.
+    """
+    spec = stiff_pair["spec"]
+    ref = spec.reference
+    assert angular_factors(0, 0, 0.0).a == 0.0
+    nu = ref.energy - resonance_offsets(0, spec.b_v, ref.b_rot).l
+    exact = alpha_analytic(spec, nu, 0, 0).real
+    assert math.isfinite(exact)
+    assert exact == alpha_fardetuned(spec, nu, 0, 0).real
 
 
 def _sum_axis(stiff_pair, j):
