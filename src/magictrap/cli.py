@@ -51,66 +51,81 @@ from .polarizability import alpha_analytic, alpha_imag
 from .radial import linewidth, radial_matrix_element, solve_coupled, solve_single
 from .units import HARTREE_TO_CM1, HARTREE_TO_GHZ
 
-__all__ = ["main", "run", "emit_csv", "fmt12"]
+__all__ = ["main", "run", "emit_csv"]
+
+_SEPARATORS = frozenset(",\n\r\"")
 
 
-def fmt12(value: float) -> str:
-    """12-significant-digit scientific notation with a bare exponent."""
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    mantissa, exponent = f"{value:.11e}".split("e")
-    return f"{mantissa}e{int(exponent)}"
+def _column_cells(column) -> list[str]:
+    """One column's cells: floats in 12-significant-digit scientific
+    notation with a bare exponent, ints and bools as integers, anything
+    else as its text, which must hold no separator."""
+    values = np.asarray(column)
+    if values.dtype.kind == "f":
+        text = ("%.11e\n" * values.size) % tuple(values.tolist())
+        # "%.11e" writes a signed exponent of at least two digits
+        text = text.replace("e+0", "e").replace("e-0", "e-").replace("e+", "e")
+        return text.split("\n")[:-1]
+    if values.dtype.kind in "biu":
+        return list(map(str, values.astype(int).tolist()))
+    cells = list(map(str, column))
+    if not _SEPARATORS.isdisjoint("".join(cells)):
+        bad = next(c for c in cells if not _SEPARATORS.isdisjoint(c))
+        raise ValueError(f"cell {bad!r} needs quoting; use separator-free labels")
+    return cells
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return fmt12(float(value))
-    text = str(value)
-    if any(ch in text for ch in ",\n\r\""):
-        raise ValueError(f"cell {text!r} needs quoting; use separator-free labels")
-    return text
+def emit_csv(headers: list[str], columns: list, path: str | Path) -> None:
+    """Write one 1-D array or sequence per header as LF-terminated UTF-8 CSV.
 
-
-def emit_csv(headers: list[str], rows: list[list], path: str | Path) -> None:
-    """Write a rectangular table as LF-terminated UTF-8 CSV."""
-    width = len(headers)
-    out = [",".join(headers)]
-    for row in rows:
-        if len(row) != width:
-            raise ValueError(f"row width {len(row)} != header width {width}")
-        out.append(",".join(_cell(v) for v in row))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8", newline="\n")
+    Give each column the type its cells print as: ``np.asarray`` turns
+    a list mixing ints and floats into floats.
+    """
+    if len(columns) != len(headers):
+        raise ValueError(f"row width {len(columns)} != header width {len(headers)}")
+    lengths = sorted({len(col) for col in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"column lengths differ: {lengths}")
+    cells = [_column_cells(col) for col in columns]
+    lines = [",".join(headers), *map(",".join, zip(*cells))]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 # ---- subcommands ----------------------------------------------------
 
 
+def _ground_levels(ground, x0, j: int, mass: float, grid, max_levels: int):
+    """Ground levels at J; J=0 reuses ``x0``, the solve that pinned the line."""
+    if j == 0:  # truncated as solve_single truncates: max_levels < 0 keeps none
+        return x0[:max(max_levels, 0)]
+    return solve_single(ground, j, mass, grid, max_levels=max_levels)
+
+
 def _cmd_solve_rovib(cfg: RunConfig):
-    ground, model, _ = narb.radial_models(cfg)
+    ground, model, _, x0 = narb.pinned_models(cfg)
     grid = cfg.radial_grid()
     mass = cfg.reduced_mass_amu()
     j_values = cfg.get("scan", "j_values")
     max_levels = cfg.get("scan", "max_levels")
 
-    rows = []
+    levels = []
     for j in j_values:
-        for lv in solve_single(ground, j, mass, grid, max_levels=max_levels):
-            rows.append(["X", lv.v, lv.j, lv.energy * HARTREE_TO_CM1,
-                         lv.rotational_constant() * HARTREE_TO_CM1, 1.0, 0.0])
-        for lv in solve_coupled(model, j, mass, grid, max_levels=max_levels):
-            rows.append(["Ab", lv.v, lv.j, lv.energy * HARTREE_TO_CM1,
-                         lv.rotational_constant() * HARTREE_TO_CM1,
-                         lv.channel_fractions[0], lv.channel_fractions[1]])
+        levels += _ground_levels(ground, x0, j, mass, grid, max_levels)
+        levels += solve_coupled(model, j, mass, grid, max_levels=max_levels)
     headers = ["state", "v", "j", "energy_cm1", "b_rot_cm1", "frac_a", "frac_b"]
-    summary = (f"solved {len(rows)} levels (X and coupled A-b) "
+    columns = [
+        [lv.label for lv in levels],  # "X", or "Ab" for the coupled pair
+        [lv.v for lv in levels],
+        [lv.j for lv in levels],
+        [lv.energy * HARTREE_TO_CM1 for lv in levels],
+        [lv.rotational_constant() * HARTREE_TO_CM1 for lv in levels],
+        [lv.channel_fractions[0] for lv in levels],
+        # an X level has its one channel only
+        [(*lv.channel_fractions, 0.0)[1] for lv in levels],
+    ]
+    summary = (f"solved {len(levels)} levels (X and coupled A-b) "
                f"for J in {list(j_values)}")
-    return headers, rows, summary
+    return headers, columns, summary
 
 
 def _detuning_axis(cfg: RunConfig):
@@ -121,36 +136,39 @@ def _detuning_axis(cfg: RunConfig):
     return deltas, cfg.spec().reference.energy + deltas / HARTREE_TO_GHZ
 
 
+def _detuning_columns(deltas, j_values, m: int, per_j):
+    """(detuning, J, M, value) columns of a scan: the axis once per J."""
+    n = len(deltas)
+    return [np.tile(deltas, len(j_values)), np.repeat(j_values, n),
+            np.full(n * len(j_values), m), np.concatenate(per_j)]
+
+
 def _cmd_alpha_scan(cfg: RunConfig):
     spec = cfg.spec()
     theta_p = math.radians(cfg.get("fields", "theta_p_deg"))
     m = cfg.get("scan", "m")
     j_values = cfg.get("scan", "j_values")
     deltas, nu = _detuning_axis(cfg)
-    notes: set[str] = set()
-    rows = []
-    for j in j_values:
-        val = alpha_analytic(spec, nu, j, m, theta_p)
-        notes.update(val.notes)
-        rows.extend([delta, j, m, a] for delta, a in zip(deltas, val.real))
-    for note in sorted(notes):
+    vals = [alpha_analytic(spec, nu, j, m, theta_p) for j in j_values]
+    for note in sorted({note for val in vals for note in val.notes}):
         print(f"note: {note} (some scan points)", file=sys.stderr)
     headers = ["detuning_ghz", "j", "m", "alpha_au"]
+    columns = _detuning_columns(deltas, j_values, m, [val.real for val in vals])
     summary = (f"alpha(Delta) for J in {list(j_values)}, M={m}: "
                f"{len(deltas)} detunings in "
                f"[{deltas[0]:g}, {deltas[-1]:g}] GHz")
-    return headers, rows, summary
+    return headers, columns, summary
 
 
 def _imag_inputs(cfg: RunConfig):
-    ground, model, dipole = narb.radial_models(cfg)
+    ground, model, dipole, x0 = narb.pinned_models(cfg)
     grid = cfg.radial_grid()
     mass = cfg.reduced_mass_amu()
     j_values = cfg.get("scan", "j_values")
     max_levels = cfg.get("scan", "max_levels")
     j_excited = sorted({j + s for j in j_values for s in (-1, 1) if j + s >= 0})
 
-    x_levels = [solve_single(ground, j, mass, grid, max_levels=1)[0]
+    x_levels = [_ground_levels(ground, x0, j, mass, grid, 1)[0]
                 for j in sorted(set(j_values))]
     ab_levels = []
     for jp in j_excited:
@@ -172,14 +190,12 @@ def _cmd_imag_scan(cfg: RunConfig):
     m = cfg.get("scan", "m")
     j_values = cfg.get("scan", "j_values")
     deltas, nu = _detuning_axis(cfg)
-    rows = []
-    for j in j_values:
-        val = alpha_imag(x_levels, ab_levels, dipoles, gammas, nu, j, m, theta_p)
-        rows.extend([delta, j, m, a] for delta, a in zip(deltas, val.imag))
+    per_j = [alpha_imag(x_levels, ab_levels, dipoles, gammas, nu, j, m, theta_p).imag
+             for j in j_values]
     headers = ["detuning_ghz", "j", "m", "im_alpha_au"]
     summary = (f"Im alpha for J in {list(j_values)}, M={m} from "
                f"{len(ab_levels)} retained coupled levels")
-    return headers, rows, summary
+    return headers, _detuning_columns(deltas, j_values, m, per_j), summary
 
 
 def _cmd_hyperfine_scan(cfg: RunConfig):
@@ -191,19 +207,25 @@ def _cmd_hyperfine_scan(cfg: RunConfig):
     at = replace(fields, theta_p=np.radians(thetas))
     sol = eigenstate_polarizability(
         diagonalize(build_hamiltonian(basis, at, cfg.terms()), basis), at)
-    # chain curve indices through maximal-overlap tracking
-    order = np.arange(basis.dim)
-    rows = []
-    for k, theta_deg in enumerate(thetas.tolist()):
-        if k:
-            order = track_states(sol[k - 1], sol[k])[order]
-        at_k = sol[k]
-        rows.extend([theta_deg, curve, *at_k.labels[i], at_k.energies[i],
-                     at_k.polarizabilities[i]] for curve, i in enumerate(order))
+    # order[k, curve]: the eigenstate index that continues each curve at
+    # angle k, chained through maximal-overlap tracking
+    order = np.empty((len(thetas), basis.dim), dtype=int)
+    order[0] = np.arange(basis.dim)
+    for k in range(1, len(thetas)):
+        order[k] = track_states(sol[k - 1], sol[k])[order[k - 1]]
+    labels = np.take_along_axis(np.array(sol.labels), order[..., None], axis=1)
     headers = ["theta_deg", "curve", "j", "m", "energy_mhz", "alpha_hz_wcm2"]
+    columns = [
+        np.repeat(thetas, basis.dim),
+        np.tile(np.arange(basis.dim), len(thetas)),
+        labels[..., 0].ravel(),
+        labels[..., 1].ravel(),
+        np.take_along_axis(sol.energies, order, axis=1).ravel(),
+        np.take_along_axis(sol.polarizabilities, order, axis=1).ravel(),
+    ]
     summary = (f"{basis.dim} eigenstate curves over theta in "
                f"[{thetas[0]:g}, {thetas[-1]:g}] deg, {len(thetas)} points")
-    return headers, rows, summary
+    return headers, columns, summary
 
 
 def _magic_headers():
@@ -262,7 +284,7 @@ def _cmd_magic_find(cfg: RunConfig):
                    f"{sol.location:.6f} deg, residual {sol.residual:.3e}")
     else:
         raise ConfigError(f"[magic] kind must be 'detuning' or 'angle', got {kind!r}")
-    return _magic_headers(), [row], summary
+    return _magic_headers(), [[cell] for cell in row], summary
 
 
 def _cmd_calibrate(cfg: RunConfig):
@@ -278,10 +300,11 @@ def _cmd_calibrate(cfg: RunConfig):
                                 bracket=(target - span, target + span))
     headers = ["j_a", "j_b", "m", "target_ghz", "gamma_hz", "crossing_ghz",
                "residual_au"]
-    rows = [[j_a, j_b, m, target, gamma_hz, check.location, check.residual]]
+    columns = [[cell] for cell in (j_a, j_b, m, target, gamma_hz, check.location,
+                                   check.residual)]
     summary = (f"gamma/h = {gamma_hz:.6f} Hz puts the J={j_a}/J={j_b} "
                f"crossing at {check.location:.6f} GHz (target {target:g})")
-    return headers, rows, summary
+    return headers, columns, summary
 
 
 _SUBCOMMANDS = {
@@ -296,11 +319,11 @@ _SUBCOMMANDS = {
 
 def run(subcommand: str, cfg: RunConfig, out_dir: str | Path = ".") -> Path:
     """Execute one subcommand; returns the CSV path it wrote."""
-    headers, rows, summary = _SUBCOMMANDS[subcommand](cfg)
+    headers, columns, summary = _SUBCOMMANDS[subcommand](cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{subcommand.replace('-', '_')}.csv"
-    emit_csv(headers, rows, csv_path)
+    emit_csv(headers, columns, csv_path)
     cfg.dump(out / "effective-config.ini")
     print(summary)
     print(f"wrote {csv_path}")

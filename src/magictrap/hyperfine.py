@@ -104,8 +104,6 @@ class FieldConfiguration:
     ``theta_e``; linear polarization at polar angle ``theta_p``, a
     scalar or a 1-D array (a scan axis); ``intensity`` in W/cm^2.
     Angles are radians in the x-z plane.
-    ``nu`` optionally records the photon energy (Hartree) the
-    polarizability constants refer to.
     """
 
     constants: MolecularConstants
@@ -114,7 +112,6 @@ class FieldConfiguration:
     theta_e: float = 0.0
     theta_p: float = 0.0
     intensity: float = 0.0
-    nu: float | None = None
 
     def __post_init__(self):
         if self.b_field < 0.0 or self.e_field < 0.0:
@@ -137,14 +134,13 @@ class FieldConfiguration:
     def from_vectors(cls, constants: MolecularConstants, *, b_field: float = 0.0,
                      e_field: float = 0.0, e_vec: Sequence[float] = (0, 0, 1),
                      pol_vec: Sequence[float] = (0, 0, 1),
-                     intensity: float = 0.0, nu: float | None = None
-                     ) -> "FieldConfiguration":
+                     intensity: float = 0.0) -> "FieldConfiguration":
         """Build from unit vectors instead of polar angles."""
         return cls(
             constants=constants, b_field=b_field, e_field=e_field,
             theta_e=cls._vector_angle(e_vec, "E-field"),
             theta_p=cls._vector_angle(pol_vec, "polarization"),
-            intensity=intensity, nu=nu,
+            intensity=intensity,
         )
 
 

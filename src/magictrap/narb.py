@@ -20,7 +20,7 @@ import math
 
 from .config import RunConfig
 from .potentials import CoupledModel, DipoleFunction, MorseCurve, calibrate_morse
-from .radial import solve_coupled, solve_single
+from .radial import RovibLevel, solve_coupled, solve_single
 from .units import AMU_TO_ME, HARTREE_TO_CM1
 
 # Surrogate well shapes, chosen, not fitted: the X and b wells match
@@ -41,6 +41,15 @@ DIPOLE_XA_EA0 = 1.0
 def radial_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunction]:
     """Ground curve, aligned coupled model and dipole from config constants.
 
+    The first three values of :func:`pinned_models`.
+    """
+    return pinned_models(cfg)[:3]
+
+
+def pinned_models(cfg: RunConfig
+                  ) -> tuple[MorseCurve, CoupledModel, DipoleFunction, list[RovibLevel]]:
+    """:func:`radial_models` and the J=0 ground levels that pinned the line.
+
     Well shapes follow the surrogate above; the printed rotational
     constants, masses and transition energy come from the config.  The
     coupled model is shifted so E(v'=0, J'=1) - E_X(0, 0) equals the
@@ -48,6 +57,10 @@ def radial_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunct
     scans built from it and from :meth:`RunConfig.spec` the same
     detuning origin.  The X <-> A moment is R-independent; the b
     channel is dark on its own.
+
+    The fourth value holds every bound J=0 level of the ground curve on
+    the configured grid (v = 0 first), so a caller needing them does
+    not solve that matrix again.
     """
     mass = cfg.reduced_mass_amu()
     mu = mass * AMU_TO_ME
@@ -76,8 +89,8 @@ def radial_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunct
         xi=XI_CM1 / HARTREE_TO_CM1,
     )
     grid = cfg.radial_grid()
-    e_ground = solve_single(ground, 0, mass, grid, max_levels=1)[0].energy
+    x0 = solve_single(ground, 0, mass, grid)
     e_line = solve_coupled(model, 1, mass, grid, max_levels=1)[0].energy
-    shift = cfg.get("molecule", "transition_cm1") / HARTREE_TO_CM1 + e_ground - e_line
+    shift = cfg.get("molecule", "transition_cm1") / HARTREE_TO_CM1 + x0[0].energy - e_line
     dipole = DipoleFunction.constant(("X", "A"), DIPOLE_XA_EA0)
-    return ground, model.with_shift(shift), dipole
+    return ground, model.with_shift(shift), dipole, x0

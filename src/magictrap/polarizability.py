@@ -56,6 +56,7 @@ __all__ = [
     "PolarizabilityValue",
     "line_strength",
     "alpha_analytic",
+    "alpha_analytic_real",
     "alpha_fardetuned",
     "alpha_sum_over_states",
     "alpha_imag",
@@ -195,6 +196,20 @@ def alpha_analytic(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m: 
     the returned value.  Evaluation exactly at a branch pole yields an
     infinite value rather than an error.
     """
+    return PolarizabilityValue(
+        nu=nu, j=j, m=m, theta_p=theta_p,
+        real=alpha_analytic_real(spec, nu, j, m, theta_p),
+        notes=_window_notes(spec, np.asarray(nu, dtype=float), j),
+    )
+
+
+def alpha_analytic_real(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m: int,
+                        theta_p: float = 0.0) -> np.float64 | np.ndarray:
+    """``alpha_analytic(...).real`` without the validity notes.
+
+    For callers that evaluate many single points and read only the
+    value, such as a root search.
+    """
     fac = angular_factors(j, m, theta_p)
     bg = spec.background
     x = np.asarray(nu, dtype=float)
@@ -208,10 +223,7 @@ def alpha_analytic(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m: 
                 np.divide(w, delta + off)
                 for w, off in ((fac.a, offs.l), (fac.b, offs.r)) if w != 0.0
             )
-    return PolarizabilityValue(
-        nu=nu, j=j, m=m, theta_p=theta_p, real=total[()],
-        notes=_window_notes(spec, x, j),
-    )
+    return total[()]
 
 
 def alpha_fardetuned(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m: int,

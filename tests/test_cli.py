@@ -4,13 +4,25 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import replace
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from magictrap.cli import emit_csv, fmt12, main
+from magictrap import cli, narb, radial
+from magictrap.cli import emit_csv, main
 from magictrap.config import load_config
+from magictrap.hyperfine import (
+    build_basis,
+    build_hamiltonian,
+    diagonalize,
+    eigenstate_polarizability,
+    track_states,
+)
 
 SMALL_CONFIG = """\
 [molecule]
@@ -85,6 +97,20 @@ def read_rows(path):
 # ---- formatting ------------------------------------------------------
 
 
+def fmt12(value: float) -> str:
+    """12-significant-digit scientific notation with a bare exponent.
+
+    The one-cell-at-a-time formatter the CSV writer replaced, kept as
+    the oracle of its column formatting.
+    """
+    if math.isnan(value):
+        return "nan"
+    if math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    mantissa, exponent = f"{value:.11e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
 def test_fmt12_known_strings():
     assert fmt12(1.0 / 3.0) == "3.33333333333e-1"
     assert fmt12(0.0) == "0.00000000000e0"
@@ -93,17 +119,65 @@ def test_fmt12_known_strings():
     assert fmt12(float("nan")) == "nan"
     assert fmt12(float("inf")) == "inf"
     assert fmt12(float("-inf")) == "-inf"
+    assert fmt12(9.9999999999995e4) == "1.00000000000e5"
+    values = [1.0 / 3.0, 0.0, -12345.678, 1e-7, math.nan, math.inf, -math.inf]
+    assert cli._column_cells(np.array(values)) == list(map(fmt12, values))
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072e-308)
+@example(-1.5e-310)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(1e300)
+@example(-1e-300)
+@example(9.9999999999995e4)
+@example(-9.99999999999951e-100)
+@example(9.99999999999951e99)
+def test_column_formatting_matches_fmt12(value):
+    """One value alone and amid others formats as fmt12 formats it."""
+    column = np.array([value, 1.0, value, -2.5e-12])
+    assert cli._column_cells(column) == list(map(fmt12, column.tolist()))
+    assert cli._column_cells([value]) == [fmt12(value)]
+
+
+def old_cell(value) -> str:
+    """The per-cell type dispatch the column writer replaced."""
+    if isinstance(value, (bool, int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return fmt12(float(value))
+    return str(value)
+
+
+def test_column_kinds_keep_their_types():
+    assert cli._column_cells(np.array([3, -1, 0])) == ["3", "-1", "0"]
+    assert cli._column_cells(np.array([True, False])) == ["1", "0"]
+    assert cli._column_cells(["X", "Ab"]) == ["X", "Ab"]
+    for mixed_row in ([2, 2.0, "X", True], [np.int64(-1), np.float64(0.5), "Ab", False]):
+        assert [cli._column_cells([v])[0] for v in mixed_row] == \
+            list(map(old_cell, mixed_row))
 
 
 def test_emit_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_csv(["a", "b"], [], path)
+    emit_csv(["a", "b"], [[], []], path)
     assert path.read_bytes() == b"a,b\n"
 
 
 def test_emit_csv_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError, match="row width 3 != header width 2"):
-        emit_csv(["a", "b"], [[1, 2, 3]], tmp_path / "x.csv")
+        emit_csv(["a", "b"], [[1], [2], [3]], tmp_path / "x.csv")
+
+
+def test_emit_csv_rejects_unequal_columns(tmp_path):
+    with pytest.raises(ValueError, match="column lengths differ"):
+        emit_csv(["a", "b"], [[1, 2], [3.0]], tmp_path / "x.csv")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_emit_csv_rejects_separator_cells(tmp_path):
@@ -231,6 +305,53 @@ def test_calibrate(small_config, tmp_path):
     assert float(rows[0][5]) == pytest.approx(103.0, abs=1e-6)
 
 
+def test_hyperfine_columns_match_the_row_assembly():
+    """The gathered columns equal the old per-angle, per-curve rows.
+
+    At 1e5 W/cm^2 the light shift mixes M, so tracked curves change
+    their dominant (J, M) label along the scan.
+    """
+    cfg = load_config(None, ["fields.intensity_w_cm2=100000", "scan.points=16"])
+    _, columns, _ = cli._cmd_hyperfine_scan(cfg)
+    # the per-row assembly the columnar scan replaced
+    fields = cfg.field_configuration()
+    basis = build_basis(1, fields.constants.i_a, fields.constants.i_b)
+    thetas = np.linspace(0.0, 90.0, 16)
+    at = replace(fields, theta_p=np.radians(thetas))
+    sol = eigenstate_polarizability(
+        diagonalize(build_hamiltonian(basis, at, cfg.terms()), basis), at)
+    order = np.arange(basis.dim)
+    rows, labels = [], []
+    for k, theta_deg in enumerate(thetas.tolist()):
+        if k:
+            order = track_states(sol[k - 1], sol[k])[order]
+        at_k = sol[k]
+        labels.append([at_k.labels[i] for i in order])
+        rows.extend([theta_deg, curve, *at_k.labels[i], at_k.energies[i],
+                     at_k.polarizabilities[i]] for curve, i in enumerate(order))
+    assert any(a != b for a, b in zip(labels[0], labels[-1]))
+    assert len(columns) == 6
+    for col, expected in zip(columns, zip(*rows)):
+        assert np.array_equal(col, expected)
+        assert cli._column_cells(col) == list(map(old_cell, expected))
+
+
+@pytest.mark.parametrize("subcommand", ["solve-rovib", "imag-scan"])
+def test_ground_j0_is_solved_once(subcommand, small_config, tmp_path, monkeypatch):
+    """The J=0 ground level that pins the line is reused, not solved again."""
+    solved = []
+
+    def counting(curve, j, *args, **kwargs):
+        solved.append(j)
+        return radial.solve_single(curve, j, *args, **kwargs)
+
+    monkeypatch.setattr(narb, "solve_single", counting)
+    monkeypatch.setattr(cli, "solve_single", counting)
+    assert main([subcommand, "--config", str(small_config),
+                 "--out", str(tmp_path)]) == 0
+    assert sorted(solved) == [0, 1]
+
+
 def test_console_entry_point(small_config, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "magictrap.cli", "alpha-scan",
@@ -245,7 +366,8 @@ def test_console_entry_point(small_config, tmp_path):
 # ---- determinism -----------------------------------------------------
 
 
-@pytest.mark.parametrize("subcommand", ["alpha-scan", "hyperfine-scan"])
+@pytest.mark.parametrize("subcommand", ["solve-rovib", "alpha-scan", "imag-scan",
+                                        "hyperfine-scan", "magic-find", "calibrate"])
 def test_reruns_are_byte_identical(subcommand, small_config, tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert main([subcommand, "--config", str(small_config),

@@ -108,6 +108,19 @@ def test_magic_detuning_default_bracket(narb_spec):
     assert abs(sol.residual) <= DETUNING_RESIDUAL_TOL
 
 
+def test_detuning_search_skips_the_validity_notes(narb_spec, monkeypatch):
+    """Brent reads only the value of alpha, so no step builds the notes."""
+    expected = find_magic_detuning(narb_spec, 0, 1)
+
+    def refuse(*args):
+        raise AssertionError("validity notes built inside the search")
+
+    monkeypatch.setattr(mt.polarizability, "_window_notes", refuse)
+    sol = find_magic_detuning(narb_spec, 0, 1)
+    assert (sol.location, sol.residual) == (expected.location, expected.residual)
+    calibrate_gamma(narb_spec, (0, 1), 103.0)
+
+
 def test_magic_detuning_is_bracket_independent(narb_spec):
     wide = find_magic_detuning(narb_spec, 0, 1, bracket=(60.0, 140.0))
     narrow = find_magic_detuning(narb_spec, 0, 1, bracket=(80.0, 120.0))
