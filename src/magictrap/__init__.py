@@ -69,7 +69,6 @@ from .potentials import (
     MorseCurve,
     PointwiseCurve,
     calibrate_morse,
-    coupled_matrix,
     load_pointwise,
 )
 from .radial import (
@@ -81,20 +80,19 @@ from .radial import (
     solve_coupled,
     solve_single,
 )
-from .units import Quantity, Unit, convert, wavelength_nm
+from .units import Unit, convert, wavelength_nm
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     # units
-    "Unit", "Quantity", "convert", "wavelength_nm",
+    "Unit", "convert", "wavelength_nm",
     # angular
     "MAGIC_ANGLE_DEG", "AngularFactors", "ResonanceOffsets",
     "angular_factors", "resonance_offsets", "rot_tensor_element", "wigner3j",
     # potentials
     "MorseCurve", "PointwiseCurve", "DipoleFunction", "CoupledModel",
-    "coupled_matrix",
     "calibrate_morse", "load_pointwise",
     # radial
     "RadialGrid", "RovibLevel", "dvr_kinetic", "solve_single",

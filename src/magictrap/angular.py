@@ -213,11 +213,6 @@ class ResonanceOffsets:
     l: float
     r: float
 
-    @property
-    def splitting(self) -> float:
-        """L - R, equal to (4J + 2) B_v' for a rigid rotor."""
-        return self.l - self.r
-
 
 def resonance_offsets(j: int, b_v: float, b_vprime: float) -> ResonanceOffsets:
     """Branch offsets L_J and R_J from the two rotational constants.

@@ -96,8 +96,8 @@ def emit_csv(headers: list[str], columns: list, path: str | Path) -> None:
 
 def _ground_levels(ground, x0, j: int, mass: float, grid, max_levels: int):
     """Ground levels at J; J=0 reuses ``x0``, the solve that pinned the line."""
-    if j == 0:  # truncated as solve_single truncates: max_levels < 0 keeps none
-        return x0[:max(max_levels, 0)]
+    if j == 0:
+        return x0[:max_levels]
     return solve_single(ground, j, mass, grid, max_levels=max_levels)
 
 
@@ -260,7 +260,7 @@ def _cmd_magic_find(cfg: RunConfig):
                sol.location, sol.residual, sol.bracket[0], sol.bracket[1]]
         summary = (f"magic detuning J={j_a}/J={j_b} (M={m}) at "
                    f"{sol.location:.6f} GHz, residual {sol.residual:.3e} a.u.")
-    elif kind == "angle":
+    else:  # "angle"
         state_a = (j_a, cfg.get("magic", "m_a"))
         state_b = (j_b, cfg.get("magic", "m_b"))
         rank_a = cfg.get("magic", "rank_a", None)
@@ -282,8 +282,6 @@ def _cmd_magic_find(cfg: RunConfig):
                sol.location, sol.residual, sol.bracket[0], sol.bracket[1]]
         summary = (f"magic angle {state_a}/{state_b} at "
                    f"{sol.location:.6f} deg, residual {sol.residual:.3e}")
-    else:
-        raise ConfigError(f"[magic] kind must be 'detuning' or 'angle', got {kind!r}")
     return _magic_headers(), [[cell] for cell in row], summary
 
 

@@ -3,9 +3,11 @@
 The format is flat key-value under section headers, with the unit
 spelled in the key name (``b_v_cm1 = 0.06970``).  Unknown sections or
 keys are rejected so typos fail loudly instead of silently falling
-back.  Missing keys are reported lazily, when a subcommand first asks
-for them, which keeps one config format serving several subcommands
-with different requirements.
+back.  A :data:`SCHEMA` entry is its key's whole contract, type and
+range or choices, and each present key is checked once, at load.
+Missing keys are reported lazily, when a subcommand first asks for
+them, which keeps one config format serving several subcommands with
+different requirements.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ConfigError
-from .hyperfine import TERMS, FieldConfiguration, MolecularConstants
+from .hyperfine import (QUADRUPOLE_DENOMINATORS, TERMS, FieldConfiguration,
+                        MolecularConstants)
+from .magic import ANGLE_METHODS
 from .polarizability import Background, PolarizabilitySpec, ResonantLine
 from .radial import RadialGrid
 from .units import HARTREE_TO_CM1, HARTREE_TO_MHZ, Unit, convert
@@ -26,89 +30,110 @@ from .units import HARTREE_TO_CM1, HARTREE_TO_MHZ, Unit, convert
 __all__ = ["RunConfig", "load_config", "bundled_defaults_path"]
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
+def _number(kind: type, lo: float = -math.inf, strict: bool = False,
+            step: float = 0.0):
+    """Parser of one finite ``kind`` (int or float) at least ``lo``, or
+    above it when ``strict``, and a whole multiple of ``step`` if given."""
+    def parse(text: str):
+        value = kind(text)
+        if not math.isfinite(value):
+            raise ValueError("must be finite")
+        if value < lo or (strict and value == lo):
+            raise ValueError(f"must be {'>' if strict else '>='} {lo:g}")
+        if step and not (value / step).is_integer():
+            raise ValueError(f"must be a multiple of {step:g}")
+        return value
+    return parse
 
 
-def _parse_int(text: str) -> int:
-    value = int(text)
-    return value
+def _choice(options: Iterable[str]):
+    """Parser of one word out of ``options``."""
+    def parse(text: str) -> str:
+        word = text.strip()
+        if word not in options:
+            raise ValueError(f"{word!r} is not one of {', '.join(sorted(options))}")
+        return word
+    return parse
 
 
-def _parse_str(text: str) -> str:
-    return text.strip()
+def _list(item):
+    """Parser of a non-empty comma-separated list, ``item`` per entry."""
+    def parse(text: str) -> tuple:
+        items = [p.strip() for p in text.split(",") if p.strip()]
+        if not items:
+            raise ValueError("empty list")
+        return tuple(map(item, items))
+    return parse
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    items = [p.strip() for p in text.split(",") if p.strip()]
-    if not items:
-        raise ValueError("empty list")
-    return tuple(int(p) for p in items)
+_finite = _number(float)
+_non_negative = _number(float, 0.0)
+_positive = _number(float, 0.0, strict=True)  # divided by or rooted
+_integer = _number(int)
+_index = _number(int, 0)  # J values and eigenstate ranks
+_count = _number(int, 1)
+_spin = _number(float, 0.0, strict=True, step=0.5)
 
 
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    items = tuple(p.strip() for p in text.split(",") if p.strip())
-    if not items:
-        raise ValueError("empty list")
-    return items
-
-
+# Each key's whole contract: its type and its range or choices.  Rules
+# between keys (m_b against m_a, |m| <= J, rank against the number of
+# states, r_max > r_min) stay with the code that combines them.
 SCHEMA: dict[str, dict[str, object]] = {
     "molecule": {
-        "b_v_cm1": _parse_float,
-        "b_vprime_cm1": _parse_float,
-        "transition_cm1": _parse_float,
-        "gamma_hz": _parse_float,
-        "alpha_par_hz_wcm2": _parse_float,
-        "alpha_perp_hz_wcm2": _parse_float,
-        "eqq_na_mhz": _parse_float,
-        "eqq_rb_mhz": _parse_float,
-        "spin_na": _parse_float,
-        "spin_rb": _parse_float,
-        "g_na": _parse_float,
-        "g_rb": _parse_float,
-        "d0_debye": _parse_float,
-        "mass_na_amu": _parse_float,
-        "mass_rb_amu": _parse_float,
-        "quadrupole_denominator": _parse_str,
+        "b_v_cm1": _positive,
+        "b_vprime_cm1": _positive,
+        "transition_cm1": _positive,
+        "gamma_hz": _non_negative,
+        "alpha_par_hz_wcm2": _finite,
+        "alpha_perp_hz_wcm2": _finite,
+        "eqq_na_mhz": _finite,
+        "eqq_rb_mhz": _finite,
+        "spin_na": _spin,
+        "spin_rb": _spin,
+        "g_na": _finite,
+        "g_rb": _finite,
+        "d0_debye": _finite,
+        "mass_na_amu": _positive,
+        "mass_rb_amu": _positive,
+        "quadrupole_denominator": _choice(QUADRUPOLE_DENOMINATORS),
     },
     "grid": {
-        "r_min_bohr": _parse_float,
-        "r_max_bohr": _parse_float,
-        "points": _parse_int,
+        "r_min_bohr": _positive,
+        "r_max_bohr": _finite,
+        "points": _count,
     },
     "fields": {
-        "b_field_gauss": _parse_float,
-        "e_field_kv_cm": _parse_float,
-        "e_theta_deg": _parse_float,
-        "theta_p_deg": _parse_float,
-        "intensity_w_cm2": _parse_float,
-        "terms": _parse_str_list,
+        "b_field_gauss": _non_negative,
+        "e_field_kv_cm": _non_negative,
+        "e_theta_deg": _finite,
+        "theta_p_deg": _finite,
+        "intensity_w_cm2": _non_negative,
+        "terms": _list(_choice(TERMS)),
     },
     "scan": {
-        "start_ghz": _parse_float,
-        "stop_ghz": _parse_float,
-        "start_deg": _parse_float,
-        "stop_deg": _parse_float,
-        "points": _parse_int,
-        "j_values": _parse_int_list,
-        "m": _parse_int,
-        "max_levels": _parse_int,
+        "start_ghz": _finite,
+        "stop_ghz": _finite,
+        "start_deg": _finite,
+        "stop_deg": _finite,
+        "points": _count,
+        "j_values": _list(_index),
+        "m": _integer,
+        "max_levels": _count,
     },
     "magic": {
-        "kind": _parse_str,
-        "j_a": _parse_int,
-        "m_a": _parse_int,
-        "rank_a": _parse_int,
-        "j_b": _parse_int,
-        "m_b": _parse_int,
-        "rank_b": _parse_int,
-        "method": _parse_str,
-        "bracket_lo_ghz": _parse_float,
-        "bracket_hi_ghz": _parse_float,
-        "bracket_lo_deg": _parse_float,
-        "bracket_hi_deg": _parse_float,
-        "target_ghz": _parse_float,
+        "kind": _choice(("detuning", "angle")),
+        "j_a": _index,
+        "m_a": _integer,
+        "rank_a": _index,
+        "j_b": _index,
+        "m_b": _integer,
+        "rank_b": _index,
+        "method": _choice(ANGLE_METHODS),
+        "bracket_lo_ghz": _finite,
+        "bracket_hi_ghz": _finite,
+        "bracket_lo_deg": _finite,
+        "bracket_hi_deg": _finite,
+        "target_ghz": _finite,
     },
 }
 
@@ -186,14 +211,7 @@ class RunConfig:
         )
 
     def terms(self) -> frozenset[str]:
-        names = self.get("fields", "terms")
-        unknown = set(names) - TERMS
-        if unknown:
-            raise ConfigError(
-                f"unknown terms {sorted(unknown)} in [fields] terms; "
-                f"valid: {sorted(TERMS)}"
-            )
-        return frozenset(names)
+        return frozenset(self.get("fields", "terms"))
 
     def radial_grid(self) -> RadialGrid:
         return RadialGrid(
@@ -240,10 +258,8 @@ def _apply_overrides(parser: configparser.ConfigParser,
                      overrides: Iterable[str]) -> None:
     for item in overrides:
         head, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"override {item!r} is not of the form section.key=value")
         section, dot, key = head.strip().partition(".")
-        if not dot:
+        if not (sep and dot):
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
         if not parser.has_section(section):
             parser.add_section(section)
@@ -255,8 +271,9 @@ def load_config(path: str | Path | None = None,
     """Parse and validate a config file, applying CLI overrides.
 
     ``path=None`` loads the bundled defaults.  Every present key must
-    belong to the schema and parse to its declared type; requiredness
-    is checked by the consuming subcommand.
+    belong to the schema, parse to its declared type and lie in its
+    range or choices, or :class:`ConfigError` names the key and the
+    rule; requiredness is checked by the consuming subcommand.
     """
     src = Path(path) if path is not None else bundled_defaults_path()
     parser = configparser.ConfigParser(

@@ -40,6 +40,7 @@ from .units import NUCLEAR_MAGNETON_MHZ_PER_G
 
 __all__ = [
     "TERMS",
+    "QUADRUPOLE_DENOMINATORS",
     "MolecularConstants",
     "FieldConfiguration",
     "HyperfineBasis",
@@ -53,6 +54,7 @@ __all__ = [
 ]
 
 TERMS = frozenset({"rotation", "quadrupole", "zeeman", "stark", "polarization"})
+QUADRUPOLE_DENOMINATORS = ("standard", "literal")
 
 # MHz per (debye * V/m)
 _DEBYE_V_M_TO_MHZ = 1e-21 / _sc.c / _sc.h / 1e6
@@ -84,9 +86,9 @@ class MolecularConstants:
     i_b: float = 1.5
 
     def __post_init__(self):
-        if self.quadrupole_denominator not in ("standard", "literal"):
+        if self.quadrupole_denominator not in QUADRUPOLE_DENOMINATORS:
             raise ConfigError(
-                "quadrupole_denominator must be 'standard' or 'literal', "
+                f"quadrupole_denominator must be one of {QUADRUPOLE_DENOMINATORS}, "
                 f"got {self.quadrupole_denominator!r}"
             )
 

@@ -36,11 +36,14 @@ from .polarizability import PolarizabilitySpec, alpha_analytic_real
 from .units import HARTREE_TO_GHZ
 
 __all__ = [
+    "ANGLE_METHODS",
     "MagicSolution",
     "find_magic_detuning",
     "find_magic_angle",
     "calibrate_gamma",
 ]
+
+ANGLE_METHODS = ("auto", "bare", "eigen")
 
 # residual |alpha_a - alpha_b| accepted at a detuning root, atomic units
 DETUNING_RESIDUAL_TOL = 1e-10
@@ -81,7 +84,7 @@ def _detuning_objective(spec: PolarizabilitySpec, state_a, state_b,
 
 
 def _angle_method(fields: FieldConfiguration, terms, method: str) -> str:
-    if method not in ("auto", "bare", "eigen"):
+    if method not in ANGLE_METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method != "auto":
         return method

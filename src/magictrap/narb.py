@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 
 from .config import RunConfig
+from .errors import GridError
 from .potentials import CoupledModel, DipoleFunction, MorseCurve, calibrate_morse
 from .radial import RovibLevel, solve_coupled, solve_single
 from .units import AMU_TO_ME, HARTREE_TO_CM1
@@ -90,7 +91,11 @@ def pinned_models(cfg: RunConfig
     )
     grid = cfg.radial_grid()
     x0 = solve_single(ground, 0, mass, grid)
-    e_line = solve_coupled(model, 1, mass, grid, max_levels=1)[0].energy
-    shift = cfg.get("molecule", "transition_cm1") / HARTREE_TO_CM1 + x0[0].energy - e_line
+    line = solve_coupled(model, 1, mass, grid, max_levels=1)
+    if not x0 or not line:
+        raise GridError("no bound X(J=0) or coupled J'=1 level on the grid "
+                        "to pin the transition energy to")
+    shift = (cfg.get("molecule", "transition_cm1") / HARTREE_TO_CM1
+             + x0[0].energy - line[0].energy)
     dipole = DipoleFunction.constant(("X", "A"), DIPOLE_XA_EA0)
     return ground, model.with_shift(shift), dipole, x0

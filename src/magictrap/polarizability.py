@@ -214,10 +214,11 @@ def alpha_analytic_real(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int
     bg = spec.background
     x = np.asarray(nu, dtype=float)
     total = np.full(x.shape, fac.total * bg.anisotropy + bg.alpha_perp)
-    for ln in spec.lines:
+    # a line or branch of zero weight has no pole: skip it, not 0/0 or
+    # 0 * inf = nan at that pole
+    for ln in [ln for ln in spec.lines if ln.gamma != 0.0]:
         delta = x - ln.energy
         offs = resonance_offsets(j, spec.b_v, ln.b_rot)
-        # a branch of zero weight has no pole: skip it, not 0/0 = nan
         with np.errstate(divide="ignore"):
             total += -line_strength(ln) * sum(
                 np.divide(w, delta + off)
@@ -240,7 +241,8 @@ def alpha_fardetuned(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m
     bg = spec.background
     x = np.asarray(nu, dtype=float)
     total = np.full(x.shape, fac.total * bg.anisotropy + bg.alpha_perp)
-    for ln in spec.lines if fac.total != 0.0 else ():
+    # no pole without weight, as in alpha_analytic_real
+    for ln in [ln for ln in spec.lines if ln.gamma != 0.0 and fac.total != 0.0]:
         with np.errstate(divide="ignore"):
             total += -line_strength(ln) * np.divide(fac.total, x - ln.energy)
     return PolarizabilityValue(

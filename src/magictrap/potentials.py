@@ -28,7 +28,6 @@ __all__ = [
     "CoupledModel",
     "load_pointwise",
     "calibrate_morse",
-    "coupled_matrix",
 ]
 
 
@@ -208,14 +207,6 @@ class CoupledModel:
             coupling=lambda r: np.full_like(np.asarray(r, float), xi),
             shift=shift,
         )
-
-
-def coupled_matrix(model: CoupledModel, r: float) -> np.ndarray:
-    """Symmetric 2x2 diabatic potential matrix at radius ``r`` (Hartree)."""
-    v0 = model.curves[0](r) + model.shift
-    v1 = model.curves[1](r) + model.shift
-    xi = float(np.asarray(model.coupling(np.asarray(r, float))).reshape(()))
-    return np.array([[v0, xi], [xi, v1]])
 
 
 def load_pointwise(path: str | Path, label: str,

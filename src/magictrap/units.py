@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import scipy.constants as _sc
 
@@ -24,7 +23,6 @@ from .errors import UnitError
 
 __all__ = [
     "Unit",
-    "Quantity",
     "convert",
     "wavelength_nm",
     "AU_POL_TO_MHZ_PER_WCM2",
@@ -132,20 +130,6 @@ def convert(value: float, src: Unit, dst: Unit) -> float:
             f"to {dst.name} ({dst.dimension})"
         )
     return value * (src.factor / dst.factor)
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A scalar with an attached unit."""
-
-    value: float
-    unit: Unit
-
-    def to(self, dst: Unit) -> "Quantity":
-        return Quantity(convert(self.value, self.unit, dst), dst)
-
-    def __format__(self, fmt: str) -> str:
-        return f"{self.value:{fmt}} {self.unit.name}"
 
 
 def wavelength_nm(energy: float, unit: Unit = Unit.WAVENUMBER) -> float:

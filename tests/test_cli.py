@@ -3,19 +3,25 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
-from dataclasses import replace
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magictrap import cli, narb, radial
 from magictrap.cli import emit_csv, main
-from magictrap.config import load_config
+from magictrap.config import SCHEMA, load_config
+from magictrap.errors import ConfigError
 from magictrap.hyperfine import (
     build_basis,
     build_hamiltonian,
@@ -431,6 +437,16 @@ def test_malformed_override_exits_2(small_config, tmp_path, capsys):
     assert "many" in capsys.readouterr().err
 
 
+def test_no_bound_level_to_pin_the_line_exits_3(small_config, tmp_path, capsys):
+    """A 1 amu sodium puts the b-state minimum beyond r_max, so no coupled
+    J'=1 level is bound on the grid to pin the transition energy to."""
+    assert main(["solve-rovib", "--config", str(small_config),
+                 "--out", str(tmp_path),
+                 "--override", "molecule.mass_na_amu=1"]) == 3
+    assert "no bound" in capsys.readouterr().err
+    assert not (tmp_path / "solve_rovib.csv").exists()
+
+
 def test_rootless_bracket_exits_3(small_config, tmp_path, capsys):
     assert main(["magic-find", "--config", str(small_config),
                  "--out", str(tmp_path),
@@ -445,3 +461,132 @@ def test_output_path_collision_exits_4(small_config, tmp_path, capsys):
     assert main(["alpha-scan", "--config", str(small_config),
                  "--out", str(blocker)]) == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+# ---- the configuration contract --------------------------------------
+
+
+@pytest.mark.parametrize("subcommand, overrides, key", [
+    ("alpha-scan", ["scan.points=0"], "[scan] points"),
+    ("hyperfine-scan", ["scan.points=0"], "[scan] points"),
+    ("imag-scan", ["scan.points=0"], "[scan] points"),
+    ("solve-rovib", ["scan.max_levels=-1"], "[scan] max_levels"),
+    ("solve-rovib", ["molecule.b_vprime_cm1=0"], "[molecule] b_vprime_cm1"),
+    ("alpha-scan", ["molecule.transition_cm1=0"], "[molecule] transition_cm1"),
+    ("solve-rovib", ["molecule.mass_na_amu=0", "molecule.mass_rb_amu=0"],
+     "[molecule] mass_na_amu"),
+    ("alpha-scan", ["molecule.b_v_cm1=nan"], "[molecule] b_v_cm1"),
+])
+def test_out_of_range_value_exits_2_naming_its_key(subcommand, overrides, key,
+                                                   tmp_path, capsys):
+    argv = [subcommand, "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("key, accepted, rejected", [
+    ("molecule.b_v_cm1", "1e-3", ["0", "-1", "inf"]),
+    ("molecule.gamma_hz", "0", ["-1", "nan"]),
+    ("molecule.eqq_rb_mhz", "-3", ["-inf"]),
+    ("molecule.spin_na", "2.5", ["0", "1.2", "-1.5"]),
+    ("molecule.quadrupole_denominator", "literal", ["i(i-1)"]),
+    ("grid.r_min_bohr", "0.5", ["0"]),
+    ("grid.points", "8", ["0", "8.0"]),
+    ("fields.e_field_kv_cm", "0", ["-0.5"]),
+    ("fields.theta_p_deg", "-30", ["nan"]),
+    ("fields.terms", "rotation,stark", ["", "rotation,spin"]),
+    ("scan.j_values", "0,3", ["0,-1", "0,x"]),
+    ("scan.m", "-2", ["1.5"]),
+    ("scan.max_levels", "1", ["0"]),
+    ("magic.kind", "angle", ["Angle"]),
+    ("magic.rank_a", "0", ["-1"]),
+    ("magic.method", "eigen", ["secant"]),
+])
+def test_schema_is_each_keys_range(key, accepted, rejected):
+    section, name = key.split(".")
+    load_config(overrides=[f"{key}={accepted}"])
+    for value in rejected:
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {name} =")):
+            load_config(overrides=[f"{key}={value}"])
+
+
+HEADERS = {
+    "solve-rovib": "state,v,j,energy_cm1,b_rot_cm1,frac_a,frac_b",
+    "alpha-scan": "detuning_ghz,j,m,alpha_au",
+    "imag-scan": "detuning_ghz,j,m,im_alpha_au",
+    "hyperfine-scan": "theta_deg,curve,j,m,energy_mhz,alpha_hz_wcm2",
+    "magic-find": "kind,j_a,m_a,rank_a,j_b,m_b,rank_b,location,residual,"
+                  "bracket_lo,bracket_hi",
+    "calibrate": "j_a,j_b,m,target_ghz,gamma_hz,crossing_ghz,residual_au",
+}
+# small enough for about 0.1 s a run; a drawn size never exceeds these,
+# since grid.points costs n^2 memory
+REDUCED = {"grid.points": "300", "scan.points": "16", "scan.j_values": "0,1"}
+VARIANTS = [(name, []) for name in HEADERS] + [
+    ("magic-find", ["magic.kind=angle", "magic.rank_a=0", "magic.rank_b=0"])]
+
+
+def _drawn_values(name: str, value) -> list[str]:
+    """Fixed values to draw for one key, by the type of its bundled value."""
+    if name in REDUCED:
+        value = REDUCED[name]
+        if name == "scan.j_values":
+            return ["", "bogus", "0", "1", value]
+        return ["-1", "0", "1", "2", value]
+    if isinstance(value, float):
+        return ["0", "-1", "1", repr(value), "nan", "inf", "-inf"]
+    if isinstance(value, tuple):
+        return ["", "bogus", ",".join(map(str, value))]
+    if isinstance(value, str):
+        return ["bogus", value]
+    return ["-1", "0", "1", "2"] + ([] if value is None else [str(value)])
+
+
+BUNDLED = load_config()
+DRAWS = [(f"{section}.{key}", text)
+         for section, keys in SCHEMA.items() for key in keys
+         for text in _drawn_values(f"{section}.{key}",
+                                   BUNDLED.get(section, key, None))]
+
+
+def _rejected(name: str, text: str) -> bool:
+    section, key = name.split(".")
+    try:
+        SCHEMA[section][key](text)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(variant=st.sampled_from(VARIANTS),
+       drawn=st.lists(st.sampled_from(DRAWS), max_size=3,
+                      unique_by=lambda item: item[0]))
+def test_exit_codes_hold_for_drawn_configs(variant, drawn):
+    """A rejected value exits 2 naming its key; anything else exits 0, 2,
+    3 or 4, and exit 0 writes the subcommand's header."""
+    subcommand, extra = variant
+    argv = [subcommand]
+    for item in [f"{k}={v}" for k, v in REDUCED.items()] + extra + \
+            [f"{k}={v}" for k, v in drawn]:
+        argv += ["--override", item]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv + ["--out", out])
+        csv_path = Path(out) / (subcommand.replace("-", "_") + ".csv")
+        header = csv_path.read_text().split("\n")[0] if code == 0 else None
+    message = err.getvalue()
+    assert "Traceback" not in message
+    rejected = [name for name, text in drawn if _rejected(name, text)]
+    if rejected:
+        assert code == 2, message
+        assert any("[{}] {} =".format(*name.split(".")) in message
+                   for name in rejected), message
+    else:
+        assert code in (0, 2, 3, 4), message
+        if code == 0:
+            assert header == HEADERS[subcommand]

@@ -6,6 +6,7 @@ remaining tests pin scaling laws, validity notes, and failure modes.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,6 +84,19 @@ def test_pole_evaluation_is_infinite_not_an_error(narb_spec):
     nu = narb_spec.reference.energy  # J = 0 pole sits at zero detuning
     val = alpha_analytic(narb_spec, nu, 0, 0)
     assert math.isinf(val.real)
+
+
+def test_zero_linewidth_line_has_no_pole(narb_spec):
+    """A line with gamma = 0 drops out, also exactly on its pole, instead
+    of giving 0 * inf = nan there."""
+    spec = replace(narb_spec, lines=(replace(narb_spec.reference, gamma=0.0),))
+    bg = spec.background
+    nu = spec.reference.energy + np.array([0.0, 80.0]) / HARTREE_TO_GHZ
+    for route in (alpha_analytic, alpha_fardetuned):
+        for j in (0, 1):
+            fac = angular_factors(j, 0, 0.0)
+            assert np.array_equal(route(spec, nu, j, 0).real,
+                                  np.full(2, fac.total * bg.anisotropy + bg.alpha_perp))
 
 
 def test_fardetuned_equals_analytic_for_j0(narb_spec):

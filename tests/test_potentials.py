@@ -13,7 +13,6 @@ from magictrap import (
     MorseCurve,
     PointwiseCurve,
     calibrate_morse,
-    coupled_matrix,
     load_pointwise,
 )
 from magictrap.units import AMU_TO_ME, HARTREE_TO_CM1
@@ -188,15 +187,9 @@ def test_dipole_function_from_points():
     assert dip(8.0) == pytest.approx(1.2, abs=1e-10)
 
 
-def test_coupled_model_shift_and_matrix():
+def test_coupled_model_shift():
     up = MorseCurve(label="A", d_e=0.02, a=0.5, r_e=6.0, asymptote=0.05)
     dn = MorseCurve(label="b", d_e=0.015, a=0.5, r_e=6.5, asymptote=0.04)
     model = CoupledModel.constant_coupling(("A", "b"), (up, dn), xi=1e-4)
     shifted = model.with_shift(0.01)
     assert shifted.shift == pytest.approx(model.shift + 0.01)
-    m = coupled_matrix(shifted, 6.2)
-    assert m.shape == (2, 2)
-    assert m[0, 1] == pytest.approx(1e-4)
-    assert m[1, 0] == pytest.approx(1e-4)
-    assert m[0, 0] == pytest.approx(up(6.2) + shifted.shift)
-    assert m[1, 1] == pytest.approx(dn(6.2) + shifted.shift)

@@ -10,7 +10,6 @@ import math
 import pytest
 
 from magictrap import (
-    Quantity,
     Unit,
     UnitError,
     convert,
@@ -88,16 +87,6 @@ def test_dipole_and_angle_scales():
     assert DEBYE_TO_EA0 == pytest.approx(0.3934303, rel=1e-6)
     assert convert(180.0, Unit.DEGREE, Unit.RADIAN) == pytest.approx(
         math.pi, rel=1e-15)
-
-
-def test_quantity_round_trip_and_format():
-    q = Quantity(0.06970, Unit.WAVENUMBER)
-    g = q.to(Unit.GHZ)
-    assert g.unit is Unit.GHZ
-    assert g.value == pytest.approx(0.06970 * 29.9792458, rel=1e-12)
-    assert q.to(Unit.GHZ).to(Unit.WAVENUMBER).value == pytest.approx(
-        0.06970, rel=1e-12)
-    assert format(g, ".3f").endswith("GHZ")
 
 
 def test_energy_chain_closes():
