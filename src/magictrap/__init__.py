@@ -73,10 +73,12 @@ from .potentials import (
 )
 from .radial import (
     RadialGrid,
+    RovibBasis,
     RovibLevel,
     dvr_kinetic,
     linewidth,
     radial_matrix_element,
+    rovib_basis,
     solve_coupled,
     solve_single,
 )
@@ -95,8 +97,8 @@ __all__ = [
     "MorseCurve", "PointwiseCurve", "DipoleFunction", "CoupledModel",
     "calibrate_morse", "load_pointwise",
     # radial
-    "RadialGrid", "RovibLevel", "dvr_kinetic", "solve_single",
-    "solve_coupled", "radial_matrix_element", "linewidth",
+    "RadialGrid", "RovibLevel", "RovibBasis", "dvr_kinetic", "rovib_basis",
+    "solve_single", "solve_coupled", "radial_matrix_element", "linewidth",
     # polarizability
     "Background", "ResonantLine", "PolarizabilitySpec", "PolarizabilityValue",
     "alpha_analytic", "alpha_fardetuned", "alpha_sum_over_states",

@@ -48,7 +48,7 @@ from .hyperfine import (
 )
 from .magic import calibrate_gamma, find_magic_angle, find_magic_detuning
 from .polarizability import alpha_analytic, alpha_imag
-from .radial import linewidth, radial_matrix_element, solve_coupled, solve_single
+from .radial import linewidth, radial_matrix_element
 from .units import HARTREE_TO_CM1, HARTREE_TO_GHZ
 
 __all__ = ["main", "run", "emit_csv"]
@@ -94,24 +94,14 @@ def emit_csv(headers: list[str], columns: list, path: str | Path) -> None:
 # ---- subcommands ----------------------------------------------------
 
 
-def _ground_levels(ground, x0, j: int, mass: float, grid, max_levels: int):
-    """Ground levels at J; J=0 reuses ``x0``, the solve that pinned the line."""
-    if j == 0:
-        return x0[:max_levels]
-    return solve_single(ground, j, mass, grid, max_levels=max_levels)
-
-
 def _cmd_solve_rovib(cfg: RunConfig):
-    ground, model, _, x0 = narb.pinned_models(cfg)
-    grid = cfg.radial_grid()
-    mass = cfg.reduced_mass_amu()
+    *_, x_basis, ab_basis = narb.pinned_models(cfg)
     j_values = cfg.get("scan", "j_values")
     max_levels = cfg.get("scan", "max_levels")
-
     levels = []
     for j in j_values:
-        levels += _ground_levels(ground, x0, j, mass, grid, max_levels)
-        levels += solve_coupled(model, j, mass, grid, max_levels=max_levels)
+        levels += x_basis.levels(j, max_levels)
+        levels += ab_basis.levels(j, max_levels)
     headers = ["state", "v", "j", "energy_cm1", "b_rot_cm1", "frac_a", "frac_b"]
     columns = [
         [lv.label for lv in levels],  # "X", or "Ab" for the coupled pair
@@ -161,18 +151,13 @@ def _cmd_alpha_scan(cfg: RunConfig):
 
 
 def _imag_inputs(cfg: RunConfig):
-    ground, model, dipole, x0 = narb.pinned_models(cfg)
-    grid = cfg.radial_grid()
-    mass = cfg.reduced_mass_amu()
+    ground, _, dipole, x_basis, ab_basis = narb.pinned_models(cfg)
     j_values = cfg.get("scan", "j_values")
     max_levels = cfg.get("scan", "max_levels")
     j_excited = sorted({j + s for j in j_values for s in (-1, 1) if j + s >= 0})
 
-    x_levels = [_ground_levels(ground, x0, j, mass, grid, 1)[0]
-                for j in sorted(set(j_values))]
-    ab_levels = []
-    for jp in j_excited:
-        ab_levels.extend(solve_coupled(model, jp, mass, grid, max_levels=max_levels))
+    x_levels = [x_basis.levels(j, 1)[0] for j in sorted(set(j_values))]
+    ab_levels = [lv for jp in j_excited for lv in ab_basis.levels(jp, max_levels)]
     pairs = {(0, 0): dipole}
     dipoles = {
         (xi, ai): radial_matrix_element(x, dipole, ab, pairs=pairs)
@@ -245,10 +230,20 @@ def _shared_m(cfg: RunConfig) -> int:
     return m
 
 
+def _distinct_states(state_a, state_b) -> None:
+    """Reject a search between a state and itself: its objective is 0 everywhere."""
+    if state_a == state_b:
+        raise ConfigError(
+            f"[magic] j_a and j_b name the same state {state_a}; a magic "
+            "condition needs two different states"
+        )
+
+
 def _cmd_magic_find(cfg: RunConfig):
     kind = cfg.get("magic", "kind")
     j_a, j_b = cfg.get("magic", "j_a"), cfg.get("magic", "j_b")
     if kind == "detuning":
+        _distinct_states(j_a, j_b)
         m = _shared_m(cfg)
         sol = find_magic_detuning(
             cfg.spec(), j_a, j_b, m=m,
@@ -265,6 +260,8 @@ def _cmd_magic_find(cfg: RunConfig):
         state_b = (j_b, cfg.get("magic", "m_b"))
         rank_a = cfg.get("magic", "rank_a", None)
         rank_b = cfg.get("magic", "rank_b", None)
+        # an unranked state is its character's only one, i.e. rank 0
+        _distinct_states((*state_a, rank_a or 0), (*state_b, rank_b or 0))
         if rank_a is not None:
             state_a += (rank_a,)
         if rank_b is not None:
@@ -287,6 +284,7 @@ def _cmd_magic_find(cfg: RunConfig):
 
 def _cmd_calibrate(cfg: RunConfig):
     j_a, j_b = cfg.get("magic", "j_a"), cfg.get("magic", "j_b")
+    _distinct_states(j_a, j_b)
     m = _shared_m(cfg)
     target = cfg.get("magic", "target_ghz")
     theta_p = math.radians(cfg.get("fields", "theta_p_deg"))

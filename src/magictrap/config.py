@@ -24,7 +24,7 @@ from .hyperfine import (QUADRUPOLE_DENOMINATORS, TERMS, FieldConfiguration,
                         MolecularConstants)
 from .magic import ANGLE_METHODS
 from .polarizability import Background, PolarizabilitySpec, ResonantLine
-from .radial import RadialGrid
+from .radial import MIN_POINTS, RadialGrid
 from .units import HARTREE_TO_CM1, HARTREE_TO_MHZ, Unit, convert
 
 __all__ = ["RunConfig", "load_config", "bundled_defaults_path"]
@@ -100,7 +100,7 @@ SCHEMA: dict[str, dict[str, object]] = {
     "grid": {
         "r_min_bohr": _positive,
         "r_max_bohr": _finite,
-        "points": _count,
+        "points": _number(int, MIN_POINTS),
     },
     "fields": {
         "b_field_gauss": _non_negative,
@@ -214,11 +214,11 @@ class RunConfig:
         return frozenset(self.get("fields", "terms"))
 
     def radial_grid(self) -> RadialGrid:
-        return RadialGrid(
-            r_min=self.get("grid", "r_min_bohr"),
-            r_max=self.get("grid", "r_max_bohr"),
-            n=self.get("grid", "points"),
-        )
+        r_min, r_max = self.get("grid", "r_min_bohr"), self.get("grid", "r_max_bohr")
+        if r_max <= r_min:
+            raise ConfigError(f"[grid] r_max_bohr = {r_max!r} must exceed "
+                              f"r_min_bohr = {r_min!r}")
+        return RadialGrid(r_min=r_min, r_max=r_max, n=self.get("grid", "points"))
 
     # ---- dump -----------------------------------------------------
 

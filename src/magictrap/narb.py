@@ -19,9 +19,8 @@ from __future__ import annotations
 import math
 
 from .config import RunConfig
-from .errors import GridError
 from .potentials import CoupledModel, DipoleFunction, MorseCurve, calibrate_morse
-from .radial import RovibLevel, solve_coupled, solve_single
+from .radial import RovibBasis, rovib_basis
 from .units import AMU_TO_ME, HARTREE_TO_CM1
 
 # Surrogate well shapes, chosen, not fitted: the X and b wells match
@@ -47,9 +46,9 @@ def radial_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunct
     return pinned_models(cfg)[:3]
 
 
-def pinned_models(cfg: RunConfig
-                  ) -> tuple[MorseCurve, CoupledModel, DipoleFunction, list[RovibLevel]]:
-    """:func:`radial_models` and the J=0 ground levels that pinned the line.
+def pinned_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunction,
+                                           RovibBasis, RovibBasis]:
+    """:func:`radial_models` and the contracted bases that pinned the line.
 
     Well shapes follow the surrogate above; the printed rotational
     constants, masses and transition energy come from the config.  The
@@ -59,9 +58,9 @@ def pinned_models(cfg: RunConfig
     detuning origin.  The X <-> A moment is R-independent; the b
     channel is dark on its own.
 
-    The fourth value holds every bound J=0 level of the ground curve on
-    the configured grid (v = 0 first), so a caller needing them does
-    not solve that matrix again.
+    The last two values are the ground curve's basis at J=0 and the
+    shifted coupled model's basis at J'=1, one dense solve each, from
+    which a caller reads the levels at every J.
     """
     mass = cfg.reduced_mass_amu()
     mu = mass * AMU_TO_ME
@@ -90,12 +89,12 @@ def pinned_models(cfg: RunConfig
         xi=XI_CM1 / HARTREE_TO_CM1,
     )
     grid = cfg.radial_grid()
-    x0 = solve_single(ground, 0, mass, grid)
-    line = solve_coupled(model, 1, mass, grid, max_levels=1)
-    if not x0 or not line:
-        raise GridError("no bound X(J=0) or coupled J'=1 level on the grid "
-                        "to pin the transition energy to")
+    # the 2n x 2n coupled solve first, so its peak memory does not stack
+    # on what the n x n ground solve leaves allocated
+    ab_basis = rovib_basis(model, 1, mass, grid)
+    x_basis = rovib_basis(ground, 0, mass, grid)
     shift = (cfg.get("molecule", "transition_cm1") / HARTREE_TO_CM1
-             + x0[0].energy - line[0].energy)
+             + x_basis.levels(0, 1)[0].energy - ab_basis.levels(1, 1)[0].energy)
     dipole = DipoleFunction.constant(("X", "A"), DIPOLE_XA_EA0)
-    return ground, model.with_shift(shift), dipole, x0
+    return (ground, model.with_shift(shift), dipole, x_basis,
+            ab_basis.with_shift(shift))

@@ -8,18 +8,29 @@ adjustments, and off-diagonal entries fall off as (-1)^(i-j)/(i-j)^2
 with the corresponding interval correction.  Single curves and
 two-channel spin-orbit coupled pairs share the same machinery.
 
+J enters the Hamiltonian only through the diagonal centrifugal term
+J(J+1) C with C = 1/(2 mu R^2) on every channel.  A :class:`RovibBasis`
+keeps the lowest eigenpairs of one dense solve at a reference J and C in
+their span, and gives the levels at any J from that small matrix: the
+diagonalization-truncation contraction (Bacic & Light, Annu. Rev. Phys.
+Chem. 40, 469 (1989)) of the Colbert-Miller DVR (J. Chem. Phys. 96,
+1982 (1992)).  :func:`solve_single` and :func:`solve_coupled` are its
+one-J case, a dense solve at the J asked for with no contraction.
+
 All quantities are in Hartree atomic units unless stated otherwise;
 reduced masses cross the API boundary in atomic mass units.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import GridError
 from .potentials import CoupledModel, DipoleFunction, PotentialCurve
@@ -28,16 +39,28 @@ from .units import AMU_TO_ME, C_AU
 __all__ = [
     "RadialGrid",
     "RovibLevel",
+    "RovibBasis",
     "dvr_kinetic",
+    "rovib_basis",
     "solve_single",
     "solve_coupled",
     "radial_matrix_element",
     "linewidth",
 ]
 
+logger = logging.getLogger(__name__)
+
 # levels closer than this to the dissociation threshold get flagged
 NEAR_THRESHOLD_WINDOW = 1e-6
 BOUND_MARGIN = 1e-10
+MIN_POINTS = 8
+# A contracted basis keeps this many states per level bound at its
+# reference J: the bound levels and twice as many above the threshold.
+# On the bundled grid, keeping the bound levels alone leaves
+# near-threshold energies at J = 6 off by 6e-3, two per bound level
+# leave their B_v off by 1.6e-10, and three match every bound level at
+# J = 0..6 to the full DVR within 1e-11 (tests/test_radial.py).
+BASIS_STATES_PER_BOUND = 3
 
 
 @dataclass(frozen=True)
@@ -53,8 +76,8 @@ class RadialGrid:
             raise GridError("r_min must be positive (radial coordinate)")
         if self.r_max <= self.r_min:
             raise GridError("r_max must exceed r_min")
-        if self.n < 8:
-            raise GridError("need at least 8 grid points")
+        if self.n < MIN_POINTS:
+            raise GridError(f"need at least {MIN_POINTS} grid points")
 
     @property
     def dr(self) -> float:
@@ -161,80 +184,185 @@ def _finalize_level(label, v, j, energy, grid, mu, coeffs, channel_labels,
     )
 
 
+def _check_j(j) -> None:
+    if not isinstance(j, int) or j < 0:
+        raise ValueError("j must be a non-negative integer")
+
+
+@dataclass(frozen=True, eq=False)
+class RovibBasis:
+    """The lowest eigenpairs of one radial model at a reference J.
+
+    ``energies`` (K,) and the DVR coefficient columns ``vectors``
+    (n_channels * n, K) solve the model without its shift at ``j_ref``;
+    ``centrifugal`` is U^T C U with C = 1/(2 mu R^2) on every channel.
+    At J the levels are the eigenpairs of diag(energies) +
+    [J(J+1) - j_ref(j_ref+1)] U^T C U, with wavefunctions U c, and
+    ``shift`` is added to every energy afterwards, so a shifted basis
+    gives the unshifted levels plus the shift.
+    """
+
+    label: str
+    j_ref: int
+    energies: np.ndarray = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
+    centrifugal: np.ndarray = field(repr=False)
+    grid: RadialGrid
+    mu: float  # reduced mass, electron masses
+    channel_labels: tuple[str, ...]
+    potentials: tuple[PotentialCurve, ...] = field(repr=False)
+    threshold: float  # lowest channel asymptote, without the shift
+    shift: float = 0.0
+
+    @property
+    def size(self) -> int:
+        """K, the number of basis states kept."""
+        return self.energies.size
+
+    def with_shift(self, shift: float) -> "RovibBasis":
+        return replace(self, shift=shift)
+
+    def levels(self, j: int, max_levels: int | None = None) -> list[RovibLevel]:
+        """Bound levels at rotational ``j``, ordered by energy, v = 0, 1, ..."""
+        _check_j(j)
+        top = self.threshold - BOUND_MARGIN
+        factor = j * (j + 1) - self.j_ref * (self.j_ref + 1)
+        if factor == 0:
+            energies = self.energies
+        else:
+            energies, coeffs = np.linalg.eigh(
+                np.diag(self.energies) + factor * self.centrifugal)
+        bound = int(np.searchsorted(energies, top))
+        if factor and bound == self.size < self.vectors.shape[0]:
+            raise GridError(
+                f"all {self.size} states of the {self.label} basis are bound "
+                f"at J={j}; the contraction has no room above the threshold"
+            )
+        energies = energies[:bound][:max_levels]
+        vectors = (self.vectors[:, :energies.size] if factor == 0
+                   else self.vectors @ coeffs[:, :energies.size])
+        n = self.grid.n
+        levels = []
+        for v_idx, energy in enumerate(energies):
+            channels = vectors[:, v_idx].reshape(-1, n)
+            fracs = tuple(float(np.sum(ch ** 2)) for ch in channels)
+            levels.append(_finalize_level(
+                self.label, v_idx, j, energy + self.shift, self.grid, self.mu,
+                channels, self.channel_labels, fracs, self.potentials, self.shift,
+                self.threshold + self.shift,
+            ))
+        return levels
+
+
+def _lowest_eigenpairs(h: np.ndarray, top: float, per_bound: int):
+    """Lowest eigenpairs of the symmetric ``h``, which is overwritten:
+    ``per_bound`` times as many as lie below ``top``, in ascending order.
+
+    One Householder tridiagonalization H = Q T Q^T, every eigenpair of T
+    by divide and conquer, and Q applied to the kept vectors only, so
+    keeping states above ``top`` costs little more than the bound ones.
+    """
+    dim = h.shape[0]
+    lwork = int(lapack.dsytrd_lwork(dim, lower=1)[0])
+    reflectors, diag, off, tau, info = lapack.dsytrd(h, lower=1, lwork=lwork,
+                                                     overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dsytrd failed with info={info}")
+    energies, z = sla.eigh_tridiagonal(diag, off, lapack_driver="stevd")
+    keep = min(dim, per_bound * int(np.searchsorted(energies, top)))
+    vectors = np.array(z[:, :keep], order="F")  # a copy, so z can go
+    del z
+    # Q = diag(1, Q') with Q' the product of the reflectors stored
+    # below the subdiagonal, laid out as a QR factor
+    vectors[1:], _, info = lapack.dormqr(
+        "L", "N", reflectors[1:, :-1], tau, vectors[1:], lwork=max(1, 64 * keep))
+    if info:
+        raise np.linalg.LinAlgError(f"dormqr failed with info={info}")
+    return energies[:keep], vectors
+
+
+def _dense_basis(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
+                 grid: RadialGrid, per_bound: int) -> RovibBasis:
+    """One dense DVR solve of ``model`` without its shift at rotational ``j``.
+
+    The Hamiltonian stacks the DVR kinetic block on each channel's
+    diagonal, adds the channel potential plus the centrifugal term, and
+    couples the two channels of a coupled model pointwise through xi(R).
+    """
+    _check_j(j)
+    if isinstance(model, CoupledModel):
+        label, labels, curves = "".join(model.labels), tuple(model.labels), tuple(model.curves)
+        shift = model.shift
+    else:
+        label, labels, curves, shift = model.label, (model.label,), (model,), 0.0
+    mu = mass_amu * AMU_TO_ME
+    r, n = grid.points, grid.n
+    potentials = [np.asarray(curve(r), dtype=float) for curve in curves]
+    threshold = min(curve.asymptote for curve in curves)
+    _check_grid(grid, mu, np.min(potentials, axis=0), threshold)
+
+    cent = 1.0 / (2.0 * mu * r ** 2)
+    t = _kinetic_cached(grid.r_min, grid.r_max, n, mu)
+    # Fortran order lets the tridiagonalization overwrite h in place
+    h = np.zeros((n * len(curves),) * 2, order="F")
+    idx = np.arange(n)
+    for c, v in enumerate(potentials):
+        h[c * n:(c + 1) * n, c * n:(c + 1) * n] = t
+        h[idx + c * n, idx + c * n] += v + j * (j + 1) * cent
+    if isinstance(model, CoupledModel):
+        xi = np.asarray(model.coupling(r), dtype=float)
+        h[idx, idx + n] = xi
+        h[idx + n, idx] = xi
+
+    energies, vectors = _lowest_eigenpairs(h, threshold - BOUND_MARGIN, per_bound)
+    c_diag = np.tile(cent, len(curves))
+    return RovibBasis(
+        label=label, j_ref=j, energies=energies, vectors=vectors,
+        centrifugal=vectors.T @ (c_diag[:, None] * vectors), grid=grid, mu=mu,
+        channel_labels=labels, potentials=curves, threshold=threshold, shift=shift,
+    )
+
+
+def rovib_basis(model: PotentialCurve | CoupledModel, j_ref: int, mass_amu: float,
+                grid: RadialGrid) -> RovibBasis:
+    """Contracted rovibrational basis of a curve or coupled model.
+
+    One dense solve at ``j_ref`` keeps :data:`BASIS_STATES_PER_BOUND`
+    states per bound level there (all states, if the grid has fewer);
+    :meth:`RovibBasis.levels` then serves any J, and a coupled model's
+    shift is carried as :attr:`RovibBasis.shift`.  Raises
+    :class:`GridError` if no level is bound at ``j_ref``.
+    """
+    basis = _dense_basis(model, j_ref, mass_amu, grid, BASIS_STATES_PER_BOUND)
+    if not basis.size:
+        raise GridError(f"no bound {basis.label} level at J={j_ref} on the grid "
+                        "to build a basis from")
+    logger.info("%s basis at J=%d: K=%d of %d states, %d bound",
+                basis.label, j_ref, basis.size, basis.vectors.shape[0],
+                int(np.searchsorted(basis.energies, basis.threshold - BOUND_MARGIN)))
+    return basis
+
+
 def solve_single(curve: PotentialCurve, j: int, mass_amu: float,
                  grid: RadialGrid, max_levels: int | None = None) -> list[RovibLevel]:
     """Bound levels of one electronic curve at rotational quantum number j.
 
     Returns levels with energy below the curve's asymptote, ordered by
-    energy and indexed v = 0, 1, ...
+    energy and indexed v = 0, 1, ...  A dense solve at this j alone; use
+    :func:`rovib_basis` for several J.
     """
-    if not isinstance(j, int) or j < 0:
-        raise ValueError("j must be a non-negative integer")
-    mu = mass_amu * AMU_TO_ME
-    r = grid.points
-    v_r = np.asarray(curve(r), dtype=float)
-    _check_grid(grid, mu, v_r, curve.asymptote)
-    h = _kinetic_cached(grid.r_min, grid.r_max, grid.n, mu).copy()
-    v_eff = v_r + j * (j + 1) / (2.0 * mu * r ** 2)
-    h[np.diag_indices(grid.n)] += v_eff
-
-    bound_top = curve.asymptote - BOUND_MARGIN
-    energies, vectors = sla.eigh(h, subset_by_value=(-np.inf, bound_top))
-    levels = []
-    for v_idx in range(energies.size):
-        if max_levels is not None and v_idx >= max_levels:
-            break
-        coeffs = vectors[:, v_idx][None, :]
-        levels.append(_finalize_level(
-            curve.label, v_idx, j, energies[v_idx], grid, mu, coeffs,
-            (curve.label,), (1.0,), (curve,), 0.0, curve.asymptote,
-        ))
-    return levels
+    return _dense_basis(curve, j, mass_amu, grid, 1).levels(j, max_levels)
 
 
 def solve_coupled(model: CoupledModel, j: int, mass_amu: float,
                   grid: RadialGrid, max_levels: int | None = None) -> list[RovibLevel]:
     """Bound levels of a two-channel coupled model at rotational j.
 
-    The 2n x 2n Hamiltonian stacks the DVR kinetic blocks on the
-    diagonal channels, adds each channel's shifted potential plus the
-    centrifugal term, and couples channels pointwise through xi(R).
-    Channel fractions are the norm shares of the two components.
+    The model's shift is added to every energy.  Channel fractions are
+    the norm shares of the two components.  A dense solve at this j
+    alone; use :func:`rovib_basis` for several J.
     """
-    if not isinstance(j, int) or j < 0:
-        raise ValueError("j must be a non-negative integer")
-    mu = mass_amu * AMU_TO_ME
-    r = grid.points
-    n = grid.n
-    va = np.asarray(model.curves[0](r), dtype=float) + model.shift
-    vb = np.asarray(model.curves[1](r), dtype=float) + model.shift
-    asym = min(c.asymptote for c in model.curves) + model.shift
-    _check_grid(grid, mu, np.minimum(va, vb), asym)
-
-    cent = j * (j + 1) / (2.0 * mu * r ** 2)
-    t = _kinetic_cached(grid.r_min, grid.r_max, grid.n, mu)
-    xi = np.asarray(model.coupling(r), dtype=float)
-
-    h = np.zeros((2 * n, 2 * n))
-    h[:n, :n] = t
-    h[n:, n:] = t
-    h[np.arange(n), np.arange(n)] += va + cent
-    h[np.arange(n, 2 * n), np.arange(n, 2 * n)] += vb + cent
-    h[np.arange(n), np.arange(n, 2 * n)] = xi
-    h[np.arange(n, 2 * n), np.arange(n)] = xi
-
-    energies, vectors = sla.eigh(h, subset_by_value=(-np.inf, asym - BOUND_MARGIN))
-    levels = []
-    for v_idx in range(energies.size):
-        if max_levels is not None and v_idx >= max_levels:
-            break
-        coeffs = vectors[:, v_idx].reshape(2, n)
-        fracs = tuple(float(np.sum(coeffs[c] ** 2)) for c in range(2))
-        levels.append(_finalize_level(
-            "".join(model.labels), v_idx, j, energies[v_idx], grid, mu, coeffs,
-            tuple(model.labels), fracs, tuple(model.curves), model.shift, asym,
-        ))
-    return levels
+    return _dense_basis(model, j, mass_amu, grid, 1).levels(j, max_levels)
 
 
 def radial_matrix_element(bra: RovibLevel, f, ket: RovibLevel,

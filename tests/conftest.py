@@ -1,9 +1,10 @@
 """Shared fixtures.
 
 The session-scoped fixtures build the two expensive radial models once:
-the bundled molecule surrogate (used by the resonance and linewidth
-tests) and a stiff two-channel model whose closed-form constants are
-recovered from its own levels (used by the dual-route comparisons).
+the bundled molecule surrogate with its per-J dense levels (the oracle
+of the contracted basis) and a stiff two-channel model whose
+closed-form constants are recovered from its own levels (used by the
+dual-route comparisons).
 Every NaRb input comes from the bundled defaults via ``load_config()``.
 """
 
@@ -38,22 +39,18 @@ def narb_fields(narb_config):
 
 @pytest.fixture(scope="session")
 def narb_radial(narb_config):
-    """Ground curve, coupled excited model, dipole, and solved levels."""
+    """Bundled ground curve, dipole and contracted bases, plus every bound
+    level of the per-J dense solves at J = 0..6."""
     grid = narb_config.radial_grid()
-    ground, model, dipole = narb.radial_models(narb_config)
+    ground, model, dipole, x_basis, ab_basis = narb.pinned_models(narb_config)
     mass = narb_config.reduced_mass_amu()
-    x_levels = {j: mt.solve_single(ground, j, mass, grid, max_levels=3)
-                for j in range(6)}
-    ab_levels = {j: mt.solve_coupled(model, j, mass, grid, max_levels=6)
-                 for j in range(3)}
     return {
-        "grid": grid,
         "ground": ground,
-        "model": model,
         "dipole": dipole,
-        "mass": mass,
-        "x": x_levels,
-        "ab": ab_levels,
+        "x_basis": x_basis,
+        "ab_basis": ab_basis,
+        "x": {j: mt.solve_single(ground, j, mass, grid) for j in range(7)},
+        "ab": {j: mt.solve_coupled(model, j, mass, grid) for j in range(7)},
     }
 
 

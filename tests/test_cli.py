@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magictrap import cli, narb, radial
+from magictrap import cli, radial
 from magictrap.cli import emit_csv, main
 from magictrap.config import SCHEMA, load_config
 from magictrap.errors import ConfigError
@@ -300,6 +300,26 @@ def test_m_b_differing_from_m_a_exits_2(subcommand, small_config, tmp_path,
     assert not (tmp_path / (subcommand.replace("-", "_") + ".csv")).exists()
 
 
+@pytest.mark.parametrize("subcommand, overrides", [
+    ("magic-find", ["magic.j_a=1"]),
+    ("calibrate", ["magic.j_a=1"]),
+    ("magic-find", ["magic.kind=angle", "magic.j_a=1", "magic.m_b=0",
+                    "magic.rank_a=0", "magic.rank_b=0"]),
+    ("magic-find", ["magic.kind=angle", "magic.j_a=1", "magic.rank_b=0"]),
+])
+def test_the_same_state_twice_exits_2(subcommand, overrides, small_config,
+                                      tmp_path, capsys):
+    """A search between a state and itself has an objective that is 0
+    everywhere: a configuration error naming the keys, not a failed search."""
+    argv = [subcommand, "--config", str(small_config), "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "[magic] j_a" in err and "j_b" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_calibrate(small_config, tmp_path):
     assert main(["calibrate", "--config", str(small_config),
                  "--out", str(tmp_path),
@@ -343,19 +363,21 @@ def test_hyperfine_columns_match_the_row_assembly():
 
 
 @pytest.mark.parametrize("subcommand", ["solve-rovib", "imag-scan"])
-def test_ground_j0_is_solved_once(subcommand, small_config, tmp_path, monkeypatch):
-    """The J=0 ground level that pins the line is reused, not solved again."""
-    solved = []
+def test_one_dense_solve_per_model(subcommand, small_config, tmp_path, monkeypatch):
+    """The ground curve (n = 700) and the coupled pair (2n) are each
+    diagonalized once; every J, the J=0 ground level and the J'=1 line
+    that pins the shift included, comes from those two bases."""
+    sizes = []
 
-    def counting(curve, j, *args, **kwargs):
-        solved.append(j)
-        return radial.solve_single(curve, j, *args, **kwargs)
+    def counting(h, *args):
+        sizes.append(h.shape[0])
+        return dense(h, *args)
 
-    monkeypatch.setattr(narb, "solve_single", counting)
-    monkeypatch.setattr(cli, "solve_single", counting)
+    dense = radial._lowest_eigenpairs
+    monkeypatch.setattr(radial, "_lowest_eigenpairs", counting)
     assert main([subcommand, "--config", str(small_config),
                  "--out", str(tmp_path)]) == 0
-    assert sorted(solved) == [0, 1]
+    assert sorted(sizes) == [700, 1400]
 
 
 def test_console_entry_point(small_config, tmp_path):
@@ -476,6 +498,8 @@ def test_output_path_collision_exits_4(small_config, tmp_path, capsys):
     ("solve-rovib", ["molecule.mass_na_amu=0", "molecule.mass_rb_amu=0"],
      "[molecule] mass_na_amu"),
     ("alpha-scan", ["molecule.b_v_cm1=nan"], "[molecule] b_v_cm1"),
+    ("solve-rovib", ["grid.points=2"], "[grid] points"),
+    ("solve-rovib", ["grid.r_max_bohr=1"], "[grid] r_max_bohr"),
 ])
 def test_out_of_range_value_exits_2_naming_its_key(subcommand, overrides, key,
                                                    tmp_path, capsys):
@@ -494,7 +518,7 @@ def test_out_of_range_value_exits_2_naming_its_key(subcommand, overrides, key,
     ("molecule.spin_na", "2.5", ["0", "1.2", "-1.5"]),
     ("molecule.quadrupole_denominator", "literal", ["i(i-1)"]),
     ("grid.r_min_bohr", "0.5", ["0"]),
-    ("grid.points", "8", ["0", "8.0"]),
+    ("grid.points", "8", ["0", "7", "8.0"]),
     ("fields.e_field_kv_cm", "0", ["-0.5"]),
     ("fields.theta_p_deg", "-30", ["nan"]),
     ("fields.terms", "rotation,stark", ["", "rotation,spin"]),

@@ -36,7 +36,7 @@ GOLDEN = {
     "imag-scan": (
         ["imag-scan", "--override", "grid.points=300", "--override", "scan.j_values=0,1",
          "--override", "scan.max_levels=3", "--override", "scan.points=64"],
-        "9812d30c377aaf05e34105acdf6cce727e0aeb1194eec404304a09eab3091720",
+        "9c55d0a022dca6c0a68ef2840dbca612b72698932d275b67a4a61659ae5d9944",
     ),
     "magic-find": (
         ["magic-find"],

@@ -2,10 +2,13 @@
 
 The sine-DVR kinetic matrix is compared with an explicit spectral
 construction, box and Morse spectra with their closed forms, and
-matrix elements and linewidths with hand-evaluated integrals.
+matrix elements and linewidths with hand-evaluated integrals.  The
+contracted basis is compared with the per-J dense solves it replaces.
 """
 
+import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +22,14 @@ from magictrap import (
     dvr_kinetic,
     linewidth,
     radial_matrix_element,
+    rovib_basis,
     solve_coupled,
     solve_single,
 )
+from magictrap import narb
+from magictrap.config import load_config
 from magictrap.potentials import PotentialCurve
+from magictrap.radial import BASIS_STATES_PER_BOUND
 from magictrap.units import AMU_TO_ME, C_AU
 
 MASS = 18.0
@@ -267,3 +274,108 @@ def test_max_levels_truncates():
     full = solve_single(curve, 0, MASS, grid)
     assert len(full) > 3
     assert all(l.energy < 0.0 for l in full)
+
+
+# ---- contracted basis against the per-J full DVR --------------------
+
+J_RANGE = range(7)  # imag-scan's J' for the bundled J = 0..5
+RETAINED = 12       # the bundled scan.max_levels
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+@pytest.mark.parametrize("name", ["x", "ab"])
+def test_basis_levels_match_the_full_dvr_at_every_j(narb_radial, name):
+    basis = narb_radial[f"{name}_basis"]
+    assert basis.size == BASIS_STATES_PER_BOUND * len(narb_radial[name][basis.j_ref])
+    for j in J_RANGE:
+        full, contracted = narb_radial[name][j], basis.levels(j)
+        assert len(contracted) == len(full) > RETAINED
+        for ref, lvl in zip(full, contracted):
+            assert (lvl.label, lvl.v, lvl.j) == (ref.label, ref.v, ref.j)
+            assert _rel(lvl.energy, ref.energy) <= 1e-10, (j, ref.v)
+            assert _rel(lvl.rotational_constant(), ref.rotational_constant()) <= 1e-10, (j, ref.v)
+            assert np.allclose(lvl.channel_fractions, ref.channel_fractions,
+                               rtol=0.0, atol=1e-10), (j, ref.v)
+            assert lvl.near_threshold == ref.near_threshold
+
+
+def test_basis_dipoles_and_linewidths_match_the_full_dvr(narb_radial):
+    """Linewidths agree to 1e-10 of themselves, and X(v=0)-A-b dipoles to
+    1e-10 of the strongest one.  A weak dipole is a near-cancelling
+    overlap, and the full DVR itself fixes it no better: two LAPACK
+    eigensolvers on the same matrix put the 5.9e-4 ea0 X(0, J=1) - A-b
+    (v'=1, J'=0) dipole 1.5e-10 of itself apart."""
+    dip, targets = narb_radial["dipole"], [(narb_radial["ground"], narb_radial["dipole"])]
+    pairs = {(0, 0): dip}
+    pairs_of_values = []
+    for jp in J_RANGE:
+        full = narb_radial["ab"][jp][:RETAINED]
+        contracted = narb_radial["ab_basis"].levels(jp, RETAINED)
+        for ref, lvl in zip(full, contracted, strict=True):
+            assert _rel(linewidth(lvl, targets), linewidth(ref, targets)) <= 1e-10
+            for j in (jp - 1, jp + 1):
+                if j in J_RANGE:
+                    pairs_of_values.append((
+                        radial_matrix_element(narb_radial["x_basis"].levels(j, 1)[0],
+                                              dip, lvl, pairs=pairs),
+                        radial_matrix_element(narb_radial["x"][j][0], dip, ref,
+                                              pairs=pairs)))
+    strongest = max(abs(ref) for _, ref in pairs_of_values)
+    for value, ref in pairs_of_values:
+        assert abs(value - ref) <= 1e-10 * strongest
+
+
+def test_shifted_basis_is_the_unshifted_one_plus_the_shift(narb_radial):
+    shifted = narb_radial["ab_basis"]
+    unshifted = shifted.with_shift(0.0)
+    assert shifted.shift != 0.0
+    for j in (0, 1, 4):
+        for a, b in zip(unshifted.levels(j), shifted.levels(j), strict=True):
+            assert a.energy + shifted.shift == b.energy
+            assert np.array_equal(a.wavefunction, b.wavefunction)
+            assert (a.shift, b.shift) == (0.0, shifted.shift)
+
+
+def test_retained_levels_are_converged_on_the_bundled_grid(narb_radial, narb_config):
+    """Halving the grid moves none of the 12 retained X(J=0) and A-b(J'=1)
+    energies by more than 1e-12 of itself."""
+    coarse = load_config(overrides=[f"grid.points={narb_config.radial_grid().n // 2}"])
+    *_, x_coarse, ab_coarse = narb.pinned_models(coarse)
+    for fine, half, j in [(narb_radial["x_basis"], x_coarse, 0),
+                          (narb_radial["ab_basis"].with_shift(0.0), ab_coarse.with_shift(0.0), 1)]:
+        for a, b in zip(half.levels(j, RETAINED), fine.levels(j, RETAINED), strict=True):
+            assert _rel(a.energy, b.energy) <= 1e-12
+
+
+def test_basis_needs_a_bound_level():
+    shallow = MorseCurve(label="X", d_e=1e-7, a=0.5, r_e=6.0)
+    grid = RadialGrid(3.5, 14.0, 100)
+    assert solve_single(shallow, 0, MASS, grid) == []
+    with pytest.raises(GridError, match="no bound X level"):
+        rovib_basis(shallow, 0, MASS, grid)
+
+
+def test_saturated_basis_raises():
+    """A basis whose every state is bound at some J has no room to
+    contract into; asking for that J is an error, not a silent truncation."""
+    curve = MorseCurve(label="X", d_e=0.02, a=0.5, r_e=6.0)
+    grid = RadialGrid(3.5, 14.0, 300)
+    basis = rovib_basis(curve, 40, MASS, grid)
+    small = replace(basis, energies=basis.energies[:3], vectors=basis.vectors[:, :3],
+                    centrifugal=basis.centrifugal[:3, :3])
+    assert len(small.levels(40)) == 3
+    with pytest.raises(GridError, match="no room"):
+        small.levels(0)
+
+
+def test_basis_size_is_worked_out_and_logged(caplog):
+    curve = MorseCurve(label="X", d_e=0.02, a=0.5, r_e=6.0)
+    grid = RadialGrid(3.5, 14.0, 300)
+    bound = len(solve_single(curve, 2, MASS, grid))
+    with caplog.at_level(logging.INFO, logger="magictrap.radial"):
+        basis = rovib_basis(curve, 2, MASS, grid)
+    assert basis.size == min(grid.n, BASIS_STATES_PER_BOUND * bound)
+    assert f"X basis at J=2: K={basis.size} of {grid.n} states, {bound} bound" in caplog.text
