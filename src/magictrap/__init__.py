@@ -53,7 +53,6 @@ from .magic import (
 from .polarizability import (
     Background,
     PolarizabilitySpec,
-    PolarizabilityValue,
     ResonantLine,
     alpha_analytic,
     alpha_fardetuned,
@@ -62,6 +61,7 @@ from .polarizability import (
     gamma_from_dipole,
     line_strength,
     spec_from_levels,
+    validity_notes,
 )
 from .potentials import (
     CoupledModel,
@@ -100,8 +100,8 @@ __all__ = [
     "RadialGrid", "RovibLevel", "RovibBasis", "dvr_kinetic", "rovib_basis",
     "solve_single", "solve_coupled", "radial_matrix_element", "linewidth",
     # polarizability
-    "Background", "ResonantLine", "PolarizabilitySpec", "PolarizabilityValue",
-    "alpha_analytic", "alpha_fardetuned", "alpha_sum_over_states",
+    "Background", "ResonantLine", "PolarizabilitySpec",
+    "alpha_analytic", "alpha_fardetuned", "alpha_sum_over_states", "validity_notes",
     "gamma_from_dipole", "line_strength",
     "alpha_imag", "spec_from_levels",
     # hyperfine

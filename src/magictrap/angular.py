@@ -169,6 +169,14 @@ class AngularFactors:
         return self.a + self.b
 
 
+def _check_state(j: int, m: int) -> None:
+    """Reject a rotor state (J, M) that does not exist."""
+    if not isinstance(j, int) or j < 0:
+        raise ValueError("j must be a non-negative integer")
+    if not isinstance(m, int) or abs(m) > j:
+        raise ValueError("m must be an integer with |m| <= j")
+
+
 def angular_factors(j: int, m: int, theta_p: float) -> AngularFactors:
     """Closed-form branch weights A_JM and B_JM for linear polarization.
 
@@ -179,10 +187,7 @@ def angular_factors(j: int, m: int, theta_p: float) -> AngularFactors:
     theta_p : float
         Angle in radians between polarization and quantization axis.
     """
-    if not isinstance(j, int) or j < 0:
-        raise ValueError("j must be a non-negative integer")
-    if not isinstance(m, int) or abs(m) > j:
-        raise ValueError("m must be an integer with |m| <= j")
+    _check_state(j, m)
     cos2 = math.cos(theta_p) ** 2
     sin2 = math.sin(theta_p) ** 2
 

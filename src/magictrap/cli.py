@@ -21,6 +21,7 @@ coarse), 4 output I/O failure.
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import sys
 from dataclasses import replace
@@ -47,13 +48,15 @@ from .hyperfine import (
     track_states,
 )
 from .magic import calibrate_gamma, find_magic_angle, find_magic_detuning
-from .polarizability import alpha_analytic, alpha_imag
+from .polarizability import alpha_analytic, alpha_imag, validity_notes
 from .radial import linewidth, radial_matrix_element
 from .units import HARTREE_TO_CM1, HARTREE_TO_GHZ
 
 __all__ = ["main", "run", "emit_csv"]
 
 _SEPARATORS = frozenset(",\n\r\"")
+
+logger = logging.getLogger(__name__)
 
 
 def _column_cells(column) -> list[str]:
@@ -139,11 +142,11 @@ def _cmd_alpha_scan(cfg: RunConfig):
     m = cfg.get("scan", "m")
     j_values = cfg.get("scan", "j_values")
     deltas, nu = _detuning_axis(cfg)
-    vals = [alpha_analytic(spec, nu, j, m, theta_p) for j in j_values]
-    for note in sorted({note for val in vals for note in val.notes}):
-        print(f"note: {note} (some scan points)", file=sys.stderr)
+    per_j = [alpha_analytic(spec, nu, j, m, theta_p) for j in j_values]
+    for note in sorted({note for j in j_values for note in validity_notes(spec, nu, j)}):
+        logger.warning("note: %s (some scan points)", note)
     headers = ["detuning_ghz", "j", "m", "alpha_au"]
-    columns = _detuning_columns(deltas, j_values, m, [val.real for val in vals])
+    columns = _detuning_columns(deltas, j_values, m, per_j)
     summary = (f"alpha(Delta) for J in {list(j_values)}, M={m}: "
                f"{len(deltas)} detunings in "
                f"[{deltas[0]:g}, {deltas[-1]:g}] GHz")
@@ -175,7 +178,7 @@ def _cmd_imag_scan(cfg: RunConfig):
     m = cfg.get("scan", "m")
     j_values = cfg.get("scan", "j_values")
     deltas, nu = _detuning_axis(cfg)
-    per_j = [alpha_imag(x_levels, ab_levels, dipoles, gammas, nu, j, m, theta_p).imag
+    per_j = [alpha_imag(x_levels, ab_levels, dipoles, gammas, nu, j, m, theta_p)
              for j in j_values]
     headers = ["detuning_ghz", "j", "m", "im_alpha_au"]
     summary = (f"Im alpha for J in {list(j_values)}, M={m} from "

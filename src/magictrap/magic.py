@@ -32,7 +32,7 @@ from .hyperfine import (
     diagonalize,
     eigenstate_polarizability,
 )
-from .polarizability import PolarizabilitySpec, alpha_analytic_real
+from .polarizability import PolarizabilitySpec, alpha_analytic
 from .units import HARTREE_TO_GHZ
 
 __all__ = [
@@ -78,8 +78,8 @@ def _detuning_objective(spec: PolarizabilitySpec, state_a, state_b,
     nu = spec.reference.energy + delta_ghz / HARTREE_TO_GHZ
     j_a, m_a = state_a
     j_b, m_b = state_b
-    val_a = alpha_analytic_real(spec, nu, j_a, m_a, theta_p)
-    val_b = alpha_analytic_real(spec, nu, j_b, m_b, theta_p)
+    val_a = alpha_analytic(spec, nu, j_a, m_a, theta_p)
+    val_b = alpha_analytic(spec, nu, j_b, m_b, theta_p)
     return val_a - val_b
 
 

@@ -39,28 +39,13 @@ DIPOLE_XA_EA0 = 1.0
 
 
 def radial_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunction]:
-    """Ground curve, aligned coupled model and dipole from config constants.
-
-    The first three values of :func:`pinned_models`.
-    """
-    return pinned_models(cfg)[:3]
-
-
-def pinned_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunction,
-                                           RovibBasis, RovibBasis]:
-    """:func:`radial_models` and the contracted bases that pinned the line.
+    """Ground curve, unshifted coupled model and dipole from config constants.
 
     Well shapes follow the surrogate above; the printed rotational
-    constants, masses and transition energy come from the config.  The
-    coupled model is shifted so E(v'=0, J'=1) - E_X(0, 0) equals the
-    configured transition energy on the configured grid, which gives
-    scans built from it and from :meth:`RunConfig.spec` the same
-    detuning origin.  The X <-> A moment is R-independent; the b
-    channel is dark on its own.
-
-    The last two values are the ground curve's basis at J=0 and the
-    shifted coupled model's basis at J'=1, one dense solve each, from
-    which a caller reads the levels at every J.
+    constants and masses come from the config.  The X <-> A moment is
+    R-independent; the b channel is dark on its own.  Nothing is solved:
+    :func:`pinned_models` aligns the coupled model to the configured
+    transition energy.
     """
     mass = cfg.reduced_mass_amu()
     mu = mass * AMU_TO_ME
@@ -88,6 +73,24 @@ def pinned_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunct
         labels=("A", "b"), curves=(a_curve, b_curve),
         xi=XI_CM1 / HARTREE_TO_CM1,
     )
+    return ground, model, DipoleFunction.constant(("X", "A"), DIPOLE_XA_EA0)
+
+
+def pinned_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunction,
+                                           RovibBasis, RovibBasis]:
+    """:func:`radial_models` with the coupled model pinned, and its bases.
+
+    The coupled model is shifted so E(v'=0, J'=1) - E_X(0, 0) equals the
+    configured transition energy on the configured grid, which gives
+    scans built from it and from :meth:`RunConfig.spec` the same
+    detuning origin.
+
+    The last two values are the ground curve's basis at J=0 and the
+    shifted coupled model's basis at J'=1, one dense solve each, from
+    which a caller reads the levels at every J.
+    """
+    ground, model, dipole = radial_models(cfg)
+    mass = cfg.reduced_mass_amu()
     grid = cfg.radial_grid()
     # the 2n x 2n coupled solve first, so its peak memory does not stack
     # on what the n x n ground solve leaves allocated
@@ -95,6 +98,5 @@ def pinned_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunct
     x_basis = rovib_basis(ground, 0, mass, grid)
     shift = (cfg.get("molecule", "transition_cm1") / HARTREE_TO_CM1
              + x_basis.levels(0, 1)[0].energy - ab_basis.levels(1, 1)[0].energy)
-    dipole = DipoleFunction.constant(("X", "A"), DIPOLE_XA_EA0)
     return (ground, model.with_shift(shift), dipole, x_basis,
             ab_basis.with_shift(shift))

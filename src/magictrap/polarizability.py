@@ -31,20 +31,22 @@ width.  The imaginary part follows the same convention, giving
 in atomic units (negative below every resonance).
 
 Every route takes the photon energy ``nu`` as a scalar or as an array
-(a scan axis) and returns values of the same shape; the angular weights
-and the transition table are built once per (J, M, theta_p), not once
-per point.  Each point gets the same floating-point operations in the
-same order whichever way it is passed.
+(a scan axis) and returns the value itself: ``np.float64`` for a scalar,
+a float array of the same shape for an array.  The angular weights and
+the transition table are built once per (J, M, theta_p), not once per
+point.  Each point gets the same floating-point operations in the same
+order whichever way it is passed.  :func:`validity_notes` says where
+the closed forms leave their window.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import angular_factors, resonance_offsets, rot_tensor_element
+from .angular import _check_state, angular_factors, resonance_offsets, rot_tensor_element
 from .errors import PoleProximityError
 from .radial import RovibLevel
 from .units import C_AU
@@ -53,10 +55,9 @@ __all__ = [
     "ResonantLine",
     "PolarizabilitySpec",
     "Background",
-    "PolarizabilityValue",
     "line_strength",
+    "validity_notes",
     "alpha_analytic",
-    "alpha_analytic_real",
     "alpha_fardetuned",
     "alpha_sum_over_states",
     "alpha_imag",
@@ -128,25 +129,6 @@ class PolarizabilitySpec:
         return PolarizabilitySpec(lines=lines, b_v=self.b_v, background=self.background)
 
 
-@dataclass(frozen=True)
-class PolarizabilityValue:
-    """Polarizability at one photon energy or over an axis of them (atomic units).
-
-    ``real``/``imag`` have the shape of ``nu``: a float for a scalar
-    ``nu``, an array for an array.  ``notes`` are the validity notes of
-    the closed-form routes; over an array they are the union of the
-    notes at its points.
-    """
-
-    nu: float | np.ndarray
-    j: int
-    m: int
-    theta_p: float
-    real: float | np.ndarray | None = None
-    imag: float | np.ndarray | None = None
-    notes: tuple[str, ...] = field(default=())
-
-
 def line_strength(line: ResonantLine) -> float:
     """Resonant amplitude (3 c^3 / 4 w^3) hG in polarizability a.u. * Hartree.
 
@@ -165,7 +147,15 @@ def gamma_from_dipole(energy: float, dipole: float) -> float:
     return (4.0 / 3.0) * energy ** 3 * dipole ** 2 / C_AU ** 3
 
 
-def _window_notes(spec: PolarizabilitySpec, nu: np.ndarray, j: int) -> tuple[str, ...]:
+def validity_notes(spec: PolarizabilitySpec, nu: float | np.ndarray,
+                   j: int) -> tuple[str, ...]:
+    """Where the closed forms of level J leave their validity window.
+
+    One note per violated condition, none inside the window; over an
+    axis, the union of the notes at its points.  The closed forms do not
+    fail outside the window, so a caller that reports their values asks
+    for these separately.
+    """
     energies = np.array([ln.energy for ln in spec.lines])
     dist = np.abs(np.asarray(nu)[..., None] - energies)
     near = dist.argmin(axis=-1)
@@ -189,26 +179,12 @@ def _window_notes(spec: PolarizabilitySpec, nu: np.ndarray, j: int) -> tuple[str
 
 
 def alpha_analytic(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m: int,
-                   theta_p: float = 0.0) -> PolarizabilityValue:
+                   theta_p: float = 0.0) -> np.float64 | np.ndarray:
     """Closed-form real polarizability at photon energy ``nu`` (Hartree).
 
-    Detunings outside the validity window do not fail; they annotate
-    the returned value.  Evaluation exactly at a branch pole yields an
-    infinite value rather than an error.
-    """
-    return PolarizabilityValue(
-        nu=nu, j=j, m=m, theta_p=theta_p,
-        real=alpha_analytic_real(spec, nu, j, m, theta_p),
-        notes=_window_notes(spec, np.asarray(nu, dtype=float), j),
-    )
-
-
-def alpha_analytic_real(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m: int,
-                        theta_p: float = 0.0) -> np.float64 | np.ndarray:
-    """``alpha_analytic(...).real`` without the validity notes.
-
-    For callers that evaluate many single points and read only the
-    value, such as a root search.
+    Detunings outside the validity window do not fail (see
+    :func:`validity_notes`).  Evaluation exactly at a branch pole yields
+    an infinite value rather than an error.
     """
     fac = angular_factors(j, m, theta_p)
     bg = spec.background
@@ -228,7 +204,7 @@ def alpha_analytic_real(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int
 
 
 def alpha_fardetuned(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m: int,
-                     theta_p: float = 0.0) -> PolarizabilityValue:
+                     theta_p: float = 0.0) -> np.float64 | np.ndarray:
     """First-order far-detuned form: branch offsets collapsed to zero.
 
         alpha = (A + B) [-(3 pi c^2/2 w^3) hG / D + a_par - a_perp]
@@ -241,14 +217,11 @@ def alpha_fardetuned(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m
     bg = spec.background
     x = np.asarray(nu, dtype=float)
     total = np.full(x.shape, fac.total * bg.anisotropy + bg.alpha_perp)
-    # no pole without weight, as in alpha_analytic_real
+    # no pole without weight, as in alpha_analytic
     for ln in [ln for ln in spec.lines if ln.gamma != 0.0 and fac.total != 0.0]:
         with np.errstate(divide="ignore"):
             total += -line_strength(ln) * np.divide(fac.total, x - ln.energy)
-    return PolarizabilityValue(
-        nu=nu, j=j, m=m, theta_p=theta_p, real=total[()],
-        notes=_window_notes(spec, x, j),
-    )
+    return total[()]
 
 
 def _polarization_weight(jp: int, j: int, m: int, theta_p: float) -> float:
@@ -267,6 +240,7 @@ def _transitions(x_levels, ab_levels, dipoles, j, m, theta_p):
     Returns the polarization weight W of each branch J' = J +- 1, and one
     row (dE, ab index, d, W) per retained line in ``ab_levels`` order.
     """
+    _check_state(j, m)
     try:
         x_idx, x_level = next(
             (i, lv) for i, lv in enumerate(x_levels) if lv.j == j
@@ -310,7 +284,8 @@ def alpha_sum_over_states(x_levels: list[RovibLevel], ab_levels: list[RovibLevel
                           dipoles: dict[tuple[int, int], float],
                           nu: float | np.ndarray,
                           j: int, m: int, theta_p: float = 0.0,
-                          background: Background | None = None) -> PolarizabilityValue:
+                          background: Background | None = None
+                          ) -> np.float64 | np.ndarray:
     """Explicit second-order polarizability sum (atomic units).
 
     ``dipoles`` maps (index into x_levels, index into ab_levels) to the
@@ -328,13 +303,13 @@ def alpha_sum_over_states(x_levels: list[RovibLevel], ab_levels: list[RovibLevel
     if background is not None:
         w = weights.get(j - 1, 0.0) + weights[j + 1]
         total += w * background.anisotropy + background.alpha_perp
-    return PolarizabilityValue(nu=nu, j=j, m=m, theta_p=theta_p, real=total[()])
+    return total[()]
 
 
 def alpha_imag(x_levels: list[RovibLevel], ab_levels: list[RovibLevel],
                dipoles: dict[tuple[int, int], float], gammas: list[float],
                nu: float | np.ndarray, j: int, m: int,
-               theta_p: float = 0.0) -> PolarizabilityValue:
+               theta_p: float = 0.0) -> np.float64 | np.ndarray:
     """Imaginary polarizability from the retained lines (atomic units).
 
         Im alpha = - sum_f gamma_f |d_f|^2 W_f / ((E_f - E_i)^2 - (h nu)^2)
@@ -351,7 +326,7 @@ def alpha_imag(x_levels: list[RovibLevel], ab_levels: list[RovibLevel],
     total = np.zeros(x.shape)
     for de, a_idx, d, w in rows:
         total -= gammas[a_idx] * d * d * w / (de * de - x * x)
-    return PolarizabilityValue(nu=nu, j=j, m=m, theta_p=theta_p, imag=total[()])
+    return total[()]
 
 
 def spec_from_levels(x_levels: list[RovibLevel], ab_levels: list[RovibLevel],

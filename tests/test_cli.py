@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 import math
 import re
 import subprocess
@@ -212,9 +213,14 @@ def test_solve_rovib(small_config, tmp_path, capsys):
     assert "solved 16 levels" in out
 
 
-def test_alpha_scan(small_config, tmp_path):
-    assert main(["alpha-scan", "--config", str(small_config),
-                 "--out", str(tmp_path)]) == 0
+def test_alpha_scan(small_config, tmp_path, caplog):
+    with caplog.at_level(logging.WARNING, logger="magictrap.cli"):
+        assert main(["alpha-scan", "--config", str(small_config),
+                     "--out", str(tmp_path)]) == 0
+    # the window starts 20 GHz above the line, inside the J=1 branch
+    # structure, and the note says so through logging
+    assert [r.getMessage() for r in caplog.records if r.name == "magictrap.cli"] == [
+        "note: detuning inside the rotational branch structure (some scan points)"]
     header, rows = read_rows(tmp_path / "alpha_scan.csv")
     assert header == ["detuning_ghz", "j", "m", "alpha_au"]
     assert len(rows) == 18  # 2 J values x 9 detunings
@@ -389,6 +395,9 @@ def test_console_entry_point(small_config, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "alpha_scan.csv").exists()
     assert "wrote" in proc.stdout
+    # with logging unconfigured a validity note still reaches stderr as is
+    assert proc.stderr == ("note: detuning inside the rotational branch structure "
+                           "(some scan points)\n")
 
 
 # ---- determinism -----------------------------------------------------
@@ -467,6 +476,17 @@ def test_no_bound_level_to_pin_the_line_exits_3(small_config, tmp_path, capsys):
                  "--override", "molecule.mass_na_amu=1"]) == 3
     assert "no bound" in capsys.readouterr().err
     assert not (tmp_path / "solve_rovib.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["alpha-scan", "imag-scan"])
+def test_m_beyond_j_exits_2(subcommand, small_config, tmp_path, capsys):
+    """M = 1 has no J = 0 state: both scans refuse it rather than write
+    a value for it."""
+    assert main([subcommand, "--config", str(small_config), "--out", str(tmp_path),
+                 "--override", "grid.points=300", "--override", "scan.j_values=0",
+                 "--override", "scan.m=1"]) == 2
+    assert "m must be an integer with |m| <= j" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_rootless_bracket_exits_3(small_config, tmp_path, capsys):

@@ -115,7 +115,7 @@ def test_detuning_search_skips_the_validity_notes(narb_spec, monkeypatch):
     def refuse(*args):
         raise AssertionError("validity notes built inside the search")
 
-    monkeypatch.setattr(mt.polarizability, "_window_notes", refuse)
+    monkeypatch.setattr(mt.polarizability, "validity_notes", refuse)
     sol = find_magic_detuning(narb_spec, 0, 1)
     assert (sol.location, sol.residual) == (expected.location, expected.residual)
     calibrate_gamma(narb_spec, (0, 1), 103.0)

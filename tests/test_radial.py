@@ -26,7 +26,7 @@ from magictrap import (
     solve_coupled,
     solve_single,
 )
-from magictrap import narb
+from magictrap import narb, radial
 from magictrap.config import load_config
 from magictrap.potentials import PotentialCurve
 from magictrap.radial import BASIS_STATES_PER_BOUND
@@ -348,6 +348,24 @@ def test_retained_levels_are_converged_on_the_bundled_grid(narb_radial, narb_con
                           (narb_radial["ab_basis"].with_shift(0.0), ab_coarse.with_shift(0.0), 1)]:
         for a, b in zip(half.levels(j, RETAINED), fine.levels(j, RETAINED), strict=True):
             assert _rel(a.energy, b.energy) <= 1e-12
+
+
+def test_radial_models_make_no_dense_solve(monkeypatch):
+    """The curves alone cost nothing; pinning the line costs the two
+    basis solves, one per model."""
+    sizes = []
+
+    def counting(h, *args):
+        sizes.append(h.shape[0])
+        return dense(h, *args)
+
+    dense = radial._lowest_eigenpairs
+    monkeypatch.setattr(radial, "_lowest_eigenpairs", counting)
+    cfg = load_config(overrides=["grid.points=300"])
+    narb.radial_models(cfg)
+    assert sizes == []
+    narb.pinned_models(cfg)
+    assert sorted(sizes) == [300, 600]
 
 
 def test_basis_needs_a_bound_level():
