@@ -19,6 +19,7 @@ at cos^2(theta_p) = 1/3.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +38,18 @@ __all__ = [
 MAGIC_ANGLE_DEG = math.degrees(math.acos(1.0 / math.sqrt(3.0)))
 
 _MAX_TWO_J = 40  # supported up to j = 20
+
+
+def _as_int(value, message: str, minimum: float = -math.inf) -> int:
+    """``value`` as a Python int, from any integral type (numpy's too);
+    a non-integral value, or one below ``minimum``, raises ValueError(message)."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(message) from None
+    if n < minimum:
+        raise ValueError(message)
+    return n
 
 
 def _as_two_j(x: float, name: str) -> int:
@@ -134,12 +147,10 @@ def rot_tensor_element(jp: int, mp: int, k: int, q: int,
 
         (-1)^M' sqrt((2J'+1)(2J+1)) (J' k J; -M' q M) (J' k J; 0 0 0)
     """
-    for val, name in ((jp, "jp"), (k, "k"), (j, "j")):
-        if not isinstance(val, (int,)) or val < 0:
-            raise ValueError(f"{name} must be a non-negative integer")
-    for val, name in ((mp, "mp"), (q, "q"), (m, "m")):
-        if not isinstance(val, (int,)):
-            raise ValueError(f"{name} must be an integer")
+    jp, k, j = (_as_int(val, f"{name} must be a non-negative integer", 0)
+                for val, name in ((jp, "jp"), (k, "k"), (j, "j")))
+    mp, q, m = (_as_int(val, f"{name} must be an integer")
+                for val, name in ((mp, "mp"), (q, "q"), (m, "m")))
     if abs(mp) > jp or abs(m) > j or abs(q) > k:
         return 0.0
     geom = wigner3j(jp, k, j, -mp, q, m) * wigner3j(jp, k, j, 0, 0, 0)
@@ -169,12 +180,19 @@ class AngularFactors:
         return self.a + self.b
 
 
-def _check_state(j: int, m: int) -> None:
-    """Reject a rotor state (J, M) that does not exist."""
-    if not isinstance(j, int) or j < 0:
-        raise ValueError("j must be a non-negative integer")
-    if not isinstance(m, int) or abs(m) > j:
+def _check_j(j) -> int:
+    """A rotational J as a Python int; anything else raises ValueError."""
+    return _as_int(j, "j must be a non-negative integer", 0)
+
+
+def _check_state(j, m) -> tuple[int, int]:
+    """A rotor state (J, M) as Python ints; one that does not exist raises
+    ValueError."""
+    j = _check_j(j)
+    m = _as_int(m, "m must be an integer with |m| <= j")
+    if abs(m) > j:
         raise ValueError("m must be an integer with |m| <= j")
+    return j, m
 
 
 def angular_factors(j: int, m: int, theta_p: float) -> AngularFactors:
@@ -187,7 +205,7 @@ def angular_factors(j: int, m: int, theta_p: float) -> AngularFactors:
     theta_p : float
         Angle in radians between polarization and quantization axis.
     """
-    _check_state(j, m)
+    j, m = _check_state(j, m)
     cos2 = math.cos(theta_p) ** 2
     sin2 = math.sin(theta_p) ** 2
 
@@ -228,8 +246,7 @@ def resonance_offsets(j: int, b_v: float, b_vprime: float) -> ResonanceOffsets:
     R_0 = 0 exactly: for J = 0 the only resonance is the reference line
     itself.
     """
-    if not isinstance(j, int) or j < 0:
-        raise ValueError("j must be a non-negative integer")
+    j = _check_j(j)
     jj = j * (j + 1)
     l = jj * b_v - (j * (j - 1) - 2) * b_vprime
     r = jj * b_v - ((j + 1) * (j + 2) - 2) * b_vprime

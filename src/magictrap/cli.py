@@ -129,6 +129,18 @@ def _detuning_axis(cfg: RunConfig):
     return deltas, cfg.spec().reference.energy + deltas / HARTREE_TO_GHZ
 
 
+def _scan_m(cfg: RunConfig) -> int:
+    """[scan] m, checked against every [scan] j_values entry before any solve."""
+    m = cfg.get("scan", "m")
+    missing = [j for j in cfg.get("scan", "j_values") if abs(m) > j]
+    if missing:
+        raise ConfigError(
+            f"[scan] m = {m} has no state at J = {missing[0]} of [scan] j_values "
+            "(m must be an integer with |m| <= j)"
+        )
+    return m
+
+
 def _detuning_columns(deltas, j_values, m: int, per_j):
     """(detuning, J, M, value) columns of a scan: the axis once per J."""
     n = len(deltas)
@@ -139,7 +151,7 @@ def _detuning_columns(deltas, j_values, m: int, per_j):
 def _cmd_alpha_scan(cfg: RunConfig):
     spec = cfg.spec()
     theta_p = math.radians(cfg.get("fields", "theta_p_deg"))
-    m = cfg.get("scan", "m")
+    m = _scan_m(cfg)
     j_values = cfg.get("scan", "j_values")
     deltas, nu = _detuning_axis(cfg)
     per_j = [alpha_analytic(spec, nu, j, m, theta_p) for j in j_values]
@@ -173,9 +185,9 @@ def _imag_inputs(cfg: RunConfig):
 
 
 def _cmd_imag_scan(cfg: RunConfig):
+    m = _scan_m(cfg)
     x_levels, ab_levels, dipoles, gammas = _imag_inputs(cfg)
     theta_p = math.radians(cfg.get("fields", "theta_p_deg"))
-    m = cfg.get("scan", "m")
     j_values = cfg.get("scan", "j_values")
     deltas, nu = _detuning_axis(cfg)
     per_j = [alpha_imag(x_levels, ab_levels, dipoles, gammas, nu, j, m, theta_p)
@@ -188,7 +200,7 @@ def _cmd_imag_scan(cfg: RunConfig):
 
 def _cmd_hyperfine_scan(cfg: RunConfig):
     fields = cfg.field_configuration()
-    basis = build_basis(1, fields.constants.i_a, fields.constants.i_b)
+    basis = build_basis(1, fields.constants)
     thetas = np.linspace(cfg.get("scan", "start_deg"),
                          cfg.get("scan", "stop_deg"),
                          cfg.get("scan", "points"))

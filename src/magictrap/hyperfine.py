@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 from scipy import constants as _sc
@@ -59,12 +58,10 @@ QUADRUPOLE_DENOMINATORS = ("standard", "literal")
 # MHz per (debye * V/m)
 _DEBYE_V_M_TO_MHZ = 1e-21 / _sc.c / _sc.h / 1e6
 
-_VEC_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class MolecularConstants:
-    """Ground-state coupling constants; unused ones may stay None.
+    """Ground-state coupling constants, all of them required.
 
     ``b_v`` in MHz, ``eqq_a``/``eqq_b`` in MHz, ``d0`` in debye,
     ``alpha_par``/``alpha_perp`` in Hz/(W/cm^2) at the trap frequency.
@@ -73,17 +70,17 @@ class MolecularConstants:
     and ``i_b`` are the nuclear spins that size the spin basis.
     """
 
-    b_v: float | None = None
-    eqq_a: float | None = None
-    eqq_b: float | None = None
-    g_a: float | None = None
-    g_b: float | None = None
-    d0: float | None = None
-    alpha_par: float | None = None
-    alpha_perp: float | None = None
-    quadrupole_denominator: str = "standard"
-    i_a: float = 1.5
-    i_b: float = 1.5
+    b_v: float
+    eqq_a: float
+    eqq_b: float
+    g_a: float
+    g_b: float
+    d0: float
+    alpha_par: float
+    alpha_perp: float
+    quadrupole_denominator: str
+    i_a: float
+    i_b: float
 
     def __post_init__(self):
         if self.quadrupole_denominator not in QUADRUPOLE_DENOMINATORS:
@@ -91,11 +88,6 @@ class MolecularConstants:
                 f"quadrupole_denominator must be one of {QUADRUPOLE_DENOMINATORS}, "
                 f"got {self.quadrupole_denominator!r}"
             )
-
-    def require(self, term: str, *names: str):
-        for name in names:
-            if getattr(self, name) is None:
-                raise ConfigError(f"term {term!r} needs constant {name!r}")
 
 
 @dataclass(frozen=True)
@@ -121,30 +113,6 @@ class FieldConfiguration:
         if self.intensity < 0.0:
             raise ValueError("intensity must be >= 0")
 
-    @staticmethod
-    def _vector_angle(vec: Sequence[float], what: str) -> float:
-        v = np.asarray(vec, dtype=float)
-        if v.shape != (3,):
-            raise ValueError(f"{what} vector must have three components")
-        if abs(np.linalg.norm(v) - 1.0) > _VEC_TOL:
-            raise ValueError(f"{what} vector must be normalized to {_VEC_TOL}")
-        if abs(v[1]) > _VEC_TOL:
-            raise ValueError(f"{what} vector must lie in the x-z plane")
-        return math.atan2(abs(v[0]), v[2])
-
-    @classmethod
-    def from_vectors(cls, constants: MolecularConstants, *, b_field: float = 0.0,
-                     e_field: float = 0.0, e_vec: Sequence[float] = (0, 0, 1),
-                     pol_vec: Sequence[float] = (0, 0, 1),
-                     intensity: float = 0.0) -> "FieldConfiguration":
-        """Build from unit vectors instead of polar angles."""
-        return cls(
-            constants=constants, b_field=b_field, e_field=e_field,
-            theta_e=cls._vector_angle(e_vec, "E-field"),
-            theta_p=cls._vector_angle(pol_vec, "polarization"),
-            intensity=intensity,
-        )
-
 
 @dataclass(frozen=True)
 class HyperfineBasis:
@@ -161,9 +129,7 @@ class HyperfineBasis:
 
     @property
     def rot_states(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (j, m) for j in range(self.j_max + 1) for m in range(-j, j + 1)
-        )
+        return _rot_states(self.j_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,22 +159,29 @@ class EigenSolution:
         return [i for i, lab in enumerate(self.labels) if lab == label]
 
 
-def build_basis(j_max: int, i_a: float = 1.5, i_b: float = 1.5) -> HyperfineBasis:
-    """Lexicographic basis in (J, M, m_a, m_b), all quantum numbers ascending."""
+def build_basis(j_max: int, constants: MolecularConstants) -> HyperfineBasis:
+    """Lexicographic basis in (J, M, m_a, m_b), all quantum numbers ascending.
+
+    The nuclear spins that size it are those of ``constants``.
+    """
     if j_max not in (0, 1, 2):
         raise ValueError(f"j_max must be 0, 1 or 2, got {j_max}")
+    i_a, i_b = constants.i_a, constants.i_b
     for i in (i_a, i_b):
         two_i = round(2 * i)
         if two_i <= 0 or abs(2 * i - two_i) > 1e-9:
             raise ValueError(f"nuclear spin must be a positive half-integer, got {i}")
     states = tuple(
         (j, m, ma, mb)
-        for j in range(j_max + 1)
-        for m in range(-j, j + 1)
+        for j, m in _rot_states(j_max)
         for ma in _spin_projections(i_a)
         for mb in _spin_projections(i_b)
     )
     return HyperfineBasis(j_max=j_max, i_a=i_a, i_b=i_b, states=states)
+
+
+def _rot_states(j_max: int) -> tuple[tuple[int, int], ...]:
+    return tuple((j, m) for j in range(j_max + 1) for m in range(-j, j + 1))
 
 
 def _spin_dim(i: float) -> int:
@@ -246,7 +219,7 @@ def _spin_t2(i: float) -> dict[int, np.ndarray]:
 @lru_cache(maxsize=None)
 def _rot_tensors(j_max: int) -> dict[tuple[int, int], np.ndarray]:
     """Read-only C_kq matrices, k = 1 and 2, over the rotational states."""
-    rot = build_basis(j_max).rot_states
+    rot = _rot_states(j_max)
     table = {}
     for k in (1, 2):
         for q in range(-k, k + 1):
@@ -258,12 +231,10 @@ def _rot_tensors(j_max: int) -> dict[tuple[int, int], np.ndarray]:
 
 
 def _h_rotation(basis: HyperfineBasis, c: MolecularConstants) -> np.ndarray:
-    c.require("rotation", "b_v")
     return np.diag([c.b_v * j * (j + 1) for (j, m, ma, mb) in basis.states])
 
 
 def _h_quadrupole(basis: HyperfineBasis, c: MolecularConstants) -> np.ndarray:
-    c.require("quadrupole", "eqq_a", "eqq_b")
     ckq = _rot_tensors(basis.j_max)
     eye_a = np.eye(_spin_dim(basis.i_a))
     eye_b = np.eye(_spin_dim(basis.i_b))
@@ -289,7 +260,6 @@ def _h_quadrupole(basis: HyperfineBasis, c: MolecularConstants) -> np.ndarray:
 
 
 def _h_zeeman(basis: HyperfineBasis, c: MolecularConstants, b_field: float) -> np.ndarray:
-    c.require("zeeman", "g_a", "g_b")
     shift = [
         -(c.g_a * ma + c.g_b * mb) * NUCLEAR_MAGNETON_MHZ_PER_G * b_field
         for (j, m, ma, mb) in basis.states
@@ -299,7 +269,6 @@ def _h_zeeman(basis: HyperfineBasis, c: MolecularConstants, b_field: float) -> n
 
 def _h_stark(basis: HyperfineBasis, c: MolecularConstants, e_field: float,
              theta_e: float) -> np.ndarray:
-    c.require("stark", "d0")
     ckq = _rot_tensors(basis.j_max)
     # e . C1 for a field in the x-z plane at polar angle theta_e
     direction = (
@@ -319,7 +288,6 @@ def polarization_operator(basis: HyperfineBasis, c: MolecularConstants,
     polarizability, which is how the Hellmann-Feynman extraction works.
     An array ``theta_p`` gives one matrix per angle, ``(..., dim, dim)``.
     """
-    c.require("polarization", "alpha_par", "alpha_perp")
     ckq = _rot_tensors(basis.j_max)
     theta = np.asarray(theta_p, dtype=float)[..., None, None]
     cth, sth = np.cos(theta), np.sin(theta)

@@ -97,7 +97,6 @@ def _angle_method(fields: FieldConfiguration, terms, method: str) -> str:
 def _bare_alpha(fields: FieldConfiguration, j: int, m: int,
                 theta_deg: float) -> float:
     c = fields.constants
-    c.require("polarization", "alpha_par", "alpha_perp")
     fac = angular_factors(j, m, math.radians(theta_deg))
     return fac.total * (c.alpha_par - c.alpha_perp) + c.alpha_perp
 
@@ -209,7 +208,7 @@ def find_magic_angle(fields: FieldConfiguration, state_a, state_b,
     Stark term breaks the bare picture.
     """
     eigen = _angle_method(fields, terms, method) == "eigen"
-    basis = build_basis(j_max, fields.constants.i_a, fields.constants.i_b) if eigen else None
+    basis = build_basis(j_max, fields.constants) if eigen else None
 
     def objective(theta: float) -> float:
         return _angle_objective(fields, state_a, state_b, theta, terms, basis)

@@ -240,7 +240,7 @@ def _transitions(x_levels, ab_levels, dipoles, j, m, theta_p):
     Returns the polarization weight W of each branch J' = J +- 1, and one
     row (dE, ab index, d, W) per retained line in ``ab_levels`` order.
     """
-    _check_state(j, m)
+    j, m = _check_state(j, m)
     try:
         x_idx, x_level = next(
             (i, lv) for i, lv in enumerate(x_levels) if lv.j == j

@@ -32,6 +32,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
+from .angular import _check_j
 from .errors import GridError
 from .potentials import CoupledModel, DipoleFunction, PotentialCurve
 from .units import AMU_TO_ME, C_AU
@@ -184,11 +185,6 @@ def _finalize_level(label, v, j, energy, grid, mu, coeffs, channel_labels,
     )
 
 
-def _check_j(j) -> None:
-    if not isinstance(j, int) or j < 0:
-        raise ValueError("j must be a non-negative integer")
-
-
 @dataclass(frozen=True, eq=False)
 class RovibBasis:
     """The lowest eigenpairs of one radial model at a reference J.
@@ -224,7 +220,7 @@ class RovibBasis:
 
     def levels(self, j: int, max_levels: int | None = None) -> list[RovibLevel]:
         """Bound levels at rotational ``j``, ordered by energy, v = 0, 1, ..."""
-        _check_j(j)
+        j = _check_j(j)
         top = self.threshold - BOUND_MARGIN
         factor = j * (j + 1) - self.j_ref * (self.j_ref + 1)
         if factor == 0:
@@ -289,7 +285,7 @@ def _dense_basis(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
     diagonal, adds the channel potential plus the centrifugal term, and
     couples the two channels of a coupled model pointwise through xi(R).
     """
-    _check_j(j)
+    j = _check_j(j)
     if isinstance(model, CoupledModel):
         label, labels, curves = "".join(model.labels), tuple(model.labels), tuple(model.curves)
         shift = model.shift

@@ -111,7 +111,7 @@ def stiff_pair():
 @pytest.fixture(scope="session")
 def narb_hyperfine(narb_fields):
     """Default-field 64-state solution with polarizabilities attached."""
-    basis = mt.build_basis(1)
+    basis = mt.build_basis(1, narb_fields.constants)
     h = mt.build_hamiltonian(basis, narb_fields)
     sol = mt.diagonalize(h, basis)
     return mt.eigenstate_polarizability(sol, narb_fields)

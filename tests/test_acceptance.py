@@ -213,8 +213,8 @@ def test_criterion_6_imaginary_part():
 
 def test_criterion_7_hyperfine_suite():
     t0 = time.perf_counter()
-    basis = mt.build_basis(1)
     fields = load_config().field_configuration()
+    basis = mt.build_basis(1, fields.constants)
     h = mt.build_hamiltonian(basis, fields)
     dim_ok = basis.dim == 64 and h.shape == (64, 64)
     hermitian_ok = np.abs(h - h.T.conj()).max() <= 1e-12 * np.abs(h).max()

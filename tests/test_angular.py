@@ -18,11 +18,15 @@ from scipy.special import sph_harm_y
 
 from magictrap import (
     MAGIC_ANGLE_DEG,
+    alpha_analytic,
+    RadialGrid,
     angular_factors,
     resonance_offsets,
     rot_tensor_element,
+    rovib_basis,
     wigner3j,
 )
+from magictrap import narb
 from magictrap.units import HARTREE_TO_CM1, HARTREE_TO_GHZ
 
 from conftest import assert_close
@@ -211,6 +215,35 @@ def test_angular_factor_validation():
         angular_factors(-1, 0, 0.0)
     with pytest.raises(ValueError):
         angular_factors(1, 2, 0.0)
+
+
+def test_numpy_integers_are_valid_j_and_m(narb_config, narb_spec):
+    """An ``np.int64`` J or M gives bit-identical results to a Python int,
+    and a non-integral or negative J is still a ValueError."""
+    j, m = np.int64(1), np.int64(0)
+    nu = narb_spec.reference.energy
+    assert (alpha_analytic(narb_spec, nu, j, m, 0.3)
+            == alpha_analytic(narb_spec, nu, 1, 0, 0.3))
+    fac, ref = angular_factors(j, m, 0.3), angular_factors(1, 0, 0.3)
+    assert (fac.a, fac.b) == (ref.a, ref.b)
+    offs, ref = resonance_offsets(j, 1.0, 1.1), resonance_offsets(1, 1.0, 1.1)
+    assert (offs.l, offs.r) == (ref.l, ref.r)
+    ground = narb.radial_models(narb_config)[0]
+    basis = rovib_basis(ground, 0, narb_config.reduced_mass_amu(), RadialGrid(4.5, 20.0, 300))
+    levels, ref = basis.levels(np.int64(2), 2), basis.levels(2, 2)
+    assert len(levels) == len(ref) == 2
+    for got, want in zip(levels, ref):
+        assert got.energy == want.energy
+        assert np.array_equal(got.wavefunction, want.wavefunction)
+    for bad in (1.5, -1):
+        with pytest.raises(ValueError):
+            alpha_analytic(narb_spec, nu, bad, 0)
+        with pytest.raises(ValueError):
+            angular_factors(bad, 0, 0.0)
+        with pytest.raises(ValueError):
+            resonance_offsets(bad, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            basis.levels(bad)
 
 
 def test_resonance_offsets_frozen():

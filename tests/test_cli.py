@@ -276,9 +276,10 @@ def test_magic_find_angle(small_config, tmp_path):
 
 
 def test_magic_find_angle_uses_configured_spins(small_config, tmp_path):
-    """The eigen angle search sizes its basis from the [molecule] spins."""
+    """The eigen angle search and the hyperfine scan size their basis
+    from the [molecule] spins."""
     found = {}
-    for spin in ("1.5", "2.5"):
+    for spin, curves in (("1.5", 64), ("2.5", 96)):
         out = tmp_path / spin
         assert main(["magic-find", "--config", str(small_config),
                      "--out", str(out),
@@ -291,6 +292,12 @@ def test_magic_find_angle_uses_configured_spins(small_config, tmp_path):
                      "--override", "magic.rank_b=0",
                      "--override", f"molecule.spin_na={spin}"]) == 0
         found[spin] = float(read_rows(out / "magic_find.csv")[1][0][7])
+        assert main(["hyperfine-scan", "--config", str(small_config),
+                     "--out", str(out), "--override", "scan.points=4",
+                     "--override", f"molecule.spin_na={spin}"]) == 0
+        _, rows = read_rows(out / "hyperfine_scan.csv")
+        assert len(rows) == 4 * curves
+        assert {int(r[1]) for r in rows} == set(range(curves))
     # 54.583178 and 54.581925 degrees
     assert abs(found["2.5"] - found["1.5"]) > 1e-4
 
@@ -347,7 +354,7 @@ def test_hyperfine_columns_match_the_row_assembly():
     _, columns, _ = cli._cmd_hyperfine_scan(cfg)
     # the per-row assembly the columnar scan replaced
     fields = cfg.field_configuration()
-    basis = build_basis(1, fields.constants.i_a, fields.constants.i_b)
+    basis = build_basis(1, fields.constants)
     thetas = np.linspace(0.0, 90.0, 16)
     at = replace(fields, theta_p=np.radians(thetas))
     sol = eigenstate_polarizability(
@@ -479,14 +486,24 @@ def test_no_bound_level_to_pin_the_line_exits_3(small_config, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("subcommand", ["alpha-scan", "imag-scan"])
-def test_m_beyond_j_exits_2(subcommand, small_config, tmp_path, capsys):
+def test_m_beyond_j_exits_2(subcommand, small_config, tmp_path, capsys, monkeypatch):
     """M = 1 has no J = 0 state: both scans refuse it rather than write
-    a value for it."""
+    a value for it, naming the key before any dense radial solve."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return dense(*args)
+
+    dense = radial._lowest_eigenpairs
+    monkeypatch.setattr(radial, "_lowest_eigenpairs", counting)
     assert main([subcommand, "--config", str(small_config), "--out", str(tmp_path),
                  "--override", "grid.points=300", "--override", "scan.j_values=0",
                  "--override", "scan.m=1"]) == 2
-    assert "m must be an integer with |m| <= j" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "[scan] m" in err and "m must be an integer with |m| <= j" in err
     assert not list(tmp_path.glob("*.csv"))
+    assert calls == []
 
 
 def test_rootless_bracket_exits_3(small_config, tmp_path, capsys):

@@ -12,7 +12,6 @@ from magictrap import (
     ConfigError,
     EigenSolution,
     FieldConfiguration,
-    MolecularConstants,
     TERMS,
     build_basis,
     build_hamiltonian,
@@ -27,7 +26,8 @@ from magictrap.config import load_config
 from magictrap.hyperfine import _rot_tensors
 
 DEFAULTS = load_config()
-B_V_MHZ = DEFAULTS.molecular_constants().b_v
+CONSTANTS = DEFAULTS.molecular_constants()
+B_V_MHZ = CONSTANTS.b_v
 
 
 def fields_with(**overrides):
@@ -36,9 +36,9 @@ def fields_with(**overrides):
 
 def test_basis_dimensions_and_order():
     for j_max, dim in ((0, 16), (1, 64), (2, 144)):
-        basis = build_basis(j_max)
+        basis = build_basis(j_max, CONSTANTS)
         assert basis.dim == dim
-    basis = build_basis(1)
+    basis = build_basis(1, CONSTANTS)
     # lexicographic in (J, M, m_a, m_b), spins ascending
     assert basis.states[0] == (0, 0, -1.5, -1.5)
     assert basis.states[1] == (0, 0, -1.5, -0.5)
@@ -49,15 +49,15 @@ def test_basis_dimensions_and_order():
 
 def test_basis_validation():
     with pytest.raises(ValueError):
-        build_basis(3)
+        build_basis(3, CONSTANTS)
     with pytest.raises(ValueError):
-        build_basis(1, i_a=0.7)
+        build_basis(1, replace(CONSTANTS, i_a=0.7))
     with pytest.raises(ValueError):
-        build_basis(1, i_b=0.0)
+        build_basis(1, replace(CONSTANTS, i_b=0.0))
 
 
 def test_all_terms_hermitian_and_real():
-    basis = build_basis(1)
+    basis = build_basis(1, CONSTANTS)
     f = fields_with(e_field=0.5, theta_e=0.4, theta_p=0.7,
                     intensity=1500.0, b_field=200.0)
     for term in TERMS:
@@ -71,14 +71,14 @@ def test_all_terms_hermitian_and_real():
 
 
 def test_unknown_term_rejected():
-    basis = build_basis(1)
+    basis = build_basis(1, CONSTANTS)
     with pytest.raises(ValueError) as err:
         build_hamiltonian(basis, fields_with(), terms={"rotation", "spinspin"})
     assert "spinspin" in str(err.value)
 
 
 def test_rotation_spectrum():
-    basis = build_basis(1)
+    basis = build_basis(1, CONSTANTS)
     h = build_hamiltonian(basis, fields_with(), terms={"rotation"})
     evals = np.sort(np.linalg.eigvalsh(h))
     np.testing.assert_allclose(evals[:16], 0.0, atol=1e-9)
@@ -86,7 +86,7 @@ def test_rotation_spectrum():
 
 
 def test_quadrupole_j0_block_zero_and_traceless():
-    basis = build_basis(1)
+    basis = build_basis(1, CONSTANTS)
     h = build_hamiltonian(basis, fields_with(), terms={"quadrupole"})
     np.testing.assert_allclose(h[:16, :16], 0.0, atol=1e-15)
     assert abs(np.trace(h)) < 1e-9 * np.abs(h).max()
@@ -95,7 +95,7 @@ def test_quadrupole_j0_block_zero_and_traceless():
 
 def test_quadrupole_denominator_conventions_differ_by_factor_four():
     """For spin 3/2: i(2i - 1) = 3 versus i(i - 1) = 3/4."""
-    basis = build_basis(1)
+    basis = build_basis(1, CONSTANTS)
     std = build_hamiltonian(
         basis, fields_with(constants=DEFAULTS.molecular_constants()),
         terms={"quadrupole"})
@@ -107,8 +107,8 @@ def test_quadrupole_denominator_conventions_differ_by_factor_four():
 
 
 def test_quadrupole_spin_half_rejected_for_standard_denominator():
-    basis = build_basis(1, i_a=0.5)
-    consts = replace(DEFAULTS.molecular_constants(), i_a=0.5)
+    consts = replace(CONSTANTS, i_a=0.5)
+    basis = build_basis(1, consts)
     f = FieldConfiguration(constants=consts)
     with pytest.raises(ConfigError):
         build_hamiltonian(basis, f, terms={"quadrupole"})
@@ -117,14 +117,13 @@ def test_quadrupole_spin_half_rejected_for_standard_denominator():
 def test_basis_spins_must_match_the_constants():
     fields = load_config(overrides=["molecule.spin_na=2.5"]).field_configuration()
     with pytest.raises(ValueError, match="spins"):
-        build_hamiltonian(build_basis(1), fields)
-    h = build_hamiltonian(build_basis(1, fields.constants.i_a,
-                                      fields.constants.i_b), fields)
+        build_hamiltonian(build_basis(1, CONSTANTS), fields)
+    h = build_hamiltonian(build_basis(1, fields.constants), fields)
     assert h.shape == (96, 96)
 
 
 def test_zeeman_is_diagonal_with_projection_weights():
-    basis = build_basis(1)
+    basis = build_basis(1, CONSTANTS)
     b_gauss = 100.0
     h = build_hamiltonian(basis, fields_with(b_field=b_gauss),
                           terms={"zeeman"})
@@ -140,7 +139,7 @@ def test_zeeman_is_diagonal_with_projection_weights():
 
 def test_stark_coupling_strength():
     """<1 0|H_st|0 0> = -d E / sqrt(3) for a z-aligned field."""
-    basis = build_basis(1)
+    basis = build_basis(1, CONSTANTS)
     e_kv = 0.5
     h = build_hamiltonian(basis, fields_with(e_field=e_kv),
                           terms={"stark"})
@@ -157,7 +156,7 @@ def test_stark_coupling_strength():
 
 
 def test_tilted_stark_couples_delta_m():
-    basis = build_basis(1)
+    basis = build_basis(1, CONSTANTS)
     h = build_hamiltonian(basis, fields_with(e_field=0.5, theta_e=0.3),
                           terms={"stark"})
     # (0,0,ma,mb) <-> (1,+1,ma,mb) element now nonzero
@@ -165,15 +164,15 @@ def test_tilted_stark_couples_delta_m():
 
 
 def test_isotropic_polarization_is_identity_shift():
-    basis = build_basis(1)
-    iso = MolecularConstants(b_v=B_V_MHZ, alpha_par=30.0, alpha_perp=30.0)
+    basis = build_basis(1, CONSTANTS)
+    iso = replace(CONSTANTS, alpha_par=30.0, alpha_perp=30.0)
     op = polarization_operator(basis, iso, theta_p=0.7)
     np.testing.assert_allclose(op, 30.0 * np.eye(64), atol=1e-12)
 
 
 def test_polarizability_frozen_values():
     """J=0: (a_par + 2 a_perp)/3; J=1, M=0, theta=0: (3 a_par + 2 a_perp)/5."""
-    basis = build_basis(1)
+    basis = build_basis(1, CONSTANTS)
     f = fields_with(b_field=0.0)
     h = build_hamiltonian(basis, f, terms={"rotation", "polarization"})
     sol = eigenstate_polarizability(diagonalize(h, basis), f)
@@ -201,7 +200,7 @@ def test_spectator_spins_share_polarizability():
     the exactly degenerate M = +/-1 pair, so group by value instead.
     The counts are also invariant under tilting the polarization axis.
     """
-    basis = build_basis(1)
+    basis = build_basis(1, CONSTANTS)
     f = fields_with(theta_p=0.6)
     h = build_hamiltonian(basis, f, terms={"rotation", "polarization"})
     sol = eigenstate_polarizability(diagonalize(h, basis), f)
@@ -220,7 +219,7 @@ def test_m_reversal_symmetry_without_magnetic_field():
     quadrupole, and light-shift terms all commute with it, while the
     Zeeman term (odd under time reversal) does not.
     """
-    basis = build_basis(1)
+    basis = build_basis(1, CONSTANTS)
     index = {state: k for k, state in enumerate(basis.states)}
     n = len(basis.states)
     s = np.zeros((n, n))
@@ -240,7 +239,7 @@ def test_m_reversal_symmetry_without_magnetic_field():
 
 
 def test_finite_difference_matches_attached_polarizability():
-    basis = build_basis(1)
+    basis = build_basis(1, CONSTANTS)
     f0 = fields_with(e_field=0.5)
     delta = 1.0  # W/cm^2
     sol = eigenstate_polarizability(
@@ -254,25 +253,13 @@ def test_finite_difference_matches_attached_polarizability():
 
 
 def test_diagonalize_validation():
-    basis = build_basis(1)
+    basis = build_basis(1, CONSTANTS)
     with pytest.raises(ValueError):
         diagonalize(np.zeros((4, 4)), basis)
     h = np.zeros((64, 64))
     h[0, 1] = 1.0  # not symmetric
     with pytest.raises(ValueError):
         diagonalize(h, basis)
-
-
-def test_missing_constants_are_named():
-    basis = build_basis(1)
-    c = MolecularConstants(b_v=B_V_MHZ)
-    f = FieldConfiguration(constants=c, b_field=100.0)
-    with pytest.raises(ConfigError) as err:
-        build_hamiltonian(basis, f, terms={"zeeman"})
-    assert "g_a" in str(err.value)
-    with pytest.raises(ConfigError) as err:
-        build_hamiltonian(basis, f, terms={"polarization"})
-    assert "alpha" in str(err.value)
 
 
 def test_field_configuration_validation():
@@ -283,22 +270,8 @@ def test_field_configuration_validation():
         FieldConfiguration(constants=c, intensity=-5.0)
 
 
-def test_from_vectors():
-    c = DEFAULTS.molecular_constants()
-    theta = 0.37
-    f = FieldConfiguration.from_vectors(
-        c, e_field=0.5, e_vec=(math.sin(theta), 0.0, math.cos(theta)),
-        pol_vec=(0.0, 0.0, 1.0), intensity=100.0)
-    assert f.theta_e == pytest.approx(theta, abs=1e-12)
-    assert f.theta_p == 0.0
-    with pytest.raises(ValueError):
-        FieldConfiguration.from_vectors(c, e_vec=(0.0, 0.0, 2.0))
-    with pytest.raises(ValueError):
-        FieldConfiguration.from_vectors(c, pol_vec=(0.0, 1.0, 0.0))
-
-
 def test_track_states_identity_and_mixing():
-    basis = build_basis(1)
+    basis = build_basis(1, CONSTANTS)
     f = fields_with()
     sol = diagonalize(build_hamiltonian(basis, f), basis)
     perm = track_states(sol, sol)
@@ -342,7 +315,7 @@ def _givens(i, j, deg):
 
 def test_track_states_maximizes_the_summed_overlap():
     """A rotation whose largest overlap is a trap for a greedy match."""
-    basis = build_basis(0, 0.5, 0.5)
+    basis = build_basis(0, replace(CONSTANTS, i_a=0.5, i_b=0.5))
     rotation = _givens(0, 1, 50) @ _givens(1, 2, 60) @ _givens(0, 1, 40)
     a = EigenSolution(basis=basis, energies=np.zeros(4), vectors=np.eye(4),
                       labels=((0, 0),) * 4)
@@ -370,7 +343,7 @@ def _rot_ckq(rot_states, k, q):
 
 def test_rot_tensor_table_matches_per_element_build():
     for j_max in (0, 1, 2):
-        rot = build_basis(j_max).rot_states
+        rot = build_basis(j_max, CONSTANTS).rot_states
         table = _rot_tensors(j_max)
         assert sorted(table) == [(k, q) for k in (1, 2) for q in range(-k, k + 1)]
         for (k, q), op in table.items():
@@ -395,7 +368,7 @@ def _per_vector_phases_and_labels(h, basis):
 
 @pytest.mark.parametrize("terms", [TERMS, TERMS - {"polarization"}])
 def test_angle_axis_matches_per_angle_calls(terms):
-    basis = build_basis(1)
+    basis = build_basis(1, CONSTANTS)
     f = fields_with(e_field=0.5, theta_e=0.35)
     thetas = np.radians(np.linspace(0.0, 90.0, 13))
     at = replace(f, theta_p=thetas)

@@ -71,7 +71,7 @@ def _bundled_values() -> dict[str, float]:
     values = {
         f"molecule.{key}": value
         for key, value in cfg.sections["molecule"].items()
-        if isinstance(value, float) and key not in ("spin_na", "spin_rb")
+        if isinstance(value, float)
     }
     for key in ("b_field_gauss", "intensity_w_cm2"):
         values[f"fields.{key}"] = cfg.get("fields", key)
@@ -87,7 +87,7 @@ def _numeric_literals(path: Path):
 
 def test_no_module_repeats_a_bundled_value():
     values = _bundled_values()
-    assert len(values) == 15
+    assert len(values) == 17
     repeats = [
         f"{path.name}:{lineno} repeats {key} = {value!r}"
         for path in sorted(Path(magictrap.__file__).parent.glob("*.py"))
