@@ -11,6 +11,14 @@ Hamiltonian collects five switchable terms:
 * laser polarization       -[ (a_par + 2 a_perp)/3
                               + sqrt(6)/3 (a_par - a_perp) T2(e,e) . C2 ] I
 
+The light acts on rotation alone: the polarization term is
+op_rot (x) 1_spin, so it is built only as its (n_rot, n_rot) block
+(4 x 4 at j_max = 1) and added onto the spin diagonal of each
+rotational block, and the Hellmann-Feynman polarizability of
+eigenvector V is a trace over spins,
+alpha_j = sum_s sum_{r,r'} V[r,s,j] op_rot[r,r'] V[r',s,j].
+``polarization_operator`` is the dense (dim, dim) form.
+
 All directions (static E field, linear laser polarization) are given as
 polar angles against the magnetic-field axis and lie in the x-z plane,
 so every operator is a real symmetric matrix.  Energies are in MHz.
@@ -279,15 +287,9 @@ def _h_stark(basis: HyperfineBasis, c: MolecularConstants, e_field: float,
     return -scale * np.kron(direction, np.eye(basis.dim // len(basis.rot_states)))
 
 
-def polarization_operator(basis: HyperfineBasis, c: MolecularConstants,
-                          theta_p: float | np.ndarray) -> np.ndarray:
-    """Light-shift operator per unit intensity, in Hz/(W/cm^2).
-
-    The polarization term of the Hamiltonian is -I times this matrix.
-    Its expectation value in an eigenstate is the state's dynamic
-    polarizability, which is how the Hellmann-Feynman extraction works.
-    An array ``theta_p`` gives one matrix per angle, ``(..., dim, dim)``.
-    """
+def _light_shift(basis: HyperfineBasis, c: MolecularConstants,
+                 theta_p: float | np.ndarray) -> np.ndarray:
+    """The rotational block op_rot of the light-shift operator, ``(..., n_rot, n_rot)``."""
     ckq = _rot_tensors(basis.j_max)
     theta = np.asarray(theta_p, dtype=float)[..., None, None]
     cth, sth = np.cos(theta), np.sin(theta)
@@ -299,8 +301,23 @@ def polarization_operator(basis: HyperfineBasis, c: MolecularConstants,
     )
     iso = (c.alpha_par + 2.0 * c.alpha_perp) / 3.0
     delta = c.alpha_par - c.alpha_perp
-    op = iso * np.eye(len(basis.rot_states)) + delta * aniso
-    return np.kron(op, np.eye(basis.dim // len(basis.rot_states)))
+    return iso * np.eye(len(basis.rot_states)) + delta * aniso
+
+
+def polarization_operator(basis: HyperfineBasis, c: MolecularConstants,
+                          theta_p: float | np.ndarray) -> np.ndarray:
+    """Light-shift operator per unit intensity, in Hz/(W/cm^2).
+
+    The polarization term of the Hamiltonian is -I times this matrix.
+    Its expectation value in an eigenstate is the state's dynamic
+    polarizability, which is how the Hellmann-Feynman extraction works.
+    An array ``theta_p`` gives one matrix per angle, ``(..., dim, dim)``.
+    The light acts on rotation alone, so the matrix is op_rot (x) 1_spin.
+    The library works on the op_rot block; this dense form is the
+    reference the tests compare it with.
+    """
+    return np.kron(_light_shift(basis, c, theta_p),
+                   np.eye(basis.dim // len(basis.rot_states)))
 
 
 def build_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
@@ -320,10 +337,18 @@ def build_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
             f"constants' nuclear spins ({c.i_a}, {c.i_b})"
         )
     # the cache key leaves theta_p out: it may be an (unhashable) array
-    h = _fixed_terms(basis, replace(fields, theta_p=0.0), frozenset(terms))
+    fixed = _fixed_terms(basis, replace(fields, theta_p=0.0), frozenset(terms))
+    h = np.broadcast_to(fixed, np.shape(fields.theta_p) + fixed.shape).copy()
     if "polarization" in terms:
-        return h + -fields.intensity * 1e-6 * polarization_operator(basis, c, fields.theta_p)
-    return np.broadcast_to(h, np.shape(fields.theta_p) + h.shape).copy()
+        shift = -fields.intensity * 1e-6 * _light_shift(basis, c, fields.theta_p)
+        # -I op_rot (x) 1_spin: add op_rot[r, r'] to the spin diagonal of
+        # block (r, r'), through a writeable einsum view of h
+        n_rot = shift.shape[-1]
+        n_spin = basis.dim // n_rot
+        blocks = h.reshape(h.shape[:-2] + (n_rot, n_spin, n_rot, n_spin))
+        spin_diagonal = np.einsum("...rsts->...rts", blocks)
+        spin_diagonal += shift[..., None]
+    return h
 
 
 @lru_cache(maxsize=8)
@@ -355,16 +380,21 @@ def diagonalize(h: np.ndarray, basis: HyperfineBasis) -> EigenSolution:
     if h.shape[-2:] != (basis.dim, basis.dim):
         raise ValueError(f"matrix shape {h.shape} does not match basis dim {basis.dim}")
     scale = np.maximum(1.0, np.max(np.abs(h), axis=(-2, -1)))
-    if np.any(np.max(np.abs(h - np.swapaxes(h, -2, -1)), axis=(-2, -1)) > 1e-10 * scale):
+    asym = h - np.swapaxes(h, -2, -1)
+    if np.any(np.max(np.abs(asym, out=asym), axis=(-2, -1)) > 1e-10 * scale):
         raise ValueError("Hamiltonian is not symmetric within 1e-10 relative")
+    del asym
     energies, vectors = np.linalg.eigh(h)
-    pivot = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    # |amplitude| with one row per vector: a contiguous copy that serves the
+    # phase pivot and, squared in place, the labels (at most three stacks live)
+    mags = np.ascontiguousarray(np.swapaxes(vectors, -2, -1))
+    np.abs(mags, out=mags)
+    pivot = np.argmax(mags, axis=-1)[..., None, :]
     vectors *= np.where(np.take_along_axis(vectors, pivot, axis=-2) < 0.0, -1.0, 1.0)
     # |amplitude|^2 summed over the spins of each (J, M) block, per vector
     rot = basis.rot_states
-    blocks = np.ascontiguousarray(np.swapaxes(vectors, -2, -1)).reshape(
-        vectors.shape[:-1] + (len(rot), -1))
-    dominant = np.argmax(np.sum(blocks ** 2, axis=-1), axis=-1)
+    blocks = np.square(mags, out=mags).reshape(vectors.shape[:-1] + (len(rot), -1))
+    dominant = np.argmax(np.sum(blocks, axis=-1), axis=-1)
     # one (J, M) tuple per vector, and one tuple of those per angle of a stack
     labels = tuple(map(tuple, np.fromiter(rot, dtype=object)[dominant]))
     return EigenSolution(basis=basis, energies=energies, vectors=vectors, labels=labels)
@@ -378,8 +408,17 @@ def eigenstate_polarizability(sol: EigenSolution, fields: FieldConfiguration
     alpha_i = <psi_i| (-dH_pol/dI) |psi_i> at any operating intensity.
     ``fields.theta_p`` must match the angle axis ``sol`` was solved on.
     """
-    op = polarization_operator(sol.basis, fields.constants, fields.theta_p)
-    alphas = np.einsum("...ij,...ik,...kj->...j", sol.vectors, op, sol.vectors)
+    if np.shape(fields.theta_p) != sol.energies.shape[:-1]:
+        raise ValueError(
+            f"theta_p of shape {np.shape(fields.theta_p)} does not match the "
+            f"angle axis {sol.energies.shape[:-1]} of the solution"
+        )
+    op = _light_shift(sol.basis, fields.constants, fields.theta_p)
+    # V as (..., r, (s, j)): sum over r and r' per spin, then over the spins
+    v = sol.vectors.reshape(sol.vectors.shape[:-2] + (op.shape[-1], -1))
+    per_spin = np.sum(v * (op @ v), axis=-2)
+    alphas = np.sum(per_spin.reshape(sol.energies.shape[:-1] + (-1, sol.energies.shape[-1])),
+                    axis=-2)
     return replace(sol, polarizabilities=alphas)
 
 

@@ -20,6 +20,7 @@ from magictrap import (
     polarization_operator,
     track_states,
 )
+from magictrap import hyperfine
 from magictrap.angular import rot_tensor_element
 from magictrap.cli import main
 from magictrap.config import load_config
@@ -392,10 +393,48 @@ def test_angle_axis_matches_per_angle_calls(terms):
         if "polarization" in terms:
             alphas = eigenstate_polarizability(sol_k, one).polarizabilities
             assert np.array_equal(sol.polarizabilities[k], alphas)
-            assert np.array_equal(
-                alphas, np.einsum("ij,ik,kj->j", vectors,
-                                  polarization_operator(basis, f.constants, theta),
-                                  vectors))
+            np.testing.assert_allclose(
+                alphas, _dense_alphas(vectors, polarization_operator(basis, f.constants, theta)),
+                rtol=1e-13, atol=0.0)
+
+
+def _dense_alphas(vectors, op):
+    """Hellmann-Feynman on the dense (dim, dim) operator: the reference."""
+    return np.einsum("ij,ik,kj->j", vectors, op, vectors)
+
+
+@pytest.mark.parametrize("constants, j_max", [(CONSTANTS, 1),
+                                              (replace(CONSTANTS, i_a=2.5), 1),
+                                              (CONSTANTS, 2)],
+                         ids=["64", "96", "144"])
+def test_spin_trace_matches_dense_operator(constants, j_max):
+    """alpha as a trace over spins of op_rot equals <V| op_rot (x) 1_spin |V>.
+
+    The sums run in another order, so the check is to 1e-13 relative.
+    """
+    basis = build_basis(j_max, constants)
+    f = replace(fields_with(e_field=0.5, theta_e=math.radians(20.0)), constants=constants)
+    thetas = np.radians([0.0, 30.0, 54.7, 90.0])
+    at = replace(f, theta_p=thetas)
+    sol = eigenstate_polarizability(diagonalize(build_hamiltonian(basis, at), basis), at)
+    for k, theta in enumerate(thetas.tolist()):
+        one = replace(f, theta_p=theta)
+        sol_k = eigenstate_polarizability(diagonalize(build_hamiltonian(basis, one), basis), one)
+        dense = _dense_alphas(sol_k.vectors, polarization_operator(basis, constants, theta))
+        np.testing.assert_allclose(sol_k.polarizabilities, dense, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(sol.polarizabilities[k], dense, rtol=1e-13, atol=0.0)
+
+
+def test_polarizability_rejects_a_mismatched_angle_axis():
+    basis = build_basis(1, CONSTANTS)
+    at = fields_with(theta_p=np.radians(np.linspace(0.0, 90.0, 8)))
+    axis_sol = diagonalize(build_hamiltonian(basis, at), basis)
+    with pytest.raises(ValueError, match=r"\(\) .* \(8,\)"):
+        eigenstate_polarizability(axis_sol, replace(at, theta_p=0.3))
+    one = fields_with(theta_p=0.3)
+    single_sol = diagonalize(build_hamiltonian(basis, one), basis)
+    with pytest.raises(ValueError, match=r"\(8,\) .* \(\)"):
+        eigenstate_polarizability(single_sol, at)
 
 
 def test_hyperfine_scan_is_one_eigh_call(tmp_path, monkeypatch):
@@ -410,3 +449,19 @@ def test_hyperfine_scan_is_one_eigh_call(tmp_path, monkeypatch):
     assert main(["hyperfine-scan", "--out", str(tmp_path),
                  "--override", "scan.points=8"]) == 0
     assert calls == [(8, 64, 64)]
+
+
+def test_no_cli_path_builds_the_dense_operator(tmp_path, monkeypatch):
+    """The light shift lives on the rotational block; the dense
+    op_rot (x) 1_spin matrix is the tests' reference only."""
+    def dense(*args, **kwargs):
+        raise AssertionError("dense polarization operator built")
+
+    monkeypatch.setattr(hyperfine, "polarization_operator", dense)
+    assert main(["hyperfine-scan", "--out", str(tmp_path),
+                 "--override", "scan.points=8"]) == 0
+    assert main(["magic-find", "--out", str(tmp_path),
+                 "--override", "magic.kind=angle", "--override", "magic.method=eigen",
+                 "--override", "fields.e_field_kv_cm=0.5",
+                 "--override", "magic.j_a=1", "--override", "magic.rank_a=0",
+                 "--override", "magic.j_b=0", "--override", "magic.rank_b=0"]) == 0

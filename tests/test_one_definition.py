@@ -47,7 +47,7 @@ GOLDEN = {
          "--override", "fields.e_field_kv_cm=0.5",
          "--override", "magic.j_a=1", "--override", "magic.rank_a=0",
          "--override", "magic.j_b=0", "--override", "magic.rank_b=0"],
-        "e2dcac94a246a7baa0158a298b6c6220c02bbf349ea7db21fe3ed40a8352cdb9",
+        "e30efe6d21742940fcd7478433e1b655d5f71059525f463775f8cca3a2e89e45",
     ),
     "solve-rovib": (
         ["solve-rovib", "--override", "grid.points=300", "--override", "scan.j_values=0,1",
