@@ -347,14 +347,12 @@ def _parser() -> argparse.ArgumentParser:
         description="Magic optical-trapping conditions for rotational states "
                     "of a bialkali molecule",
     )
-    sub = p.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
-        s = sub.add_parser(name)
-        s.add_argument("--config", default=None,
-                       help="INI config (default: bundled NaRb constants)")
-        s.add_argument("--out", default=".", help="output directory")
-        s.add_argument("--override", action="append", default=[],
-                       metavar="SECTION.KEY=VALUE")
+    p.add_argument("subcommand", choices=_SUBCOMMANDS)
+    p.add_argument("--config", default=None,
+                   help="INI config (default: bundled NaRb constants)")
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--override", action="append", default=[],
+                   metavar="SECTION.KEY=VALUE")
     return p
 
 

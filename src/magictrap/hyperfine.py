@@ -11,12 +11,13 @@ Hamiltonian collects five switchable terms:
 * laser polarization       -[ (a_par + 2 a_perp)/3
                               + sqrt(6)/3 (a_par - a_perp) T2(e,e) . C2 ] I
 
-The light acts on rotation alone: the polarization term is
-op_rot (x) 1_spin, so it is built only as its (n_rot, n_rot) block
-(4 x 4 at j_max = 1) and added onto the spin diagonal of each
-rotational block, and the Hellmann-Feynman polarizability of
-eigenvector V is a trace over spins,
-alpha_j = sum_s sum_{r,r'} V[r,s,j] op_rot[r,r'] V[r',s,j].
+The field-free operators (each nucleus's quadrupole tensor, J(J+1)
+per rotational state, m_a and m_b per basis state) are cached per
+basis; ``build_hamiltonian`` scales them by the constants and fields.
+Rotation, dc Stark and light are op_rot (x) 1_spin: each is built as
+its (n_rot, n_rot) block (4 x 4 at j_max = 1) and added onto the spin
+diagonal, and the Hellmann-Feynman polarizability of eigenvector V is
+a trace over spins, alpha_j = sum_s sum_{r,r'} V[r,s,j] op_rot[r,r'] V[r',s,j].
 ``polarization_operator`` is the dense (dim, dim) form.
 
 All directions (static E field, linear laser polarization) are given as
@@ -38,12 +39,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import constants as _sc
 from scipy.optimize import linear_sum_assignment
 
 from .angular import rot_tensor_element
 from .errors import ConfigError
-from .units import NUCLEAR_MAGNETON_MHZ_PER_G
+from .units import _C, _H, NUCLEAR_MAGNETON_MHZ_PER_G
 
 __all__ = [
     "TERMS",
@@ -64,7 +64,7 @@ TERMS = frozenset({"rotation", "quadrupole", "zeeman", "stark", "polarization"})
 QUADRUPOLE_DENOMINATORS = ("standard", "literal")
 
 # MHz per (debye * V/m)
-_DEBYE_V_M_TO_MHZ = 1e-21 / _sc.c / _sc.h / 1e6
+_DEBYE_V_M_TO_MHZ = 1e-21 / _C / _H / 1e6
 
 
 @dataclass(frozen=True)
@@ -238,53 +238,39 @@ def _rot_tensors(j_max: int) -> dict[tuple[int, int], np.ndarray]:
     return table
 
 
-def _h_rotation(basis: HyperfineBasis, c: MolecularConstants) -> np.ndarray:
-    return np.diag([c.b_v * j * (j + 1) for (j, m, ma, mb) in basis.states])
+@lru_cache(maxsize=None)
+def _basis_operators(basis: HyperfineBasis
+                     ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only field-free operators of ``basis``, built once per basis.
 
-
-def _h_quadrupole(basis: HyperfineBasis, c: MolecularConstants) -> np.ndarray:
+    Returns ``(quadrupole, jj1, m_a, m_b)``: the (dim, dim) tensor
+    sum_q (-1)^q C2q (x) T2,-q(i_k) of each nucleus, J(J+1) per
+    rotational state, and m_a and m_b per basis state.
+    """
     ckq = _rot_tensors(basis.j_max)
-    eye_a = np.eye(_spin_dim(basis.i_a))
-    eye_b = np.eye(_spin_dim(basis.i_b))
-    h = np.zeros((basis.dim, basis.dim))
-    for i_spin, eqq, slot in ((basis.i_a, c.eqq_a, 0), (basis.i_b, c.eqq_b, 1)):
-        if c.quadrupole_denominator == "standard":
-            denom = i_spin * (2.0 * i_spin - 1.0)
-        else:
-            denom = i_spin * (i_spin - 1.0)
-        if denom == 0.0:
-            if eqq == 0.0:
-                continue
-            raise ConfigError(
-                f"quadrupole prefactor vanishes for spin {i_spin} "
-                f"({c.quadrupole_denominator} denominator)"
-            )
-        t2 = _spin_t2(i_spin)
-        for q in range(-2, 3):
-            spin_a = t2[-q] if slot == 0 else eye_a
-            spin_b = t2[-q] if slot == 1 else eye_b
-            h += (-1) ** q * (eqq / denom) * np.kron(ckq[2, q], np.kron(spin_a, spin_b))
-    return h
-
-
-def _h_zeeman(basis: HyperfineBasis, c: MolecularConstants, b_field: float) -> np.ndarray:
-    shift = [
-        -(c.g_a * ma + c.g_b * mb) * NUCLEAR_MAGNETON_MHZ_PER_G * b_field
-        for (j, m, ma, mb) in basis.states
-    ]
-    return np.diag(shift)
-
-
-def _h_stark(basis: HyperfineBasis, c: MolecularConstants, e_field: float,
-             theta_e: float) -> np.ndarray:
-    ckq = _rot_tensors(basis.j_max)
-    # e . C1 for a field in the x-z plane at polar angle theta_e
-    direction = (
-        math.cos(theta_e) * ckq[1, 0]
-        + (math.sin(theta_e) / math.sqrt(2.0)) * (ckq[1, -1] - ckq[1, +1])
+    t2_a, t2_b = _spin_t2(basis.i_a), _spin_t2(basis.i_b)
+    eye_a, eye_b = np.eye(_spin_dim(basis.i_a)), np.eye(_spin_dim(basis.i_b))
+    # term q changes M by q, so the terms never overlap and their sum is exact
+    quadrupole = (
+        sum((-1) ** q * np.kron(ckq[2, q], np.kron(t2_a[-q], eye_b)) for q in range(-2, 3)),
+        sum((-1) ** q * np.kron(ckq[2, q], np.kron(eye_a, t2_b[-q])) for q in range(-2, 3)),
     )
-    scale = c.d0 * e_field * 1e5 * _DEBYE_V_M_TO_MHZ
-    return -scale * np.kron(direction, np.eye(basis.dim // len(basis.rot_states)))
+    jj1 = np.array([j * (j + 1.0) for j, m in basis.rot_states])
+    m_a = np.array([ma for (j, m, ma, mb) in basis.states])
+    m_b = np.array([mb for (j, m, ma, mb) in basis.states])
+    for op in (*quadrupole, jj1, m_a, m_b):
+        op.flags.writeable = False
+    return quadrupole, jj1, m_a, m_b
+
+
+def _add_rotational_block(h: np.ndarray, block: np.ndarray) -> None:
+    """Add block (x) 1_spin to ``h`` in place; ``block`` is (..., n_rot, n_rot)."""
+    n_rot = block.shape[-1]
+    n_spin = h.shape[-1] // n_rot
+    # block[r, r'] onto the spin diagonal of block (r, r') of h, through a writeable view
+    blocks = h.reshape(h.shape[:-2] + (n_rot, n_spin, n_rot, n_spin))
+    spin_diagonal = np.einsum("...rsts->...rts", blocks)
+    spin_diagonal += block[..., None]
 
 
 def _light_shift(basis: HyperfineBasis, c: MolecularConstants,
@@ -336,36 +322,43 @@ def build_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
             f"basis spins ({basis.i_a}, {basis.i_b}) differ from the "
             f"constants' nuclear spins ({c.i_a}, {c.i_b})"
         )
-    # the cache key leaves theta_p out: it may be an (unhashable) array
-    fixed = _fixed_terms(basis, replace(fields, theta_p=0.0), frozenset(terms))
-    h = np.broadcast_to(fixed, np.shape(fields.theta_p) + fixed.shape).copy()
-    if "polarization" in terms:
-        shift = -fields.intensity * 1e-6 * _light_shift(basis, c, fields.theta_p)
-        # -I op_rot (x) 1_spin: add op_rot[r, r'] to the spin diagonal of
-        # block (r, r'), through a writeable einsum view of h
-        n_rot = shift.shape[-1]
-        n_spin = basis.dim // n_rot
-        blocks = h.reshape(h.shape[:-2] + (n_rot, n_spin, n_rot, n_spin))
-        spin_diagonal = np.einsum("...rsts->...rts", blocks)
-        spin_diagonal += shift[..., None]
-    return h
-
-
-@lru_cache(maxsize=8)
-def _fixed_terms(basis: HyperfineBasis, fields: FieldConfiguration,
-                 terms: frozenset[str]) -> np.ndarray:
-    """The theta_p-independent terms, read-only; a search reuses them per step."""
-    c = fields.constants
+    quadrupole, jj1, m_a, m_b = _basis_operators(basis)
     h = np.zeros((basis.dim, basis.dim))
     if "rotation" in terms:
-        h += _h_rotation(basis, c)
+        _add_rotational_block(h, np.diag(c.b_v * jj1))
     if "quadrupole" in terms:
-        h += _h_quadrupole(basis, c)
+        # the nuclei are summed first: rot + (q_a + q_b) is the rounding the goldens pin
+        quad = np.zeros_like(h)
+        for tensor, i_spin, eqq in zip(quadrupole, (basis.i_a, basis.i_b), (c.eqq_a, c.eqq_b)):
+            if c.quadrupole_denominator == "standard":
+                denom = i_spin * (2.0 * i_spin - 1.0)
+            else:
+                denom = i_spin * (i_spin - 1.0)
+            if denom == 0.0:
+                if eqq == 0.0:
+                    continue
+                raise ConfigError(
+                    f"quadrupole prefactor vanishes for spin {i_spin} "
+                    f"({c.quadrupole_denominator} denominator)"
+                )
+            quad += (eqq / denom) * tensor
+        h += quad
     if "zeeman" in terms:
-        h += _h_zeeman(basis, c, fields.b_field)
+        h += np.diag(-(c.g_a * m_a + c.g_b * m_b) * NUCLEAR_MAGNETON_MHZ_PER_G
+                     * fields.b_field)
     if "stark" in terms:
-        h += _h_stark(basis, c, fields.e_field, fields.theta_e)
-    h.flags.writeable = False
+        ckq = _rot_tensors(basis.j_max)
+        # e . C1 for a field in the x-z plane at polar angle theta_e
+        direction = (
+            math.cos(fields.theta_e) * ckq[1, 0]
+            + (math.sin(fields.theta_e) / math.sqrt(2.0)) * (ckq[1, -1] - ckq[1, +1])
+        )
+        scale = c.d0 * fields.e_field * 1e5 * _DEBYE_V_M_TO_MHZ
+        _add_rotational_block(h, -scale * direction)
+    h = np.broadcast_to(h, np.shape(fields.theta_p) + h.shape).copy()
+    if "polarization" in terms:
+        _add_rotational_block(h, -fields.intensity * 1e-6
+                              * _light_shift(basis, c, fields.theta_p))
     return h
 
 

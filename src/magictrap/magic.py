@@ -153,6 +153,32 @@ def _poles_in_window(spec: PolarizabilitySpec, js: Sequence[int], m: int,
     return found
 
 
+def _bracketed_root(objective, bracket: tuple[float, float], xtol: float, tol: float,
+                    unit: str, value_unit: str = "") -> tuple[float, float]:
+    """Brent root of ``objective`` inside ``bracket`` (in ``unit``) and its residual.
+
+    Raises ValueError unless lo < hi, and :class:`NoRootError` without a
+    sign change or when |residual| > ``tol`` (in ``value_unit``).
+    """
+    lo, hi = bracket
+    if not lo < hi:
+        raise ValueError(f"bracket ({lo}, {hi}) {unit} must have lo < hi")
+    f_lo, f_hi = objective(lo), objective(hi)
+    if f_lo == 0.0 or f_hi == 0.0 or np.sign(f_lo) == np.sign(f_hi):
+        raise NoRootError(
+            f"no sign change over ({lo}, {hi}) {unit}: "
+            f"f(lo) = {f_lo:.6e}, f(hi) = {f_hi:.6e}{value_unit}"
+        )
+    root = brentq(objective, lo, hi, xtol=xtol, rtol=8.9e-16)
+    residual = objective(root)
+    if abs(residual) > tol:
+        raise NoRootError(
+            f"root at {root:.6f} {unit} fails the residual check: "
+            f"|{residual:.3e}| > {tol}{value_unit}"
+        )
+    return root, residual
+
+
 def find_magic_detuning(spec: PolarizabilitySpec, j_a: int, j_b: int,
                         m: int = 0, theta_p: float = 0.0,
                         bracket: tuple[float, float] = (30.0, 300.0)
@@ -173,19 +199,8 @@ def find_magic_detuning(spec: PolarizabilitySpec, j_a: int, j_b: int,
     def objective(delta: float) -> float:
         return _detuning_objective(spec, (j_a, m), (j_b, m), delta, theta_p)
 
-    f_lo, f_hi = objective(lo), objective(hi)
-    if f_lo == 0.0 or f_hi == 0.0 or np.sign(f_lo) == np.sign(f_hi):
-        raise NoRootError(
-            f"no sign change over ({lo}, {hi}) GHz: "
-            f"f(lo) = {f_lo:.6e}, f(hi) = {f_hi:.6e} a.u."
-        )
-    root = brentq(objective, lo, hi, xtol=1e-12, rtol=8.9e-16)
-    residual = objective(root)
-    if abs(residual) > DETUNING_RESIDUAL_TOL:
-        raise NoRootError(
-            f"root at {root:.6f} GHz fails the residual check: "
-            f"|{residual:.3e}| > {DETUNING_RESIDUAL_TOL} a.u."
-        )
+    root, residual = _bracketed_root(objective, bracket, 1e-12, DETUNING_RESIDUAL_TOL,
+                                     "GHz", " a.u.")
     return MagicSolution(
         kind="detuning", location=float(root),
         state_a=(j_a, m), state_b=(j_b, m),
@@ -216,19 +231,7 @@ def find_magic_angle(fields: FieldConfiguration, state_a, state_b,
     lo, hi = bracket
     if not 0.0 <= lo < hi <= 180.0:
         raise ValueError("angle bracket must satisfy 0 <= lo < hi <= 180 degrees")
-    f_lo, f_hi = objective(lo), objective(hi)
-    if f_lo == 0.0 or f_hi == 0.0 or np.sign(f_lo) == np.sign(f_hi):
-        raise NoRootError(
-            f"no sign change over ({lo}, {hi}) degrees: "
-            f"f(lo) = {f_lo:.6e}, f(hi) = {f_hi:.6e}"
-        )
-    root = brentq(objective, lo, hi, xtol=1e-8, rtol=8.9e-16)
-    residual = objective(root)
-    if abs(residual) > ANGLE_RESIDUAL_TOL:
-        raise NoRootError(
-            f"root at {root:.6f} deg fails the residual check: "
-            f"|{residual:.3e}| > {ANGLE_RESIDUAL_TOL}"
-        )
+    root, residual = _bracketed_root(objective, bracket, 1e-8, ANGLE_RESIDUAL_TOL, "degrees")
     return MagicSolution(
         kind="angle", location=float(root),
         state_a=tuple(state_a), state_b=tuple(state_b),

@@ -1,9 +1,10 @@
 """Physical constants and unit conversion.
 
-All numerical work inside the package happens in Hartree atomic units.
-Everything a user touches (config files, CLI output, tabulated data)
-carries experimental units and passes through this module exactly once
-on the way in or out.
+The radial, potential and polarizability work happens in Hartree
+atomic units; the hyperfine Hamiltonian works in MHz, with
+polarizabilities in Hz/(W/cm^2).  Everything a user touches (config
+files, CLI output, tabulated data) carries experimental units and
+passes through this module exactly once on the way in or out.
 
 Conversions are purely multiplicative within a dimension group, so a
 round trip reproduces the input to within a couple of ulps.  The one
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-
-import scipy.constants as _sc
 
 from .errors import UnitError
 
@@ -37,23 +36,29 @@ __all__ = [
     "BOHR_RADIUS_M",
 ]
 
-# CODATA 2018 values via scipy.constants
-_H = _sc.h
-_C = _sc.c
-BOHR_RADIUS_M = _sc.physical_constants["Bohr radius"][0]
-_HARTREE_J = _sc.physical_constants["Hartree energy"][0]
+# CODATA 2022 values (SI; h, c and e exact), written out so that the
+# output does not depend on the installed scipy's constants table
+_H = 6.62607015e-34                    # J s
+_C = 299792458.0                       # m/s
+_E = 1.602176634e-19                   # C
+_M_E = 9.1093837139e-31                # kg
+_M_U = 1.66053906892e-27               # kg
+_ALPHA = 0.0072973525643
+BOHR_RADIUS_M = 5.29177210544e-11
+_HARTREE_J = 4.359744722206e-18
+_NUCLEAR_MAGNETON_J_T = 5.0507837393e-27
 
-C_AU = 1.0 / _sc.fine_structure
+C_AU = 1.0 / _ALPHA
 
 HARTREE_TO_CM1 = _HARTREE_J / (_H * _C * 100.0)
 HARTREE_TO_GHZ = _HARTREE_J / _H / 1e9
 HARTREE_TO_MHZ = _HARTREE_J / _H / 1e6
 CM1_TO_GHZ = _C * 100.0 / 1e9          # 29.9792458 exactly
-AMU_TO_ME = _sc.atomic_mass / _sc.m_e
-DEBYE_TO_EA0 = 1e-21 / _C / (_sc.e * BOHR_RADIUS_M)
+AMU_TO_ME = _M_U / _M_E
+DEBYE_TO_EA0 = 1e-21 / _C / (_E * BOHR_RADIUS_M)
 
 # Nuclear magneton expressed as a frequency shift per Gauss.
-NUCLEAR_MAGNETON_MHZ_PER_G = _sc.physical_constants["nuclear magneton"][0] / _H / 1e10
+NUCLEAR_MAGNETON_MHZ_PER_G = _NUCLEAR_MAGNETON_J_T / _H / 1e10
 
 # Adopted conversion between the atomic unit of polarizability and the
 # light-shift-per-intensity unit.  This is the rounded literature value;

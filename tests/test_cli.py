@@ -514,6 +514,25 @@ def test_rootless_bracket_exits_3(small_config, tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lo, hi", [(140, 60), (100, 100)])
+def test_unordered_detuning_bracket_exits_2(small_config, tmp_path, capsys, lo, hi):
+    """lo >= hi is refused before any search, as for angle brackets."""
+    assert main(["magic-find", "--config", str(small_config), "--out", str(tmp_path),
+                 "--override", f"magic.bracket_lo_ghz={lo}",
+                 "--override", f"magic.bracket_hi_ghz={hi}"]) == 2
+    err = capsys.readouterr().err
+    assert f"bracket ({lo:.1f}, {hi:.1f}) GHz must have lo < hi" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [[], ["no-such-subcommand"]], ids=["missing", "unknown"])
+def test_missing_or_unknown_subcommand_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "subcommand" in capsys.readouterr().err
+
+
 def test_output_path_collision_exits_4(small_config, tmp_path, capsys):
     blocker = tmp_path / "occupied"
     blocker.write_text("not a directory")

@@ -17,6 +17,7 @@ from magictrap import (
     build_hamiltonian,
     diagonalize,
     eigenstate_polarizability,
+    find_magic_angle,
     polarization_operator,
     track_states,
 )
@@ -25,6 +26,7 @@ from magictrap.angular import rot_tensor_element
 from magictrap.cli import main
 from magictrap.config import load_config
 from magictrap.hyperfine import _rot_tensors
+from magictrap.units import NUCLEAR_MAGNETON_MHZ_PER_G
 
 DEFAULTS = load_config()
 CONSTANTS = DEFAULTS.molecular_constants()
@@ -465,3 +467,82 @@ def test_no_cli_path_builds_the_dense_operator(tmp_path, monkeypatch):
                  "--override", "fields.e_field_kv_cm=0.5",
                  "--override", "magic.j_a=1", "--override", "magic.rank_a=0",
                  "--override", "magic.j_b=0", "--override", "magic.rank_b=0"]) == 0
+
+
+def _kron_hamiltonian(basis, f, terms):
+    """Term-by-term dense build, each term a kron over (rotation, spin a, spin b).
+
+    The reference for the cached-operator build: the same formulas, summed
+    in the same order (rotation, quadrupole with the nuclei summed first,
+    Zeeman, Stark, then the light on every angle).
+    """
+    c = f.constants
+    ckq = _rot_tensors(basis.j_max)
+    eye_a = np.eye(round(2 * basis.i_a) + 1)
+    eye_b = np.eye(round(2 * basis.i_b) + 1)
+    h = np.zeros((basis.dim, basis.dim))
+    if "rotation" in terms:
+        h += np.diag([c.b_v * j * (j + 1) for (j, m, ma, mb) in basis.states])
+    if "quadrupole" in terms:
+        quad = np.zeros_like(h)
+        for i_spin, eqq, slot in ((basis.i_a, c.eqq_a, 0), (basis.i_b, c.eqq_b, 1)):
+            if c.quadrupole_denominator == "standard":
+                denom = i_spin * (2.0 * i_spin - 1.0)
+            else:
+                denom = i_spin * (i_spin - 1.0)
+            t2 = hyperfine._spin_t2(i_spin)
+            for q in range(-2, 3):
+                spin_a = t2[-q] if slot == 0 else eye_a
+                spin_b = t2[-q] if slot == 1 else eye_b
+                quad += (-1) ** q * (eqq / denom) * np.kron(ckq[2, q], np.kron(spin_a, spin_b))
+        h += quad
+    if "zeeman" in terms:
+        h += np.diag([-(c.g_a * ma + c.g_b * mb) * NUCLEAR_MAGNETON_MHZ_PER_G
+                      * f.b_field for (j, m, ma, mb) in basis.states])
+    if "stark" in terms:
+        direction = (math.cos(f.theta_e) * ckq[1, 0]
+                     + (math.sin(f.theta_e) / math.sqrt(2.0)) * (ckq[1, -1] - ckq[1, +1]))
+        scale = c.d0 * f.e_field * 1e5 * hyperfine._DEBYE_V_M_TO_MHZ
+        h += -scale * np.kron(direction, np.eye(eye_a.shape[0] * eye_b.shape[0]))
+    h = np.broadcast_to(h, np.shape(f.theta_p) + h.shape).copy()
+    if "polarization" in terms:
+        h += -f.intensity * 1e-6 * polarization_operator(basis, c, f.theta_p)
+    return h
+
+
+@pytest.mark.parametrize("j_max", [0, 1, 2])
+@pytest.mark.parametrize("constants", [CONSTANTS, replace(CONSTANTS, i_a=2.5),
+                                       replace(CONSTANTS, quadrupole_denominator="literal")],
+                         ids=["bundled", "i_a=5/2", "literal"])
+def test_cached_operator_build_matches_the_kron_reference(constants, j_max):
+    """Every term subset, a scalar angle and an axis, a tilted E field:
+    bit-identical to the term-by-term kron build."""
+    basis = build_basis(j_max, constants)
+    f = replace(fields_with(b_field=120.0, e_field=0.8, theta_e=math.radians(35.0),
+                            intensity=1500.0), constants=constants)
+    subsets = [frozenset(s) for r in range(1, len(TERMS) + 1)
+               for s in itertools.combinations(sorted(TERMS), r)]
+    assert len(subsets) == 31
+    for theta_p in (0.7, np.radians([0.0, 20.0, 54.7, 90.0])):
+        at = replace(f, theta_p=theta_p)
+        for terms in subsets:
+            assert np.array_equal(build_hamiltonian(basis, at, terms),
+                                  _kron_hamiltonian(basis, at, terms)), sorted(terms)
+
+
+def test_spin_tensors_are_built_once_per_basis(monkeypatch):
+    """Searches at new E fields reuse the basis's operators: one spin-tensor
+    build per nucleus, however many fields follow."""
+    calls = []
+    spin_t2 = hyperfine._spin_t2
+
+    def counting_spin_t2(i):
+        calls.append(i)
+        return spin_t2(i)
+
+    monkeypatch.setattr(hyperfine, "_spin_t2", counting_spin_t2)
+    hyperfine._basis_operators.cache_clear()
+    for e_field in (0.5, 1.0):
+        find_magic_angle(fields_with(e_field=e_field), (1, 0, 0), (0, 0, 0),
+                         bracket=(40.0, 70.0), method="eigen")
+    assert calls == [CONSTANTS.i_a, CONSTANTS.i_b]

@@ -5,10 +5,13 @@ adopted polarizability factor, the exact speed of light in cm-1 <-> GHz,
 and 1e7 / wavenumber for wavelengths.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+import magictrap
 from magictrap import (
     Unit,
     UnitError,
@@ -96,3 +99,20 @@ def test_energy_chain_closes():
     x = convert(x, Unit.MHZ, Unit.GHZ)
     x = convert(x, Unit.GHZ, Unit.WAVENUMBER)
     assert x == pytest.approx(11306.4, rel=1e-12)
+
+
+def test_no_module_takes_constants_from_scipy():
+    """The CODATA inputs are literals in ``units``: the output must not
+    depend on the installed scipy's constants table."""
+    found = []
+    for path in sorted(Path(magictrap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name == "scipy.constants" or name.startswith("scipy.constants.")]
+    assert not found, found
