@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import narb
+from .angular import _MAX_TWO_J
 from .config import RunConfig, load_config
 from .errors import (
     CalibrationError,
@@ -141,6 +142,19 @@ def _scan_m(cfg: RunConfig) -> int:
     return m
 
 
+def _imag_j_values(cfg: RunConfig) -> tuple[int, ...]:
+    """[scan] j_values, checked before any solve: imag-scan couples each J
+    to J + 1, which the 3-j symbols must reach."""
+    j_values = cfg.get("scan", "j_values")
+    too_high = [j for j in j_values if 2 * (j + 1) > _MAX_TWO_J]
+    if too_high:
+        raise ConfigError(
+            f"[scan] j_values has J = {too_high[0]}, but imag-scan couples J to "
+            f"J + 1, and 3-j symbols are supported up to j = {_MAX_TWO_J // 2}"
+        )
+    return j_values
+
+
 def _detuning_columns(deltas, j_values, m: int, per_j):
     """(detuning, J, M, value) columns of a scan: the axis once per J."""
     n = len(deltas)
@@ -165,13 +179,17 @@ def _cmd_alpha_scan(cfg: RunConfig):
     return headers, columns, summary
 
 
-def _imag_inputs(cfg: RunConfig):
+def _imag_inputs(cfg: RunConfig, j_values):
     ground, _, dipole, x_basis, ab_basis = narb.pinned_models(cfg)
-    j_values = cfg.get("scan", "j_values")
     max_levels = cfg.get("scan", "max_levels")
     j_excited = sorted({j + s for j in j_values for s in (-1, 1) if j + s >= 0})
 
-    x_levels = [x_basis.levels(j, 1)[0] for j in sorted(set(j_values))]
+    x_levels = []
+    for j in sorted(set(j_values)):
+        lowest = x_basis.levels(j, 1)
+        if not lowest:
+            raise GridError(f"no X level is bound at J = {j} of [scan] j_values")
+        x_levels += lowest
     ab_levels = [lv for jp in j_excited for lv in ab_basis.levels(jp, max_levels)]
     pairs = {(0, 0): dipole}
     dipoles = {
@@ -186,9 +204,9 @@ def _imag_inputs(cfg: RunConfig):
 
 def _cmd_imag_scan(cfg: RunConfig):
     m = _scan_m(cfg)
-    x_levels, ab_levels, dipoles, gammas = _imag_inputs(cfg)
+    j_values = _imag_j_values(cfg)
+    x_levels, ab_levels, dipoles, gammas = _imag_inputs(cfg, j_values)
     theta_p = math.radians(cfg.get("fields", "theta_p_deg"))
-    j_values = cfg.get("scan", "j_values")
     deltas, nu = _detuning_axis(cfg)
     per_j = [alpha_imag(x_levels, ab_levels, dipoles, gammas, nu, j, m, theta_p)
              for j in j_values]

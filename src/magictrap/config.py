@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -270,15 +271,39 @@ def load_config(path: str | Path | None = None,
                 overrides: Iterable[str] = ()) -> RunConfig:
     """Parse and validate a config file, applying CLI overrides.
 
-    ``path=None`` loads the bundled defaults.  Every present key must
-    belong to the schema, parse to its declared type and lie in its
-    range or choices, or :class:`ConfigError` names the key and the
-    rule; requiredness is checked by the consuming subcommand.
+    ``path=None`` loads the bundled defaults, parsed once per process;
+    a ``path`` is read on every call.  Every present key must belong to
+    the schema, parse to its declared type and lie in its range or
+    choices, or :class:`ConfigError` names the key and the rule;
+    requiredness is checked by the consuming subcommand.
     """
     src = Path(path) if path is not None else bundled_defaults_path()
-    parser = configparser.ConfigParser(
+    parser = _parser() if path is None else _read(src)
+    _apply_overrides(parser, overrides)
+    sections = _validated(parser, src)
+    if path is None:
+        # fresh inner dicts: the cached defaults are never handed out
+        base = _bundled_sections()
+        sections = {name: {**base.get(name, {}), **sections.get(name, {})}
+                    for name in {**base, **sections}}
+    return RunConfig(source=str(src), sections=sections)
+
+
+@lru_cache(maxsize=None)
+def _bundled_sections() -> dict[str, dict[str, object]]:
+    """The validated bundled defaults; callers copy, never mutate, them."""
+    src = bundled_defaults_path()
+    return _validated(_read(src), src)
+
+
+def _parser() -> configparser.ConfigParser:
+    return configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";"),
     )
+
+
+def _read(src: Path) -> configparser.ConfigParser:
+    parser = _parser()
     try:
         with open(src, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -286,9 +311,12 @@ def load_config(path: str | Path | None = None,
         raise ConfigError(f"cannot read config {src}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {src}: {exc}") from exc
+    return parser
 
-    _apply_overrides(parser, overrides)
 
+def _validated(parser: configparser.ConfigParser,
+               src: Path) -> dict[str, dict[str, object]]:
+    """Every key of ``parser`` parsed by its :data:`SCHEMA` entry."""
     sections: dict[str, dict[str, object]] = {}
     for section in parser.sections():
         if section not in SCHEMA:
@@ -308,4 +336,4 @@ def load_config(path: str | Path | None = None,
                 raise ConfigError(
                     f"bad value for [{section}] {key} = {raw!r}: {exc}"
                 ) from exc
-    return RunConfig(source=str(src), sections=sections)
+    return sections

@@ -26,6 +26,8 @@ so every operator is a real symmetric matrix.  Energies are in MHz.
 ``theta_p`` may be a 1-D array, a scan axis: the theta_p-independent
 terms are built once and every function then carries a leading angle
 axis, ``(..., dim, dim)``, so a whole scan is one batched ``eigh``.
+A magic-angle search, one angle per Brent step, likewise builds those
+terms once and adds only the light per step (``_angle_solver``).
 
 Shielding, rotational Zeeman, centrifugal distortion, spin-rotation and
 spin-spin terms are deliberately left out; they are far below the MHz
@@ -188,6 +190,7 @@ def build_basis(j_max: int, constants: MolecularConstants) -> HyperfineBasis:
     return HyperfineBasis(j_max=j_max, i_a=i_a, i_b=i_b, states=states)
 
 
+@lru_cache(maxsize=None)
 def _rot_states(j_max: int) -> tuple[tuple[int, int], ...]:
     return tuple((j, m) for j in range(j_max + 1) for m in range(-j, j + 1))
 
@@ -313,6 +316,15 @@ def build_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
     The basis must be built for the constants' nuclear spins.  An array
     ``fields.theta_p`` gives one matrix per angle, ``(..., dim, dim)``.
     """
+    h = _static_hamiltonian(basis, fields, terms)
+    h = np.broadcast_to(h, np.shape(fields.theta_p) + h.shape).copy()
+    _add_light(h, basis, fields, terms, fields.theta_p)
+    return h
+
+
+def _static_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
+                        terms: frozenset[str] | set[str]) -> np.ndarray:
+    """The theta_p-independent terms of ``build_hamiltonian``, one (dim, dim) matrix."""
     unknown = set(terms) - TERMS
     if unknown:
         raise ValueError(f"unknown terms {sorted(unknown)}; valid: {sorted(TERMS)}")
@@ -355,11 +367,33 @@ def build_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
         )
         scale = c.d0 * fields.e_field * 1e5 * _DEBYE_V_M_TO_MHZ
         _add_rotational_block(h, -scale * direction)
-    h = np.broadcast_to(h, np.shape(fields.theta_p) + h.shape).copy()
-    if "polarization" in terms:
-        _add_rotational_block(h, -fields.intensity * 1e-6
-                              * _light_shift(basis, c, fields.theta_p))
     return h
+
+
+def _add_light(h: np.ndarray, basis: HyperfineBasis, fields: FieldConfiguration,
+               terms: frozenset[str] | set[str], theta_p: float | np.ndarray) -> np.ndarray:
+    """Add the polarization term at ``theta_p`` to ``h`` in place, if selected;
+    returns its op_rot, the Hellmann-Feynman operator, either way."""
+    op = _light_shift(basis, fields.constants, theta_p)
+    if "polarization" in terms:
+        _add_rotational_block(h, -fields.intensity * 1e-6 * op)
+    return op
+
+
+def _angle_solver(basis: HyperfineBasis, fields: FieldConfiguration,
+                  terms: frozenset[str] | set[str]):
+    """``eigenstate_polarizability(diagonalize(build_hamiltonian(...)))`` bit for
+    bit at one scalar theta_p (radians) per call, with the theta_p-independent
+    terms built once: each call copies them and adds only the light."""
+    static = _static_hamiltonian(basis, fields, terms)
+
+    def solve(theta_p: float) -> EigenSolution:
+        h = static.copy()
+        op = _add_light(h, basis, fields, terms, theta_p)
+        sol = diagonalize(h, basis)
+        return replace(sol, polarizabilities=_spin_trace(sol.vectors, op))
+
+    return solve
 
 
 def diagonalize(h: np.ndarray, basis: HyperfineBasis) -> EigenSolution:
@@ -388,9 +422,16 @@ def diagonalize(h: np.ndarray, basis: HyperfineBasis) -> EigenSolution:
     rot = basis.rot_states
     blocks = np.square(mags, out=mags).reshape(vectors.shape[:-1] + (len(rot), -1))
     dominant = np.argmax(np.sum(blocks, axis=-1), axis=-1)
-    # one (J, M) tuple per vector, and one tuple of those per angle of a stack
-    labels = tuple(map(tuple, np.fromiter(rot, dtype=object)[dominant]))
-    return EigenSolution(basis=basis, energies=energies, vectors=vectors, labels=labels)
+    return EigenSolution(basis=basis, energies=energies, vectors=vectors,
+                         labels=_labels(rot, dominant.tolist()))
+
+
+def _labels(rot: tuple, dominant: list) -> tuple:
+    """The (J, M) of ``rot`` at each index of ``dominant``, nested as it is:
+    one tuple per vector, and one tuple of those per angle of a stack."""
+    if not dominant or isinstance(dominant[0], int):
+        return tuple([rot[i] for i in dominant])
+    return tuple([_labels(rot, row) for row in dominant])
 
 
 def eigenstate_polarizability(sol: EigenSolution, fields: FieldConfiguration
@@ -407,12 +448,16 @@ def eigenstate_polarizability(sol: EigenSolution, fields: FieldConfiguration
             f"angle axis {sol.energies.shape[:-1]} of the solution"
         )
     op = _light_shift(sol.basis, fields.constants, fields.theta_p)
+    return replace(sol, polarizabilities=_spin_trace(sol.vectors, op))
+
+
+def _spin_trace(vectors: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """alpha_j = sum_s sum_{r,r'} V[r,s,j] op[r,r'] V[r',s,j] per eigenvector j,
+    for ``vectors`` (..., dim, dim) and op_rot ``op`` (..., n_rot, n_rot)."""
     # V as (..., r, (s, j)): sum over r and r' per spin, then over the spins
-    v = sol.vectors.reshape(sol.vectors.shape[:-2] + (op.shape[-1], -1))
+    v = vectors.reshape(vectors.shape[:-2] + (op.shape[-1], -1))
     per_spin = np.sum(v * (op @ v), axis=-2)
-    alphas = np.sum(per_spin.reshape(sol.energies.shape[:-1] + (-1, sol.energies.shape[-1])),
-                    axis=-2)
-    return replace(sol, polarizabilities=alphas)
+    return np.sum(per_spin.reshape(vectors.shape[:-2] + (-1, vectors.shape[-1])), axis=-2)
 
 
 def track_states(a: EigenSolution, b: EigenSolution) -> np.ndarray:

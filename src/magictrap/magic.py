@@ -15,7 +15,7 @@ degrees against the quantization axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,15 +23,7 @@ from scipy.optimize import brentq
 
 from .angular import angular_factors, resonance_offsets
 from .errors import CalibrationError, NoRootError, PoleProximityError
-from .hyperfine import (
-    TERMS,
-    FieldConfiguration,
-    HyperfineBasis,
-    build_basis,
-    build_hamiltonian,
-    diagonalize,
-    eigenstate_polarizability,
-)
+from .hyperfine import TERMS, FieldConfiguration, _angle_solver, build_basis
 from .polarizability import PolarizabilitySpec, alpha_analytic
 from .units import HARTREE_TO_GHZ
 
@@ -57,7 +49,7 @@ class MagicSolution:
 
     ``location`` is a detuning in GHz for kind ``"detuning"`` and an
     angle in degrees for kind ``"angle"``.  ``residual`` is the
-    re-evaluated differential polarizability at the root.
+    objective, the differential polarizability, at the root.
     """
 
     kind: str
@@ -122,16 +114,21 @@ def _pick_state(sol, state) -> int:
     return matches[rank]
 
 
-def _angle_objective(fields: FieldConfiguration, state_a, state_b,
-                     theta_deg: float, terms, basis: HyperfineBasis | None) -> float:
-    if basis is None:
-        return (_bare_alpha(fields, state_a[0], state_a[1], theta_deg)
-                - _bare_alpha(fields, state_b[0], state_b[1], theta_deg))
-    at = replace(fields, theta_p=math.radians(theta_deg))
-    sol = eigenstate_polarizability(
-        diagonalize(build_hamiltonian(basis, at, terms), basis), at)
-    alphas = sol.polarizabilities
-    return float(alphas[_pick_state(sol, state_a)] - alphas[_pick_state(sol, state_b)])
+def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
+                     j_max: int | None):
+    """The search's objective of theta in degrees: alpha_a - alpha_b by the
+    bare closed form (``j_max`` None) or in the ``j_max`` hyperfine basis."""
+    if j_max is None:
+        return lambda theta: (_bare_alpha(fields, state_a[0], state_a[1], theta)
+                              - _bare_alpha(fields, state_b[0], state_b[1], theta))
+    solve = _angle_solver(build_basis(j_max, fields.constants), fields, terms)
+
+    def objective(theta: float) -> float:
+        sol = solve(math.radians(theta))
+        alphas = sol.polarizabilities
+        return float(alphas[_pick_state(sol, state_a)] - alphas[_pick_state(sol, state_b)])
+
+    return objective
 
 
 def _poles_in_window(spec: PolarizabilitySpec, js: Sequence[int], m: int,
@@ -163,14 +160,23 @@ def _bracketed_root(objective, bracket: tuple[float, float], xtol: float, tol: f
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"bracket ({lo}, {hi}) {unit} must have lo < hi")
-    f_lo, f_hi = objective(lo), objective(hi)
+    # brentq asks again for both ends, and the residual is at its last
+    # abscissa: each abscissa is evaluated once
+    values: dict[float, float] = {}
+
+    def f(x: float) -> float:
+        if x not in values:
+            values[x] = objective(x)
+        return values[x]
+
+    f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0 or f_hi == 0.0 or np.sign(f_lo) == np.sign(f_hi):
         raise NoRootError(
             f"no sign change over ({lo}, {hi}) {unit}: "
             f"f(lo) = {f_lo:.6e}, f(hi) = {f_hi:.6e}{value_unit}"
         )
-    root = brentq(objective, lo, hi, xtol=xtol, rtol=8.9e-16)
-    residual = objective(root)
+    root = brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16)
+    residual = f(root)
     if abs(residual) > tol:
         raise NoRootError(
             f"root at {root:.6f} {unit} fails the residual check: "
@@ -218,19 +224,20 @@ def find_magic_angle(fields: FieldConfiguration, state_a, state_b,
     lab-frame (J, M) states, appropriate when nothing but the light
     couples rotational projections.  ``method="eigen"`` diagonalizes
     the full hyperfine Hamiltonian at each angle and resolves states by
-    dominant character, with an explicit rank for repeated labels.
-    ``"auto"`` picks "eigen" exactly when an active quadrupole or dc
-    Stark term breaks the bare picture.
+    dominant character, with an explicit rank for repeated labels; under
+    "bare" each (J, M) is one state, and a rank other than 0 raises
+    ValueError.  ``"auto"`` picks "eigen" exactly when an active
+    quadrupole or dc Stark term breaks the bare picture.
     """
     eigen = _angle_method(fields, terms, method) == "eigen"
-    basis = build_basis(j_max, fields.constants) if eigen else None
-
-    def objective(theta: float) -> float:
-        return _angle_objective(fields, state_a, state_b, theta, terms, basis)
-
     lo, hi = bracket
     if not 0.0 <= lo < hi <= 180.0:
         raise ValueError("angle bracket must satisfy 0 <= lo < hi <= 180 degrees")
+    for name, state in (("rank_a", state_a), ("rank_b", state_b)):
+        if not eigen and len(state) > 2 and state[2] != 0:
+            raise ValueError(f"{name} = {state[2]} names no state: the bare method "
+                             "has one state per (J, M), rank 0")
+    objective = _angle_objective(fields, state_a, state_b, terms, j_max if eigen else None)
     root, residual = _bracketed_root(objective, bracket, 1e-8, ANGLE_RESIDUAL_TOL, "degrees")
     return MagicSolution(
         kind="angle", location=float(root),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import csv
 import io
 import logging
@@ -19,9 +20,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magictrap import cli, radial
+from magictrap import cli, config, radial
 from magictrap.cli import emit_csv, main
-from magictrap.config import SCHEMA, load_config
+from magictrap.config import SCHEMA, bundled_defaults_path, load_config
 from magictrap.errors import ConfigError
 from magictrap.hyperfine import (
     build_basis,
@@ -506,6 +507,49 @@ def test_m_beyond_j_exits_2(subcommand, small_config, tmp_path, capsys, monkeypa
     assert calls == []
 
 
+@pytest.mark.parametrize("j_values", ["20", "0,300"])
+def test_imag_scan_j_beyond_the_3j_limit_exits_2(j_values, small_config, tmp_path,
+                                                 capsys, monkeypatch):
+    """imag-scan couples J to J + 1, so J + 1 must stay within the 3-j
+    symbols' j <= 20: refused naming the key, before any dense solve."""
+    calls = []
+    dense = radial._lowest_eigenpairs
+    monkeypatch.setattr(radial, "_lowest_eigenpairs",
+                        lambda *args: calls.append(args) or dense(*args))
+    assert main(["imag-scan", "--config", str(small_config), "--out", str(tmp_path),
+                 "--override", "grid.points=300",
+                 "--override", f"scan.j_values={j_values}"]) == 2
+    err = capsys.readouterr().err
+    assert "[scan] j_values" in err and f"J = {j_values.split(',')[-1]}" in err
+    assert not list(tmp_path.glob("*.csv"))
+    assert calls == []
+
+
+def test_imag_scan_without_a_bound_x_level_exits_3(small_config, tmp_path, capsys,
+                                                   monkeypatch):
+    levels = radial.RovibBasis.levels
+
+    def none_at_j1(basis, j, max_levels=None):
+        return [] if basis.label == "X" and j == 1 else levels(basis, j, max_levels)
+
+    monkeypatch.setattr(radial.RovibBasis, "levels", none_at_j1)
+    assert main(["imag-scan", "--config", str(small_config), "--out", str(tmp_path),
+                 "--override", "grid.points=300", "--override", "scan.j_values=0,1"]) == 3
+    assert "no X level is bound at J = 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("key", ["rank_a", "rank_b"])
+def test_bare_angle_search_with_rank_above_0_exits_2(key, small_config, tmp_path, capsys):
+    """Under the bare method each (J, M) is one state: rank 1 names nothing."""
+    argv = ["magic-find", "--config", str(small_config), "--out", str(tmp_path),
+            "--override", "magic.kind=angle", "--override", "magic.method=bare",
+            "--override", "magic.rank_a=0", "--override", "magic.rank_b=0"]
+    assert main(argv) == 0
+    assert main(argv + ["--override", f"magic.{key}=1"]) == 2
+    assert f"{key} = 1" in capsys.readouterr().err
+
+
 def test_rootless_bracket_exits_3(small_config, tmp_path, capsys):
     assert main(["magic-find", "--config", str(small_config),
                  "--out", str(tmp_path),
@@ -593,6 +637,27 @@ def test_schema_is_each_keys_range(key, accepted, rejected):
             load_config(overrides=[f"{key}={value}"])
 
 
+def test_bundled_config_is_read_once_and_overrides_stay_in_their_call(monkeypatch):
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if Path(file) == bundled_defaults_path():
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    config._bundled_sections.cache_clear()
+    first = load_config(overrides=["magic.kind=angle", "fields.e_field_kv_cm=0.5"])
+    first.sections["scan"]["m"] = 7
+    second = load_config()
+    assert len(opened) == 1
+    assert (first.get("magic", "kind"), first.get("fields", "e_field_kv_cm")) == ("angle", 0.5)
+    assert second.sections == BUNDLED.sections
+    assert second.get("magic", "kind") == "detuning"
+    assert second.get("fields", "e_field_kv_cm") == 0.0
+
+
 HEADERS = {
     "solve-rovib": "state,v,j,energy_cm1,b_rot_cm1,frac_a,frac_b",
     "alpha-scan": "detuning_ghz,j,m,alpha_au",
@@ -614,7 +679,7 @@ def _drawn_values(name: str, value) -> list[str]:
     if name in REDUCED:
         value = REDUCED[name]
         if name == "scan.j_values":
-            return ["", "bogus", "0", "1", value]
+            return ["", "bogus", "0", "1", "20", "300", value]
         return ["-1", "0", "1", "2", value]
     if isinstance(value, float):
         return ["0", "-1", "1", repr(value), "nan", "inf", "-inf"]

@@ -400,6 +400,30 @@ def test_angle_axis_matches_per_angle_calls(terms):
                 rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("terms", [TERMS, TERMS - {"polarization"}, TERMS - {"quadrupole"},
+                                   frozenset({"rotation", "zeeman", "polarization"})],
+                         ids=["all", "no-light", "no-quadrupole", "bare"])
+@pytest.mark.parametrize("e_field, theta_e_deg", [(0.0, 0.0), (0.5, 0.0), (0.0, 20.0),
+                                                  (0.5, 20.0)])
+@pytest.mark.parametrize("spin_na", [1.5, 2.5])
+def test_angle_solver_matches_the_public_composition(terms, e_field, theta_e_deg, spin_na):
+    """The Brent step (static terms once, light per angle, one op_rot for
+    the trace) is bit for bit build_hamiltonian -> diagonalize -> alpha."""
+    f = replace(fields_with(e_field=e_field, theta_e=math.radians(theta_e_deg)),
+                constants=replace(CONSTANTS, i_a=spin_na))
+    basis = build_basis(1, f.constants)
+    solve = hyperfine._angle_solver(basis, f, terms)
+    for theta in np.radians([40.0, 54.7, 70.0, 0.0, 90.0]).tolist():
+        one = replace(f, theta_p=theta)
+        expected = eigenstate_polarizability(
+            diagonalize(build_hamiltonian(basis, one, terms), basis), one)
+        sol = solve(theta)
+        assert np.array_equal(sol.energies, expected.energies)
+        assert np.array_equal(sol.vectors, expected.vectors)
+        assert np.array_equal(sol.polarizabilities, expected.polarizabilities)
+        assert sol.labels == expected.labels
+
+
 def _dense_alphas(vectors, op):
     """Hellmann-Feynman on the dense (dim, dim) operator: the reference."""
     return np.einsum("ij,ik,kj->j", vectors, op, vectors)

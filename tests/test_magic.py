@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import magictrap as mt
 from magictrap.angular import MAGIC_ANGLE_DEG
@@ -15,6 +17,7 @@ from magictrap.magic import (
     ANGLE_RESIDUAL_TOL,
     DETUNING_RESIDUAL_TOL,
     MagicSolution,
+    _pick_state,
     calibrate_gamma,
     find_magic_angle,
     find_magic_detuning,
@@ -98,6 +101,52 @@ def test_quadrupole_shifts_the_magic_angle():
     # with the bare geometric angle by a visible margin
     sol = find_magic_angle(default_fields(), (1, 0, 0), (0, 0, 0))
     assert abs(sol.location - MAGIC_ANGLE_DEG) > 0.5
+
+
+@pytest.mark.parametrize("e_field, state_a", [(0.5, (1, 0, 0)), (2.0, (1, -1, 0))])
+def test_eigen_angle_search_solves_each_abscissa_once(e_field, state_a, monkeypatch):
+    """Each Brent abscissa is diagonalized once, and the search returns the
+    root and residual of brentq over the public build/diagonalize/alpha chain."""
+    fields = default_fields(e_field=e_field)
+    basis = mt.build_basis(1, fields.constants)
+
+    def reference(theta):
+        at = replace(fields, theta_p=math.radians(theta))
+        sol = mt.eigenstate_polarizability(
+            mt.diagonalize(mt.build_hamiltonian(basis, at), basis), at)
+        return float(sol.polarizabilities[_pick_state(sol, state_a)]
+                     - sol.polarizabilities[_pick_state(sol, (0, 0, 0))])
+
+    root = brentq(reference, 40.0, 70.0, xtol=1e-8, rtol=8.9e-16)
+    solved = []
+    diagonalize = mt.hyperfine.diagonalize
+
+    def recording(h, basis):
+        solved.append(h.tobytes())
+        return diagonalize(h, basis)
+
+    for module in (mt.hyperfine, mt.magic):
+        monkeypatch.setattr(module, "diagonalize", recording, raising=False)
+    sol = find_magic_angle(fields, state_a, (0, 0, 0), bracket=(40.0, 70.0), method="eigen")
+    assert (sol.location, sol.residual) == (root, reference(root))
+    assert len(solved) >= 3 and len(set(solved)) == len(solved)
+
+
+def test_detuning_search_evaluates_each_abscissa_once(narb_spec, monkeypatch):
+    objective = mt.magic._detuning_objective
+    expected = brentq(lambda d: objective(narb_spec, (0, 0), (2, 0), d, 0.0),
+                      60.0, 140.0, xtol=1e-12, rtol=8.9e-16)
+    deltas = []
+
+    def recording(spec, state_a, state_b, delta, theta_p):
+        deltas.append(delta)
+        return objective(spec, state_a, state_b, delta, theta_p)
+
+    monkeypatch.setattr(mt.magic, "_detuning_objective", recording)
+    sol = find_magic_detuning(narb_spec, 0, 2, bracket=(60.0, 140.0))
+    assert sol.location == expected
+    assert sol.residual == objective(narb_spec, (0, 0), (2, 0), expected, 0.0)
+    assert len(deltas) >= 3 and len(set(deltas)) == len(deltas)
 
 
 def test_magic_detuning_default_bracket(narb_spec):
