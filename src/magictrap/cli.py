@@ -246,13 +246,13 @@ def _cmd_hyperfine_scan(cfg: RunConfig):
     return headers, columns, summary
 
 
-def _magic_headers():
-    return ["kind", "j_a", "m_a", "rank_a", "j_b", "m_b", "rank_b",
-            "location", "residual", "bracket_lo", "bracket_hi"]
+_MAGIC_HEADERS = ["kind", "j_a", "m_a", "rank_a", "j_b", "m_b", "rank_b",
+                  "location", "residual", "bracket_lo", "bracket_hi"]
 
 
 def _shared_m(cfg: RunConfig) -> int:
-    """The one M that detuning searches and calibration use for both states."""
+    """The one M that detuning searches and calibration use for both
+    states, checked against [magic] j_a and j_b before any search."""
     m = cfg.get("magic", "m_a")
     m_b = cfg.get("magic", "m_b", m)
     if m_b != m:
@@ -260,6 +260,13 @@ def _shared_m(cfg: RunConfig) -> int:
             f"[magic] m_b = {m_b} differs from m_a = {m}; detuning searches "
             "and calibrate use one M for both states"
         )
+    for key in ("j_a", "j_b"):
+        j = cfg.get("magic", key)
+        if abs(m) > j:
+            raise ConfigError(
+                f"[magic] m_a = {m} has no state at J = {j} of [magic] {key} "
+                "(m must be an integer with |m| <= j)"
+            )
     return m
 
 
@@ -284,8 +291,6 @@ def _cmd_magic_find(cfg: RunConfig):
             bracket=(cfg.get("magic", "bracket_lo_ghz"),
                      cfg.get("magic", "bracket_hi_ghz")),
         )
-        row = [sol.kind, j_a, m, -1, j_b, m, -1,
-               sol.location, sol.residual, sol.bracket[0], sol.bracket[1]]
         summary = (f"magic detuning J={j_a}/J={j_b} (M={m}) at "
                    f"{sol.location:.6f} GHz, residual {sol.residual:.3e} a.u.")
     else:  # "angle"
@@ -306,13 +311,12 @@ def _cmd_magic_find(cfg: RunConfig):
             terms=cfg.terms(),
             method=cfg.get("magic", "method"),
         )
-        row = [sol.kind,
-               j_a, state_a[1], rank_a if rank_a is not None else -1,
-               j_b, state_b[1], rank_b if rank_b is not None else -1,
-               sol.location, sol.residual, sol.bracket[0], sol.bracket[1]]
         summary = (f"magic angle {state_a}/{state_b} at "
                    f"{sol.location:.6f} deg, residual {sol.residual:.3e}")
-    return _magic_headers(), [[cell] for cell in row], summary
+    # a detuning state and an unranked angle state print rank -1
+    row = [sol.kind, *(*sol.state_a, -1)[:3], *(*sol.state_b, -1)[:3],
+           sol.location, sol.residual, *sol.bracket]
+    return _MAGIC_HEADERS, [[cell] for cell in row], summary
 
 
 def _cmd_calibrate(cfg: RunConfig):

@@ -7,6 +7,9 @@ outside their documented range) raise plain :class:`ValueError` instead.
 
 from __future__ import annotations
 
+__all__ = ["MagicTrapError", "UnitError", "DataFormatError", "GridError",
+           "ConfigError", "PoleProximityError", "NoRootError", "CalibrationError"]
+
 
 class MagicTrapError(Exception):
     """Base class for all package-specific errors."""

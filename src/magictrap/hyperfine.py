@@ -401,12 +401,16 @@ def diagonalize(h: np.ndarray, basis: HyperfineBasis) -> EigenSolution:
 
     The largest-magnitude component of each eigenvector is made
     positive.  A stack ``(..., dim, dim)`` is solved in one call.  Raises
-    ValueError when a matrix is not symmetric within 1e-10 relative.
+    ValueError when a matrix has a non-finite entry or is not symmetric
+    within 1e-10 relative.
     """
     h = np.asarray(h, dtype=float)
     if h.shape[-2:] != (basis.dim, basis.dim):
         raise ValueError(f"matrix shape {h.shape} does not match basis dim {basis.dim}")
     scale = np.maximum(1.0, np.max(np.abs(h), axis=(-2, -1)))
+    # the largest |entry| is inf or NaN exactly when some entry is
+    if not np.all(np.isfinite(scale)):
+        raise ValueError("Hamiltonian has a non-finite (inf or NaN) entry")
     asym = h - np.swapaxes(h, -2, -1)
     if np.any(np.max(np.abs(asym, out=asym), axis=(-2, -1)) > 1e-10 * scale):
         raise ValueError("Hamiltonian is not symmetric within 1e-10 relative")

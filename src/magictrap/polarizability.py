@@ -56,6 +56,7 @@ __all__ = [
     "PolarizabilitySpec",
     "Background",
     "line_strength",
+    "gamma_from_dipole",
     "validity_notes",
     "alpha_analytic",
     "alpha_fardetuned",

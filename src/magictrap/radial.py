@@ -14,8 +14,8 @@ keeps the lowest eigenpairs of one dense solve at a reference J and C in
 their span, and gives the levels at any J from that small matrix: the
 diagonalization-truncation contraction (Bacic & Light, Annu. Rev. Phys.
 Chem. 40, 469 (1989)) of the Colbert-Miller DVR (J. Chem. Phys. 96,
-1982 (1992)).  :func:`solve_single` and :func:`solve_coupled` are its
-one-J case, a dense solve at the J asked for with no contraction.
+1982 (1992)).  :func:`solve_single` (also bound as :func:`solve_coupled`)
+is its one-J case, a dense solve at the J asked for with no contraction.
 
 All quantities are in Hartree atomic units unless stated otherwise;
 reduced masses cross the API boundary in atomic mass units.
@@ -339,26 +339,20 @@ def rovib_basis(model: PotentialCurve | CoupledModel, j_ref: int, mass_amu: floa
     return basis
 
 
-def solve_single(curve: PotentialCurve, j: int, mass_amu: float,
+def solve_single(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
                  grid: RadialGrid, max_levels: int | None = None) -> list[RovibLevel]:
-    """Bound levels of one electronic curve at rotational quantum number j.
+    """Bound levels of a curve or a coupled model at rotational j.
 
-    Returns levels with energy below the curve's asymptote, ordered by
-    energy and indexed v = 0, 1, ...  A dense solve at this j alone; use
-    :func:`rovib_basis` for several J.
-    """
-    return _dense_basis(curve, j, mass_amu, grid, 1).levels(j, max_levels)
-
-
-def solve_coupled(model: CoupledModel, j: int, mass_amu: float,
-                  grid: RadialGrid, max_levels: int | None = None) -> list[RovibLevel]:
-    """Bound levels of a two-channel coupled model at rotational j.
-
-    The model's shift is added to every energy.  Channel fractions are
-    the norm shares of the two components.  A dense solve at this j
-    alone; use :func:`rovib_basis` for several J.
+    Returns the levels below the lowest asymptote, ordered by energy and
+    indexed v = 0, 1, ...  A coupled model's shift is added to every
+    energy, and channel fractions are the norm shares of its components.
+    A dense solve at this j alone; use :func:`rovib_basis` for several J.
+    :func:`solve_coupled` is the same function.
     """
     return _dense_basis(model, j, mass_amu, grid, 1).levels(j, max_levels)
+
+
+solve_coupled = solve_single
 
 
 def radial_matrix_element(bra: RovibLevel, f, ket: RovibLevel,
@@ -378,11 +372,7 @@ def radial_matrix_element(bra: RovibLevel, f, ket: RovibLevel,
     if pairs is None:
         if bra.wavefunction.shape[0] != ket.wavefunction.shape[0]:
             raise ValueError("channel counts differ; pass explicit pairs")
-        fr = np.asarray(f(r), dtype=float)
-        acc = 0.0
-        for c in range(bra.wavefunction.shape[0]):
-            acc += float(np.sum(bra.wavefunction[c] * fr * ket.wavefunction[c])) * dr
-        return acc
+        pairs = {(c, c): f for c in range(bra.wavefunction.shape[0])}
     acc = 0.0
     for (cb, ck), fn in pairs.items():
         fr = np.asarray(fn(r), dtype=float)
@@ -406,7 +396,6 @@ def linewidth(level_f: RovibLevel,
     r = level_f.grid.points
     dr = level_f.grid.dr
     gamma = 0.0
-    any_path = False
     for target_curve, dip in decay_targets:
         v_t = np.asarray(target_curve(r), dtype=float)
         if level_f.energy < float(np.min(v_t)):
@@ -417,11 +406,8 @@ def linewidth(level_f: RovibLevel,
         for c, ch_label in enumerate(level_f.channel_labels):
             if not dip.connects(ch_label, target_curve.label):
                 continue
-            any_path = True
             v_c = np.asarray(level_f.potentials[c](r), dtype=float) + level_f.shift
             de = v_c - v_t
             rate_r = (4.0 / 3.0) * np.abs(de) ** 3 * dip(r) ** 2 / C_AU ** 3
             gamma += float(np.sum(level_f.wavefunction[c] ** 2 * rate_r)) * dr
-    if not any_path:
-        return 0.0
     return gamma

@@ -314,6 +314,17 @@ def test_m_b_differing_from_m_a_exits_2(subcommand, small_config, tmp_path,
     assert not (tmp_path / (subcommand.replace("-", "_") + ".csv")).exists()
 
 
+@pytest.mark.parametrize("subcommand, m", [("magic-find", 1), ("calibrate", 2)])
+def test_shared_m_beyond_j_exits_2(subcommand, m, small_config, tmp_path, capsys):
+    """Detuning searches and calibrate use one M for J = j_a and j_b: an M
+    with no J = 0 state is refused naming the key and the J."""
+    assert main([subcommand, "--config", str(small_config), "--out", str(tmp_path),
+                 "--override", f"magic.m_a={m}", "--override", f"magic.m_b={m}"]) == 2
+    err = capsys.readouterr().err
+    assert f"[magic] m_a = {m}" in err and "J = 0 of [magic] j_a" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("subcommand, overrides", [
     ("magic-find", ["magic.j_a=1"]),
     ("calibrate", ["magic.j_a=1"]),
@@ -548,6 +559,32 @@ def test_bare_angle_search_with_rank_above_0_exits_2(key, small_config, tmp_path
     assert main(argv) == 0
     assert main(argv + ["--override", f"magic.{key}=1"]) == 2
     assert f"{key} = 1" in capsys.readouterr().err
+
+
+def test_unranked_angle_state_prints_rank_minus_1(small_config, tmp_path):
+    assert main(["magic-find", "--config", str(small_config), "--out", str(tmp_path),
+                 "--override", "magic.kind=angle", "--override", "magic.method=bare",
+                 "--override", "magic.rank_a=0"]) == 0
+    _, rows = read_rows(tmp_path / "magic_find.csv")
+    assert rows[0][:7] == ["angle", "0", "0", "0", "1", "0", "-1"]
+
+
+@pytest.mark.parametrize("subcommand, overrides", [
+    ("magic-find", ["magic.kind=angle"]),
+    ("hyperfine-scan", ["scan.points=4"]),
+], ids=["magic-find", "hyperfine-scan"])
+def test_non_finite_hamiltonian_exits_2(subcommand, overrides, small_config, tmp_path,
+                                        capsys):
+    """d0 E overflows to inf at E = 1e308 kV/cm, and inf * 0 in the Stark
+    block is NaN: refused as such, not as a labelling or tracking failure."""
+    argv = [subcommand, "--config", str(small_config), "--out", str(tmp_path),
+            "--override", "fields.e_field_kv_cm=1e308"]
+    for item in overrides:
+        argv += ["--override", item]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 2
+    assert "Hamiltonian has a non-finite (inf or NaN) entry" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_rootless_bracket_exits_3(small_config, tmp_path, capsys):

@@ -3,7 +3,8 @@
 A golden test pins the CSV bytes the bundled defaults produce, so a
 change to how the model is built cannot move a number unnoticed, and a
 source scan checks that no module repeats a bundled measured value as a
-literal.
+literal.  The package's public API has one definition too: its layers'
+``__all__`` lists.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import magictrap
+from magictrap import (angular, errors, hyperfine, magic, polarizability, potentials,
+                       radial, units)
 from magictrap.cli import main
 from magictrap.config import load_config
 
@@ -96,3 +99,38 @@ def test_no_module_repeats_a_bundled_value():
         if literal == abs(value)
     ]
     assert not repeats, "\n".join(repeats)
+
+
+LAYERS = (units, angular, errors, potentials, radial, polarizability, hyperfine, magic)
+
+# every name the package exported before it took its layers' lists
+EXPORTS = """
+__version__ Unit convert wavelength_nm MAGIC_ANGLE_DEG AngularFactors
+ResonanceOffsets angular_factors resonance_offsets rot_tensor_element wigner3j
+MorseCurve PointwiseCurve DipoleFunction CoupledModel calibrate_morse
+load_pointwise RadialGrid RovibLevel RovibBasis dvr_kinetic rovib_basis
+solve_single solve_coupled radial_matrix_element linewidth Background
+ResonantLine PolarizabilitySpec alpha_analytic alpha_fardetuned
+alpha_sum_over_states validity_notes gamma_from_dipole line_strength alpha_imag
+spec_from_levels MolecularConstants FieldConfiguration HyperfineBasis TERMS
+EigenSolution build_basis build_hamiltonian polarization_operator diagonalize
+eigenstate_polarizability track_states MagicSolution find_magic_detuning
+find_magic_angle calibrate_gamma MagicTrapError UnitError DataFormatError
+GridError ConfigError PoleProximityError NoRootError CalibrationError
+""".split()
+
+
+def test_package_exports_its_layers_lists():
+    assert len(EXPORTS) == 60
+    names = magictrap.__all__
+    assert names == ["__version__", *(n for layer in LAYERS for n in layer.__all__)]
+    assert len(set(names)) == len(names)
+    assert set(EXPORTS) <= set(names)
+    for layer in LAYERS:
+        for name in layer.__all__:
+            assert getattr(magictrap, name) is getattr(layer, name), name
+    assert not {"config", "narb", "cli"} & set(names)
+
+
+def test_one_dense_per_j_solve():
+    assert radial.solve_coupled is radial.solve_single

@@ -228,6 +228,21 @@ def test_matrix_element_pairs_and_grid_guard():
         radial_matrix_element(x0_other, dip, ab0, pairs={(0, 0): dip})
 
 
+def test_matrix_element_default_pairs_sum_matching_channels():
+    """Without ``pairs`` the element is the per-channel sum, bit for bit."""
+    up = MorseCurve(label="A", d_e=0.02, a=0.5, r_e=6.0, asymptote=0.05)
+    dark = MorseCurve(label="b", d_e=0.02, a=0.5, r_e=6.4, asymptote=0.05)
+    grid = RadialGrid(3.5, 14.0, 300)
+    model = CoupledModel.constant_coupling(("A", "b"), (up, dark), xi=1e-3)
+    bra, ket = solve_coupled(model, 1, MASS, grid, max_levels=2)
+    assert min(bra.channel_fractions) > 1e-3 and min(ket.channel_fractions) > 1e-3
+    fr = grid.points ** 2
+    expected = 0.0
+    for c in range(2):
+        expected += float(np.sum(bra.wavefunction[c] * fr * ket.wavefunction[c])) * grid.dr
+    assert radial_matrix_element(bra, lambda r: r ** 2, ket) == expected
+
+
 def test_linewidth_constant_gap_closed_form():
     """Parallel curves: Gamma = (4/3) dE^3 d^2 / c^3 exactly."""
     gap = 0.05
