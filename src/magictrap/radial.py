@@ -14,8 +14,8 @@ keeps the lowest eigenpairs of one dense solve at a reference J and C in
 their span, and gives the levels at any J from that small matrix: the
 diagonalization-truncation contraction (Bacic & Light, Annu. Rev. Phys.
 Chem. 40, 469 (1989)) of the Colbert-Miller DVR (J. Chem. Phys. 96,
-1982 (1992)).  :func:`solve_single` (also bound as :func:`solve_coupled`)
-is its one-J case, a dense solve at the J asked for with no contraction.
+1982 (1992)).  :func:`solve_single` and :func:`solve_coupled` are its
+one-J case, a dense solve at the J asked for with no contraction.
 
 All quantities are in Hartree atomic units unless stated otherwise;
 reduced masses cross the API boundary in atomic mass units.

@@ -314,17 +314,6 @@ def test_m_b_differing_from_m_a_exits_2(subcommand, small_config, tmp_path,
     assert not (tmp_path / (subcommand.replace("-", "_") + ".csv")).exists()
 
 
-@pytest.mark.parametrize("subcommand, m", [("magic-find", 1), ("calibrate", 2)])
-def test_shared_m_beyond_j_exits_2(subcommand, m, small_config, tmp_path, capsys):
-    """Detuning searches and calibrate use one M for J = j_a and j_b: an M
-    with no J = 0 state is refused naming the key and the J."""
-    assert main([subcommand, "--config", str(small_config), "--out", str(tmp_path),
-                 "--override", f"magic.m_a={m}", "--override", f"magic.m_b={m}"]) == 2
-    err = capsys.readouterr().err
-    assert f"[magic] m_a = {m}" in err and "J = 0 of [magic] j_a" in err
-    assert not list(tmp_path.glob("*.csv"))
-
-
 @pytest.mark.parametrize("subcommand, overrides", [
     ("magic-find", ["magic.j_a=1"]),
     ("calibrate", ["magic.j_a=1"]),
@@ -637,6 +626,10 @@ def test_output_path_collision_exits_4(small_config, tmp_path, capsys):
     ("alpha-scan", ["molecule.b_v_cm1=nan"], "[molecule] b_v_cm1"),
     ("solve-rovib", ["grid.points=2"], "[grid] points"),
     ("solve-rovib", ["grid.r_max_bohr=1"], "[grid] r_max_bohr"),
+    ("magic-find", ["magic.m_a=1", "magic.m_b=1"],
+     "[magic] m_a = 1 has no state at J = 0"),
+    ("calibrate", ["magic.m_a=2", "magic.m_b=2"],
+     "[magic] m_a = 2 has no state at J = 0"),
 ])
 def test_out_of_range_value_exits_2_naming_its_key(subcommand, overrides, key,
                                                    tmp_path, capsys):
