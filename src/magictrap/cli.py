@@ -25,6 +25,7 @@ import logging
 import math
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -363,7 +364,9 @@ def run(subcommand: str, cfg: RunConfig, out_dir: str | Path = ".") -> Path:
     return csv_path
 
 
+@lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="magictrap",
         description="Magic optical-trapping conditions for rotational states "
@@ -373,7 +376,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="INI config (default: bundled NaRb constants)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--override", action="append", default=[],
+    # a None default: no list object outlives one parse of the shared parser
+    p.add_argument("--override", action="append", default=None,
                    metavar="SECTION.KEY=VALUE")
     return p
 
@@ -381,7 +385,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.override)
+        cfg = load_config(args.config, args.override or ())
         run(args.subcommand, cfg, args.out)
     except (ConfigError, UnitError, DataFormatError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

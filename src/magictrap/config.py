@@ -32,15 +32,18 @@ __all__ = ["RunConfig", "load_config", "bundled_defaults_path"]
 
 
 def _number(kind: type, lo: float = -math.inf, strict: bool = False,
-            step: float = 0.0):
+            step: float = 0.0, hi: float = math.inf):
     """Parser of one finite ``kind`` (int or float) at least ``lo``, or
-    above it when ``strict``, and a whole multiple of ``step`` if given."""
+    above it when ``strict``, at most ``hi``, and a whole multiple of
+    ``step`` if given."""
     def parse(text: str):
         value = kind(text)
         if not math.isfinite(value):
             raise ValueError("must be finite")
         if value < lo or (strict and value == lo):
             raise ValueError(f"must be {'>' if strict else '>='} {lo:g}")
+        if value > hi:
+            raise ValueError(f"must be <= {hi:g}")
         if step and not (value / step).is_integer():
             raise ValueError(f"must be a multiple of {step:g}")
         return value
@@ -73,7 +76,9 @@ _positive = _number(float, 0.0, strict=True)  # divided by or rooted
 _integer = _number(int)
 _index = _number(int, 0)  # J values and eigenstate ranks
 _count = _number(int, 1)
-_spin = _number(float, 0.0, strict=True, step=0.5)
+# 4 is the largest nuclear spin of a stable alkali isotope (40K); the
+# hyperfine dimension grows as (2i_a + 1)(2i_b + 1)
+_spin = _number(float, 0.0, strict=True, step=0.5, hi=4.0)
 
 
 # Each key's whole contract: its type and its range or choices.  Rules

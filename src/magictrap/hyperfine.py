@@ -41,7 +41,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .angular import rot_tensor_element
 from .errors import ConfigError
@@ -473,4 +472,14 @@ def track_states(a: EigenSolution, b: EigenSolution) -> np.ndarray:
     """
     if a.basis.dim != b.basis.dim:
         raise ValueError("eigensolutions live in different bases")
-    return linear_sum_assignment(np.abs(a.vectors.T @ b.vectors), maximize=True)[1]
+    overlap = np.abs(a.vectors.T @ b.vectors)
+    # no matching sums more than the row maxima; where each row's maximum
+    # is strict and the argmaxes form a permutation, it is the only match
+    # that reaches that sum
+    best = overlap.argmax(axis=1)
+    top = overlap[np.arange(len(best)), best]
+    if (np.count_nonzero(overlap == top[:, None]) == len(best)
+            and np.bincount(best, minlength=len(best)).max() == 1):
+        return best
+    from scipy.optimize import linear_sum_assignment
+    return linear_sum_assignment(overlap, maximize=True)[1]

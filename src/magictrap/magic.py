@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .angular import angular_factors, resonance_offsets
 from .errors import CalibrationError, NoRootError, PoleProximityError
@@ -150,33 +149,80 @@ def _poles_in_window(spec: PolarizabilitySpec, js: Sequence[int], m: int,
     return found
 
 
+# iteration limit and relative tolerance of scipy.optimize.brentq
+BRENT_MAXITER = 100
+BRENT_RTOL = 8.9e-16
+
+
+def _checked(x: float, fx) -> float:
+    """``fx`` as a Python float, as brentq's C loop sees it; NaN is refused."""
+    fx = float(fx)
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
+
+
+def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float,
+           rtol: float = BRENT_RTOL, maxiter: int = BRENT_MAXITER) -> tuple[float, float]:
+    """Root of ``f`` between ``a`` and ``b`` and f at that root, given
+    ``fa`` = f(a) and ``fb`` = f(b), nonzero and of opposite signs.
+
+    Step for step the Brent iteration of scipy's ``brentq`` (its C loop,
+    ``brentq.c``), so it returns the same floats; ``brentq`` stays in the
+    tests as the oracle.  Raises ValueError where f is NaN and
+    :class:`NoRootError` after ``maxiter`` steps without convergence.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = _checked(a, fa), _checked(b, fb)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, fcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _checked(xcur, f(xcur))
+    raise NoRootError(f"Brent iteration did not converge in {maxiter} steps "
+                      f"(last x = {xcur:.6e}, f = {fcur:.6e})")
+
+
 def _bracketed_root(objective, bracket: tuple[float, float], xtol: float, tol: float,
                     unit: str, value_unit: str = "") -> tuple[float, float]:
     """Brent root of ``objective`` inside ``bracket`` (in ``unit``) and its residual.
 
     Raises ValueError unless lo < hi, and :class:`NoRootError` without a
-    sign change or when |residual| > ``tol`` (in ``value_unit``).
+    sign change, without convergence or when |residual| > ``tol`` (in
+    ``value_unit``).  Each abscissa is evaluated once.
     """
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"bracket ({lo}, {hi}) {unit} must have lo < hi")
-    # brentq asks again for both ends, and the residual is at its last
-    # abscissa: each abscissa is evaluated once
-    values: dict[float, float] = {}
-
-    def f(x: float) -> float:
-        if x not in values:
-            values[x] = objective(x)
-        return values[x]
-
-    f_lo, f_hi = f(lo), f(hi)
+    f_lo, f_hi = objective(lo), objective(hi)
     if f_lo == 0.0 or f_hi == 0.0 or np.sign(f_lo) == np.sign(f_hi):
         raise NoRootError(
             f"no sign change over ({lo}, {hi}) {unit}: "
             f"f(lo) = {f_lo:.6e}, f(hi) = {f_hi:.6e}{value_unit}"
         )
-    root = brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16)
-    residual = f(root)
+    root, residual = _brent(objective, lo, hi, f_lo, f_hi, xtol)
     if abs(residual) > tol:
         raise NoRootError(
             f"root at {root:.6f} {unit} fails the residual check: "

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import CalibrationError, DataFormatError
 from .units import AMU_TO_ME, HARTREE_TO_CM1, Unit, convert
@@ -102,6 +101,8 @@ class PointwiseCurve(PotentialCurve):
         self.r_data = r
         self.v_data = v
         self.asymptote = float(v[-1])
+        from scipy.interpolate import CubicSpline
+
         self._spline = CubicSpline(r, v, bc_type="natural")
 
         # short-range continuation: exponential wall above the asymptote
@@ -171,6 +172,8 @@ class DipoleFunction:
         d = np.asarray([convert(x, d_unit, Unit.EA0) for x in d])
         if r.size < 2 or np.any(np.diff(r) <= 0):
             raise DataFormatError("dipole table needs >= 2 strictly increasing radii")
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(r, d, bc_type="natural")
 
         def fn(x):

@@ -29,8 +29,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from .angular import _check_j
 from .errors import GridError
@@ -258,13 +256,15 @@ def _lowest_eigenpairs(h: np.ndarray, top: float, per_bound: int):
     by divide and conquer, and Q applied to the kept vectors only, so
     keeping states above ``top`` costs little more than the bound ones.
     """
+    from scipy.linalg import eigh_tridiagonal, lapack
+
     dim = h.shape[0]
     lwork = int(lapack.dsytrd_lwork(dim, lower=1)[0])
     reflectors, diag, off, tau, info = lapack.dsytrd(h, lower=1, lwork=lwork,
                                                      overwrite_a=1)
     if info:
         raise np.linalg.LinAlgError(f"dsytrd failed with info={info}")
-    energies, z = sla.eigh_tridiagonal(diag, off, lapack_driver="stevd")
+    energies, z = eigh_tridiagonal(diag, off, lapack_driver="stevd")
     keep = min(dim, per_bound * int(np.searchsorted(energies, top)))
     vectors = np.array(z[:, :keep], order="F")  # a copy, so z can go
     del z

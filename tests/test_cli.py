@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magictrap import cli, config, radial
+from magictrap import cli, config, magic, radial
 from magictrap.cli import emit_csv, main
 from magictrap.config import SCHEMA, bundled_defaults_path, load_config
 from magictrap.errors import ConfigError
@@ -584,6 +584,17 @@ def test_rootless_bracket_exits_3(small_config, tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+def test_unconverged_brent_search_exits_3(small_config, tmp_path, capsys, monkeypatch):
+    """An iteration limit hit inside the search is a numerical failure, not
+    a traceback."""
+    brent = magic._brent
+    monkeypatch.setattr(magic, "_brent", lambda *args: brent(*args, maxiter=2))
+    assert main(["magic-find", "--config", str(small_config),
+                 "--out", str(tmp_path)]) == 3
+    assert "did not converge in 2 steps" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("lo, hi", [(140, 60), (100, 100)])
 def test_unordered_detuning_bracket_exits_2(small_config, tmp_path, capsys, lo, hi):
     """lo >= hi is refused before any search, as for angle brackets."""
@@ -593,6 +604,22 @@ def test_unordered_detuning_bracket_exits_2(small_config, tmp_path, capsys, lo, 
     err = capsys.readouterr().err
     assert f"bracket ({lo:.1f}, {hi:.1f}) GHz must have lo < hi" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_the_shared_parser_keeps_no_overrides_between_calls(tmp_path, monkeypatch):
+    seen = []
+
+    def recording(path, overrides):
+        seen.append(list(overrides))
+        return load_config(path, overrides)
+
+    monkeypatch.setattr(cli, "load_config", recording)
+    with redirect_stdout(io.StringIO()):
+        assert main(["alpha-scan", "--out", str(tmp_path),
+                     "--override", "scan.points=3"]) == 0
+        assert main(["alpha-scan", "--out", str(tmp_path)]) == 0
+    assert seen == [["scan.points=3"], []]
+    assert cli._parser() is cli._parser()
 
 
 @pytest.mark.parametrize("argv", [[], ["no-such-subcommand"]], ids=["missing", "unknown"])
@@ -630,6 +657,8 @@ def test_output_path_collision_exits_4(small_config, tmp_path, capsys):
      "[magic] m_a = 1 has no state at J = 0"),
     ("calibrate", ["magic.m_a=2", "magic.m_b=2"],
      "[magic] m_a = 2 has no state at J = 0"),
+    ("hyperfine-scan", ["molecule.spin_na=4.5"], "[molecule] spin_na = '4.5': must be <= 4"),
+    ("magic-find", ["molecule.spin_rb=7.5"], "[molecule] spin_rb = '7.5': must be <= 4"),
 ])
 def test_out_of_range_value_exits_2_naming_its_key(subcommand, overrides, key,
                                                    tmp_path, capsys):
@@ -645,7 +674,7 @@ def test_out_of_range_value_exits_2_naming_its_key(subcommand, overrides, key,
     ("molecule.b_v_cm1", "1e-3", ["0", "-1", "inf"]),
     ("molecule.gamma_hz", "0", ["-1", "nan"]),
     ("molecule.eqq_rb_mhz", "-3", ["-inf"]),
-    ("molecule.spin_na", "2.5", ["0", "1.2", "-1.5"]),
+    ("molecule.spin_na", "2.5", ["0", "1.2", "-1.5", "4.5"]),
     ("molecule.quadrupole_denominator", "literal", ["i(i-1)"]),
     ("grid.r_min_bohr", "0.5", ["0"]),
     ("grid.points", "8", ["0", "7", "8.0"]),

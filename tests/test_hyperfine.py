@@ -7,6 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.constants as sc
+import scipy.optimize
+from scipy.optimize import linear_sum_assignment
 
 from magictrap import (
     ConfigError,
@@ -323,7 +325,80 @@ def _givens(i, j, deg):
     return r
 
 
-def test_track_states_maximizes_the_summed_overlap():
+def _recording_assignment(monkeypatch):
+    """Record each call of the assignment solver that track_states falls back on."""
+    calls = []
+
+    def recording(cost, maximize=False):
+        calls.append(cost)
+        return linear_sum_assignment(cost, maximize=maximize)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", recording)
+    return calls
+
+
+def _near_permutation(rng, dim, angle):
+    """A random permutation times a rotation by small random angles, with
+    random column signs."""
+    generator = rng.normal(scale=angle, size=(dim, dim))
+    w, v = np.linalg.eigh(1j * (generator - generator.T))
+    rotation = (v * np.exp(-1j * w)) @ v.conj().T  # exp(generator - generator.T)
+    signs = rng.choice([-1.0, 1.0], size=dim)
+    return rotation.real[:, rng.permutation(dim)] * signs
+
+
+def test_track_states_equals_the_assignment_on_near_permutations(monkeypatch):
+    """Both paths of track_states, the row argmaxes of |overlap| where they
+    are a permutation with strict maxima and the solver elsewhere, give
+    the assignment's answer; the smaller rotations take the first path."""
+    basis = build_basis(1, CONSTANTS)
+    a = EigenSolution(basis=basis, energies=np.zeros(64), vectors=np.eye(64),
+                      labels=((0, 0),) * 64)
+    calls = _recording_assignment(monkeypatch)
+    rng = np.random.default_rng(314)
+    for angle in [0.02] * 10 + [0.05] * 10 + [0.1] * 10:
+        b = replace(a, vectors=_near_permutation(rng, 64, angle))
+        expected = linear_sum_assignment(np.abs(b.vectors), maximize=True)[1]
+        np.testing.assert_array_equal(track_states(a, b), expected)
+        if angle < 0.1:
+            assert not calls
+    assert calls
+
+
+def _tied_rows(kind):
+    """Orthonormal vectors whose |overlap| with the unit vectors ties at a
+    row maximum: two states mixed at 45 degrees, whose row argmaxes
+    collide, or a first row (0.6, 0.6, c) whose argmaxes still form a
+    permutation."""
+    vectors = np.eye(4)
+    if kind == "collide":
+        vectors[1:3, 1:3] = np.sqrt(0.5) * np.array([[1.0, -1.0], [1.0, 1.0]])
+    else:
+        top = np.array([0.6, 0.6, math.sqrt(1.0 - 0.72)])
+        u = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        w = np.cross(top, u)
+        phi = math.radians(60.0)
+        rows = [top, math.cos(phi) * u + math.sin(phi) * w,
+                -math.sin(phi) * u + math.cos(phi) * w]
+        vectors[:3, :3] = np.array(rows)
+        assert sorted(np.abs(vectors).argmax(axis=1).tolist()) == [0, 1, 2, 3]
+    return vectors
+
+
+@pytest.mark.parametrize("kind", ["collide", "permutation"])
+def test_track_states_falls_back_on_a_tie(kind, monkeypatch):
+    basis = build_basis(0, replace(CONSTANTS, i_a=0.5, i_b=0.5))
+    a = EigenSolution(basis=basis, energies=np.zeros(4), vectors=np.eye(4),
+                      labels=((0, 0),) * 4)
+    b = replace(a, vectors=_tied_rows(kind))
+    calls = _recording_assignment(monkeypatch)
+    perm = track_states(a, b)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(perm, linear_sum_assignment(np.abs(b.vectors),
+                                                              maximize=True)[1])
+
+
+def test_track_states_maximizes_the_summed_overlap(monkeypatch):
     """A rotation whose largest overlap is a trap for a greedy match."""
     basis = build_basis(0, replace(CONSTANTS, i_a=0.5, i_b=0.5))
     rotation = _givens(0, 1, 50) @ _givens(1, 2, 60) @ _givens(0, 1, 40)
@@ -337,7 +412,9 @@ def test_track_states_maximizes_the_summed_overlap():
 
     best = max(itertools.permutations(range(4)), key=total)
     assert total(_greedy_match(overlap)) < total(best) - 0.1
+    calls = _recording_assignment(monkeypatch)
     assert tuple(track_states(a, b).tolist()) == best
+    assert len(calls) == 1  # the row argmaxes are no permutation here
 
 
 def _rot_ckq(rot_states, k, q):

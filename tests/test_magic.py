@@ -15,8 +15,10 @@ from magictrap.config import load_config
 from magictrap.errors import CalibrationError, NoRootError, PoleProximityError
 from magictrap.magic import (
     ANGLE_RESIDUAL_TOL,
+    BRENT_RTOL,
     DETUNING_RESIDUAL_TOL,
     MagicSolution,
+    _brent,
     _pick_state,
     calibrate_gamma,
     find_magic_angle,
@@ -147,6 +149,58 @@ def test_detuning_search_evaluates_each_abscissa_once(narb_spec, monkeypatch):
     assert sol.location == expected
     assert sol.residual == objective(narb_spec, (0, 0), (2, 0), expected, 0.0)
     assert len(deltas) >= 3 and len(set(deltas)) == len(deltas)
+
+
+def _random_bracketed(rng):
+    """A random smooth function and a bracket over which it changes sign."""
+    while True:
+        kind = rng.integers(3)
+        c = rng.uniform(-3.0, 3.0, 5)
+        if kind == 0:
+            def f(x, c=c):
+                return float(np.polyval(c, x))
+        elif kind == 1:
+            def f(x, c=c):
+                return math.tanh(c[0] * (x - c[1])) + 0.1 * c[2] * math.sin(5.0 * x)
+        else:
+            def f(x, c=c):
+                return math.exp(c[0] * x) - abs(c[1]) - 0.5
+        a, b = sorted(rng.uniform(-4.0, 4.0, 2).tolist())
+        fa, fb = f(a), f(b)
+        if fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0):
+            return f, a, b, fa, fb
+
+
+@pytest.mark.parametrize("xtol", [1e-12, 2e-12, 1e-8])
+def test_brent_port_matches_brentq_bit_for_bit(xtol):
+    """The port returns brentq's float, and f at it, on random brackets."""
+    rng = np.random.default_rng(20141)
+    for _ in range(400):
+        f, a, b, fa, fb = _random_bracketed(rng)
+        root, f_root = _brent(f, a, b, fa, fb, xtol)
+        assert root == brentq(f, a, b, xtol=xtol, rtol=BRENT_RTOL)
+        assert f_root == f(root)
+
+
+@pytest.mark.parametrize("j_b", [1, 2, 3, 4, 5])
+def test_detuning_ladder_roots_match_brentq(narb_spec, j_b):
+    def objective(d):
+        return mt.magic._detuning_objective(narb_spec, (0, 0), (j_b, 0), d, 0.0)
+
+    sol = find_magic_detuning(narb_spec, 0, j_b, bracket=(60.0, 140.0))
+    root = brentq(objective, 60.0, 140.0, xtol=1e-12, rtol=BRENT_RTOL)
+    assert (sol.location, sol.residual) == (root, objective(root))
+
+
+def test_brent_port_without_convergence_raises_no_root_error():
+    f, a, b, fa, fb = _random_bracketed(np.random.default_rng(7))
+    with pytest.raises(NoRootError, match="did not converge in 2 steps"):
+        _brent(f, a, b, fa, fb, 1e-12, maxiter=2)
+
+
+def test_brent_port_refuses_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        _brent(lambda x: math.nan, 0.0, 1.0, -1.0, 1.0, 1e-12)
 
 
 def test_magic_detuning_default_bracket(narb_spec):

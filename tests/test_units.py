@@ -7,6 +7,8 @@ and 1e7 / wavenumber for wavelengths.
 
 import ast
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,18 +103,63 @@ def test_energy_chain_closes():
     assert x == pytest.approx(11306.4, rel=1e-12)
 
 
+def _imports(path: Path):
+    """(line, dotted name, at module level) of each import in ``path``;
+    an import inside a function runs only when the function does."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    deferred = {id(node) for fn in ast.walk(tree)
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            yield node.lineno, name, id(node) not in deferred
+
+
+SOURCES = sorted(Path(magictrap.__file__).parent.glob("*.py"))
+
+
 def test_no_module_takes_constants_from_scipy():
     """The CODATA inputs are literals in ``units``: the output must not
     depend on the installed scipy's constants table."""
-    found = []
-    for path in sorted(Path(magictrap.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name == "scipy.constants" or name.startswith("scipy.constants.")]
+    found = [f"{path.name}:{line} {name}" for path in SOURCES
+             for line, name, _ in _imports(path)
+             if name == "scipy.constants" or name.startswith("scipy.constants.")]
     assert not found, found
+
+
+def test_no_module_imports_scipy_at_import_time():
+    """scipy is imported only inside the functions that use it."""
+    found = [f"{path.name}:{line} {name}" for path in SOURCES
+             for line, name, top in _imports(path)
+             if top and (name == "scipy" or name.startswith("scipy."))]
+    assert not found, found
+
+
+def _loaded_scipy_modules(code: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    probe = code + "\nimport sys\nprint(' '.join(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    return proc.stdout.split()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert _loaded_scipy_modules("import magictrap.cli") == []
+
+
+def test_searches_and_alpha_scan_load_neither_scipy_optimize_nor_linalg(tmp_path):
+    code = (
+        "import contextlib, io\n"
+        "from magictrap.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for sub in ('alpha-scan', 'magic-find', 'calibrate'):\n"
+        f"        assert main([sub, '--out', {str(tmp_path)!r}]) == 0\n"
+    )
+    loaded = _loaded_scipy_modules(code)
+    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.linalg"))], loaded
