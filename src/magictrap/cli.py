@@ -32,7 +32,7 @@ import numpy as np
 
 from . import narb
 from .angular import _MAX_TWO_J
-from .config import RunConfig, load_config
+from .config import RunConfig, _write_output, load_config
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -49,7 +49,7 @@ from .hyperfine import (
     eigenstate_polarizability,
     track_states,
 )
-from .magic import calibrate_gamma, find_magic_angle, find_magic_detuning
+from .magic import _angle_method, calibrate_gamma, find_magic_angle, find_magic_detuning
 from .polarizability import alpha_analytic, alpha_imag, validity_notes
 from .radial import linewidth, radial_matrix_element
 from .units import HARTREE_TO_CM1, HARTREE_TO_GHZ
@@ -93,7 +93,7 @@ def emit_csv(headers: list[str], columns: list, path: str | Path) -> None:
         raise ValueError(f"column lengths differ: {lengths}")
     cells = [_column_cells(col) for col in columns]
     lines = [",".join(headers), *map(",".join, zip(*cells))]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_output(path, "\n".join(lines) + "\n")
 
 
 # ---- subcommands ----------------------------------------------------
@@ -217,9 +217,14 @@ def _cmd_imag_scan(cfg: RunConfig):
     return headers, _detuning_columns(deltas, j_values, m, per_j), summary
 
 
+# the rotational levels J <= _J_MAX of the hyperfine basis that
+# hyperfine-scan and eigen angle searches solve in
+_J_MAX = 1
+
+
 def _cmd_hyperfine_scan(cfg: RunConfig):
     fields = cfg.field_configuration()
-    basis = build_basis(1, fields.constants)
+    basis = build_basis(_J_MAX, fields.constants)
     thetas = np.linspace(cfg.get("scan", "start_deg"),
                          cfg.get("scan", "stop_deg"),
                          cfg.get("scan", "points"))
@@ -271,6 +276,23 @@ def _shared_m(cfg: RunConfig) -> int:
     return m
 
 
+def _angle_state(cfg: RunConfig, j_key: str, m_key: str, j_max: int | None) -> tuple:
+    """One state of an angle search from [magic], checked before any solve:
+    |M| <= J, and J within the hyperfine basis (``j_max``) of an eigen search."""
+    j, m = cfg.get("magic", j_key), cfg.get("magic", m_key)
+    if abs(m) > j:
+        raise ConfigError(
+            f"[magic] {m_key} = {m} has no state at J = {j} of [magic] {j_key} "
+            "(m must be an integer with |m| <= j)"
+        )
+    if j_max is not None and j > j_max:
+        raise ConfigError(
+            f"[magic] {j_key} = {j} is outside the hyperfine basis of the eigen "
+            f"method (J <= {j_max})"
+        )
+    return (j, m)
+
+
 def _distinct_states(state_a, state_b) -> None:
     """Reject a search between a state and itself: its objective is 0 everywhere."""
     if state_a == state_b:
@@ -295,8 +317,11 @@ def _cmd_magic_find(cfg: RunConfig):
         summary = (f"magic detuning J={j_a}/J={j_b} (M={m}) at "
                    f"{sol.location:.6f} GHz, residual {sol.residual:.3e} a.u.")
     else:  # "angle"
-        state_a = (j_a, cfg.get("magic", "m_a"))
-        state_b = (j_b, cfg.get("magic", "m_b"))
+        fields, terms = cfg.field_configuration(), cfg.terms()
+        method = cfg.get("magic", "method")
+        j_max = _J_MAX if _angle_method(fields, terms, method) == "eigen" else None
+        state_a = _angle_state(cfg, "j_a", "m_a", j_max)
+        state_b = _angle_state(cfg, "j_b", "m_b", j_max)
         rank_a = cfg.get("magic", "rank_a", None)
         rank_b = cfg.get("magic", "rank_b", None)
         # an unranked state is its character's only one, i.e. rank 0
@@ -306,11 +331,10 @@ def _cmd_magic_find(cfg: RunConfig):
         if rank_b is not None:
             state_b += (rank_b,)
         sol = find_magic_angle(
-            cfg.field_configuration(), state_a, state_b,
+            fields, state_a, state_b,
             bracket=(cfg.get("magic", "bracket_lo_deg"),
                      cfg.get("magic", "bracket_hi_deg")),
-            terms=cfg.terms(),
-            method=cfg.get("magic", "method"),
+            terms=terms, method=method, j_max=_J_MAX,
         )
         summary = (f"magic angle {state_a}/{state_b} at "
                    f"{sol.location:.6f} deg, residual {sol.residual:.3e}")

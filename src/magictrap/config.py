@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import stat
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -244,7 +245,7 @@ class RunConfig:
                     continue
                 lines.append(f"{key} = {_format_value(self.sections[section][key])}")
             lines.append("")
-        Path(path).write_text("\n".join(lines), encoding="utf-8", newline="\n")
+        _write_output(path, "\n".join(lines))
 
 
 def _format_value(value) -> str:
@@ -253,6 +254,24 @@ def _format_value(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _write_output(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with LF line ends, as a new file.
+
+    An existing regular file is unlinked first: truncating a file that
+    holds data makes ext4 (``auto_da_alloc``) start its writeback on
+    close, several times the cost of writing a new file.  A symlink is
+    written through, and where the directory refuses the unlink (a
+    sticky directory, say) the file is truncated and written in place.
+    """
+    path = Path(path)
+    try:
+        if stat.S_ISREG(path.lstat().st_mode):
+            path.unlink()
+    except (FileNotFoundError, PermissionError):
+        pass
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def bundled_defaults_path() -> Path:

@@ -27,7 +27,9 @@ so every operator is a real symmetric matrix.  Energies are in MHz.
 terms are built once and every function then carries a leading angle
 axis, ``(..., dim, dim)``, so a whole scan is one batched ``eigh``.
 A magic-angle search, one angle per Brent step, likewise builds those
-terms once and adds only the light per step (``_angle_solver``).
+terms once and adds only the light per step (``_angle_solver``); its
+step shares the checks, ``eigh`` and the dominant (J, M) with
+``diagonalize`` (``_eigensolve``) and skips the phase and the labels.
 
 Shielding, rotational Zeeman, centrifugal distortion, spin-rotation and
 spin-spin terms are deliberately left out; they are far below the MHz
@@ -159,12 +161,18 @@ class EigenSolution:
     polarizabilities: np.ndarray | None = None
 
     def __getitem__(self, k: int) -> "EigenSolution":
+        if self.energies.ndim < 2:
+            raise ValueError(f"a solution with energies of shape {self.energies.shape} "
+                             "has no angle axis to index")
         alphas = self.polarizabilities
         return EigenSolution(self.basis, self.energies[k], self.vectors[k], self.labels[k],
                              None if alphas is None else alphas[k])
 
     def select(self, label: tuple[int, int]) -> list[int]:
         """Indices of all eigenstates with the given (J, M) character."""
+        if self.energies.ndim != 1:
+            raise ValueError(f"select needs the solution at one angle, energies of shape "
+                             f"({self.basis.dim},); got {self.energies.shape}: take sol[k]")
         return [i for i, lab in enumerate(self.labels) if lab == label]
 
 
@@ -265,31 +273,48 @@ def _basis_operators(basis: HyperfineBasis
     return quadrupole, jj1, m_a, m_b
 
 
+def _spin_diagonal(h: np.ndarray, n_rot: int) -> np.ndarray:
+    """Writeable view of the spin diagonal of each rotational block of ``h``:
+    element [..., r, r', s] is h[..., (r, s), (r', s)]."""
+    n_spin = h.shape[-1] // n_rot
+    blocks = h.reshape(h.shape[:-2] + (n_rot, n_spin, n_rot, n_spin))
+    return np.einsum("...rsts->...rts", blocks)
+
+
 def _add_rotational_block(h: np.ndarray, block: np.ndarray) -> None:
     """Add block (x) 1_spin to ``h`` in place; ``block`` is (..., n_rot, n_rot)."""
-    n_rot = block.shape[-1]
-    n_spin = h.shape[-1] // n_rot
-    # block[r, r'] onto the spin diagonal of block (r, r') of h, through a writeable view
-    blocks = h.reshape(h.shape[:-2] + (n_rot, n_spin, n_rot, n_spin))
-    spin_diagonal = np.einsum("...rsts->...rts", blocks)
+    spin_diagonal = _spin_diagonal(h, block.shape[-1])
     spin_diagonal += block[..., None]
+
+
+def _light_operands(basis: HyperfineBasis, c: MolecularConstants) -> tuple:
+    """The theta_p-independent operands of the light block: the isotropic
+    part iso * 1, delta = alpha_par - alpha_perp, C20, C2,-1 - C2,+1 and
+    C2,-2 + C2,+2."""
+    ckq = _rot_tensors(basis.j_max)
+    iso = (c.alpha_par + 2.0 * c.alpha_perp) / 3.0
+    return (iso * np.eye(len(basis.rot_states)), c.alpha_par - c.alpha_perp,
+            ckq[2, 0], ckq[2, -1] - ckq[2, +1], ckq[2, -2] + ckq[2, +2])
+
+
+def _light_block(operands: tuple, cth, sth) -> np.ndarray:
+    """op_rot of the light shift from ``_light_operands`` and cos, sin of
+    theta_p: floats, or arrays shaped (..., 1, 1) for (..., n_rot, n_rot)."""
+    iso, delta, c20, c21, c22 = operands
+    # sqrt(6)/3 * sum_q (-1)^q T2q(e,e) C2,-q, all components real
+    aniso = (math.sqrt(6.0) / 3.0) * (
+        (3.0 * cth * cth - 1.0) / math.sqrt(6.0) * c20
+        + sth * cth * c21
+        + 0.5 * sth * sth * c22
+    )
+    return iso + delta * aniso
 
 
 def _light_shift(basis: HyperfineBasis, c: MolecularConstants,
                  theta_p: float | np.ndarray) -> np.ndarray:
     """The rotational block op_rot of the light-shift operator, ``(..., n_rot, n_rot)``."""
-    ckq = _rot_tensors(basis.j_max)
     theta = np.asarray(theta_p, dtype=float)[..., None, None]
-    cth, sth = np.cos(theta), np.sin(theta)
-    # sqrt(6)/3 * sum_q (-1)^q T2q(e,e) C2,-q, all components real
-    aniso = (math.sqrt(6.0) / 3.0) * (
-        (3.0 * cth * cth - 1.0) / math.sqrt(6.0) * ckq[2, 0]
-        + sth * cth * (ckq[2, -1] - ckq[2, +1])
-        + 0.5 * sth * sth * (ckq[2, -2] + ckq[2, +2])
-    )
-    iso = (c.alpha_par + 2.0 * c.alpha_perp) / 3.0
-    delta = c.alpha_par - c.alpha_perp
-    return iso * np.eye(len(basis.rot_states)) + delta * aniso
+    return _light_block(_light_operands(basis, c), np.cos(theta), np.sin(theta))
 
 
 def polarization_operator(basis: HyperfineBasis, c: MolecularConstants,
@@ -317,7 +342,9 @@ def build_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
     """
     h = _static_hamiltonian(basis, fields, terms)
     h = np.broadcast_to(h, np.shape(fields.theta_p) + h.shape).copy()
-    _add_light(h, basis, fields, terms, fields.theta_p)
+    if "polarization" in terms:
+        op = _light_shift(basis, fields.constants, fields.theta_p)
+        _add_rotational_block(h, -fields.intensity * 1e-6 * op)
     return h
 
 
@@ -369,30 +396,66 @@ def _static_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
     return h
 
 
-def _add_light(h: np.ndarray, basis: HyperfineBasis, fields: FieldConfiguration,
-               terms: frozenset[str] | set[str], theta_p: float | np.ndarray) -> np.ndarray:
-    """Add the polarization term at ``theta_p`` to ``h`` in place, if selected;
-    returns its op_rot, the Hellmann-Feynman operator, either way."""
-    op = _light_shift(basis, fields.constants, theta_p)
-    if "polarization" in terms:
-        _add_rotational_block(h, -fields.intensity * 1e-6 * op)
-    return op
-
-
 def _angle_solver(basis: HyperfineBasis, fields: FieldConfiguration,
                   terms: frozenset[str] | set[str]):
-    """``eigenstate_polarizability(diagonalize(build_hamiltonian(...)))`` bit for
-    bit at one scalar theta_p (radians) per call, with the theta_p-independent
-    terms built once: each call copies them and adds only the light."""
-    static = _static_hamiltonian(basis, fields, terms)
+    """The Brent step of an eigen magic-angle search: at one scalar theta_p
+    (radians) per call, the polarizabilities of
+    ``eigenstate_polarizability(diagonalize(build_hamiltonian(...)))`` bit for
+    bit, and each eigenvector's dominant (J, M) as an index into
+    ``basis.rot_states``.
 
-    def solve(theta_p: float) -> EigenSolution:
-        h = static.copy()
-        op = _add_light(h, basis, fields, terms, theta_p)
-        sol = diagonalize(h, basis)
-        return replace(sol, polarizabilities=_spin_trace(sol.vectors, op))
+    The theta_p-independent terms and parts of the light block are built
+    once; each call copies the terms into one work matrix and adds only
+    the light.  The phase convention and the tuple labels are skipped:
+    alpha is a trace, bit-identical under v -> -v.
+    """
+    static = _static_hamiltonian(basis, fields, terms)
+    work = np.empty_like(static)
+    spin_diagonal = _spin_diagonal(work, len(basis.rot_states))
+    operands = _light_operands(basis, fields.constants)
+    scale = -fields.intensity * 1e-6
+    light = "polarization" in terms
+    # theta_p as the (1, 1) array _light_shift takes np.cos and np.sin of:
+    # for a 0-d argument they may round differently
+    theta = np.empty((1, 1))
+
+    def solve(theta_p: float) -> tuple[np.ndarray, np.ndarray]:
+        theta[0, 0] = theta_p
+        op = _light_block(operands, float(np.cos(theta)[0, 0]), float(np.sin(theta)[0, 0]))
+        np.copyto(work, static)
+        if light:
+            np.add(spin_diagonal, (scale * op)[..., None], out=spin_diagonal)
+        _, vectors, dominant = _eigensolve(work, basis)
+        return _spin_trace(vectors, op), dominant
 
     return solve
+
+
+def _eigensolve(h: np.ndarray, basis: HyperfineBasis
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``eigh`` of a checked matrix or stack ``(..., dim, dim)``, and each
+    eigenvector's dominant (J, M) block as an index into ``basis.rot_states``.
+
+    Raises ValueError when the shape does not match the basis, when a
+    matrix has a non-finite entry or is not symmetric within 1e-10 relative.
+    """
+    h = np.asarray(h, dtype=float)
+    if h.shape[-2:] != (basis.dim, basis.dim):
+        raise ValueError(f"matrix shape {h.shape} does not match basis dim {basis.dim}")
+    scale = np.maximum(np.abs(h).max(axis=(-2, -1)), 1.0)
+    # the largest |entry| is inf or NaN exactly when some entry is
+    if not np.isfinite(scale).all():
+        raise ValueError("Hamiltonian has a non-finite (inf or NaN) entry")
+    asym = h - h.swapaxes(-2, -1)
+    if (np.abs(asym, out=asym).max(axis=(-2, -1)) > 1e-10 * scale).any():
+        raise ValueError("Hamiltonian is not symmetric within 1e-10 relative")
+    del asym
+    energies, vectors = np.linalg.eigh(h)
+    # amplitude^2 with one contiguous row per vector (at most three stacks
+    # live), summed over the spins of each (J, M) block
+    weights = np.square(vectors.swapaxes(-2, -1), order="C")
+    blocks = weights.reshape(vectors.shape[:-1] + (len(basis.rot_states), -1))
+    return energies, vectors, blocks.sum(axis=-1).argmax(axis=-1)
 
 
 def diagonalize(h: np.ndarray, basis: HyperfineBasis) -> EigenSolution:
@@ -403,30 +466,13 @@ def diagonalize(h: np.ndarray, basis: HyperfineBasis) -> EigenSolution:
     ValueError when a matrix has a non-finite entry or is not symmetric
     within 1e-10 relative.
     """
-    h = np.asarray(h, dtype=float)
-    if h.shape[-2:] != (basis.dim, basis.dim):
-        raise ValueError(f"matrix shape {h.shape} does not match basis dim {basis.dim}")
-    scale = np.maximum(1.0, np.max(np.abs(h), axis=(-2, -1)))
-    # the largest |entry| is inf or NaN exactly when some entry is
-    if not np.all(np.isfinite(scale)):
-        raise ValueError("Hamiltonian has a non-finite (inf or NaN) entry")
-    asym = h - np.swapaxes(h, -2, -1)
-    if np.any(np.max(np.abs(asym, out=asym), axis=(-2, -1)) > 1e-10 * scale):
-        raise ValueError("Hamiltonian is not symmetric within 1e-10 relative")
-    del asym
-    energies, vectors = np.linalg.eigh(h)
-    # |amplitude| with one row per vector: a contiguous copy that serves the
-    # phase pivot and, squared in place, the labels (at most three stacks live)
-    mags = np.ascontiguousarray(np.swapaxes(vectors, -2, -1))
-    np.abs(mags, out=mags)
-    pivot = np.argmax(mags, axis=-1)[..., None, :]
+    energies, vectors, dominant = _eigensolve(h, basis)
+    # |amplitude| with one contiguous row per vector
+    mags = np.ascontiguousarray(vectors.swapaxes(-2, -1))
+    pivot = np.argmax(np.abs(mags, out=mags), axis=-1)[..., None, :]
     vectors *= np.where(np.take_along_axis(vectors, pivot, axis=-2) < 0.0, -1.0, 1.0)
-    # |amplitude|^2 summed over the spins of each (J, M) block, per vector
-    rot = basis.rot_states
-    blocks = np.square(mags, out=mags).reshape(vectors.shape[:-1] + (len(rot), -1))
-    dominant = np.argmax(np.sum(blocks, axis=-1), axis=-1)
     return EigenSolution(basis=basis, energies=energies, vectors=vectors,
-                         labels=_labels(rot, dominant.tolist()))
+                         labels=_labels(basis.rot_states, dominant.tolist()))
 
 
 def _labels(rot: tuple, dominant: list) -> tuple:
@@ -459,8 +505,8 @@ def _spin_trace(vectors: np.ndarray, op: np.ndarray) -> np.ndarray:
     for ``vectors`` (..., dim, dim) and op_rot ``op`` (..., n_rot, n_rot)."""
     # V as (..., r, (s, j)): sum over r and r' per spin, then over the spins
     v = vectors.reshape(vectors.shape[:-2] + (op.shape[-1], -1))
-    per_spin = np.sum(v * (op @ v), axis=-2)
-    return np.sum(per_spin.reshape(vectors.shape[:-2] + (-1, vectors.shape[-1])), axis=-2)
+    per_spin = (v * (op @ v)).sum(axis=-2)
+    return per_spin.reshape(vectors.shape[:-2] + (-1, vectors.shape[-1])).sum(axis=-2)
 
 
 def track_states(a: EigenSolution, b: EigenSolution) -> np.ndarray:

@@ -92,11 +92,12 @@ def _bare_alpha(fields: FieldConfiguration, j: int, m: int,
     return fac.total * (c.alpha_par - c.alpha_perp) + c.alpha_perp
 
 
-def _pick_state(sol, state) -> int:
+def _pick_state(matches, state) -> int:
+    """The eigenstate that ``state``, (J, M) or (J, M, rank), names among
+    ``matches``, the indices of every eigenstate of its dominant (J, M)."""
     j, m = state[0], state[1]
     rank = state[2] if len(state) > 2 else None
-    matches = sol.select((j, m))
-    if not matches:
+    if not len(matches):
         raise ValueError(f"no eigenstate with dominant character (J={j}, M={m})")
     if rank is None:
         if len(matches) > 1:
@@ -104,13 +105,13 @@ def _pick_state(sol, state) -> int:
                 f"{len(matches)} eigenstates share character (J={j}, M={m}); "
                 "pass (J, M, rank) to pick one"
             )
-        return matches[0]
+        return int(matches[0])
     if not 0 <= rank < len(matches):
         raise ValueError(
             f"rank {rank} out of range for character (J={j}, M={m}) "
             f"with {len(matches)} states"
         )
-    return matches[rank]
+    return int(matches[rank])
 
 
 def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
@@ -120,12 +121,18 @@ def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
     if j_max is None:
         return lambda theta: (_bare_alpha(fields, state_a[0], state_a[1], theta)
                               - _bare_alpha(fields, state_b[0], state_b[1], theta))
-    solve = _angle_solver(build_basis(j_max, fields.constants), fields, terms)
+    basis = build_basis(j_max, fields.constants)
+    solve = _angle_solver(basis, fields, terms)
+    # each state's (J, M) as the index the step returns; -1 matches no eigenstate
+    rot = basis.rot_states
+    key_a, key_b = (rot.index(tuple(s[:2])) if tuple(s[:2]) in rot else -1
+                    for s in (state_a, state_b))
 
     def objective(theta: float) -> float:
-        sol = solve(math.radians(theta))
-        alphas = sol.polarizabilities
-        return float(alphas[_pick_state(sol, state_a)] - alphas[_pick_state(sol, state_b)])
+        alphas, dominant = solve(math.radians(theta))
+        i_a = _pick_state((dominant == key_a).nonzero()[0], state_a)
+        i_b = _pick_state((dominant == key_b).nonzero()[0], state_b)
+        return float(alphas[i_a] - alphas[i_b])
 
     return objective
 

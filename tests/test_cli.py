@@ -638,7 +638,67 @@ def test_output_path_collision_exits_4(small_config, tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+OUTPUTS = ("alpha_scan.csv", "effective-config.ini")
+
+
+def _alpha_scan(config, out) -> dict[str, bytes]:
+    """Run alpha-scan into ``out``; the bytes of both output files."""
+    with redirect_stdout(io.StringIO()):
+        assert main(["alpha-scan", "--config", str(config), "--out", str(out)]) == 0
+    return {name: (out / name).read_bytes() for name in OUTPUTS}
+
+
+def _stale(out: Path) -> None:
+    """Output files longer than any run writes, as a previous run's."""
+    out.mkdir()
+    for name in OUTPUTS:
+        (out / name).write_text("stale\n" * 2000)
+
+
+def test_a_rerun_replaces_longer_old_files(small_config, tmp_path):
+    fresh = _alpha_scan(small_config, tmp_path / "fresh")
+    out = tmp_path / "rerun"
+    _stale(out)
+    # a second name for each old file keeps its old bytes: the run writes a
+    # new file instead of truncating the old one
+    for name in OUTPUTS:
+        (tmp_path / f"kept-{name}").hardlink_to(out / name)
+    assert _alpha_scan(small_config, out) == fresh
+    for name in OUTPUTS:
+        assert (tmp_path / f"kept-{name}").read_text() == "stale\n" * 2000
+
+
+def test_a_symlinked_csv_is_written_through(small_config, tmp_path):
+    fresh = _alpha_scan(small_config, tmp_path / "fresh")
+    out = tmp_path / "linked"
+    _stale(out)
+    target = tmp_path / "target.csv"
+    (out / "alpha_scan.csv").replace(target)
+    (out / "alpha_scan.csv").symlink_to(target)
+    assert _alpha_scan(small_config, out) == fresh
+    assert (out / "alpha_scan.csv").is_symlink()
+    assert target.read_bytes() == fresh["alpha_scan.csv"]
+
+
+def test_a_refused_unlink_writes_the_file_in_place(small_config, tmp_path, monkeypatch):
+    fresh = _alpha_scan(small_config, tmp_path / "fresh")
+    out = tmp_path / "sticky"
+    _stale(out)
+    refused = []
+
+    def refuse(path, missing_ok=False):
+        refused.append(path.name)
+        raise PermissionError(1, "Operation not permitted", str(path))
+
+    monkeypatch.setattr(Path, "unlink", refuse)
+    assert _alpha_scan(small_config, out) == fresh
+    assert sorted(refused) == sorted(OUTPUTS)
+
+
 # ---- the configuration contract --------------------------------------
+
+
+EIGEN_ANGLE = ["magic.kind=angle", "magic.method=eigen"]
 
 
 @pytest.mark.parametrize("subcommand, overrides, key", [
@@ -659,15 +719,28 @@ def test_output_path_collision_exits_4(small_config, tmp_path, capsys):
      "[magic] m_a = 2 has no state at J = 0"),
     ("hyperfine-scan", ["molecule.spin_na=4.5"], "[molecule] spin_na = '4.5': must be <= 4"),
     ("magic-find", ["molecule.spin_rb=7.5"], "[molecule] spin_rb = '7.5': must be <= 4"),
+    ("magic-find", [*EIGEN_ANGLE, "magic.j_b=0", "magic.m_b=1"],
+     "[magic] m_b = 1 has no state at J = 0 of [magic] j_b"),
+    ("magic-find", [*EIGEN_ANGLE, "magic.j_a=2"],
+     "[magic] j_a = 2 is outside the hyperfine basis of the eigen method (J <= 1)"),
+    ("magic-find", [*EIGEN_ANGLE, "magic.m_a=2"],
+     "[magic] m_a = 2 has no state at J = 0 of [magic] j_a"),
+    ("magic-find", ["magic.kind=angle", "magic.method=auto", "magic.j_b=2"],
+     "[magic] j_b = 2 is outside the hyperfine basis of the eigen method"),
 ])
 def test_out_of_range_value_exits_2_naming_its_key(subcommand, overrides, key,
-                                                   tmp_path, capsys):
+                                                   tmp_path, capsys, monkeypatch):
+    """A value out of range exits 2 naming its key, before any output file
+    is written or any eigensolve runs."""
+    solved = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: solved.append(args))
     argv = [subcommand, "--out", str(tmp_path)]
     for item in overrides:
         argv += ["--override", item]
     assert main(argv) == 2
     assert key in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+    assert not solved
 
 
 @pytest.mark.parametrize("key, accepted, rejected", [

@@ -19,7 +19,6 @@ from magictrap.magic import (
     DETUNING_RESIDUAL_TOL,
     MagicSolution,
     _brent,
-    _pick_state,
     calibrate_gamma,
     find_magic_angle,
     find_magic_detuning,
@@ -105,9 +104,26 @@ def test_quadrupole_shifts_the_magic_angle():
     assert abs(sol.location - MAGIC_ANGLE_DEG) > 0.5
 
 
-@pytest.mark.parametrize("e_field, state_a", [(0.5, (1, 0, 0)), (2.0, (1, -1, 0))])
-def test_eigen_angle_search_solves_each_abscissa_once(e_field, state_a, monkeypatch):
-    """Each Brent abscissa is diagonalized once, and the search returns the
+# the (J, M, rank) pairs the bench's eigen angle searches draw, at the two
+# ends of its dc-field range
+BENCH_ANGLE_PAIRS = (
+    ((1, 0, 0), (0, 0, 0)),
+    ((1, 0, 1), (0, 0, 1)),
+    ((1, 1, 0), (0, 0, 0)),
+    ((1, -1, 0), (0, 0, 0)),
+)
+ANGLE_SEARCH_CASES = [
+    pytest.param(0.5, (1, 0, 0), (0, 0, 0), id="0.5-state_a0"),
+    pytest.param(2.0, (1, -1, 0), (0, 0, 0), id="2.0-state_a1"),
+    *(pytest.param(e_field, a, b, id=f"{e_field}-{a[0]},{a[1]},{a[2]}-{b[0]},{b[1]},{b[2]}")
+      for e_field in (0.1, 2.0) for a, b in BENCH_ANGLE_PAIRS
+      if (e_field, a, b) != (2.0, (1, -1, 0), (0, 0, 0))),  # the case 2.0-state_a1
+]
+
+
+@pytest.mark.parametrize("e_field, state_a, state_b", ANGLE_SEARCH_CASES)
+def test_eigen_angle_search_solves_each_abscissa_once(e_field, state_a, state_b, monkeypatch):
+    """Each Brent abscissa is eigensolved once, and the search returns the
     root and residual of brentq over the public build/diagonalize/alpha chain."""
     fields = default_fields(e_field=e_field)
     basis = mt.build_basis(1, fields.constants)
@@ -116,22 +132,35 @@ def test_eigen_angle_search_solves_each_abscissa_once(e_field, state_a, monkeypa
         at = replace(fields, theta_p=math.radians(theta))
         sol = mt.eigenstate_polarizability(
             mt.diagonalize(mt.build_hamiltonian(basis, at), basis), at)
-        return float(sol.polarizabilities[_pick_state(sol, state_a)]
-                     - sol.polarizabilities[_pick_state(sol, (0, 0, 0))])
+        alphas = sol.polarizabilities
+        return float(alphas[sol.select(state_a[:2])[state_a[2]]]
+                     - alphas[sol.select(state_b[:2])[state_b[2]]])
 
     root = brentq(reference, 40.0, 70.0, xtol=1e-8, rtol=8.9e-16)
+    # diagonalize runs the spied core too: the reference is done before the spy
+    residual = reference(root)
     solved = []
-    diagonalize = mt.hyperfine.diagonalize
+    eigensolve = mt.hyperfine._eigensolve
 
     def recording(h, basis):
         solved.append(h.tobytes())
-        return diagonalize(h, basis)
+        return eigensolve(h, basis)
 
-    for module in (mt.hyperfine, mt.magic):
-        monkeypatch.setattr(module, "diagonalize", recording, raising=False)
-    sol = find_magic_angle(fields, state_a, (0, 0, 0), bracket=(40.0, 70.0), method="eigen")
-    assert (sol.location, sol.residual) == (root, reference(root))
+    monkeypatch.setattr(mt.hyperfine, "_eigensolve", recording)
+    sol = find_magic_angle(fields, state_a, state_b, bracket=(40.0, 70.0), method="eigen")
+    assert (sol.location, sol.residual) == (root, residual)
     assert len(solved) >= 3 and len(set(solved)) == len(solved)
+
+
+@pytest.mark.parametrize("state_a, message", [
+    ((2, 0, 0), r"no eigenstate with dominant character \(J=2, M=0\)"),
+    ((1, 0), r"16 eigenstates share character \(J=1, M=0\); pass \(J, M, rank\)"),
+    ((1, 0, 16), r"rank 16 out of range for character \(J=1, M=0\) with 16 states"),
+], ids=["outside-the-basis", "unranked", "rank-too-high"])
+def test_eigen_search_says_why_it_cannot_pick_a_state(state_a, message):
+    with pytest.raises(ValueError, match=message):
+        find_magic_angle(default_fields(e_field=0.5), state_a, (0, 0, 0),
+                         bracket=(40.0, 70.0), method="eigen")
 
 
 def test_detuning_search_evaluates_each_abscissa_once(narb_spec, monkeypatch):

@@ -4,7 +4,7 @@ A golden test pins the CSV bytes the bundled defaults produce, so a
 change to how the model is built cannot move a number unnoticed, and a
 source scan checks that no module repeats a bundled measured value as a
 literal.  The package's public API has one definition too: its layers'
-``__all__`` lists.
+``__all__`` lists.  And one function writes the output files.
 """
 
 from __future__ import annotations
@@ -99,6 +99,45 @@ def test_no_module_repeats_a_bundled_value():
         if literal == abs(value)
     ]
     assert not repeats, "\n".join(repeats)
+
+
+# calls that write a file whatever their arguments; ``open`` writes in a
+# mode with any of "wax+"
+WRITERS = frozenset({"write_text", "write_bytes", "tofile", "save", "savez", "savetxt"})
+
+
+def _file_writes(path: Path):
+    """(line, enclosing function) of each call in ``path`` that can write a
+    file; an ``open`` whose mode is no literal counts as one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = {id(node): fn.name for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "open":
+            # open(file, mode) and os.open(file, flags), or path.open(mode)
+            at = 1 if isinstance(func, ast.Name) or getattr(func.value, "id", None) == "os" else 0
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                        node.args[at] if len(node.args) > at else ast.Constant("r"))
+            writes = not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                          and set("wax+").isdisjoint(mode.value))
+        else:
+            writes = name in WRITERS
+        if writes:
+            yield node.lineno, owner.get(id(node))
+
+
+def test_one_function_writes_output_files():
+    """Both output files go through ``config._write_output``, which replaces
+    a file instead of truncating it."""
+    writes = [(path.name, fn, line)
+              for path in sorted(Path(magictrap.__file__).parent.glob("*.py"))
+              for line, fn in _file_writes(path)]
+    assert [(name, fn) for name, fn, _ in writes] == [("config.py", "_write_output")], writes
 
 
 LAYERS = (units, angular, errors, potentials, radial, polarizability, hyperfine, magic)
