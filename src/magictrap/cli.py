@@ -131,15 +131,20 @@ def _detuning_axis(cfg: RunConfig):
     return deltas, cfg.spec().reference.energy + deltas / HARTREE_TO_GHZ
 
 
+def _check_m(section: str, m_key: str, m: int, j: int, j_key: str) -> None:
+    """Refuse [section] m_key = m where J = j, from [section] j_key, has no state."""
+    if abs(m) > j:
+        raise ConfigError(
+            f"[{section}] {m_key} = {m} has no state at J = {j} of [{section}] {j_key} "
+            "(m must be an integer with |m| <= j)"
+        )
+
+
 def _scan_m(cfg: RunConfig) -> int:
     """[scan] m, checked against every [scan] j_values entry before any solve."""
     m = cfg.get("scan", "m")
-    missing = [j for j in cfg.get("scan", "j_values") if abs(m) > j]
-    if missing:
-        raise ConfigError(
-            f"[scan] m = {m} has no state at J = {missing[0]} of [scan] j_values "
-            "(m must be an integer with |m| <= j)"
-        )
+    for j in cfg.get("scan", "j_values"):
+        _check_m("scan", "m", m, j, "j_values")
     return m
 
 
@@ -237,13 +242,12 @@ def _cmd_hyperfine_scan(cfg: RunConfig):
     order[0] = np.arange(basis.dim)
     for k in range(1, len(thetas)):
         order[k] = track_states(sol[k - 1], sol[k])[order[k - 1]]
-    labels = np.take_along_axis(np.array(sol.labels), order[..., None], axis=1)
+    dominant = np.take_along_axis(sol.dominant, order, axis=1).ravel()
     headers = ["theta_deg", "curve", "j", "m", "energy_mhz", "alpha_hz_wcm2"]
     columns = [
         np.repeat(thetas, basis.dim),
         np.tile(np.arange(basis.dim), len(thetas)),
-        labels[..., 0].ravel(),
-        labels[..., 1].ravel(),
+        *np.array(basis.rot_states)[dominant].T,  # j and m
         np.take_along_axis(sol.energies, order, axis=1).ravel(),
         np.take_along_axis(sol.polarizabilities, order, axis=1).ravel(),
     ]
@@ -267,30 +271,24 @@ def _shared_m(cfg: RunConfig) -> int:
             "and calibrate use one M for both states"
         )
     for key in ("j_a", "j_b"):
-        j = cfg.get("magic", key)
-        if abs(m) > j:
-            raise ConfigError(
-                f"[magic] m_a = {m} has no state at J = {j} of [magic] {key} "
-                "(m must be an integer with |m| <= j)"
-            )
+        _check_m("magic", "m_a", m, cfg.get("magic", key), key)
     return m
 
 
-def _angle_state(cfg: RunConfig, j_key: str, m_key: str, j_max: int | None) -> tuple:
-    """One state of an angle search from [magic], checked before any solve:
+def _angle_state(cfg: RunConfig, side: str, j_max: int | None) -> tuple:
+    """State ``side``, "a" or "b", of an angle search from [magic]: (J, M),
+    or (J, M, rank) where rank_<side> is set.  Checked before any solve:
     |M| <= J, and J within the hyperfine basis (``j_max``) of an eigen search."""
+    j_key, m_key = f"j_{side}", f"m_{side}"
     j, m = cfg.get("magic", j_key), cfg.get("magic", m_key)
-    if abs(m) > j:
-        raise ConfigError(
-            f"[magic] {m_key} = {m} has no state at J = {j} of [magic] {j_key} "
-            "(m must be an integer with |m| <= j)"
-        )
+    _check_m("magic", m_key, m, j, j_key)
     if j_max is not None and j > j_max:
         raise ConfigError(
             f"[magic] {j_key} = {j} is outside the hyperfine basis of the eigen "
             f"method (J <= {j_max})"
         )
-    return (j, m)
+    rank = cfg.get("magic", f"rank_{side}", None)
+    return (j, m) if rank is None else (j, m, rank)
 
 
 def _distinct_states(state_a, state_b) -> None:
@@ -320,16 +318,10 @@ def _cmd_magic_find(cfg: RunConfig):
         fields, terms = cfg.field_configuration(), cfg.terms()
         method = cfg.get("magic", "method")
         j_max = _J_MAX if _angle_method(fields, terms, method) == "eigen" else None
-        state_a = _angle_state(cfg, "j_a", "m_a", j_max)
-        state_b = _angle_state(cfg, "j_b", "m_b", j_max)
-        rank_a = cfg.get("magic", "rank_a", None)
-        rank_b = cfg.get("magic", "rank_b", None)
+        state_a = _angle_state(cfg, "a", j_max)
+        state_b = _angle_state(cfg, "b", j_max)
         # an unranked state is its character's only one, i.e. rank 0
-        _distinct_states((*state_a, rank_a or 0), (*state_b, rank_b or 0))
-        if rank_a is not None:
-            state_a += (rank_a,)
-        if rank_b is not None:
-            state_b += (rank_b,)
+        _distinct_states((*state_a, 0)[:3], (*state_b, 0)[:3])
         sol = find_magic_angle(
             fields, state_a, state_b,
             bracket=(cfg.get("magic", "bracket_lo_deg"),

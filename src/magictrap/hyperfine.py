@@ -28,8 +28,8 @@ terms are built once and every function then carries a leading angle
 axis, ``(..., dim, dim)``, so a whole scan is one batched ``eigh``.
 A magic-angle search, one angle per Brent step, likewise builds those
 terms once and adds only the light per step (``_angle_solver``); its
-step shares the checks, ``eigh`` and the dominant (J, M) with
-``diagonalize`` (``_eigensolve``) and skips the phase and the labels.
+step shares the checks, ``eigh`` and the dominant (J, M) index with
+``diagonalize`` (``_eigensolve``) and skips only the phase.
 
 Shielding, rotational Zeeman, centrifugal distortion, spin-rotation and
 spin-spin terms are deliberately left out; they are far below the MHz
@@ -145,11 +145,12 @@ class HyperfineBasis:
 
 @dataclass(frozen=True, eq=False)
 class EigenSolution:
-    """Sorted eigensystem with dominant-character labels.
+    """Sorted eigensystem with the dominant character of each state.
 
     ``energies`` in MHz ascending; ``vectors[:, i]`` belongs to
     ``energies[i]``; ``labels[i]`` is the (J, M) block carrying the
-    largest weight; ``polarizabilities`` in Hz/(W/cm^2) when attached.
+    largest weight and ``dominant[i]`` its index in ``basis.rot_states``;
+    ``polarizabilities`` in Hz/(W/cm^2) when attached.
     A solution over a theta_p axis stacks these along a leading axis
     (``labels`` as one tuple per angle); ``sol[k]`` is the k-th angle.
     """
@@ -157,7 +158,7 @@ class EigenSolution:
     basis: HyperfineBasis
     energies: np.ndarray
     vectors: np.ndarray
-    labels: tuple
+    dominant: np.ndarray
     polarizabilities: np.ndarray | None = None
 
     def __getitem__(self, k: int) -> "EigenSolution":
@@ -165,15 +166,22 @@ class EigenSolution:
             raise ValueError(f"a solution with energies of shape {self.energies.shape} "
                              "has no angle axis to index")
         alphas = self.polarizabilities
-        return EigenSolution(self.basis, self.energies[k], self.vectors[k], self.labels[k],
+        return EigenSolution(self.basis, self.energies[k], self.vectors[k], self.dominant[k],
                              None if alphas is None else alphas[k])
+
+    @property
+    def labels(self) -> tuple:
+        """The (J, M) of each ``dominant`` index, one tuple per angle of a stack."""
+        if self.dominant.ndim > 1:
+            return tuple([self[k].labels for k in range(len(self.dominant))])
+        return tuple([self.basis.rot_states[i] for i in self.dominant.tolist()])
 
     def select(self, label: tuple[int, int]) -> list[int]:
         """Indices of all eigenstates with the given (J, M) character."""
         if self.energies.ndim != 1:
             raise ValueError(f"select needs the solution at one angle, energies of shape "
                              f"({self.basis.dim},); got {self.energies.shape}: take sol[k]")
-        return [i for i, lab in enumerate(self.labels) if lab == label]
+        return np.flatnonzero(self.dominant == _rot_index(self.basis, label)).tolist()
 
 
 def build_basis(j_max: int, constants: MolecularConstants) -> HyperfineBasis:
@@ -200,6 +208,12 @@ def build_basis(j_max: int, constants: MolecularConstants) -> HyperfineBasis:
 @lru_cache(maxsize=None)
 def _rot_states(j_max: int) -> tuple[tuple[int, int], ...]:
     return tuple((j, m) for j in range(j_max + 1) for m in range(-j, j + 1))
+
+
+def _rot_index(basis: HyperfineBasis, label: tuple[int, int]) -> int:
+    """The index of the (J, M) ``label`` in ``basis.rot_states``; -1 outside the basis."""
+    rot = basis.rot_states
+    return rot.index(label) if label in rot else -1
 
 
 def _spin_dim(i: float) -> int:
@@ -406,8 +420,8 @@ def _angle_solver(basis: HyperfineBasis, fields: FieldConfiguration,
 
     The theta_p-independent terms and parts of the light block are built
     once; each call copies the terms into one work matrix and adds only
-    the light.  The phase convention and the tuple labels are skipped:
-    alpha is a trace, bit-identical under v -> -v.
+    the light.  The phase convention is skipped: alpha is a trace,
+    bit-identical under v -> -v.
     """
     static = _static_hamiltonian(basis, fields, terms)
     work = np.empty_like(static)
@@ -471,16 +485,7 @@ def diagonalize(h: np.ndarray, basis: HyperfineBasis) -> EigenSolution:
     mags = np.ascontiguousarray(vectors.swapaxes(-2, -1))
     pivot = np.argmax(np.abs(mags, out=mags), axis=-1)[..., None, :]
     vectors *= np.where(np.take_along_axis(vectors, pivot, axis=-2) < 0.0, -1.0, 1.0)
-    return EigenSolution(basis=basis, energies=energies, vectors=vectors,
-                         labels=_labels(basis.rot_states, dominant.tolist()))
-
-
-def _labels(rot: tuple, dominant: list) -> tuple:
-    """The (J, M) of ``rot`` at each index of ``dominant``, nested as it is:
-    one tuple per vector, and one tuple of those per angle of a stack."""
-    if not dominant or isinstance(dominant[0], int):
-        return tuple([rot[i] for i in dominant])
-    return tuple([_labels(rot, row) for row in dominant])
+    return EigenSolution(basis=basis, energies=energies, vectors=vectors, dominant=dominant)
 
 
 def eigenstate_polarizability(sol: EigenSolution, fields: FieldConfiguration
@@ -518,6 +523,9 @@ def track_states(a: EigenSolution, b: EigenSolution) -> np.ndarray:
     """
     if a.basis.dim != b.basis.dim:
         raise ValueError("eigensolutions live in different bases")
+    if a.energies.ndim != 1 or b.energies.ndim != 1:
+        raise ValueError(f"track_states needs two solutions at one angle; got energies of "
+                         f"shapes {a.energies.shape} and {b.energies.shape}: take sol[k]")
     overlap = np.abs(a.vectors.T @ b.vectors)
     # no matching sums more than the row maxima; where each row's maximum
     # is strict and the argmaxes form a permutation, it is the only match

@@ -22,7 +22,7 @@ import numpy as np
 
 from .angular import angular_factors, resonance_offsets
 from .errors import CalibrationError, NoRootError, PoleProximityError
-from .hyperfine import TERMS, FieldConfiguration, _angle_solver, build_basis
+from .hyperfine import TERMS, FieldConfiguration, _angle_solver, _rot_index, build_basis
 from .polarizability import PolarizabilitySpec, alpha_analytic
 from .units import HARTREE_TO_GHZ
 
@@ -92,11 +92,12 @@ def _bare_alpha(fields: FieldConfiguration, j: int, m: int,
     return fac.total * (c.alpha_par - c.alpha_perp) + c.alpha_perp
 
 
-def _pick_state(matches, state) -> int:
-    """The eigenstate that ``state``, (J, M) or (J, M, rank), names among
-    ``matches``, the indices of every eigenstate of its dominant (J, M)."""
+def _pick_state(basis, dominant: np.ndarray, state) -> int:
+    """The eigenstate that ``state``, (J, M) or (J, M, rank), names, given
+    ``dominant``, each eigenvector's (J, M) as an index into ``basis.rot_states``."""
     j, m = state[0], state[1]
     rank = state[2] if len(state) > 2 else None
+    matches = (dominant == _rot_index(basis, (j, m))).nonzero()[0]
     if not len(matches):
         raise ValueError(f"no eigenstate with dominant character (J={j}, M={m})")
     if rank is None:
@@ -123,15 +124,11 @@ def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
                               - _bare_alpha(fields, state_b[0], state_b[1], theta))
     basis = build_basis(j_max, fields.constants)
     solve = _angle_solver(basis, fields, terms)
-    # each state's (J, M) as the index the step returns; -1 matches no eigenstate
-    rot = basis.rot_states
-    key_a, key_b = (rot.index(tuple(s[:2])) if tuple(s[:2]) in rot else -1
-                    for s in (state_a, state_b))
 
     def objective(theta: float) -> float:
         alphas, dominant = solve(math.radians(theta))
-        i_a = _pick_state((dominant == key_a).nonzero()[0], state_a)
-        i_b = _pick_state((dominant == key_b).nonzero()[0], state_b)
+        i_a = _pick_state(basis, dominant, state_a)
+        i_b = _pick_state(basis, dominant, state_b)
         return float(alphas[i_a] - alphas[i_b])
 
     return objective

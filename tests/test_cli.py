@@ -502,7 +502,8 @@ def test_m_beyond_j_exits_2(subcommand, small_config, tmp_path, capsys, monkeypa
                  "--override", "grid.points=300", "--override", "scan.j_values=0",
                  "--override", "scan.m=1"]) == 2
     err = capsys.readouterr().err
-    assert "[scan] m" in err and "m must be an integer with |m| <= j" in err
+    assert ("[scan] m = 1 has no state at J = 0 of [scan] j_values "
+            "(m must be an integer with |m| <= j)") in err
     assert not list(tmp_path.glob("*.csv"))
     assert calls == []
 

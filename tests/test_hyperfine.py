@@ -28,6 +28,7 @@ from magictrap.angular import rot_tensor_element
 from magictrap.cli import main
 from magictrap.config import load_config
 from magictrap.hyperfine import _rot_tensors
+from magictrap.magic import _pick_state
 from magictrap.units import NUCLEAR_MAGNETON_MHZ_PER_G
 
 DEFAULTS = load_config()
@@ -303,6 +304,19 @@ def test_eigen_solution_select_and_labels(narb_hyperfine):
     # labels cover all four rotational characters at the default fields
     assert set(counts) == {(0, 0), (1, -1), (1, 0), (1, 1)}
     assert counts[(0, 0)] == 16
+    # on one angle of a stack, select and the search's pick find each (J, M)
+    # where the tuple labels put it; (2, 0) lies outside the basis
+    basis = build_basis(1, CONSTANTS)
+    at = fields_with(e_field=0.5, theta_p=np.radians([30.0, 60.0]))
+    one = diagonalize(build_hamiltonian(basis, at), basis)[1]
+    for label in (*basis.rot_states, (2, 0)):
+        expected = [i for i, lab in enumerate(one.labels) if lab == label]
+        assert bool(expected) == (label != (2, 0))
+        assert one.select(label) == expected
+        assert [_pick_state(basis, one.dominant, (*label, rank))
+                for rank in range(len(expected))] == expected
+    with pytest.raises(ValueError, match=r"no eigenstate with dominant character \(J=2, M=0\)"):
+        _pick_state(basis, one.dominant, (2, 0))
 
 
 def test_eigen_solution_refuses_the_wrong_stacking(narb_hyperfine):
@@ -318,6 +332,8 @@ def test_eigen_solution_refuses_the_wrong_stacking(narb_hyperfine):
         stack.select((1, 0))
     assert stack[1].select((1, 0)) == [i for i, lab in enumerate(stack.labels[1])
                                        if lab == (1, 0)]
+    with pytest.raises(ValueError, match=r"got energies of shapes \(2, 64\) and \(2, 64\)"):
+        track_states(stack, stack)
 
 
 def _greedy_match(overlap):
@@ -368,7 +384,7 @@ def test_track_states_equals_the_assignment_on_near_permutations(monkeypatch):
     the assignment's answer; the smaller rotations take the first path."""
     basis = build_basis(1, CONSTANTS)
     a = EigenSolution(basis=basis, energies=np.zeros(64), vectors=np.eye(64),
-                      labels=((0, 0),) * 64)
+                      dominant=np.zeros(64, dtype=int))
     calls = _recording_assignment(monkeypatch)
     rng = np.random.default_rng(314)
     for angle in [0.02] * 10 + [0.05] * 10 + [0.1] * 10:
@@ -404,7 +420,7 @@ def _tied_rows(kind):
 def test_track_states_falls_back_on_a_tie(kind, monkeypatch):
     basis = build_basis(0, replace(CONSTANTS, i_a=0.5, i_b=0.5))
     a = EigenSolution(basis=basis, energies=np.zeros(4), vectors=np.eye(4),
-                      labels=((0, 0),) * 4)
+                      dominant=np.zeros(4, dtype=int))
     b = replace(a, vectors=_tied_rows(kind))
     calls = _recording_assignment(monkeypatch)
     perm = track_states(a, b)
@@ -418,7 +434,7 @@ def test_track_states_maximizes_the_summed_overlap(monkeypatch):
     basis = build_basis(0, replace(CONSTANTS, i_a=0.5, i_b=0.5))
     rotation = _givens(0, 1, 50) @ _givens(1, 2, 60) @ _givens(0, 1, 40)
     a = EigenSolution(basis=basis, energies=np.zeros(4), vectors=np.eye(4),
-                      labels=((0, 0),) * 4)
+                      dominant=np.zeros(4, dtype=int))
     b = replace(a, vectors=rotation)
     overlap = np.abs(rotation)
 

@@ -4,7 +4,8 @@ A golden test pins the CSV bytes the bundled defaults produce, so a
 change to how the model is built cannot move a number unnoticed, and a
 source scan checks that no module repeats a bundled measured value as a
 literal.  The package's public API has one definition too: its layers'
-``__all__`` lists.  And one function writes the output files.
+``__all__`` lists.  One function writes the output files, and one maps
+a rotational state (J, M) to its index in the hyperfine basis.
 """
 
 from __future__ import annotations
@@ -138,6 +139,34 @@ def test_one_function_writes_output_files():
               for path in sorted(Path(magictrap.__file__).parent.glob("*.py"))
               for line, fn in _file_writes(path)]
     assert [(name, fn) for name, fn, _ in writes] == [("config.py", "_write_output")], writes
+
+
+def _rot_index_lookups(path: Path):
+    """(line, enclosing function) of each ``.index`` call in ``path`` on
+    ``rot_states`` or on a name bound to it: a (J, M) -> index lookup."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = {id(node): fn.name for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)}
+    aliases = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+               and "rot_states" in ast.unparse(node.value)
+               for target in node.targets if isinstance(target, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "index"):
+            on = node.func.value
+            if "rot_states" in ast.unparse(on) or getattr(on, "id", None) in aliases:
+                yield node.lineno, owner.get(id(node))
+
+
+def test_one_function_maps_a_rotational_state_to_its_index():
+    """Eigenstates carry their dominant (J, M) as an index into
+    ``basis.rot_states``; only ``hyperfine._rot_index`` turns a (J, M)
+    into that index, so the scan, the search and ``select`` agree."""
+    lookups = [(path.name, fn, line)
+               for path in sorted(Path(magictrap.__file__).parent.glob("*.py"))
+               for line, fn in _rot_index_lookups(path)]
+    assert [(name, fn) for name, fn, _ in lookups] == [("hyperfine.py", "_rot_index")], lookups
 
 
 LAYERS = (units, angular, errors, potentials, radial, polarizability, hyperfine, magic)
