@@ -13,9 +13,9 @@ Every run writes ``<subcommand>.csv`` (dashes as underscores) and
 ``effective-config.ini`` into ``--out``.  Output is byte-stable: same
 config, same bytes.
 
-Exit codes: 0 success, 2 configuration problem, 3 numerical failure
-(no bracketed root, pole proximity, calibration impossible, grid too
-coarse), 4 output I/O failure.
+Exit codes: 0 success, 2 configuration problem (also a run too large
+for memory), 3 numerical failure (no bracketed root, pole proximity,
+calibration impossible, grid too coarse), 4 output I/O failure.
 """
 
 from __future__ import annotations
@@ -405,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
         run(args.subcommand, cfg, args.out)
     except (ConfigError, UnitError, DataFormatError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: the run does not fit in memory ({exc})", file=sys.stderr)
         return 2
     except (NoRootError, PoleProximityError, CalibrationError, GridError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

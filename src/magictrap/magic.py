@@ -20,10 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .angular import angular_factors, resonance_offsets
+from .angular import angular_factors
 from .errors import CalibrationError, NoRootError, PoleProximityError
 from .hyperfine import TERMS, FieldConfiguration, _angle_solver, _rot_index, build_basis
-from .polarizability import PolarizabilitySpec, alpha_analytic
+from .polarizability import PolarizabilitySpec, _branches, alpha_analytic
 from .units import HARTREE_TO_GHZ
 
 __all__ = [
@@ -136,17 +136,13 @@ def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
 
 def _poles_in_window(spec: PolarizabilitySpec, js: Sequence[int], m: int,
                      theta_p: float, lo: float, hi: float) -> list[tuple[int, float]]:
-    """Branch poles (J, detuning GHz) with nonzero residue inside [lo, hi]."""
+    """Branch poles (J, detuning GHz) listed by ``_branches`` inside [lo, hi]."""
     ref = spec.reference.energy
     found = []
     for j in sorted(set(js)):
-        fac = angular_factors(j, m, theta_p)
-        for ln in spec.lines:
-            offs = resonance_offsets(j, spec.b_v, ln.b_rot)
+        for ln, branches in _branches(spec, j, m, theta_p)[1]:
             base_ghz = (ln.energy - ref) * HARTREE_TO_GHZ
-            for weight, offset in ((fac.a, offs.l), (fac.b, offs.r)):
-                if abs(weight) < 1e-15:
-                    continue
+            for _, offset in branches:
                 pole = base_ghz - offset * HARTREE_TO_GHZ
                 if lo <= pole <= hi:
                     found.append((j, pole))
@@ -244,7 +240,8 @@ def find_magic_detuning(spec: PolarizabilitySpec, j_a: int, j_b: int,
     The bracket must exclude every branch pole of both states and the
     objective must change sign across it; violations raise
     :class:`PoleProximityError` / :class:`NoRootError` rather than
-    returning a nearest-miss root.
+    returning a nearest-miss root.  The poles are those that
+    ``polarizability._branches`` lists for :func:`alpha_analytic`.
     """
     lo, hi = bracket
     poles = _poles_in_window(spec, (j_a, j_b), m, theta_p, lo, hi)

@@ -17,7 +17,9 @@ against each other:
               + (A + B)(a_par - a_perp) + a_perp
 
   where D is the detuning from the (J = 0 -> J' = 1) line of the band
-  and A, B are the closed-form angular factors.
+  and A, B are the closed-form angular factors.  :func:`alpha_fardetuned`
+  is this form with the offsets collapsed to zero.  Its poles are listed
+  once, by ``_branches``, which the magic-detuning pole guard reads too.
 
 Convention: polarizabilities are returned in atomic units.  The
 resonant prefactor is the light-shift-per-intensity expression; mapped
@@ -42,7 +44,7 @@ the closed forms leave their window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,6 +181,22 @@ def validity_notes(spec: PolarizabilitySpec, nu: float | np.ndarray,
     return tuple(note for note, hit in checks if hit.any())
 
 
+def _branches(spec: PolarizabilitySpec, j: int, m: int, theta_p: float):
+    """The angular factors of (J, M) and, per line of nonzero width, the
+    (weight, offset) of each branch whose |weight| is at least 1e-15.
+
+    The closed forms have a pole at nu = E - offset for each listed branch
+    and nowhere else; a weight below the floor is round-off, as cos^2(pi/2).
+    """
+    fac = angular_factors(j, m, theta_p)
+    table = []
+    for ln in [ln for ln in spec.lines if ln.gamma != 0.0]:
+        offs = resonance_offsets(j, spec.b_v, ln.b_rot)
+        table.append((ln, [(w, off) for w, off in ((fac.a, offs.l), (fac.b, offs.r))
+                           if abs(w) >= 1e-15]))
+    return fac, table
+
+
 def alpha_analytic(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m: int,
                    theta_p: float = 0.0) -> np.float64 | np.ndarray:
     """Closed-form real polarizability at photon energy ``nu`` (Hartree).
@@ -187,20 +205,15 @@ def alpha_analytic(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m: 
     :func:`validity_notes`).  Evaluation exactly at a branch pole yields
     an infinite value rather than an error.
     """
-    fac = angular_factors(j, m, theta_p)
+    fac, table = _branches(spec, j, m, theta_p)
     bg = spec.background
     x = np.asarray(nu, dtype=float)
     total = np.full(x.shape, fac.total * bg.anisotropy + bg.alpha_perp)
-    # a line or branch of zero weight has no pole: skip it, not 0/0 or
-    # 0 * inf = nan at that pole
-    for ln in [ln for ln in spec.lines if ln.gamma != 0.0]:
+    for ln, branches in table:
         delta = x - ln.energy
-        offs = resonance_offsets(j, spec.b_v, ln.b_rot)
         with np.errstate(divide="ignore"):
-            total += -line_strength(ln) * sum(
-                np.divide(w, delta + off)
-                for w, off in ((fac.a, offs.l), (fac.b, offs.r)) if w != 0.0
-            )
+            total += -line_strength(ln) * sum(np.divide(w, delta + off)
+                                              for w, off in branches)
     return total[()]
 
 
@@ -211,18 +224,12 @@ def alpha_fardetuned(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m
         alpha = (A + B) [-(3 pi c^2/2 w^3) hG / D + a_par - a_perp]
                 + a_perp
 
-    with D measured from each band reference.  Agrees with
-    :func:`alpha_analytic` exactly for J = 0 and to O(B/D) otherwise.
+    with D measured from each band reference.  It is :func:`alpha_analytic`
+    with B_v and every B_v' zero, so the two agree exactly for J = 0 and to
+    O(B/D) otherwise.
     """
-    fac = angular_factors(j, m, theta_p)
-    bg = spec.background
-    x = np.asarray(nu, dtype=float)
-    total = np.full(x.shape, fac.total * bg.anisotropy + bg.alpha_perp)
-    # no pole without weight, as in alpha_analytic
-    for ln in [ln for ln in spec.lines if ln.gamma != 0.0 and fac.total != 0.0]:
-        with np.errstate(divide="ignore"):
-            total += -line_strength(ln) * np.divide(fac.total, x - ln.energy)
-    return total[()]
+    lines = tuple(replace(ln, b_rot=0.0) for ln in spec.lines)
+    return alpha_analytic(replace(spec, lines=lines, b_v=0.0), nu, j, m, theta_p)
 
 
 def _polarization_weight(jp: int, j: int, m: int, theta_p: float) -> float:
@@ -235,11 +242,10 @@ def _polarization_weight(jp: int, j: int, m: int, theta_p: float) -> float:
     return w
 
 
-def _transitions(x_levels, ab_levels, dipoles, j, m, theta_p):
-    """The transition table out of (J, M), independent of the photon energy.
-
-    Returns the polarization weight W of each branch J' = J +- 1, and one
-    row (dE, ab index, d, W) per retained line in ``ab_levels`` order.
+def _transitions(x_levels, ab_levels, dipoles, nu, j, m, theta_p):
+    """The polarization weight W of each branch J' = J +- 1 out of (J, M), one
+    row (dE, ab index, d, W) per retained line in ``ab_levels`` order, and
+    ``nu`` as a float array, refused within the pole guard of any line.
     """
     j, m = _check_state(j, m)
     try:
@@ -263,7 +269,9 @@ def _transitions(x_levels, ab_levels, dipoles, j, m, theta_p):
         rows.append((ab.energy - x_level.energy, a_idx, d, weights[ab.j]))
     if not rows:
         raise ValueError(f"no retained lines couple to J = {j}")
-    return weights, rows
+    x = np.asarray(nu, dtype=float)
+    _guard_poles(rows, x)
+    return weights, rows, x
 
 
 def _guard_poles(rows, nu: np.ndarray) -> None:
@@ -295,9 +303,7 @@ def alpha_sum_over_states(x_levels: list[RovibLevel], ab_levels: list[RovibLevel
     background, when given, is added with angular weights computed from
     the same 3-j route (never from the closed-form factors).
     """
-    weights, rows = _transitions(x_levels, ab_levels, dipoles, j, m, theta_p)
-    x = np.asarray(nu, dtype=float)
-    _guard_poles(rows, x)
+    weights, rows, x = _transitions(x_levels, ab_levels, dipoles, nu, j, m, theta_p)
     total = np.zeros(x.shape)
     for de, _, d, w in rows:
         total += d * d * w * (1.0 / (de - x) + 1.0 / (de + x))
@@ -321,9 +327,7 @@ def alpha_imag(x_levels: list[RovibLevel], ab_levels: list[RovibLevel],
     """
     if len(gammas) != len(ab_levels):
         raise ValueError("gammas must align with ab_levels")
-    _, rows = _transitions(x_levels, ab_levels, dipoles, j, m, theta_p)
-    x = np.asarray(nu, dtype=float)
-    _guard_poles(rows, x)
+    _, rows, x = _transitions(x_levels, ab_levels, dipoles, nu, j, m, theta_p)
     total = np.zeros(x.shape)
     for de, a_idx, d, w in rows:
         total -= gammas[a_idx] * d * d * w / (de * de - x * x)
@@ -332,8 +336,7 @@ def alpha_imag(x_levels: list[RovibLevel], ab_levels: list[RovibLevel],
 
 def spec_from_levels(x_levels: list[RovibLevel], ab_levels: list[RovibLevel],
                      dipoles: dict[tuple[int, int], float],
-                     background: Background, nu_ref: float | None = None
-                     ) -> PolarizabilitySpec:
+                     background: Background) -> PolarizabilitySpec:
     """Distill solver output into a :class:`PolarizabilitySpec`.
 
     For each excited vibrational index the band energy is the actual
@@ -344,9 +347,8 @@ def spec_from_levels(x_levels: list[RovibLevel], ab_levels: list[RovibLevel],
 
     The counter-rotating response of each band, nearly constant across
     a narrow detuning window, is folded into the parallel background at
-    the reference photon energy ``nu_ref`` (default: the first band
-    energy), so the closed form tracks the full sum over states inside
-    its validity window.
+    the first band energy, so the closed form tracks the full sum over
+    states inside its validity window.
     """
     x_by_j = {lv.j: (i, lv) for i, lv in enumerate(x_levels)}
     if 0 not in x_by_j or 1 not in x_by_j:
@@ -360,7 +362,6 @@ def spec_from_levels(x_levels: list[RovibLevel], ab_levels: list[RovibLevel],
         by_v.setdefault(ab.v, {})[ab.j] = (i, ab)
 
     lines = []
-    cr_shift = 0.0
     for vprime in sorted(by_v):
         group = by_v[vprime]
         if 0 not in group or 1 not in group:
@@ -379,9 +380,7 @@ def spec_from_levels(x_levels: list[RovibLevel], ab_levels: list[RovibLevel],
             gamma=gamma_from_dipole(energy, d), b_rot=b_rot,
         ))
     lines.sort(key=lambda ln: ln.energy)
-    ref = nu_ref if nu_ref is not None else lines[0].energy
-    for ln in lines:
-        cr_shift += line_strength(ln) / (ln.energy + ref)
+    cr_shift = sum(line_strength(ln) / (ln.energy + lines[0].energy) for ln in lines)
 
     bg = Background(
         alpha_par=background.alpha_par + cr_shift,

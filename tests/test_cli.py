@@ -596,6 +596,35 @@ def test_unconverged_brent_search_exits_3(small_config, tmp_path, capsys, monkey
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_zero_width_line_has_no_pole_in_the_bracket(tmp_path, capsys):
+    """With no linewidth alpha is flat and finite across the branch
+    structure: the search finds no sign change instead of refusing poles
+    the closed form does not have."""
+    assert main(["magic-find", "--out", str(tmp_path),
+                 "--override", "molecule.gamma_hz=0",
+                 "--override", "magic.bracket_lo_ghz=-20",
+                 "--override", "magic.bracket_hi_ghz=140"]) == 3
+    err = capsys.readouterr().err
+    assert "no sign change over (-20.0, 140.0) GHz" in err
+    assert "contains poles" not in err
+
+
+def test_a_run_too_large_for_memory_exits_2(small_config, tmp_path, capsys, monkeypatch):
+    """An allocation the host refuses is a configuration problem, reported
+    on one line, not a traceback."""
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 305. GiB for an array with shape "
+                          "(10000000, 64, 64) and data type float64")
+
+    monkeypatch.setattr(cli, "diagonalize", refuse)
+    assert main(["hyperfine-scan", "--config", str(small_config), "--out", str(tmp_path),
+                 "--override", "scan.points=16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the run does not fit in memory (Unable to allocate")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("lo, hi", [(140, 60), (100, 100)])
 def test_unordered_detuning_bracket_exits_2(small_config, tmp_path, capsys, lo, hi):
     """lo >= hi is refused before any search, as for angle brackets."""

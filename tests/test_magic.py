@@ -13,12 +13,14 @@ import magictrap as mt
 from magictrap.angular import MAGIC_ANGLE_DEG
 from magictrap.config import load_config
 from magictrap.errors import CalibrationError, NoRootError, PoleProximityError
+from magictrap.units import HARTREE_TO_GHZ
 from magictrap.magic import (
     ANGLE_RESIDUAL_TOL,
     BRENT_RTOL,
     DETUNING_RESIDUAL_TOL,
     MagicSolution,
     _brent,
+    _poles_in_window,
     calibrate_gamma,
     find_magic_angle,
     find_magic_detuning,
@@ -266,6 +268,32 @@ def test_magic_detuning_refuses_brackets_with_poles(narb_spec):
     assert "J=0 at +0.0000 GHz" in message
     assert "J=1 at -8.3690 GHz" in message
     assert "J=1 at +4.2007 GHz" in message
+
+
+@pytest.mark.parametrize("width", ["bundled", "zero"])
+@pytest.mark.parametrize("theta_deg", [0.0, 30.0, MAGIC_ANGLE_DEG, 90.0])
+def test_listed_poles_are_the_closed_form_poles(narb_spec, width, theta_deg):
+    """Each pole the detuning search refuses is a pole of alpha_analytic:
+    alpha flips sign across it and, 1e-6 GHz off it, exceeds 1e4 times
+    its value 1 GHz away.  A line of zero width has no pole to list."""
+    spec = narb_spec if width == "bundled" else replace(
+        narb_spec, lines=tuple(replace(ln, gamma=0.0) for ln in narb_spec.lines))
+    theta = math.radians(theta_deg)
+    ref = spec.reference.energy
+    for j in range(4):
+        for m in range(-j, j + 1):
+            poles = _poles_in_window(spec, (j,), m, theta, -math.inf, math.inf)
+            # the R branch has weight B > 0 at every J, M and angle
+            assert bool(poles) == (width == "bundled")
+
+            def alpha(ghz):
+                return mt.alpha_analytic(spec, ref + ghz / HARTREE_TO_GHZ, j, m, theta)
+
+            for _, pole in poles:
+                below, above = alpha(pole - 1e-6), alpha(pole + 1e-6)
+                assert np.sign(below) == -np.sign(above)
+                away = max(abs(alpha(pole - 1.0)), abs(alpha(pole + 1.0)))
+                assert min(abs(below), abs(above)) > 1e4 * away
 
 
 def test_magic_detuning_reports_endpoint_values(narb_spec):

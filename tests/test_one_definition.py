@@ -4,8 +4,9 @@ A golden test pins the CSV bytes the bundled defaults produce, so a
 change to how the model is built cannot move a number unnoticed, and a
 source scan checks that no module repeats a bundled measured value as a
 literal.  The package's public API has one definition too: its layers'
-``__all__`` lists.  One function writes the output files, and one maps
-a rotational state (J, M) to its index in the hyperfine basis.
+``__all__`` lists.  One function writes the output files, one maps
+a rotational state (J, M) to its index in the hyperfine basis, and one
+table says where the closed-form polarizability has its branch poles.
 """
 
 from __future__ import annotations
@@ -27,6 +28,12 @@ GOLDEN = {
     "alpha-scan": (
         ["alpha-scan", "--override", "scan.points=201"],
         "35e38bf00cda6342b5e465629511c845c7d012bbfa28c0b483d4b0ff97046d76",
+    ),
+    "alpha-scan-90": (
+        ["alpha-scan", "--override", "fields.theta_p_deg=90", "--override", "scan.points=4001",
+         "--override", "scan.j_values=0,1,2,3,4,5", "--override", "scan.start_ghz=-20",
+         "--override", "scan.stop_ghz=20"],
+        "2309bd70e2638e94323b664759d23e8072fafd63c4e87e2e7d5aa176f1c38226",
     ),
     "hyperfine-scan": (
         ["hyperfine-scan", "--override", "scan.points=16"],
@@ -107,13 +114,18 @@ def test_no_module_repeats_a_bundled_value():
 WRITERS = frozenset({"write_text", "write_bytes", "tofile", "save", "savez", "savetxt"})
 
 
+def _owners(tree: ast.AST) -> dict[int, str]:
+    """The innermost enclosing function's name of each node in ``tree``, by id."""
+    return {id(node): fn.name for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)}
+
+
 def _file_writes(path: Path):
     """(line, enclosing function) of each call in ``path`` that can write a
     file; an ``open`` whose mode is no literal counts as one."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    owner = {id(node): fn.name for fn in ast.walk(tree)
-             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-             for node in ast.walk(fn)}
+    owner = _owners(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -145,9 +157,7 @@ def _rot_index_lookups(path: Path):
     """(line, enclosing function) of each ``.index`` call in ``path`` on
     ``rot_states`` or on a name bound to it: a (J, M) -> index lookup."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    owner = {id(node): fn.name for fn in ast.walk(tree)
-             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-             for node in ast.walk(fn)}
+    owner = _owners(tree)
     aliases = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
                and "rot_states" in ast.unparse(node.value)
                for target in node.targets if isinstance(target, ast.Name)}
@@ -167,6 +177,31 @@ def test_one_function_maps_a_rotational_state_to_its_index():
                for path in sorted(Path(magictrap.__file__).parent.glob("*.py"))
                for line, fn in _rot_index_lookups(path)]
     assert [(name, fn) for name, fn, _ in lookups] == [("hyperfine.py", "_rot_index")], lookups
+
+
+def _offset_calls(path: Path):
+    """(line, enclosing function) of each call in ``path`` to
+    ``resonance_offsets``, by bare name or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "resonance_offsets":
+                yield node.lineno, owner.get(id(node))
+
+
+def test_one_table_decides_the_branch_poles():
+    """Only ``polarizability._branches`` turns branch offsets into poles, so
+    the closed forms and the detuning search's pole guard agree on where
+    alpha is singular; ``validity_notes`` reads the offsets only to size
+    the validity window."""
+    calls = sorted({(path.name, fn)
+                    for path in sorted(Path(magictrap.__file__).parent.glob("*.py"))
+                    for _, fn in _offset_calls(path)})
+    assert calls == [("polarizability.py", "_branches"),
+                     ("polarizability.py", "validity_notes")], calls
 
 
 LAYERS = (units, angular, errors, potentials, radial, polarizability, hyperfine, magic)

@@ -108,6 +108,29 @@ def test_fardetuned_equals_analytic_for_j0(narb_spec):
         assert b == pytest.approx(a, rel=1e-14)
 
 
+def test_fardetuned_matches_its_closed_form_by_hand(narb_spec, stiff_pair):
+    """-S (A + B) / (nu - E) per line plus (A + B)(a_par - a_perp) + a_perp,
+    summed in plain floats: exact at J = 0, where A = 0, and within 1e-14
+    of the terms' magnitudes at J > 0, where the route divides A and B by
+    D separately."""
+    for spec in (narb_spec, stiff_pair["spec"]):
+        bg = spec.background
+        for dghz in (-300.0, -60.0, 40.0, 103.0, 500.0):
+            nu = spec.reference.energy + dghz / HARTREE_TO_GHZ
+            for j in range(4):
+                for m in range(j + 1):
+                    for theta in (0.0, 0.4, math.radians(MAGIC_ANGLE_DEG), math.pi / 2):
+                        fac = angular_factors(j, m, theta)
+                        terms = [fac.total * bg.anisotropy + bg.alpha_perp]
+                        terms += [-line_strength(ln) * (fac.total / (nu - ln.energy))
+                                  for ln in spec.lines]
+                        far = alpha_fardetuned(spec, nu, j, m, theta)
+                        if j == 0:
+                            assert far == sum(terms)
+                        else:
+                            assert abs(far - sum(terms)) <= 1e-14 * sum(map(abs, terms))
+
+
 def test_fardetuned_differs_from_analytic_by_branch_offsets(narb_spec):
     nu = narb_spec.reference.energy + 103.0 / HARTREE_TO_GHZ
     a = alpha_analytic(narb_spec, nu, 1, 0)
