@@ -330,6 +330,8 @@ def _cmd_magic_find(cfg: RunConfig):
         )
         summary = (f"magic angle {state_a}/{state_b} at "
                    f"{sol.location:.6f} deg, residual {sol.residual:.3e}")
+        if sol.slope is not None:
+            summary += f", slope {sol.slope:.3e} Hz/(W/cm^2) per deg"
     # a detuning state and an unranked angle state print rank -1
     row = [sol.kind, *(*sol.state_a, -1)[:3], *(*sol.state_b, -1)[:3],
            sol.location, sol.residual, *sol.bracket]

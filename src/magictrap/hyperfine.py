@@ -26,10 +26,11 @@ so every operator is a real symmetric matrix.  Energies are in MHz.
 ``theta_p`` may be a 1-D array, a scan axis: the theta_p-independent
 terms are built once and every function then carries a leading angle
 axis, ``(..., dim, dim)``, so a whole scan is one batched ``eigh``.
-A magic-angle search, one angle per Brent step, likewise builds those
+A magic-angle search, one angle per Newton step, likewise builds those
 terms once and adds only the light per step (``_angle_solver``); its
 step shares the checks, ``eigh`` and the dominant (J, M) index with
-``diagonalize`` (``_eigensolve``) and skips only the phase.
+``diagonalize`` (``_eigensolve``) and skips only the phase.  From the
+step's eigenpairs it also gives d(alpha)/d(theta_p) of a state.
 
 Shielding, rotational Zeeman, centrifugal distortion, spin-rotation and
 spin-spin terms are deliberately left out; they are far below the MHz
@@ -324,6 +325,16 @@ def _light_block(operands: tuple, cth, sth) -> np.ndarray:
     return iso + delta * aniso
 
 
+def _light_block_slope(operands: tuple, cth: float, sth: float) -> np.ndarray:
+    """d/d(theta_p) of ``_light_block`` per radian, at cos and sin of theta_p."""
+    _, delta, c20, c21, c22 = operands
+    return delta * (math.sqrt(6.0) / 3.0) * (
+        -6.0 * sth * cth / math.sqrt(6.0) * c20
+        + (cth * cth - sth * sth) * c21
+        + sth * cth * c22
+    )
+
+
 def _light_shift(basis: HyperfineBasis, c: MolecularConstants,
                  theta_p: float | np.ndarray) -> np.ndarray:
     """The rotational block op_rot of the light-shift operator, ``(..., n_rot, n_rot)``."""
@@ -412,7 +423,7 @@ def _static_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
 
 def _angle_solver(basis: HyperfineBasis, fields: FieldConfiguration,
                   terms: frozenset[str] | set[str]):
-    """The Brent step of an eigen magic-angle search: at one scalar theta_p
+    """The step of an eigen magic-angle search: at one scalar theta_p
     (radians) per call, the polarizabilities of
     ``eigenstate_polarizability(diagonalize(build_hamiltonian(...)))`` bit for
     bit, and each eigenvector's dominant (J, M) as an index into
@@ -422,26 +433,52 @@ def _angle_solver(basis: HyperfineBasis, fields: FieldConfiguration,
     once; each call copies the terms into one work matrix and adds only
     the light.  The phase convention is skipped: alpha is a trace,
     bit-identical under v -> -v.
+
+    ``solve.slope(i)`` is d(alpha_i)/d(theta_p) per radian of eigenstate i
+    at the last call's angle, from that call's eigenpairs (Hellmann-Feynman
+    and first-order perturbation of the vector, as in Nelson, AIAA J. 14,
+    1201 (1976)).  With O = op_rot (x) 1, O' = dO/d(theta_p) and H = static + s O,
+        d(alpha_i)/d(theta_p) = <i|O'|i> + 2 s sum_{j != i} O_ij O'_ji / (E_i - E_j),
+    where s is 0 without the light term.  A degenerate partner E_j = E_i
+    makes the slope inf or NaN, silently: the caller decides what to do.
     """
     static = _static_hamiltonian(basis, fields, terms)
     work = np.empty_like(static)
-    spin_diagonal = _spin_diagonal(work, len(basis.rot_states))
+    n_rot = len(basis.rot_states)
+    spin_diagonal = _spin_diagonal(work, n_rot)
     operands = _light_operands(basis, fields.constants)
-    scale = -fields.intensity * 1e-6
     light = "polarization" in terms
+    scale = -fields.intensity * 1e-6 if light else 0.0
     # theta_p as the (1, 1) array _light_shift takes np.cos and np.sin of:
     # for a 0-d argument they may round differently
     theta = np.empty((1, 1))
+    last = {}
 
     def solve(theta_p: float) -> tuple[np.ndarray, np.ndarray]:
         theta[0, 0] = theta_p
-        op = _light_block(operands, float(np.cos(theta)[0, 0]), float(np.sin(theta)[0, 0]))
+        cth, sth = float(np.cos(theta)[0, 0]), float(np.sin(theta)[0, 0])
+        op = _light_block(operands, cth, sth)
         np.copyto(work, static)
         if light:
             np.add(spin_diagonal, (scale * op)[..., None], out=spin_diagonal)
-        _, vectors, dominant = _eigensolve(work, basis)
+        energies, vectors, dominant = _eigensolve(work, basis)
+        last.update(energies=energies, vectors=vectors, op=op, cth=cth, sth=sth)
         return _spin_trace(vectors, op), dominant
 
+    def slope(i: int) -> float:
+        vectors = last["vectors"]
+        v = vectors[:, i].reshape(n_rot, -1)
+        d_row = vectors.T @ (_light_block_slope(operands, last["cth"], last["sth"]) @ v).ravel()
+        value = float(d_row[i])
+        if scale:
+            row = vectors.T @ (last["op"] @ v).ravel()
+            gaps = last["energies"][i] - last["energies"]
+            gaps[i] = math.inf
+            with np.errstate(divide="ignore", invalid="ignore"):
+                value += 2.0 * scale * float((row * d_row / gaps).sum())
+        return value
+
+    solve.slope = slope
     return solve
 
 

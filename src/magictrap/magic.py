@@ -3,9 +3,12 @@
 A magic condition is a zero of the differential polarizability between
 two states changed by one knob: the trap-laser detuning (rotational
 state pairs, closed-form polarizability) or the linear-polarization
-angle (hyperfine eigenstate pairs).  All root finding is bracketed
-Brent iteration; the objectives have genuine poles nearby, so nothing
-here estimates derivatives.
+angle (hyperfine eigenstate pairs).  All root finding is bracketed.
+The detuning and bare angle searches use Brent iteration, which needs no
+derivative; the detuning objective has genuine poles nearby.  The eigen
+angle search takes Newton steps on the Hellmann-Feynman slope of the
+objective, which each step's eigenpairs give, and bisects the bracket
+where a step would leave it or stall (``rtsafe``).
 
 Detunings are in GHz relative to the reference line of the
 :class:`~magictrap.polarizability.PolarizabilitySpec`; angles are in
@@ -38,7 +41,7 @@ ANGLE_METHODS = ("auto", "bare", "eigen")
 
 # residual |alpha_a - alpha_b| accepted at a detuning root, atomic units
 DETUNING_RESIDUAL_TOL = 1e-10
-# same for angle roots, in the units of the supplied backgrounds
+# same for angle roots, in Hz/(W/cm^2)
 ANGLE_RESIDUAL_TOL = 1e-6
 
 
@@ -48,7 +51,10 @@ class MagicSolution:
 
     ``location`` is a detuning in GHz for kind ``"detuning"`` and an
     angle in degrees for kind ``"angle"``.  ``residual`` is the
-    objective, the differential polarizability, at the root.
+    objective, the differential polarizability, at the root.  ``slope``
+    is its derivative there in Hz/(W/cm^2) per degree, how fast a
+    misaligned polarization spoils the magic condition; eigen angle
+    searches give it, other searches leave it None.
     """
 
     kind: str
@@ -57,6 +63,7 @@ class MagicSolution:
     state_b: tuple
     residual: float
     bracket: tuple[float, float]
+    slope: float | None = None
 
     def __post_init__(self):
         lo, hi = self.bracket
@@ -118,7 +125,8 @@ def _pick_state(basis, dominant: np.ndarray, state) -> int:
 def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
                      j_max: int | None):
     """The search's objective of theta in degrees: alpha_a - alpha_b by the
-    bare closed form (``j_max`` None) or in the ``j_max`` hyperfine basis."""
+    bare closed form (``j_max`` None), or, in the ``j_max`` hyperfine basis,
+    alpha_a - alpha_b and its slope per degree."""
     if j_max is None:
         return lambda theta: (_bare_alpha(fields, state_a[0], state_a[1], theta)
                               - _bare_alpha(fields, state_b[0], state_b[1], theta))
@@ -129,7 +137,9 @@ def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
         alphas, dominant = solve(math.radians(theta))
         i_a = _pick_state(basis, dominant, state_a)
         i_b = _pick_state(basis, dominant, state_b)
-        return float(alphas[i_a] - alphas[i_b])
+        # per degree: d/d(theta in degrees) = (pi / 180) d/d(theta in radians)
+        slope = math.radians(solve.slope(i_a) - solve.slope(i_b))
+        return float(alphas[i_a] - alphas[i_b]), slope
 
     return objective
 
@@ -205,30 +215,84 @@ def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float,
                       f"(last x = {xcur:.6e}, f = {fcur:.6e})")
 
 
-def _bracketed_root(objective, bracket: tuple[float, float], xtol: float, tol: float,
-                    unit: str, value_unit: str = "") -> tuple[float, float]:
-    """Brent root of ``objective`` inside ``bracket`` (in ``unit``) and its residual.
+def _rtsafe(f_df, a: float, b: float, fa: float, fb: float, xtol: float,
+            maxiter: int = BRENT_MAXITER) -> tuple[float, float, float]:
+    """Root of f between ``a`` and ``b``, f at that root and f' there, given
+    ``fa`` = f(a) and ``fb`` = f(b), nonzero and of opposite signs;
+    ``f_df(x)`` returns f(x) and f'(x).
 
-    Raises ValueError unless lo < hi, and :class:`NoRootError` without a
-    sign change, without convergence or when |residual| > ``tol`` (in
-    ``value_unit``).  Each abscissa is evaluated once.
+    Newton-bisection as ``rtsafe`` (Press et al., Numerical Recipes, 3rd
+    ed., section 9.4): from the midpoint, each step is Newton's when it
+    lands inside the bracket and is under half the step before last, and
+    halves the bracket otherwise; an inf, NaN or zero slope halves it.
+    Unlike ``rtsafe``, every evaluation narrows the bracket, and the root
+    returned is the last abscissa evaluated, once the next Newton step or
+    the bracket is shorter than ``xtol``: the f returned is f there.
+    Raises ValueError where f is NaN and :class:`NoRootError` after
+    ``maxiter`` steps without convergence.
+    """
+    # f(lo) < 0 < f(hi); lo > hi where f falls
+    lo, hi = (a, b) if _checked(a, fa) < 0.0 else (b, a)
+    _checked(b, fb)
+    x, step_old, step = 0.5 * (a + b), abs(b - a), abs(b - a)
+    for _ in range(maxiter):
+        fx, dfx = f_df(x)
+        fx = _checked(x, fx)
+        if fx == 0.0:
+            return x, fx, dfx
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+        newton = fx / dfx if math.isfinite(dfx) and dfx != 0.0 else math.nan
+        # NaN fails both tests
+        if min(lo, hi) < x - newton < max(lo, hi) and 2.0 * abs(newton) <= step_old:
+            if abs(newton) < xtol:
+                return x, fx, dfx
+            dx = newton
+        else:
+            if abs(hi - lo) < xtol:
+                return x, fx, dfx
+            dx = x - 0.5 * (lo + hi)
+        step_old, step = step, abs(dx)
+        x -= dx
+    raise NoRootError(f"Newton-bisection did not converge in {maxiter} steps "
+                      f"(last x = {x:.6e}, f = {fx:.6e})")
+
+
+def _bracketed_root(objective, bracket: tuple[float, float], xtol: float, tol: float,
+                    unit: str, value_unit: str = "", newton: bool = False
+                    ) -> tuple[float, float, float | None]:
+    """Root of ``objective`` inside ``bracket`` (in ``unit``), its residual
+    and the slope there.
+
+    By default the root is Brent's and the slope None.  With ``newton``,
+    ``objective`` returns f and its derivative, and the root is
+    ``_rtsafe``'s.  Raises ValueError unless lo < hi, and
+    :class:`NoRootError` without a sign change, without convergence or
+    when |residual| > ``tol`` (in ``value_unit``).  Each abscissa is
+    evaluated once.
     """
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"bracket ({lo}, {hi}) {unit} must have lo < hi")
-    f_lo, f_hi = objective(lo), objective(hi)
+    ends = objective(lo), objective(hi)
+    f_lo, f_hi = (end[0] for end in ends) if newton else ends
     if f_lo == 0.0 or f_hi == 0.0 or np.sign(f_lo) == np.sign(f_hi):
         raise NoRootError(
             f"no sign change over ({lo}, {hi}) {unit}: "
             f"f(lo) = {f_lo:.6e}, f(hi) = {f_hi:.6e}{value_unit}"
         )
-    root, residual = _brent(objective, lo, hi, f_lo, f_hi, xtol)
+    if newton:
+        root, residual, slope = _rtsafe(objective, lo, hi, f_lo, f_hi, xtol)
+    else:
+        (root, residual), slope = _brent(objective, lo, hi, f_lo, f_hi, xtol), None
     if abs(residual) > tol:
         raise NoRootError(
             f"root at {root:.6f} {unit} fails the residual check: "
             f"|{residual:.3e}| > {tol}{value_unit}"
         )
-    return root, residual
+    return root, residual, slope
 
 
 def find_magic_detuning(spec: PolarizabilitySpec, j_a: int, j_b: int,
@@ -252,8 +316,8 @@ def find_magic_detuning(spec: PolarizabilitySpec, j_a: int, j_b: int,
     def objective(delta: float) -> float:
         return _detuning_objective(spec, (j_a, m), (j_b, m), delta, theta_p)
 
-    root, residual = _bracketed_root(objective, bracket, 1e-12, DETUNING_RESIDUAL_TOL,
-                                     "GHz", " a.u.")
+    root, residual, _ = _bracketed_root(objective, bracket, 1e-12, DETUNING_RESIDUAL_TOL,
+                                        "GHz", " a.u.")
     return MagicSolution(
         kind="detuning", location=float(root),
         state_a=(j_a, m), state_b=(j_b, m),
@@ -275,6 +339,10 @@ def find_magic_angle(fields: FieldConfiguration, state_a, state_b,
     "bare" each (J, M) is one state, and a rank other than 0 raises
     ValueError.  ``"auto"`` picks "eigen" exactly when an active
     quadrupole or dc Stark term breaks the bare picture.
+
+    Both find the root to 1e-8 degrees inside ``bracket``: "bare" by Brent
+    iteration, "eigen" by Newton-bisection on the Hellmann-Feynman slope
+    (``_rtsafe``), which the solution reports as ``slope``.
     """
     eigen = _angle_method(fields, terms, method) == "eigen"
     lo, hi = bracket
@@ -285,11 +353,12 @@ def find_magic_angle(fields: FieldConfiguration, state_a, state_b,
             raise ValueError(f"{name} = {state[2]} names no state: the bare method "
                              "has one state per (J, M), rank 0")
     objective = _angle_objective(fields, state_a, state_b, terms, j_max if eigen else None)
-    root, residual = _bracketed_root(objective, bracket, 1e-8, ANGLE_RESIDUAL_TOL, "degrees")
+    root, residual, slope = _bracketed_root(objective, bracket, 1e-8, ANGLE_RESIDUAL_TOL,
+                                            "degrees", newton=eigen)
     return MagicSolution(
         kind="angle", location=float(root),
         state_a=tuple(state_a), state_b=tuple(state_b),
-        residual=float(residual), bracket=(float(lo), float(hi)),
+        residual=float(residual), bracket=(float(lo), float(hi)), slope=slope,
     )
 
 

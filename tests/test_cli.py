@@ -596,6 +596,51 @@ def test_unconverged_brent_search_exits_3(small_config, tmp_path, capsys, monkey
     assert not list(tmp_path.glob("*.csv"))
 
 
+EIGEN_ANGLE_ARGS = ["--override", "magic.kind=angle", "--override", "magic.method=eigen",
+                    "--override", "magic.j_a=1", "--override", "magic.rank_a=0",
+                    "--override", "magic.j_b=0", "--override", "magic.rank_b=0"]
+
+
+def test_unconverged_newton_search_exits_3(tmp_path, capsys, monkeypatch):
+    """The step limit hit inside an eigen angle search is a numerical
+    failure, not a traceback."""
+    rtsafe = magic._rtsafe
+    monkeypatch.setattr(magic, "_rtsafe", lambda *args: rtsafe(*args, maxiter=2))
+    assert main(["magic-find", "--out", str(tmp_path), *EIGEN_ANGLE_ARGS,
+                 "--override", "fields.e_field_kv_cm=0.5"]) == 3
+    assert "Newton-bisection did not converge in 2 steps" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_degenerate_levels_leave_the_slope_unused_and_exit_3(tmp_path, capsys):
+    """Without B and E fields the hyperfine levels are degenerate, so
+    E_i - E_j = 0 in the slope's sum.  The search bisects instead, raises
+    no RuntimeWarning (an error under the test settings), and fails the
+    residual check as the Brent search did."""
+    assert main(["magic-find", "--out", str(tmp_path), *EIGEN_ANGLE_ARGS,
+                 "--override", "fields.b_field_gauss=0",
+                 "--override", "fields.e_field_kv_cm=0"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error: root at" in err and "fails the residual check" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_eigen_angle_summary_reports_the_slope(tmp_path, capsys):
+    """The one-line summary carries d(Delta alpha)/d(theta) at the root;
+    the CSV keeps its columns, and a bare search prints no slope."""
+    assert main(["magic-find", "--out", str(tmp_path), *EIGEN_ANGLE_ARGS,
+                 "--override", "fields.e_field_kv_cm=0.5"]) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert re.search(r"deg, residual \S+, slope -2\.49\de-01 Hz/\(W/cm\^2\) per deg$", summary)
+    header, _ = read_rows(tmp_path / "magic_find.csv")
+    assert header == ["kind", "j_a", "m_a", "rank_a", "j_b", "m_b", "rank_b",
+                      "location", "residual", "bracket_lo", "bracket_hi"]
+    assert main(["magic-find", "--out", str(tmp_path), "--override", "magic.kind=angle",
+                 "--override", "magic.method=bare", "--override", "magic.j_a=1",
+                 "--override", "magic.j_b=0"]) == 0
+    assert "slope" not in capsys.readouterr().out
+
+
 def test_zero_width_line_has_no_pole_in_the_bracket(tmp_path, capsys):
     """With no linewidth alpha is flat and finite across the branch
     structure: the search finds no sign change instead of refusing poles

@@ -539,6 +539,33 @@ def test_angle_solver_matches_the_public_composition(terms, e_field, theta_e_deg
         assert tuple(basis.rot_states[i] for i in dominant) == expected.labels
 
 
+@pytest.mark.parametrize("terms", [TERMS, TERMS - {"polarization"}], ids=["all", "no-light"])
+@pytest.mark.parametrize("e_field", [0.5, 2.0])
+def test_angle_solver_slope_matches_a_central_difference(terms, e_field):
+    """The step's d(alpha)/d(theta_p) matches a +-1e-5 degree central
+    difference of build_hamiltonian -> diagonalize -> alpha to 1e-5
+    relative.  Without the light the states do not move with theta_p, so
+    the sum over the other states must vanish and <i|O'|i> is the slope."""
+    f = fields_with(e_field=e_field)
+    basis = build_basis(1, f.constants)
+    solve = hyperfine._angle_solver(basis, f, terms)
+
+    def alpha(theta_deg, state):
+        at = replace(f, theta_p=math.radians(theta_deg))
+        sol = diagonalize(build_hamiltonian(basis, at, terms), basis)
+        alphas = eigenstate_polarizability(sol, at).polarizabilities
+        return alphas[_pick_state(basis, sol.dominant, state)]
+
+    h = 1e-5
+    for theta in (40.0, 54.7, 70.0):
+        _, dominant = solve(math.radians(theta))
+        for state in ((1, 0, 0), (0, 0, 0), (1, 1, 0)):
+            # per degree, as the difference is taken
+            slope = math.radians(solve.slope(_pick_state(basis, dominant, state)))
+            difference = (alpha(theta + h, state) - alpha(theta - h, state)) / (2 * h)
+            assert slope == pytest.approx(difference, rel=1e-5, abs=0.0)
+
+
 def _dense_alphas(vectors, op):
     """Hellmann-Feynman on the dense (dim, dim) operator: the reference."""
     return np.einsum("ij,ik,kj->j", vectors, op, vectors)

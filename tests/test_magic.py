@@ -21,6 +21,7 @@ from magictrap.magic import (
     MagicSolution,
     _brent,
     _poles_in_window,
+    _rtsafe,
     calibrate_gamma,
     find_magic_angle,
     find_magic_detuning,
@@ -123,11 +124,9 @@ ANGLE_SEARCH_CASES = [
 ]
 
 
-@pytest.mark.parametrize("e_field, state_a, state_b", ANGLE_SEARCH_CASES)
-def test_eigen_angle_search_solves_each_abscissa_once(e_field, state_a, state_b, monkeypatch):
-    """Each Brent abscissa is eigensolved once, and the search returns the
-    root and residual of brentq over the public build/diagonalize/alpha chain."""
-    fields = default_fields(e_field=e_field)
+def _public_objective(fields, state_a, state_b):
+    """alpha_a - alpha_b of theta in degrees over the public
+    build_hamiltonian -> diagonalize -> eigenstate_polarizability chain."""
     basis = mt.build_basis(1, fields.constants)
 
     def reference(theta):
@@ -138,9 +137,18 @@ def test_eigen_angle_search_solves_each_abscissa_once(e_field, state_a, state_b,
         return float(alphas[sol.select(state_a[:2])[state_a[2]]]
                      - alphas[sol.select(state_b[:2])[state_b[2]]])
 
-    root = brentq(reference, 40.0, 70.0, xtol=1e-8, rtol=8.9e-16)
-    # diagonalize runs the spied core too: the reference is done before the spy
-    residual = reference(root)
+    return reference
+
+
+@pytest.mark.parametrize("e_field, state_a, state_b", ANGLE_SEARCH_CASES)
+def test_eigen_angle_search_solves_each_abscissa_once(e_field, state_a, state_b, monkeypatch):
+    """Each Newton abscissa is eigensolved once.  The search returns a root
+    within its 1e-8 degree tolerance of a tight brentq over the public
+    build/diagonalize/alpha chain, that chain's value at the root as the
+    residual, and its slope there."""
+    fields = default_fields(e_field=e_field)
+    reference = _public_objective(fields, state_a, state_b)
+    root = brentq(reference, 40.0, 70.0, xtol=1e-13, rtol=8.9e-16)
     solved = []
     eigensolve = mt.hyperfine._eigensolve
 
@@ -150,8 +158,42 @@ def test_eigen_angle_search_solves_each_abscissa_once(e_field, state_a, state_b,
 
     monkeypatch.setattr(mt.hyperfine, "_eigensolve", recording)
     sol = find_magic_angle(fields, state_a, state_b, bracket=(40.0, 70.0), method="eigen")
-    assert (sol.location, sol.residual) == (root, residual)
+    # diagonalize runs the spied core too: the reference runs after the spy
+    monkeypatch.undo()
     assert len(solved) >= 3 and len(set(solved)) == len(solved)
+    assert abs(sol.location - root) <= 1e-8
+    assert sol.residual == reference(sol.location)
+    h = 1e-5
+    difference = (reference(sol.location + h) - reference(sol.location - h)) / (2 * h)
+    assert sol.slope == pytest.approx(difference, rel=1e-5)
+
+
+def test_eigen_angle_searches_take_at_most_6_eigensolves_on_average(monkeypatch):
+    """Newton steps on the analytic slope: over the cases above Brent
+    iteration took about 8 eigensolves per search."""
+    counts = []
+    eigensolve = mt.hyperfine._eigensolve
+
+    def counting(h, basis):
+        counts[-1] += 1
+        return eigensolve(h, basis)
+
+    monkeypatch.setattr(mt.hyperfine, "_eigensolve", counting)
+    for case in ANGLE_SEARCH_CASES:
+        e_field, state_a, state_b = case.values
+        counts.append(0)
+        find_magic_angle(default_fields(e_field=e_field), state_a, state_b,
+                         bracket=(40.0, 70.0), method="eigen")
+    assert sum(counts) / len(counts) <= 6.0
+
+
+def test_only_eigen_angle_searches_report_a_slope(narb_spec):
+    assert find_magic_detuning(narb_spec, 0, 1).slope is None
+    bare = find_magic_angle(default_fields(b_field=0.0), (1, 0), (0, 0), terms=BARE_TERMS)
+    assert bare.slope is None
+    eigen = find_magic_angle(default_fields(e_field=0.5), (1, 0, 0), (0, 0, 0),
+                             bracket=(40.0, 70.0), method="eigen")
+    assert eigen.slope < 0.0
 
 
 @pytest.mark.parametrize("state_a, message", [
@@ -227,6 +269,17 @@ def test_brent_port_without_convergence_raises_no_root_error():
     f, a, b, fa, fb = _random_bracketed(np.random.default_rng(7))
     with pytest.raises(NoRootError, match="did not converge in 2 steps"):
         _brent(f, a, b, fa, fb, 1e-12, maxiter=2)
+
+
+@pytest.mark.parametrize("useless", [math.nan, math.inf, 0.0])
+def test_newton_bisection_halves_the_bracket_without_a_usable_slope(useless):
+    """An inf, NaN or zero slope takes no Newton step: the bracket is halved
+    until it is shorter than xtol, and f is returned at the root returned."""
+    def f(x):
+        return math.tanh(3.0 * (x - 0.3))
+
+    root, f_root, slope = _rtsafe(lambda x: (f(x), useless), -1.0, 2.0, f(-1.0), f(2.0), 1e-10)
+    assert abs(root - 0.3) < 1e-10 and f_root == f(root)
 
 
 def test_brent_port_refuses_nan():

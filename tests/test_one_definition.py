@@ -58,7 +58,7 @@ GOLDEN = {
          "--override", "fields.e_field_kv_cm=0.5",
          "--override", "magic.j_a=1", "--override", "magic.rank_a=0",
          "--override", "magic.j_b=0", "--override", "magic.rank_b=0"],
-        "e30efe6d21742940fcd7478433e1b655d5f71059525f463775f8cca3a2e89e45",
+        "dfcf5294dd6bf162c1f1b0bb169fa6b0f5e9728ac62427aed7726f5698c6ec22",
     ),
     "solve-rovib": (
         ["solve-rovib", "--override", "grid.points=300", "--override", "scan.j_values=0,1",
