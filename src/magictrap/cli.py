@@ -313,7 +313,8 @@ def _cmd_magic_find(cfg: RunConfig):
                      cfg.get("magic", "bracket_hi_ghz")),
         )
         summary = (f"magic detuning J={j_a}/J={j_b} (M={m}) at "
-                   f"{sol.location:.6f} GHz, residual {sol.residual:.3e} a.u.")
+                   f"{sol.location:.6f} GHz, residual {sol.residual:.3e} a.u., "
+                   f"slope {sol.slope:.3e} a.u. per GHz")
     else:  # "angle"
         fields, terms = cfg.field_configuration(), cfg.terms()
         method = cfg.get("magic", "method")
@@ -329,9 +330,8 @@ def _cmd_magic_find(cfg: RunConfig):
             terms=terms, method=method, j_max=_J_MAX,
         )
         summary = (f"magic angle {state_a}/{state_b} at "
-                   f"{sol.location:.6f} deg, residual {sol.residual:.3e}")
-        if sol.slope is not None:
-            summary += f", slope {sol.slope:.3e} Hz/(W/cm^2) per deg"
+                   f"{sol.location:.6f} deg, residual {sol.residual:.3e}, "
+                   f"slope {sol.slope:.3e} Hz/(W/cm^2) per deg")
     # a detuning state and an unranked angle state print rank -1
     row = [sol.kind, *(*sol.state_a, -1)[:3], *(*sol.state_b, -1)[:3],
            sol.location, sol.residual, *sol.bracket]

@@ -3,12 +3,12 @@
 A magic condition is a zero of the differential polarizability between
 two states changed by one knob: the trap-laser detuning (rotational
 state pairs, closed-form polarizability) or the linear-polarization
-angle (hyperfine eigenstate pairs).  All root finding is bracketed.
-The detuning and bare angle searches use Brent iteration, which needs no
-derivative; the detuning objective has genuine poles nearby.  The eigen
-angle search takes Newton steps on the Hellmann-Feynman slope of the
-objective, which each step's eigenpairs give, and bisects the bracket
-where a step would leave it or stall (``rtsafe``).
+angle (hyperfine eigenstate pairs).  Every search is one bracketed
+Newton-bisection (``rtsafe``): it takes Newton steps on the objective's
+slope, and bisects the bracket where a step would leave it or stall.
+The slope is in closed form for the detuning (the derivative of the
+branch poles' sum) and the bare angle (A + B is affine in cos^2), and the
+Hellmann-Feynman slope of each step's eigenpairs for the eigen angle.
 
 Detunings are in GHz relative to the reference line of the
 :class:`~magictrap.polarizability.PolarizabilitySpec`; angles are in
@@ -26,7 +26,7 @@ import numpy as np
 from .angular import angular_factors
 from .errors import CalibrationError, NoRootError, PoleProximityError
 from .hyperfine import TERMS, FieldConfiguration, _angle_solver, _rot_index, build_basis
-from .polarizability import PolarizabilitySpec, _branches, alpha_analytic
+from .polarizability import PolarizabilitySpec, _branches, alpha_analytic, line_strength
 from .units import HARTREE_TO_GHZ
 
 __all__ = [
@@ -52,9 +52,9 @@ class MagicSolution:
     ``location`` is a detuning in GHz for kind ``"detuning"`` and an
     angle in degrees for kind ``"angle"``.  ``residual`` is the
     objective, the differential polarizability, at the root.  ``slope``
-    is its derivative there in Hz/(W/cm^2) per degree, how fast a
-    misaligned polarization spoils the magic condition; eigen angle
-    searches give it, other searches leave it None.
+    is its derivative there, how fast a drifting knob spoils the magic
+    condition: in a.u. per GHz for a detuning and in Hz/(W/cm^2) per
+    degree for an angle.  Every search sets it; it is NaN when not given.
     """
 
     kind: str
@@ -63,7 +63,7 @@ class MagicSolution:
     state_b: tuple
     residual: float
     bracket: tuple[float, float]
-    slope: float | None = None
+    slope: float = math.nan
 
     def __post_init__(self):
         lo, hi = self.bracket
@@ -79,6 +79,24 @@ def _detuning_objective(spec: PolarizabilitySpec, state_a, state_b,
     val_a = alpha_analytic(spec, nu, j_a, m_a, theta_p)
     val_b = alpha_analytic(spec, nu, j_b, m_b, theta_p)
     return val_a - val_b
+
+
+def _detuning_slope(spec: PolarizabilitySpec, state_a, state_b, theta_p: float):
+    """d(alpha_a - alpha_b)/d(detuning) in a.u. per GHz, as a function of the
+    detuning in GHz: the derivative of each branch term that ``_branches``
+    lists for :func:`alpha_analytic`, S w / (nu - E + offset)^2.  The table
+    does not depend on nu and is built once."""
+    terms = [(sign * line_strength(ln) * w, ln.energy, offset)
+             for sign, (j, m) in ((1.0, state_a), (-1.0, state_b))
+             for ln, branches in _branches(spec, j, m, theta_p)[1]
+             for w, offset in branches]
+    ref = spec.reference.energy
+
+    def slope(delta_ghz: float) -> float:
+        nu = ref + delta_ghz / HARTREE_TO_GHZ
+        return sum(c / (nu - e + offset) ** 2 for c, e, offset in terms) / HARTREE_TO_GHZ
+
+    return slope
 
 
 def _angle_method(fields: FieldConfiguration, terms, method: str) -> str:
@@ -124,16 +142,26 @@ def _pick_state(basis, dominant: np.ndarray, state) -> int:
 
 def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
                      j_max: int | None):
-    """The search's objective of theta in degrees: alpha_a - alpha_b by the
-    bare closed form (``j_max`` None), or, in the ``j_max`` hyperfine basis,
-    alpha_a - alpha_b and its slope per degree."""
+    """The search's objective of theta in degrees: alpha_a - alpha_b and its
+    slope per degree, by the bare closed form (``j_max`` None) or in the
+    ``j_max`` hyperfine basis."""
     if j_max is None:
-        return lambda theta: (_bare_alpha(fields, state_a[0], state_a[1], theta)
-                              - _bare_alpha(fields, state_b[0], state_b[1], theta))
+        # A + B is affine in cos^2(theta): d/d(theta) is -(total(0) - total(90)) sin 2 theta
+        c = fields.constants
+        swing = (c.alpha_par - c.alpha_perp) * sum(
+            sign * (angular_factors(j, m, 0.0).total - angular_factors(j, m, math.pi / 2).total)
+            for sign, (j, m, *_) in ((1.0, state_a), (-1.0, state_b)))
+
+        def bare(theta: float) -> tuple[float, float]:
+            value = (_bare_alpha(fields, state_a[0], state_a[1], theta)
+                     - _bare_alpha(fields, state_b[0], state_b[1], theta))
+            return value, -math.radians(swing * math.sin(2.0 * math.radians(theta)))
+
+        return bare
     basis = build_basis(j_max, fields.constants)
     solve = _angle_solver(basis, fields, terms)
 
-    def objective(theta: float) -> float:
+    def objective(theta: float) -> tuple[float, float]:
         alphas, dominant = solve(math.radians(theta))
         i_a = _pick_state(basis, dominant, state_a)
         i_b = _pick_state(basis, dominant, state_b)
@@ -159,81 +187,40 @@ def _poles_in_window(spec: PolarizabilitySpec, js: Sequence[int], m: int,
     return found
 
 
-# iteration limit and relative tolerance of scipy.optimize.brentq
-BRENT_MAXITER = 100
-BRENT_RTOL = 8.9e-16
+# iteration limit of every search
+MAXITER = 100
 
 
 def _checked(x: float, fx) -> float:
-    """``fx`` as a Python float, as brentq's C loop sees it; NaN is refused."""
+    """``fx`` as a Python float; NaN is refused."""
     fx = float(fx)
     if math.isnan(fx):
         raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
     return fx
 
 
-def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float,
-           rtol: float = BRENT_RTOL, maxiter: int = BRENT_MAXITER) -> tuple[float, float]:
-    """Root of ``f`` between ``a`` and ``b`` and f at that root, given
-    ``fa`` = f(a) and ``fb`` = f(b), nonzero and of opposite signs.
-
-    Step for step the Brent iteration of scipy's ``brentq`` (its C loop,
-    ``brentq.c``), so it returns the same floats; ``brentq`` stays in the
-    tests as the oracle.  Raises ValueError where f is NaN and
-    :class:`NoRootError` after ``maxiter`` steps without convergence.
-    """
-    xpre, xcur = a, b
-    fpre, fcur = _checked(a, fa), _checked(b, fb)
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, fcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = _checked(xcur, f(xcur))
-    raise NoRootError(f"Brent iteration did not converge in {maxiter} steps "
-                      f"(last x = {xcur:.6e}, f = {fcur:.6e})")
-
-
-def _rtsafe(f_df, a: float, b: float, fa: float, fb: float, xtol: float,
-            maxiter: int = BRENT_MAXITER) -> tuple[float, float, float]:
+def _rtsafe(f_df, a: float, b: float, end_a: tuple[float, float],
+            end_b: tuple[float, float], xtol: float,
+            maxiter: int = MAXITER) -> tuple[float, float, float]:
     """Root of f between ``a`` and ``b``, f at that root and f' there, given
-    ``fa`` = f(a) and ``fb`` = f(b), nonzero and of opposite signs;
-    ``f_df(x)`` returns f(x) and f'(x).
+    ``end_a`` = (f(a), f'(a)) and ``end_b`` = (f(b), f'(b)), with f(a) and
+    f(b) nonzero and of opposite signs; ``f_df(x)`` returns f(x) and f'(x).
 
     Newton-bisection as ``rtsafe`` (Press et al., Numerical Recipes, 3rd
     ed., section 9.4): from the midpoint, each step is Newton's when it
     lands inside the bracket and is under half the step before last, and
     halves the bracket otherwise; an inf, NaN or zero slope halves it.
-    Unlike ``rtsafe``, every evaluation narrows the bracket, and the root
-    returned is the last abscissa evaluated, once the next Newton step or
-    the bracket is shorter than ``xtol``: the f returned is f there.
-    Raises ValueError where f is NaN and :class:`NoRootError` after
+    Unlike ``rtsafe``, every evaluation narrows the bracket.  Once the next
+    Newton step is shorter than ``xtol`` the root is the last abscissa
+    evaluated; once the bracket is, it is the end with the smaller |f|,
+    as in Brent's method.  Either way the f and f' returned are f and f'
+    there.  Raises ValueError where f is NaN and :class:`NoRootError` after
     ``maxiter`` steps without convergence.
     """
-    # f(lo) < 0 < f(hi); lo > hi where f falls
-    lo, hi = (a, b) if _checked(a, fa) < 0.0 else (b, a)
-    _checked(b, fb)
+    # (x, f, f') at the ends, f(lo) < 0 < f(hi); lo > hi where f falls
+    lo, hi = (a, _checked(a, end_a[0]), end_a[1]), (b, _checked(b, end_b[0]), end_b[1])
+    if lo[1] > 0.0:
+        lo, hi = hi, lo
     x, step_old, step = 0.5 * (a + b), abs(b - a), abs(b - a)
     for _ in range(maxiter):
         fx, dfx = f_df(x)
@@ -241,19 +228,20 @@ def _rtsafe(f_df, a: float, b: float, fa: float, fb: float, xtol: float,
         if fx == 0.0:
             return x, fx, dfx
         if fx < 0.0:
-            lo = x
+            lo = x, fx, dfx
         else:
-            hi = x
+            hi = x, fx, dfx
         newton = fx / dfx if math.isfinite(dfx) and dfx != 0.0 else math.nan
         # NaN fails both tests
-        if min(lo, hi) < x - newton < max(lo, hi) and 2.0 * abs(newton) <= step_old:
+        if min(lo[0], hi[0]) < x - newton < max(lo[0], hi[0]) and 2.0 * abs(newton) <= step_old:
             if abs(newton) < xtol:
                 return x, fx, dfx
             dx = newton
         else:
-            if abs(hi - lo) < xtol:
-                return x, fx, dfx
-            dx = x - 0.5 * (lo + hi)
+            if abs(hi[0] - lo[0]) < xtol:
+                other = hi if fx < 0.0 else lo
+                return other if abs(other[1]) < abs(fx) else (x, fx, dfx)
+            dx = x - 0.5 * (lo[0] + hi[0])
         step_old, step = step, abs(dx)
         x -= dx
     raise NoRootError(f"Newton-bisection did not converge in {maxiter} steps "
@@ -261,36 +249,34 @@ def _rtsafe(f_df, a: float, b: float, fa: float, fb: float, xtol: float,
 
 
 def _bracketed_root(objective, bracket: tuple[float, float], xtol: float, tol: float,
-                    unit: str, value_unit: str = "", newton: bool = False
-                    ) -> tuple[float, float, float | None]:
+                    unit: str, value_unit: str = "") -> tuple[float, float, float]:
     """Root of ``objective`` inside ``bracket`` (in ``unit``), its residual
-    and the slope there.
+    and the slope there, by ``_rtsafe``; ``objective`` returns f and its
+    derivative.
 
-    By default the root is Brent's and the slope None.  With ``newton``,
-    ``objective`` returns f and its derivative, and the root is
-    ``_rtsafe``'s.  Raises ValueError unless lo < hi, and
-    :class:`NoRootError` without a sign change, without convergence or
-    when |residual| > ``tol`` (in ``value_unit``).  Each abscissa is
-    evaluated once.
+    Raises ValueError unless lo < hi, and :class:`NoRootError` without a
+    sign change, without convergence or when |residual| > ``tol`` (in
+    ``value_unit``).  Each abscissa is evaluated once.
     """
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"bracket ({lo}, {hi}) {unit} must have lo < hi")
-    ends = objective(lo), objective(hi)
-    f_lo, f_hi = (end[0] for end in ends) if newton else ends
+    end_lo, end_hi = objective(lo), objective(hi)
+    f_lo, f_hi = end_lo[0], end_hi[0]
     if f_lo == 0.0 or f_hi == 0.0 or np.sign(f_lo) == np.sign(f_hi):
         raise NoRootError(
             f"no sign change over ({lo}, {hi}) {unit}: "
             f"f(lo) = {f_lo:.6e}, f(hi) = {f_hi:.6e}{value_unit}"
         )
-    if newton:
-        root, residual, slope = _rtsafe(objective, lo, hi, f_lo, f_hi, xtol)
-    else:
-        (root, residual), slope = _brent(objective, lo, hi, f_lo, f_hi, xtol), None
+    root, residual, slope = _rtsafe(objective, lo, hi, end_lo, end_hi, xtol)
     if abs(residual) > tol:
+        # only an eigenstate with a degenerate partner has an inf or NaN slope
+        cause = ("" if math.isfinite(slope) else
+                 f"; the slope there is {slope}, so a named state is degenerate "
+                 "and names no single eigenstate")
         raise NoRootError(
             f"root at {root:.6f} {unit} fails the residual check: "
-            f"|{residual:.3e}| > {tol}{value_unit}"
+            f"|{residual:.3e}| > {tol}{value_unit}{cause}"
         )
     return root, residual, slope
 
@@ -313,15 +299,17 @@ def find_magic_detuning(spec: PolarizabilitySpec, j_a: int, j_b: int,
         listing = ", ".join(f"J={j} at {p:+.4f} GHz" for j, p in poles)
         raise PoleProximityError(f"bracket ({lo}, {hi}) GHz contains poles: {listing}")
 
-    def objective(delta: float) -> float:
-        return _detuning_objective(spec, (j_a, m), (j_b, m), delta, theta_p)
+    slope = _detuning_slope(spec, (j_a, m), (j_b, m), theta_p)
 
-    root, residual, _ = _bracketed_root(objective, bracket, 1e-12, DETUNING_RESIDUAL_TOL,
-                                        "GHz", " a.u.")
+    def objective(delta: float) -> tuple[float, float]:
+        return _detuning_objective(spec, (j_a, m), (j_b, m), delta, theta_p), slope(delta)
+
+    root, residual, slope_at_root = _bracketed_root(objective, bracket, 1e-12,
+                                                    DETUNING_RESIDUAL_TOL, "GHz", " a.u.")
     return MagicSolution(
         kind="detuning", location=float(root),
         state_a=(j_a, m), state_b=(j_b, m),
-        residual=float(residual), bracket=(float(lo), float(hi)),
+        residual=float(residual), bracket=(float(lo), float(hi)), slope=slope_at_root,
     )
 
 
@@ -340,9 +328,9 @@ def find_magic_angle(fields: FieldConfiguration, state_a, state_b,
     ValueError.  ``"auto"`` picks "eigen" exactly when an active
     quadrupole or dc Stark term breaks the bare picture.
 
-    Both find the root to 1e-8 degrees inside ``bracket``: "bare" by Brent
-    iteration, "eigen" by Newton-bisection on the Hellmann-Feynman slope
-    (``_rtsafe``), which the solution reports as ``slope``.
+    Both find the root to 1e-8 degrees inside ``bracket`` by Newton-bisection
+    (``_rtsafe``) on the slope per degree, which the solution reports as
+    ``slope``: in closed form for "bare", Hellmann-Feynman for "eigen".
     """
     eigen = _angle_method(fields, terms, method) == "eigen"
     lo, hi = bracket
@@ -354,7 +342,7 @@ def find_magic_angle(fields: FieldConfiguration, state_a, state_b,
                              "has one state per (J, M), rank 0")
     objective = _angle_objective(fields, state_a, state_b, terms, j_max if eigen else None)
     root, residual, slope = _bracketed_root(objective, bracket, 1e-8, ANGLE_RESIDUAL_TOL,
-                                            "degrees", newton=eigen)
+                                            "degrees")
     return MagicSolution(
         kind="angle", location=float(root),
         state_a=tuple(state_a), state_b=tuple(state_b),

@@ -585,29 +585,21 @@ def test_rootless_bracket_exits_3(small_config, tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
-def test_unconverged_brent_search_exits_3(small_config, tmp_path, capsys, monkeypatch):
-    """An iteration limit hit inside the search is a numerical failure, not
-    a traceback."""
-    brent = magic._brent
-    monkeypatch.setattr(magic, "_brent", lambda *args: brent(*args, maxiter=2))
-    assert main(["magic-find", "--config", str(small_config),
-                 "--out", str(tmp_path)]) == 3
-    assert "did not converge in 2 steps" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
-
-
 EIGEN_ANGLE_ARGS = ["--override", "magic.kind=angle", "--override", "magic.method=eigen",
                     "--override", "magic.j_a=1", "--override", "magic.rank_a=0",
                     "--override", "magic.j_b=0", "--override", "magic.rank_b=0"]
 
 
-def test_unconverged_newton_search_exits_3(tmp_path, capsys, monkeypatch):
-    """The step limit hit inside an eigen angle search is a numerical
-    failure, not a traceback."""
+@pytest.mark.parametrize("search_args", [
+    [],
+    [*EIGEN_ANGLE_ARGS, "--override", "fields.e_field_kv_cm=0.5"],
+], ids=["detuning", "eigen"])
+def test_unconverged_newton_search_exits_3(search_args, tmp_path, capsys, monkeypatch):
+    """The step limit hit inside a search is a numerical failure, not a
+    traceback."""
     rtsafe = magic._rtsafe
     monkeypatch.setattr(magic, "_rtsafe", lambda *args: rtsafe(*args, maxiter=2))
-    assert main(["magic-find", "--out", str(tmp_path), *EIGEN_ANGLE_ARGS,
-                 "--override", "fields.e_field_kv_cm=0.5"]) == 3
+    assert main(["magic-find", "--out", str(tmp_path), *search_args]) == 3
     assert "Newton-bisection did not converge in 2 steps" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
@@ -616,18 +608,21 @@ def test_degenerate_levels_leave_the_slope_unused_and_exit_3(tmp_path, capsys):
     """Without B and E fields the hyperfine levels are degenerate, so
     E_i - E_j = 0 in the slope's sum.  The search bisects instead, raises
     no RuntimeWarning (an error under the test settings), and fails the
-    residual check as the Brent search did."""
+    residual check, which names the degenerate state as its cause."""
     assert main(["magic-find", "--out", str(tmp_path), *EIGEN_ANGLE_ARGS,
                  "--override", "fields.b_field_gauss=0",
                  "--override", "fields.e_field_kv_cm=0"]) == 3
     err = capsys.readouterr().err
     assert "numerical error: root at" in err and "fails the residual check" in err
+    assert ("the slope there is nan, so a named state is degenerate "
+            "and names no single eigenstate") in err
     assert not list(tmp_path.glob("*.csv"))
 
 
 def test_eigen_angle_summary_reports_the_slope(tmp_path, capsys):
     """The one-line summary carries d(Delta alpha)/d(theta) at the root;
-    the CSV keeps its columns, and a bare search prints no slope."""
+    the CSV keeps its columns.  A bare search prints its slope too, and a
+    detuning search its d(Delta alpha)/d(Delta) in a.u. per GHz."""
     assert main(["magic-find", "--out", str(tmp_path), *EIGEN_ANGLE_ARGS,
                  "--override", "fields.e_field_kv_cm=0.5"]) == 0
     summary = capsys.readouterr().out.splitlines()[0]
@@ -638,7 +633,11 @@ def test_eigen_angle_summary_reports_the_slope(tmp_path, capsys):
     assert main(["magic-find", "--out", str(tmp_path), "--override", "magic.kind=angle",
                  "--override", "magic.method=bare", "--override", "magic.j_a=1",
                  "--override", "magic.j_b=0"]) == 0
-    assert "slope" not in capsys.readouterr().out
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.endswith("residual 3.057e-10, slope -2.555e-01 Hz/(W/cm^2) per deg")
+    assert main(["magic-find", "--out", str(tmp_path)]) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.endswith("GHz, residual 0.000e+00 a.u., slope -2.049e+00 a.u. per GHz")
 
 
 def test_zero_width_line_has_no_pole_in_the_bracket(tmp_path, capsys):
