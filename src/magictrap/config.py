@@ -62,12 +62,17 @@ def _choice(options: Iterable[str]):
 
 
 def _list(item):
-    """Parser of a non-empty comma-separated list, ``item`` per entry."""
+    """Parser of a non-empty comma-separated list, ``item`` per entry,
+    each entry once: a repeated J would repeat its every output row."""
     def parse(text: str) -> tuple:
         items = [p.strip() for p in text.split(",") if p.strip()]
         if not items:
             raise ValueError("empty list")
-        return tuple(map(item, items))
+        values = tuple(map(item, items))
+        repeated = [v for k, v in enumerate(values) if v in values[:k]]
+        if repeated:
+            raise ValueError(f"{repeated[0]!r} is listed twice")
+        return values
     return parse
 
 

@@ -16,12 +16,16 @@ as real as the calibrated linewidth.
 
 from __future__ import annotations
 
+import logging
 import math
+from functools import lru_cache
 
 from .config import RunConfig
 from .potentials import CoupledModel, DipoleFunction, MorseCurve, calibrate_morse
-from .radial import RovibBasis, rovib_basis
+from .radial import RadialGrid, RovibBasis, rovib_basis
 from .units import AMU_TO_ME, HARTREE_TO_CM1
+
+logger = logging.getLogger(__name__)
 
 # Surrogate well shapes, chosen, not fitted: the X and b wells match
 # the printed rotational constants, the A well sits outside with a
@@ -47,19 +51,20 @@ def radial_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunct
     :func:`pinned_models` aligns the coupled model to the configured
     transition energy.
     """
-    mass = cfg.reduced_mass_amu()
-    mu = mass * AMU_TO_ME
-    ground = calibrate_morse(
-        cfg.get("molecule", "b_v_cm1"), OMEGA_X_CM1, mass,
-        d_e_cm1=D_X_CM1, label="X",
-    )
+    return _models(cfg.get("molecule", "b_v_cm1"), cfg.get("molecule", "b_vprime_cm1"),
+                   cfg.reduced_mass_amu())
+
+
+def _models(b_v_cm1: float, b_vprime_cm1: float,
+            mass_amu: float) -> tuple[MorseCurve, CoupledModel, DipoleFunction]:
+    """:func:`radial_models` from the only three numbers it reads."""
+    mu = mass_amu * AMU_TO_ME
+    ground = calibrate_morse(b_v_cm1, OMEGA_X_CM1, mass_amu, d_e_cm1=D_X_CM1, label="X")
     d_b = D_B_CM1 / HARTREE_TO_CM1
     omega_b = OMEGA_B_CM1 / HARTREE_TO_CM1
     b_curve = MorseCurve(
         label="b", d_e=d_b, a=omega_b * math.sqrt(mu / (2.0 * d_b)),
-        r_e=1.0 / math.sqrt(
-            2.0 * mu * cfg.get("molecule", "b_vprime_cm1") / HARTREE_TO_CM1
-        ),
+        r_e=1.0 / math.sqrt(2.0 * mu * b_vprime_cm1 / HARTREE_TO_CM1),
         asymptote=0.0,
     )
     d_a = A_DE_CM1 / HARTREE_TO_CM1
@@ -76,6 +81,25 @@ def radial_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunct
     return ground, model, DipoleFunction.constant(("X", "A"), DIPOLE_XA_EA0)
 
 
+# two entries: one model on two grids, as a convergence check compares
+@lru_cache(maxsize=2)
+def _bases(b_v_cm1: float, b_vprime_cm1: float, mass_amu: float,
+           grid: RadialGrid) -> tuple[MorseCurve, CoupledModel, DipoleFunction,
+                                      RovibBasis, RovibBasis]:
+    """:func:`_models` and their X (J=0) and unshifted A-b (J'=1) bases.
+
+    Keyed on all that the two dense solves read, and on nothing of a
+    config, so a later config cannot make an entry stale.  One entry on
+    the bundled grid holds 14.3 MB of read-only basis arrays.
+    """
+    ground, model, dipole = _models(b_v_cm1, b_vprime_cm1, mass_amu)
+    # the 2n x 2n coupled solve first, so its peak memory does not stack
+    # on what the n x n ground solve leaves allocated
+    ab_basis = rovib_basis(model, 1, mass_amu, grid)
+    x_basis = rovib_basis(ground, 0, mass_amu, grid)
+    return ground, model, dipole, x_basis, ab_basis
+
+
 def pinned_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunction,
                                            RovibBasis, RovibBasis]:
     """:func:`radial_models` with the coupled model pinned, and its bases.
@@ -86,16 +110,20 @@ def pinned_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunct
     detuning origin.
 
     The last two values are the ground curve's basis at J=0 and the
-    shifted coupled model's basis at J'=1, one dense solve each, from
-    which a caller reads the levels at every J.
+    shifted coupled model's basis at J'=1, one dense solve each, per
+    process and per model key: the rotational constants, the reduced
+    mass and the grid.  The transition energy only sets the shift, so a
+    call that changes nothing else reuses both solves.
     """
-    ground, model, dipole = radial_models(cfg)
-    mass = cfg.reduced_mass_amu()
     grid = cfg.radial_grid()
-    # the 2n x 2n coupled solve first, so its peak memory does not stack
-    # on what the n x n ground solve leaves allocated
-    ab_basis = rovib_basis(model, 1, mass, grid)
-    x_basis = rovib_basis(ground, 0, mass, grid)
+    hits = _bases.cache_info().hits
+    ground, model, dipole, x_basis, ab_basis = _bases(
+        cfg.get("molecule", "b_v_cm1"), cfg.get("molecule", "b_vprime_cm1"),
+        cfg.reduced_mass_amu(), grid)
+    if _bases.cache_info().hits > hits:
+        logger.info("reusing the X basis (K=%d) and the %s basis (K=%d) "
+                    "on the n=%d grid", x_basis.size, ab_basis.label,
+                    ab_basis.size, grid.n)
     shift = (cfg.get("molecule", "transition_cm1") / HARTREE_TO_CM1
              + x_basis.levels(0, 1)[0].energy - ab_basis.levels(1, 1)[0].energy)
     return (ground, model.with_shift(shift), dipole, x_basis,

@@ -312,9 +312,13 @@ def _dense_basis(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
 
     energies, vectors = _lowest_eigenpairs(h, threshold - BOUND_MARGIN, per_bound)
     c_diag = np.tile(cent, len(curves))
+    centrifugal = vectors.T @ (c_diag[:, None] * vectors)
+    # read-only, as a basis may be shared by every later caller
+    for array in (energies, vectors, centrifugal):
+        array.setflags(write=False)
     return RovibBasis(
         label=label, j_ref=j, energies=energies, vectors=vectors,
-        centrifugal=vectors.T @ (c_diag[:, None] * vectors), grid=grid, mu=mu,
+        centrifugal=centrifugal, grid=grid, mu=mu,
         channel_labels=labels, potentials=curves, threshold=threshold, shift=shift,
     )
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magictrap import cli, config, magic, radial
+from magictrap import cli, config, magic, narb, radial
 from magictrap.cli import emit_csv, main
 from magictrap.config import SCHEMA, bundled_defaults_path, load_config
 from magictrap.errors import ConfigError
@@ -379,19 +379,56 @@ def test_hyperfine_columns_match_the_row_assembly():
 @pytest.mark.parametrize("subcommand", ["solve-rovib", "imag-scan"])
 def test_one_dense_solve_per_model(subcommand, small_config, tmp_path, monkeypatch):
     """The ground curve (n = 700) and the coupled pair (2n) are each
-    diagonalized once; every J, the J=0 ground level and the J'=1 line
-    that pins the shift included, comes from those two bases."""
+    diagonalized once per process and model; every J, the J=0 ground
+    level and the J'=1 line that pins the shift included, comes from
+    those two bases.  A run that moves only the line or the scan reuses
+    them, and one on another grid solves its own."""
     sizes = []
 
     def counting(h, *args):
         sizes.append(h.shape[0])
         return dense(h, *args)
 
+    def solved(*overrides):
+        sizes.clear()
+        argv = [subcommand, "--config", str(small_config), "--out", str(tmp_path)]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 0
+        return sorted(sizes)
+
     dense = radial._lowest_eigenpairs
     monkeypatch.setattr(radial, "_lowest_eigenpairs", counting)
-    assert main([subcommand, "--config", str(small_config),
-                 "--out", str(tmp_path)]) == 0
-    assert sorted(sizes) == [700, 1400]
+    narb._bases.cache_clear()
+    assert solved() == [700, 1400]
+    assert solved("molecule.transition_cm1=11290.0", "scan.start_ghz=10.0",
+                  "scan.j_values=1,2") == []
+    assert solved("grid.points=300") == [300, 600]
+
+
+@pytest.mark.parametrize("subcommand", ["solve-rovib", "imag-scan"])
+@pytest.mark.parametrize("first, second", [("11306.4", "11290.0"), ("11290.0", "11306.4")])
+def test_reused_bases_write_the_bytes_of_fresh_solves(subcommand, first, second,
+                                                      small_config, tmp_path):
+    """Bases reused from the memo (the fast path) write every byte that
+    fresh solves (the slow path, the oracle) write, at the line they
+    were pinned to and at another one."""
+    csv_name = subcommand.replace("-", "_") + ".csv"
+
+    def written(transition, fresh):
+        if fresh:
+            narb._bases.cache_clear()
+        out = tmp_path / f"{transition}-{fresh}"
+        assert main([subcommand, "--config", str(small_config), "--out", str(out),
+                     "--override", "grid.points=300",
+                     "--override", f"molecule.transition_cm1={transition}"]) == 0
+        return (out / csv_name).read_bytes()
+
+    slow_first = written(first, fresh=True)
+    fast_second = written(second, fresh=False)
+    fast_first = written(first, fresh=False)
+    assert fast_first == slow_first
+    assert fast_second == written(second, fresh=True)
 
 
 def test_console_entry_point(small_config, tmp_path):
@@ -827,8 +864,8 @@ def test_out_of_range_value_exits_2_naming_its_key(subcommand, overrides, key,
     ("grid.points", "8", ["0", "7", "8.0"]),
     ("fields.e_field_kv_cm", "0", ["-0.5"]),
     ("fields.theta_p_deg", "-30", ["nan"]),
-    ("fields.terms", "rotation,stark", ["", "rotation,spin"]),
-    ("scan.j_values", "0,3", ["0,-1", "0,x"]),
+    ("fields.terms", "rotation,stark", ["", "rotation,spin", "stark,stark"]),
+    ("scan.j_values", "0,3", ["0,-1", "0,x", "1,1"]),
     ("scan.m", "-2", ["1.5"]),
     ("scan.max_levels", "1", ["0"]),
     ("magic.kind", "angle", ["Angle"]),

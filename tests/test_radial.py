@@ -365,22 +365,61 @@ def test_retained_levels_are_converged_on_the_bundled_grid(narb_radial, narb_con
             assert _rel(a.energy, b.energy) <= 1e-12
 
 
-def test_radial_models_make_no_dense_solve(monkeypatch):
+def test_dense_solves_run_once_per_model_key(monkeypatch):
     """The curves alone cost nothing; pinning the line costs the two
-    basis solves, one per model."""
+    basis solves, one per model, the first time the process sees their
+    inputs.  Moving only the line or the scan reuses both solves, and
+    moving any one input of the solves runs both again."""
     sizes = []
 
     def counting(h, *args):
         sizes.append(h.shape[0])
         return dense(h, *args)
 
+    def solved(*overrides):
+        sizes.clear()
+        narb.pinned_models(load_config(overrides=["grid.points=300", *overrides]))
+        return sorted(sizes)
+
     dense = radial._lowest_eigenpairs
     monkeypatch.setattr(radial, "_lowest_eigenpairs", counting)
-    cfg = load_config(overrides=["grid.points=300"])
-    narb.radial_models(cfg)
+    narb._bases.cache_clear()
+    narb.radial_models(load_config(overrides=["grid.points=300"]))
     assert sizes == []
-    narb.pinned_models(cfg)
-    assert sorted(sizes) == [300, 600]
+    assert solved() == [300, 600]
+    assert solved("molecule.transition_cm1=11290.0", "scan.j_values=2",
+                  "scan.max_levels=1") == []
+    for item, n in [("grid.points=320", 320), ("grid.r_min_bohr=4.6", 300),
+                    ("grid.r_max_bohr=19.5", 300), ("molecule.b_v_cm1=0.0698", 300),
+                    ("molecule.b_vprime_cm1=0.0699", 300),
+                    ("molecule.mass_na_amu=23.0", 300), ("molecule.mass_rb_amu=87.0", 300)]:
+        assert solved() == []  # the base key stays the most recent one
+        assert solved(item) == [n, 2 * n], item
+
+
+def test_reused_bases_are_logged(caplog):
+    cfg = load_config(overrides=["grid.points=300"])
+    narb._bases.cache_clear()
+    with caplog.at_level(logging.INFO, logger="magictrap"):
+        *_, x_basis, ab_basis = narb.pinned_models(cfg)
+        assert "reusing" not in caplog.text
+        narb.pinned_models(cfg)
+    assert caplog.text.count("reusing") == 1
+    assert (f"reusing the X basis (K={x_basis.size}) and the Ab basis "
+            f"(K={ab_basis.size}) on the n=300 grid") in caplog.text
+
+
+def test_pinned_bases_are_read_only(narb_radial):
+    """Later calls share a pinned basis's arrays, so none can be written;
+    a level's wavefunction is its own, writeable array."""
+    for basis, j_ref in [(narb_radial["x_basis"], 0), (narb_radial["ab_basis"], 1)]:
+        for array in (basis.energies, basis.vectors, basis.centrifugal):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        for j in (j_ref, j_ref + 1):
+            psi = basis.levels(j, 1)[0].wavefunction
+            assert psi.flags.writeable and psi.flags.owndata
+            assert not np.shares_memory(psi, basis.vectors)
 
 
 def test_basis_needs_a_bound_level():
