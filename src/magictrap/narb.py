@@ -90,7 +90,8 @@ def _bases(b_v_cm1: float, b_vprime_cm1: float, mass_amu: float,
 
     Keyed on all that the two dense solves read, and on nothing of a
     config, so a later config cannot make an entry stale.  One entry on
-    the bundled grid holds 14.3 MB of read-only basis arrays.
+    the bundled grid holds 14.3 MB of read-only basis arrays, kept for
+    the life of the process (``_bases.cache_clear()`` frees them).
     """
     ground, model, dipole = _models(b_v_cm1, b_vprime_cm1, mass_amu)
     # the 2n x 2n coupled solve first, so its peak memory does not stack
@@ -113,7 +114,12 @@ def pinned_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunct
     shifted coupled model's basis at J'=1, one dense solve each, per
     process and per model key: the rotational constants, the reduced
     mass and the grid.  The transition energy only sets the shift, so a
-    call that changes nothing else reuses both solves.
+    call that changes nothing else reuses both solves.  That pays only
+    in a process that calls this more than once on one key: library or
+    notebook code that sweeps ``transition_cm1`` or the scan, or runs
+    ``solve-rovib`` then ``imag-scan`` through ``cli.main``, and the
+    benchmark's in-process passes.  The ``magictrap`` command runs one
+    subcommand per process, so it still pays both solves each run.
     """
     grid = cfg.radial_grid()
     hits = _bases.cache_info().hits

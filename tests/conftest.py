@@ -6,6 +6,8 @@ of the contracted basis) and a stiff two-channel model whose
 closed-form constants are recovered from its own levels (used by the
 dual-route comparisons).
 Every NaRb input comes from the bundled defaults via ``load_config()``.
+Each test starts with an empty ``narb._bases`` memo, so a test that
+counts dense solves sees its own and none left by an earlier test.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ from magictrap import narb
 from magictrap.config import load_config
 from magictrap.potentials import CoupledModel, DipoleFunction, MorseCurve, calibrate_morse
 from magictrap.units import AMU_TO_ME, HARTREE_TO_CM1
+
+
+@pytest.fixture(autouse=True)
+def _empty_radial_memo():
+    narb._bases.cache_clear()
 
 
 @pytest.fixture(scope="session")
