@@ -91,7 +91,8 @@ def _bases(b_v_cm1: float, b_vprime_cm1: float, mass_amu: float,
     Keyed on all that the two dense solves read, and on nothing of a
     config, so a later config cannot make an entry stale.  One entry on
     the bundled grid holds 14.3 MB of read-only basis arrays, kept for
-    the life of the process (``_bases.cache_clear()`` frees them).
+    the life of the process (``_bases.cache_clear()`` frees them); it is
+    the only radial state kept between calls.
     """
     ground, model, dipole = _models(b_v_cm1, b_vprime_cm1, mass_amu)
     # the 2n x 2n coupled solve first, so its peak memory does not stack

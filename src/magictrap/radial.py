@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -71,6 +71,10 @@ class RadialGrid:
     n: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
+            raise GridError("r_min and r_max must be finite")
+        if not isinstance(self.n, Integral):
+            raise GridError(f"n must be an integer, got {self.n!r}")
         if self.r_min <= 0.0:
             raise GridError("r_min must be positive (radial coordinate)")
         if self.r_max <= self.r_min:
@@ -121,32 +125,30 @@ class RovibLevel:
         return float(np.sum(dens / (2.0 * self.mu * r ** 2)))
 
 
-@lru_cache(maxsize=8)
-def _kinetic_cached(r_min: float, r_max: float, n: int, mu: float) -> np.ndarray:
-    big_n = n + 1
-    length = r_max - r_min
-    i = np.arange(1, n + 1)
-    diff = i[:, None] - i[None, :]
-    summ = i[:, None] + i[None, :]
-    pref = math.pi ** 2 / (2.0 * mu * length ** 2) * 0.5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        off = (
-            1.0 / np.sin(math.pi * diff / (2.0 * big_n)) ** 2
-            - 1.0 / np.sin(math.pi * summ / (2.0 * big_n)) ** 2
-        )
-    t = pref * np.where(diff % 2 == 0, 1.0, -1.0) * off
-    diag = pref * ((2.0 * big_n ** 2 + 1.0) / 3.0 - 1.0 / np.sin(math.pi * i / big_n) ** 2)
-    t[np.diag_indices(n)] = diag
-    t.setflags(write=False)
-    return t
-
-
 def dvr_kinetic(grid: RadialGrid, mass_amu: float) -> np.ndarray:
-    """Kinetic-energy matrix (Hartree) for the given grid and mass."""
+    """Kinetic-energy matrix (Hartree) for the given grid and mass.
+
+    Entry (i, j) reads (-1)^k / sin^2(pi k / 2(n+1)) only at k = |i - j|
+    and k = i + j, whose parities agree, and the diagonal at k = 2i, so
+    one table over k = 0..2n fills the whole matrix.  Each call returns
+    a new array.
+    """
     if mass_amu <= 0.0:
         raise ValueError("mass must be positive")
     mu = mass_amu * AMU_TO_ME
-    return _kinetic_cached(grid.r_min, grid.r_max, grid.n, mu)
+    n = grid.n
+    big_n = n + 1
+    pref = math.pi ** 2 / (2.0 * mu * (grid.r_max - grid.r_min) ** 2) * 0.5
+    k = np.arange(2 * n + 1)
+    # k = 0 only lands on the diagonal, which is overwritten below
+    with np.errstate(divide="ignore"):
+        table = np.where(k % 2, -1.0, 1.0) / np.sin(math.pi * k / (2.0 * big_n)) ** 2
+    i = np.arange(1, n + 1)
+    t = table[np.abs(i[:, None] - i[None, :])]
+    t -= table[i[:, None] + i[None, :]]
+    t *= pref
+    t[np.diag_indices(n)] = pref * ((2.0 * big_n ** 2 + 1.0) / 3.0 - table[2 * i])
+    return t
 
 
 def _check_grid(grid: RadialGrid, mu: float, v_on_grid: np.ndarray,
@@ -158,29 +160,6 @@ def _check_grid(grid: RadialGrid, mu: float, v_on_grid: np.ndarray,
             f"kinetic cutoff {cutoff:.3e} Eh below well depth {depth:.3e} Eh; "
             "decrease grid spacing"
         )
-
-
-def _finalize_level(label, v, j, energy, grid, mu, coeffs, channel_labels,
-                    channel_fractions, potentials, shift, asym) -> RovibLevel:
-    # deterministic overall sign: largest-amplitude point positive
-    flat = coeffs.ravel()
-    if flat[np.argmax(np.abs(flat))] < 0.0:
-        coeffs = -coeffs
-    psi = coeffs / math.sqrt(grid.dr)
-    return RovibLevel(
-        label=label,
-        v=v,
-        j=j,
-        energy=float(energy),
-        grid=grid,
-        mu=mu,
-        wavefunction=psi,
-        channel_labels=channel_labels,
-        channel_fractions=channel_fractions,
-        potentials=potentials,
-        shift=shift,
-        near_threshold=bool(energy > asym - NEAR_THRESHOLD_WINDOW),
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,22 +214,29 @@ class RovibBasis:
         energies = energies[:bound][:max_levels]
         vectors = (self.vectors[:, :energies.size] if factor == 0
                    else self.vectors @ coeffs[:, :energies.size])
-        n = self.grid.n
+        near = self.threshold + self.shift - NEAR_THRESHOLD_WINDOW
         levels = []
-        for v_idx, energy in enumerate(energies):
-            channels = vectors[:, v_idx].reshape(-1, n)
-            fracs = tuple(float(np.sum(ch ** 2)) for ch in channels)
-            levels.append(_finalize_level(
-                self.label, v_idx, j, energy + self.shift, self.grid, self.mu,
-                channels, self.channel_labels, fracs, self.potentials, self.shift,
-                self.threshold + self.shift,
+        for v, energy in enumerate(energies + self.shift):
+            channels = vectors[:, v].reshape(-1, self.grid.n)
+            # deterministic overall sign: largest-amplitude point positive
+            flat = channels.ravel()
+            if flat[np.argmax(np.abs(flat))] < 0.0:
+                channels = -channels
+            levels.append(RovibLevel(
+                label=self.label, v=v, j=j, energy=float(energy), grid=self.grid,
+                mu=self.mu, wavefunction=channels / math.sqrt(self.grid.dr),
+                channel_labels=self.channel_labels,
+                channel_fractions=tuple(float(np.sum(ch ** 2)) for ch in channels),
+                potentials=self.potentials, shift=self.shift,
+                near_threshold=bool(energy > near),
             ))
         return levels
 
 
-def _lowest_eigenpairs(h: np.ndarray, top: float, per_bound: int):
+def _lowest_eigenpairs(h: np.ndarray, top: float):
     """Lowest eigenpairs of the symmetric ``h``, which is overwritten:
-    ``per_bound`` times as many as lie below ``top``, in ascending order.
+    :data:`BASIS_STATES_PER_BOUND` times as many as lie below ``top``,
+    in ascending order.
 
     One Householder tridiagonalization H = Q T Q^T, every eigenpair of T
     by divide and conquer, and Q applied to the kept vectors only, so
@@ -265,7 +251,7 @@ def _lowest_eigenpairs(h: np.ndarray, top: float, per_bound: int):
     if info:
         raise np.linalg.LinAlgError(f"dsytrd failed with info={info}")
     energies, z = eigh_tridiagonal(diag, off, lapack_driver="stevd")
-    keep = min(dim, per_bound * int(np.searchsorted(energies, top)))
+    keep = min(dim, BASIS_STATES_PER_BOUND * int(np.searchsorted(energies, top)))
     vectors = np.array(z[:, :keep], order="F")  # a copy, so z can go
     del z
     # Q = diag(1, Q') with Q' the product of the reflectors stored
@@ -278,7 +264,7 @@ def _lowest_eigenpairs(h: np.ndarray, top: float, per_bound: int):
 
 
 def _dense_basis(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
-                 grid: RadialGrid, per_bound: int) -> RovibBasis:
+                 grid: RadialGrid) -> RovibBasis:
     """One dense DVR solve of ``model`` without its shift at rotational ``j``.
 
     The Hamiltonian stacks the DVR kinetic block on each channel's
@@ -298,19 +284,20 @@ def _dense_basis(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
     _check_grid(grid, mu, np.min(potentials, axis=0), threshold)
 
     cent = 1.0 / (2.0 * mu * r ** 2)
-    t = _kinetic_cached(grid.r_min, grid.r_max, n, mu)
+    t = dvr_kinetic(grid, mass_amu)
     # Fortran order lets the tridiagonalization overwrite h in place
     h = np.zeros((n * len(curves),) * 2, order="F")
     idx = np.arange(n)
     for c, v in enumerate(potentials):
         h[c * n:(c + 1) * n, c * n:(c + 1) * n] = t
         h[idx + c * n, idx + c * n] += v + j * (j + 1) * cent
+    del t  # so it is not held beside h through the solve
     if isinstance(model, CoupledModel):
         xi = np.asarray(model.coupling(r), dtype=float)
         h[idx, idx + n] = xi
         h[idx + n, idx] = xi
 
-    energies, vectors = _lowest_eigenpairs(h, threshold - BOUND_MARGIN, per_bound)
+    energies, vectors = _lowest_eigenpairs(h, threshold - BOUND_MARGIN)
     c_diag = np.tile(cent, len(curves))
     centrifugal = vectors.T @ (c_diag[:, None] * vectors)
     # read-only, as a basis may be shared by every later caller
@@ -333,7 +320,7 @@ def rovib_basis(model: PotentialCurve | CoupledModel, j_ref: int, mass_amu: floa
     shift is carried as :attr:`RovibBasis.shift`.  Raises
     :class:`GridError` if no level is bound at ``j_ref``.
     """
-    basis = _dense_basis(model, j_ref, mass_amu, grid, BASIS_STATES_PER_BOUND)
+    basis = _dense_basis(model, j_ref, mass_amu, grid)
     if not basis.size:
         raise GridError(f"no bound {basis.label} level at J={j_ref} on the grid "
                         "to build a basis from")
@@ -353,7 +340,7 @@ def solve_single(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
     A dense solve at this j alone; use :func:`rovib_basis` for several J.
     :func:`solve_coupled` is the same function.
     """
-    return _dense_basis(model, j, mass_amu, grid, 1).levels(j, max_levels)
+    return _dense_basis(model, j, mass_amu, grid).levels(j, max_levels)
 
 
 solve_coupled = solve_single

@@ -64,6 +64,19 @@ def test_grid_validation_and_geometry():
         RadialGrid(4.0, 4.0, 99)
     with pytest.raises(GridError):
         RadialGrid(4.0, 12.0, 4)
+    # each bad field is named here, not found later as a TypeError or
+    # IndexError inside a solve
+    for n in (300.0, 300.5, "300"):
+        with pytest.raises(GridError, match="n must be an integer"):
+            RadialGrid(3.5, 14.0, n)
+    for r_min, r_max in [(math.nan, 14.0), (3.5, math.inf), (3.5, math.nan),
+                         (-math.inf, 14.0)]:
+        with pytest.raises(GridError, match="finite"):
+            RadialGrid(r_min, r_max, 300)
+    assert RadialGrid(4.0, 12.0, np.int64(99)).points.shape == (99,)
+    curve = MorseCurve("X", 0.02, 0.5, 6.0)
+    assert (solve_single(curve, 0, MASS, RadialGrid(3.5, 14.0, np.int64(300)), 1)[0].energy
+            == solve_single(curve, 0, MASS, RadialGrid(3.5, 14.0, 300), 1)[0].energy)
 
 
 def test_kinetic_matrix_matches_spectral_construction():
@@ -79,6 +92,41 @@ def test_kinetic_matrix_matches_spectral_construction():
     ref = u.T @ np.diag(eigs) @ u
     np.testing.assert_allclose(dvr_kinetic(grid, MASS), ref,
                                rtol=0.0, atol=1e-12)
+
+
+def _kinetic_oracle(grid, mu):
+    """The n^2 construction: every 1/sin^2 evaluated at its own entry."""
+    n = grid.n
+    big_n = n + 1
+    length = grid.r_max - grid.r_min
+    i = np.arange(1, n + 1)
+    diff = i[:, None] - i[None, :]
+    summ = i[:, None] + i[None, :]
+    pref = math.pi ** 2 / (2.0 * mu * length ** 2) * 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = (
+            1.0 / np.sin(math.pi * diff / (2.0 * big_n)) ** 2
+            - 1.0 / np.sin(math.pi * summ / (2.0 * big_n)) ** 2
+        )
+    t = pref * np.where(diff % 2 == 0, 1.0, -1.0) * off
+    diag = pref * ((2.0 * big_n ** 2 + 1.0) / 3.0 - 1.0 / np.sin(math.pi * i / big_n) ** 2)
+    t[np.diag_indices(n)] = diag
+    return t
+
+
+@pytest.mark.parametrize("n", [8, 24, 99, 300, 1200])
+@pytest.mark.parametrize("mass", [MASS, 45.9])
+def test_kinetic_matrix_equals_the_entrywise_build(n, mass):
+    """The table-gathered matrix is the entrywise one bit for bit, and
+    each call returns its own writeable array."""
+    grid = RadialGrid(4.5, 19.0, n)
+    first = dvr_kinetic(grid, mass)
+    assert np.array_equal(first, _kinetic_oracle(grid, mass * AMU_TO_ME))
+    second = dvr_kinetic(grid, mass)
+    assert second is not first and not np.shares_memory(first, second)
+    assert first.flags.writeable and second.flags.writeable
+    first[0, 0] = 0.0
+    assert np.array_equal(second, _kinetic_oracle(grid, mass * AMU_TO_ME))
 
 
 def test_kinetic_eigenvalues_are_box_levels():
