@@ -95,8 +95,8 @@ def _bases(b_v_cm1: float, b_vprime_cm1: float, mass_amu: float,
     the only radial state kept between calls.
     """
     ground, model, dipole = _models(b_v_cm1, b_vprime_cm1, mass_amu)
-    # the 2n x 2n coupled solve first, so its peak memory does not stack
-    # on what the n x n ground solve leaves allocated
+    # the two-channel solve first, so its peak memory does not stack on
+    # what the ground solve leaves allocated
     ab_basis = rovib_basis(model, 1, mass_amu, grid)
     x_basis = rovib_basis(ground, 0, mass_amu, grid)
     return ground, model, dipole, x_basis, ab_basis

@@ -8,14 +8,24 @@ adjustments, and off-diagonal entries fall off as (-1)^(i-j)/(i-j)^2
 with the corresponding interval correction.  Single curves and
 two-channel spin-orbit coupled pairs share the same machinery.
 
+Each solve diagonalizes every channel's n x n block on its own
+(``np.linalg.eigh``).  A single curve's eigenpairs are the model's.  A
+coupled model's channels each keep their eigenstates up to
+:data:`CHANNEL_CUTOFF` above their own asymptote, and one more eigh
+couples them in that basis; an a-posteriori bound on what the dropped
+states could move each bound energy certifies the truncation, and a
+solve whose bound exceeds :data:`TRUNCATION_TOL` keeps every channel
+state instead.  This is the sequential diagonalization-truncation of
+Bacic & Light (Annu. Rev. Phys. Chem. 40, 469 (1989)) applied to the
+channels of the Colbert-Miller DVR (J. Chem. Phys. 96, 1982 (1992)).
+
 J enters the Hamiltonian only through the diagonal centrifugal term
 J(J+1) C with C = 1/(2 mu R^2) on every channel.  A :class:`RovibBasis`
-keeps the lowest eigenpairs of one dense solve at a reference J and C in
-their span, and gives the levels at any J from that small matrix: the
-diagonalization-truncation contraction (Bacic & Light, Annu. Rev. Phys.
-Chem. 40, 469 (1989)) of the Colbert-Miller DVR (J. Chem. Phys. 96,
-1982 (1992)).  :func:`solve_single` and :func:`solve_coupled` are its
-one-J case, a dense solve at the J asked for with no contraction.
+keeps the lowest eigenpairs of one solve at a reference J and C in
+their span, and gives the levels at any J from that small matrix, the
+same contraction again, over J.  :func:`solve_single` and
+:func:`solve_coupled` are its one-J case: one solve at the J asked for,
+with no contraction over J.
 
 All quantities are in Hartree atomic units unless stated otherwise;
 reduced masses cross the API boundary in atomic mass units.
@@ -60,6 +70,15 @@ MIN_POINTS = 8
 # leave their B_v off by 1.6e-10, and three match every bound level at
 # J = 0..6 to the full DVR within 1e-11 (tests/test_radial.py).
 BASIS_STATES_PER_BOUND = 3
+# A coupled solve keeps each channel's eigenstates up to this far above
+# the channel's own asymptote (Hartree) before coupling them.  On the
+# bundled grid at J' = 1 that keeps 586 + 568 of 1200 + 1200 states,
+# with a truncation bound of 7.4e-18 Eh; 0.1 Eh keeps 426 + 402 and
+# leaves a bound of 7.0e-14 Eh, 0.05 Eh keeps 318 + 283 and 5.3e-9 Eh.
+CHANNEL_CUTOFF = 0.2
+# Largest truncation bound (Hartree) a coupled solve may carry, at the
+# solves' round-off floor; above it the solve keeps every channel state.
+TRUNCATION_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -233,43 +252,88 @@ class RovibBasis:
         return levels
 
 
-def _lowest_eigenpairs(h: np.ndarray, top: float):
-    """Lowest eigenpairs of the symmetric ``h``, which is overwritten:
-    :data:`BASIS_STATES_PER_BOUND` times as many as lie below ``top``,
-    in ascending order.
+def _kept(energies: np.ndarray, top: float) -> int:
+    """How many of the ascending ``energies`` a basis keeps:
+    :data:`BASIS_STATES_PER_BOUND` per one below ``top``, or all."""
+    return min(energies.size, BASIS_STATES_PER_BOUND * int(np.searchsorted(energies, top)))
 
-    One Householder tridiagonalization H = Q T Q^T, every eigenpair of T
-    by divide and conquer, and Q applied to the kept vectors only, so
-    keeping states above ``top`` costs little more than the bound ones.
+
+def _couple(channels, coupling: np.ndarray, kept: tuple[int, int], top: float):
+    """Lowest eigenpairs of two channels coupled in their kept eigenstates.
+
+    ``channels`` holds each channel's ascending (energies, vectors) and
+    ``kept`` how many of each enter.  The Hamiltonian in that basis is
+    diag(E_A, E_b) with U_A^T xi U_b off the diagonal.  Returns the
+    :func:`_kept` energies, their DVR coefficient columns (channel A's
+    rows first) and the truncation bound: the largest r_i^2 / (E_drop - E_i)
+    over the levels i below ``top``, where r_i is the norm of what the
+    coupling carries from level i into the dropped channel states and
+    E_drop is the lowest dropped channel energy.  It is 0 if nothing is
+    dropped.
     """
-    from scipy.linalg import eigh_tridiagonal, lapack
+    (e_a, u_a), (e_b, u_b) = channels
+    k_a, k_b = kept
+    a, b = u_a[:, :k_a], u_b[:, :k_b]
+    h = np.diag(np.concatenate([e_a[:k_a], e_b[:k_b]]))
+    h[k_a:, :k_a] = b.T @ (coupling[:, None] * a)  # eigh reads the lower triangle
+    energies, c = np.linalg.eigh(h)
+    del h
+    keep = _kept(energies, top)
+    energies = energies[:keep]
+    psi_a, psi_b = a @ c[:k_a, :keep], b @ c[k_a:, :keep]
+    del c
+    nb = int(np.searchsorted(energies, top))
+    r2 = (np.sum((u_a[:, k_a:].T @ (coupling[:, None] * psi_b[:, :nb])) ** 2, axis=0)
+          + np.sum((u_b[:, k_b:].T @ (coupling[:, None] * psi_a[:, :nb])) ** 2, axis=0))
+    gap = min(e_a[k_a:].min(initial=np.inf), e_b[k_b:].min(initial=np.inf)) - energies[:nb]
+    bound = float(np.max(r2 / gap, initial=0.0)) if np.all(gap > 0.0) else math.inf
+    return energies, np.vstack([psi_a, psi_b]), bound
 
-    dim = h.shape[0]
-    lwork = int(lapack.dsytrd_lwork(dim, lower=1)[0])
-    reflectors, diag, off, tau, info = lapack.dsytrd(h, lower=1, lwork=lwork,
-                                                     overwrite_a=1)
-    if info:
-        raise np.linalg.LinAlgError(f"dsytrd failed with info={info}")
-    energies, z = eigh_tridiagonal(diag, off, lapack_driver="stevd")
-    keep = min(dim, BASIS_STATES_PER_BOUND * int(np.searchsorted(energies, top)))
-    vectors = np.array(z[:, :keep], order="F")  # a copy, so z can go
-    del z
-    # Q = diag(1, Q') with Q' the product of the reflectors stored
-    # below the subdiagonal, laid out as a QR factor
-    vectors[1:], _, info = lapack.dormqr(
-        "L", "N", reflectors[1:, :-1], tau, vectors[1:], lwork=max(1, 64 * keep))
-    if info:
-        raise np.linalg.LinAlgError(f"dormqr failed with info={info}")
-    return energies[:keep], vectors
+
+def _channel_eigenpairs(t: np.ndarray, diagonals: list[np.ndarray],
+                        coupling: np.ndarray | None, asymptotes: list[float], top: float):
+    """Lowest eigenpairs of the DVR Hamiltonian whose channel blocks are
+    ``t + diag(d)``, one per ``diagonals`` entry, and whose two channels,
+    if ``coupling`` is given, are coupled pointwise by it.
+
+    Each block is diagonalized alone.  A single curve's eigenpairs are
+    the model's.  Two channels each keep their states up to
+    :data:`CHANNEL_CUTOFF` above their own asymptote, and one more eigh
+    couples them in that basis (:func:`_couple`); if the truncation bound
+    exceeds :data:`TRUNCATION_TOL`, the coupling step is repeated with
+    every channel state, which is exact.  Returns the :func:`_kept`
+    energies and DVR coefficient columns, the states kept per channel
+    and the truncation bound of the solve returned.
+    """
+    n = t.shape[0]
+    channels = [np.linalg.eigh(t + np.diag(d)) for d in diagonals]
+    if coupling is None:
+        (energies, u), = channels
+        keep = _kept(energies, top)
+        # a copy, so the n x n eigenvectors can go
+        return energies[:keep], np.array(u[:, :keep]), (n,), 0.0
+    kept = tuple(int(np.searchsorted(e, asymptote + CHANNEL_CUTOFF))
+                 for (e, _), asymptote in zip(channels, asymptotes))
+    energies, vectors, bound = _couple(channels, coupling, kept, top)
+    if bound > TRUNCATION_TOL:
+        logger.info("truncation bound %.1e Eh above %.0e Eh with %d + %d channel "
+                    "states; keeping all %d + %d", bound, TRUNCATION_TOL, *kept, n, n)
+        kept = (n, n)
+        energies, vectors, bound = _couple(channels, coupling, kept, top)
+    return energies, vectors, kept, bound
 
 
 def _dense_basis(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
-                 grid: RadialGrid) -> RovibBasis:
-    """One dense DVR solve of ``model`` without its shift at rotational ``j``.
+                 grid: RadialGrid):
+    """One DVR solve of ``model`` without its shift at rotational ``j``.
 
-    The Hamiltonian stacks the DVR kinetic block on each channel's
-    diagonal, adds the channel potential plus the centrifugal term, and
-    couples the two channels of a coupled model pointwise through xi(R).
+    Each channel's block is the DVR kinetic matrix plus the channel
+    potential and the centrifugal term, and a coupled model's two
+    channels are coupled pointwise through xi(R).  The solve is
+    :func:`_channel_eigenpairs`: exact for a single curve, and for a
+    coupled model certified to round-off against the uncontracted 2n x 2n
+    solve.  Returns the basis, the channel states kept and the
+    truncation bound.
     """
     j = _check_j(j)
     if isinstance(model, CoupledModel):
@@ -278,55 +342,51 @@ def _dense_basis(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
     else:
         label, labels, curves, shift = model.label, (model.label,), (model,), 0.0
     mu = mass_amu * AMU_TO_ME
-    r, n = grid.points, grid.n
+    r = grid.points
     potentials = [np.asarray(curve(r), dtype=float) for curve in curves]
     threshold = min(curve.asymptote for curve in curves)
     _check_grid(grid, mu, np.min(potentials, axis=0), threshold)
 
     cent = 1.0 / (2.0 * mu * r ** 2)
-    t = dvr_kinetic(grid, mass_amu)
-    # Fortran order lets the tridiagonalization overwrite h in place
-    h = np.zeros((n * len(curves),) * 2, order="F")
-    idx = np.arange(n)
-    for c, v in enumerate(potentials):
-        h[c * n:(c + 1) * n, c * n:(c + 1) * n] = t
-        h[idx + c * n, idx + c * n] += v + j * (j + 1) * cent
-    del t  # so it is not held beside h through the solve
-    if isinstance(model, CoupledModel):
-        xi = np.asarray(model.coupling(r), dtype=float)
-        h[idx, idx + n] = xi
-        h[idx + n, idx] = xi
-
-    energies, vectors = _lowest_eigenpairs(h, threshold - BOUND_MARGIN)
+    coupling = (np.asarray(model.coupling(r), dtype=float)
+                if isinstance(model, CoupledModel) else None)
+    energies, vectors, kept, bound = _channel_eigenpairs(
+        dvr_kinetic(grid, mass_amu), [v + j * (j + 1) * cent for v in potentials],
+        coupling, [curve.asymptote for curve in curves], threshold - BOUND_MARGIN)
     c_diag = np.tile(cent, len(curves))
     centrifugal = vectors.T @ (c_diag[:, None] * vectors)
     # read-only, as a basis may be shared by every later caller
     for array in (energies, vectors, centrifugal):
         array.setflags(write=False)
-    return RovibBasis(
+    basis = RovibBasis(
         label=label, j_ref=j, energies=energies, vectors=vectors,
         centrifugal=centrifugal, grid=grid, mu=mu,
         channel_labels=labels, potentials=curves, threshold=threshold, shift=shift,
     )
+    return basis, kept, bound
 
 
 def rovib_basis(model: PotentialCurve | CoupledModel, j_ref: int, mass_amu: float,
                 grid: RadialGrid) -> RovibBasis:
     """Contracted rovibrational basis of a curve or coupled model.
 
-    One dense solve at ``j_ref`` keeps :data:`BASIS_STATES_PER_BOUND`
-    states per bound level there (all states, if the grid has fewer);
-    :meth:`RovibBasis.levels` then serves any J, and a coupled model's
-    shift is carried as :attr:`RovibBasis.shift`.  Raises
-    :class:`GridError` if no level is bound at ``j_ref``.
+    One solve at ``j_ref`` (:func:`_dense_basis`) keeps
+    :data:`BASIS_STATES_PER_BOUND` states per bound level there (all
+    states, if the grid has fewer); :meth:`RovibBasis.levels` then
+    serves any J, and a coupled model's shift is carried as
+    :attr:`RovibBasis.shift`.  The log line names the channel states
+    the solve kept and its truncation bound.  Raises :class:`GridError`
+    if no level is bound at ``j_ref``.
     """
-    basis = _dense_basis(model, j_ref, mass_amu, grid)
+    basis, kept, bound = _dense_basis(model, j_ref, mass_amu, grid)
     if not basis.size:
         raise GridError(f"no bound {basis.label} level at J={j_ref} on the grid "
                         "to build a basis from")
-    logger.info("%s basis at J=%d: K=%d of %d states, %d bound",
+    logger.info("%s basis at J=%d: K=%d of %d states, %d bound; channel states "
+                "kept %s of %d each, truncation bound %.1e Eh",
                 basis.label, j_ref, basis.size, basis.vectors.shape[0],
-                int(np.searchsorted(basis.energies, basis.threshold - BOUND_MARGIN)))
+                int(np.searchsorted(basis.energies, basis.threshold - BOUND_MARGIN)),
+                " + ".join(map(str, kept)), grid.n, bound)
     return basis
 
 
@@ -337,10 +397,12 @@ def solve_single(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
     Returns the levels below the lowest asymptote, ordered by energy and
     indexed v = 0, 1, ...  A coupled model's shift is added to every
     energy, and channel fractions are the norm shares of its components.
-    A dense solve at this j alone; use :func:`rovib_basis` for several J.
-    :func:`solve_coupled` is the same function.
+    One solve at this j alone (:func:`_dense_basis`: exact for a curve,
+    channel-contracted and certified to round-off for a coupled model);
+    use :func:`rovib_basis` for several J.  :func:`solve_coupled` is the
+    same function.
     """
-    return _dense_basis(model, j, mass_amu, grid).levels(j, max_levels)
+    return _dense_basis(model, j, mass_amu, grid)[0].levels(j, max_levels)
 
 
 solve_coupled = solve_single

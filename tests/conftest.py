@@ -1,8 +1,9 @@
 """Shared fixtures.
 
 The session-scoped fixtures build the two expensive radial models once:
-the bundled molecule surrogate with its per-J dense levels (the oracle
-of the contracted basis) and a stiff two-channel model whose
+the bundled molecule surrogate with its per-J levels from the
+uncontracted DVR (the oracle of the contracted basis and of the
+channel-by-channel solve) and a stiff two-channel model whose
 closed-form constants are recovered from its own levels (used by the
 dual-route comparisons).
 Every NaRb input comes from the bundled defaults via ``load_config()``.
@@ -16,11 +17,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 import magictrap as mt
 from magictrap import narb
 from magictrap.config import load_config
 from magictrap.potentials import CoupledModel, DipoleFunction, MorseCurve, calibrate_morse
+from magictrap.radial import BOUND_MARGIN, RovibBasis
 from magictrap.units import AMU_TO_ME, HARTREE_TO_CM1
 
 
@@ -44,10 +47,44 @@ def narb_fields(narb_config):
     return narb_config.field_configuration()
 
 
+def full_dvr_levels(model, j, mass_amu, grid):
+    """Every bound level of ``model`` at ``j`` from the uncontracted DVR.
+
+    The whole n_channels * n Hamiltonian is built as one matrix, each
+    channel block the kinetic matrix plus the channel potential and the
+    centrifugal term, the two channels of a coupled model coupled
+    pointwise by xi(R), and LAPACK's MRRR solver (``dsyevr``) finds the
+    eigenpairs below the threshold.  The package's own levels code then
+    gives them their signs, fractions and flags.
+    """
+    coupled = isinstance(model, CoupledModel)
+    curves = tuple(model.curves) if coupled else (model,)
+    mu = mass_amu * AMU_TO_ME
+    r, n = grid.points, grid.n
+    t = mt.dvr_kinetic(grid, mass_amu)
+    h = np.zeros((n * len(curves),) * 2)
+    idx = np.arange(n)
+    for c, curve in enumerate(curves):
+        h[c * n:(c + 1) * n, c * n:(c + 1) * n] = t
+        h[idx + c * n, idx + c * n] += curve(r) + j * (j + 1) / (2.0 * mu * r ** 2)
+    if coupled:
+        h[idx, idx + n] = h[idx + n, idx] = model.coupling(r)
+    threshold = min(curve.asymptote for curve in curves)
+    floor = -np.abs(h).sum(axis=1).max()  # below every eigenvalue (Gershgorin)
+    energies, vectors = eigh(h, subset_by_value=(floor, threshold - BOUND_MARGIN),
+                             driver="evr")
+    basis = RovibBasis(
+        label="".join(model.labels) if coupled else model.label, j_ref=j,
+        energies=energies, vectors=vectors, centrifugal=np.zeros((0, 0)), grid=grid,
+        mu=mu, channel_labels=tuple(model.labels) if coupled else (model.label,),
+        potentials=curves, threshold=threshold, shift=model.shift if coupled else 0.0)
+    return basis.levels(j)
+
+
 @pytest.fixture(scope="session")
 def narb_radial(narb_config):
     """Bundled ground curve, dipole and contracted bases, plus every bound
-    level of the per-J dense solves at J = 0..6."""
+    level of the uncontracted DVR at J = 0..6."""
     grid = narb_config.radial_grid()
     ground, model, dipole, x_basis, ab_basis = narb.pinned_models(narb_config)
     mass = narb_config.reduced_mass_amu()
@@ -56,8 +93,8 @@ def narb_radial(narb_config):
         "dipole": dipole,
         "x_basis": x_basis,
         "ab_basis": ab_basis,
-        "x": {j: mt.solve_single(ground, j, mass, grid) for j in range(7)},
-        "ab": {j: mt.solve_coupled(model, j, mass, grid) for j in range(7)},
+        "x": {j: full_dvr_levels(ground, j, mass, grid) for j in range(7)},
+        "ab": {j: full_dvr_levels(model, j, mass, grid) for j in range(7)},
     }
 
 

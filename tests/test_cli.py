@@ -385,9 +385,9 @@ def test_one_dense_solve_per_model(subcommand, small_config, tmp_path, monkeypat
     them, and one on another grid solves its own."""
     sizes = []
 
-    def counting(h, *args):
-        sizes.append(h.shape[0])
-        return dense(h, *args)
+    def counting(t, diagonals, *args):
+        sizes.append(t.shape[0] * len(diagonals))
+        return dense(t, diagonals, *args)
 
     def solved(*overrides):
         sizes.clear()
@@ -397,8 +397,8 @@ def test_one_dense_solve_per_model(subcommand, small_config, tmp_path, monkeypat
         assert main(argv) == 0
         return sorted(sizes)
 
-    dense = radial._lowest_eigenpairs
-    monkeypatch.setattr(radial, "_lowest_eigenpairs", counting)
+    dense = radial._channel_eigenpairs
+    monkeypatch.setattr(radial, "_channel_eigenpairs", counting)
     narb._bases.cache_clear()
     assert solved() == [700, 1400]
     assert solved("molecule.transition_cm1=11290.0", "scan.start_ghz=10.0",
@@ -529,12 +529,12 @@ def test_m_beyond_j_exits_2(subcommand, small_config, tmp_path, capsys, monkeypa
     a value for it, naming the key before any dense radial solve."""
     calls = []
 
-    def counting(*args):
-        calls.append(args[0].shape)
-        return dense(*args)
+    def counting(t, diagonals, *args):
+        calls.append(t.shape[0] * len(diagonals))
+        return dense(t, diagonals, *args)
 
-    dense = radial._lowest_eigenpairs
-    monkeypatch.setattr(radial, "_lowest_eigenpairs", counting)
+    dense = radial._channel_eigenpairs
+    monkeypatch.setattr(radial, "_channel_eigenpairs", counting)
     assert main([subcommand, "--config", str(small_config), "--out", str(tmp_path),
                  "--override", "grid.points=300", "--override", "scan.j_values=0",
                  "--override", "scan.m=1"]) == 2
@@ -551,8 +551,8 @@ def test_imag_scan_j_beyond_the_3j_limit_exits_2(j_values, small_config, tmp_pat
     """imag-scan couples J to J + 1, so J + 1 must stay within the 3-j
     symbols' j <= 20: refused naming the key, before any dense solve."""
     calls = []
-    dense = radial._lowest_eigenpairs
-    monkeypatch.setattr(radial, "_lowest_eigenpairs",
+    dense = radial._channel_eigenpairs
+    monkeypatch.setattr(radial, "_channel_eigenpairs",
                         lambda *args: calls.append(args) or dense(*args))
     assert main(["imag-scan", "--config", str(small_config), "--out", str(tmp_path),
                  "--override", "grid.points=300",

@@ -47,7 +47,7 @@ GOLDEN = {
     "imag-scan": (
         ["imag-scan", "--override", "grid.points=300", "--override", "scan.j_values=0,1",
          "--override", "scan.max_levels=3", "--override", "scan.points=64"],
-        "9c55d0a022dca6c0a68ef2840dbca612b72698932d275b67a4a61659ae5d9944",
+        "61d61d35e0f08c0c44f94322e9954f2a377aff0d765a202f61bf510813e840a1",
     ),
     "magic-find": (
         ["magic-find"],

@@ -3,15 +3,18 @@
 The sine-DVR kinetic matrix is compared with an explicit spectral
 construction, box and Morse spectra with their closed forms, and
 matrix elements and linewidths with hand-evaluated integrals.  The
-contracted basis is compared with the per-J dense solves it replaces.
+contracted basis, and the channel-by-channel solve under it, are
+compared with the uncontracted DVR (``conftest.full_dvr_levels``).
 """
 
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import full_dvr_levels
 
 from magictrap import (
     CoupledModel,
@@ -349,20 +352,27 @@ def _rel(a, b):
     return abs(a - b) / abs(b)
 
 
+def _assert_levels_match(levels, full):
+    """Every bound level of the full DVR, matched in energy and B_v to
+    1e-10 of itself and in channel fractions to 1e-10."""
+    assert len(levels) == len(full)
+    for ref, lvl in zip(full, levels):
+        assert (lvl.label, lvl.v, lvl.j) == (ref.label, ref.v, ref.j)
+        assert _rel(lvl.energy, ref.energy) <= 1e-10, (ref.j, ref.v)
+        assert _rel(lvl.rotational_constant(), ref.rotational_constant()) <= 1e-10, (ref.j, ref.v)
+        assert np.allclose(lvl.channel_fractions, ref.channel_fractions,
+                           rtol=0.0, atol=1e-10), (ref.j, ref.v)
+        assert lvl.near_threshold == ref.near_threshold
+
+
 @pytest.mark.parametrize("name", ["x", "ab"])
 def test_basis_levels_match_the_full_dvr_at_every_j(narb_radial, name):
     basis = narb_radial[f"{name}_basis"]
     assert basis.size == BASIS_STATES_PER_BOUND * len(narb_radial[name][basis.j_ref])
     for j in J_RANGE:
-        full, contracted = narb_radial[name][j], basis.levels(j)
-        assert len(contracted) == len(full) > RETAINED
-        for ref, lvl in zip(full, contracted):
-            assert (lvl.label, lvl.v, lvl.j) == (ref.label, ref.v, ref.j)
-            assert _rel(lvl.energy, ref.energy) <= 1e-10, (j, ref.v)
-            assert _rel(lvl.rotational_constant(), ref.rotational_constant()) <= 1e-10, (j, ref.v)
-            assert np.allclose(lvl.channel_fractions, ref.channel_fractions,
-                               rtol=0.0, atol=1e-10), (j, ref.v)
-            assert lvl.near_threshold == ref.near_threshold
+        full = narb_radial[name][j]
+        assert len(full) > RETAINED
+        _assert_levels_match(basis.levels(j), full)
 
 
 def test_basis_dipoles_and_linewidths_match_the_full_dvr(narb_radial):
@@ -413,6 +423,86 @@ def test_retained_levels_are_converged_on_the_bundled_grid(narb_radial, narb_con
             assert _rel(a.energy, b.energy) <= 1e-12
 
 
+SYNTHETIC_GRID = RadialGrid(3.5, 14.0, 600)
+
+
+def _synthetic(name):
+    """A coupled pair whose lowest asymptote sits at 0.1 Eh, so that no
+    bound energy lies within round-off of zero, where a relative
+    tolerance would ask more than either solve can hold.  The grid's
+    kinetic cutoff, 0.49 Eh, lies above the 0.2 Eh channel cutoff, so
+    the solve drops states from both channels."""
+    bright = MorseCurve(label="A", d_e=0.02, a=0.5, r_e=6.0, asymptote=0.1)
+    if name == "dark offset":
+        # no dark state lies within 0.2 Eh of the lowest threshold
+        dark = MorseCurve(label="b", d_e=0.02, a=0.5, r_e=6.4, asymptote=0.4)
+        return CoupledModel.constant_coupling(("A", "b"), (bright, dark), xi=1e-4)
+    dark = MorseCurve(label="b", d_e=0.018, a=0.45, r_e=6.6, asymptote=0.102)
+    return CoupledModel(("A", "b"), (bright, dark),
+                        lambda r: 2e-4 * np.exp(-((np.asarray(r) - 6.3) / 0.8) ** 2))
+
+
+def _logged_truncation(text, label):
+    """(K_A, K_b, n, bound) from the log line of a coupled basis."""
+    found = re.search(rf"^.*{label} basis at .*channel states kept (\d+) \+ (\d+) "
+                      r"of (\d+) each, truncation bound (\S+) Eh$", text, re.MULTILINE)
+    assert found, text
+    return (*map(int, found.groups()[:3]), float(found[4]))
+
+
+@pytest.mark.parametrize("name", ["dark offset", "R-dependent xi"])
+def test_channel_truncation_matches_the_full_dvr(name, caplog):
+    """Each channel keeps its states up to the cutoff above its own
+    asymptote.  A cutoff measured from the lowest threshold would keep no
+    state of a dark channel 0.30 Eh above it, and would move the bound
+    levels by 4e-7 of themselves."""
+    model = _synthetic(name)
+    for j in (0, 3):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="magictrap.radial"):
+            basis = rovib_basis(model, j, MASS, SYNTHETIC_GRID)
+        k_a, k_b, n, bound = _logged_truncation(caplog.text, "Ab")
+        assert 0 < k_a < n and 0 < k_b < n == SYNTHETIC_GRID.n
+        assert 0.0 < bound <= radial.TRUNCATION_TOL
+        assert "keeping all" not in caplog.text
+        _assert_levels_match(basis.levels(j), full_dvr_levels(model, j, MASS, SYNTHETIC_GRID))
+
+
+def test_a_failed_certificate_keeps_every_channel_state(monkeypatch, caplog):
+    """A 0.01 Eh cutoff drops states the bound levels need.  The bound
+    then covers the error this leaves, and exceeds the tolerance, so the
+    solve keeps every channel state and matches the full DVR."""
+    model = _synthetic("R-dependent xi")
+    n = SYNTHETIC_GRID.n
+    full = full_dvr_levels(model, 0, MASS, SYNTHETIC_GRID)
+    monkeypatch.setattr(radial, "CHANNEL_CUTOFF", 0.01)
+    tol = radial.TRUNCATION_TOL
+    monkeypatch.setattr(radial, "TRUNCATION_TOL", math.inf)
+    basis, kept, bound = radial._dense_basis(model, 0, MASS, SYNTHETIC_GRID)
+    assert max(kept) < n // 4
+    error = max(abs(lvl.energy - ref.energy)
+                for lvl, ref in zip(basis.levels(0), full, strict=True))
+    assert tol < 1e-12 < error <= bound + 1e-15
+
+    monkeypatch.setattr(radial, "TRUNCATION_TOL", tol)
+    with caplog.at_level(logging.INFO, logger="magictrap.radial"):
+        basis, kept, bound = radial._dense_basis(model, 0, MASS, SYNTHETIC_GRID)
+    assert (kept, bound) == ((n, n), 0.0)
+    assert f"keeping all {n} + {n}" in caplog.text
+    _assert_levels_match(basis.levels(0), full)
+
+
+def test_bundled_truncation_is_certified_and_logged(narb_config, caplog):
+    """On the bundled grid the A-b solve keeps part of each channel, and
+    its bound lies below the round-off floor; the log line says both."""
+    with caplog.at_level(logging.INFO, logger="magictrap.radial"):
+        narb.pinned_models(narb_config)
+    k_a, k_b, n, bound = _logged_truncation(caplog.text, "Ab")
+    assert 0 < k_a < n and 0 < k_b < n == narb_config.radial_grid().n
+    assert 0.0 < bound <= radial.TRUNCATION_TOL
+    assert "keeping all" not in caplog.text
+
+
 def test_dense_solves_run_once_per_model_key(monkeypatch):
     """The curves alone cost nothing; pinning the line costs the two
     basis solves, one per model, the first time the process sees their
@@ -420,17 +510,17 @@ def test_dense_solves_run_once_per_model_key(monkeypatch):
     moving any one input of the solves runs both again."""
     sizes = []
 
-    def counting(h, *args):
-        sizes.append(h.shape[0])
-        return dense(h, *args)
+    def counting(t, diagonals, *args):
+        sizes.append(t.shape[0] * len(diagonals))
+        return dense(t, diagonals, *args)
 
     def solved(*overrides):
         sizes.clear()
         narb.pinned_models(load_config(overrides=["grid.points=300", *overrides]))
         return sorted(sizes)
 
-    dense = radial._lowest_eigenpairs
-    monkeypatch.setattr(radial, "_lowest_eigenpairs", counting)
+    dense = radial._channel_eigenpairs
+    monkeypatch.setattr(radial, "_channel_eigenpairs", counting)
     narb._bases.cache_clear()
     narb.radial_models(load_config(overrides=["grid.points=300"]))
     assert sizes == []
@@ -498,4 +588,5 @@ def test_basis_size_is_worked_out_and_logged(caplog):
     with caplog.at_level(logging.INFO, logger="magictrap.radial"):
         basis = rovib_basis(curve, 2, MASS, grid)
     assert basis.size == min(grid.n, BASIS_STATES_PER_BOUND * bound)
-    assert f"X basis at J=2: K={basis.size} of {grid.n} states, {bound} bound" in caplog.text
+    assert (f"X basis at J=2: K={basis.size} of {grid.n} states, {bound} bound; channel "
+            f"states kept {grid.n} of {grid.n} each, truncation bound 0.0e+00 Eh") in caplog.text

@@ -163,3 +163,16 @@ def test_searches_and_alpha_scan_load_neither_scipy_optimize_nor_linalg(tmp_path
     )
     loaded = _loaded_scipy_modules(code)
     assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.linalg"))], loaded
+
+
+def test_radial_subcommands_load_no_scipy(tmp_path):
+    """The DVR solves run on numpy alone."""
+    code = (
+        "import contextlib, io\n"
+        "from magictrap.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for sub in ('solve-rovib', 'imag-scan'):\n"
+        f"        assert main([sub, '--out', {str(tmp_path)!r},\n"
+        "                     '--override', 'grid.points=300']) == 0\n"
+    )
+    assert _loaded_scipy_modules(code) == []
