@@ -1,11 +1,11 @@
 """Angular-momentum algebra for linearly polarized light on a 1-Sigma rotor.
 
 Contains the Wigner 3-j symbol (exact Racah summation over rational
-intermediates), matrix elements of the Racah spherical tensors C_kq in
-the |J, M> rotor basis, the closed-form angular weight factors A and B
-that enter the dynamic polarizability of a rotational level dressed by
-a J -> J -+ 1 vibronic transition, and the rotational resonance offsets
-L_J and R_J of the two branches.
+intermediates, uncached: each call sums afresh), matrix elements of the
+Racah spherical tensors C_kq in the |J, M> rotor basis, the closed-form
+angular weight factors A and B that enter the dynamic polarizability of
+a rotational level dressed by a J -> J -+ 1 vibronic transition, and the
+rotational resonance offsets L_J and R_J of the two branches.
 
 Conventions
 -----------
@@ -22,7 +22,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 __all__ = [
     "wigner3j",
@@ -60,19 +59,31 @@ def _as_two_j(x: float, name: str) -> int:
     return int(rounded)
 
 
-@lru_cache(maxsize=None)
-def _wigner3j_cached(tj1: int, tj2: int, tj3: int,
-                     tm1: int, tm2: int, tm3: int) -> float:
-    # selection rules return 0.0; argument errors were raised earlier
-    if tm1 + tm2 + tm3 != 0:
+def wigner3j(j1: float, j2: float, j3: float,
+             m1: float, m2: float, m3: float) -> float:
+    """Wigner 3-j symbol, exact rational evaluation rounded to float.
+
+    Integer and half-integer angular momenta up to j = 20 are
+    supported.  Violated selection rules (triangle condition, m-sum,
+    |m| <= j) give 0.0; malformed arguments raise ValueError.
+    """
+    tj = [_as_two_j(j, n) for j, n in ((j1, "j1"), (j2, "j2"), (j3, "j3"))]
+    tm = [_as_two_j(m, n) for m, n in ((m1, "m1"), (m2, "m2"), (m3, "m3"))]
+    for t, name in zip(tj, ("j1", "j2", "j3")):
+        if t < 0:
+            raise ValueError(f"{name} must be non-negative")
+        if t > _MAX_TWO_J:
+            raise ValueError(f"{name} exceeds the supported maximum j = 20")
+    for t, m in zip(tj, tm):
+        if (t - m) % 2 != 0:
+            # j and m differ by a non-integer: malformed pair
+            raise ValueError("m must differ from j by an integer")
+    tj1, tj2, tj3 = tj
+    tm1, tm2, tm3 = tm
+    # violated selection rules (m-sum, triangle, parity, |m| <= j) give 0.0
+    if (tm1 + tm2 + tm3 != 0 or not abs(tj1 - tj2) <= tj3 <= tj1 + tj2
+            or (tj1 + tj2 + tj3) % 2 != 0 or any(abs(m) > t for t, m in zip(tj, tm))):
         return 0.0
-    if tj3 < abs(tj1 - tj2) or tj3 > tj1 + tj2:
-        return 0.0
-    if (tj1 + tj2 + tj3) % 2 != 0:
-        return 0.0
-    for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
-        if abs(tm) > tj or (tj - tm) % 2 != 0:
-            return 0.0
 
     def f(two_n: int) -> int:
         # factorial of an argument given as twice its value
@@ -115,28 +126,6 @@ def _wigner3j_cached(tj1: int, tj2: int, tj3: int,
     sign = 1.0 if total > 0 else -1.0
     magnitude = math.sqrt(float(pref * total * total))
     return phase * sign * magnitude
-
-
-def wigner3j(j1: float, j2: float, j3: float,
-             m1: float, m2: float, m3: float) -> float:
-    """Wigner 3-j symbol, exact rational evaluation rounded to float.
-
-    Integer and half-integer angular momenta up to j = 20 are
-    supported.  Violated selection rules (triangle condition, m-sum,
-    |m| <= j) give 0.0; malformed arguments raise ValueError.
-    """
-    tj = [_as_two_j(j, n) for j, n in ((j1, "j1"), (j2, "j2"), (j3, "j3"))]
-    tm = [_as_two_j(m, n) for m, n in ((m1, "m1"), (m2, "m2"), (m3, "m3"))]
-    for t, name in zip(tj, ("j1", "j2", "j3")):
-        if t < 0:
-            raise ValueError(f"{name} must be non-negative")
-        if t > _MAX_TWO_J:
-            raise ValueError(f"{name} exceeds the supported maximum j = 20")
-    for t, m in zip(tj, tm):
-        if (t - m) % 2 != 0:
-            # j and m differ by a non-integer: malformed pair
-            raise ValueError("m must differ from j by an integer")
-    return _wigner3j_cached(tj[0], tj[1], tj[2], tm[0], tm[1], tm[2])
 
 
 def rot_tensor_element(jp: int, mp: int, k: int, q: int,

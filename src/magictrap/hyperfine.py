@@ -11,9 +11,10 @@ Hamiltonian collects five switchable terms:
 * laser polarization       -[ (a_par + 2 a_perp)/3
                               + sqrt(6)/3 (a_par - a_perp) T2(e,e) . C2 ] I
 
-The field-free operators (each nucleus's quadrupole tensor, J(J+1)
-per rotational state, m_a and m_b per basis state) are cached per
-basis; ``build_hamiltonian`` scales them by the constants and fields.
+The field-free operators (the C_kq table, each nucleus's quadrupole
+tensor, J(J+1) per rotational state, m_a and m_b per basis state) are
+carried by the basis, built once per (j_max, spins);
+``build_hamiltonian`` scales them by the constants and fields.
 Rotation, dc Stark and light are op_rot (x) 1_spin: each is built as
 its (n_rot, n_rot) block (4 x 4 at j_max = 1) and added onto the spin
 diagonal, and the Hellmann-Feynman polarizability of eigenvector V is
@@ -40,8 +41,10 @@ scales treated here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -128,20 +131,29 @@ class FieldConfiguration:
 
 @dataclass(frozen=True)
 class HyperfineBasis:
-    """Ordered product basis |J, M, m_a, m_b>."""
+    """Ordered product basis |J, M, m_a, m_b> and its field-free operators.
+
+    Only (j_max, i_a, i_b, states) take part in equality and hashing; the
+    rest follows from them and is read-only: ``rot_states``, the (J, M)
+    per rotational block; ``ckq``, C_kq for k = 1, 2 keyed (k, q);
+    ``quadrupole``, sum_q (-1)^q C2q (x) T2,-q(i_k) per nucleus; ``jj1``,
+    J(J+1) per rotational state; ``m_a`` and ``m_b`` per basis state.
+    """
 
     j_max: int
     i_a: float
     i_b: float
     states: tuple[tuple[int, int, float, float], ...]
+    rot_states: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
+    ckq: Mapping[tuple[int, int], np.ndarray] = field(compare=False, repr=False)
+    quadrupole: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
+    jj1: np.ndarray = field(compare=False, repr=False)
+    m_a: np.ndarray = field(compare=False, repr=False)
+    m_b: np.ndarray = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.states)
-
-    @property
-    def rot_states(self) -> tuple[tuple[int, int], ...]:
-        return _rot_states(self.j_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +200,8 @@ class EigenSolution:
 def build_basis(j_max: int, constants: MolecularConstants) -> HyperfineBasis:
     """Lexicographic basis in (J, M, m_a, m_b), all quantum numbers ascending.
 
-    The nuclear spins that size it are those of ``constants``.
+    The nuclear spins that size it are those of ``constants``.  Every
+    call with the same j_max and spins returns the same basis object.
     """
     if j_max not in (0, 1, 2):
         raise ValueError(f"j_max must be 0, 1 or 2, got {j_max}")
@@ -197,18 +210,40 @@ def build_basis(j_max: int, constants: MolecularConstants) -> HyperfineBasis:
         two_i = round(2 * i)
         if two_i <= 0 or abs(2 * i - two_i) > 1e-9:
             raise ValueError(f"nuclear spin must be a positive half-integer, got {i}")
-    states = tuple(
-        (j, m, ma, mb)
-        for j, m in _rot_states(j_max)
-        for ma in _spin_projections(i_a)
-        for mb in _spin_projections(i_b)
-    )
-    return HyperfineBasis(j_max=j_max, i_a=i_a, i_b=i_b, states=states)
+    return _basis(j_max, i_a, i_b)
 
 
 @lru_cache(maxsize=None)
-def _rot_states(j_max: int) -> tuple[tuple[int, int], ...]:
-    return tuple((j, m) for j in range(j_max + 1) for m in range(-j, j + 1))
+def _basis(j_max: int, i_a: float, i_b: float) -> HyperfineBasis:
+    """The basis of :func:`build_basis`, built once per process.
+
+    Keyed on (j_max, i_a, i_b), all it reads of the constants; it holds
+    the states and 66 KiB of read-only operators at j_max = 1.  A hit
+    saves each eigen ``magic-find`` (~5.6 ms warm) or ``hyperfine-scan``
+    call a 2.5 ms rebuild on a 2-core host: the C_kq table with its 3-j
+    symbols 1.4 ms, the operators 0.75 ms, the states 46 us.
+    """
+    rot_states = tuple((j, m) for j in range(j_max + 1) for m in range(-j, j + 1))
+    states = tuple((j, m, ma, mb) for j, m in rot_states
+                   for ma in _spin_projections(i_a) for mb in _spin_projections(i_b))
+    ckq = {(k, q): np.array([[rot_tensor_element(jp, mp, k, q, j, m)
+                              if mp == m + q else 0.0 for j, m in rot_states]
+                             for jp, mp in rot_states])
+           for k in (1, 2) for q in range(-k, k + 1)}
+    t2_a, t2_b = _spin_t2(i_a), _spin_t2(i_b)
+    eye_a, eye_b = np.eye(_spin_dim(i_a)), np.eye(_spin_dim(i_b))
+    # term q changes M by q, so the terms never overlap and their sum is exact
+    quadrupole = (
+        sum((-1) ** q * np.kron(ckq[2, q], np.kron(t2_a[-q], eye_b)) for q in range(-2, 3)),
+        sum((-1) ** q * np.kron(ckq[2, q], np.kron(eye_a, t2_b[-q])) for q in range(-2, 3)),
+    )
+    jj1 = np.array([j * (j + 1.0) for j, m in rot_states])
+    _, _, m_a, m_b = map(np.array, zip(*states))
+    for op in (*ckq.values(), *quadrupole, jj1, m_a, m_b):
+        op.flags.writeable = False
+    return HyperfineBasis(j_max=j_max, i_a=i_a, i_b=i_b, states=states,
+                          rot_states=rot_states, ckq=MappingProxyType(ckq),
+                          quadrupole=quadrupole, jj1=jj1, m_a=m_a, m_b=m_b)
 
 
 def _rot_index(basis: HyperfineBasis, label: tuple[int, int]) -> int:
@@ -249,45 +284,6 @@ def _spin_t2(i: float) -> dict[int, np.ndarray]:
     return t
 
 
-@lru_cache(maxsize=None)
-def _rot_tensors(j_max: int) -> dict[tuple[int, int], np.ndarray]:
-    """Read-only C_kq matrices, k = 1 and 2, over the rotational states."""
-    rot = _rot_states(j_max)
-    table = {}
-    for k in (1, 2):
-        for q in range(-k, k + 1):
-            table[k, q] = np.array([[rot_tensor_element(jp, mp, k, q, j, m)
-                                     if mp == m + q else 0.0 for j, m in rot]
-                                    for jp, mp in rot])
-            table[k, q].flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=None)
-def _basis_operators(basis: HyperfineBasis
-                     ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only field-free operators of ``basis``, built once per basis.
-
-    Returns ``(quadrupole, jj1, m_a, m_b)``: the (dim, dim) tensor
-    sum_q (-1)^q C2q (x) T2,-q(i_k) of each nucleus, J(J+1) per
-    rotational state, and m_a and m_b per basis state.
-    """
-    ckq = _rot_tensors(basis.j_max)
-    t2_a, t2_b = _spin_t2(basis.i_a), _spin_t2(basis.i_b)
-    eye_a, eye_b = np.eye(_spin_dim(basis.i_a)), np.eye(_spin_dim(basis.i_b))
-    # term q changes M by q, so the terms never overlap and their sum is exact
-    quadrupole = (
-        sum((-1) ** q * np.kron(ckq[2, q], np.kron(t2_a[-q], eye_b)) for q in range(-2, 3)),
-        sum((-1) ** q * np.kron(ckq[2, q], np.kron(eye_a, t2_b[-q])) for q in range(-2, 3)),
-    )
-    jj1 = np.array([j * (j + 1.0) for j, m in basis.rot_states])
-    m_a = np.array([ma for (j, m, ma, mb) in basis.states])
-    m_b = np.array([mb for (j, m, ma, mb) in basis.states])
-    for op in (*quadrupole, jj1, m_a, m_b):
-        op.flags.writeable = False
-    return quadrupole, jj1, m_a, m_b
-
-
 def _spin_diagonal(h: np.ndarray, n_rot: int) -> np.ndarray:
     """Writeable view of the spin diagonal of each rotational block of ``h``:
     element [..., r, r', s] is h[..., (r, s), (r', s)]."""
@@ -306,7 +302,7 @@ def _light_operands(basis: HyperfineBasis, c: MolecularConstants) -> tuple:
     """The theta_p-independent operands of the light block: the isotropic
     part iso * 1, delta = alpha_par - alpha_perp, C20, C2,-1 - C2,+1 and
     C2,-2 + C2,+2."""
-    ckq = _rot_tensors(basis.j_max)
+    ckq = basis.ckq
     iso = (c.alpha_par + 2.0 * c.alpha_perp) / 3.0
     return (iso * np.eye(len(basis.rot_states)), c.alpha_par - c.alpha_perp,
             ckq[2, 0], ckq[2, -1] - ckq[2, +1], ckq[2, -2] + ckq[2, +2])
@@ -385,14 +381,14 @@ def _static_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
             f"basis spins ({basis.i_a}, {basis.i_b}) differ from the "
             f"constants' nuclear spins ({c.i_a}, {c.i_b})"
         )
-    quadrupole, jj1, m_a, m_b = _basis_operators(basis)
     h = np.zeros((basis.dim, basis.dim))
     if "rotation" in terms:
-        _add_rotational_block(h, np.diag(c.b_v * jj1))
+        _add_rotational_block(h, np.diag(c.b_v * basis.jj1))
     if "quadrupole" in terms:
         # the nuclei are summed first: rot + (q_a + q_b) is the rounding the goldens pin
         quad = np.zeros_like(h)
-        for tensor, i_spin, eqq in zip(quadrupole, (basis.i_a, basis.i_b), (c.eqq_a, c.eqq_b)):
+        for tensor, i_spin, eqq in zip(basis.quadrupole, (basis.i_a, basis.i_b),
+                                       (c.eqq_a, c.eqq_b)):
             if c.quadrupole_denominator == "standard":
                 denom = i_spin * (2.0 * i_spin - 1.0)
             else:
@@ -407,10 +403,10 @@ def _static_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
             quad += (eqq / denom) * tensor
         h += quad
     if "zeeman" in terms:
-        h += np.diag(-(c.g_a * m_a + c.g_b * m_b) * NUCLEAR_MAGNETON_MHZ_PER_G
+        h += np.diag(-(c.g_a * basis.m_a + c.g_b * basis.m_b) * NUCLEAR_MAGNETON_MHZ_PER_G
                      * fields.b_field)
     if "stark" in terms:
-        ckq = _rot_tensors(basis.j_max)
+        ckq = basis.ckq
         # e . C1 for a field in the x-z plane at polar angle theta_e
         direction = (
             math.cos(fields.theta_e) * ckq[1, 0]

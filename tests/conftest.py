@@ -7,8 +7,9 @@ channel-by-channel solve) and a stiff two-channel model whose
 closed-form constants are recovered from its own levels (used by the
 dual-route comparisons).
 Every NaRb input comes from the bundled defaults via ``load_config()``.
-Each test starts with an empty ``narb._bases`` memo, so a test that
-counts dense solves sees its own and none left by an earlier test.
+Each test starts with empty ``narb._bases`` and ``hyperfine._basis``
+memos, so a test that counts dense solves or operator builds sees its
+own and none left by an earlier test.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import pytest
 from scipy.linalg import eigh
 
 import magictrap as mt
-from magictrap import narb
+from magictrap import hyperfine, narb
 from magictrap.config import load_config
 from magictrap.potentials import CoupledModel, DipoleFunction, MorseCurve, calibrate_morse
 from magictrap.radial import BOUND_MARGIN, RovibBasis
@@ -30,6 +31,7 @@ from magictrap.units import AMU_TO_ME, HARTREE_TO_CM1
 @pytest.fixture(autouse=True)
 def _empty_radial_memo():
     narb._bases.cache_clear()
+    hyperfine._basis.cache_clear()
 
 
 @pytest.fixture(scope="session")

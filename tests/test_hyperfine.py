@@ -27,7 +27,6 @@ from magictrap import hyperfine
 from magictrap.angular import rot_tensor_element
 from magictrap.cli import main
 from magictrap.config import load_config
-from magictrap.hyperfine import _rot_tensors
 from magictrap.magic import _pick_state
 from magictrap.units import NUCLEAR_MAGNETON_MHZ_PER_G
 
@@ -461,12 +460,12 @@ def _rot_ckq(rot_states, k, q):
 
 def test_rot_tensor_table_matches_per_element_build():
     for j_max in (0, 1, 2):
-        rot = build_basis(j_max, CONSTANTS).rot_states
-        table = _rot_tensors(j_max)
+        basis = build_basis(j_max, CONSTANTS)
+        table = basis.ckq
         assert sorted(table) == [(k, q) for k in (1, 2) for q in range(-k, k + 1)]
         for (k, q), op in table.items():
             assert not op.flags.writeable
-            assert np.array_equal(op, _rot_ckq(rot, k, q))
+            assert np.array_equal(op, _rot_ckq(basis.rot_states, k, q))
 
 
 def _per_vector_phases_and_labels(h, basis):
@@ -638,12 +637,12 @@ def test_no_cli_path_builds_the_dense_operator(tmp_path, monkeypatch):
 def _kron_hamiltonian(basis, f, terms):
     """Term-by-term dense build, each term a kron over (rotation, spin a, spin b).
 
-    The reference for the cached-operator build: the same formulas, summed
-    in the same order (rotation, quadrupole with the nuclei summed first,
-    Zeeman, Stark, then the light on every angle).
+    The reference for the build from the basis's operators: the same
+    formulas, summed in the same order (rotation, quadrupole with the
+    nuclei summed first, Zeeman, Stark, then the light on every angle).
     """
     c = f.constants
-    ckq = _rot_tensors(basis.j_max)
+    ckq = basis.ckq
     eye_a = np.eye(round(2 * basis.i_a) + 1)
     eye_b = np.eye(round(2 * basis.i_b) + 1)
     h = np.zeros((basis.dim, basis.dim))
@@ -707,8 +706,30 @@ def test_spin_tensors_are_built_once_per_basis(monkeypatch):
         return spin_t2(i)
 
     monkeypatch.setattr(hyperfine, "_spin_t2", counting_spin_t2)
-    hyperfine._basis_operators.cache_clear()
+    hyperfine._basis.cache_clear()
     for e_field in (0.5, 1.0):
         find_magic_angle(fields_with(e_field=e_field), (1, 0, 0), (0, 0, 0),
                          bracket=(40.0, 70.0), method="eigen")
     assert calls == [CONSTANTS.i_a, CONSTANTS.i_b]
+
+
+def test_one_basis_per_j_max_and_spins():
+    """The basis is built once per (j_max, i_a, i_b): constants that differ
+    in every other field share it, another spin gets its own, and no
+    array it carries can be written through."""
+    basis = build_basis(1, CONSTANTS)
+    others = replace(CONSTANTS, b_v=2.0 * CONSTANTS.b_v, eqq_a=1.0, eqq_b=-1.0, g_a=0.5,
+                     g_b=0.25, d0=1.0, alpha_par=2.0, alpha_perp=1.0,
+                     quadrupole_denominator="literal")
+    assert build_basis(1, others) is basis
+
+    wider = build_basis(1, replace(CONSTANTS, i_a=2.5))
+    assert wider is not basis
+    assert (wider.dim, wider.i_a) == (4 * 6 * 4, 2.5)
+
+    for b in (basis, wider):
+        arrays = [*b.ckq.values(), *b.quadrupole, b.jj1, b.m_a, b.m_b]
+        assert len(arrays) == 8 + 2 + 3
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(TypeError):
+            b.ckq[1, 0] = np.zeros((4, 4))

@@ -7,6 +7,7 @@ literal.  The package's public API has one definition too: its layers'
 ``__all__`` lists.  One function writes the output files, one maps
 a rotational state (J, M) to its index in the hyperfine basis, and one
 table says where the closed-form polarizability has its branch poles.
+Four process-global memos are kept, each for the saving it names.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from magictrap import (angular, errors, hyperfine, magic, polarizability, potent
 from magictrap.cli import main
 from magictrap.config import load_config
 
-# case -> (argv: subcommand and overrides, SHA-256 of the CSV it writes)
+# case -> (argv: subcommand and overrides, SHA-256 of the CSV it writes).
+# The digests hold at 2, 3 and 4 BLAS threads.  With OPENBLAS_NUM_THREADS=1
+# np.linalg.eigh rounds the radial channel blocks differently, and the
+# "imag-scan" case gets other bytes.
 GOLDEN = {
     "alpha-scan": (
         ["alpha-scan", "--override", "scan.points=201"],
@@ -202,6 +206,34 @@ def test_one_table_decides_the_branch_poles():
                     for _, fn in _offset_calls(path)})
     assert calls == [("polarizability.py", "_branches"),
                      ("polarizability.py", "validity_notes")], calls
+
+
+# the process-global memos, each kept for a measured saving
+MEMOS = ["cli._parser", "config._bundled_sections", "hyperfine._basis", "narb._bases"]
+
+
+def _memos(path: Path):
+    """(name, docstring) of each function in ``path`` decorated with
+    ``functools.lru_cache`` or ``functools.cache``, called or not, by bare
+    name or as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                func = dec.func if isinstance(dec, ast.Call) else dec
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("lru_cache", "cache"):
+                    yield node.name, ast.get_docstring(node) or ""
+
+
+def test_each_memo_is_listed_with_its_key_and_saving():
+    """A memo is process-global state; one joins ``MEMOS`` only with a
+    docstring that names its key and the saving measured for it."""
+    memos = {f"{path.stem}.{name}": doc
+             for path in sorted(Path(magictrap.__file__).parent.glob("*.py"))
+             for name, doc in _memos(path)}
+    assert sorted(memos) == MEMOS
+    for name, doc in memos.items():
+        assert "Keyed on" in doc and "saves" in doc, name
 
 
 LAYERS = (units, angular, errors, potentials, radial, polarizability, hyperfine, magic)

@@ -375,6 +375,18 @@ def test_basis_levels_match_the_full_dvr_at_every_j(narb_radial, name):
         _assert_levels_match(basis.levels(j), full)
 
 
+def test_coarse_bases_match_the_full_dvr_up_to_the_3j_limit():
+    """The contraction keeps unbound states that no truncation bound
+    covers; at J = 10, 15 and 20, where the 3-j symbols stop, both bundled
+    bases on a 300-point grid still give every bound level of the full DVR."""
+    cfg = load_config(overrides=["grid.points=300"])
+    ground, model, _, x_basis, ab_basis = narb.pinned_models(cfg)
+    grid, mass = cfg.radial_grid(), cfg.reduced_mass_amu()
+    for j in (10, 15, 20):
+        for system, basis in ((ground, x_basis), (model, ab_basis)):
+            _assert_levels_match(basis.levels(j), full_dvr_levels(system, j, mass, grid))
+
+
 def test_basis_dipoles_and_linewidths_match_the_full_dvr(narb_radial):
     """Linewidths agree to 1e-10 of themselves, and X(v=0)-A-b dipoles to
     1e-10 of the strongest one.  A weak dipole is a near-cancelling
