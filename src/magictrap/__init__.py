@@ -9,10 +9,10 @@ eigenstates), :mod:`~magictrap.magic` (crossing searches and
 calibration), :mod:`~magictrap.config` (INI run configuration, the one
 source of the NaRb numbers), :mod:`~magictrap.narb` (the surrogate
 excited complex built from a config), and the :mod:`~magictrap.cli`
-scan tool.
+scan tool, with :mod:`~magictrap.csvtable`, its writer of long CSV tables.
 
 The package exports the ``__all__`` of each library layer, ``config``,
-``narb`` and ``cli`` excepted.
+``narb``, ``cli`` and ``csvtable`` excepted.
 """
 
 from . import (angular, errors, hyperfine, magic, polarizability, potentials,

@@ -250,7 +250,7 @@ class RunConfig:
                     continue
                 lines.append(f"{key} = {_format_value(self.sections[section][key])}")
             lines.append("")
-        _write_output(path, "\n".join(lines))
+        _write_output(path, "\n".join(lines).encode())
 
 
 def _format_value(value) -> str:
@@ -261,8 +261,8 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _write_output(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8 with LF line ends, as a new file.
+def _write_output(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path``, as a new file.
 
     An existing regular file is unlinked first: truncating a file that
     holds data makes ext4 (``auto_da_alloc``) start its writeback on
@@ -276,7 +276,7 @@ def _write_output(path: str | Path, text: str) -> None:
             path.unlink()
     except (FileNotFoundError, PermissionError):
         pass
-    path.write_text(text, encoding="utf-8", newline="\n")
+    path.write_bytes(data)
 
 
 def bundled_defaults_path() -> Path:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magictrap import cli, config, magic, narb, radial
+from magictrap import cli, config, csvtable, magic, narb, radial
 from magictrap.cli import emit_csv, main
 from magictrap.config import SCHEMA, bundled_defaults_path, load_config
 from magictrap.errors import ConfigError
@@ -119,6 +119,50 @@ def fmt12(value: float) -> str:
     return f"{mantissa}e{int(exponent)}"
 
 
+def old_cell(value) -> str:
+    """The per-cell type dispatch the column writer replaced."""
+    if isinstance(value, (bool, int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return fmt12(float(value))
+    return str(value)
+
+
+def oracle_csv(headers, columns) -> bytes:
+    """The table as the per-cell oracle writes it."""
+    cells = [list(map(old_cell, np.asarray(col).tolist())) for col in columns]
+    lines = [",".join(headers), *map(",".join, zip(*cells))]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def written_csv(headers, columns) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        emit_csv(headers, columns, path)
+        return path.read_bytes()
+
+
+def bulk_cells(values) -> list[str]:
+    """Float cells as the table writer's numpy pass lays them out."""
+    cells, keep = csvtable._float_cells(np.array(values, dtype=float), cli._column_cells)
+    return [bytes(row[kept]).decode() for row, kept in zip(cells, keep)]
+
+
+@pytest.fixture
+def per_cell_floats(monkeypatch):
+    """The cells of each float column handed to the per-cell formatter."""
+    calls = []
+
+    def spy(column):
+        if np.asarray(column).dtype.kind == "f":
+            calls.append(np.asarray(column).tolist())
+        return per_cell(column)
+
+    per_cell = cli._column_cells
+    monkeypatch.setattr(cli, "_column_cells", spy)
+    return calls
+
+
 def test_fmt12_known_strings():
     assert fmt12(1.0 / 3.0) == "3.33333333333e-1"
     assert fmt12(0.0) == "0.00000000000e0"
@@ -130,6 +174,7 @@ def test_fmt12_known_strings():
     assert fmt12(9.9999999999995e4) == "1.00000000000e5"
     values = [1.0 / 3.0, 0.0, -12345.678, 1e-7, math.nan, math.inf, -math.inf]
     assert cli._column_cells(np.array(values)) == list(map(fmt12, values))
+    assert bulk_cells(values) == list(map(fmt12, values))
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
@@ -147,19 +192,79 @@ def test_fmt12_known_strings():
 @example(-9.99999999999951e-100)
 @example(9.99999999999951e99)
 def test_column_formatting_matches_fmt12(value):
-    """One value alone and amid others formats as fmt12 formats it."""
+    """One value alone and amid others formats as fmt12 formats it, cell
+    by cell and in the table writer's numpy pass."""
     column = np.array([value, 1.0, value, -2.5e-12])
     assert cli._column_cells(column) == list(map(fmt12, column.tolist()))
     assert cli._column_cells([value]) == [fmt12(value)]
+    assert bulk_cells(column) == list(map(fmt12, column.tolist()))
 
 
-def old_cell(value) -> str:
-    """The per-cell type dispatch the column writer replaced."""
-    if isinstance(value, (bool, int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return fmt12(float(value))
-    return str(value)
+# floats the numpy pass cannot round beyond doubt: ties at the twelfth
+# digit, zeros, subnormals, non-finite values and |x| outside (1e-280, 1e280)
+FALLBACK_FLOATS = [100000000000.5, 999999999999.5, -1.000000000005e-7, 0.0, -0.0, 5e-324, -1.5e-310,
+                   math.nan, math.inf, -math.inf, 1e280, -1e280, 1e-280, -1e-280,
+                   float(np.nextafter(1e280, math.inf)), float(np.nextafter(1e-280, 0.0))]
+# floats it rounds itself, next to the edges of its range and of a decade
+EDGE_FLOATS = [9.9999999999995e4, float(np.nextafter(1e280, 0.0)),
+               float(np.nextafter(1e-280, 1.0)),
+               *(float(np.nextafter(10.0**k, side)) for k in range(-30, 31)
+                 for side in (-math.inf, math.inf))]
+
+
+def test_named_floats_match_fmt12_and_take_their_path(per_cell_floats):
+    values = FALLBACK_FLOATS + EDGE_FLOATS
+    assert bulk_cells(values) == list(map(fmt12, values))
+    sent = [repr(v) for call in per_cell_floats for v in call]
+    assert sent == list(map(repr, FALLBACK_FLOATS))
+    assert written_csv(["x"], [values]) == oracle_csv(["x"], [values])
+
+
+def test_int64_extremes_match_str():
+    values = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 9, 10, -10,
+                       9999, 10000, -99999] * 8)
+    assert written_csv(["n"], [values]) == oracle_csv(["n"], [values])
+
+
+def test_seeded_floats_match_percent_format():
+    """10**5 floats over the whole double range, and near ties at the
+    twelfth digit, read as "%.11e" writes them with its exponent bared."""
+    rng = np.random.default_rng(20240)
+    values = np.concatenate([
+        rng.standard_normal(40_000) * 10.0 ** rng.uniform(-320, 307, 40_000),
+        rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64),
+        (rng.integers(10**11, 10**12, 20_000) + 0.5 + rng.uniform(-2e-3, 2e-3, 20_000))
+        * 10.0 ** rng.integers(-40, 40, 20_000).astype(float),
+    ])
+    text = ("%.11e\n" * len(values)) % tuple(values.tolist())
+    expected = re.sub(r"e([+-])0*(\d)", lambda m: "e" + "-" * (m[1] == "-") + m[2], text)
+    assert written_csv(["x"], [values]) == b"x\n" + expected.encode()
+
+
+LABELS = st.text(st.characters(blacklist_categories=("Cs",),
+                               blacklist_characters=',\n\r"\0'), max_size=6)
+
+
+def table_column(rows: int):
+    """One column of ``rows`` floats, ints, bools or labels."""
+    floats = st.one_of(st.floats(), st.floats(-1e6, 1e6), st.sampled_from(FALLBACK_FLOATS))
+    ints = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+    return st.one_of(
+        st.lists(floats, min_size=rows, max_size=rows).map(np.array),
+        st.lists(ints, min_size=rows, max_size=rows).map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.booleans(), min_size=rows, max_size=rows).map(np.array),
+        st.lists(LABELS, min_size=rows, max_size=rows),
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 300).flatmap(
+    lambda rows: st.lists(table_column(rows), min_size=1, max_size=5)))
+def test_tables_match_the_per_cell_oracle(columns):
+    """Mixed tables of 0 to 300 rows, under and over the row count that
+    picks the numpy pass, write the oracle's cells joined by "," and LF."""
+    headers = [f"c{i}" for i in range(len(columns))]
+    assert written_csv(headers, columns) == oracle_csv(headers, columns)
 
 
 def test_column_kinds_keep_their_types():
@@ -169,6 +274,18 @@ def test_column_kinds_keep_their_types():
     for mixed_row in ([2, 2.0, "X", True], [np.int64(-1), np.float64(0.5), "Ab", False]):
         assert [cli._column_cells([v])[0] for v in mixed_row] == \
             list(map(old_cell, mixed_row))
+
+
+def test_hyperfine_table_takes_the_numpy_pass(per_cell_floats):
+    """A 2048-row hyperfine-scan table sends at most 2% of its float cells
+    to the per-cell formatter, and writes the oracle's bytes."""
+    cfg = load_config(None, ["scan.points=32"])
+    headers, columns, _ = cli._cmd_hyperfine_scan(cfg)
+    assert len(columns[0]) == 2048 >= cli._BULK_ROWS
+    written = written_csv(headers, columns)
+    floats = sum(len(col) for col in columns if np.asarray(col).dtype.kind == "f")
+    assert sum(map(len, per_cell_floats)) <= 0.02 * floats
+    assert written == oracle_csv(headers, columns)
 
 
 def test_emit_csv_header_only(tmp_path):
@@ -189,8 +306,14 @@ def test_emit_csv_rejects_unequal_columns(tmp_path):
 
 
 def test_emit_csv_rejects_separator_cells(tmp_path):
-    with pytest.raises(ValueError, match="needs quoting"):
-        emit_csv(["a"], [["x,y"]], tmp_path / "x.csv")
+    """A label holding a separator or NUL is refused before any byte is
+    written, in a table written cell by cell and in one written in bulk."""
+    for separator in (",", "\n", "\r", '"', "\0"):
+        for rows in (1, 200):
+            labels = ["x"] * (rows - 1) + [f"x{separator}y"]
+            with pytest.raises(ValueError, match="needs quoting"):
+                emit_csv(["a", "b"], [labels, np.arange(rows) / 3], tmp_path / "x.csv")
+            assert not (tmp_path / "x.csv").exists()
 
 
 # ---- subcommands end to end -----------------------------------------
@@ -345,14 +468,17 @@ def test_calibrate(small_config, tmp_path):
     assert float(rows[0][5]) == pytest.approx(103.0, abs=1e-6)
 
 
-def test_hyperfine_columns_match_the_row_assembly():
-    """The gathered columns equal the old per-angle, per-curve rows.
+def test_hyperfine_columns_match_the_row_assembly(caplog):
+    """The gathered columns equal the old per-angle, per-curve rows, and
+    the logged tracking overlap is the smallest matched entry of the
+    full overlap matrices |V_k-1^T V_k|.
 
     At 1e5 W/cm^2 the light shift mixes M, so tracked curves change
     their dominant (J, M) label along the scan.
     """
     cfg = load_config(None, ["fields.intensity_w_cm2=100000", "scan.points=16"])
-    _, columns, _ = cli._cmd_hyperfine_scan(cfg)
+    with caplog.at_level(logging.INFO, logger="magictrap.cli"):
+        _, columns, _ = cli._cmd_hyperfine_scan(cfg)
     # the per-row assembly the columnar scan replaced
     fields = cfg.field_configuration()
     basis = build_basis(1, fields.constants)
@@ -361,10 +487,13 @@ def test_hyperfine_columns_match_the_row_assembly():
     sol = eigenstate_polarizability(
         diagonalize(build_hamiltonian(basis, at, cfg.terms()), basis), at)
     order = np.arange(basis.dim)
-    rows, labels = [], []
+    rows, labels, overlaps = [], [], [math.inf]
     for k, theta_deg in enumerate(thetas.tolist()):
         if k:
-            order = track_states(sol[k - 1], sol[k])[order]
+            match = track_states(sol[k - 1], sol[k])
+            full = np.abs(sol.vectors[k - 1].T @ sol.vectors[k])
+            overlaps.append(full[np.arange(basis.dim), match].min())
+            order = match[order]
         at_k = sol[k]
         labels.append([at_k.labels[i] for i in order])
         rows.extend([theta_deg, curve, *at_k.labels[i], at_k.energies[i],
@@ -374,6 +503,14 @@ def test_hyperfine_columns_match_the_row_assembly():
     for col, expected in zip(columns, zip(*rows)):
         assert np.array_equal(col, expected)
         assert cli._column_cells(col) == list(map(old_cell, expected))
+    k = int(np.argmin(overlaps))
+    [logged] = [r.getMessage() for r in caplog.records if "overlap" in r.getMessage()]
+    value, lo, hi = map(float, re.fullmatch(
+        r"state tracking: smallest adjacent overlap (\S+), between (\S+) and (\S+) deg",
+        logged).groups())
+    assert (lo, hi) == (thetas[k - 1], thetas[k])
+    assert value == pytest.approx(overlaps[k], abs=1e-6)
+    assert value < 0.9  # the mixing shows in the overlap
 
 
 @pytest.mark.parametrize("subcommand", ["solve-rovib", "imag-scan"])
