@@ -121,7 +121,13 @@ def pinned_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunct
     notebook code that sweeps ``transition_cm1`` or the scan, or runs
     ``solve-rovib`` then ``imag-scan`` through ``cli.main``, and the
     benchmark's in-process passes.  The ``magictrap`` command runs one
-    subcommand per process, so it still pays both solves each run.
+    subcommand per process, so it still pays both solves each run.  A
+    warm call makes no eigensolve: the two levels it reads lie at the
+    bases' reference J.  What is left of a warm ``solve-rovib`` or
+    ``imag-scan`` is :meth:`RovibBasis.levels` at each other J: eigensolves
+    of leading blocks of the basis, doubling until certified, which on the
+    bundled config stop at m = 160 of the K = 486 A-b states and at m <= 40
+    of the K = 264 X states.
     """
     grid = cfg.radial_grid()
     hits = _bases.cache_info().hits

@@ -373,6 +373,96 @@ def test_basis_levels_match_the_full_dvr_at_every_j(narb_radial, name):
         full = narb_radial[name][j]
         assert len(full) > RETAINED
         _assert_levels_match(basis.levels(j), full)
+        _assert_levels_match(basis.levels(j, RETAINED), full[:RETAINED])
+
+
+def _whole_k_levels(basis, j):
+    """Bound (energy, wavefunction) pairs at ``j`` from one np.linalg.eigh
+    of the whole K x K contracted matrix, signed and scaled as
+    ``RovibBasis.levels`` does: the oracle of its block solves."""
+    factor = j * (j + 1) - basis.j_ref * (basis.j_ref + 1)
+    energies, coeffs = np.linalg.eigh(np.diag(basis.energies) + factor * basis.centrifugal)
+    bound = int(np.searchsorted(energies, basis.threshold - radial.BOUND_MARGIN))
+    vectors = basis.vectors @ coeffs[:, :bound]
+    pairs = []
+    for v in range(bound):
+        channels = vectors[:, v].reshape(-1, basis.grid.n)
+        flat = channels.ravel()
+        if flat[np.argmax(np.abs(flat))] < 0.0:
+            channels = -channels
+        pairs.append((energies[v] + basis.shift, channels / math.sqrt(basis.grid.dr)))
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["x", "ab"])
+def test_block_levels_match_the_whole_k_solve(narb_radial, name):
+    """With ``max_levels`` given, each J is solved in a leading block of the
+    basis; its levels lie within 1e-15 Eh of the whole K x K solve, and
+    their channel fractions and B_v within 1e-12.  Without it the whole
+    solve runs, bit for bit."""
+    basis = narb_radial[f"{name}_basis"]
+    dr, r = basis.grid.dr, basis.grid.points
+    for j in J_RANGE:
+        oracle = _whole_k_levels(basis, j)
+        if j != basis.j_ref:
+            exact = basis.levels(j)
+            assert len(exact) == len(oracle)
+            for lvl, (energy, psi) in zip(exact, oracle):
+                assert lvl.energy == energy and np.array_equal(lvl.wavefunction, psi)
+        for max_levels in (1, 3, RETAINED):
+            levels = basis.levels(j, max_levels)
+            assert len(levels) == max_levels
+            for lvl, (energy, psi) in zip(levels, oracle):
+                assert abs(lvl.energy - energy) <= 1e-15, (j, max_levels, lvl.v)
+                assert np.allclose(lvl.channel_fractions, np.sum(psi ** 2, axis=1) * dr,
+                                   rtol=0.0, atol=1e-12), (j, max_levels, lvl.v)
+                b_v = float(np.sum(np.sum(psi ** 2, axis=0) * dr / (2.0 * basis.mu * r ** 2)))
+                assert _rel(lvl.rotational_constant(), b_v) <= 1e-12, (j, max_levels, lvl.v)
+
+
+def _logged_blocks(text, label):
+    """(J, m, K, max r/gap) from each block-solve log line of ``label``."""
+    return [(int(j), int(m), int(k), float(ratio)) for j, m, k, ratio in re.findall(
+        rf"^.*{label} levels at J=(\d+): m=(\d+) of K=(\d+), max r/gap (\S+)$", text,
+        re.MULTILINE)]
+
+
+@pytest.mark.parametrize("name", ["x", "ab"])
+def test_a_failed_level_certificate_runs_the_whole_solve(narb_radial, name,
+                                                         monkeypatch, caplog):
+    """At a zero tolerance no block below K is certified, so every J ends
+    on the whole K x K solve and gives its levels bit for bit."""
+    basis = narb_radial[f"{name}_basis"]
+    monkeypatch.setattr(radial, "LEVELS_TOL", 0.0)
+    for j in (0, 3, 6):
+        if j == basis.j_ref:
+            continue
+        exact = basis.levels(j)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="magictrap.radial"):
+            levels = basis.levels(j, RETAINED)
+        assert _logged_blocks(caplog.text, basis.label) == [(j, basis.size, basis.size, 0.0)]
+        for lvl, ref in zip(levels, exact[:RETAINED], strict=True):
+            assert lvl.energy == ref.energy
+            assert np.array_equal(lvl.wavefunction, ref.wavefunction)
+            assert lvl.channel_fractions == ref.channel_fractions
+
+
+@pytest.mark.parametrize("name", ["x", "ab"])
+def test_block_solves_are_certified_and_logged(narb_radial, name, caplog):
+    """Each levels call off the reference J logs the block it stopped at:
+    below K with a certificate within the tolerance when ``max_levels``
+    is given, and K with nothing dropped when it is not."""
+    basis = narb_radial[f"{name}_basis"]
+    j = basis.j_ref + 2
+    with caplog.at_level(logging.DEBUG, logger="magictrap.radial"):
+        basis.levels(j, RETAINED)
+        basis.levels(j)
+        basis.levels(basis.j_ref, RETAINED)
+    (j_block, m, k, ratio), whole = _logged_blocks(caplog.text, basis.label)
+    assert j_block == j and k == basis.size and 2 * RETAINED + 16 <= m < k
+    assert ratio <= radial.LEVELS_TOL
+    assert whole == (j, k, k, 0.0)
 
 
 def test_coarse_bases_match_the_full_dvr_up_to_the_3j_limit():
@@ -591,6 +681,14 @@ def test_saturated_basis_raises():
     assert len(small.levels(40)) == 3
     with pytest.raises(GridError, match="no room"):
         small.levels(0)
+    with pytest.raises(GridError, match="no room"):
+        small.levels(0, 1)
+    # 40 states, all bound at J = 0: a block of m = 18 could certify the
+    # one level asked for, so the error rests on the diagonal check
+    wider = replace(basis, energies=basis.energies[:40], vectors=basis.vectors[:, :40],
+                    centrifugal=basis.centrifugal[:40, :40])
+    with pytest.raises(GridError, match="all 40 states .* no room"):
+        wider.levels(0, 1)
 
 
 def test_basis_size_is_worked_out_and_logged(caplog):
