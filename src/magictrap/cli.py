@@ -32,6 +32,10 @@ does wherever the fractional part of s is more than 1e-3 from .5.  The
 cells nearer the tie, ±0, subnormals, nan, ±inf and |x| outside
 (1e-280, 1e280) are formatted by ``"%.11e"`` itself.
 
+``solve-rovib`` and ``imag-scan`` read each J's levels as one table of
+arrays (``radial.RovibLevels``), and ``imag-scan`` its dipoles and
+linewidths as one array each.
+
 Exit codes: 0 success, 2 configuration problem (also a run too large
 for memory), 3 numerical failure (no bracketed root, pole proximity,
 calibration impossible, grid too coarse), 4 output I/O failure.
@@ -70,7 +74,7 @@ from .hyperfine import (
 )
 from .magic import _angle_method, calibrate_gamma, find_magic_angle, find_magic_detuning
 from .polarizability import alpha_analytic, alpha_imag, validity_notes
-from .radial import linewidth, radial_matrix_element
+from .radial import RovibLevels, linewidth, radial_matrix_element
 from .units import HARTREE_TO_CM1, HARTREE_TO_GHZ
 
 __all__ = ["main", "run", "emit_csv"]
@@ -140,22 +144,24 @@ def _cmd_solve_rovib(cfg: RunConfig):
     *_, x_basis, ab_basis = narb.pinned_models(cfg)
     j_values = cfg.get("scan", "j_values")
     max_levels = cfg.get("scan", "max_levels")
-    levels = []
-    for j in j_values:
-        levels += x_basis.levels(j, max_levels)
-        levels += ab_basis.levels(j, max_levels)
+    tables = [basis.levels(j, max_levels) for j in j_values for basis in (x_basis, ab_basis)]
+
+    def column(name):
+        return np.concatenate([getattr(t, name) for t in tables])
+
+    # an X level has its one channel only, so its frac_b is 0
+    fractions = np.concatenate(
+        [np.pad(t.channel_fractions, [(0, 0), (0, 2 - len(t.channel_labels))]) for t in tables])
     headers = ["state", "v", "j", "energy_cm1", "b_rot_cm1", "frac_a", "frac_b"]
     columns = [
-        [lv.label for lv in levels],  # "X", or "Ab" for the coupled pair
-        [lv.v for lv in levels],
-        [lv.j for lv in levels],
-        [lv.energy * HARTREE_TO_CM1 for lv in levels],
-        [lv.rotational_constant() * HARTREE_TO_CM1 for lv in levels],
-        [lv.channel_fractions[0] for lv in levels],
-        # an X level has its one channel only
-        [(*lv.channel_fractions, 0.0)[1] for lv in levels],
+        [t.label for t in tables for _ in range(len(t))],  # "X", or "Ab" for the coupled pair
+        column("v"),
+        column("j"),
+        column("energies") * HARTREE_TO_CM1,
+        column("b_rot") * HARTREE_TO_CM1,
+        *fractions.T,
     ]
-    summary = (f"solved {len(levels)} levels (X and coupled A-b) "
+    summary = (f"solved {len(fractions)} levels (X and coupled A-b) "
                f"for J in {list(j_values)}")
     return headers, columns, summary
 
@@ -223,26 +229,34 @@ def _cmd_alpha_scan(cfg: RunConfig):
 
 
 def _imag_inputs(cfg: RunConfig, j_values):
+    """The lowest X level at each J of ``j_values`` and the A-b levels at
+    each J' = J +- 1, as two tables, with the (X, A-b) dipole array and
+    the A-b linewidths."""
     ground, _, dipole, x_basis, ab_basis = narb.pinned_models(cfg)
     max_levels = cfg.get("scan", "max_levels")
     j_excited = sorted({j + s for j in j_values for s in (-1, 1) if j + s >= 0})
-
-    x_levels = []
+    x_tables = []
     for j in sorted(set(j_values)):
         lowest = x_basis.levels(j, 1)
         if not lowest:
             raise GridError(f"no X level is bound at J = {j} of [scan] j_values")
-        x_levels += lowest
-    ab_levels = [lv for jp in j_excited for lv in ab_basis.levels(jp, max_levels)]
-    pairs = {(0, 0): dipole}
-    dipoles = {
-        (xi, ai): radial_matrix_element(x, dipole, ab, pairs=pairs)
-        for xi, x in enumerate(x_levels)
-        for ai, ab in enumerate(ab_levels)
-        if abs(ab.j - x.j) == 1
-    }
-    gammas = [linewidth(ab, [(ground, dipole)]) for ab in ab_levels]
-    return x_levels, ab_levels, dipoles, gammas
+        x_tables.append(lowest)
+    x_levels = RovibLevels.join(x_tables)
+    ab_levels = RovibLevels.join([ab_basis.levels(jp, max_levels) for jp in j_excited])
+    dipoles = radial_matrix_element(x_levels, dipole, ab_levels, pairs={(0, 0): dipole})
+    return x_levels, ab_levels, dipoles, linewidth(ab_levels, [(ground, dipole)])
+
+
+def _pole_refusal(cfg: RunConfig, deltas, j: int, exc: PoleProximityError):
+    """``exc``, raised at scan point ``exc.point`` out of J = ``j``, restated
+    in the scan's own terms: detunings in GHz and the keys that set them."""
+    line = (exc.line - cfg.spec().reference.energy) * HARTREE_TO_GHZ
+    return PoleProximityError(
+        f"scan point {exc.point + 1} of {len(deltas)}, at detuning "
+        f"{deltas[exc.point]:.9g} GHz, lies within {exc.guard * HARTREE_TO_GHZ:.3g} GHz "
+        f"of a line out of J = {j}, at {line:.9g} GHz; set [scan] points "
+        f"({cfg.get('scan', 'points')}), start_ghz ({cfg.get('scan', 'start_ghz'):g}) "
+        f"or stop_ghz ({cfg.get('scan', 'stop_ghz'):g}) so that no scan point falls on a line")
 
 
 def _cmd_imag_scan(cfg: RunConfig):
@@ -251,8 +265,12 @@ def _cmd_imag_scan(cfg: RunConfig):
     x_levels, ab_levels, dipoles, gammas = _imag_inputs(cfg, j_values)
     theta_p = math.radians(cfg.get("fields", "theta_p_deg"))
     deltas, nu = _detuning_axis(cfg)
-    per_j = [alpha_imag(x_levels, ab_levels, dipoles, gammas, nu, j, m, theta_p)
-             for j in j_values]
+    per_j = []
+    for j in j_values:
+        try:
+            per_j.append(alpha_imag(x_levels, ab_levels, dipoles, gammas, nu, j, m, theta_p))
+        except PoleProximityError as exc:
+            raise _pole_refusal(cfg, deltas, j, exc) from exc
     headers = ["detuning_ghz", "j", "m", "im_alpha_au"]
     summary = (f"Im alpha for J in {list(j_values)}, M={m} from "
                f"{len(ab_levels)} retained coupled levels")

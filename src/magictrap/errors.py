@@ -32,7 +32,14 @@ class ConfigError(MagicTrapError):
 
 
 class PoleProximityError(MagicTrapError):
-    """Requested frequency sits on top of a resonance pole."""
+    """Requested frequency sits on top of a resonance pole: where known,
+    the flat index ``point`` of the photon energy, the ``line`` and the
+    ``guard`` half-width (Hartree)."""
+
+    def __init__(self, message: str, point: int | None = None,
+                 line: float | None = None, guard: float | None = None):
+        super().__init__(message)
+        self.point, self.line, self.guard = point, line, guard
 
 
 class NoRootError(MagicTrapError):

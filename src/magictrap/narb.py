@@ -123,11 +123,7 @@ def pinned_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunct
     benchmark's in-process passes.  The ``magictrap`` command runs one
     subcommand per process, so it still pays both solves each run.  A
     warm call makes no eigensolve: the two levels it reads lie at the
-    bases' reference J.  What is left of a warm ``solve-rovib`` or
-    ``imag-scan`` is :meth:`RovibBasis.levels` at each other J: eigensolves
-    of leading blocks of the basis, doubling until certified, which on the
-    bundled config stop at m = 160 of the K = 486 A-b states and at m <= 40
-    of the K = 264 X states.
+    bases' reference J.
     """
     grid = cfg.radial_grid()
     hits = _bases.cache_info().hits

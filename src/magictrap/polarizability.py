@@ -50,7 +50,7 @@ import numpy as np
 
 from .angular import _check_state, angular_factors, resonance_offsets, rot_tensor_element
 from .errors import PoleProximityError
-from .radial import RovibLevel
+from .radial import RovibLevels
 from .units import C_AU
 
 __all__ = [
@@ -242,40 +242,43 @@ def _polarization_weight(jp: int, j: int, m: int, theta_p: float) -> float:
     return w
 
 
-def _transitions(x_levels, ab_levels, dipoles, nu, j, m, theta_p):
+def _transitions(x_levels: RovibLevels, ab_levels: RovibLevels, dipoles: np.ndarray,
+                 nu, j, m, theta_p):
     """The polarization weight W of each branch J' = J +- 1 out of (J, M), one
     row (dE, ab index, d, W) per retained line in ``ab_levels`` order, and
     ``nu`` as a float array, refused within the pole guard of any line.
     """
     j, m = _check_state(j, m)
-    try:
-        x_idx, x_level = next(
-            (i, lv) for i, lv in enumerate(x_levels) if lv.j == j
-        )
-    except StopIteration:
+    ground = np.flatnonzero(x_levels.j == j)
+    if not ground.size:
         raise ValueError(f"no ground level with J = {j} among x_levels")
+    x_idx = int(ground[0])
+    dipoles = np.asarray(dipoles, dtype=float)
+    if dipoles.shape != (len(x_levels), len(ab_levels)):
+        raise ValueError(f"dipoles has shape {dipoles.shape}, not "
+                         f"({len(x_levels)}, {len(ab_levels)})")
     weights = {jp: _polarization_weight(jp, j, m, theta_p)
                for jp in (j - 1, j + 1) if jp >= 0}
-    rows = []
-    for a_idx, ab in enumerate(ab_levels):
-        if ab.j not in weights:
-            continue
-        d = dipoles.get((x_idx, a_idx))
-        if d is None:
-            raise ValueError(
-                f"missing dipole for pair (x={x_idx}, ab={a_idx}); "
-                "provide all J' = J +- 1 moments"
-            )
-        rows.append((ab.energy - x_level.energy, a_idx, d, weights[ab.j]))
-    if not rows:
+    lines = np.flatnonzero(np.abs(ab_levels.j - j) == 1)
+    if not lines.size:
         raise ValueError(f"no retained lines couple to J = {j}")
+    d = dipoles[x_idx, lines]
+    if not np.all(np.isfinite(d)):
+        raise ValueError(
+            f"missing dipole for pair (x={x_idx}, ab={lines[~np.isfinite(d)][0]}); "
+            "provide all J' = J +- 1 moments"
+        )
+    de = ab_levels.energies[lines] - x_levels.energies[x_idx]
+    rows = list(zip(de.tolist(), lines.tolist(), d.tolist(),
+                    [weights[jp] for jp in ab_levels.j[lines].tolist()]))
     x = np.asarray(nu, dtype=float)
     _guard_poles(rows, x)
     return weights, rows, x
 
 
 def _guard_poles(rows, nu: np.ndarray) -> None:
-    """Raise if any photon energy sits within the pole guard of a line."""
+    """Raise if any photon energy sits within the pole guard of a line,
+    naming the first such point of the first such line."""
     uniq = sorted({row[0] for row in rows})
     if len(uniq) > 1:
         scale = min(b - a for a, b in zip(uniq, uniq[1:]))
@@ -283,25 +286,26 @@ def _guard_poles(rows, nu: np.ndarray) -> None:
         scale = uniq[0] * _SINGLE_LINE_GUARD / _POLE_GUARD
     guard = _POLE_GUARD * scale
     for de, *_ in rows:
-        if np.any(np.abs(de - nu) < guard):
+        near = np.abs(de - nu) < guard
+        if np.any(near):
             raise PoleProximityError(
-                f"photon energy within {guard:.3e} Eh of the line at {de:.6e} Eh"
-            )
+                f"photon energy within {guard:.3e} Eh of the line at {de:.6e} Eh",
+                point=int(np.argmax(near.ravel())), line=de, guard=guard)
 
 
-def alpha_sum_over_states(x_levels: list[RovibLevel], ab_levels: list[RovibLevel],
-                          dipoles: dict[tuple[int, int], float],
-                          nu: float | np.ndarray,
+def alpha_sum_over_states(x_levels: RovibLevels, ab_levels: RovibLevels,
+                          dipoles: np.ndarray, nu: float | np.ndarray,
                           j: int, m: int, theta_p: float = 0.0,
                           background: Background | None = None
                           ) -> np.float64 | np.ndarray:
     """Explicit second-order polarizability sum (atomic units).
 
-    ``dipoles`` maps (index into x_levels, index into ab_levels) to the
-    vibrationally averaged transition dipole in e a0.  Both rotating
-    and counter-rotating denominators are kept.  The quasi-static
-    background, when given, is added with angular weights computed from
-    the same 3-j route (never from the closed-form factors).
+    ``dipoles[x, a]`` is the vibrationally averaged transition dipole
+    (e a0) between row x of ``x_levels`` and row a of ``ab_levels``;
+    only the pairs with J' = J +- 1 are read, and each must be finite.
+    Both rotating and counter-rotating denominators are kept.  The
+    quasi-static background, when given, is added with angular weights
+    computed from the same 3-j route (never from the closed-form factors).
     """
     weights, rows, x = _transitions(x_levels, ab_levels, dipoles, nu, j, m, theta_p)
     total = np.zeros(x.shape)
@@ -313,31 +317,35 @@ def alpha_sum_over_states(x_levels: list[RovibLevel], ab_levels: list[RovibLevel
     return total[()]
 
 
-def alpha_imag(x_levels: list[RovibLevel], ab_levels: list[RovibLevel],
-               dipoles: dict[tuple[int, int], float], gammas: list[float],
+def alpha_imag(x_levels: RovibLevels, ab_levels: RovibLevels,
+               dipoles: np.ndarray, gammas: np.ndarray,
                nu: float | np.ndarray, j: int, m: int,
                theta_p: float = 0.0) -> np.float64 | np.ndarray:
     """Imaginary polarizability from the retained lines (atomic units).
 
         Im alpha = - sum_f gamma_f |d_f|^2 W_f / ((E_f - E_i)^2 - (h nu)^2)
 
-    ``gammas`` holds the level linewidths (atomic units) aligned with
+    ``dipoles`` is read as by :func:`alpha_sum_over_states`, and
+    ``gammas`` (L,) holds the linewidths (atomic units) of the rows of
     ``ab_levels``.  The value is negative whenever the photon energy is
     below every retained resonance.
     """
     if len(gammas) != len(ab_levels):
         raise ValueError("gammas must align with ab_levels")
     _, rows, x = _transitions(x_levels, ab_levels, dipoles, nu, j, m, theta_p)
+    gammas = np.asarray(gammas, dtype=float).tolist()
     total = np.zeros(x.shape)
     for de, a_idx, d, w in rows:
         total -= gammas[a_idx] * d * d * w / (de * de - x * x)
     return total[()]
 
 
-def spec_from_levels(x_levels: list[RovibLevel], ab_levels: list[RovibLevel],
-                     dipoles: dict[tuple[int, int], float],
+def spec_from_levels(x_levels: RovibLevels, ab_levels: RovibLevels, dipoles: np.ndarray,
                      background: Background) -> PolarizabilitySpec:
     """Distill solver output into a :class:`PolarizabilitySpec`.
+
+    ``dipoles`` is read as by :func:`alpha_sum_over_states`, here at the
+    pairs of the J = 0 ground level and each J' = 1 excited level.
 
     For each excited vibrational index the band energy is the actual
     (J = 0 -> J' = 1) level difference, B_v' comes from the lowest
@@ -350,34 +358,27 @@ def spec_from_levels(x_levels: list[RovibLevel], ab_levels: list[RovibLevel],
     the first band energy, so the closed form tracks the full sum over
     states inside its validity window.
     """
-    x_by_j = {lv.j: (i, lv) for i, lv in enumerate(x_levels)}
-    if 0 not in x_by_j or 1 not in x_by_j:
+    x_at = {j: i for i, j in enumerate(x_levels.j.tolist())}
+    if 0 not in x_at or 1 not in x_at:
         raise ValueError("need ground levels with J = 0 and J = 1")
-    x0_idx, x0 = x_by_j[0]
-    _, x1 = x_by_j[1]
-    b_v = (x1.energy - x0.energy) / 2.0
-
-    by_v: dict[int, dict[int, tuple[int, RovibLevel]]] = {}
-    for i, ab in enumerate(ab_levels):
-        by_v.setdefault(ab.v, {})[ab.j] = (i, ab)
+    e_x0 = float(x_levels.energies[x_at[0]])
+    b_v = (float(x_levels.energies[x_at[1]]) - e_x0) / 2.0
+    ab_at = {vj: i for i, vj in enumerate(zip(ab_levels.v.tolist(), ab_levels.j.tolist()))}
 
     lines = []
-    for vprime in sorted(by_v):
-        group = by_v[vprime]
-        if 0 not in group or 1 not in group:
+    for vprime in sorted(set(ab_levels.v.tolist())):
+        if (vprime, 0) not in ab_at or (vprime, 1) not in ab_at:
             raise ValueError(
                 f"excited v' = {vprime} needs both J' = 0 and J' = 1 levels"
             )
-        i1, lv1 = group[1]
-        _, lv0 = group[0]
-        energy = lv1.energy - x0.energy
-        b_rot = (lv1.energy - lv0.energy) / 2.0
-        d = dipoles.get((x0_idx, i1))
-        if d is None:
+        e1, e0 = (float(ab_levels.energies[ab_at[vprime, jp]]) for jp in (1, 0))
+        energy = e1 - e_x0
+        d = float(dipoles[x_at[0], ab_at[vprime, 1]])
+        if not math.isfinite(d):
             raise ValueError(f"missing reference dipole for v' = {vprime}")
         lines.append(ResonantLine(
             vprime=vprime, energy=energy,
-            gamma=gamma_from_dipole(energy, d), b_rot=b_rot,
+            gamma=gamma_from_dipole(energy, d), b_rot=(e1 - e0) / 2.0,
         ))
     lines.sort(key=lambda ln: ln.energy)
     cr_shift = sum(line_strength(ln) / (ln.energy + lines[0].energy) for ln in lines)

@@ -31,6 +31,10 @@ bound on the levels asked for (Parlett, The Symmetric Eigenvalue Problem
 :func:`solve_coupled` are its one-J case: one solve at the J asked for,
 with no contraction over J.
 
+Levels come as one :class:`RovibLevels` table of arrays per call, and
+linewidths and matrix elements are quadratures over its wavefunction
+array, as in LEVEL (Le Roy, JQSRT 186, 167 (2017)).
+
 All quantities are in Hartree atomic units unless stated otherwise;
 reduced masses cross the API boundary in atomic mass units.
 """
@@ -40,6 +44,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -52,6 +57,7 @@ from .units import AMU_TO_ME, C_AU
 __all__ = [
     "RadialGrid",
     "RovibLevel",
+    "RovibLevels",
     "RovibBasis",
     "dvr_kinetic",
     "rovib_basis",
@@ -86,6 +92,9 @@ TRUNCATION_TOL = 1e-16
 # Largest r_i / gap_i, the bound on how far a level's vector is off, that a
 # block solve of RovibBasis.levels may carry; above it m doubles.
 LEVELS_TOL = 1e-14
+# A block solve starts at the first m whose first-order r/gap is at most this
+# many LEVELS_TOL: on the bundled bases (J <= 20) it is 0.75-2x the certificate.
+LEVELS_START = 100.0
 
 
 @dataclass(frozen=True)
@@ -112,9 +121,12 @@ class RadialGrid:
     def dr(self) -> float:
         return (self.r_max - self.r_min) / (self.n + 1)
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return self.r_min + self.dr * np.arange(1, self.n + 1)
+        """The n interior points, built once per grid and read-only."""
+        points = self.r_min + self.dr * np.arange(1, self.n + 1)
+        points.setflags(write=False)
+        return points
 
     @property
     def kinetic_cutoff_factor(self) -> float:
@@ -123,32 +135,88 @@ class RadialGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class RovibLevel:
-    """One bound rovibrational level.
+class RovibLevels:
+    """Bound rovibrational levels of one basis, one row per level.
 
-    ``wavefunction`` has shape (n_channels, n) and is normalized as
-    sum over channels and grid points of psi^2 dr = 1, i.e. it stores
-    amplitude densities psi(R_i), not bare DVR coefficients.
+    ``v``, ``j``, ``energies`` (with the model shift), ``b_rot``
+    (<hbar^2 / (2 mu R^2)>, Hartree) and ``near_threshold`` are (L,)
+    arrays, ``channel_fractions`` (L, n_channels) the norm shares, and
+    ``wavefunctions`` (L, n_channels, n) amplitude densities psi(R_i),
+    sum over channels and points of psi^2 dr = 1, largest-amplitude point
+    positive.  An int index gives a :class:`RovibLevel` view of a row, a
+    slice a table, and :meth:`join` one table of several.
     """
 
     label: str
-    v: int
-    j: int
-    energy: float
     grid: RadialGrid
     mu: float  # reduced mass, electron masses
-    wavefunction: np.ndarray = field(repr=False)
     channel_labels: tuple[str, ...]
-    channel_fractions: tuple[float, ...]
     potentials: tuple[PotentialCurve, ...] = field(repr=False)
-    shift: float = 0.0
-    near_threshold: bool = False
+    shift: float
+    v: np.ndarray
+    j: np.ndarray
+    energies: np.ndarray
+    wavefunctions: np.ndarray = field(repr=False)
+    channel_fractions: np.ndarray = field(repr=False)
+    b_rot: np.ndarray = field(repr=False)
+    near_threshold: np.ndarray = field(repr=False)
+
+    _ROWS = ("v", "j", "energies", "wavefunctions", "channel_fractions", "b_rot",
+             "near_threshold")
+
+    def __len__(self) -> int:
+        return self.energies.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return replace(self, **{name: getattr(self, name)[index] for name in self._ROWS})
+        return RovibLevel(self, range(len(self))[index])
+
+    @classmethod
+    def join(cls, tables) -> "RovibLevels":
+        """The rows of ``tables``, all of one basis, in order."""
+        first = tables[0]
+        if any((t.label, t.grid, t.mu, t.shift) != (first.label, first.grid, first.mu,
+                                                    first.shift) for t in tables):
+            raise ValueError("tables to join must come from one basis")
+        return replace(first, **{name: np.concatenate([getattr(t, name) for t in tables])
+                                 for name in cls._ROWS})
+
+
+class RovibLevel:
+    """One bound level: row ``index`` of a :class:`RovibLevels` table, its
+    values as Python scalars and ``wavefunction`` (n_channels, n) the
+    table's row."""
+
+    __slots__ = ("table", "index")
+
+    def __init__(self, table: RovibLevels, index: int):
+        self.table, self.index = table, index
+
+    label = property(lambda self: self.table.label)
+    grid = property(lambda self: self.table.grid)
+    mu = property(lambda self: self.table.mu)
+    channel_labels = property(lambda self: self.table.channel_labels)
+    potentials = property(lambda self: self.table.potentials)
+    shift = property(lambda self: self.table.shift)
+    v = property(lambda self: int(self.table.v[self.index]))
+    j = property(lambda self: int(self.table.j[self.index]))
+    energy = property(lambda self: float(self.table.energies[self.index]))
+    near_threshold = property(lambda self: bool(self.table.near_threshold[self.index]))
+    wavefunction = property(lambda self: self.table.wavefunctions[self.index])
+    channel_fractions = property(
+        lambda self: tuple(self.table.channel_fractions[self.index].tolist()))
 
     def rotational_constant(self) -> float:
         """Vibrationally averaged <hbar^2 / (2 mu R^2)> in Hartree."""
-        r = self.grid.points
-        dens = np.sum(self.wavefunction ** 2, axis=0) * self.grid.dr
-        return float(np.sum(dens / (2.0 * self.mu * r ** 2)))
+        return float(self.table.b_rot[self.index])
+
+
+def _as_table(levels: RovibLevels | RovibLevel) -> tuple[RovibLevels, bool]:
+    """A table and whether ``levels`` was one level: a level is its row."""
+    if isinstance(levels, RovibLevel):
+        return levels.table[levels.index:levels.index + 1], True
+    return levels, False
 
 
 def dvr_kinetic(grid: RadialGrid, mass_amu: float) -> np.ndarray:
@@ -201,7 +269,7 @@ class RovibBasis:
     gives the unshifted levels plus the shift.  With ``max_levels`` given,
     :meth:`levels` solves a certified leading block of that matrix
     (:meth:`_eigenpairs`), m = 160 of K = 486 for the bundled A-b basis at
-    12 levels; without it, the whole K x K matrix.
+    12 levels, in one eigensolve; without it, the whole K x K matrix.
     """
 
     label: str
@@ -224,8 +292,9 @@ class RovibBasis:
     def with_shift(self, shift: float) -> "RovibBasis":
         return replace(self, shift=shift)
 
-    def levels(self, j: int, max_levels: int | None = None) -> list[RovibLevel]:
-        """Bound levels at rotational ``j``, ordered by energy, v = 0, 1, ..."""
+    def levels(self, j: int, max_levels: int | None = None) -> RovibLevels:
+        """Bound levels at rotational ``j``, ordered by energy, v = 0, 1, ...,
+        as one table: the lowest ``max_levels`` of them, or all."""
         j = _check_j(j)
         top = self.threshold - BOUND_MARGIN
         factor = j * (j + 1) - self.j_ref * (self.j_ref + 1)
@@ -239,34 +308,36 @@ class RovibBasis:
                 f"all {self.size} states of the {self.label} basis are bound "
                 f"at J={j}; the contraction has no room above the threshold"
             )
-        energies = energies[:bound][:max_levels]
-        vectors = (self.vectors[:, :energies.size] if factor == 0
-                   else self.vectors[:, :coeffs.shape[0]] @ coeffs[:, :energies.size])
-        near = self.threshold + self.shift - NEAR_THRESHOLD_WINDOW
-        levels = []
-        for v, energy in enumerate(energies + self.shift):
-            channels = vectors[:, v].reshape(-1, self.grid.n)
-            # deterministic overall sign: largest-amplitude point positive
-            flat = channels.ravel()
-            if flat[np.argmax(np.abs(flat))] < 0.0:
-                channels = -channels
-            levels.append(RovibLevel(
-                label=self.label, v=v, j=j, energy=float(energy), grid=self.grid,
-                mu=self.mu, wavefunction=channels / math.sqrt(self.grid.dr),
-                channel_labels=self.channel_labels,
-                channel_fractions=tuple(float(np.sum(ch ** 2)) for ch in channels),
-                potentials=self.potentials, shift=self.shift,
-                near_threshold=bool(energy > near),
-            ))
-        return levels
+        energies = energies[:bound][:max_levels] + self.shift
+        count = energies.size
+        vectors = (self.vectors[:, :count] if factor == 0
+                   else self.vectors[:, :coeffs.shape[0]] @ coeffs[:, :count])
+        # one row of DVR coefficients per level, channels then grid points
+        flat = np.ascontiguousarray(vectors.T)
+        psi = flat.reshape(count, len(self.channel_labels), self.grid.n)
+        # deterministic overall sign: largest-amplitude point positive
+        flip = flat[np.arange(count), np.argmax(np.abs(flat), axis=1)] < 0.0
+        wavefunctions = np.where(flip[:, None, None], -psi, psi) / math.sqrt(self.grid.dr)
+        density = np.sum(wavefunctions ** 2, axis=1) * self.grid.dr
+        return RovibLevels(
+            label=self.label, grid=self.grid, mu=self.mu,
+            channel_labels=self.channel_labels, potentials=self.potentials,
+            shift=self.shift, v=np.arange(count), j=np.full(count, j), energies=energies,
+            wavefunctions=wavefunctions, channel_fractions=np.sum(psi ** 2, axis=-1),
+            b_rot=np.sum(density / (2.0 * self.mu * self.grid.points ** 2), axis=-1),
+            near_threshold=energies > self.threshold + self.shift - NEAR_THRESHOLD_WINDOW,
+        )
 
     def _eigenpairs(self, j: int, factor: int, top: float, max_levels: int | None):
         """Lowest eigenpairs of H = diag(energies) + factor U^T C U, from its
         leading m x m block.
 
-        m starts at 2 max_levels + 16 and doubles until the block's lowest
-        ``max_levels`` eigenpairs are certified, or reaches K, which is the
-        exact solve; ``max_levels=None`` goes to m = K at once.  For a block
+        m runs over 2 max_levels + 16 and its doublings, up to K, which is the
+        exact solve; ``max_levels=None`` goes to m = K at once.  The first m
+        solved is the first whose first-order ratio, |factor C[m:, i]| over
+        E_m + min(factor, 0) max C - E_i - factor C_ii for the basis vectors
+        i < ``max_levels``, is at most :data:`LEVELS_START` times the
+        tolerance: it reads the basis, J and ``max_levels`` alone.  For a block
         eigenpair (e_i, c_i), r_i = |factor C[m:, :m] c_i| is its residual in
         H, and E_m + min(factor, 0) max C bounds the dropped block's spectrum
         from below (U has orthonormal columns), so with gap_i above e_i the
@@ -279,17 +350,21 @@ class RovibBasis:
         """
         size = self.size
         want = max_levels or 0
-        room = np.max(self.energies + factor * np.diagonal(self.centrifugal)) > top
+        cent = self.centrifugal
+        room = np.max(self.energies + factor * np.diagonal(cent)) > top
         m = min(size, 2 * want + 16) if want > 0 and room else size
         floor = min(factor, 0) / (2.0 * self.mu * self.grid.points[0] ** 2)
+        first = self.energies[:want] + factor * np.diagonal(cent)[:want]
+        while m < size and np.any(abs(factor) * np.linalg.norm(cent[m:, :want], axis=0)
+                                  > LEVELS_START * LEVELS_TOL
+                                  * (self.energies[m] + floor - first)):
+            m = min(2 * m, size)
         while True:
-            energies, coeffs = np.linalg.eigh(
-                np.diag(self.energies[:m]) + factor * self.centrifugal[:m, :m])
+            energies, coeffs = np.linalg.eigh(np.diag(self.energies[:m]) + factor * cent[:m, :m])
             if m == size:
                 ratio = 0.0
                 break
-            residual = np.linalg.norm(
-                factor * (self.centrifugal[m:, :m] @ coeffs[:, :want]), axis=0)
+            residual = np.linalg.norm(factor * (cent[m:, :m] @ coeffs[:, :want]), axis=0)
             gap = self.energies[m] + floor - energies[:want]
             ratio = float(np.max(residual / gap)) if np.all(gap > 0.0) else math.inf
             if ratio <= LEVELS_TOL and np.searchsorted(energies, top) >= want:
@@ -439,7 +514,7 @@ def rovib_basis(model: PotentialCurve | CoupledModel, j_ref: int, mass_amu: floa
 
 
 def solve_single(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
-                 grid: RadialGrid, max_levels: int | None = None) -> list[RovibLevel]:
+                 grid: RadialGrid, max_levels: int | None = None) -> RovibLevels:
     """Bound levels of a curve or a coupled model at rotational j.
 
     Returns the levels below the lowest asymptote, ordered by energy and
@@ -456,9 +531,10 @@ def solve_single(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
 solve_coupled = solve_single
 
 
-def radial_matrix_element(bra: RovibLevel, f, ket: RovibLevel,
-                          pairs: dict[tuple[int, int], object] | None = None) -> float:
-    """<bra| f(R) |ket> on the common grid.
+def radial_matrix_element(bra: RovibLevel | RovibLevels, f, ket: RovibLevel | RovibLevels,
+                          pairs: dict[tuple[int, int], object] | None = None):
+    """<bra| f(R) |ket> on the common grid: a float for two levels, else an
+    array with one axis per table, the bra's first (built a bra at a time).
 
     With ``pairs`` omitted, ``f`` is applied on matching channels
     (requires equal channel counts).  Otherwise ``pairs`` maps
@@ -466,26 +542,30 @@ def radial_matrix_element(bra: RovibLevel, f, ket: RovibLevel,
     which is how a transition dipole connecting only one channel pair
     is expressed.
     """
-    if bra.grid != ket.grid:
+    bras, bra_one = _as_table(bra)
+    kets, ket_one = _as_table(ket)
+    if bras.grid != kets.grid:
         raise GridError("bra and ket live on different grids")
-    r = bra.grid.points
-    dr = bra.grid.dr
+    r = bras.grid.points
+    dr = bras.grid.dr
     if pairs is None:
-        if bra.wavefunction.shape[0] != ket.wavefunction.shape[0]:
+        if len(bras.channel_labels) != len(kets.channel_labels):
             raise ValueError("channel counts differ; pass explicit pairs")
-        pairs = {(c, c): f for c in range(bra.wavefunction.shape[0])}
-    acc = 0.0
+        pairs = {(c, c): f for c in range(len(bras.channel_labels))}
+    acc = np.zeros((len(bras), len(kets)))
     for (cb, ck), fn in pairs.items():
         fr = np.asarray(fn(r), dtype=float)
-        acc += float(np.sum(bra.wavefunction[cb] * fr * ket.wavefunction[ck])) * dr
-    return acc
+        for row, psi in zip(acc, bras.wavefunctions[:, cb]):
+            row += np.sum(psi * fr * kets.wavefunctions[:, ck], axis=-1) * dr
+    out = acc[0 if bra_one else slice(None), 0 if ket_one else slice(None)]
+    return float(out) if bra_one and ket_one else out
 
 
-def linewidth(level_f: RovibLevel,
-              decay_targets: list[tuple[PotentialCurve, DipoleFunction]]) -> float:
-    """Radiative linewidth gamma_f of an excited level (atomic units).
+def linewidth(levels: RovibLevel | RovibLevels,
+              decay_targets: list[tuple[PotentialCurve, DipoleFunction]]):
+    """Radiative linewidth gamma_f (atomic units) of a level, or (L,) of a table.
 
-    Averages the R-local spontaneous rate over the level's density:
+    Averages the R-local spontaneous rate over each level's density:
 
         Gamma(R) = |dE(R)|^3 d(R)^2 / (3 pi eps0 hbar^4 c^3)
 
@@ -494,21 +574,23 @@ def linewidth(level_f: RovibLevel,
     the model shift) and the target curve.  Channels without a dipole
     path to any target contribute nothing.
     """
-    r = level_f.grid.points
-    dr = level_f.grid.dr
-    gamma = 0.0
+    table, one = _as_table(levels)
+    r = table.grid.points
+    dr = table.grid.dr
+    gamma = np.zeros(len(table))
     for target_curve, dip in decay_targets:
         v_t = np.asarray(target_curve(r), dtype=float)
-        if level_f.energy < float(np.min(v_t)):
+        below = table.energies < float(np.min(v_t))
+        if below.any():
             raise ValueError(
-                f"level at {level_f.energy:.6e} Eh lies below the minimum of "
+                f"level at {table.energies[below][0]:.6e} Eh lies below the minimum of "
                 f"decay target {target_curve.label!r}"
             )
-        for c, ch_label in enumerate(level_f.channel_labels):
+        for c, ch_label in enumerate(table.channel_labels):
             if not dip.connects(ch_label, target_curve.label):
                 continue
-            v_c = np.asarray(level_f.potentials[c](r), dtype=float) + level_f.shift
+            v_c = np.asarray(table.potentials[c](r), dtype=float) + table.shift
             de = v_c - v_t
             rate_r = (4.0 / 3.0) * np.abs(de) ** 3 * dip(r) ** 2 / C_AU ** 3
-            gamma += float(np.sum(level_f.wavefunction[c] ** 2 * rate_r)) * dr
-    return gamma
+            gamma += np.sum(table.wavefunctions[:, c] ** 2 * rate_r, axis=-1) * dr
+    return float(gamma[0]) if one else gamma

@@ -125,19 +125,12 @@ def build_stiff_pair():
     model = model.with_shift(cfg.get("molecule", "transition_cm1") / HARTREE_TO_CM1
                              + e_g0 - e_l1)
 
-    x_levels = [mt.solve_single(ground, j, mass, grid, max_levels=1)[0]
-                for j in range(5)]
-    ab_levels = []
-    for jp in range(5):
-        ab_levels.extend(l for l in mt.solve_coupled(model, jp, mass, grid,
-                                                     max_levels=1) if l.v == 0)
+    x_levels = mt.RovibLevels.join([mt.solve_single(ground, j, mass, grid, max_levels=1)
+                                    for j in range(5)])
+    ab_levels = mt.RovibLevels.join([mt.solve_coupled(model, jp, mass, grid, max_levels=1)
+                                     for jp in range(5)])
     dip = DipoleFunction.constant(("X", "A"), 1.0)
-    dipoles = {
-        (xi, ai): mt.radial_matrix_element(x, dip, ab, pairs={(0, 0): dip})
-        for xi, x in enumerate(x_levels)
-        for ai, ab in enumerate(ab_levels)
-        if abs(ab.j - x.j) == 1
-    }
+    dipoles = mt.radial_matrix_element(x_levels, dip, ab_levels, pairs={(0, 0): dip})
     background = cfg.background()
     spec = mt.spec_from_levels(x_levels, ab_levels, dipoles, background)
     return {

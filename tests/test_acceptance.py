@@ -171,17 +171,12 @@ def test_criterion_6_imaginary_part():
     grid = cfg.radial_grid()
     ground, model, dipole = narb.pinned_models(cfg)[:3]
     mass = cfg.reduced_mass_amu()
-    x_levels = [mt.solve_single(ground, j, mass, grid, max_levels=1)[0]
-                for j in (0, 1)]
-    ab_levels = []
-    for jp in (0, 1, 2):
-        ab_levels.extend(mt.solve_coupled(model, jp, mass, grid, max_levels=6))
-    pairs = {(0, 0): dipole}
-    dipoles = {(xi, ai): mt.radial_matrix_element(x, dipole, ab, pairs=pairs)
-               for xi, x in enumerate(x_levels)
-               for ai, ab in enumerate(ab_levels)
-               if abs(ab.j - x.j) == 1}
-    gammas = [mt.linewidth(ab, [(ground, dipole)]) for ab in ab_levels]
+    x_levels = mt.RovibLevels.join([mt.solve_single(ground, j, mass, grid, max_levels=1)
+                                    for j in (0, 1)])
+    ab_levels = mt.RovibLevels.join([mt.solve_coupled(model, jp, mass, grid, max_levels=6)
+                                     for jp in (0, 1, 2)])
+    dipoles = mt.radial_matrix_element(x_levels, dipole, ab_levels, pairs={(0, 0): dipole})
+    gammas = mt.linewidth(ab_levels, [(ground, dipole)])
     lowest = min(ab.energy - x.energy
                  for x in x_levels for ab in ab_levels
                  if abs(ab.j - x.j) == 1)

@@ -700,6 +700,23 @@ def test_imag_scan_j_beyond_the_3j_limit_exits_2(j_values, small_config, tmp_pat
     assert calls == []
 
 
+@pytest.mark.parametrize("points", [5, 201])
+def test_a_scan_point_on_a_line_is_refused_in_ghz(points, tmp_path, capsys):
+    """With [scan] points - 1 a multiple of 4, the bundled -50 to 150 GHz
+    window puts a point on the reference line, and imag-scan refuses the
+    scan with exit 3, naming that point by its detuning and the keys that
+    set the axis."""
+    assert main(["imag-scan", "--out", str(tmp_path), "--override", "grid.points=300",
+                 "--override", f"scan.points={points}"]) == 3
+    on_line = (points - 1) // 4 + 1
+    assert capsys.readouterr().err == (
+        f"numerical error: scan point {on_line} of {points}, at detuning 0 GHz, lies "
+        "within 0.000363 GHz of a line out of J = 0, at 0 GHz; set [scan] points "
+        f"({points}), start_ghz (-50) or stop_ghz (150) so that no scan point falls "
+        "on a line\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_imag_scan_without_a_bound_x_level_exits_3(small_config, tmp_path, capsys,
                                                    monkeypatch):
     levels = radial.RovibBasis.levels

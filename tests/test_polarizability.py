@@ -191,7 +191,7 @@ def test_dual_routes_agree_on_sample(stiff_pair):
 def test_sum_route_background_weights_match_closed_form(stiff_pair):
     """Zero dipoles leave only the background, same in both routes."""
     from magictrap import angular_factors
-    zero = {k: 0.0 for k in stiff_pair["dipoles"]}
+    zero = np.zeros_like(stiff_pair["dipoles"])
     bg = stiff_pair["background"]
     spec = stiff_pair["spec"]
     nu = spec.reference.energy + 100.0 / HARTREE_TO_GHZ
@@ -250,8 +250,11 @@ def test_sum_route_guards_poles(stiff_pair):
     assert axis[2] == line_e
     with pytest.raises(PoleProximityError):
         alpha_sum_over_states(x, ab, d, axis, 0, 0)
-    with pytest.raises(PoleProximityError):
+    with pytest.raises(PoleProximityError) as err:
         alpha_imag(x, ab, d, [1e-12] * len(ab), axis, 0, 0)
+    # the error names the point of the axis, the line and the guard
+    assert (err.value.point, err.value.line) == (2, line_e)
+    assert 0.0 < err.value.guard < abs(axis[3] - line_e)
 
 
 # (J, M, theta_p) cases for the axis-versus-points oracles
@@ -333,15 +336,17 @@ def test_alpha_imag_over_an_axis_matches_points(stiff_pair):
 def test_transitions_require_complete_inputs(stiff_pair):
     x = stiff_pair["x"]
     ab = stiff_pair["ab"]
-    d = dict(stiff_pair["dipoles"])
+    d = stiff_pair["dipoles"]
     nu = stiff_pair["spec"].reference.energy + 100.0 / HARTREE_TO_GHZ
     with pytest.raises(ValueError):
         alpha_sum_over_states(x, ab, d, nu, 9, 0)  # no such ground J
-    missing = dict(d)
-    missing.pop((0, 1))
+    missing = d.copy()
+    missing[0, 1] = np.nan  # the J = 0 -> J' = 1 moment
     with pytest.raises(ValueError) as err:
         alpha_sum_over_states(x, ab, missing, nu, 0, 0)
     assert "dipole" in str(err.value)
+    with pytest.raises(ValueError, match="dipoles has shape"):
+        alpha_sum_over_states(x, ab, d[:, 1:], nu, 0, 0)
     # M = 1 has no J = 0 state: both state sums refuse it, as the closed
     # forms do, instead of summing zero weights
     for call in (lambda: alpha_sum_over_states(x, ab, d, nu, 0, 1),
@@ -442,7 +447,7 @@ def _state_sums_by_hand(stiff_pair, gammas, nu, j, m, theta):
     for ai, lv in enumerate(stiff_pair["ab"]):
         if abs(lv.j - j) == 1:
             de = lv.energy - x[j].energy
-            dd = d[(j, ai)]
+            dd = float(d[j, ai])
             w = _polarization_weight(lv.j, j, m, theta)
             real += dd * dd * w * (1.0 / (de - nu) + 1.0 / (de + nu))
             imag -= gammas[ai] * dd * dd * w / (de * de - nu * nu)

@@ -651,21 +651,38 @@ def test_reused_bases_are_logged(caplog):
 
 def test_pinned_bases_are_read_only(narb_radial):
     """Later calls share a pinned basis's arrays, so none can be written;
-    a level's wavefunction is its own, writeable array."""
+    a level's wavefunction is a writeable row of its own table's array,
+    which shares no memory with the basis."""
     for basis, j_ref in [(narb_radial["x_basis"], 0), (narb_radial["ab_basis"], 1)]:
         for array in (basis.energies, basis.vectors, basis.centrifugal):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
         for j in (j_ref, j_ref + 1):
-            psi = basis.levels(j, 1)[0].wavefunction
-            assert psi.flags.writeable and psi.flags.owndata
+            table = basis.levels(j, 1)
+            psi = table[0].wavefunction
+            assert psi.flags.writeable and np.shares_memory(psi, table.wavefunctions)
+            assert table.wavefunctions.flags.owndata
             assert not np.shares_memory(psi, basis.vectors)
+
+
+def test_grid_points_are_built_once_and_read_only():
+    """Every solve and quadrature reads a grid's points, so they are one
+    array per grid, and no caller can write them."""
+    grid = RadialGrid(3.5, 14.0, 300)
+    points = grid.points
+    assert points is grid.points
+    assert np.array_equal(points, 3.5 + grid.dr * np.arange(1, 301))
+    with pytest.raises(ValueError, match="read-only"):
+        points[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        points *= 2.0
+    assert RadialGrid(3.5, 14.0, 300) == grid and RadialGrid(3.5, 14.0, 300).points is not points
 
 
 def test_basis_needs_a_bound_level():
     shallow = MorseCurve(label="X", d_e=1e-7, a=0.5, r_e=6.0)
     grid = RadialGrid(3.5, 14.0, 100)
-    assert solve_single(shallow, 0, MASS, grid) == []
+    assert len(solve_single(shallow, 0, MASS, grid)) == 0
     with pytest.raises(GridError, match="no bound X level"):
         rovib_basis(shallow, 0, MASS, grid)
 
