@@ -1,7 +1,7 @@
 """Angular-momentum algebra for linearly polarized light on a 1-Sigma rotor.
 
-Contains the Wigner 3-j symbol (exact Racah summation over rational
-intermediates, uncached: each call sums afresh), matrix elements of the
+Contains the Wigner 3-j symbol (exact Racah summation in integers,
+uncached: each call sums afresh), matrix elements of the
 Racah spherical tensors C_kq in the |J, M> rotor basis, the closed-form
 angular weight factors A and B that enter the dynamic polarizability of
 a rotational level dressed by a J -> J -+ 1 vibronic transition, and the
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "wigner3j",
@@ -91,16 +90,13 @@ def wigner3j(j1: float, j2: float, j3: float,
             raise ValueError("internal: factorial of a non-integer")
         return math.factorial(two_n // 2)
 
-    # Racah's single-sum formula, evaluated exactly with rationals.
-    delta = Fraction(
-        f(tj1 + tj2 - tj3) * f(tj1 - tj2 + tj3) * f(-tj1 + tj2 + tj3),
-        f(tj1 + tj2 + tj3 + 2),
-    )
-    pref = delta * Fraction(
-        f(tj1 + tm1) * f(tj1 - tm1)
-        * f(tj2 + tm2) * f(tj2 - tm2)
-        * f(tj3 + tm3) * f(tj3 - tm3)
-    )
+    # Racah's single-sum formula, evaluated exactly in integers: the symbol
+    # squared is (pref_num / pref_den) (total_num / total_den)^2, divided once
+    pref_num = (f(tj1 + tj2 - tj3) * f(tj1 - tj2 + tj3) * f(-tj1 + tj2 + tj3)
+                * f(tj1 + tm1) * f(tj1 - tm1)
+                * f(tj2 + tm2) * f(tj2 - tm2)
+                * f(tj3 + tm3) * f(tj3 - tm3))
+    pref_den = f(tj1 + tj2 + tj3 + 2)
 
     t_min = max(0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2)
     t_max = min(
@@ -108,7 +104,7 @@ def wigner3j(j1: float, j2: float, j3: float,
         (tj1 - tm1) // 2,
         (tj2 + tm2) // 2,
     )
-    total = Fraction(0)
+    total_num, total_den = 0, 1
     for t in range(t_min, t_max + 1):
         denom = (
             math.factorial(t)
@@ -118,13 +114,15 @@ def wigner3j(j1: float, j2: float, j3: float,
             * f(tj1 - tm1 - 2 * t)
             * f(tj2 + tm2 - 2 * t)
         )
-        total += Fraction(-1 if t % 2 else 1, denom)
-    if total == 0:
+        total_num = total_num * denom + (-total_den if t % 2 else total_den)
+        total_den *= denom
+    if total_num == 0:
         return 0.0
 
     phase = -1.0 if ((tj1 - tj2 - tm3) // 2) % 2 else 1.0
-    sign = 1.0 if total > 0 else -1.0
-    magnitude = math.sqrt(float(pref * total * total))
+    sign = 1.0 if total_num > 0 else -1.0
+    # int / int rounds the exact quotient once, as float(Fraction) does
+    magnitude = math.sqrt(pref_num * total_num ** 2 / (pref_den * total_den ** 2))
     return phase * sign * magnitude
 
 

@@ -13,8 +13,9 @@ Every run writes ``<subcommand>.csv`` (dashes as underscores) and
 ``effective-config.ini`` into ``--out``.  Output is byte-stable: same
 config, same bytes, given the same BLAS thread count.  With
 ``OPENBLAS_NUM_THREADS=1`` the bundled ``imag-scan`` bytes differ from
-those at 2 to 4 threads: ``np.linalg.eigh`` rounds the radial channel
-blocks differently on one thread.
+those at 2 to 4 threads: ``np.linalg.eigh`` rounds differently on one
+thread, both the radial channel blocks of the dense solves and the
+160 x 160 A-b blocks of the level solves.
 
 Each CSV is one header row, then one LF-terminated row per record.
 Floats print with 12 significant digits and a bare exponent
@@ -34,7 +35,8 @@ cells nearer the tie, ±0, subnormals, nan, ±inf and |x| outside
 
 ``solve-rovib`` and ``imag-scan`` read each J's levels as one table of
 arrays (``radial.RovibLevels``), and ``imag-scan`` its dipoles and
-linewidths as one array each.
+linewidths as one array each.  The bases keep each table they solve, so
+in one process ``imag-scan`` reads the tables ``solve-rovib`` solved.
 
 Exit codes: 0 success, 2 configuration problem (also a run too large
 for memory), 3 numerical failure (no bracketed root, pole proximity,

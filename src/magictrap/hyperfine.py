@@ -437,6 +437,7 @@ def _angle_solver(basis: HyperfineBasis, fields: FieldConfiguration,
         d(alpha_i)/d(theta_p) = <i|O'|i> + 2 s sum_{j != i} O_ij O'_ji / (E_i - E_j),
     where s is 0 without the light term.  A degenerate partner E_j = E_i
     makes the slope inf or NaN, silently: the caller decides what to do.
+    ``solve.vector(i)`` is eigenvector i of the last call, unphased.
     """
     static = _static_hamiltonian(basis, fields, terms)
     work = np.empty_like(static)
@@ -475,6 +476,7 @@ def _angle_solver(basis: HyperfineBasis, fields: FieldConfiguration,
         return value
 
     solve.slope = slope
+    solve.vector = lambda i: last["vectors"][:, i]
     return solve
 
 

@@ -43,6 +43,10 @@ ANGLE_METHODS = ("auto", "bare", "eigen")
 DETUNING_RESIDUAL_TOL = 1e-10
 # same for angle roots, in Hz/(W/cm^2)
 ANGLE_RESIDUAL_TOL = 1e-6
+# smallest |<v|u>| an eigen angle search accepts between the vector it picks
+# for a state and the one it picked at the nearest earlier angle: searches
+# over 0.10-2.00 kV/cm read at least 0.998, and those that swap states 0.000
+PICK_OVERLAP_MIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,13 @@ def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
                      j_max: int | None):
     """The search's objective of theta in degrees: alpha_a - alpha_b and its
     slope per degree, by the bare closed form (``j_max`` None) or in the
-    ``j_max`` hyperfine basis."""
+    ``j_max`` hyperfine basis.
+
+    In the hyperfine basis each state's eigenvector is checked against the
+    one picked for it at the nearest angle evaluated before: an overlap
+    below :data:`PICK_OVERLAP_MIN` means the (J, M, rank) label has moved to
+    another state in between, and raises :class:`NoRootError`.
+    """
     if j_max is None:
         # A + B is affine in cos^2(theta): d/d(theta) is -(total(0) - total(90)) sin 2 theta
         c = fields.constants
@@ -160,11 +170,24 @@ def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
         return bare
     basis = build_basis(j_max, fields.constants)
     solve = _angle_solver(basis, fields, terms)
+    picked = []  # (theta, vector of state_a, vector of state_b) per angle evaluated
 
     def objective(theta: float) -> tuple[float, float]:
         alphas, dominant = solve(math.radians(theta))
         i_a = _pick_state(basis, dominant, state_a)
         i_b = _pick_state(basis, dominant, state_b)
+        vectors = solve.vector(i_a), solve.vector(i_b)
+        if picked:
+            near, *before = min(picked, key=lambda p: abs(p[0] - theta))
+            for state, v, u in zip((state_a, state_b), vectors, before):
+                overlap = abs(float(v @ u))
+                if overlap < PICK_OVERLAP_MIN:
+                    raise NoRootError(
+                        f"the eigenstate picked for state {tuple(state)} at "
+                        f"{theta:.6f} degrees overlaps the one picked at {near:.6f} "
+                        f"degrees by {overlap:.3f}, below {PICK_OVERLAP_MIN}: the label "
+                        "names another state in between, so the search cannot follow it")
+        picked.append((theta, *vectors))
         # per degree: d/d(theta in degrees) = (pi / 180) d/d(theta in radians)
         slope = math.radians(solve.slope(i_a) - solve.slope(i_b))
         return float(alphas[i_a] - alphas[i_b]), slope

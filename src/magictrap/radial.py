@@ -95,6 +95,11 @@ LEVELS_TOL = 1e-14
 # A block solve starts at the first m whose first-order r/gap is at most this
 # many LEVELS_TOL: on the bundled bases (J <= 20) it is 0.75-2x the certificate.
 LEVELS_START = 100.0
+# A basis keeps its level tables (RovibBasis.levels) up to this many bytes of
+# wavefunctions.  On the bundled grid a 12-level A-b table holds 0.23 MB and
+# one of all its levels 3.1 MB: the bundled solve-rovib and imag-scan keep
+# 2.4 MB, and ten all-level A-b tables fit.
+TABLE_CACHE_BYTES = 32 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -270,6 +275,13 @@ class RovibBasis:
     :meth:`levels` solves a certified leading block of that matrix
     (:meth:`_eigenpairs`), m = 160 of K = 486 for the bundled A-b basis at
     12 levels, in one eigensolve; without it, the whole K x K matrix.
+
+    Each unshifted table is solved once: ``_tables`` keeps it, read-only,
+    keyed on (J, max_levels), and :meth:`with_shift` hands the same dict to
+    the shifted view, so every view of one solve shares it.  Nothing else
+    enters a table, as the module tolerances are constants; a basis made
+    by ``dataclasses.replace`` starts with an empty dict.  The oldest
+    tables go once their wavefunctions pass :data:`TABLE_CACHE_BYTES`.
     """
 
     label: str
@@ -283,6 +295,7 @@ class RovibBasis:
     potentials: tuple[PotentialCurve, ...] = field(repr=False)
     threshold: float  # lowest channel asymptote, without the shift
     shift: float = 0.0
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -290,12 +303,30 @@ class RovibBasis:
         return self.energies.size
 
     def with_shift(self, shift: float) -> "RovibBasis":
-        return replace(self, shift=shift)
+        shifted = replace(self, shift=shift)
+        object.__setattr__(shifted, "_tables", self._tables)
+        return shifted
 
     def levels(self, j: int, max_levels: int | None = None) -> RovibLevels:
         """Bound levels at rotational ``j``, ordered by energy, v = 0, 1, ...,
-        as one table: the lowest ``max_levels`` of them, or all."""
+        as one table: the lowest ``max_levels`` of them, or all.
+
+        The table is the one kept under (J, ``max_levels``), solved on the
+        first call, with ``shift`` added to its energies; its other arrays
+        are the kept, read-only ones.
+        """
         j = _check_j(j)
+        table = self._tables.get((j, max_levels))
+        if table is None:
+            table = self._tables[j, max_levels] = self._table(j, max_levels)
+            while sum(t.wavefunctions.nbytes for t in self._tables.values()) > TABLE_CACHE_BYTES:
+                del self._tables[next(iter(self._tables))]
+        energies = table.energies + self.shift
+        near = energies > self.threshold + self.shift - NEAR_THRESHOLD_WINDOW
+        return replace(table, shift=self.shift, energies=energies, near_threshold=near)
+
+    def _table(self, j: int, max_levels: int | None) -> RovibLevels:
+        """:meth:`levels` without the shift, solved afresh, every array read-only."""
         top = self.threshold - BOUND_MARGIN
         factor = j * (j + 1) - self.j_ref * (self.j_ref + 1)
         if factor == 0:
@@ -308,7 +339,7 @@ class RovibBasis:
                 f"all {self.size} states of the {self.label} basis are bound "
                 f"at J={j}; the contraction has no room above the threshold"
             )
-        energies = energies[:bound][:max_levels] + self.shift
+        energies = energies[:bound][:max_levels]
         count = energies.size
         vectors = (self.vectors[:, :count] if factor == 0
                    else self.vectors[:, :coeffs.shape[0]] @ coeffs[:, :count])
@@ -319,14 +350,17 @@ class RovibBasis:
         flip = flat[np.arange(count), np.argmax(np.abs(flat), axis=1)] < 0.0
         wavefunctions = np.where(flip[:, None, None], -psi, psi) / math.sqrt(self.grid.dr)
         density = np.sum(wavefunctions ** 2, axis=1) * self.grid.dr
-        return RovibLevels(
+        table = RovibLevels(
             label=self.label, grid=self.grid, mu=self.mu,
             channel_labels=self.channel_labels, potentials=self.potentials,
-            shift=self.shift, v=np.arange(count), j=np.full(count, j), energies=energies,
+            shift=0.0, v=np.arange(count), j=np.full(count, j), energies=energies,
             wavefunctions=wavefunctions, channel_fractions=np.sum(psi ** 2, axis=-1),
             b_rot=np.sum(density / (2.0 * self.mu * self.grid.points ** 2), axis=-1),
-            near_threshold=energies > self.threshold + self.shift - NEAR_THRESHOLD_WINDOW,
+            near_threshold=energies > self.threshold - NEAR_THRESHOLD_WINDOW,
         )
+        for name in RovibLevels._ROWS:
+            getattr(table, name).setflags(write=False)
+        return table
 
     def _eigenpairs(self, j: int, factor: int, top: float, max_levels: int | None):
         """Lowest eigenpairs of H = diag(energies) + factor U^T C U, from its

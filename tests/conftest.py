@@ -15,6 +15,7 @@ own and none left by an earlier test.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,6 +48,12 @@ def narb_spec(narb_config):
 @pytest.fixture(scope="session")
 def narb_fields(narb_config):
     return narb_config.field_configuration()
+
+
+def uncached(basis):
+    """``basis`` with an empty table cache (``dataclasses.replace`` starts
+    one), so each of its levels calls solves afresh."""
+    return replace(basis)
 
 
 def full_dvr_levels(model, j, mass_amu, grid):

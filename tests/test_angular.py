@@ -6,6 +6,7 @@ against direct quadrature of spherical harmonics.  The branch-weight
 sum rules are exercised as properties.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -46,6 +47,46 @@ FROZEN_3J = [
 @pytest.mark.parametrize("j1,j2,j3,m1,m2,m3,exact", FROZEN_3J)
 def test_wigner3j_frozen_values(j1, j2, j3, m1, m2, m3, exact):
     assert wigner3j(j1, j2, j3, m1, m2, m3) == pytest.approx(exact, abs=1e-14)
+
+
+def _wigner3j_fractions(tj1, tj2, tj3, tm1, tm2, tm3):
+    """The 3-j symbol of arguments given as twice their values, by Racah's
+    sum reduced to lowest terms at every term: the summation the integer
+    one replaced, kept as its oracle (allowed arguments only)."""
+    f = lambda two_n: math.factorial(two_n // 2)  # noqa: E731
+    pref = Fraction(f(tj1 + tj2 - tj3) * f(tj1 - tj2 + tj3) * f(-tj1 + tj2 + tj3),
+                    f(tj1 + tj2 + tj3 + 2)) * (f(tj1 + tm1) * f(tj1 - tm1) * f(tj2 + tm2)
+                                               * f(tj2 - tm2) * f(tj3 + tm3) * f(tj3 - tm3))
+    total = Fraction(0)
+    for t in range(max(0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2),
+                   min((tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2) + 1):
+        total += Fraction((-1) ** t, math.factorial(t) * f(tj3 - tj2 + tm1 + 2 * t)
+                          * f(tj3 - tj1 - tm2 + 2 * t) * f(tj1 + tj2 - tj3 - 2 * t)
+                          * f(tj1 - tm1 - 2 * t) * f(tj2 + tm2 - 2 * t))
+    if total == 0:
+        return 0.0
+    phase = -1.0 if ((tj1 - tj2 - tm3) // 2) % 2 else 1.0
+    return phase * math.copysign(math.sqrt(float(pref * total * total)), total)
+
+
+def test_wigner3j_matches_the_rational_sum_bit_for_bit():
+    """Every symbol with m1 + m2 + m3 = 0 and 2j <= 12 that the triangle
+    and parity rules allow: the integer sum rounds once, as the reduced
+    fractions did, so each float is the same."""
+    checked = 0
+    for tj1, tj2, tj3 in itertools.product(range(13), repeat=3):
+        if not abs(tj1 - tj2) <= tj3 <= tj1 + tj2 or (tj1 + tj2 + tj3) % 2:
+            continue
+        for tm1 in range(-tj1, tj1 + 1, 2):
+            for tm2 in range(-tj2, tj2 + 1, 2):
+                tm3 = -tm1 - tm2
+                if abs(tm3) > tj3:
+                    continue
+                got = wigner3j(tj1 / 2, tj2 / 2, tj3 / 2, tm1 / 2, tm2 / 2, tm3 / 2)
+                want = _wigner3j_fractions(tj1, tj2, tj3, tm1, tm2, tm3)
+                assert got.hex() == want.hex(), (tj1, tj2, tj3, tm1, tm2, tm3)
+                checked += 1
+    assert checked > 10_000
 
 
 def test_wigner3j_against_sympy():

@@ -543,6 +543,30 @@ def test_one_dense_solve_per_model(subcommand, small_config, tmp_path, monkeypat
     assert solved("grid.points=300") == [300, 600]
 
 
+def test_level_tables_are_solved_once_per_model(small_config, tmp_path, monkeypatch):
+    """solve-rovib then imag-scan over J = 0..3 at 12 levels makes 10 block
+    eigensolves in one process, one per table off the bases' reference J,
+    where solving every call's tables made 13.  A repeat at another line
+    and scan window reads every table the first pair solved, and makes none."""
+    overrides = ["scan.j_values=0,1,2,3", "scan.max_levels=12"]
+    narb.pinned_models(load_config(small_config, overrides))  # the dense solves, not counted
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+
+    def solved(*more):
+        sizes.clear()
+        for subcommand in ("solve-rovib", "imag-scan"):
+            argv = [subcommand, "--config", str(small_config), "--out", str(tmp_path)]
+            for item in (*overrides, *more):
+                argv += ["--override", item]
+            assert main(argv) == 0
+        return len(sizes)
+
+    assert solved() == 10
+    assert solved("molecule.transition_cm1=11290.0", "scan.start_ghz=10.0") == 0
+
+
 @pytest.mark.parametrize("subcommand", ["solve-rovib", "imag-scan"])
 @pytest.mark.parametrize("first, second", [("11306.4", "11290.0"), ("11290.0", "11306.4")])
 def test_reused_bases_write_the_bytes_of_fresh_solves(subcommand, first, second,
@@ -795,18 +819,40 @@ def test_unconverged_newton_search_exits_3(search_args, tmp_path, capsys, monkey
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_degenerate_levels_leave_the_slope_unused_and_exit_3(tmp_path, capsys):
-    """Without B and E fields the hyperfine levels are degenerate, so
-    E_i - E_j = 0 in the slope's sum.  The search bisects instead, raises
+def test_degenerate_levels_leave_the_slope_unused_and_exit_3(tmp_path, capsys, monkeypatch):
+    """Without B and E fields the hyperfine levels are degenerate where
+    the J = 1 states cross, and the eigenstate labelled (1, 0, 0) at 70
+    degrees is not the one at 40: the search exits 3 on that pick's
+    overlap.  With the overlap check off, the search reaches the crossing,
+    where E_i - E_j = 0 in the slope's sum.  It bisects instead, raises
     no RuntimeWarning (an error under the test settings), and fails the
     residual check, which names the degenerate state as its cause."""
-    assert main(["magic-find", "--out", str(tmp_path), *EIGEN_ANGLE_ARGS,
-                 "--override", "fields.b_field_gauss=0",
-                 "--override", "fields.e_field_kv_cm=0"]) == 3
+    argv = ["magic-find", "--out", str(tmp_path), *EIGEN_ANGLE_ARGS,
+            "--override", "fields.b_field_gauss=0", "--override", "fields.e_field_kv_cm=0"]
+    assert main(argv) == 3
+    assert ("state (1, 0, 0) at 70.000000 degrees overlaps the one picked at "
+            "40.000000 degrees by 0.057") in capsys.readouterr().err
+    monkeypatch.setattr(magic, "PICK_OVERLAP_MIN", 0.0)
+    assert main(argv) == 3
     err = capsys.readouterr().err
     assert "numerical error: root at" in err and "fails the residual check" in err
     assert ("the slope there is nan, so a named state is degenerate "
             "and names no single eigenstate") in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("rank", [0, 1])
+def test_an_eigen_search_whose_label_changes_state_exits_3(rank, tmp_path, capsys):
+    """At 0.06 kV/cm the eigenstates labelled (1, 0, rank) at 40 and 70
+    degrees are two different states.  The search exits 3 naming the state,
+    both angles and their overlap, where it returned a crossing of states it
+    did not name (55.4916 and 53.9393 degrees)."""
+    assert main(["magic-find", "--out", str(tmp_path), *EIGEN_ANGLE_ARGS,
+                 "--override", "fields.e_field_kv_cm=0.06",
+                 "--override", f"magic.rank_a={rank}", "--override", f"magic.rank_b={rank}"]) == 3
+    assert (f"numerical error: the eigenstate picked for state (1, 0, {rank}) at 70.000000 "
+            "degrees overlaps the one picked at 40.000000 degrees by 0.000, below 0.5"
+            ) in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -6,7 +6,8 @@ array expression.  The per-level path they replaced is kept here as the
 oracle: one object per level, with its channel fractions, B_v,
 linewidth and dipoles computed level by level, and the block solve
 doubling from m = 2 max_levels + 16.  On both bundled bases the table
-path gives the same bits.
+path gives the same bits.  A basis keeps each table it solves, and every
+view of it reads the kept table: uncached solves are the oracle there.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from conftest import uncached
 
 from magictrap import RovibLevels, linewidth, radial, radial_matrix_element
 from magictrap.errors import GridError
@@ -198,15 +200,71 @@ def test_tables_slice_and_join_by_rows(narb_radial):
 def test_bundled_block_solves_take_one_eigensolve_each(narb_radial, monkeypatch):
     """The first block solved is the one the certificate accepts: at 12
     levels (and at 1 for X, as imag-scan asks) every J off the reference
-    takes one eigh, so a warm solve-rovib and imag-scan pair over
-    J = 0..3 makes 13, not the 27 of doubling from 2 max_levels + 16."""
+    takes one eigh, so the 13 tables of a solve-rovib and imag-scan pair
+    over J = 0..3 take 13, not the 27 of doubling from 2 max_levels + 16."""
     sizes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
     for name, counts, m in [("x", (12, 1), {12: 40, 1: 18}), ("ab", (12,), {12: 160})]:
-        basis = narb_radial[f"{name}_basis"]
+        basis = uncached(narb_radial[f"{name}_basis"])
         for j in J_RANGE:
             for max_levels in counts:
                 sizes.clear()
                 basis.levels(j, max_levels)
                 assert sizes == ([] if j == basis.j_ref else [m[max_levels]]), (name, j)
+
+
+def _assert_same_table(table, ref):
+    """Two tables alike in every field, each array to the bit."""
+    for name in ("label", "grid", "mu", "channel_labels", "potentials", "shift"):
+        assert getattr(table, name) == getattr(ref, name), name
+    for name in RovibLevels._ROWS:
+        got, want = getattr(table, name), getattr(ref, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                         want.tobytes()), name
+
+
+@pytest.mark.parametrize("name", ["x", "ab"])
+def test_kept_tables_equal_uncached_solves(narb_radial, name):
+    """A basis and its views at another shift (the pinned A-b basis and its
+    unshifted view, the X basis and a shifted view) share one set of kept
+    tables, and each table read from it, at J = 0..6 for 1, 12 or all
+    levels, equals the solve of a basis with nothing kept, bit for bit."""
+    basis = narb_radial[f"{name}_basis"]
+    views = (basis, basis.with_shift(0.0 if basis.shift else narb_radial["ab_basis"].shift))
+    assert views[1]._tables is basis._tables and views[1].shift != basis.shift
+    for j in J_RANGE:
+        for max_levels in (1, 12, None):
+            for view in views:
+                fresh = uncached(view).levels(j, max_levels)
+                _assert_same_table(view.levels(j, max_levels), fresh)
+                _assert_same_table(view.levels(j, max_levels), fresh)
+                assert (j, max_levels) in basis._tables
+
+
+def test_kept_tables_are_read_only(narb_radial):
+    """Every array a basis keeps is read-only, in the table it keeps and in
+    each table it returns; the shifted energies and flags are the caller's."""
+    basis = narb_radial["ab_basis"]
+    table = basis.levels(2, 12)
+    for name in ("v", "j", "wavefunctions", "channel_fractions", "b_rot"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(table, name)[0] = 0
+    for kept in basis._tables.values():
+        for name in RovibLevels._ROWS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(kept, name)[...] = 0
+    assert table.energies.flags.writeable and table.near_threshold.flags.writeable
+
+
+def test_kept_tables_stay_within_their_bytes(narb_radial, monkeypatch):
+    """Past TABLE_CACHE_BYTES of wavefunctions the oldest tables go, and a
+    table larger than the bound alone is not kept."""
+    basis = uncached(narb_radial["x_basis"])
+    one = basis.levels(1, 12).wavefunctions.nbytes
+    monkeypatch.setattr(radial, "TABLE_CACHE_BYTES", 2 * one)
+    basis.levels(2, 12)
+    basis.levels(3, 12)
+    assert list(basis._tables) == [(2, 12), (3, 12)]
+    _assert_same_table(basis.levels(4), uncached(basis).levels(4))
+    assert not basis._tables

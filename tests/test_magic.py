@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -164,6 +165,51 @@ def test_eigen_angle_search_solves_each_abscissa_once(e_field, state_a, state_b,
     h = 1e-5
     difference = (reference(sol.location + h) - reference(sol.location - h)) / (2 * h)
     assert sol.slope == pytest.approx(difference, rel=1e-5)
+
+
+# fields (kV/cm) and pairs where the eigenstate a label picks at 70 degrees is
+# another state than at 40; the searches returned 55.4916 and 53.9393 degrees
+SWAPPED_PICKS = [(0.06, (1, 0, 0), (0, 0, 0)), (0.06, (1, 0, 1), (0, 0, 1))]
+
+
+@pytest.mark.parametrize("e_field", [0.05, 0.06, 0.07, 0.08, 0.09])
+def test_eigen_search_refuses_a_pick_that_changes_state(e_field, monkeypatch):
+    """Below the bench's 0.10 kV/cm each search either gives what it gives
+    with the overlap check off (every root, and every refusal for another
+    cause, unchanged) or, where a label names another state at the far end
+    of the bracket, raises NoRootError naming the state, both angles and
+    the overlap instead of returning a crossing of states it did not name."""
+    fields = default_fields(e_field=e_field)
+
+    def search(state_a, state_b):
+        try:
+            return find_magic_angle(fields, state_a, state_b, bracket=(40.0, 70.0),
+                                    method="eigen")
+        except NoRootError as exc:
+            return exc
+
+    for state_a, state_b in BENCH_ANGLE_PAIRS:
+        checked = search(state_a, state_b)
+        with monkeypatch.context() as patch:
+            patch.setattr(mt.magic, "PICK_OVERLAP_MIN", 0.0)
+            unchecked = search(state_a, state_b)
+        if (e_field, state_a, state_b) in SWAPPED_PICKS:
+            assert isinstance(unchecked, MagicSolution)
+            assert unchecked.location == pytest.approx(
+                {0: 55.4916, 1: 53.9393}[state_a[2]], abs=1e-4)
+            assert isinstance(checked, NoRootError)
+            assert re.fullmatch(
+                rf"the eigenstate picked for state \(1, 0, {state_a[2]}\) at 70\.000000 "
+                r"degrees overlaps the one picked at 40\.000000 degrees by 0\.000, below "
+                r"0\.5: .*", str(checked))
+        elif isinstance(unchecked, NoRootError):
+            assert str(checked) == str(unchecked)
+        else:
+            assert checked == unchecked
+    # the two roots near the swaps follow their named states (tracked at 0.02 degrees)
+    if e_field in (0.05, 0.08):
+        assert search((1, 0, 0), (0, 0, 0)).location == pytest.approx(
+            {0.05: 43.77, 0.08: 61.63}[e_field], abs=5e-3)
 
 
 def test_eigen_angle_searches_take_at_most_6_eigensolves_on_average(monkeypatch):

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import full_dvr_levels
+from conftest import full_dvr_levels, uncached
 
 from magictrap import (
     CoupledModel,
@@ -432,7 +432,7 @@ def test_a_failed_level_certificate_runs_the_whole_solve(narb_radial, name,
                                                          monkeypatch, caplog):
     """At a zero tolerance no block below K is certified, so every J ends
     on the whole K x K solve and gives its levels bit for bit."""
-    basis = narb_radial[f"{name}_basis"]
+    basis = uncached(narb_radial[f"{name}_basis"])
     monkeypatch.setattr(radial, "LEVELS_TOL", 0.0)
     for j in (0, 3, 6):
         if j == basis.j_ref:
@@ -453,7 +453,7 @@ def test_block_solves_are_certified_and_logged(narb_radial, name, caplog):
     """Each levels call off the reference J logs the block it stopped at:
     below K with a certificate within the tolerance when ``max_levels``
     is given, and K with nothing dropped when it is not."""
-    basis = narb_radial[f"{name}_basis"]
+    basis = uncached(narb_radial[f"{name}_basis"])
     j = basis.j_ref + 2
     with caplog.at_level(logging.DEBUG, logger="magictrap.radial"):
         basis.levels(j, RETAINED)
@@ -651,8 +651,9 @@ def test_reused_bases_are_logged(caplog):
 
 def test_pinned_bases_are_read_only(narb_radial):
     """Later calls share a pinned basis's arrays, so none can be written;
-    a level's wavefunction is a writeable row of its own table's array,
-    which shares no memory with the basis."""
+    a level's wavefunction is a read-only row of its table's array, which
+    the basis keeps for later calls and which shares no memory with the
+    basis's own arrays."""
     for basis, j_ref in [(narb_radial["x_basis"], 0), (narb_radial["ab_basis"], 1)]:
         for array in (basis.energies, basis.vectors, basis.centrifugal):
             with pytest.raises(ValueError, match="read-only"):
@@ -660,7 +661,9 @@ def test_pinned_bases_are_read_only(narb_radial):
         for j in (j_ref, j_ref + 1):
             table = basis.levels(j, 1)
             psi = table[0].wavefunction
-            assert psi.flags.writeable and np.shares_memory(psi, table.wavefunctions)
+            with pytest.raises(ValueError, match="read-only"):
+                psi[0, 0] = 0.0
+            assert np.shares_memory(psi, table.wavefunctions)
             assert table.wavefunctions.flags.owndata
             assert not np.shares_memory(psi, basis.vectors)
 
