@@ -33,6 +33,12 @@ does wherever the fractional part of s is more than 1e-3 from .5.  The
 cells nearer the tie, ±0, subnormals, nan, ±inf and |x| outside
 (1e-280, 1e280) are formatted by ``"%.11e"`` itself.
 
+``hyperfine-scan`` solves its angle stack without ``diagonalize``'s sign
+convention: its outputs, the energies, the dominant (J, M) labels, alpha
+(a spin trace) and the tracking overlaps |<v_k-1|v_k>|, are all
+bit-identical under v -> -v.  It matches each adjacent pair of angles
+and logs the smallest matched overlap from one stack of |V_k-1^T V_k|.
+
 ``solve-rovib`` and ``imag-scan`` read each J's levels as one table of
 arrays (``radial.RovibLevels``), and ``imag-scan`` its dipoles and
 linewidths as one array each.  The bases keep each table they solve, so
@@ -68,11 +74,12 @@ from .errors import (
     UnitError,
 )
 from .hyperfine import (
+    _eigensolve,
+    _light_shift,
+    _match,
+    _spin_trace,
     build_basis,
     build_hamiltonian,
-    diagonalize,
-    eigenstate_polarizability,
-    track_states,
 )
 from .magic import _angle_method, calibrate_gamma, find_magic_angle, find_magic_detuning
 from .polarizability import alpha_analytic, alpha_imag, validity_notes
@@ -291,32 +298,36 @@ def _cmd_hyperfine_scan(cfg: RunConfig):
                          cfg.get("scan", "stop_deg"),
                          cfg.get("scan", "points"))
     at = replace(fields, theta_p=np.radians(thetas))
-    sol = eigenstate_polarizability(
-        diagonalize(build_hamiltonian(basis, at, cfg.terms()), basis), at)
+    # diagonalize's phase convention is skipped: energies, labels, alpha (a
+    # spin trace) and |<v_k-1|v_k>| are all bit-identical under v -> -v
+    energies, vectors, dominant = _eigensolve(build_hamiltonian(basis, at, cfg.terms()), basis)
+    alphas = _spin_trace(vectors, _light_shift(basis, fields.constants, at.theta_p))
+    # full[k]: |V_k^T V_k+1| of each adjacent pair of angles, the one
+    # overlap matrix both the match and the logged overlap are read from
+    full = np.empty((len(thetas) - 1, basis.dim, basis.dim))
+    for k in range(len(full)):
+        np.matmul(vectors[k].T, vectors[k + 1], out=full[k])
+    match = _match(np.abs(full, out=full))
     # order[k, curve]: the eigenstate index that continues each curve at
-    # angle k, chained through maximal-overlap tracking
+    # angle k, chained through the matches
     order = np.empty((len(thetas), basis.dim), dtype=int)
     order[0] = np.arange(basis.dim)
-    # overlap[k]: the smallest |<v_k-1|v_k>| of a tracked curve, from the
-    # matched vector pairs alone
-    overlap = np.ones(len(thetas))
-    for k in range(1, len(thetas)):
-        match = track_states(sol[k - 1], sol[k])
-        order[k] = match[order[k - 1]]
-        overlap[k] = np.abs(np.einsum("ij,ij->j", sol.vectors[k - 1],
-                                      sol.vectors[k][:, match])).min()
-    if len(thetas) > 1:
-        k = int(overlap.argmin())
+    for k in range(len(full)):
+        order[k + 1] = match[k, order[k]]
+    if len(full):
+        # the smallest |<v_k|v_k+1>| of a tracked curve, and where it falls
+        smallest = np.take_along_axis(full, match[..., None], axis=-1).min(axis=(-2, -1))
+        k = int(smallest.argmin())
         logger.info("state tracking: smallest adjacent overlap %.6f, between "
-                    "%g and %g deg", overlap[k], thetas[k - 1], thetas[k])
-    dominant = np.take_along_axis(sol.dominant, order, axis=1).ravel()
+                    "%g and %g deg", smallest[k], thetas[k], thetas[k + 1])
+    dominant = np.take_along_axis(dominant, order, axis=1).ravel()
     headers = ["theta_deg", "curve", "j", "m", "energy_mhz", "alpha_hz_wcm2"]
     columns = [
         np.repeat(thetas, basis.dim),
         np.tile(np.arange(basis.dim), len(thetas)),
         *np.array(basis.rot_states)[dominant].T,  # j and m
-        np.take_along_axis(sol.energies, order, axis=1).ravel(),
-        np.take_along_axis(sol.polarizabilities, order, axis=1).ravel(),
+        np.take_along_axis(energies, order, axis=1).ravel(),
+        np.take_along_axis(alphas, order, axis=1).ravel(),
     ]
     summary = (f"{basis.dim} eigenstate curves over theta in "
                f"[{thetas[0]:g}, {thetas[-1]:g}] deg, {len(thetas)} points")

@@ -30,8 +30,9 @@ axis, ``(..., dim, dim)``, so a whole scan is one batched ``eigh``.
 A magic-angle search, one angle per Newton step, likewise builds those
 terms once and adds only the light per step (``_angle_solver``); its
 step shares the checks, ``eigh`` and the dominant (J, M) index with
-``diagonalize`` (``_eigensolve``) and skips only the phase.  From the
-step's eigenpairs it also gives d(alpha)/d(theta_p) of a state.
+``diagonalize`` (``_eigensolve``) and skips only the phase, as the CLI's
+``hyperfine-scan`` does.  From the step's eigenpairs it also gives
+d(alpha)/d(theta_p) of a state.
 
 Shielding, rotational Zeeman, centrifugal distortion, spin-rotation and
 spin-spin terms are deliberately left out; they are far below the MHz
@@ -491,8 +492,9 @@ def _eigensolve(h: np.ndarray, basis: HyperfineBasis
     h = np.asarray(h, dtype=float)
     if h.shape[-2:] != (basis.dim, basis.dim):
         raise ValueError(f"matrix shape {h.shape} does not match basis dim {basis.dim}")
-    scale = np.maximum(np.abs(h).max(axis=(-2, -1)), 1.0)
-    # the largest |entry| is inf or NaN exactly when some entry is
+    # the largest |entry|, max(max h, -min h) with no |h| stack; it is inf
+    # or NaN exactly when some entry is
+    scale = np.maximum(np.maximum(h.max(axis=(-2, -1)), -h.min(axis=(-2, -1))), 1.0)
     if not np.isfinite(scale).all():
         raise ValueError("Hamiltonian has a non-finite (inf or NaN) entry")
     asym = h - h.swapaxes(-2, -1)
@@ -500,11 +502,15 @@ def _eigensolve(h: np.ndarray, basis: HyperfineBasis
         raise ValueError("Hamiltonian is not symmetric within 1e-10 relative")
     del asym
     energies, vectors = np.linalg.eigh(h)
-    # amplitude^2 with one contiguous row per vector (at most three stacks
-    # live), summed over the spins of each (J, M) block
-    weights = np.square(vectors.swapaxes(-2, -1), order="C")
-    blocks = weights.reshape(vectors.shape[:-1] + (len(basis.rot_states), -1))
-    return energies, vectors, blocks.sum(axis=-1).argmax(axis=-1)
+    # amplitude^2 with one contiguous row per vector, summed over the spins
+    # of each (J, M) block; a stack is squared one block at a time, so that
+    # beside h and the vectors only a block's squares are live
+    n_rot = len(basis.rot_states)
+    blocks = vectors.swapaxes(-2, -1).reshape(vectors.shape[:-1] + (n_rot, -1))
+    parts = [blocks] if vectors.ndim == 2 else [blocks[..., r:r + 1, :] for r in range(n_rot)]
+    weights = np.concatenate([np.square(part, order="C").sum(axis=-1) for part in parts],
+                             axis=-1)
+    return energies, vectors, weights.argmax(axis=-1)
 
 
 def diagonalize(h: np.ndarray, basis: HyperfineBasis) -> EigenSolution:
@@ -545,7 +551,9 @@ def _spin_trace(vectors: np.ndarray, op: np.ndarray) -> np.ndarray:
     for ``vectors`` (..., dim, dim) and op_rot ``op`` (..., n_rot, n_rot)."""
     # V as (..., r, (s, j)): sum over r and r' per spin, then over the spins
     v = vectors.reshape(vectors.shape[:-2] + (op.shape[-1], -1))
-    per_spin = (v * (op @ v)).sum(axis=-2)
+    # v * (op @ v), multiplied into the product's own array
+    op_v = op @ v
+    per_spin = np.multiply(op_v, v, out=op_v).sum(axis=-2)
     return per_spin.reshape(vectors.shape[:-2] + (-1, vectors.shape[-1])).sum(axis=-2)
 
 
@@ -561,14 +569,22 @@ def track_states(a: EigenSolution, b: EigenSolution) -> np.ndarray:
     if a.energies.ndim != 1 or b.energies.ndim != 1:
         raise ValueError(f"track_states needs two solutions at one angle; got energies of "
                          f"shapes {a.energies.shape} and {b.energies.shape}: take sol[k]")
-    overlap = np.abs(a.vectors.T @ b.vectors)
+    return _match(np.abs(a.vectors.T @ b.vectors))
+
+
+def _match(overlap: np.ndarray) -> np.ndarray:
+    """The matching ``track_states`` returns, from |V_a^T V_b| itself: for
+    one (dim, dim) ``overlap`` or a stack ``(..., dim, dim)``, ``perm[..., i]``
+    is the column that continues row i."""
     # no matching sums more than the row maxima; where each row's maximum
     # is strict and the argmaxes form a permutation, it is the only match
     # that reaches that sum
-    best = overlap.argmax(axis=1)
-    top = overlap[np.arange(len(best)), best]
-    if (np.count_nonzero(overlap == top[:, None]) == len(best)
-            and np.bincount(best, minlength=len(best)).max() == 1):
-        return best
-    from scipy.optimize import linear_sum_assignment
-    return linear_sum_assignment(overlap, maximize=True)[1]
+    best = overlap.argmax(axis=-1)
+    top = np.take_along_axis(overlap, best[..., None], axis=-1)
+    dim = overlap.shape[-1]
+    unique = ((np.count_nonzero(overlap == top, axis=(-2, -1)) == dim)
+              & (np.sort(best, axis=-1) == np.arange(dim)).all(axis=-1))
+    for at in map(tuple, np.argwhere(~unique)):
+        from scipy.optimize import linear_sum_assignment
+        best[at] = linear_sum_assignment(overlap[at], maximize=True)[1]
+    return best

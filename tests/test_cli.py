@@ -7,6 +7,7 @@ import csv
 import io
 import logging
 import math
+import os
 import re
 import subprocess
 import sys
@@ -468,21 +469,33 @@ def test_calibrate(small_config, tmp_path):
     assert float(rows[0][5]) == pytest.approx(103.0, abs=1e-6)
 
 
-def test_hyperfine_columns_match_the_row_assembly(caplog):
-    """The gathered columns equal the old per-angle, per-curve rows, and
-    the logged tracking overlap is the smallest matched entry of the
-    full overlap matrices |V_k-1^T V_k|.
+@pytest.mark.parametrize("overrides, window", [
+    # three adjacent pairs take the assignment solve
+    pytest.param(["fields.intensity_w_cm2=100000"], (0.0, 90.0), id="strong-light"),
+    pytest.param(["fields.intensity_w_cm2=100000", "fields.e_field_kv_cm=0.5",
+                  "fields.e_theta_deg=0"], (0.0, 90.0), id="dc-field-along-b"),
+    # from theta_p = 0, where the light keeps M
+    pytest.param(["fields.intensity_w_cm2=100000"], (0.0, 7.5), id="from-0-deg"),
+    # across the bundled scan's weakest overlap
+    pytest.param([], (60.0, 67.5), id="bundled-intensity"),
+])
+def test_hyperfine_columns_match_the_row_assembly(overrides, window, caplog):
+    """The gathered columns equal the old per-angle, per-curve rows of
+    ``diagonalize`` (with its phase), ``eigenstate_polarizability`` and
+    ``track_states``, and the logged tracking overlap is the smallest
+    matched entry of the full overlap matrices |V_k-1^T V_k|.
 
-    At 1e5 W/cm^2 the light shift mixes M, so tracked curves change
+    In each window the light shift mixes M, so tracked curves change
     their dominant (J, M) label along the scan.
     """
-    cfg = load_config(None, ["fields.intensity_w_cm2=100000", "scan.points=16"])
+    cfg = load_config(None, [*overrides, "scan.points=16", f"scan.start_deg={window[0]}",
+                             f"scan.stop_deg={window[1]}"])
     with caplog.at_level(logging.INFO, logger="magictrap.cli"):
         _, columns, _ = cli._cmd_hyperfine_scan(cfg)
     # the per-row assembly the columnar scan replaced
     fields = cfg.field_configuration()
     basis = build_basis(1, fields.constants)
-    thetas = np.linspace(0.0, 90.0, 16)
+    thetas = np.linspace(*window, 16)
     at = replace(fields, theta_p=np.radians(thetas))
     sol = eigenstate_polarizability(
         diagonalize(build_hamiltonian(basis, at, cfg.terms()), basis), at)
@@ -621,6 +634,43 @@ def test_reruns_are_byte_identical(subcommand, small_config, tmp_path):
     assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
     assert (d1 / "effective-config.ini").read_bytes() == \
         (d2 / "effective-config.ini").read_bytes()
+
+
+# a hyperfine-scan and an eigen magic-angle search in one fresh process,
+# after the BLAS thread count that process runs on (-1: not reported)
+_HYPERFINE_RUN = """
+import ctypes, sys
+import numpy.linalg._umath_linalg as linalg
+from magictrap.cli import main
+count = getattr(ctypes.CDLL(linalg.__file__), "scipy_openblas_get_num_threads64_", None)
+if count:
+    count.argtypes, count.restype = [], ctypes.c_int
+print(count() if count else -1)
+out = sys.argv[1]
+assert main(["hyperfine-scan", "--out", out, "--override", "scan.points=64",
+             "--override", "fields.intensity_w_cm2=100000"]) == 0
+assert main(["magic-find", "--out", out, "--override", "magic.kind=angle",
+             "--override", "magic.method=eigen", "--override", "fields.e_field_kv_cm=0.5",
+             "--override", "magic.j_a=1", "--override", "magic.rank_a=0",
+             "--override", "magic.j_b=0", "--override", "magic.rank_b=0",
+             "--override", "magic.bracket_lo_deg=40", "--override", "magic.bracket_hi_deg=70"]) == 0
+"""
+
+
+def test_hyperfine_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The 64 x 64 hyperfine path writes the same hyperfine-scan and eigen
+    magic-find bytes on one BLAS thread as on two."""
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run([sys.executable, "-c", _HYPERFINE_RUN, str(out)],
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[0] in (threads, "-1")
+        written[threads] = [(out / name).read_bytes()
+                            for name in ("hyperfine_scan.csv", "magic_find.csv")]
+    assert written["1"] == written["2"]
 
 
 def test_effective_config_round_trips(small_config, tmp_path):
@@ -897,7 +947,7 @@ def test_a_run_too_large_for_memory_exits_2(small_config, tmp_path, capsys, monk
         raise MemoryError("Unable to allocate 305. GiB for an array with shape "
                           "(10000000, 64, 64) and data type float64")
 
-    monkeypatch.setattr(cli, "diagonalize", refuse)
+    monkeypatch.setattr(cli, "_eigensolve", refuse)
     assert main(["hyperfine-scan", "--config", str(small_config), "--out", str(tmp_path),
                  "--override", "scan.points=16"]) == 2
     err = capsys.readouterr().err

@@ -395,6 +395,16 @@ def test_track_states_equals_the_assignment_on_near_permutations(monkeypatch):
     assert calls
 
 
+def test_a_stack_of_overlaps_is_matched_as_each_pair_is():
+    """``hyperfine._match`` over a stack of |overlap| matrices, some taking
+    the row argmaxes and some the solver, gives each pair's assignment."""
+    rng = np.random.default_rng(2718)
+    overlaps = np.abs([_near_permutation(rng, 64, angle) for angle in [0.02, 0.1] * 6])
+    expected = [linear_sum_assignment(overlap, maximize=True)[1] for overlap in overlaps]
+    np.testing.assert_array_equal(hyperfine._match(overlaps), expected)
+    assert hyperfine._match(overlaps[:0]).shape == (0, 64)
+
+
 def _tied_rows(kind):
     """Orthonormal vectors whose |overlap| with the unit vectors ties at a
     row maximum: two states mixed at 45 degrees, whose row argmaxes

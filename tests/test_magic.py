@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import brentq
 
 import magictrap as mt
+from magictrap import cli
 from magictrap.angular import MAGIC_ANGLE_DEG
 from magictrap.config import load_config
 from magictrap.errors import CalibrationError, NoRootError, PoleProximityError
@@ -210,6 +211,49 @@ def test_eigen_search_refuses_a_pick_that_changes_state(e_field, monkeypatch):
     if e_field in (0.05, 0.08):
         assert search((1, 0, 0), (0, 0, 0)).location == pytest.approx(
             {0.05: 43.77, 0.08: 61.63}[e_field], abs=5e-3)
+
+
+# a 0.02 degree grid over the searches' bracket, 40-70 degrees
+TRACKED_POINTS = 1501
+
+
+@pytest.mark.parametrize("e_field", [0.05, 0.06, 0.07, 0.08, 0.09, 0.10, 0.11, 0.12])
+def test_eigen_searches_return_a_crossing_of_the_tracked_curves(e_field):
+    """At weak dc fields each bench pair's eigen search over 40-70 degrees
+    returns a crossing of the two curves its states name at 40 degrees,
+    followed by maximal overlap on a 0.02 degree grid (the hyperfine-scan
+    path, one scan shared by the four pairs), within that grid step.  Or
+    it raises NoRootError (exit 3): naming the state whose pick left its
+    curve, or finding no sign change where the tracked curves have none."""
+    cfg = load_config(None, [f"fields.e_field_kv_cm={e_field}", "scan.start_deg=40",
+                             "scan.stop_deg=70", f"scan.points={TRACKED_POINTS}"])
+    _, columns, _ = cli._cmd_hyperfine_scan(cfg)
+    theta, _, j, m, _, alpha = (np.reshape(c, (TRACKED_POINTS, -1)) for c in columns)
+    grid = theta[:, 0]
+
+    def tracked(state):
+        # curves are numbered by energy at 40 degrees, as ranks count
+        j_s, m_s, rank = state
+        return alpha[:, np.flatnonzero((j[0] == j_s) & (m[0] == m_s))[rank]]
+
+    for state_a, state_b in BENCH_ANGLE_PAIRS:
+        difference = tracked(state_a) - tracked(state_b)
+        steps = np.flatnonzero(np.signbit(difference[:-1]) != np.signbit(difference[1:]))
+        try:
+            sol = find_magic_angle(cfg.field_configuration(), state_a, state_b,
+                                   bracket=(40.0, 70.0), method="eigen")
+        except NoRootError as exc:
+            if str(exc).startswith("no sign change"):
+                assert not len(steps), (state_a, state_b, grid[steps])
+            else:
+                assert re.match(rf"the eigenstate picked for state "
+                                rf"({re.escape(str(state_a))}|{re.escape(str(state_b))}) "
+                                r"at \S+ degrees overlaps the one picked at", str(exc))
+            continue
+        assert any(grid[k] <= sol.location <= grid[k + 1] for k in steps), \
+            (state_a, state_b, sol.location, grid[steps])
+        if e_field == 0.06:  # the crossings of states the searches did not name
+            assert min(abs(sol.location - 55.49), abs(sol.location - 53.94)) > 0.01
 
 
 def test_eigen_angle_searches_take_at_most_6_eigensolves_on_average(monkeypatch):
