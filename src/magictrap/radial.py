@@ -43,8 +43,9 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from numbers import Integral
 
 import numpy as np
@@ -229,8 +230,9 @@ def dvr_kinetic(grid: RadialGrid, mass_amu: float) -> np.ndarray:
 
     Entry (i, j) reads (-1)^k / sin^2(pi k / 2(n+1)) only at k = |i - j|
     and k = i + j, whose parities agree, and the diagonal at k = 2i, so
-    one table over k = 0..2n fills the whole matrix.  Each call returns
-    a new array.
+    one table over k = 0..2n fills the whole matrix: a Toeplitz and a
+    Hankel strided view of it, subtracted once.  Each call returns a new
+    array.
     """
     if mass_amu <= 0.0:
         raise ValueError("mass must be positive")
@@ -242,10 +244,14 @@ def dvr_kinetic(grid: RadialGrid, mass_amu: float) -> np.ndarray:
     # k = 0 only lands on the diagonal, which is overwritten below
     with np.errstate(divide="ignore"):
         table = np.where(k % 2, -1.0, 1.0) / np.sin(math.pi * k / (2.0 * big_n)) ** 2
-    i = np.arange(1, n + 1)
-    t = table[np.abs(i[:, None] - i[None, :])]
-    t -= table[i[:, None] + i[None, :]]
+    windows = np.lib.stride_tricks.sliding_window_view
+    # counting rows and columns from 0, the reversed windows over table[n-1],
+    # ..., table[1], table[0], ..., table[n-1] read table[|i - j|] at (i, j),
+    # and the windows over table[2:] read table[i + j + 2]
+    toeplitz = windows(np.concatenate([table[n - 1:0:-1], table[:n]]), n)[::-1]
+    t = toeplitz - windows(table[2:], n)
     t *= pref
+    i = np.arange(1, n + 1)
     t[np.diag_indices(n)] = pref * ((2.0 * big_n ** 2 + 1.0) / 3.0 - table[2 * i])
     return t
 
@@ -447,23 +453,33 @@ def _couple(channels, coupling: np.ndarray, kept: tuple[int, int], top: float):
     return energies, np.vstack([psi_a, psi_b]), bound
 
 
-def _channel_eigenpairs(t: np.ndarray, diagonals: list[np.ndarray],
+def _channel_eigenpairs(kinetic: Callable[[], np.ndarray], diagonals: list[np.ndarray],
                         coupling: np.ndarray | None, asymptotes: list[float], top: float):
     """Lowest eigenpairs of the DVR Hamiltonian whose channel blocks are
-    ``t + diag(d)``, one per ``diagonals`` entry, and whose two channels,
-    if ``coupling`` is given, are coupled pointwise by it.
+    T + diag(d), one per ``diagonals`` entry, and whose two channels, if
+    ``coupling`` is given, are coupled pointwise by it.  ``kinetic()``
+    returns a new n x n kinetic matrix T on each call.
 
-    Each block is diagonalized alone.  A single curve's eigenpairs are
-    the model's.  Two channels each keep their states up to
-    :data:`CHANNEL_CUTOFF` above their own asymptote, and one more eigh
-    couples them in that basis (:func:`_couple`); if the truncation bound
-    exceeds :data:`TRUNCATION_TOL`, the coupling step is repeated with
-    every channel state, which is exact.  Returns the :func:`_kept`
-    energies and DVR coefficient columns, the states kept per channel
-    and the truncation bound of the solve returned.
+    Each block is added into its own T, diagonalized alone and dropped
+    before the next is built: a channel's eigh holds that one n x n block
+    beside LAPACK's copy of it, its 2n^2 workspace and its n x n output,
+    and a coupled pair keeps both channels' n x n eigenvectors through the
+    coupling step.  A single curve's eigenpairs are the model's.  Two
+    channels each keep their states up to :data:`CHANNEL_CUTOFF` above
+    their own asymptote, and one more eigh couples them in that basis
+    (:func:`_couple`); if the truncation bound exceeds
+    :data:`TRUNCATION_TOL`, the coupling step is repeated with every
+    channel state, which is exact.  Returns the :func:`_kept` energies and
+    DVR coefficient columns, the states kept per channel and the
+    truncation bound of the solve returned.
     """
-    n = t.shape[0]
-    channels = [np.linalg.eigh(t + np.diag(d)) for d in diagonals]
+    n = diagonals[0].size
+    channels = []
+    for d in diagonals:
+        h = kinetic()
+        h[np.diag_indices(n)] += d
+        channels.append(np.linalg.eigh(h))
+        del h  # before the next kinetic(), so two blocks are never alive at once
     if coupling is None:
         (energies, u), = channels
         keep = _kept(energies, top)
@@ -491,6 +507,13 @@ def _dense_basis(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
     coupled model certified to round-off against the uncontracted 2n x 2n
     solve.  Returns the basis, the channel states kept and the
     truncation bound.
+
+    The solve's memory grows as n^2 doubles (8n^2 bytes, 11.5 MB at the
+    bundled n = 1200): each channel's eigh holds its one block, LAPACK's
+    copy of it, a 2n^2 workspace and the n x n eigenvectors, and a coupled
+    model keeps both channels' eigenvectors through the coupling eigh,
+    which holds the same four arrays at the kept states' size (1154^2 on
+    the bundled grid).  Nothing else of size n^2 is kept.
     """
     j = _check_j(j)
     if isinstance(model, CoupledModel):
@@ -508,7 +531,7 @@ def _dense_basis(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
     coupling = (np.asarray(model.coupling(r), dtype=float)
                 if isinstance(model, CoupledModel) else None)
     energies, vectors, kept, bound = _channel_eigenpairs(
-        dvr_kinetic(grid, mass_amu), [v + j * (j + 1) * cent for v in potentials],
+        partial(dvr_kinetic, grid, mass_amu), [v + j * (j + 1) * cent for v in potentials],
         coupling, [curve.asymptote for curve in curves], threshold - BOUND_MARGIN)
     c_diag = np.tile(cent, len(curves))
     centrifugal = vectors.T @ (c_diag[:, None] * vectors)

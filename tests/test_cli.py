@@ -535,9 +535,9 @@ def test_one_dense_solve_per_model(subcommand, small_config, tmp_path, monkeypat
     them, and one on another grid solves its own."""
     sizes = []
 
-    def counting(t, diagonals, *args):
-        sizes.append(t.shape[0] * len(diagonals))
-        return dense(t, diagonals, *args)
+    def counting(kinetic, diagonals, *args):
+        sizes.append(len(diagonals[0]) * len(diagonals))
+        return dense(kinetic, diagonals, *args)
 
     def solved(*overrides):
         sizes.clear()
@@ -740,9 +740,9 @@ def test_m_beyond_j_exits_2(subcommand, small_config, tmp_path, capsys, monkeypa
     a value for it, naming the key before any dense radial solve."""
     calls = []
 
-    def counting(t, diagonals, *args):
-        calls.append(t.shape[0] * len(diagonals))
-        return dense(t, diagonals, *args)
+    def counting(kinetic, diagonals, *args):
+        calls.append(len(diagonals[0]) * len(diagonals))
+        return dense(kinetic, diagonals, *args)
 
     dense = radial._channel_eigenpairs
     monkeypatch.setattr(radial, "_channel_eigenpairs", counting)

@@ -10,6 +10,7 @@ compared with the uncontracted DVR (``conftest.full_dvr_levels``).
 import logging
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -594,15 +595,43 @@ def test_a_failed_certificate_keeps_every_channel_state(monkeypatch, caplog):
     _assert_levels_match(basis.levels(0), full)
 
 
+def _traced_peak(solve, n):
+    """The traced peak of the numpy arrays ``solve()`` keeps alive at once,
+    in n^2 doubles.  tracemalloc sees numpy's data buffers, not LAPACK's
+    own copy and workspace."""
+    tracemalloc.start()
+    try:
+        solve()
+        return tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_dense_solve_holds_one_channel_block():
+    """A channel's eigh holds its one n x n block and its n x n output, 2.0
+    n^2 doubles of numpy arrays: the solve keeps no kinetic matrix,
+    diagonal or sum beside them."""
+    cfg = load_config(overrides=["grid.points=600"])
+    ground = narb.radial_models(cfg)[0]
+    grid = cfg.radial_grid()
+    peak = _traced_peak(lambda: rovib_basis(ground, 0, cfg.reduced_mass_amu(), grid), grid.n)
+    assert peak <= 2.2, peak
+
+
 def test_bundled_truncation_is_certified_and_logged(narb_config, caplog):
     """On the bundled grid the A-b solve keeps part of each channel, and
-    its bound lies below the round-off floor; the log line says both."""
+    its bound lies below the round-off floor; the log line says both.  Its
+    numpy arrays peak at the two channels' eigenvectors and the coupling
+    eigh's input and output, 3.9 n^2 doubles, with no kinetic matrix kept
+    beside them."""
     with caplog.at_level(logging.INFO, logger="magictrap.radial"):
-        narb.pinned_models(narb_config)
+        peak = _traced_peak(lambda: narb.pinned_models(narb_config),
+                            narb_config.radial_grid().n)
     k_a, k_b, n, bound = _logged_truncation(caplog.text, "Ab")
     assert 0 < k_a < n and 0 < k_b < n == narb_config.radial_grid().n
     assert 0.0 < bound <= radial.TRUNCATION_TOL
     assert "keeping all" not in caplog.text
+    assert peak <= 4.2, peak
 
 
 def test_dense_solves_run_once_per_model_key(monkeypatch):
@@ -612,9 +641,9 @@ def test_dense_solves_run_once_per_model_key(monkeypatch):
     moving any one input of the solves runs both again."""
     sizes = []
 
-    def counting(t, diagonals, *args):
-        sizes.append(t.shape[0] * len(diagonals))
-        return dense(t, diagonals, *args)
+    def counting(kinetic, diagonals, *args):
+        sizes.append(len(diagonals[0]) * len(diagonals))
+        return dense(kinetic, diagonals, *args)
 
     def solved(*overrides):
         sizes.clear()

@@ -73,9 +73,10 @@ def drawn_solves(draw):
 
 
 def _solve(args, cutoff, tol):
+    t, *rest = args
     with mock.patch.object(radial, "CHANNEL_CUTOFF", cutoff), \
             mock.patch.object(radial, "TRUNCATION_TOL", tol):
-        return radial._channel_eigenpairs(*args)
+        return radial._channel_eigenpairs(t.copy, *rest)  # each block a copy of t
 
 
 def _full_dvr(t, diagonals, coupling):
