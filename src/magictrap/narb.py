@@ -98,8 +98,8 @@ def _bases(b_v_cm1: float, b_vprime_cm1: float, mass_amu: float,
     :data:`~magictrap.radial.TABLE_CACHE_BYTES` per basis.  The bundled
     ``solve-rovib`` and ``imag-scan`` keep 2.4 MB of them.  A hit saves the
     two dense solves, 1.2 s on the bundled grid on a 2-core host, and each
-    kept table its block solve: a warm ``solve-rovib`` then ``imag-scan``
-    over J = 0..3 makes no eigensolve at all, where it made 13.
+    kept table its block solves: ``solve-rovib`` then ``imag-scan`` over
+    J = 0..3 makes 18 block eigensolves on a new entry and none on a warm one.
     """
     ground, model, dipole = _models(b_v_cm1, b_vprime_cm1, mass_amu)
     # the two-channel solve first, so its peak memory does not stack on
@@ -143,7 +143,7 @@ def pinned_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunct
         logger.info("reusing the X basis (K=%d) and the %s basis (K=%d) "
                     "on the n=%d grid", x_basis.size, ab_basis.label,
                     ab_basis.size, grid.n)
-    shift = (cfg.get("molecule", "transition_cm1") / HARTREE_TO_CM1
-             + x_basis.levels(0, 1)[0].energy - ab_basis.levels(1, 1)[0].energy)
+    shift = float(cfg.get("molecule", "transition_cm1") / HARTREE_TO_CM1
+                  + x_basis.levels(0, 1).energies[0] - ab_basis.levels(1, 1).energies[0])
     return (ground, model.with_shift(shift), dipole, x_basis,
             ab_basis.with_shift(shift))

@@ -26,10 +26,9 @@ their span, and gives the levels at any J from that small matrix, the
 same contraction again, over J.  Asked for its lowest few levels, it
 diagonalizes only a leading block of that matrix, grown until a residual
 bound on the levels asked for (Parlett, The Symmetric Eigenvalue Problem
-(1998), ch. 11) certifies them; asked for all, the whole matrix.
-:func:`solve_single` and
-:func:`solve_coupled` are its one-J case: one solve at the J asked for,
-with no contraction over J.
+(1998), ch. 11) certifies them; asked for all, the whole matrix.  The
+levels at ``j_ref`` itself are the dense solve's own eigenpairs, so
+``rovib_basis(model, j, mass, grid).levels(j)`` is the one-J solve.
 
 Levels come as one :class:`RovibLevels` table of arrays per call, and
 linewidths and matrix elements are quadratures over its wavefunction
@@ -50,20 +49,17 @@ from numbers import Integral
 
 import numpy as np
 
-from .angular import _check_j
+from .angular import _as_int, _check_j
 from .errors import GridError
 from .potentials import CoupledModel, DipoleFunction, PotentialCurve
 from .units import AMU_TO_ME, C_AU
 
 __all__ = [
     "RadialGrid",
-    "RovibLevel",
     "RovibLevels",
     "RovibBasis",
     "dvr_kinetic",
     "rovib_basis",
-    "solve_single",
-    "solve_coupled",
     "radial_matrix_element",
     "linewidth",
 ]
@@ -93,9 +89,6 @@ TRUNCATION_TOL = 1e-16
 # Largest r_i / gap_i, the bound on how far a level's vector is off, that a
 # block solve of RovibBasis.levels may carry; above it m doubles.
 LEVELS_TOL = 1e-14
-# A block solve starts at the first m whose first-order r/gap is at most this
-# many LEVELS_TOL: on the bundled bases (J <= 20) it is 0.75-2x the certificate.
-LEVELS_START = 100.0
 # A basis keeps its level tables (RovibBasis.levels) up to this many bytes of
 # wavefunctions.  On the bundled grid a 12-level A-b table holds 0.23 MB and
 # one of all its levels 3.1 MB: the bundled solve-rovib and imag-scan keep
@@ -149,8 +142,9 @@ class RovibLevels:
     arrays, ``channel_fractions`` (L, n_channels) the norm shares, and
     ``wavefunctions`` (L, n_channels, n) amplitude densities psi(R_i),
     sum over channels and points of psi^2 dr = 1, largest-amplitude point
-    positive.  An int index gives a :class:`RovibLevel` view of a row, a
-    slice a table, and :meth:`join` one table of several.
+    positive.  A slice gives a table of those rows, and :meth:`join` one
+    table of several; a row is read from the arrays, as an int index
+    raises TypeError.
     """
 
     label: str
@@ -173,10 +167,10 @@ class RovibLevels:
     def __len__(self) -> int:
         return self.energies.size
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return replace(self, **{name: getattr(self, name)[index] for name in self._ROWS})
-        return RovibLevel(self, range(len(self))[index])
+    def __getitem__(self, index: slice) -> "RovibLevels":
+        if not isinstance(index, slice):
+            raise TypeError("a level table takes a slice; read a row from its arrays")
+        return replace(self, **{name: getattr(self, name)[index] for name in self._ROWS})
 
     @classmethod
     def join(cls, tables) -> "RovibLevels":
@@ -187,42 +181,6 @@ class RovibLevels:
             raise ValueError("tables to join must come from one basis")
         return replace(first, **{name: np.concatenate([getattr(t, name) for t in tables])
                                  for name in cls._ROWS})
-
-
-class RovibLevel:
-    """One bound level: row ``index`` of a :class:`RovibLevels` table, its
-    values as Python scalars and ``wavefunction`` (n_channels, n) the
-    table's row."""
-
-    __slots__ = ("table", "index")
-
-    def __init__(self, table: RovibLevels, index: int):
-        self.table, self.index = table, index
-
-    label = property(lambda self: self.table.label)
-    grid = property(lambda self: self.table.grid)
-    mu = property(lambda self: self.table.mu)
-    channel_labels = property(lambda self: self.table.channel_labels)
-    potentials = property(lambda self: self.table.potentials)
-    shift = property(lambda self: self.table.shift)
-    v = property(lambda self: int(self.table.v[self.index]))
-    j = property(lambda self: int(self.table.j[self.index]))
-    energy = property(lambda self: float(self.table.energies[self.index]))
-    near_threshold = property(lambda self: bool(self.table.near_threshold[self.index]))
-    wavefunction = property(lambda self: self.table.wavefunctions[self.index])
-    channel_fractions = property(
-        lambda self: tuple(self.table.channel_fractions[self.index].tolist()))
-
-    def rotational_constant(self) -> float:
-        """Vibrationally averaged <hbar^2 / (2 mu R^2)> in Hartree."""
-        return float(self.table.b_rot[self.index])
-
-
-def _as_table(levels: RovibLevels | RovibLevel) -> tuple[RovibLevels, bool]:
-    """A table and whether ``levels`` was one level: a level is its row."""
-    if isinstance(levels, RovibLevel):
-        return levels.table[levels.index:levels.index + 1], True
-    return levels, False
 
 
 def dvr_kinetic(grid: RadialGrid, mass_amu: float) -> np.ndarray:
@@ -277,10 +235,12 @@ class RovibBasis:
     At J the levels are the eigenpairs of diag(energies) +
     [J(J+1) - j_ref(j_ref+1)] U^T C U, with wavefunctions U c, and
     ``shift`` is added to every energy afterwards, so a shifted basis
-    gives the unshifted levels plus the shift.  With ``max_levels`` given,
-    :meth:`levels` solves a certified leading block of that matrix
+    gives the unshifted levels plus the shift.  At ``j_ref`` the levels are
+    the dense solve's own eigenpairs.  At any other J with ``max_levels``
+    given, :meth:`levels` solves a certified leading block of that matrix
     (:meth:`_eigenpairs`), m = 160 of K = 486 for the bundled A-b basis at
-    12 levels, in one eigensolve; without it, the whole K x K matrix.
+    12 levels, after the m = 40 and 80 blocks fail; without it, the whole
+    K x K matrix.
 
     Each unshifted table is solved once: ``_tables`` keeps it, read-only,
     keyed on (J, max_levels), and :meth:`with_shift` hands the same dict to
@@ -319,9 +279,12 @@ class RovibBasis:
 
         The table is the one kept under (J, ``max_levels``), solved on the
         first call, with ``shift`` added to its energies; its other arrays
-        are the kept, read-only ones.
+        are the kept, read-only ones.  ``max_levels`` is None or an integer
+        of at least 1; anything else raises ValueError.
         """
         j = _check_j(j)
+        if max_levels is not None:
+            max_levels = _as_int(max_levels, "max_levels must be None or an integer >= 1", 1)
         table = self._tables.get((j, max_levels))
         if table is None:
             table = self._tables[j, max_levels] = self._table(j, max_levels)
@@ -373,11 +336,7 @@ class RovibBasis:
         leading m x m block.
 
         m runs over 2 max_levels + 16 and its doublings, up to K, which is the
-        exact solve; ``max_levels=None`` goes to m = K at once.  The first m
-        solved is the first whose first-order ratio, |factor C[m:, i]| over
-        E_m + min(factor, 0) max C - E_i - factor C_ii for the basis vectors
-        i < ``max_levels``, is at most :data:`LEVELS_START` times the
-        tolerance: it reads the basis, J and ``max_levels`` alone.  For a block
+        exact solve; ``max_levels=None`` goes to m = K at once.  For a block
         eigenpair (e_i, c_i), r_i = |factor C[m:, :m] c_i| is its residual in
         H, and E_m + min(factor, 0) max C bounds the dropped block's spectrum
         from below (U has orthonormal columns), so with gap_i above e_i the
@@ -394,11 +353,6 @@ class RovibBasis:
         room = np.max(self.energies + factor * np.diagonal(cent)) > top
         m = min(size, 2 * want + 16) if want > 0 and room else size
         floor = min(factor, 0) / (2.0 * self.mu * self.grid.points[0] ** 2)
-        first = self.energies[:want] + factor * np.diagonal(cent)[:want]
-        while m < size and np.any(abs(factor) * np.linalg.norm(cent[m:, :want], axis=0)
-                                  > LEVELS_START * LEVELS_TOL
-                                  * (self.energies[m] + floor - first)):
-            m = min(2 * m, size)
         while True:
             energies, coeffs = np.linalg.eigh(np.diag(self.energies[:m]) + factor * cent[:m, :m])
             if m == size:
@@ -428,29 +382,65 @@ def _couple(channels, coupling: np.ndarray, kept: tuple[int, int], top: float):
     ``kept`` how many of each enter.  The Hamiltonian in that basis is
     diag(E_A, E_b) with U_A^T xi U_b off the diagonal.  Returns the
     :func:`_kept` energies, their DVR coefficient columns (channel A's
-    rows first) and the truncation bound: the largest r_i^2 / (E_drop - E_i)
-    over the levels i below ``top``, where r_i is the norm of what the
-    coupling carries from level i into the dropped channel states and
-    E_drop is the lowest dropped channel energy.  It is 0 if nothing is
-    dropped.
+    rows first) and the :func:`_truncation_bound` of the levels below
+    ``top``, from r_j, the norm of what the coupling carries from kept
+    eigenstate j into the dropped channel states.  The dropped block's
+    spectrum lies above its lowest channel energy less max |xi(R_i)|: the
+    dropped A and b states couple to each other through
+    U_A,drop^T xi U_b,drop, of norm at most max |xi|.
     """
     (e_a, u_a), (e_b, u_b) = channels
     k_a, k_b = kept
     a, b = u_a[:, :k_a], u_b[:, :k_b]
     h = np.diag(np.concatenate([e_a[:k_a], e_b[:k_b]]))
-    h[k_a:, :k_a] = b.T @ (coupling[:, None] * a)  # eigh reads the lower triangle
+    cross = h[k_a:, :k_a]
+    cross[...] = b.T @ (coupling[:, None] * a)  # eigh reads the lower triangle
+    # |U_kept^T xi U_drop|_F^2: each channel's |xi U_kept|_F^2 less what stays kept
+    carried = float(coupling ** 2 @ (np.einsum("ij,ij->i", a, a) + np.einsum("ij,ij->i", b, b))
+                    - 2.0 * np.einsum("ij,ij", cross, cross))
     energies, c = np.linalg.eigh(h)
-    del h
+    del h, cross
     keep = _kept(energies, top)
-    energies = energies[:keep]
     psi_a, psi_b = a @ c[:k_a, :keep], b @ c[k_a:, :keep]
     del c
-    nb = int(np.searchsorted(energies, top))
-    r2 = (np.sum((u_a[:, k_a:].T @ (coupling[:, None] * psi_b[:, :nb])) ** 2, axis=0)
-          + np.sum((u_b[:, k_b:].T @ (coupling[:, None] * psi_a[:, :nb])) ** 2, axis=0))
-    gap = min(e_a[k_a:].min(initial=np.inf), e_b[k_b:].min(initial=np.inf)) - energies[:nb]
-    bound = float(np.max(r2 / gap, initial=0.0)) if np.all(gap > 0.0) else math.inf
-    return energies, np.vstack([psi_a, psi_b]), bound
+    r2 = (np.sum((u_a[:, k_a:].T @ (coupling[:, None] * psi_b)) ** 2, axis=0)
+          + np.sum((u_b[:, k_b:].T @ (coupling[:, None] * psi_a)) ** 2, axis=0))
+    floor = (min(e_a[k_a:].min(initial=np.inf), e_b[k_b:].min(initial=np.inf))
+             - np.max(np.abs(coupling)))
+    bound = _truncation_bound(energies, r2, carried, floor, top)
+    return energies[:keep], np.vstack([psi_a, psi_b]), bound
+
+
+def _truncation_bound(energies: np.ndarray, r2: np.ndarray, carried: float, floor: float,
+                      top: float) -> float:
+    """How far below its kept-basis energy e_i any level under ``top`` may lie.
+
+    ``energies`` are every kept eigenvalue e_j, ``r2`` the r_j^2 of the
+    first few, ``carried`` the sum of all r_j^2 and ``floor`` a lower bound
+    on the dropped block's spectrum (inf if nothing is dropped, which gives
+    0).  By the Schur complement onto the kept states, level i lies at
+    most s_i below e_i, where s_i solves sum_{j >= i} r_j^2 / (s + e_j - e_i)
+    = floor - e_i.  Its first term alone gives s0_i = r_i^2 / (floor - e_i),
+    the second-order estimate; the others, at s = s0_i and over
+    floor - e_i, sum to a_i, and s_i <= s0_i / (1 - a_i), so levels close to
+    i raise the bound.  States past ``r2`` enter as one term at the first
+    of them, with the rest of ``carried``.  Returns the largest of these.
+    """
+    if floor == math.inf:
+        return 0.0
+    keep = r2.size
+    e = energies[:int(np.searchsorted(energies, top)), None]
+    gap = floor - e
+    if not np.all(gap > 0.0):
+        return math.inf
+    s0 = r2[:e.size, None] / gap
+    dist = s0 + np.maximum(energies[:keep] - e, 0.0)
+    above = np.divide(r2, dist, out=np.zeros_like(dist),
+                      where=np.triu(np.ones(dist.shape, dtype=bool), 1) & (r2 > 0.0))
+    rest = (max(carried - float(np.sum(r2)), 0.0) / (s0 + energies[keep] - e)
+            if keep < energies.size else 0.0)
+    share = (np.sum(above, axis=1, keepdims=True) + rest) / gap
+    return float(np.max(np.where(share < 1.0, s0 / (1.0 - share), math.inf), initial=0.0))
 
 
 def _channel_eigenpairs(kinetic: Callable[[], np.ndarray], diagonals: list[np.ndarray],
@@ -570,28 +560,10 @@ def rovib_basis(model: PotentialCurve | CoupledModel, j_ref: int, mass_amu: floa
     return basis
 
 
-def solve_single(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
-                 grid: RadialGrid, max_levels: int | None = None) -> RovibLevels:
-    """Bound levels of a curve or a coupled model at rotational j.
-
-    Returns the levels below the lowest asymptote, ordered by energy and
-    indexed v = 0, 1, ...  A coupled model's shift is added to every
-    energy, and channel fractions are the norm shares of its components.
-    One solve at this j alone (:func:`_dense_basis`: exact for a curve,
-    channel-contracted and certified to round-off for a coupled model);
-    use :func:`rovib_basis` for several J.  :func:`solve_coupled` is the
-    same function.
-    """
-    return _dense_basis(model, j, mass_amu, grid)[0].levels(j, max_levels)
-
-
-solve_coupled = solve_single
-
-
-def radial_matrix_element(bra: RovibLevel | RovibLevels, f, ket: RovibLevel | RovibLevels,
-                          pairs: dict[tuple[int, int], object] | None = None):
-    """<bra| f(R) |ket> on the common grid: a float for two levels, else an
-    array with one axis per table, the bra's first (built a bra at a time).
+def radial_matrix_element(bra: RovibLevels, f, ket: RovibLevels,
+                          pairs: dict[tuple[int, int], object] | None = None) -> np.ndarray:
+    """<bra| f(R) |ket> on the common grid: a (len(bra), len(ket)) array,
+    one row per bra level (built a bra at a time).
 
     With ``pairs`` omitted, ``f`` is applied on matching channels
     (requires equal channel counts).  Otherwise ``pairs`` maps
@@ -599,28 +571,25 @@ def radial_matrix_element(bra: RovibLevel | RovibLevels, f, ket: RovibLevel | Ro
     which is how a transition dipole connecting only one channel pair
     is expressed.
     """
-    bras, bra_one = _as_table(bra)
-    kets, ket_one = _as_table(ket)
-    if bras.grid != kets.grid:
+    if bra.grid != ket.grid:
         raise GridError("bra and ket live on different grids")
-    r = bras.grid.points
-    dr = bras.grid.dr
+    r = bra.grid.points
+    dr = bra.grid.dr
     if pairs is None:
-        if len(bras.channel_labels) != len(kets.channel_labels):
+        if len(bra.channel_labels) != len(ket.channel_labels):
             raise ValueError("channel counts differ; pass explicit pairs")
-        pairs = {(c, c): f for c in range(len(bras.channel_labels))}
-    acc = np.zeros((len(bras), len(kets)))
+        pairs = {(c, c): f for c in range(len(bra.channel_labels))}
+    acc = np.zeros((len(bra), len(ket)))
     for (cb, ck), fn in pairs.items():
         fr = np.asarray(fn(r), dtype=float)
-        for row, psi in zip(acc, bras.wavefunctions[:, cb]):
-            row += np.sum(psi * fr * kets.wavefunctions[:, ck], axis=-1) * dr
-    out = acc[0 if bra_one else slice(None), 0 if ket_one else slice(None)]
-    return float(out) if bra_one and ket_one else out
+        for row, psi in zip(acc, bra.wavefunctions[:, cb]):
+            row += np.sum(psi * fr * ket.wavefunctions[:, ck], axis=-1) * dr
+    return acc
 
 
-def linewidth(levels: RovibLevel | RovibLevels,
-              decay_targets: list[tuple[PotentialCurve, DipoleFunction]]):
-    """Radiative linewidth gamma_f (atomic units) of a level, or (L,) of a table.
+def linewidth(levels: RovibLevels,
+              decay_targets: list[tuple[PotentialCurve, DipoleFunction]]) -> np.ndarray:
+    """Radiative linewidths gamma_f (atomic units) of a table's levels, (L,).
 
     Averages the R-local spontaneous rate over each level's density:
 
@@ -631,23 +600,22 @@ def linewidth(levels: RovibLevel | RovibLevels,
     the model shift) and the target curve.  Channels without a dipole
     path to any target contribute nothing.
     """
-    table, one = _as_table(levels)
-    r = table.grid.points
-    dr = table.grid.dr
-    gamma = np.zeros(len(table))
+    r = levels.grid.points
+    dr = levels.grid.dr
+    gamma = np.zeros(len(levels))
     for target_curve, dip in decay_targets:
         v_t = np.asarray(target_curve(r), dtype=float)
-        below = table.energies < float(np.min(v_t))
+        below = levels.energies < float(np.min(v_t))
         if below.any():
             raise ValueError(
-                f"level at {table.energies[below][0]:.6e} Eh lies below the minimum of "
+                f"level at {levels.energies[below][0]:.6e} Eh lies below the minimum of "
                 f"decay target {target_curve.label!r}"
             )
-        for c, ch_label in enumerate(table.channel_labels):
+        for c, ch_label in enumerate(levels.channel_labels):
             if not dip.connects(ch_label, target_curve.label):
                 continue
-            v_c = np.asarray(table.potentials[c](r), dtype=float) + table.shift
+            v_c = np.asarray(levels.potentials[c](r), dtype=float) + levels.shift
             de = v_c - v_t
             rate_r = (4.0 / 3.0) * np.abs(de) ** 3 * dip(r) ** 2 / C_AU ** 3
-            gamma += np.sum(table.wavefunctions[:, c] ** 2 * rate_r, axis=-1) * dr
-    return float(gamma[0]) if one else gamma
+            gamma += np.sum(levels.wavefunctions[:, c] ** 2 * rate_r, axis=-1) * dr
+    return gamma

@@ -127,14 +127,14 @@ def build_stiff_pair():
     dark = MorseCurve(label="b", d_e=d_up, a=om_up * math.sqrt(mu / (2 * d_up)),
                       r_e=ground.r_e * 1.02, asymptote=0.30)
     model = CoupledModel.constant_coupling(("A", "b"), (bright, dark), xi=1e-6)
-    e_g0 = mt.solve_single(ground, 0, mass, grid, max_levels=1)[0].energy
-    e_l1 = mt.solve_coupled(model, 1, mass, grid, max_levels=1)[0].energy
+    e_g0 = float(mt.rovib_basis(ground, 0, mass, grid).levels(0, 1).energies[0])
+    e_l1 = float(mt.rovib_basis(model, 1, mass, grid).levels(1, 1).energies[0])
     model = model.with_shift(cfg.get("molecule", "transition_cm1") / HARTREE_TO_CM1
                              + e_g0 - e_l1)
 
-    x_levels = mt.RovibLevels.join([mt.solve_single(ground, j, mass, grid, max_levels=1)
+    x_levels = mt.RovibLevels.join([mt.rovib_basis(ground, j, mass, grid).levels(j, 1)
                                     for j in range(5)])
-    ab_levels = mt.RovibLevels.join([mt.solve_coupled(model, jp, mass, grid, max_levels=1)
+    ab_levels = mt.RovibLevels.join([mt.rovib_basis(model, jp, mass, grid).levels(jp, 1)
                                      for jp in range(5)])
     dip = DipoleFunction.constant(("X", "A"), 1.0)
     dipoles = mt.radial_matrix_element(x_levels, dip, ab_levels, pairs={(0, 0): dip})

@@ -143,18 +143,18 @@ def test_criterion_5_dvr_fidelity():
     grid = cfg.radial_grid()            # n = 1200
     ground, _, _ = narb.radial_models(cfg)
     mass = cfg.reduced_mass_amu()
-    numeric = mt.solve_single(ground, 0, mass, grid, max_levels=10)
+    numeric = mt.rovib_basis(ground, 0, mass, grid).levels(0, 10)
     exact = ground.analytic_levels(mass * AMU_TO_ME)[:10]
-    morse_rel = max(abs(lv.energy - ex) / abs(ex)
-                    for lv, ex in zip(numeric, exact))
-    v0 = [mt.solve_single(ground, j, mass, grid, max_levels=1)[0]
+    morse_rel = max(abs(lv - ex) / abs(ex)
+                    for lv, ex in zip(numeric.energies, exact))
+    v0 = [mt.rovib_basis(ground, j, mass, grid).levels(j, 1)
           for j in range(6)]
-    b0 = (v0[1].energy - v0[0].energy) / 2.0
+    b0 = (v0[1].energies[0] - v0[0].energies[0]) / 2.0
     rotor_rel = max(
-        abs((v0[j].energy - v0[0].energy) / (j * (j + 1)) - b0) / b0
+        abs((v0[j].energies[0] - v0[0].energies[0]) / (j * (j + 1)) - b0) / b0
         for j in range(1, 6)
     )
-    b0_cm1 = v0[0].rotational_constant() * HARTREE_TO_CM1
+    b0_cm1 = v0[0].b_rot[0] * HARTREE_TO_CM1
     b0_rel = abs(b0_cm1 - 0.06970) / 0.06970
     elapsed = time.perf_counter() - t0
     ok = (morse_rel <= 1e-8 and rotor_rel <= 0.005 and b0_rel <= 0.01
@@ -171,15 +171,16 @@ def test_criterion_6_imaginary_part():
     grid = cfg.radial_grid()
     ground, model, dipole = narb.pinned_models(cfg)[:3]
     mass = cfg.reduced_mass_amu()
-    x_levels = mt.RovibLevels.join([mt.solve_single(ground, j, mass, grid, max_levels=1)
+    x_levels = mt.RovibLevels.join([mt.rovib_basis(ground, j, mass, grid).levels(j, 1)
                                     for j in (0, 1)])
-    ab_levels = mt.RovibLevels.join([mt.solve_coupled(model, jp, mass, grid, max_levels=6)
+    ab_levels = mt.RovibLevels.join([mt.rovib_basis(model, jp, mass, grid).levels(jp, 6)
                                      for jp in (0, 1, 2)])
     dipoles = mt.radial_matrix_element(x_levels, dipole, ab_levels, pairs={(0, 0): dipole})
     gammas = mt.linewidth(ab_levels, [(ground, dipole)])
-    lowest = min(ab.energy - x.energy
-                 for x in x_levels for ab in ab_levels
-                 if abs(ab.j - x.j) == 1)
+    lowest = min(ab - x
+                 for x, xj in zip(x_levels.energies, x_levels.j)
+                 for ab, abj in zip(ab_levels.energies, ab_levels.j)
+                 if abs(abj - xj) == 1)
     spacing = 34.5 / HARTREE_TO_CM1    # upper-well vibrational ladder
 
     sign_ok = True

@@ -273,9 +273,8 @@ def test_numpy_integers_are_valid_j_and_m(narb_config, narb_spec):
     basis = rovib_basis(ground, 0, narb_config.reduced_mass_amu(), RadialGrid(4.5, 20.0, 300))
     levels, ref = basis.levels(np.int64(2), 2), basis.levels(2, 2)
     assert len(levels) == len(ref) == 2
-    for got, want in zip(levels, ref):
-        assert got.energy == want.energy
-        assert np.array_equal(got.wavefunction, want.wavefunction)
+    assert np.array_equal(levels.energies, ref.energies)
+    assert np.array_equal(levels.wavefunctions, ref.wavefunctions)
     for bad in (1.5, -1):
         with pytest.raises(ValueError):
             alpha_analytic(narb_spec, nu, bad, 0)

@@ -557,10 +557,10 @@ def test_one_dense_solve_per_model(subcommand, small_config, tmp_path, monkeypat
 
 
 def test_level_tables_are_solved_once_per_model(small_config, tmp_path, monkeypatch):
-    """solve-rovib then imag-scan over J = 0..3 at 12 levels makes 10 block
-    eigensolves in one process, one per table off the bases' reference J,
-    where solving every call's tables made 13.  A repeat at another line
-    and scan window reads every table the first pair solved, and makes none."""
+    """solve-rovib then imag-scan over J = 0..3 at 12 levels makes 18 block
+    eigensolves in one process, for the tables off the bases' reference J,
+    each table solved once.  A repeat at another line and scan window reads
+    every table the first pair solved, and makes none."""
     overrides = ["scan.j_values=0,1,2,3", "scan.max_levels=12"]
     narb.pinned_models(load_config(small_config, overrides))  # the dense solves, not counted
     sizes = []
@@ -576,7 +576,7 @@ def test_level_tables_are_solved_once_per_model(small_config, tmp_path, monkeypa
             assert main(argv) == 0
         return len(sizes)
 
-    assert solved() == 10
+    assert solved() == 18
     assert solved("molecule.transition_cm1=11290.0", "scan.start_ghz=10.0") == 0
 
 

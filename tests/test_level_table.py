@@ -126,8 +126,9 @@ def slow_linewidth(level, decay_targets) -> float:
 
 
 def _assert_table_is(table: RovibLevels, slow: list[SlowLevel]):
-    """Every row of ``table``, as arrays and as level views, is the oracle's
-    level bit for bit: energy, sign-fixed wavefunction, fractions, B_v."""
+    """Every row of ``table``, as arrays and as one-row slices, is the
+    oracle's level bit for bit: energy, sign-fixed wavefunction, fractions,
+    B_v."""
     assert len(table) == len(slow)
     assert np.array_equal(table.energies, [lv.energy for lv in slow])
     assert np.array_equal(table.v, [lv.v for lv in slow])
@@ -135,13 +136,15 @@ def _assert_table_is(table: RovibLevels, slow: list[SlowLevel]):
     assert np.array_equal(table.b_rot, [lv.rotational_constant() for lv in slow])
     assert np.array_equal(table.near_threshold, [lv.near_threshold for lv in slow])
     assert table.channel_fractions.shape == (len(slow), len(table.channel_labels))
-    for view, ref in zip(table, slow, strict=True):
-        assert (view.label, view.v, view.j) == (ref.label, ref.v, ref.j)
-        assert view.energy == ref.energy and view.near_threshold == ref.near_threshold
-        assert np.array_equal(view.wavefunction, ref.wavefunction)
-        assert view.channel_fractions == ref.channel_fractions
-        assert view.rotational_constant() == ref.rotational_constant()
-        assert (view.grid, view.mu, view.shift) == (ref.grid, ref.mu, ref.shift)
+    for i, ref in enumerate(slow):
+        row = table[i:i + 1]
+        assert len(row) == 1
+        assert (row.label, row.v[0], row.j[0]) == (ref.label, ref.v, ref.j)
+        assert row.energies[0] == ref.energy and row.near_threshold[0] == ref.near_threshold
+        assert np.array_equal(row.wavefunctions[0], ref.wavefunction)
+        assert tuple(row.channel_fractions[0].tolist()) == ref.channel_fractions
+        assert row.b_rot[0] == ref.rotational_constant()
+        assert (row.grid, row.mu, row.shift) == (ref.grid, ref.mu, ref.shift)
 
 
 @pytest.mark.parametrize("name", ["x", "ab"])
@@ -155,7 +158,7 @@ def test_level_tables_are_the_per_level_levels(narb_radial, name):
 def test_dipoles_and_linewidths_over_tables_are_the_per_level_ones(narb_radial):
     """The (X, A-b) dipole array and the A-b linewidths, each one array
     expression over tables, hold the oracle's per-pair and per-level
-    values bit for bit; a level view gives the same float."""
+    values bit for bit; a one-row slice gives the same row."""
     x_basis, ab_basis = narb_radial["x_basis"], narb_radial["ab_basis"]
     dip = narb_radial["dipole"]
     targets = [(narb_radial["ground"], dip)]
@@ -175,12 +178,14 @@ def test_dipoles_and_linewidths_over_tables_are_the_per_level_ones(narb_radial):
                                             for x in x_slow])
         ab_table = ab_basis.levels(jp, 3)
         dipoles = radial_matrix_element(x_table, dip, ab_table, pairs=pairs)
-        assert linewidth(ab_table[2], targets) == linewidth(ab_table, targets)[2]
-        assert radial_matrix_element(x_table[jp], dip, ab_table[2], pairs=pairs) == dipoles[jp, 2]
-        assert np.array_equal(radial_matrix_element(x_table[jp], dip, ab_table, pairs=pairs),
-                              dipoles[jp])
-        assert np.array_equal(radial_matrix_element(x_table, dip, ab_table[2], pairs=pairs),
-                              dipoles[:, 2])
+        x_row, ab_row = x_table[jp:jp + 1], ab_table[2:3]
+        assert np.array_equal(linewidth(ab_row, targets), linewidth(ab_table, targets)[2:3])
+        assert np.array_equal(radial_matrix_element(x_row, dip, ab_row, pairs=pairs),
+                              dipoles[jp:jp + 1, 2:3])
+        assert np.array_equal(radial_matrix_element(x_row, dip, ab_table, pairs=pairs),
+                              dipoles[jp:jp + 1])
+        assert np.array_equal(radial_matrix_element(x_table, dip, ab_row, pairs=pairs),
+                              dipoles[:, 2:3])
 
 
 def test_tables_slice_and_join_by_rows(narb_radial):
@@ -190,18 +195,23 @@ def test_tables_slice_and_join_by_rows(narb_radial):
     assert len(joined) == 7 and list(joined.j) == [0] * 3 + [2] * 4
     assert list(joined.v) == [0, 1, 2, 0, 1, 2, 3]
     assert np.array_equal(joined[3:].wavefunctions, second.wavefunctions)
-    assert joined[-1].energy == second.energies[-1] and joined[4].j == 2
-    with pytest.raises(IndexError):
-        joined[7]
+    assert joined[-1:].energies[0] == second.energies[-1] and joined[4:5].j[0] == 2
+    assert len(joined[7:]) == 0
+    # a row is read from the arrays: a table has no level type to index into
+    for index in (0, -1, 7, np.int64(2)):
+        with pytest.raises(TypeError, match="slice"):
+            joined[index]
+    with pytest.raises(TypeError, match="slice"):
+        next(iter(joined))
     with pytest.raises(ValueError, match="one basis"):
         RovibLevels.join([first, narb_radial["x_basis"].levels(0, 1)])
 
 
-def test_bundled_block_solves_take_one_eigensolve_each(narb_radial, monkeypatch):
-    """The first block solved is the one the certificate accepts: at 12
-    levels (and at 1 for X, as imag-scan asks) every J off the reference
-    takes one eigh, so the 13 tables of a solve-rovib and imag-scan pair
-    over J = 0..3 take 13, not the 27 of doubling from 2 max_levels + 16."""
+def test_bundled_block_solves_end_on_the_certified_block(narb_radial, monkeypatch):
+    """Every J off the reference solves the blocks m = 2 max_levels + 16,
+    doubled, up to the one the certificate accepts: at 12 levels (and at 1
+    for X, as imag-scan asks) X ends on m = 40 (18 at one level) and A-b on
+    m = 160, after m = 40 and 80."""
     sizes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
@@ -211,7 +221,9 @@ def test_bundled_block_solves_take_one_eigensolve_each(narb_radial, monkeypatch)
             for max_levels in counts:
                 sizes.clear()
                 basis.levels(j, max_levels)
-                assert sizes == ([] if j == basis.j_ref else [m[max_levels]]), (name, j)
+                doubling = [(2 * max_levels + 16) * 2 ** k for k in range(4)]
+                assert sizes == ([] if j == basis.j_ref
+                                 else [b for b in doubling if b <= m[max_levels]]), (name, j)
 
 
 def _assert_same_table(table, ref):

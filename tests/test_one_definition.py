@@ -6,7 +6,8 @@ source scan checks that no module repeats a bundled measured value as a
 literal.  The package's public API has one definition too: its layers'
 ``__all__`` lists.  One function writes the output files, one maps
 a rotational state (J, M) to its index in the hyperfine basis, and one
-table says where the closed-form polarizability has its branch poles.
+table says where the closed-form polarizability has its branch poles,
+and one entry, ``rovib_basis``, solves a radial model.
 Four process-global memos are kept, each for the saving it names.
 """
 
@@ -246,8 +247,8 @@ EXPORTS = """
 __version__ Unit convert wavelength_nm MAGIC_ANGLE_DEG AngularFactors
 ResonanceOffsets angular_factors resonance_offsets rot_tensor_element wigner3j
 MorseCurve PointwiseCurve DipoleFunction CoupledModel calibrate_morse
-load_pointwise RadialGrid RovibLevel RovibBasis dvr_kinetic rovib_basis
-solve_single solve_coupled radial_matrix_element linewidth Background
+load_pointwise RadialGrid RovibBasis dvr_kinetic rovib_basis
+radial_matrix_element linewidth Background
 ResonantLine PolarizabilitySpec alpha_analytic alpha_fardetuned
 alpha_sum_over_states validity_notes gamma_from_dipole line_strength alpha_imag
 spec_from_levels MolecularConstants FieldConfiguration HyperfineBasis TERMS
@@ -259,7 +260,7 @@ GridError ConfigError PoleProximityError NoRootError CalibrationError
 
 
 def test_package_exports_its_layers_lists():
-    assert len(EXPORTS) == 60
+    assert len(EXPORTS) == 57
     names = magictrap.__all__
     assert names == ["__version__", *(n for layer in LAYERS for n in layer.__all__)]
     assert len(set(names)) == len(names)
@@ -271,4 +272,12 @@ def test_package_exports_its_layers_lists():
 
 
 def test_one_dense_per_j_solve():
-    assert radial.solve_coupled is radial.solve_single
+    """One entry solves a radial model: ``rovib_basis``, whose levels at its
+    reference J are the one-J solve.  It alone calls the dense solve, and no
+    per-J solve function stands beside it."""
+    tree = ast.parse(Path(radial.__file__).read_text(encoding="utf-8"))
+    owners = _owners(tree)
+    callers = {owners.get(id(node)) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_dense_basis"}
+    assert callers == {"rovib_basis"}
+    assert not {"solve_single", "solve_coupled"} & set(vars(radial))

@@ -240,7 +240,7 @@ def test_sum_route_guards_poles(stiff_pair):
     x = stiff_pair["x"]
     ab = stiff_pair["ab"]
     d = stiff_pair["dipoles"]
-    line_e = ab[1].energy - x[0].energy  # the J=0 -> J'=1 line
+    line_e = float(ab.energies[1] - x.energies[0])  # the J=0 -> J'=1 line
     with pytest.raises(PoleProximityError):
         alpha_sum_over_states(x, ab, d, line_e, 0, 0)
     with pytest.raises(PoleProximityError):
@@ -306,9 +306,8 @@ def test_zero_weight_pole_is_no_pole(stiff_pair):
 
 def _sum_axis(stiff_pair, j):
     """A detuning window plus points just off each line out of J."""
-    x = stiff_pair["x"]
-    lines = [lv.energy - x[j].energy for lv in stiff_pair["ab"]
-             if abs(lv.j - j) == 1]
+    x, ab = stiff_pair["x"], stiff_pair["ab"]
+    lines = (ab.energies - x.energies[j])[np.abs(ab.j - j) == 1].tolist()
     window = lines[0] + np.linspace(-300.0, 300.0, 40) / HARTREE_TO_GHZ
     near = [de * (1.0 + eps) for de in lines for eps in (-1e-6, -1e-8, 1e-8, 1e-6)]
     return np.concatenate([window, near])
@@ -361,7 +360,7 @@ def test_alpha_imag_negative_below_resonance(stiff_pair):
     ab = stiff_pair["ab"]
     d = stiff_pair["dipoles"]
     gammas = [1e-12] * len(ab)
-    lowest = min(l.energy for l in ab) - x[0].energy
+    lowest = float(ab.energies.min() - x.energies[0])
     for frac in (0.3, 0.7, 0.95, 0.999):
         for j in (0, 1):
             val = alpha_imag(x, ab, d, gammas, lowest * frac, j, 0)
@@ -372,7 +371,7 @@ def test_alpha_imag_zero_gamma_gives_zero(stiff_pair):
     x = stiff_pair["x"]
     ab = stiff_pair["ab"]
     d = stiff_pair["dipoles"]
-    nu = 0.9 * (ab[0].energy - x[0].energy)
+    nu = 0.9 * float(ab.energies[0] - x.energies[0])
     val = alpha_imag(x, ab, d, [0.0] * len(ab), nu, 1, 0)
     assert val == 0.0
     with pytest.raises(ValueError):
@@ -385,7 +384,7 @@ def test_alpha_imag_ratio_constant_far_below(stiff_pair):
     ab = stiff_pair["ab"]
     d = stiff_pair["dipoles"]
     gammas = [2e-12] * len(ab)
-    e_ref = ab[0].energy - x[0].energy
+    e_ref = float(ab.energies[0] - x.energies[0])
     ratios = []
     for nu in np.linspace(0.80 * e_ref, 0.85 * e_ref, 7):
         r = (alpha_imag(x, ab, d, gammas, nu, 1, 0)
@@ -398,14 +397,13 @@ def test_spec_from_levels_extracts_consistent_constants(stiff_pair):
     spec = stiff_pair["spec"]
     x = stiff_pair["x"]
     ab = stiff_pair["ab"]
-    b_v = 0.5 * (x[1].energy - x[0].energy)
+    b_v = 0.5 * (x.energies[1] - x.energies[0])
     assert spec.b_v == pytest.approx(b_v, rel=1e-12)
-    jp1 = next(l for l in ab if l.j == 1)
-    assert spec.reference.energy == pytest.approx(jp1.energy - x[0].energy,
+    e_jp1 = ab.energies[ab.j == 1][0]
+    assert spec.reference.energy == pytest.approx(e_jp1 - x.energies[0],
                                                   rel=1e-12)
     assert spec.reference.gamma > 0.0
-    b_rot = 0.5 * (next(l for l in ab if l.j == 1).energy
-                   - next(l for l in ab if l.j == 0).energy)
+    b_rot = 0.5 * (e_jp1 - ab.energies[ab.j == 0][0])
     assert spec.reference.b_rot == pytest.approx(b_rot, rel=1e-12)
 
 
@@ -420,8 +418,7 @@ def test_spec_from_levels_counter_rotating_fold(stiff_pair):
     d = stiff_pair["dipoles"]
     bg = stiff_pair["background"]
     spec = stiff_pair["spec"]
-    jp1 = next(l for l in ab if l.j == 1)
-    e_ref = jp1.energy - x[0].energy
+    e_ref = float(ab.energies[ab.j == 1][0] - x.energies[0])
     cr = line_strength(spec.reference) / (e_ref + e_ref)
     assert spec.background.alpha_par - bg.alpha_par == pytest.approx(
         cr, rel=1e-6)
@@ -442,13 +439,14 @@ def _closed_form_by_hand(spec, nu, j, m, theta):
 
 def _state_sums_by_hand(stiff_pair, gammas, nu, j, m, theta):
     """Real and imaginary state sums at one float ``nu``, line by line."""
-    x, d = stiff_pair["x"], stiff_pair["dipoles"]
+    x, ab, d = stiff_pair["x"], stiff_pair["ab"], stiff_pair["dipoles"]
+    e_x = float(x.energies[j])
     real = imag = 0.0
-    for ai, lv in enumerate(stiff_pair["ab"]):
-        if abs(lv.j - j) == 1:
-            de = lv.energy - x[j].energy
+    for ai, (e_ab, jp) in enumerate(zip(ab.energies.tolist(), ab.j.tolist())):
+        if abs(jp - j) == 1:
+            de = e_ab - e_x
             dd = float(d[j, ai])
-            w = _polarization_weight(lv.j, j, m, theta)
+            w = _polarization_weight(jp, j, m, theta)
             real += dd * dd * w * (1.0 / (de - nu) + 1.0 / (de + nu))
             imag -= gammas[ai] * dd * dd * w / (de * de - nu * nu)
     return real, imag

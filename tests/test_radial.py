@@ -27,8 +27,6 @@ from magictrap import (
     linewidth,
     radial_matrix_element,
     rovib_basis,
-    solve_coupled,
-    solve_single,
 )
 from magictrap import narb, radial
 from magictrap.config import load_config
@@ -38,6 +36,11 @@ from magictrap.units import AMU_TO_ME, C_AU
 
 MASS = 18.0
 MU = MASS * AMU_TO_ME
+
+
+def solve(model, j, grid, max_levels=None):
+    """The levels of ``model`` at ``j``, from one basis solved at ``j``."""
+    return rovib_basis(model, j, MASS, grid).levels(j, max_levels)
 
 
 class QuadraticWell(PotentialCurve):
@@ -79,8 +82,8 @@ def test_grid_validation_and_geometry():
             RadialGrid(r_min, r_max, 300)
     assert RadialGrid(4.0, 12.0, np.int64(99)).points.shape == (99,)
     curve = MorseCurve("X", 0.02, 0.5, 6.0)
-    assert (solve_single(curve, 0, MASS, RadialGrid(3.5, 14.0, np.int64(300)), 1)[0].energy
-            == solve_single(curve, 0, MASS, RadialGrid(3.5, 14.0, 300), 1)[0].energy)
+    assert (solve(curve, 0, RadialGrid(3.5, 14.0, np.int64(300)), 1).energies[0]
+            == solve(curve, 0, RadialGrid(3.5, 14.0, 300), 1).energies[0])
 
 
 def test_kinetic_matrix_matches_spectral_construction():
@@ -147,47 +150,46 @@ def test_harmonic_spectrum_and_matrix_element():
     omega = math.sqrt(k / MU)
     well = QuadraticWell(k, 6.5, 60.0 * omega)
     grid = RadialGrid(4.0, 9.0, 400)
-    levels = solve_single(well, 0, MASS, grid, max_levels=8)
-    for n, lvl in enumerate(levels):
-        assert lvl.energy == pytest.approx(-60.0 * omega + omega * (n + 0.5),
-                                           rel=1e-9)
+    levels = solve(well, 0, grid, max_levels=8)
+    for n, energy in enumerate(levels.energies):
+        assert energy == pytest.approx(-60.0 * omega + omega * (n + 0.5), rel=1e-9)
+    x = radial_matrix_element(levels, lambda r: r - 6.5, levels)
+    assert x.shape == (8, 8)
     # |<0| (R - R_e) |1>| = sqrt(1 / (2 mu omega)); sign is a phase choice
-    x01 = radial_matrix_element(levels[0], lambda r: r - 6.5, levels[1])
-    assert abs(x01) == pytest.approx(math.sqrt(1.0 / (2.0 * MU * omega)),
-                                     rel=1e-9)
+    assert abs(x[0, 1]) == pytest.approx(math.sqrt(1.0 / (2.0 * MU * omega)),
+                                         rel=1e-9)
     # parity forbids <0| (R - R_e) |0>
-    x00 = radial_matrix_element(levels[0], lambda r: r - 6.5, levels[0])
-    assert abs(x00) < 1e-10
+    assert abs(x[0, 0]) < 1e-10
 
 
 def test_morse_spectrum_matches_closed_form():
     curve = MorseCurve(label="X", d_e=0.02, a=0.5, r_e=6.0)
     grid = RadialGrid(3.5, 14.0, 600)
-    levels = solve_single(curve, 0, MASS, grid, max_levels=10)
+    levels = solve(curve, 0, grid, max_levels=10)
     exact = curve.analytic_levels(MU)
     assert len(levels) == 10
-    for lvl, ref in zip(levels, exact):
-        assert lvl.energy == pytest.approx(ref, rel=1e-9)
+    for energy, ref in zip(levels.energies, exact):
+        assert energy == pytest.approx(ref, rel=1e-9)
 
 
 def test_wavefunctions_orthonormal():
     curve = MorseCurve(label="X", d_e=0.02, a=0.5, r_e=6.0)
     grid = RadialGrid(3.5, 14.0, 300)
-    levels = solve_single(curve, 0, MASS, grid, max_levels=5)
-    for i, a in enumerate(levels):
-        for j, b in enumerate(levels):
-            ov = radial_matrix_element(a, lambda r: np.ones_like(r), b)
-            assert ov == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
+    levels = solve(curve, 0, grid, max_levels=5)
+    ov = radial_matrix_element(levels, lambda r: np.ones_like(r), levels)
+    for i in range(5):
+        for j in range(5):
+            assert ov[i, j] == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
 
 
 def test_centrifugal_term_shifts_energies():
     curve = MorseCurve(label="X", d_e=0.02, a=0.5, r_e=6.0)
     grid = RadialGrid(3.5, 14.0, 300)
-    e0 = solve_single(curve, 0, MASS, grid, max_levels=1)[0]
-    e1 = solve_single(curve, 1, MASS, grid, max_levels=1)[0]
-    b0 = e0.rotational_constant()
+    e0 = solve(curve, 0, grid, max_levels=1)
+    e1 = solve(curve, 1, grid, max_levels=1)
+    b0 = e0.b_rot[0]
     # J = 0 -> 1 spacing equals 2B to first order
-    assert e1.energy - e0.energy == pytest.approx(2.0 * b0, rel=1e-3)
+    assert e1.energies[0] - e0.energies[0] == pytest.approx(2.0 * b0, rel=1e-3)
     # <1/(2 mu R^2)> close to the rigid-rotor value at R_e
     assert b0 == pytest.approx(1.0 / (2.0 * MU * 6.0**2), rel=5e-3)
 
@@ -195,33 +197,49 @@ def test_centrifugal_term_shifts_energies():
 def test_rotational_constant_matches_density_integral():
     curve = MorseCurve(label="X", d_e=0.02, a=0.5, r_e=6.0)
     grid = RadialGrid(3.5, 14.0, 300)
-    lvl = solve_single(curve, 0, MASS, grid, max_levels=1)[0]
-    dens = lvl.wavefunction[0] ** 2 * grid.dr
+    levels = solve(curve, 0, grid, max_levels=1)
+    dens = levels.wavefunctions[0, 0] ** 2 * grid.dr
     ref = float(np.sum(dens / (2.0 * MU * grid.points**2)))
-    assert lvl.rotational_constant() == pytest.approx(ref, rel=1e-14)
+    assert levels.b_rot[0] == pytest.approx(ref, rel=1e-14)
 
 
 def test_solver_rejects_bad_arguments():
     curve = MorseCurve(label="X", d_e=0.02, a=0.5, r_e=6.0)
     grid = RadialGrid(3.5, 14.0, 300)
     with pytest.raises(ValueError):
-        solve_single(curve, -1, MASS, grid)
+        rovib_basis(curve, -1, MASS, grid)
     with pytest.raises(ValueError):
-        solve_single(curve, 1.5, MASS, grid)
+        rovib_basis(curve, 1.5, MASS, grid)
+
+
+def test_levels_takes_none_or_a_count_of_at_least_one():
+    """A negative count would drop levels from the top of the table, and a
+    fractional one would fail inside a slice, so both are refused by name
+    before anything is solved or kept; a numpy count is a count."""
+    curve = MorseCurve(label="X", d_e=0.02, a=0.5, r_e=6.0)
+    basis = rovib_basis(curve, 0, MASS, RadialGrid(3.5, 14.0, 200))
+    assert len(basis.levels(0, np.int64(100))) == len(basis.levels(0)) == 63
+    assert basis.levels(1, np.int64(3)).energies.tobytes() == basis.levels(1, 3).energies.tobytes()
+    kept = set(basis._tables)
+    for bad in (-1, 0, 2.5, "3", np.float64(3.0)):
+        for j in (0, 1):
+            with pytest.raises(ValueError, match="max_levels must be None or an integer >= 1"):
+                basis.levels(j, bad)
+    assert set(basis._tables) == kept == {(0, None), (0, 100), (1, 3)}
 
 
 def test_coarse_grid_raises_grid_error():
     deep = MorseCurve(label="X", d_e=1.0, a=2.0, r_e=6.0)
     coarse = RadialGrid(3.5, 30.0, 10)
     with pytest.raises(GridError):
-        solve_single(deep, 0, MASS, coarse)
+        rovib_basis(deep, 0, MASS, coarse)
 
 
 def test_near_threshold_flag():
     curve = MorseCurve(label="X", d_e=0.02, a=0.5, r_e=6.0)
     grid = RadialGrid(3.5, 14.0, 300)
-    levels = solve_single(curve, 0, MASS, grid, max_levels=3)
-    assert not any(l.near_threshold for l in levels)
+    levels = solve(curve, 0, grid, max_levels=3)
+    assert not levels.near_threshold.any()
 
 
 def test_coupled_decoupled_limit_matches_singles():
@@ -229,14 +247,12 @@ def test_coupled_decoupled_limit_matches_singles():
     dn = MorseCurve(label="b", d_e=0.018, a=0.45, r_e=6.4, asymptote=0.0)
     grid = RadialGrid(3.5, 14.0, 300)
     model = CoupledModel.constant_coupling(("A", "b"), (up, dn), xi=0.0)
-    coupled = solve_coupled(model, 0, MASS, grid, max_levels=6)
-    singles = sorted(
-        [l.energy for l in solve_single(up, 0, MASS, grid, max_levels=6)]
-        + [l.energy for l in solve_single(dn, 0, MASS, grid, max_levels=6)]
-    )[:6]
-    for lvl, ref in zip(coupled, singles):
-        assert lvl.energy == pytest.approx(ref, rel=1e-12, abs=1e-14)
-        assert max(lvl.channel_fractions) > 1.0 - 1e-9
+    coupled = solve(model, 0, grid, max_levels=6)
+    singles = sorted([*solve(up, 0, grid, max_levels=6).energies,
+                      *solve(dn, 0, grid, max_levels=6).energies])[:6]
+    for energy, fractions, ref in zip(coupled.energies, coupled.channel_fractions, singles):
+        assert energy == pytest.approx(ref, rel=1e-12, abs=1e-14)
+        assert max(fractions) > 1.0 - 1e-9
 
 
 def test_coupled_identical_wells_split_by_coupling():
@@ -246,14 +262,13 @@ def test_coupled_identical_wells_split_by_coupling():
     b = MorseCurve(label="b", d_e=0.02, a=0.5, r_e=6.0)
     grid = RadialGrid(3.5, 14.0, 300)
     model = CoupledModel.constant_coupling(("A", "b"), (a, b), xi=xi)
-    coupled = solve_coupled(model, 0, MASS, grid, max_levels=4)
-    singles = solve_single(a, 0, MASS, grid, max_levels=2)
-    expected = sorted([singles[0].energy - xi, singles[0].energy + xi,
-                       singles[1].energy - xi, singles[1].energy + xi])
-    for lvl, ref in zip(coupled, expected):
-        assert lvl.energy == pytest.approx(ref, rel=1e-10)
+    coupled = solve(model, 0, grid, max_levels=4)
+    e0, e1 = solve(a, 0, grid, max_levels=2).energies
+    expected = sorted([e0 - xi, e0 + xi, e1 - xi, e1 + xi])
+    for energy, fractions, ref in zip(coupled.energies, coupled.channel_fractions, expected):
+        assert energy == pytest.approx(ref, rel=1e-10)
         # perfect mixing
-        assert lvl.channel_fractions[0] == pytest.approx(0.5, abs=1e-9)
+        assert fractions[0] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_matrix_element_pairs_and_grid_guard():
@@ -261,21 +276,22 @@ def test_matrix_element_pairs_and_grid_guard():
     gnd = MorseCurve(label="X", d_e=0.02, a=0.5, r_e=6.0)
     grid = RadialGrid(3.5, 14.0, 300)
     other = RadialGrid(3.5, 14.0, 301)
-    x0 = solve_single(gnd, 0, MASS, grid, max_levels=1)[0]
+    x0 = solve(gnd, 0, grid, max_levels=1)
     dark = MorseCurve(label="b", d_e=0.02, a=0.5, r_e=6.4, asymptote=0.05)
     model = CoupledModel.constant_coupling(("A", "b"), (up, dark), xi=1e-5)
-    ab0 = solve_coupled(model, 1, MASS, grid, max_levels=1)[0]
+    ab0 = solve(model, 1, grid, max_levels=1)
     dip = DipoleFunction.constant(("X", "A"), 1.0)
 
     # channel counts differ: pairs are mandatory
     with pytest.raises(ValueError):
         radial_matrix_element(x0, dip, ab0)
     val = radial_matrix_element(x0, dip, ab0, pairs={(0, 0): dip})
-    manual = float(np.sum(x0.wavefunction[0] * 1.0 * ab0.wavefunction[0])
+    assert val.shape == (1, 1)
+    manual = float(np.sum(x0.wavefunctions[0, 0] * 1.0 * ab0.wavefunctions[0, 0])
                    * grid.dr)
-    assert val == pytest.approx(manual, rel=1e-14)
+    assert val[0, 0] == pytest.approx(manual, rel=1e-14)
 
-    x0_other = solve_single(gnd, 0, MASS, other, max_levels=1)[0]
+    x0_other = solve(gnd, 0, other, max_levels=1)
     with pytest.raises(GridError):
         radial_matrix_element(x0_other, dip, ab0, pairs={(0, 0): dip})
 
@@ -286,13 +302,14 @@ def test_matrix_element_default_pairs_sum_matching_channels():
     dark = MorseCurve(label="b", d_e=0.02, a=0.5, r_e=6.4, asymptote=0.05)
     grid = RadialGrid(3.5, 14.0, 300)
     model = CoupledModel.constant_coupling(("A", "b"), (up, dark), xi=1e-3)
-    bra, ket = solve_coupled(model, 1, MASS, grid, max_levels=2)
-    assert min(bra.channel_fractions) > 1e-3 and min(ket.channel_fractions) > 1e-3
+    levels = solve(model, 1, grid, max_levels=2)
+    assert levels.channel_fractions.min() > 1e-3
     fr = grid.points ** 2
+    bra, ket = levels.wavefunctions
     expected = 0.0
     for c in range(2):
-        expected += float(np.sum(bra.wavefunction[c] * fr * ket.wavefunction[c])) * grid.dr
-    assert radial_matrix_element(bra, lambda r: r ** 2, ket) == expected
+        expected += float(np.sum(bra[c] * fr * ket[c])) * grid.dr
+    assert radial_matrix_element(levels[:1], lambda r: r ** 2, levels[1:])[0, 0] == expected
 
 
 def test_linewidth_constant_gap_closed_form():
@@ -303,10 +320,10 @@ def test_linewidth_constant_gap_closed_form():
     dark = MorseCurve(label="b", d_e=0.02, a=0.5, r_e=8.5, asymptote=gap + 0.2)
     grid = RadialGrid(3.5, 14.0, 300)
     model = CoupledModel.constant_coupling(("A", "b"), (up, dark), xi=0.0)
-    lvl = solve_coupled(model, 0, MASS, grid, max_levels=1)[0]
+    lvl = solve(model, 0, grid, max_levels=1)
     d = 1.3
     dip = DipoleFunction.constant(("X", "A"), d)
-    gamma = linewidth(lvl, [(gnd, dip)])
+    gamma, = linewidth(lvl, [(gnd, dip)])
     assert gamma == pytest.approx((4.0 / 3.0) * gap**3 * d**2 / C_AU**3,
                                   rel=1e-12)
 
@@ -317,9 +334,9 @@ def test_linewidth_zero_without_dipole_path():
     dark = MorseCurve(label="b", d_e=0.02, a=0.5, r_e=8.5, asymptote=0.25)
     grid = RadialGrid(3.5, 14.0, 300)
     model = CoupledModel.constant_coupling(("A", "b"), (up, dark), xi=0.0)
-    lvl = solve_coupled(model, 0, MASS, grid, max_levels=1)[0]
+    lvl = solve(model, 0, grid, max_levels=1)
     wrong = DipoleFunction.constant(("Q", "Z"), 1.0)
-    assert linewidth(lvl, [(gnd, wrong)]) == 0.0
+    assert linewidth(lvl, [(gnd, wrong)]).tolist() == [0.0]
 
 
 def test_linewidth_rejects_target_above_level():
@@ -328,7 +345,7 @@ def test_linewidth_rejects_target_above_level():
     dark = MorseCurve(label="b", d_e=0.02, a=0.5, r_e=8.5, asymptote=0.25)
     grid = RadialGrid(3.5, 14.0, 300)
     model = CoupledModel.constant_coupling(("A", "b"), (up, dark), xi=0.0)
-    lvl = solve_coupled(model, 0, MASS, grid, max_levels=1)[0]
+    lvl = solve(model, 0, grid, max_levels=1)
     dip = DipoleFunction.constant(("X", "A"), 1.0)
     with pytest.raises(ValueError):
         linewidth(lvl, [(gnd, dip)])
@@ -337,10 +354,10 @@ def test_linewidth_rejects_target_above_level():
 def test_max_levels_truncates():
     curve = MorseCurve(label="X", d_e=0.02, a=0.5, r_e=6.0)
     grid = RadialGrid(3.5, 14.0, 300)
-    assert len(solve_single(curve, 0, MASS, grid, max_levels=3)) == 3
-    full = solve_single(curve, 0, MASS, grid)
+    assert len(solve(curve, 0, grid, max_levels=3)) == 3
+    full = solve(curve, 0, grid)
     assert len(full) > 3
-    assert all(l.energy < 0.0 for l in full)
+    assert np.all(full.energies < 0.0)
 
 
 # ---- contracted basis against the per-J full DVR --------------------
@@ -356,14 +373,13 @@ def _rel(a, b):
 def _assert_levels_match(levels, full):
     """Every bound level of the full DVR, matched in energy and B_v to
     1e-10 of itself and in channel fractions to 1e-10."""
-    assert len(levels) == len(full)
-    for ref, lvl in zip(full, levels):
-        assert (lvl.label, lvl.v, lvl.j) == (ref.label, ref.v, ref.j)
-        assert _rel(lvl.energy, ref.energy) <= 1e-10, (ref.j, ref.v)
-        assert _rel(lvl.rotational_constant(), ref.rotational_constant()) <= 1e-10, (ref.j, ref.v)
-        assert np.allclose(lvl.channel_fractions, ref.channel_fractions,
-                           rtol=0.0, atol=1e-10), (ref.j, ref.v)
-        assert lvl.near_threshold == ref.near_threshold
+    assert len(levels) == len(full) and levels.label == full.label
+    assert np.array_equal(levels.v, full.v) and np.array_equal(levels.j, full.j)
+    for name in ("energies", "b_rot"):
+        rel = _rel(getattr(levels, name), getattr(full, name))
+        assert np.all(rel <= 1e-10), (name, full.j[0], full.v[~(rel <= 1e-10)])
+    assert np.allclose(levels.channel_fractions, full.channel_fractions, rtol=0.0, atol=1e-10)
+    assert np.array_equal(levels.near_threshold, full.near_threshold)
 
 
 @pytest.mark.parametrize("name", ["x", "ab"])
@@ -408,17 +424,18 @@ def test_block_levels_match_the_whole_k_solve(narb_radial, name):
         if j != basis.j_ref:
             exact = basis.levels(j)
             assert len(exact) == len(oracle)
-            for lvl, (energy, psi) in zip(exact, oracle):
-                assert lvl.energy == energy and np.array_equal(lvl.wavefunction, psi)
+            for v, (energy, psi) in enumerate(oracle):
+                assert exact.energies[v] == energy
+                assert np.array_equal(exact.wavefunctions[v], psi)
         for max_levels in (1, 3, RETAINED):
             levels = basis.levels(j, max_levels)
             assert len(levels) == max_levels
-            for lvl, (energy, psi) in zip(levels, oracle):
-                assert abs(lvl.energy - energy) <= 1e-15, (j, max_levels, lvl.v)
-                assert np.allclose(lvl.channel_fractions, np.sum(psi ** 2, axis=1) * dr,
-                                   rtol=0.0, atol=1e-12), (j, max_levels, lvl.v)
+            for v, (energy, psi) in enumerate(oracle[:max_levels]):
+                assert abs(levels.energies[v] - energy) <= 1e-15, (j, max_levels, v)
+                assert np.allclose(levels.channel_fractions[v], np.sum(psi ** 2, axis=1) * dr,
+                                   rtol=0.0, atol=1e-12), (j, max_levels, v)
                 b_v = float(np.sum(np.sum(psi ** 2, axis=0) * dr / (2.0 * basis.mu * r ** 2)))
-                assert _rel(lvl.rotational_constant(), b_v) <= 1e-12, (j, max_levels, lvl.v)
+                assert _rel(levels.b_rot[v], b_v) <= 1e-12, (j, max_levels, v)
 
 
 def _logged_blocks(text, label):
@@ -443,10 +460,11 @@ def test_a_failed_level_certificate_runs_the_whole_solve(narb_radial, name,
         with caplog.at_level(logging.DEBUG, logger="magictrap.radial"):
             levels = basis.levels(j, RETAINED)
         assert _logged_blocks(caplog.text, basis.label) == [(j, basis.size, basis.size, 0.0)]
-        for lvl, ref in zip(levels, exact[:RETAINED], strict=True):
-            assert lvl.energy == ref.energy
-            assert np.array_equal(lvl.wavefunction, ref.wavefunction)
-            assert lvl.channel_fractions == ref.channel_fractions
+        ref = exact[:RETAINED]
+        assert len(levels) == len(ref)
+        assert np.array_equal(levels.energies, ref.energies)
+        assert np.array_equal(levels.wavefunctions, ref.wavefunctions)
+        assert np.array_equal(levels.channel_fractions, ref.channel_fractions)
 
 
 @pytest.mark.parametrize("name", ["x", "ab"])
@@ -490,15 +508,15 @@ def test_basis_dipoles_and_linewidths_match_the_full_dvr(narb_radial):
     for jp in J_RANGE:
         full = narb_radial["ab"][jp][:RETAINED]
         contracted = narb_radial["ab_basis"].levels(jp, RETAINED)
-        for ref, lvl in zip(full, contracted, strict=True):
-            assert _rel(linewidth(lvl, targets), linewidth(ref, targets)) <= 1e-10
-            for j in (jp - 1, jp + 1):
-                if j in J_RANGE:
-                    pairs_of_values.append((
-                        radial_matrix_element(narb_radial["x_basis"].levels(j, 1)[0],
-                                              dip, lvl, pairs=pairs),
-                        radial_matrix_element(narb_radial["x"][j][0], dip, ref,
-                                              pairs=pairs)))
+        assert len(contracted) == len(full)
+        assert np.all(_rel(linewidth(contracted, targets), linewidth(full, targets)) <= 1e-10)
+        for j in (jp - 1, jp + 1):
+            if j in J_RANGE:
+                pairs_of_values.extend(zip(
+                    radial_matrix_element(narb_radial["x_basis"].levels(j, 1), dip,
+                                          contracted, pairs=pairs)[0],
+                    radial_matrix_element(narb_radial["x"][j][:1], dip, full,
+                                          pairs=pairs)[0]))
     strongest = max(abs(ref) for _, ref in pairs_of_values)
     for value, ref in pairs_of_values:
         assert abs(value - ref) <= 1e-10 * strongest
@@ -509,10 +527,11 @@ def test_shifted_basis_is_the_unshifted_one_plus_the_shift(narb_radial):
     unshifted = shifted.with_shift(0.0)
     assert shifted.shift != 0.0
     for j in (0, 1, 4):
-        for a, b in zip(unshifted.levels(j), shifted.levels(j), strict=True):
-            assert a.energy + shifted.shift == b.energy
-            assert np.array_equal(a.wavefunction, b.wavefunction)
-            assert (a.shift, b.shift) == (0.0, shifted.shift)
+        a, b = unshifted.levels(j), shifted.levels(j)
+        assert len(a) == len(b)
+        assert np.array_equal(a.energies + shifted.shift, b.energies)
+        assert np.array_equal(a.wavefunctions, b.wavefunctions)
+        assert (a.shift, b.shift) == (0.0, shifted.shift)
 
 
 def test_retained_levels_are_converged_on_the_bundled_grid(narb_radial, narb_config):
@@ -522,8 +541,9 @@ def test_retained_levels_are_converged_on_the_bundled_grid(narb_radial, narb_con
     *_, x_coarse, ab_coarse = narb.pinned_models(coarse)
     for fine, half, j in [(narb_radial["x_basis"], x_coarse, 0),
                           (narb_radial["ab_basis"].with_shift(0.0), ab_coarse.with_shift(0.0), 1)]:
-        for a, b in zip(half.levels(j, RETAINED), fine.levels(j, RETAINED), strict=True):
-            assert _rel(a.energy, b.energy) <= 1e-12
+        a, b = half.levels(j, RETAINED), fine.levels(j, RETAINED)
+        assert len(a) == len(b)
+        assert np.all(_rel(a.energies, b.energies) <= 1e-12)
 
 
 SYNTHETIC_GRID = RadialGrid(3.5, 14.0, 600)
@@ -583,8 +603,9 @@ def test_a_failed_certificate_keeps_every_channel_state(monkeypatch, caplog):
     monkeypatch.setattr(radial, "TRUNCATION_TOL", math.inf)
     basis, kept, bound = radial._dense_basis(model, 0, MASS, SYNTHETIC_GRID)
     assert max(kept) < n // 4
-    error = max(abs(lvl.energy - ref.energy)
-                for lvl, ref in zip(basis.levels(0), full, strict=True))
+    levels = basis.levels(0)
+    assert len(levels) == len(full)
+    error = np.max(np.abs(levels.energies - full.energies))
     assert tol < 1e-12 < error <= bound + 1e-15
 
     monkeypatch.setattr(radial, "TRUNCATION_TOL", tol)
@@ -689,7 +710,7 @@ def test_pinned_bases_are_read_only(narb_radial):
                 array[0] = 0.0
         for j in (j_ref, j_ref + 1):
             table = basis.levels(j, 1)
-            psi = table[0].wavefunction
+            psi = table.wavefunctions[0]
             with pytest.raises(ValueError, match="read-only"):
                 psi[0, 0] = 0.0
             assert np.shares_memory(psi, table.wavefunctions)
@@ -714,7 +735,6 @@ def test_grid_points_are_built_once_and_read_only():
 def test_basis_needs_a_bound_level():
     shallow = MorseCurve(label="X", d_e=1e-7, a=0.5, r_e=6.0)
     grid = RadialGrid(3.5, 14.0, 100)
-    assert len(solve_single(shallow, 0, MASS, grid)) == 0
     with pytest.raises(GridError, match="no bound X level"):
         rovib_basis(shallow, 0, MASS, grid)
 
@@ -743,9 +763,9 @@ def test_saturated_basis_raises():
 def test_basis_size_is_worked_out_and_logged(caplog):
     curve = MorseCurve(label="X", d_e=0.02, a=0.5, r_e=6.0)
     grid = RadialGrid(3.5, 14.0, 300)
-    bound = len(solve_single(curve, 2, MASS, grid))
     with caplog.at_level(logging.INFO, logger="magictrap.radial"):
         basis = rovib_basis(curve, 2, MASS, grid)
+    bound = len(basis.levels(2))
     assert basis.size == min(grid.n, BASIS_STATES_PER_BOUND * bound)
     assert (f"X basis at J=2: K={basis.size} of {grid.n} states, {bound} bound; channel "
             f"states kept {grid.n} of {grid.n} each, truncation bound 0.0e+00 Eh") in caplog.text

@@ -3,10 +3,12 @@
 ``radial._channel_eigenpairs`` diagonalizes each channel's n x n DVR
 block alone.  A coupled pair keeps each channel's states up to
 ``CHANNEL_CUTOFF`` above its asymptote, couples them in that basis, and
-reports the truncation bound max_i r_i^2 / (E_drop - E_i) over the levels
-i below the threshold, with r_i the norm of what the coupling carries
-from level i into the dropped channel states and E_drop the lowest
-dropped channel energy.  Here that bound holds on Morse curves and
+reports a truncation bound over the levels below the threshold
+(``radial._truncation_bound``): for a level alone, r_i^2 / (E_drop - E_i),
+with r_i the norm of what the coupling carries from level i into the
+dropped channel states and E_drop the lowest dropped channel energy less
+max |xi|, raised by the kept levels close to it.  Here that bound holds
+on Morse curves and
 coupled pairs (constant or Gaussian xi) drawn on 60- to 200-point grids:
 each bound level lies within the reported bound of the full
 n * channels DVR, up to a round-off floor of 8 N eps |H| at N = n *
@@ -122,3 +124,50 @@ def test_a_refused_truncation_returns_the_whole_solve(case):
     whole = _solve(args, math.inf, 0.0)  # keeps every channel state: bound 0
     assert whole[2] == kept == (n, n) and whole[3] == bound == 0.0
     assert np.array_equal(energies, whole[0]) and np.array_equal(vectors, whole[1])
+
+
+
+def _pair(grid, mass, curves, xi, j, cutoff):
+    """(channel states kept, largest bound-level error, reported bound) of
+    the constant-xi pair ``curves`` at ``j``, cut ``cutoff`` above each
+    asymptote."""
+    model = CoupledModel.constant_coupling(("A", "b"), curves, xi=xi)
+    r = grid.points
+    cent = j * (j + 1) / (2.0 * mass * AMU_TO_ME * r ** 2)
+    diagonals = [np.asarray(curve(r), dtype=float) + cent for curve in curves]
+    coupling = np.asarray(model.coupling(r), dtype=float)
+    t = radial.dvr_kinetic(grid, mass)
+    asymptotes = [curve.asymptote for curve in curves]
+    top = min(asymptotes) - radial.BOUND_MARGIN
+    energies, _, kept, bound = _solve((t, diagonals, coupling, asymptotes, top), cutoff,
+                                      math.inf)
+    full = _full_dvr(t, diagonals, coupling)
+    bound_levels = int(np.searchsorted(energies, top))
+    return kept, float(np.max(np.abs(energies[:bound_levels] - full[:bound_levels]))), bound
+
+
+def test_the_bound_covers_coupled_dropped_states():
+    """The dropped A and b states couple to each other, which lowers the
+    dropped block's spectrum by up to max |xi| below its lowest channel
+    energy.  On this pair a bound taken to that channel energy, 2.99e-8
+    Eh, falls short of the 3.04e-8 Eh error it claims to cover."""
+    depth = 0.01171875
+    kept, error, bound = _pair(RadialGrid(3.6, 7.385, 60), 15.0,
+                               (MorseCurve(label="A", d_e=depth, a=0.5, r_e=6.0),
+                                MorseCurve(label="b", d_e=depth, a=0.5, r_e=6.25)),
+                               1.0 / 512.0, 0, depth)
+    assert kept == (32, 29) and 3.0e-8 < error <= bound
+
+
+def test_the_bound_covers_levels_close_to_each_other():
+    """The top two bound levels, 8.4e-6 Eh apart, each couple to the
+    dropped states and through them to each other, so the pair moves more
+    than either level's own second-order estimate r^2 / (E_drop - E): the
+    largest such estimate is 3.28e-6 Eh (3.16e-6 Eh to the lowest dropped
+    channel energy) against an error of 3.64e-6 Eh."""
+    kept, error, bound = _pair(RadialGrid(3.925, 6.2125, 67), 36.6,
+                               (MorseCurve(label="A", d_e=0.0269, a=0.448, r_e=6.603),
+                                MorseCurve(label="b", d_e=0.0222, a=0.57, r_e=6.745,
+                                           asymptote=0.002882)),
+                               0.00125, 6, 0.033)
+    assert kept == (37, 23) and 3.6e-6 < error <= bound
