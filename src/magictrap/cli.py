@@ -46,7 +46,9 @@ in one process ``imag-scan`` reads the tables ``solve-rovib`` solved.
 
 Exit codes: 0 success, 2 configuration problem (also a run too large
 for memory), 3 numerical failure (no bracketed root, pole proximity,
-calibration impossible, grid too coarse), 4 output I/O failure.
+calibration impossible, grid too coarse, an eigensolver that does not
+converge: ``numpy.linalg.LinAlgError``, caught before the ``ValueError``
+it derives from), 4 output I/O failure.
 """
 
 from __future__ import annotations
@@ -484,6 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, args.override or ())
         run(args.subcommand, cfg, args.out)
+    except np.linalg.LinAlgError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, UnitError, DataFormatError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -85,6 +85,9 @@ _count = _number(int, 1)
 # 4 is the largest nuclear spin of a stable alkali isotope (40K); the
 # hyperfine dimension grows as (2i_a + 1)(2i_b + 1)
 _spin = _number(float, 0.0, strict=True, step=0.5, hi=4.0)
+# an electronic line, in cm^-1: its strength divides by E^3, which
+# underflows to 0 below ~1e-97 cm^-1 and overflows above ~1e107 cm^-1
+_line = _number(float, 1.0, hi=1e6)
 
 
 # Each key's whole contract: its type and its range or choices.  Rules
@@ -94,7 +97,7 @@ SCHEMA: dict[str, dict[str, object]] = {
     "molecule": {
         "b_v_cm1": _positive,
         "b_vprime_cm1": _positive,
-        "transition_cm1": _positive,
+        "transition_cm1": _line,
         "gamma_hz": _non_negative,
         "alpha_par_hz_wcm2": _finite,
         "alpha_perp_hz_wcm2": _finite,
@@ -177,12 +180,18 @@ class RunConfig:
         return m1 * m2 / (m1 + m2)
 
     def background(self) -> Background:
-        return Background(
-            alpha_par=convert(self.get("molecule", "alpha_par_hz_wcm2"),
-                              Unit.HZ_PER_WCM2, Unit.AU_POL),
-            alpha_perp=convert(self.get("molecule", "alpha_perp_hz_wcm2"),
-                               Unit.HZ_PER_WCM2, Unit.AU_POL),
-        )
+        """The background polarizabilities in atomic units, refused where
+        either of them or their anisotropy overflows: every alpha built from
+        them would be inf or NaN."""
+        par = self.get("molecule", "alpha_par_hz_wcm2")
+        perp = self.get("molecule", "alpha_perp_hz_wcm2")
+        bg = Background(alpha_par=convert(par, Unit.HZ_PER_WCM2, Unit.AU_POL),
+                        alpha_perp=convert(perp, Unit.HZ_PER_WCM2, Unit.AU_POL))
+        if not all(map(math.isfinite, (bg.alpha_par, bg.alpha_perp, bg.anisotropy))):
+            raise ConfigError(
+                f"[molecule] alpha_par_hz_wcm2 = {par!r} and alpha_perp_hz_wcm2 = {perp!r} "
+                "overflow in atomic units, either one or their difference")
+        return bg
 
     def spec(self) -> PolarizabilitySpec:
         line = ResonantLine(
@@ -198,6 +207,7 @@ class RunConfig:
         )
 
     def molecular_constants(self) -> MolecularConstants:
+        self.background()  # refuses polarizabilities that overflow
         return MolecularConstants(
             b_v=self.get("molecule", "b_v_cm1") * HARTREE_TO_MHZ / HARTREE_TO_CM1,
             eqq_a=self.get("molecule", "eqq_na_mhz"),

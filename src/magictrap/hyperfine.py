@@ -30,9 +30,10 @@ axis, ``(..., dim, dim)``, so a whole scan is one batched ``eigh``.
 A magic-angle search, one angle per Newton step, likewise builds those
 terms once and adds only the light per step (``_angle_solver``); its
 step shares the checks, ``eigh`` and the dominant (J, M) index with
-``diagonalize`` (``_eigensolve``) and skips only the phase, as the CLI's
-``hyperfine-scan`` does.  From the step's eigenpairs it also gives
-d(alpha)/d(theta_p) of a state.
+``diagonalize`` (``_eigensolve``, whose one-matrix path it takes) and
+skips only the phase, as the CLI's ``hyperfine-scan`` does on its stack.
+From the step's kept eigenpairs it also gives d(alpha)/d(theta_p) of the
+states the search names, when the search asks for it.
 
 Shielding, rotational Zeeman, centrifugal distortion, spin-rotation and
 spin-spin terms are deliberately left out; they are far below the MHz
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 
 import numpy as np
@@ -427,18 +428,16 @@ def _angle_solver(basis: HyperfineBasis, fields: FieldConfiguration,
     ``basis.rot_states``.
 
     The theta_p-independent terms and parts of the light block are built
-    once; each call copies the terms into one work matrix and adds only
-    the light.  The phase convention is skipped: alpha is a trace,
-    bit-identical under v -> -v.
+    once; each call copies the terms into one work matrix, adds only the
+    light and takes the one-matrix path of ``_eigensolve``.  The phase
+    convention is skipped: alpha is a trace, bit-identical under v -> -v.
 
-    ``solve.slope(i)`` is d(alpha_i)/d(theta_p) per radian of eigenstate i
-    at the last call's angle, from that call's eigenpairs (Hellmann-Feynman
-    and first-order perturbation of the vector, as in Nelson, AIAA J. 14,
-    1201 (1976)).  With O = op_rot (x) 1, O' = dO/d(theta_p) and H = static + s O,
-        d(alpha_i)/d(theta_p) = <i|O'|i> + 2 s sum_{j != i} O_ij O'_ji / (E_i - E_j),
-    where s is 0 without the light term.  A degenerate partner E_j = E_i
-    makes the slope inf or NaN, silently: the caller decides what to do.
-    ``solve.vector(i)`` is eigenvector i of the last call, unphased.
+    ``solve.slopes(*states)`` is a function of no arguments that gives
+    d(alpha_i)/d(theta_p) per radian of each eigenstate i of ``states`` at
+    the last call's angle.  It keeps that call's eigenpairs, so it may be
+    called after later calls, or never: a search computes no slope that it
+    does not read.  ``solve.vector(i)`` is eigenvector i of the last call,
+    unphased.
     """
     static = _static_hamiltonian(basis, fields, terms)
     work = np.empty_like(static)
@@ -450,9 +449,10 @@ def _angle_solver(basis: HyperfineBasis, fields: FieldConfiguration,
     # theta_p as the (1, 1) array _light_shift takes np.cos and np.sin of:
     # for a 0-d argument they may round differently
     theta = np.empty((1, 1))
-    last = {}
+    last = None  # the last call's energies, vectors, light block and cos, sin of theta_p
 
     def solve(theta_p: float) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal last
         theta[0, 0] = theta_p
         cth, sth = float(np.cos(theta)[0, 0]), float(np.sin(theta)[0, 0])
         op = _light_block(operands, cth, sth)
@@ -460,25 +460,43 @@ def _angle_solver(basis: HyperfineBasis, fields: FieldConfiguration,
         if light:
             np.add(spin_diagonal, (scale * op)[..., None], out=spin_diagonal)
         energies, vectors, dominant = _eigensolve(work, basis)
-        last.update(energies=energies, vectors=vectors, op=op, cth=cth, sth=sth)
+        last = energies, vectors, op, cth, sth
         return _spin_trace(vectors, op), dominant
 
-    def slope(i: int) -> float:
-        vectors = last["vectors"]
-        v = vectors[:, i].reshape(n_rot, -1)
-        d_row = vectors.T @ (_light_block_slope(operands, last["cth"], last["sth"]) @ v).ravel()
-        value = float(d_row[i])
-        if scale:
-            row = vectors.T @ (last["op"] @ v).ravel()
-            gaps = last["energies"][i] - last["energies"]
-            gaps[i] = math.inf
-            with np.errstate(divide="ignore", invalid="ignore"):
-                value += 2.0 * scale * float((row * d_row / gaps).sum())
-        return value
-
-    solve.slope = slope
-    solve.vector = lambda i: last["vectors"][:, i]
+    solve.slopes = lambda *states: partial(_state_slopes, last, operands, scale, states)
+    solve.vector = lambda i: last[1][:, i]
     return solve
+
+
+def _state_slopes(step: tuple, operands: tuple, scale: float,
+                  states: tuple[int, ...]) -> list[float]:
+    """d(alpha_i)/d(theta_p) per radian of each eigenstate i of ``states``,
+    from one ``_angle_solver`` step: its energies, vectors, light block
+    op_rot and cos, sin of theta_p, with the light term scaled by ``scale``
+    (MHz per Hz/(W/cm^2)).
+
+    Hellmann-Feynman and first-order perturbation of the vector, as in
+    Nelson, AIAA J. 14, 1201 (1976).  With O = op_rot (x) 1,
+    O' = dO/d(theta_p) and H = static + s O,
+        d(alpha_i)/d(theta_p) = <i|O'|i> + 2 s sum_{j != i} O_ij O'_ji / (E_i - E_j),
+    where s is 0 without the light term.  A degenerate partner E_j = E_i
+    makes the slope inf or NaN, silently: the caller decides what to do.
+    """
+    energies, vectors, op, cth, sth = step
+    d_op = _light_block_slope(operands, cth, sth)
+    slopes = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in states:
+            v = vectors[:, i].reshape(op.shape[-1], -1)
+            d_row = vectors.T @ (d_op @ v).ravel()
+            value = float(d_row[i])
+            if scale:
+                row = vectors.T @ (op @ v).ravel()
+                gaps = energies[i] - energies
+                gaps[i] = math.inf
+                value += 2.0 * scale * float((row * d_row / gaps).sum())
+            slopes.append(value)
+    return slopes
 
 
 def _eigensolve(h: np.ndarray, basis: HyperfineBasis
@@ -488,29 +506,46 @@ def _eigensolve(h: np.ndarray, basis: HyperfineBasis
 
     Raises ValueError when the shape does not match the basis, when a
     matrix has a non-finite entry or is not symmetric within 1e-10 relative.
+    One matrix, a search step, takes its own path: the checks on Python
+    scalars and the weights in one pass.  Its results and its errors are
+    those of the same matrix as a stack of one, bit for bit.
     """
     h = np.asarray(h, dtype=float)
     if h.shape[-2:] != (basis.dim, basis.dim):
         raise ValueError(f"matrix shape {h.shape} does not match basis dim {basis.dim}")
+    n_rot = len(basis.rot_states)
+    if h.ndim == 2:
+        top, bottom = float(h.max()), float(h.min())
+        if not (math.isfinite(top) and math.isfinite(bottom)):
+            raise ValueError(_NON_FINITE)
+        # h - h.T is exactly antisymmetric, so its max is its largest |entry|
+        if float((h - h.T).max()) > 1e-10 * max(top, -bottom, 1.0):
+            raise ValueError(_ASYMMETRIC)
+        energies, vectors = np.linalg.eigh(h)
+        # amplitude^2 with one contiguous row per vector, summed over the
+        # spins of each (J, M) block
+        weights = np.square(vectors.T.reshape(len(h), n_rot, -1), order="C").sum(axis=-1)
+        return energies, vectors, weights.argmax(axis=-1)
     # the largest |entry|, max(max h, -min h) with no |h| stack; it is inf
     # or NaN exactly when some entry is
     scale = np.maximum(np.maximum(h.max(axis=(-2, -1)), -h.min(axis=(-2, -1))), 1.0)
     if not np.isfinite(scale).all():
-        raise ValueError("Hamiltonian has a non-finite (inf or NaN) entry")
+        raise ValueError(_NON_FINITE)
     asym = h - h.swapaxes(-2, -1)
     if (np.abs(asym, out=asym).max(axis=(-2, -1)) > 1e-10 * scale).any():
-        raise ValueError("Hamiltonian is not symmetric within 1e-10 relative")
+        raise ValueError(_ASYMMETRIC)
     del asym
     energies, vectors = np.linalg.eigh(h)
-    # amplitude^2 with one contiguous row per vector, summed over the spins
-    # of each (J, M) block; a stack is squared one block at a time, so that
-    # beside h and the vectors only a block's squares are live
-    n_rot = len(basis.rot_states)
+    # as above, squared one block at a time, so that beside h and the
+    # vectors only a block's squares are live
     blocks = vectors.swapaxes(-2, -1).reshape(vectors.shape[:-1] + (n_rot, -1))
-    parts = [blocks] if vectors.ndim == 2 else [blocks[..., r:r + 1, :] for r in range(n_rot)]
-    weights = np.concatenate([np.square(part, order="C").sum(axis=-1) for part in parts],
-                             axis=-1)
+    weights = np.concatenate([np.square(blocks[..., r:r + 1, :], order="C").sum(axis=-1)
+                              for r in range(n_rot)], axis=-1)
     return energies, vectors, weights.argmax(axis=-1)
+
+
+_NON_FINITE = "Hamiltonian has a non-finite (inf or NaN) entry"
+_ASYMMETRIC = "Hamiltonian is not symmetric within 1e-10 relative"
 
 
 def diagonalize(h: np.ndarray, basis: HyperfineBasis) -> EigenSolution:

@@ -8,7 +8,11 @@ Newton-bisection (``rtsafe``): it takes Newton steps on the objective's
 slope, and bisects the bracket where a step would leave it or stall.
 The slope is in closed form for the detuning (the derivative of the
 branch poles' sum) and the bare angle (A + B is affine in cos^2), and the
-Hellmann-Feynman slope of each step's eigenpairs for the eigen angle.
+Hellmann-Feynman slope of each step's eigenpairs for the eigen angle.  The
+search reads a bracket end's slope only when it returns that end, so the
+eigen angle search defers it: each step keeps its eigenpairs, and the
+slopes of the two named states are computed at each interior abscissa
+and at an end only if the end is the root.
 
 Detunings are in GHz relative to the reference line of the
 :class:`~magictrap.polarizability.PolarizabilitySpec`; angles are in
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -121,34 +125,42 @@ def _bare_alpha(fields: FieldConfiguration, j: int, m: int,
     return fac.total * (c.alpha_par - c.alpha_perp) + c.alpha_perp
 
 
-def _pick_state(basis, dominant: np.ndarray, state) -> int:
-    """The eigenstate that ``state``, (J, M) or (J, M, rank), names, given
-    ``dominant``, each eigenvector's (J, M) as an index into ``basis.rot_states``."""
+def _state_picker(basis, state):
+    """The function of ``dominant``, each eigenvector's (J, M) as an index
+    into ``basis.rot_states``, that gives the eigenstate ``state``, (J, M)
+    or (J, M, rank), names.  The (J, M) index is looked up once, here."""
     j, m = state[0], state[1]
     rank = state[2] if len(state) > 2 else None
-    matches = (dominant == _rot_index(basis, (j, m))).nonzero()[0]
-    if not len(matches):
-        raise ValueError(f"no eigenstate with dominant character (J={j}, M={m})")
-    if rank is None:
-        if len(matches) > 1:
+    index = _rot_index(basis, (j, m))
+
+    def pick(dominant: np.ndarray) -> int:
+        matches = (dominant == index).nonzero()[0]
+        if not len(matches):
+            raise ValueError(f"no eigenstate with dominant character (J={j}, M={m})")
+        if rank is None:
+            if len(matches) > 1:
+                raise ValueError(
+                    f"{len(matches)} eigenstates share character (J={j}, M={m}); "
+                    "pass (J, M, rank) to pick one"
+                )
+            return int(matches[0])
+        if not 0 <= rank < len(matches):
             raise ValueError(
-                f"{len(matches)} eigenstates share character (J={j}, M={m}); "
-                "pass (J, M, rank) to pick one"
+                f"rank {rank} out of range for character (J={j}, M={m}) "
+                f"with {len(matches)} states"
             )
-        return int(matches[0])
-    if not 0 <= rank < len(matches):
-        raise ValueError(
-            f"rank {rank} out of range for character (J={j}, M={m}) "
-            f"with {len(matches)} states"
-        )
-    return int(matches[rank])
+        return int(matches[rank])
+
+    return pick
 
 
 def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
                      j_max: int | None):
     """The search's objective of theta in degrees: alpha_a - alpha_b and its
     slope per degree, by the bare closed form (``j_max`` None) or in the
-    ``j_max`` hyperfine basis.
+    ``j_max`` hyperfine basis.  The hyperfine slope is a function of no
+    arguments over the step's kept eigenpairs, which ``_rtsafe`` calls only
+    where it reads the slope.
 
     In the hyperfine basis each state's eigenvector is checked against the
     one picked for it at the nearest angle evaluated before: an overlap
@@ -170,12 +182,12 @@ def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
         return bare
     basis = build_basis(j_max, fields.constants)
     solve = _angle_solver(basis, fields, terms)
+    pick_a, pick_b = _state_picker(basis, state_a), _state_picker(basis, state_b)
     picked = []  # (theta, vector of state_a, vector of state_b) per angle evaluated
 
-    def objective(theta: float) -> tuple[float, float]:
+    def objective(theta: float) -> tuple[float, Callable[[], float]]:
         alphas, dominant = solve(math.radians(theta))
-        i_a = _pick_state(basis, dominant, state_a)
-        i_b = _pick_state(basis, dominant, state_b)
+        i_a, i_b = pick_a(dominant), pick_b(dominant)
         vectors = solve.vector(i_a), solve.vector(i_b)
         if picked:
             near, *before = min(picked, key=lambda p: abs(p[0] - theta))
@@ -188,8 +200,13 @@ def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
                         f"degrees by {overlap:.3f}, below {PICK_OVERLAP_MIN}: the label "
                         "names another state in between, so the search cannot follow it")
         picked.append((theta, *vectors))
-        # per degree: d/d(theta in degrees) = (pi / 180) d/d(theta in radians)
-        slope = math.radians(solve.slope(i_a) - solve.slope(i_b))
+        slopes = solve.slopes(i_a, i_b)
+
+        def slope() -> float:
+            # per degree: d/d(theta in degrees) = (pi / 180) d/d(theta in radians)
+            slope_a, slope_b = slopes()
+            return math.radians(slope_a - slope_b)
+
         return float(alphas[i_a] - alphas[i_b]), slope
 
     return objective
@@ -197,16 +214,21 @@ def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
 
 def _poles_in_window(spec: PolarizabilitySpec, js: Sequence[int], m: int,
                      theta_p: float, lo: float, hi: float) -> list[tuple[int, float]]:
-    """Branch poles (J, detuning GHz) listed by ``_branches`` inside [lo, hi]."""
+    """Branch poles (J, detuning GHz) listed by ``_branches`` that a detuning
+    in [lo, hi] reaches.  The test is on the photon energy
+    nu = E_ref + detuning / HARTREE_TO_GHZ, as the objective and its slope
+    evaluate it: a pole is reached where its branch's (nu - E) + offset is
+    zero at an end or changes sign between them.  A window narrower than
+    nu resolves maps onto a pole that it excludes in GHz."""
     ref = spec.reference.energy
+    nu_lo, nu_hi = ref + lo / HARTREE_TO_GHZ, ref + hi / HARTREE_TO_GHZ
     found = []
     for j in sorted(set(js)):
         for ln, branches in _branches(spec, j, m, theta_p)[1]:
             base_ghz = (ln.energy - ref) * HARTREE_TO_GHZ
             for _, offset in branches:
-                pole = base_ghz - offset * HARTREE_TO_GHZ
-                if lo <= pole <= hi:
-                    found.append((j, pole))
+                if (nu_lo - ln.energy) + offset <= 0.0 <= (nu_hi - ln.energy) + offset:
+                    found.append((j, base_ghz - offset * HARTREE_TO_GHZ))
     return found
 
 
@@ -222,12 +244,19 @@ def _checked(x: float, fx) -> float:
     return fx
 
 
-def _rtsafe(f_df, a: float, b: float, end_a: tuple[float, float],
-            end_b: tuple[float, float], xtol: float,
+def _slope(df) -> float:
+    """A slope given as a float, or as a function of no arguments that computes it."""
+    return df() if callable(df) else df
+
+
+def _rtsafe(f_df, a: float, b: float, end_a: tuple, end_b: tuple, xtol: float,
             maxiter: int = MAXITER) -> tuple[float, float, float]:
     """Root of f between ``a`` and ``b``, f at that root and f' there, given
     ``end_a`` = (f(a), f'(a)) and ``end_b`` = (f(b), f'(b)), with f(a) and
     f(b) nonzero and of opposite signs; ``f_df(x)`` returns f(x) and f'(x).
+    Each f' is a float or a function of no arguments that computes it: the
+    ends' slopes are read only when an end is returned, and each evaluated
+    abscissa's slope once, as it is evaluated.
 
     Newton-bisection as ``rtsafe`` (Press et al., Numerical Recipes, 3rd
     ed., section 9.4): from the midpoint, each step is Newton's when it
@@ -247,7 +276,7 @@ def _rtsafe(f_df, a: float, b: float, end_a: tuple[float, float],
     x, step_old, step = 0.5 * (a + b), abs(b - a), abs(b - a)
     for _ in range(maxiter):
         fx, dfx = f_df(x)
-        fx = _checked(x, fx)
+        fx, dfx = _checked(x, fx), _slope(dfx)
         if fx == 0.0:
             return x, fx, dfx
         if fx < 0.0:
@@ -263,7 +292,9 @@ def _rtsafe(f_df, a: float, b: float, end_a: tuple[float, float],
         else:
             if abs(hi[0] - lo[0]) < xtol:
                 other = hi if fx < 0.0 else lo
-                return other if abs(other[1]) < abs(fx) else (x, fx, dfx)
+                if abs(other[1]) < abs(fx):
+                    return other[0], other[1], _slope(other[2])
+                return x, fx, dfx
             dx = x - 0.5 * (lo[0] + hi[0])
         step_old, step = step, abs(dx)
         x -= dx
@@ -275,7 +306,7 @@ def _bracketed_root(objective, bracket: tuple[float, float], xtol: float, tol: f
                     unit: str, value_unit: str = "") -> tuple[float, float, float]:
     """Root of ``objective`` inside ``bracket`` (in ``unit``), its residual
     and the slope there, by ``_rtsafe``; ``objective`` returns f and its
-    derivative.
+    derivative, a float or a function of no arguments that computes it.
 
     Raises ValueError unless lo < hi, and :class:`NoRootError` without a
     sign change, without convergence or when |residual| > ``tol`` (in

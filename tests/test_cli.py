@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magictrap import cli, config, csvtable, magic, narb, radial
+from magictrap import cli, config, csvtable, hyperfine, magic, narb, radial
 from magictrap.cli import emit_csv, main
 from magictrap.config import SCHEMA, bundled_defaults_path, load_config
 from magictrap.errors import ConfigError
@@ -964,6 +964,61 @@ def test_unordered_detuning_bracket_exits_2(small_config, tmp_path, capsys, lo, 
                  "--override", f"magic.bracket_hi_ghz={hi}"]) == 2
     err = capsys.readouterr().err
     assert f"bracket ({lo:.1f}, {hi:.1f}) GHz must have lo < hi" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_a_transition_too_small_for_its_cube_exits_2(small_config, tmp_path, capsys):
+    """The line strength divides by E^3, which underflows to 0 at 1e-300
+    cm^-1: the key's range refuses it, naming the key and the bound."""
+    assert main(["alpha-scan", "--config", str(small_config), "--out", str(tmp_path),
+                 "--override", "molecule.transition_cm1=1e-300"]) == 2
+    assert ("[molecule] transition_cm1 = '1e-300': must be >= 1"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_a_detuning_bracket_on_the_line_in_photon_energy_exits_3(small_config, tmp_path,
+                                                                 capsys):
+    """[1e-300, 2e-300] GHz excludes the Delta = 0 pole in GHz, but both ends
+    are the reference line's photon energy exactly: the pole is found
+    there and named, instead of a division by zero in the slope."""
+    assert main(["magic-find", "--config", str(small_config), "--out", str(tmp_path),
+                 "--override", "magic.bracket_lo_ghz=1e-300",
+                 "--override", "magic.bracket_hi_ghz=2e-300"]) == 3
+    assert ("numerical error: bracket (1e-300, 2e-300) GHz contains poles: J=0 at "
+            "+0.0000 GHz" in capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_background_polarizabilities_that_overflow_exit_2(small_config, tmp_path, capsys):
+    """+-1e308 Hz/(W/cm^2) overflow in atomic units and in their difference,
+    which would make every alpha-scan cell NaN: refused, naming both keys."""
+    assert main(["alpha-scan", "--config", str(small_config), "--out", str(tmp_path),
+                 "--override", "molecule.alpha_par_hz_wcm2=1e308",
+                 "--override", "molecule.alpha_perp_hz_wcm2=-1e308"]) == 2
+    assert ("config error: [molecule] alpha_par_hz_wcm2 = 1e+308 and alpha_perp_hz_wcm2 = "
+            "-1e+308 overflow" in capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("subcommand, module, overrides", [
+    ("hyperfine-scan", cli, ["scan.points=4"]),
+    ("magic-find", hyperfine, ["magic.kind=angle", "magic.method=eigen"]),
+], ids=["hyperfine-scan", "eigen-magic-find"])
+def test_an_eigensolve_that_does_not_converge_exits_3(subcommand, module, overrides,
+                                                      small_config, tmp_path, capsys,
+                                                      monkeypatch):
+    """LinAlgError derives from ValueError, but it is a numerical failure,
+    not a configuration problem."""
+    def unconverged(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(module, "_eigensolve", unconverged)
+    argv = [subcommand, "--config", str(small_config), "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "numerical error: Eigenvalues did not converge\n"
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -27,7 +27,7 @@ from magictrap import hyperfine
 from magictrap.angular import rot_tensor_element
 from magictrap.cli import main
 from magictrap.config import load_config
-from magictrap.magic import _pick_state
+from magictrap.magic import _state_picker
 from magictrap.units import NUCLEAR_MAGNETON_MHZ_PER_G
 
 DEFAULTS = load_config()
@@ -312,10 +312,10 @@ def test_eigen_solution_select_and_labels(narb_hyperfine):
         expected = [i for i, lab in enumerate(one.labels) if lab == label]
         assert bool(expected) == (label != (2, 0))
         assert one.select(label) == expected
-        assert [_pick_state(basis, one.dominant, (*label, rank))
+        assert [_state_picker(basis, (*label, rank))(one.dominant)
                 for rank in range(len(expected))] == expected
     with pytest.raises(ValueError, match=r"no eigenstate with dominant character \(J=2, M=0\)"):
-        _pick_state(basis, one.dominant, (2, 0))
+        _state_picker(basis, (2, 0))(one.dominant)
 
 
 def test_eigen_solution_refuses_the_wrong_stacking(narb_hyperfine):
@@ -563,16 +563,71 @@ def test_angle_solver_slope_matches_a_central_difference(terms, e_field):
         at = replace(f, theta_p=math.radians(theta_deg))
         sol = diagonalize(build_hamiltonian(basis, at, terms), basis)
         alphas = eigenstate_polarizability(sol, at).polarizabilities
-        return alphas[_pick_state(basis, sol.dominant, state)]
+        return alphas[_state_picker(basis, state)(sol.dominant)]
 
     h = 1e-5
     for theta in (40.0, 54.7, 70.0):
         _, dominant = solve(math.radians(theta))
         for state in ((1, 0, 0), (0, 0, 0), (1, 1, 0)):
             # per degree, as the difference is taken
-            slope = math.radians(solve.slope(_pick_state(basis, dominant, state)))
+            slope = math.radians(solve.slopes(_state_picker(basis, state)(dominant))()[0])
             difference = (alpha(theta + h, state) - alpha(theta - h, state)) / (2 * h)
             assert slope == pytest.approx(difference, rel=1e-5, abs=0.0)
+
+
+def test_a_step_keeps_its_slopes_for_later(monkeypatch):
+    """solve.slopes(...) keeps its step's eigenpairs: called after later
+    steps, it gives the bits it gives at once, and it solves nothing."""
+    f = fields_with(e_field=0.5)
+    basis = build_basis(1, f.constants)
+    solve = hyperfine._angle_solver(basis, f, TERMS)
+    solve(math.radians(40.0))
+    kept = solve.slopes(0, 17, 40)
+    for theta in (55.0, 70.0):
+        solve(math.radians(theta))
+    with monkeypatch.context() as patch:
+        patch.setattr(hyperfine, "_eigensolve", None)
+        later = kept()
+    solve(math.radians(40.0))
+    assert later == solve.slopes(0, 17, 40)()
+
+
+@pytest.mark.parametrize("e_field, theta_e_deg, terms", [
+    (0.0, 0.0, TERMS), (0.5, 0.0, TERMS), (2.0, 20.0, TERMS),
+    (0.5, 0.0, TERMS - {"polarization"}), (0.0, 0.0, frozenset({"rotation"})),
+])
+def test_one_matrix_eigensolve_is_a_stack_of_one(e_field, theta_e_deg, terms):
+    """A single matrix takes _eigensolve's own path: its energies, vectors
+    and dominant (J, M) are those of the same matrix as a stack of one, bit
+    for bit, and it refuses what the stack refuses with the same text."""
+    f = fields_with(e_field=e_field, theta_e=math.radians(theta_e_deg))
+    basis = build_basis(1, f.constants)
+    for theta in np.radians([0.0, 40.0, 54.7, 70.0, 90.0]).tolist():
+        h = build_hamiltonian(basis, replace(f, theta_p=theta), terms)
+        one = hyperfine._eigensolve(h, basis)
+        stack = hyperfine._eigensolve(h[None], basis)
+        for a, b in zip(one, stack):
+            assert a.dtype == b.dtype and a.shape == b.shape[1:]
+            assert a.tobytes() == b[0].tobytes()
+
+    def refusal(m):
+        with pytest.raises(ValueError) as err:
+            hyperfine._eigensolve(m, basis)
+        return str(err.value)
+
+    largest = float(np.abs(h).max())
+    for where, value in [((5, 5), math.nan), ((5, 9), math.inf), ((9, 5), -math.inf),
+                         ((3, 7), h[3, 7] + 1e-9 * largest)]:
+        bad = h.copy()
+        bad[where] = value
+        assert refusal(bad) == refusal(bad[None]) == (
+            "Hamiltonian has a non-finite (inf or NaN) entry" if where != (3, 7)
+            else "Hamiltonian is not symmetric within 1e-10 relative")
+    # just inside the tolerance, both paths solve
+    near = h.copy()
+    near[3, 7] += 1e-11 * largest
+    assert hyperfine._eigensolve(near, basis)[0].tobytes() == \
+        hyperfine._eigensolve(near[None], basis)[0].tobytes()
 
 
 def _dense_alphas(vectors, op):

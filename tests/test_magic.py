@@ -275,6 +275,55 @@ def test_eigen_angle_searches_take_at_most_6_eigensolves_on_average(monkeypatch)
     assert sum(counts) / len(counts) <= 6.0
 
 
+@pytest.mark.parametrize("e_field", [0.10, 0.5, 2.0])
+def test_eigen_search_computes_slopes_only_at_interior_abscissas(e_field, monkeypatch):
+    """The bracket ends' slopes are deferred and these searches return no
+    end, so the two states' slopes are computed at each other abscissa
+    only: 2 x (eigensolves - 2) state slopes per search."""
+    counts = {}
+    eigensolve, state_slopes = mt.hyperfine._eigensolve, mt.hyperfine._state_slopes
+
+    def counting_eigensolve(h, basis):
+        counts["solves"] += 1
+        return eigensolve(h, basis)
+
+    def counting_slopes(step, operands, scale, states):
+        counts["slopes"] += len(states)
+        return state_slopes(step, operands, scale, states)
+
+    monkeypatch.setattr(mt.hyperfine, "_eigensolve", counting_eigensolve)
+    monkeypatch.setattr(mt.hyperfine, "_state_slopes", counting_slopes)
+    for state_a, state_b in BENCH_ANGLE_PAIRS:
+        counts.update(solves=0, slopes=0)
+        sol = find_magic_angle(default_fields(e_field=e_field), state_a, state_b,
+                               bracket=(40.0, 70.0), method="eigen")
+        assert 40.0 < sol.location < 70.0 and math.isfinite(sol.slope)
+        assert counts["solves"] >= 3
+        assert counts["slopes"] == 2 * (counts["solves"] - 2)
+
+
+def test_newton_bisection_reads_an_end_slope_only_when_it_returns_the_end():
+    """A slope may be a function of no arguments: _rtsafe calls it only where
+    it reads the slope, each evaluated abscissa's as it is evaluated and an
+    end's only when that end, unmoved, is the root."""
+    called = []
+
+    def deferred(x, value):
+        return lambda: called.append(x) or value
+
+    def f_df(x):
+        # no usable slope: the bracket is halved down to its end at 0
+        return x - 1e-12, deferred(x, math.nan)
+
+    root, f_root, slope = _rtsafe(f_df, 0.0, 1.0, (-1e-12, deferred(0.0, 7.0)),
+                                  (1.0 - 1e-12, deferred(1.0, 9.0)), 1e-10)
+    assert (root, f_root, slope) == (0.0, -1e-12, 7.0)
+    assert called.count(0.0) == 1 and 1.0 not in called
+    assert len(called) == len(set(called))
+    # plain floats at the ends as before
+    assert _rtsafe(f_df, 0.0, 1.0, (-1e-12, 7.0), (1.0 - 1e-12, 9.0), 1e-10)[2] == 7.0
+
+
 def test_every_search_reports_its_slope(narb_spec):
     """Each kind of search reports d(Delta alpha)/d(knob) at its root: the
     detuning ladder against a central difference over exact nu steps, the
