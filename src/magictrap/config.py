@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 import stat
 from dataclasses import dataclass
 from functools import lru_cache
@@ -88,6 +89,14 @@ _spin = _number(float, 0.0, strict=True, step=0.5, hi=4.0)
 # an electronic line, in cm^-1: its strength divides by E^3, which
 # underflows to 0 below ~1e-97 cm^-1 and overflows above ~1e107 cm^-1
 _line = _number(float, 1.0, hi=1e6)
+# a linewidth/h, in Hz, at most 1e15 Hz (33,000 cm^-1), wider than any
+# electronic line: at 1e308 Hz the line strength times 1/(nu - E)
+# overflowed to inf beside the line
+_linewidth = _number(float, 0.0, hi=1e15)
+# a box edge, in bohr: 1e6 bohr (53 um) is beyond any molecular well, and
+# the DVR kinetic terms square the box and its spacing, which overflow
+# above ~1e154 bohr
+_box_edge = _number(float, hi=1e6)
 
 
 # Each key's whole contract: its type and its range or choices.  Rules
@@ -98,7 +107,7 @@ SCHEMA: dict[str, dict[str, object]] = {
         "b_v_cm1": _positive,
         "b_vprime_cm1": _positive,
         "transition_cm1": _line,
-        "gamma_hz": _non_negative,
+        "gamma_hz": _linewidth,
         "alpha_par_hz_wcm2": _finite,
         "alpha_perp_hz_wcm2": _finite,
         "eqq_na_mhz": _finite,
@@ -114,7 +123,7 @@ SCHEMA: dict[str, dict[str, object]] = {
     },
     "grid": {
         "r_min_bohr": _positive,
-        "r_max_bohr": _finite,
+        "r_max_bohr": _box_edge,
         "points": _number(int, MIN_POINTS),
     },
     "fields": {
@@ -279,14 +288,17 @@ def _write_output(path: str | Path, data: bytes) -> None:
     close, several times the cost of writing a new file.  A symlink is
     written through, and where the directory refuses the unlink (a
     sticky directory, say) the file is truncated and written in place.
+    The calls are ``os``'s own, the lstat, unlink and open that the
+    ``pathlib`` methods wrap, on the path converted once.
     """
-    path = Path(path)
+    path = os.fspath(path)
     try:
-        if stat.S_ISREG(path.lstat().st_mode):
-            path.unlink()
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
     except (FileNotFoundError, PermissionError):
         pass
-    path.write_bytes(data)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def bundled_defaults_path() -> Path:
@@ -294,57 +306,71 @@ def bundled_defaults_path() -> Path:
     return Path(resources.files("magictrap").joinpath("data/narb-defaults.ini"))
 
 
-def _apply_overrides(parser: configparser.ConfigParser,
-                     overrides: Iterable[str]) -> None:
+# Raw config text by section: a file's, an override's, or both merged.  The
+# None entry holds configparser's defaults, which read as keys of every
+# section: a file's [DEFAULT] and an override's empty section name, ".key".
+_Raw = dict[str | None, dict[str, str]]
+
+
+def _raw_overrides(overrides: Iterable[str]) -> _Raw:
+    """Each ``section.key=value`` override as text, with the key
+    lowercased as configparser's ``optionxform`` does and the last of a
+    repeated key kept."""
+    raw: _Raw = {}
     for item in overrides:
         head, sep, value = item.partition("=")
         section, dot, key = head.strip().partition(".")
         if not (sep and dot):
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section, key.strip(), value.strip())
+        raw.setdefault(section, {})
+        # configparser sets the keys of an empty section name on every section
+        raw.setdefault(section or None, {})[key.strip().lower()] = value.strip()
+    return raw
 
 
 def load_config(path: str | Path | None = None,
                 overrides: Iterable[str] = ()) -> RunConfig:
     """Parse and validate a config file, applying CLI overrides.
 
-    ``path=None`` loads the bundled defaults, parsed once per process;
-    a ``path`` is read on every call.  Every present key must belong to
-    the schema, parse to its declared type and lie in its range or
-    choices, or :class:`ConfigError` names the key and the rule;
-    requiredness is checked by the consuming subcommand.
+    Each override is parsed into text by section and key and validated
+    once.  ``path=None`` loads the bundled defaults, parsed and validated
+    once per process, and validates only the overridden keys; a ``path``
+    is read on every call, and its text merged with the overrides' before
+    validation, so an override replaces a bad value of the file.  Every
+    present key must belong to the schema, parse to its declared type
+    and lie in its range or choices, or :class:`ConfigError` names the
+    key and the rule; requiredness is checked by the consuming subcommand.
     """
-    src = Path(path) if path is not None else bundled_defaults_path()
-    parser = _parser() if path is None else _read(src)
-    _apply_overrides(parser, overrides)
-    sections = _validated(parser, src)
     if path is None:
+        src, base = _bundled_sections()
         # fresh inner dicts: the cached defaults are never handed out
-        base = _bundled_sections()
-        sections = {name: {**base.get(name, {}), **sections.get(name, {})}
-                    for name in {**base, **sections}}
-    return RunConfig(source=str(src), sections=sections)
+        return RunConfig(source=src,
+                         sections=_merged(base, _validated(_raw_overrides(overrides), src)))
+    src = str(Path(path))
+    text = _read(src)
+    return RunConfig(source=src, sections=_validated(_merged(text, _raw_overrides(overrides)), src))
+
+
+def _merged(base: dict, over: dict) -> dict:
+    """``over``'s keys over ``base``'s, section by section, in new dicts."""
+    return {name: {**base.get(name, {}), **over.get(name, {})} for name in {**base, **over}}
 
 
 @lru_cache(maxsize=None)
-def _bundled_sections() -> dict[str, dict[str, object]]:
-    """The validated bundled defaults; callers copy, never mutate, them.
-    Keyed on nothing; a hit saves reading and validating the INI, 0.65 ms
-    per ``load_config`` call, ~72 ms of 111 in-process CLI calls."""
-    src = bundled_defaults_path()
-    return _validated(_read(src), src)
+def _bundled_sections() -> tuple[str, dict[str, dict[str, object]]]:
+    """The bundled defaults' path and their validated sections; callers
+    copy, never mutate, them.  Keyed on nothing; a hit saves resolving
+    the path and reading and validating the INI, 0.37 ms per
+    ``load_config`` call timed hot, ~41 ms of 111 in-process CLI calls."""
+    src = str(bundled_defaults_path())
+    return src, _validated(_read(src), src)
 
 
-def _parser() -> configparser.ConfigParser:
-    return configparser.ConfigParser(
+def _read(src: str) -> _Raw:
+    """The text of each key of the INI file ``src``, by section."""
+    parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";"),
     )
-
-
-def _read(src: Path) -> configparser.ConfigParser:
-    parser = _parser()
     try:
         with open(src, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -352,29 +378,36 @@ def _read(src: Path) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read config {src}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {src}: {exc}") from exc
-    return parser
+    raw: _Raw = {None: dict(parser.defaults())}
+    # cleared, so that items() gives each section's own keys
+    parser.defaults().clear()
+    raw.update((section, dict(parser.items(section))) for section in parser.sections())
+    return raw
 
 
-def _validated(parser: configparser.ConfigParser,
-               src: Path) -> dict[str, dict[str, object]]:
-    """Every key of ``parser`` parsed by its :data:`SCHEMA` entry."""
+def _validated(raw: _Raw, src: str) -> dict[str, dict[str, object]]:
+    """Every key of ``raw`` parsed by its :data:`SCHEMA` entry, each
+    section's own keys read over the keys of every section."""
+    every = raw.get(None, {})
     sections: dict[str, dict[str, object]] = {}
-    for section in parser.sections():
+    for section, keys in raw.items():
+        if section is None:
+            continue
         if section not in SCHEMA:
             raise ConfigError(
                 f"unknown section [{section}] in {src}; "
                 f"valid: {', '.join(SCHEMA)}"
             )
         sections[section] = {}
-        for key, raw in parser.items(section):
+        for key, text in {**every, **keys}.items():
             if key not in SCHEMA[section]:
                 raise ConfigError(
                     f"unknown key {key!r} in section [{section}] of {src}"
                 )
             try:
-                sections[section][key] = SCHEMA[section][key](raw)
+                sections[section][key] = SCHEMA[section][key](text)
             except ValueError as exc:
                 raise ConfigError(
-                    f"bad value for [{section}] {key} = {raw!r}: {exc}"
+                    f"bad value for [{section}] {key} = {text!r}: {exc}"
                 ) from exc
     return sections

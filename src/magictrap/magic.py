@@ -93,7 +93,10 @@ def _detuning_slope(spec: PolarizabilitySpec, state_a, state_b, theta_p: float):
     """d(alpha_a - alpha_b)/d(detuning) in a.u. per GHz, as a function of the
     detuning in GHz: the derivative of each branch term that ``_branches``
     lists for :func:`alpha_analytic`, S w / (nu - E + offset)^2.  The table
-    does not depend on nu and is built once."""
+    does not depend on nu and is built once.  Where a pole lies so far
+    away that its squared distance overflows (beyond ~1e154 Eh, from a
+    detuning or a rotational constant of ~1e300), the slope raises
+    :class:`NoRootError` naming the detuning."""
     terms = [(sign * line_strength(ln) * w, ln.energy, offset)
              for sign, (j, m) in ((1.0, state_a), (-1.0, state_b))
              for ln, branches in _branches(spec, j, m, theta_p)[1]
@@ -102,7 +105,12 @@ def _detuning_slope(spec: PolarizabilitySpec, state_a, state_b, theta_p: float):
 
     def slope(delta_ghz: float) -> float:
         nu = ref + delta_ghz / HARTREE_TO_GHZ
-        return sum(c / (nu - e + offset) ** 2 for c, e, offset in terms) / HARTREE_TO_GHZ
+        try:
+            return sum(c / (nu - e + offset) ** 2 for c, e, offset in terms) / HARTREE_TO_GHZ
+        except OverflowError:
+            raise NoRootError(
+                f"the slope at detuning {delta_ghz:g} GHz overflows: the squared distance "
+                "to a branch pole exceeds the float range") from None
 
     return slope
 

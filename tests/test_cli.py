@@ -1001,6 +1001,45 @@ def test_background_polarizabilities_that_overflow_exit_2(small_config, tmp_path
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("override, point", [
+    ("molecule.b_v_cm1=1e300", "60"),
+    ("molecule.b_vprime_cm1=1e300", "60"),
+    ("magic.bracket_hi_ghz=1e300", "1e+300"),
+])
+def test_a_detuning_slope_that_overflows_exits_3(override, point, small_config, tmp_path,
+                                                 capsys):
+    """The slope squares each branch pole's distance from the detuning,
+    which overflows beyond ~1e154 Eh: the search exits 3 naming the
+    detuning, instead of an OverflowError traceback."""
+    assert main(["magic-find", "--config", str(small_config), "--out", str(tmp_path),
+                 "--override", override]) == 3
+    assert (f"numerical error: the slope at detuning {point} GHz overflows"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("subcommand", ["solve-rovib", "imag-scan"])
+def test_a_radial_box_whose_square_overflows_exits_2(subcommand, small_config, tmp_path,
+                                                     capsys):
+    """The kinetic cutoff squares the grid spacing, which overflowed for
+    a box edge of 1e300 bohr: the key's range refuses it."""
+    assert main([subcommand, "--config", str(small_config), "--out", str(tmp_path),
+                 "--override", "grid.r_max_bohr=1e300"]) == 2
+    assert ("[grid] r_max_bohr = '1e300': must be <= 1e+06"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_a_linewidth_that_overflows_alpha_exits_2(small_config, tmp_path, capsys):
+    """At 1e308 Hz the line strength times 1/(nu - E) overflowed to inf
+    beside the line, and alpha-scan wrote inf cells with exit 0."""
+    assert main(["alpha-scan", "--config", str(small_config), "--out", str(tmp_path),
+                 "--override", "molecule.gamma_hz=1e308"]) == 2
+    assert ("[molecule] gamma_hz = '1e308': must be <= 1e+15"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("subcommand, module, overrides", [
     ("hyperfine-scan", cli, ["scan.points=4"]),
     ("magic-find", hyperfine, ["magic.kind=angle", "magic.method=eigen"]),
@@ -1102,11 +1141,11 @@ def test_a_refused_unlink_writes_the_file_in_place(small_config, tmp_path, monke
     _stale(out)
     refused = []
 
-    def refuse(path, missing_ok=False):
-        refused.append(path.name)
+    def refuse(path):
+        refused.append(Path(path).name)
         raise PermissionError(1, "Operation not permitted", str(path))
 
-    monkeypatch.setattr(Path, "unlink", refuse)
+    monkeypatch.setattr(os, "unlink", refuse)
     assert _alpha_scan(small_config, out) == fresh
     assert sorted(refused) == sorted(OUTPUTS)
 
@@ -1230,7 +1269,7 @@ def _drawn_values(name: str, value) -> list[str]:
             return ["", "bogus", "0", "1", "20", "300", value]
         return ["-1", "0", "1", "2", value]
     if isinstance(value, float):
-        return ["0", "-1", "1", repr(value), "nan", "inf", "-inf"]
+        return ["0", "-1", "1", repr(value), "nan", "inf", "-inf", "1e300", "-1e300", "1e-300"]
     if isinstance(value, tuple):
         return ["", "bogus", ",".join(map(str, value))]
     if isinstance(value, str):
