@@ -33,10 +33,9 @@ does wherever the fractional part of s is more than 1e-3 from .5.  The
 cells nearer the tie, ±0, subnormals, nan, ±inf and |x| outside
 (1e-280, 1e280) are formatted by ``"%.11e"`` itself.
 
-``hyperfine-scan`` solves its angle stack without ``diagonalize``'s sign
-convention: its outputs, the energies, the dominant (J, M) labels, alpha
-(a spin trace) and the tracking overlaps |<v_k-1|v_k>|, are all
-bit-identical under v -> -v.  It matches each adjacent pair of angles
+``hyperfine-scan`` fixes no eigenvector's sign: its outputs, the
+energies, the dominant (J, M) labels, alpha (a spin trace) and the
+tracking overlaps |<v_k-1|v_k>|, are all bit-identical under v -> -v.  It matches each adjacent pair of angles
 and logs the smallest matched overlap from one stack of |V_k-1^T V_k|.
 
 ``solve-rovib`` and ``imag-scan`` read each J's levels as one table of
@@ -69,7 +68,6 @@ from .config import RunConfig, _write_output, load_config
 from .errors import (
     CalibrationError,
     ConfigError,
-    DataFormatError,
     GridError,
     NoRootError,
     PoleProximityError,
@@ -300,8 +298,8 @@ def _cmd_hyperfine_scan(cfg: RunConfig):
                          cfg.get("scan", "stop_deg"),
                          cfg.get("scan", "points"))
     at = replace(fields, theta_p=np.radians(thetas))
-    # diagonalize's phase convention is skipped: energies, labels, alpha (a
-    # spin trace) and |<v_k-1|v_k>| are all bit-identical under v -> -v
+    # no phase convention: energies, labels, alpha (a spin trace) and
+    # |<v_k-1|v_k>| are all bit-identical under v -> -v
     energies, vectors, dominant = _eigensolve(build_hamiltonian(basis, at, cfg.terms()), basis)
     alphas = _spin_trace(vectors, _light_shift(basis, fields.constants, at.theta_p))
     # full[k]: |V_k^T V_k+1| of each adjacent pair of angles, the one
@@ -489,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, UnitError, DataFormatError, ValueError) as exc:
+    except (ConfigError, UnitError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

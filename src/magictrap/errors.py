@@ -7,8 +7,8 @@ outside their documented range) raise plain :class:`ValueError` instead.
 
 from __future__ import annotations
 
-__all__ = ["MagicTrapError", "UnitError", "DataFormatError", "GridError",
-           "ConfigError", "PoleProximityError", "NoRootError", "CalibrationError"]
+__all__ = ["MagicTrapError", "UnitError", "GridError", "ConfigError",
+           "PoleProximityError", "NoRootError", "CalibrationError"]
 
 
 class MagicTrapError(Exception):
@@ -17,10 +17,6 @@ class MagicTrapError(Exception):
 
 class UnitError(MagicTrapError):
     """Conversion between incompatible physical dimensions."""
-
-
-class DataFormatError(MagicTrapError):
-    """Malformed tabulated input (bad column count, duplicate radii, ...)."""
 
 
 class GridError(MagicTrapError):

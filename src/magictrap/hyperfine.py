@@ -19,7 +19,6 @@ Rotation, dc Stark and light are op_rot (x) 1_spin: each is built as
 its (n_rot, n_rot) block (4 x 4 at j_max = 1) and added onto the spin
 diagonal, and the Hellmann-Feynman polarizability of eigenvector V is
 a trace over spins, alpha_j = sum_s sum_{r,r'} V[r,s,j] op_rot[r,r'] V[r',s,j].
-``polarization_operator`` is the dense (dim, dim) form.
 
 All directions (static E field, linear laser polarization) are given as
 polar angles against the magnetic-field axis and lie in the x-z plane,
@@ -29,11 +28,12 @@ terms are built once and every function then carries a leading angle
 axis, ``(..., dim, dim)``, so a whole scan is one batched ``eigh``.
 A magic-angle search, one angle per Newton step, likewise builds those
 terms once and adds only the light per step (``_angle_solver``); its
-step shares the checks, ``eigh`` and the dominant (J, M) index with
-``diagonalize`` (``_eigensolve``, whose one-matrix path it takes) and
-skips only the phase, as the CLI's ``hyperfine-scan`` does on its stack.
-From the step's kept eigenpairs it also gives d(alpha)/d(theta_p) of the
-states the search names, when the search asks for it.
+step takes the one-matrix path of ``_eigensolve`` (the checks, ``eigh``
+and the dominant (J, M) index) that the CLI's ``hyperfine-scan`` takes
+on its stack.  Neither fixes the eigenvectors' signs: every output is a
+trace or an overlap magnitude.  From the step's kept eigenpairs it also
+gives d(alpha)/d(theta_p) of the states the search names, when the
+search asks for it.
 
 Shielding, rotational Zeeman, centrifugal distortion, spin-rotation and
 spin-spin terms are deliberately left out; they are far below the MHz
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from types import MappingProxyType
 
@@ -60,13 +60,8 @@ __all__ = [
     "MolecularConstants",
     "FieldConfiguration",
     "HyperfineBasis",
-    "EigenSolution",
     "build_basis",
     "build_hamiltonian",
-    "polarization_operator",
-    "diagonalize",
-    "eigenstate_polarizability",
-    "track_states",
 ]
 
 TERMS = frozenset({"rotation", "quadrupole", "zeeman", "stark", "polarization"})
@@ -156,47 +151,6 @@ class HyperfineBasis:
     @property
     def dim(self) -> int:
         return len(self.states)
-
-
-@dataclass(frozen=True, eq=False)
-class EigenSolution:
-    """Sorted eigensystem with the dominant character of each state.
-
-    ``energies`` in MHz ascending; ``vectors[:, i]`` belongs to
-    ``energies[i]``; ``labels[i]`` is the (J, M) block carrying the
-    largest weight and ``dominant[i]`` its index in ``basis.rot_states``;
-    ``polarizabilities`` in Hz/(W/cm^2) when attached.
-    A solution over a theta_p axis stacks these along a leading axis
-    (``labels`` as one tuple per angle); ``sol[k]`` is the k-th angle.
-    """
-
-    basis: HyperfineBasis
-    energies: np.ndarray
-    vectors: np.ndarray
-    dominant: np.ndarray
-    polarizabilities: np.ndarray | None = None
-
-    def __getitem__(self, k: int) -> "EigenSolution":
-        if self.energies.ndim < 2:
-            raise ValueError(f"a solution with energies of shape {self.energies.shape} "
-                             "has no angle axis to index")
-        alphas = self.polarizabilities
-        return EigenSolution(self.basis, self.energies[k], self.vectors[k], self.dominant[k],
-                             None if alphas is None else alphas[k])
-
-    @property
-    def labels(self) -> tuple:
-        """The (J, M) of each ``dominant`` index, one tuple per angle of a stack."""
-        if self.dominant.ndim > 1:
-            return tuple([self[k].labels for k in range(len(self.dominant))])
-        return tuple([self.basis.rot_states[i] for i in self.dominant.tolist()])
-
-    def select(self, label: tuple[int, int]) -> list[int]:
-        """Indices of all eigenstates with the given (J, M) character."""
-        if self.energies.ndim != 1:
-            raise ValueError(f"select needs the solution at one angle, energies of shape "
-                             f"({self.basis.dim},); got {self.energies.shape}: take sol[k]")
-        return np.flatnonzero(self.dominant == _rot_index(self.basis, label)).tolist()
 
 
 def build_basis(j_max: int, constants: MolecularConstants) -> HyperfineBasis:
@@ -340,22 +294,6 @@ def _light_shift(basis: HyperfineBasis, c: MolecularConstants,
     return _light_block(_light_operands(basis, c), np.cos(theta), np.sin(theta))
 
 
-def polarization_operator(basis: HyperfineBasis, c: MolecularConstants,
-                          theta_p: float | np.ndarray) -> np.ndarray:
-    """Light-shift operator per unit intensity, in Hz/(W/cm^2).
-
-    The polarization term of the Hamiltonian is -I times this matrix.
-    Its expectation value in an eigenstate is the state's dynamic
-    polarizability, which is how the Hellmann-Feynman extraction works.
-    An array ``theta_p`` gives one matrix per angle, ``(..., dim, dim)``.
-    The light acts on rotation alone, so the matrix is op_rot (x) 1_spin.
-    The library works on the op_rot block; this dense form is the
-    reference the tests compare it with.
-    """
-    return np.kron(_light_shift(basis, c, theta_p),
-                   np.eye(basis.dim // len(basis.rot_states)))
-
-
 def build_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
                       terms: frozenset[str] | set[str] = TERMS) -> np.ndarray:
     """Assemble the selected terms; result is real symmetric, in MHz.
@@ -384,8 +322,11 @@ def _static_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
             f"constants' nuclear spins ({c.i_a}, {c.i_b})"
         )
     h = np.zeros((basis.dim, basis.dim))
+    # an infinite constant or field times a zero entry is NaN, which
+    # _eigensolve refuses as a non-finite Hamiltonian
     if "rotation" in terms:
-        _add_rotational_block(h, np.diag(c.b_v * basis.jj1))
+        with np.errstate(invalid="ignore"):
+            _add_rotational_block(h, np.diag(c.b_v * basis.jj1))
     if "quadrupole" in terms:
         # the nuclei are summed first: rot + (q_a + q_b) is the rounding the goldens pin
         quad = np.zeros_like(h)
@@ -415,17 +356,17 @@ def _static_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
             + (math.sin(fields.theta_e) / math.sqrt(2.0)) * (ckq[1, -1] - ckq[1, +1])
         )
         scale = c.d0 * fields.e_field * 1e5 * _DEBYE_V_M_TO_MHZ
-        _add_rotational_block(h, -scale * direction)
+        with np.errstate(invalid="ignore"):
+            _add_rotational_block(h, -scale * direction)
     return h
 
 
 def _angle_solver(basis: HyperfineBasis, fields: FieldConfiguration,
                   terms: frozenset[str] | set[str]):
     """The step of an eigen magic-angle search: at one scalar theta_p
-    (radians) per call, the polarizabilities of
-    ``eigenstate_polarizability(diagonalize(build_hamiltonian(...)))`` bit for
-    bit, and each eigenvector's dominant (J, M) as an index into
-    ``basis.rot_states``.
+    (radians) per call, the polarizabilities of ``_spin_trace`` over
+    ``_eigensolve(build_hamiltonian(...))`` bit for bit, and each
+    eigenvector's dominant (J, M) as an index into ``basis.rot_states``.
 
     The theta_p-independent terms and parts of the light block are built
     once; each call copies the terms into one work matrix, adds only the
@@ -548,39 +489,6 @@ _NON_FINITE = "Hamiltonian has a non-finite (inf or NaN) entry"
 _ASYMMETRIC = "Hamiltonian is not symmetric within 1e-10 relative"
 
 
-def diagonalize(h: np.ndarray, basis: HyperfineBasis) -> EigenSolution:
-    """Eigensystem with a deterministic phase convention.
-
-    The largest-magnitude component of each eigenvector is made
-    positive.  A stack ``(..., dim, dim)`` is solved in one call.  Raises
-    ValueError when a matrix has a non-finite entry or is not symmetric
-    within 1e-10 relative.
-    """
-    energies, vectors, dominant = _eigensolve(h, basis)
-    # |amplitude| with one contiguous row per vector
-    mags = np.ascontiguousarray(vectors.swapaxes(-2, -1))
-    pivot = np.argmax(np.abs(mags, out=mags), axis=-1)[..., None, :]
-    vectors *= np.where(np.take_along_axis(vectors, pivot, axis=-2) < 0.0, -1.0, 1.0)
-    return EigenSolution(basis=basis, energies=energies, vectors=vectors, dominant=dominant)
-
-
-def eigenstate_polarizability(sol: EigenSolution, fields: FieldConfiguration
-                              ) -> EigenSolution:
-    """Attach per-eigenstate polarizabilities in Hz/(W/cm^2).
-
-    Hellmann-Feynman: the polarization term is linear in intensity, so
-    alpha_i = <psi_i| (-dH_pol/dI) |psi_i> at any operating intensity.
-    ``fields.theta_p`` must match the angle axis ``sol`` was solved on.
-    """
-    if np.shape(fields.theta_p) != sol.energies.shape[:-1]:
-        raise ValueError(
-            f"theta_p of shape {np.shape(fields.theta_p)} does not match the "
-            f"angle axis {sol.energies.shape[:-1]} of the solution"
-        )
-    op = _light_shift(sol.basis, fields.constants, fields.theta_p)
-    return replace(sol, polarizabilities=_spin_trace(sol.vectors, op))
-
-
 def _spin_trace(vectors: np.ndarray, op: np.ndarray) -> np.ndarray:
     """alpha_j = sum_s sum_{r,r'} V[r,s,j] op[r,r'] V[r',s,j] per eigenvector j,
     for ``vectors`` (..., dim, dim) and op_rot ``op`` (..., n_rot, n_rot)."""
@@ -592,25 +500,10 @@ def _spin_trace(vectors: np.ndarray, op: np.ndarray) -> np.ndarray:
     return per_spin.reshape(vectors.shape[:-2] + (-1, vectors.shape[-1])).sum(axis=-2)
 
 
-def track_states(a: EigenSolution, b: EigenSolution) -> np.ndarray:
-    """Maximal-overlap matching between two eigensolutions.
-
-    Returns ``perm`` with ``perm[i]`` the index in ``b`` continuing
-    state ``i`` of ``a``; each target is used once, and the summed
-    |overlap| is the largest any one-to-one matching reaches.
-    """
-    if a.basis.dim != b.basis.dim:
-        raise ValueError("eigensolutions live in different bases")
-    if a.energies.ndim != 1 or b.energies.ndim != 1:
-        raise ValueError(f"track_states needs two solutions at one angle; got energies of "
-                         f"shapes {a.energies.shape} and {b.energies.shape}: take sol[k]")
-    return _match(np.abs(a.vectors.T @ b.vectors))
-
-
 def _match(overlap: np.ndarray) -> np.ndarray:
-    """The matching ``track_states`` returns, from |V_a^T V_b| itself: for
-    one (dim, dim) ``overlap`` or a stack ``(..., dim, dim)``, ``perm[..., i]``
-    is the column that continues row i."""
+    """The one-to-one matching of largest summed |V_a^T V_b| for one (dim, dim)
+    ``overlap`` or a stack ``(..., dim, dim)``: ``perm[..., i]`` is the
+    column that continues row i."""
     # no matching sums more than the row maxima; where each row's maximum
     # is strict and the argmaxes form a permutation, it is the only match
     # that reaches that sum

@@ -42,22 +42,10 @@ XI_CM1 = 20.0
 DIPOLE_XA_EA0 = 1.0
 
 
-def radial_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunction]:
-    """Ground curve, unshifted coupled model and dipole from config constants.
-
-    Well shapes follow the surrogate above; the printed rotational
-    constants and masses come from the config.  The X <-> A moment is
-    R-independent; the b channel is dark on its own.  Nothing is solved:
-    :func:`pinned_models` aligns the coupled model to the configured
-    transition energy.
-    """
-    return _models(cfg.get("molecule", "b_v_cm1"), cfg.get("molecule", "b_vprime_cm1"),
-                   cfg.reduced_mass_amu())
-
-
 def _models(b_v_cm1: float, b_vprime_cm1: float,
             mass_amu: float) -> tuple[MorseCurve, CoupledModel, DipoleFunction]:
-    """:func:`radial_models` from the only three numbers it reads."""
+    """Ground curve, unshifted coupled model and dipole from the only three
+    numbers they read, with no solve; the b channel is dark on its own."""
     mu = mass_amu * AMU_TO_ME
     ground = calibrate_morse(b_v_cm1, OMEGA_X_CM1, mass_amu, d_e_cm1=D_X_CM1, label="X")
     d_b = D_B_CM1 / HARTREE_TO_CM1
@@ -112,7 +100,8 @@ def _bases(b_v_cm1: float, b_vprime_cm1: float, mass_amu: float,
 
 def pinned_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunction,
                                            RovibBasis, RovibBasis]:
-    """:func:`radial_models` with the coupled model pinned, and its bases.
+    """The ground curve, coupled model and dipole of ``cfg``, with the
+    coupled model pinned, and their bases.
 
     The coupled model is shifted so E(v'=0, J'=1) - E_X(0, 0) equals the
     configured transition energy on the configured grid, which gives

@@ -1,25 +1,19 @@
 """Dynamic polarizability of rotational levels near a weak vibronic line.
 
-Two independent evaluation routes are provided and cross-validated
-against each other:
+:func:`alpha_analytic` evaluates the closed form for a level (v, J)
+probed near one vibronic band: a resonant term with the two branch
+poles offset by L_J and R_J from the band reference, plus the
+quasi-static background
 
-* :func:`alpha_sum_over_states` performs the explicit second-order sum
-  over retained excited rovibrational levels with full (rotating plus
-  counter-rotating) denominators and angular weights from Wigner 3-j
-  machinery.
+    alpha = -(3 pi c^2 / 2 w^3) [A hG/(D + L_J) + B hG/(D + R_J)]
+            + (A + B)(a_par - a_perp) + a_perp
 
-* :func:`alpha_analytic` evaluates the closed form for a level (v, J)
-  probed near one vibronic band: a resonant term with the two branch
-  poles offset by L_J and R_J from the band reference, plus the
-  quasi-static background
-
-      alpha = -(3 pi c^2 / 2 w^3) [A hG/(D + L_J) + B hG/(D + R_J)]
-              + (A + B)(a_par - a_perp) + a_perp
-
-  where D is the detuning from the (J = 0 -> J' = 1) line of the band
-  and A, B are the closed-form angular factors.  :func:`alpha_fardetuned`
-  is this form with the offsets collapsed to zero.  Its poles are listed
-  once, by ``_branches``, which the magic-detuning pole guard reads too.
+where D is the detuning from the (J = 0 -> J' = 1) line of the band
+and A, B are the closed-form angular factors.  Its poles are listed
+once, by ``_branches``, which the magic-detuning pole guard reads too.
+The tests check it against the explicit sum over solver levels, with
+both rotating and counter-rotating denominators.  :func:`alpha_imag`
+sums the imaginary part over retained solver levels.
 
 Convention: polarizabilities are returned in atomic units.  The
 resonant prefactor is the light-shift-per-intensity expression; mapped
@@ -44,7 +38,7 @@ the closed forms leave their window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,13 +52,9 @@ __all__ = [
     "PolarizabilitySpec",
     "Background",
     "line_strength",
-    "gamma_from_dipole",
     "validity_notes",
     "alpha_analytic",
-    "alpha_fardetuned",
-    "alpha_sum_over_states",
     "alpha_imag",
-    "spec_from_levels",
 ]
 
 # fallback pole guard for a single retained line, relative to its energy
@@ -141,15 +131,6 @@ def line_strength(line: ResonantLine) -> float:
     return 0.75 * C_AU ** 3 * line.gamma / line.energy ** 3
 
 
-def gamma_from_dipole(energy: float, dipole: float) -> float:
-    """Spontaneous width hbar*Gamma (Hartree) of a transition.
-
-    Standard atomic-unit rate (4/3) w^3 d^2 / c^3 for transition energy
-    ``energy`` (Hartree) and dipole ``dipole`` (e a0).
-    """
-    return (4.0 / 3.0) * energy ** 3 * dipole ** 2 / C_AU ** 3
-
-
 def validity_notes(spec: PolarizabilitySpec, nu: float | np.ndarray,
                    j: int) -> tuple[str, ...]:
     """Where the closed forms of level J leave their validity window.
@@ -217,21 +198,6 @@ def alpha_analytic(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m: 
     return total[()]
 
 
-def alpha_fardetuned(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m: int,
-                     theta_p: float = 0.0) -> np.float64 | np.ndarray:
-    """First-order far-detuned form: branch offsets collapsed to zero.
-
-        alpha = (A + B) [-(3 pi c^2/2 w^3) hG / D + a_par - a_perp]
-                + a_perp
-
-    with D measured from each band reference.  It is :func:`alpha_analytic`
-    with B_v and every B_v' zero, so the two agree exactly for J = 0 and to
-    O(B/D) otherwise.
-    """
-    lines = tuple(replace(ln, b_rot=0.0) for ln in spec.lines)
-    return alpha_analytic(replace(spec, lines=lines, b_v=0.0), nu, j, m, theta_p)
-
-
 def _polarization_weight(jp: int, j: int, m: int, theta_p: float) -> float:
     """sum_M' |<J' M'| e.C_1 |J M>|^2 for linear polarization at theta_p."""
     cos2 = math.cos(theta_p) ** 2
@@ -293,30 +259,6 @@ def _guard_poles(rows, nu: np.ndarray) -> None:
                 point=int(np.argmax(near.ravel())), line=de, guard=guard)
 
 
-def alpha_sum_over_states(x_levels: RovibLevels, ab_levels: RovibLevels,
-                          dipoles: np.ndarray, nu: float | np.ndarray,
-                          j: int, m: int, theta_p: float = 0.0,
-                          background: Background | None = None
-                          ) -> np.float64 | np.ndarray:
-    """Explicit second-order polarizability sum (atomic units).
-
-    ``dipoles[x, a]`` is the vibrationally averaged transition dipole
-    (e a0) between row x of ``x_levels`` and row a of ``ab_levels``;
-    only the pairs with J' = J +- 1 are read, and each must be finite.
-    Both rotating and counter-rotating denominators are kept.  The
-    quasi-static background, when given, is added with angular weights
-    computed from the same 3-j route (never from the closed-form factors).
-    """
-    weights, rows, x = _transitions(x_levels, ab_levels, dipoles, nu, j, m, theta_p)
-    total = np.zeros(x.shape)
-    for de, _, d, w in rows:
-        total += d * d * w * (1.0 / (de - x) + 1.0 / (de + x))
-    if background is not None:
-        w = weights.get(j - 1, 0.0) + weights[j + 1]
-        total += w * background.anisotropy + background.alpha_perp
-    return total[()]
-
-
 def alpha_imag(x_levels: RovibLevels, ab_levels: RovibLevels,
                dipoles: np.ndarray, gammas: np.ndarray,
                nu: float | np.ndarray, j: int, m: int,
@@ -325,7 +267,9 @@ def alpha_imag(x_levels: RovibLevels, ab_levels: RovibLevels,
 
         Im alpha = - sum_f gamma_f |d_f|^2 W_f / ((E_f - E_i)^2 - (h nu)^2)
 
-    ``dipoles`` is read as by :func:`alpha_sum_over_states`, and
+    ``dipoles[x, a]`` is the vibrationally averaged transition dipole
+    (e a0) between row x of ``x_levels`` and row a of ``ab_levels``; only
+    the pairs with J' = J +- 1 are read, and each must be finite.
     ``gammas`` (L,) holds the linewidths (atomic units) of the rows of
     ``ab_levels``.  The value is negative whenever the photon energy is
     below every retained resonance.
@@ -335,56 +279,8 @@ def alpha_imag(x_levels: RovibLevels, ab_levels: RovibLevels,
     _, rows, x = _transitions(x_levels, ab_levels, dipoles, nu, j, m, theta_p)
     gammas = np.asarray(gammas, dtype=float).tolist()
     total = np.zeros(x.shape)
-    for de, a_idx, d, w in rows:
-        total -= gammas[a_idx] * d * d * w / (de * de - x * x)
+    # (h nu)^2 is inf where |h nu| is far beyond every line, and Im alpha 0
+    with np.errstate(over="ignore"):
+        for de, a_idx, d, w in rows:
+            total -= gammas[a_idx] * d * d * w / (de * de - x * x)
     return total[()]
-
-
-def spec_from_levels(x_levels: RovibLevels, ab_levels: RovibLevels, dipoles: np.ndarray,
-                     background: Background) -> PolarizabilitySpec:
-    """Distill solver output into a :class:`PolarizabilitySpec`.
-
-    ``dipoles`` is read as by :func:`alpha_sum_over_states`, here at the
-    pairs of the J = 0 ground level and each J' = 1 excited level.
-
-    For each excited vibrational index the band energy is the actual
-    (J = 0 -> J' = 1) level difference, B_v' comes from the lowest
-    excited spacing (E_{J'=1} - E_{J'=0})/2, and gamma encodes the band
-    strength through the spontaneous-width relation applied to the
-    reference transition dipole.  B_v comes from the ground spacing.
-
-    The counter-rotating response of each band, nearly constant across
-    a narrow detuning window, is folded into the parallel background at
-    the first band energy, so the closed form tracks the full sum over
-    states inside its validity window.
-    """
-    x_at = {j: i for i, j in enumerate(x_levels.j.tolist())}
-    if 0 not in x_at or 1 not in x_at:
-        raise ValueError("need ground levels with J = 0 and J = 1")
-    e_x0 = float(x_levels.energies[x_at[0]])
-    b_v = (float(x_levels.energies[x_at[1]]) - e_x0) / 2.0
-    ab_at = {vj: i for i, vj in enumerate(zip(ab_levels.v.tolist(), ab_levels.j.tolist()))}
-
-    lines = []
-    for vprime in sorted(set(ab_levels.v.tolist())):
-        if (vprime, 0) not in ab_at or (vprime, 1) not in ab_at:
-            raise ValueError(
-                f"excited v' = {vprime} needs both J' = 0 and J' = 1 levels"
-            )
-        e1, e0 = (float(ab_levels.energies[ab_at[vprime, jp]]) for jp in (1, 0))
-        energy = e1 - e_x0
-        d = float(dipoles[x_at[0], ab_at[vprime, 1]])
-        if not math.isfinite(d):
-            raise ValueError(f"missing reference dipole for v' = {vprime}")
-        lines.append(ResonantLine(
-            vprime=vprime, energy=energy,
-            gamma=gamma_from_dipole(energy, d), b_rot=(e1 - e0) / 2.0,
-        ))
-    lines.sort(key=lambda ln: ln.energy)
-    cr_shift = sum(line_strength(ln) / (ln.energy + lines[0].energy) for ln in lines)
-
-    bg = Background(
-        alpha_par=background.alpha_par + cr_shift,
-        alpha_perp=background.alpha_perp,
-    )
-    return PolarizabilitySpec(lines=tuple(lines), b_v=b_v, background=bg)

@@ -1,31 +1,28 @@
 """Electronic potential curves, transition dipoles, and coupled models.
 
 Curves are functions of internuclear distance R (Bohr) returning energy
-in Hartree.  Two concrete forms are provided: an analytic Morse curve
-and a tabulated curve with cubic-spline interpolation.  A two-channel
-spin-orbit coupled pair of curves is wrapped in :class:`CoupledModel`.
+in Hartree.  The concrete form is the analytic Morse curve, built
+directly or calibrated to a rotational constant and frequency.  A
+two-channel spin-orbit coupled pair of curves is wrapped in
+:class:`CoupledModel`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import CalibrationError, DataFormatError
+from .errors import CalibrationError
 from .units import AMU_TO_ME, HARTREE_TO_CM1, Unit, convert
 
 __all__ = [
     "PotentialCurve",
     "MorseCurve",
-    "PointwiseCurve",
     "DipoleFunction",
     "CoupledModel",
-    "load_pointwise",
     "calibrate_morse",
 ]
 
@@ -60,83 +57,11 @@ class MorseCurve(PotentialCurve):
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        g = 1.0 - np.exp(-self.a * (r - self.r_e))
+        # far inside a wall exp overflows to inf, and V is +inf there
+        with np.errstate(over="ignore"):
+            g = 1.0 - np.exp(-self.a * (r - self.r_e))
         out = self.asymptote - self.d_e + self.d_e * g * g
         return out if out.ndim else float(out)
-
-    def harmonic_omega(self, mu: float) -> float:
-        """Harmonic frequency at the minimum, mu in electron masses."""
-        return self.a * math.sqrt(2.0 * self.d_e / mu)
-
-    def analytic_levels(self, mu: float) -> np.ndarray:
-        """Exact Morse spectrum (J = 0) in Hartree, mu in electron masses."""
-        omega = self.harmonic_omega(mu)
-        n_bound = int(math.floor(2.0 * self.d_e / omega - 0.5)) + 1
-        v = np.arange(max(n_bound, 0)) + 0.5
-        return self.asymptote - self.d_e + omega * v - (omega * v) ** 2 / (4.0 * self.d_e)
-
-
-class PointwiseCurve(PotentialCurve):
-    """Tabulated V(R) with cubic-spline interpolation.
-
-    Outside the tabulated range the curve continues with an exponential
-    wall fitted to the two innermost points (short range) and a constant
-    equal to the last tabulated value (long range, the asymptote).
-    """
-
-    def __init__(self, label: str, r: Sequence[float], v: Sequence[float]):
-        r = np.asarray(r, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if r.ndim != 1 or r.shape != v.shape:
-            raise DataFormatError("r and v must be 1-d arrays of equal length")
-        if r.size < 8:
-            raise DataFormatError(f"need at least 8 points, got {r.size}")
-        dr = np.diff(r)
-        if np.any(dr <= 0.0):
-            i = int(np.argmax(dr <= 0.0))
-            raise DataFormatError(
-                f"radii must be strictly increasing; violation after R = {r[i]:g}"
-            )
-        self.label = label
-        self.r_data = r
-        self.v_data = v
-        self.asymptote = float(v[-1])
-        from scipy.interpolate import CubicSpline
-
-        self._spline = CubicSpline(r, v, bc_type="natural")
-
-        # short-range continuation: exponential wall above the asymptote
-        w1 = v[0] - self.asymptote
-        w2 = v[1] - self.asymptote
-        if w1 > w2 > 0.0:
-            self._wall_kappa = math.log(w1 / w2) / (r[1] - r[0])
-            self._wall_amp = w1
-        else:
-            warnings.warn(
-                f"curve {label!r}: innermost points are not on a repulsive "
-                "wall, falling back to linear short-range extrapolation",
-                stacklevel=2,
-            )
-            self._wall_kappa = None
-            self._wall_slope = (v[1] - v[0]) / (r[1] - r[0])
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.empty_like(r)
-        lo = r < self.r_data[0]
-        hi = r > self.r_data[-1]
-        mid = ~(lo | hi)
-        out[mid] = self._spline(r[mid])
-        if self._wall_kappa is not None:
-            out[lo] = self.asymptote + self._wall_amp * np.exp(
-                self._wall_kappa * (self.r_data[0] - r[lo])
-            )
-        else:
-            out[lo] = self.v_data[0] + self._wall_slope * (r[lo] - self.r_data[0])
-        out[hi] = self.asymptote
-        return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -163,24 +88,6 @@ class DipoleFunction:
                  unit: Unit = Unit.EA0) -> "DipoleFunction":
         d = convert(value, unit, Unit.EA0)
         return cls(pair=tuple(pair), fn=lambda r: np.full_like(np.asarray(r, float), d))
-
-    @classmethod
-    def from_points(cls, pair: tuple[str, str], r: Sequence[float],
-                    d: Sequence[float], r_unit: Unit = Unit.BOHR,
-                    d_unit: Unit = Unit.EA0) -> "DipoleFunction":
-        r = np.asarray([convert(x, r_unit, Unit.BOHR) for x in r])
-        d = np.asarray([convert(x, d_unit, Unit.EA0) for x in d])
-        if r.size < 2 or np.any(np.diff(r) <= 0):
-            raise DataFormatError("dipole table needs >= 2 strictly increasing radii")
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(r, d, bc_type="natural")
-
-        def fn(x):
-            x = np.asarray(x, float)
-            return spline(np.clip(x, r[0], r[-1]))
-
-        return cls(pair=tuple(pair), fn=fn)
 
 
 @dataclass(frozen=True)
@@ -210,48 +117,6 @@ class CoupledModel:
             coupling=lambda r: np.full_like(np.asarray(r, float), xi),
             shift=shift,
         )
-
-
-def load_pointwise(path: str | Path, label: str,
-                   r_unit: Unit = Unit.BOHR,
-                   v_unit: Unit = Unit.HARTREE) -> PointwiseCurve:
-    """Read a two-column (R, V) table into a :class:`PointwiseCurve`.
-
-    Columns are whitespace or comma separated; blank lines and lines
-    starting with ``#`` are skipped.  Malformed rows raise
-    :class:`DataFormatError` with the offending line number.
-    """
-    path = Path(path)
-    rs: list[float] = []
-    vs: list[float] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.replace(",", " ").split()
-            if len(parts) != 2:
-                raise DataFormatError(
-                    f"{path.name}:{lineno}: expected 2 columns, got {len(parts)}"
-                )
-            try:
-                r_val = float(parts[0])
-                v_val = float(parts[1])
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"{path.name}:{lineno}: non-numeric entry {parts!r}"
-                ) from exc
-            rs.append(convert(r_val, r_unit, Unit.BOHR))
-            vs.append(convert(v_val, v_unit, Unit.HARTREE))
-    if len(rs) < 8:
-        raise DataFormatError(f"{path.name}: need at least 8 points, got {len(rs)}")
-    order = np.argsort(rs)
-    rs_arr = np.asarray(rs)[order]
-    vs_arr = np.asarray(vs)[order]
-    if np.any(np.diff(rs_arr) == 0.0):
-        i = int(np.argmax(np.diff(rs_arr) == 0.0))
-        raise DataFormatError(f"{path.name}: duplicate radius R = {rs_arr[i]:g}")
-    return PointwiseCurve(label, rs_arr, vs_arr)
 
 
 def calibrate_morse(b_e_cm1: float, omega_e_cm1: float, mass_amu: float,

@@ -3,8 +3,8 @@
 The radial, potential and polarizability work happens in Hartree
 atomic units; the hyperfine Hamiltonian works in MHz, with
 polarizabilities in Hz/(W/cm^2).  Everything a user touches (config
-files, CLI output, tabulated data) carries experimental units and
-passes through this module exactly once on the way in or out.
+files, CLI output) carries experimental units and passes through this
+module exactly once on the way in or out.
 
 Conversions are purely multiplicative within a dimension group, so a
 round trip reproduces the input to within a couple of ulps.  The one
@@ -23,7 +23,6 @@ from .errors import UnitError
 __all__ = [
     "Unit",
     "convert",
-    "wavelength_nm",
     "AU_POL_TO_MHZ_PER_WCM2",
     "HARTREE_TO_CM1",
     "HARTREE_TO_GHZ",
@@ -135,15 +134,3 @@ def convert(value: float, src: Unit, dst: Unit) -> float:
             f"to {dst.name} ({dst.dimension})"
         )
     return value * (src.factor / dst.factor)
-
-
-def wavelength_nm(energy: float, unit: Unit = Unit.WAVENUMBER) -> float:
-    """Vacuum wavelength in nm of a photon with the given energy.
-
-    This map is reciprocal, not multiplicative, which is why it lives
-    outside :func:`convert`.
-    """
-    cm1 = convert(energy, unit, Unit.WAVENUMBER)
-    if cm1 <= 0.0:
-        raise ValueError("photon energy must be positive")
-    return 1e7 / cm1

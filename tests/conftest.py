@@ -27,6 +27,7 @@ from magictrap.config import load_config
 from magictrap.potentials import CoupledModel, DipoleFunction, MorseCurve, calibrate_morse
 from magictrap.radial import BOUND_MARGIN, RovibBasis
 from magictrap.units import AMU_TO_ME, HARTREE_TO_CM1
+from oracles import diagonalize, eigenstate_polarizability, spec_from_levels
 
 
 @pytest.fixture(autouse=True)
@@ -139,7 +140,7 @@ def build_stiff_pair():
     dip = DipoleFunction.constant(("X", "A"), 1.0)
     dipoles = mt.radial_matrix_element(x_levels, dip, ab_levels, pairs={(0, 0): dip})
     background = cfg.background()
-    spec = mt.spec_from_levels(x_levels, ab_levels, dipoles, background)
+    spec = spec_from_levels(x_levels, ab_levels, dipoles, background)
     return {
         "x": x_levels,
         "ab": ab_levels,
@@ -159,8 +160,8 @@ def narb_hyperfine(narb_fields):
     """Default-field 64-state solution with polarizabilities attached."""
     basis = mt.build_basis(1, narb_fields.constants)
     h = mt.build_hamiltonian(basis, narb_fields)
-    sol = mt.diagonalize(h, basis)
-    return mt.eigenstate_polarizability(sol, narb_fields)
+    sol = diagonalize(h, basis)
+    return eigenstate_polarizability(sol, narb_fields)
 
 
 def assert_close(actual, expected, rel=0.0, abs_tol=0.0, label=""):

@@ -31,10 +31,11 @@ from magictrap.units import (
     HARTREE_TO_GHZ,
     Unit,
     convert,
-    wavelength_nm,
 )
 
 from conftest import build_stiff_pair
+from oracles import (alpha_sum_over_states, diagonalize, eigenstate_polarizability,
+                     morse_levels, radial_models, wavelength_nm)
 
 
 def report(n: int, ok: bool, detail: str) -> None:
@@ -127,9 +128,9 @@ def test_criterion_4_dual_route_equivalence():
         delta = float(rng.uniform(30.0, 300.0)) * (1 if rng.random() < 0.5 else -1)
         nu = spec.reference.energy + delta / HARTREE_TO_GHZ
         closed = mt.alpha_analytic(spec, nu, j, m, theta)
-        summed = mt.alpha_sum_over_states(pack["x"], pack["ab"], pack["dipoles"],
-                                          nu, j, m, theta,
-                                          background=pack["background"])
+        summed = alpha_sum_over_states(pack["x"], pack["ab"], pack["dipoles"],
+                                       nu, j, m, theta,
+                                       background=pack["background"])
         worst = max(worst, abs(closed - summed) / abs(summed))
     elapsed = time.perf_counter() - t0
     report(4, worst < 1e-6 and elapsed < 30.0,
@@ -141,10 +142,10 @@ def test_criterion_5_dvr_fidelity():
     t0 = time.perf_counter()
     cfg = load_config()
     grid = cfg.radial_grid()            # n = 1200
-    ground, _, _ = narb.radial_models(cfg)
+    ground, _, _ = radial_models(cfg)
     mass = cfg.reduced_mass_amu()
     numeric = mt.rovib_basis(ground, 0, mass, grid).levels(0, 10)
-    exact = ground.analytic_levels(mass * AMU_TO_ME)[:10]
+    exact = morse_levels(ground, mass * AMU_TO_ME)[:10]
     morse_rel = max(abs(lv - ex) / abs(ex)
                     for lv, ex in zip(numeric.energies, exact))
     v0 = [mt.rovib_basis(ground, j, mass, grid).levels(j, 1)
@@ -217,13 +218,13 @@ def test_criterion_7_hyperfine_suite():
     hq = mt.build_hamiltonian(basis, fields, terms={"quadrupole"})
     block_ok = np.abs(hq[:16, :16]).max() == 0.0
 
-    sol = mt.eigenstate_polarizability(
-        mt.diagonalize(h, basis), fields)
+    sol = eigenstate_polarizability(
+        diagonalize(h, basis), fields)
     delta = 1.0
-    e_hi = mt.diagonalize(mt.build_hamiltonian(
+    e_hi = diagonalize(mt.build_hamiltonian(
         basis, replace(fields, intensity=fields.intensity + delta)),
         basis).energies
-    e_lo = mt.diagonalize(mt.build_hamiltonian(
+    e_lo = diagonalize(mt.build_hamiltonian(
         basis, replace(fields, intensity=fields.intensity - delta)),
         basis).energies
     fd = -(e_hi - e_lo) / (2.0 * delta) * 1e6
@@ -235,8 +236,8 @@ def test_criterion_7_hyperfine_suite():
         for theta_deg in np.linspace(0.0, 90.0, 13):
             f = replace(fields, e_field=e_field,
                         theta_p=math.radians(theta_deg))
-            s = mt.eigenstate_polarizability(
-                mt.diagonalize(mt.build_hamiltonian(basis, f), basis), f)
+            s = eigenstate_polarizability(
+                diagonalize(mt.build_hamiltonian(basis, f), basis), f)
             vals = s.polarizabilities[s.select((1, 0))]
             assert len(vals) == 16
             worst = max(worst, float(vals.max() - vals.min()))

@@ -27,10 +27,10 @@ from magictrap import (
     rovib_basis,
     wigner3j,
 )
-from magictrap import narb
 from magictrap.units import HARTREE_TO_CM1, HARTREE_TO_GHZ
 
 from conftest import assert_close
+from oracles import radial_models
 
 
 FROZEN_3J = [
@@ -269,7 +269,7 @@ def test_numpy_integers_are_valid_j_and_m(narb_config, narb_spec):
     assert (fac.a, fac.b) == (ref.a, ref.b)
     offs, ref = resonance_offsets(j, 1.0, 1.1), resonance_offsets(1, 1.0, 1.1)
     assert (offs.l, offs.r) == (ref.l, ref.r)
-    ground = narb.radial_models(narb_config)[0]
+    ground = radial_models(narb_config)[0]
     basis = rovib_basis(ground, 0, narb_config.reduced_mass_amu(), RadialGrid(4.5, 20.0, 300))
     levels, ref = basis.levels(np.int64(2), 2), basis.levels(2, 2)
     assert len(levels) == len(ref) == 2

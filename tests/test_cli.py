@@ -18,20 +18,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from magictrap import cli, config, csvtable, hyperfine, magic, narb, radial
 from magictrap.cli import emit_csv, main
 from magictrap.config import SCHEMA, bundled_defaults_path, load_config
 from magictrap.errors import ConfigError
-from magictrap.hyperfine import (
-    build_basis,
-    build_hamiltonian,
-    diagonalize,
-    eigenstate_polarizability,
-    track_states,
-)
+from magictrap.hyperfine import build_basis, build_hamiltonian
+
+from oracles import diagonalize, eigenstate_polarizability, track_states
 
 SMALL_CONFIG = """\
 [molecule]
@@ -836,8 +832,7 @@ def test_non_finite_hamiltonian_exits_2(subcommand, overrides, small_config, tmp
             "--override", "fields.e_field_kv_cm=1e308"]
     for item in overrides:
         argv += ["--override", item]
-    with np.errstate(all="ignore"):
-        assert main(argv) == 2
+    assert main(argv) == 2
     assert "Hamiltonian has a non-finite (inf or NaN) entry" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
@@ -1293,7 +1288,8 @@ def _rejected(name: str, text: str) -> bool:
     return False
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@seed(33)
+@settings(deadline=None, max_examples=100)
 @given(variant=st.sampled_from(VARIANTS),
        drawn=st.lists(st.sampled_from(DRAWS), max_size=3,
                       unique_by=lambda item: item[0]))
@@ -1322,3 +1318,39 @@ def test_exit_codes_hold_for_drawn_configs(variant, drawn):
         assert code in (0, 2, 3, 4), message
         if code == 0:
             assert header == HEADERS[subcommand]
+
+
+# inputs whose runs meet an IEEE limit that is the right value: a Morse
+# wall's exp overflows to inf far inside it, (h nu)^2 overflows far beyond
+# every line, where Im alpha is 0, and an infinite constant or field times a
+# zero operator entry is NaN, a Hamiltonian the eigensolve refuses
+IEEE_LIMITS = [
+    *((sub, [], f"molecule.{key}=1e-300", 3) for sub in ("solve-rovib", "imag-scan")
+      for key in ("b_v_cm1", "b_vprime_cm1")),
+    *(("imag-scan", [], f"scan.{key}={value}", 0) for key in ("start_ghz", "stop_ghz")
+      for value in ("1e300", "-1e300", "1e308", "-1e308")),
+    *((sub, extra, item, 2)
+      for sub, extra in (("hyperfine-scan", []),
+                         ("magic-find", ["magic.kind=angle", "magic.method=eigen",
+                                         "magic.rank_a=0", "magic.rank_b=0"]))
+      for item in ("molecule.b_v_cm1=1e300", "molecule.b_v_cm1=1e308",
+                   "fields.e_field_kv_cm=1e308")),
+]
+
+
+@pytest.mark.parametrize("subcommand, extra, item, code", IEEE_LIMITS,
+                         ids=[f"{case[0]}-{case[2]}" for case in IEEE_LIMITS])
+def test_ieee_limits_raise_no_runtime_warning(subcommand, extra, item, code):
+    """Under the suite's error::RuntimeWarning filter each run ends in its
+    exit code, and an exit 0 writes finite cells."""
+    argv = [subcommand]
+    for override in [f"{k}={v}" for k, v in REDUCED.items()] + extra + [item]:
+        argv += ["--override", override]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            assert main(argv + ["--out", out]) == code, err.getvalue()
+        if code == 0:
+            rows = list(csv.reader(open(Path(out) / "imag_scan.csv", encoding="utf-8")))
+            assert all(math.isfinite(float(row[-1])) for row in rows[1:])
+    assert "Warning" not in err.getvalue()

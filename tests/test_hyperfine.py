@@ -12,16 +12,11 @@ from scipy.optimize import linear_sum_assignment
 
 from magictrap import (
     ConfigError,
-    EigenSolution,
     FieldConfiguration,
     TERMS,
     build_basis,
     build_hamiltonian,
-    diagonalize,
-    eigenstate_polarizability,
     find_magic_angle,
-    polarization_operator,
-    track_states,
 )
 from magictrap import hyperfine
 from magictrap.angular import rot_tensor_element
@@ -29,6 +24,9 @@ from magictrap.cli import main
 from magictrap.config import load_config
 from magictrap.magic import _state_picker
 from magictrap.units import NUCLEAR_MAGNETON_MHZ_PER_G
+
+from oracles import (EigenSolution, diagonalize, eigenstate_polarizability,
+                     polarization_operator, track_states)
 
 DEFAULTS = load_config()
 CONSTANTS = DEFAULTS.molecular_constants()
@@ -685,11 +683,13 @@ def test_hyperfine_scan_is_one_eigh_call(tmp_path, monkeypatch):
 
 def test_no_cli_path_builds_the_dense_operator(tmp_path, monkeypatch):
     """The light shift lives on the rotational block; the dense
-    op_rot (x) 1_spin matrix is the tests' reference only."""
+    op_rot (x) 1_spin matrix is the tests' reference only: once the basis
+    is built, neither CLI path takes a Kronecker product."""
     def dense(*args, **kwargs):
-        raise AssertionError("dense polarization operator built")
+        raise AssertionError("dense operator built")
 
-    monkeypatch.setattr(hyperfine, "polarization_operator", dense)
+    build_basis(1, CONSTANTS)
+    monkeypatch.setattr(np, "kron", dense)
     assert main(["hyperfine-scan", "--out", str(tmp_path),
                  "--override", "scan.points=8"]) == 0
     assert main(["magic-find", "--out", str(tmp_path),

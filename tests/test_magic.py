@@ -27,6 +27,8 @@ from magictrap.magic import (
     find_magic_detuning,
 )
 
+from oracles import diagonalize, eigenstate_polarizability
+
 BARE_TERMS = {"rotation", "polarization", "zeeman"}
 
 
@@ -124,15 +126,15 @@ ANGLE_SEARCH_CASES = [
 ]
 
 
-def _public_objective(fields, state_a, state_b):
-    """alpha_a - alpha_b of theta in degrees over the public
+def _reference_objective(fields, state_a, state_b):
+    """alpha_a - alpha_b of theta in degrees over the reference
     build_hamiltonian -> diagonalize -> eigenstate_polarizability chain."""
     basis = mt.build_basis(1, fields.constants)
 
     def reference(theta):
         at = replace(fields, theta_p=math.radians(theta))
-        sol = mt.eigenstate_polarizability(
-            mt.diagonalize(mt.build_hamiltonian(basis, at), basis), at)
+        sol = eigenstate_polarizability(
+            diagonalize(mt.build_hamiltonian(basis, at), basis), at)
         alphas = sol.polarizabilities
         return float(alphas[sol.select(state_a[:2])[state_a[2]]]
                      - alphas[sol.select(state_b[:2])[state_b[2]]])
@@ -143,11 +145,11 @@ def _public_objective(fields, state_a, state_b):
 @pytest.mark.parametrize("e_field, state_a, state_b", ANGLE_SEARCH_CASES)
 def test_eigen_angle_search_solves_each_abscissa_once(e_field, state_a, state_b, monkeypatch):
     """Each Newton abscissa is eigensolved once.  The search returns a root
-    within its 1e-8 degree tolerance of a tight brentq over the public
+    within its 1e-8 degree tolerance of a tight brentq over the reference
     build/diagonalize/alpha chain, that chain's value at the root as the
     residual, and its slope there."""
     fields = default_fields(e_field=e_field)
-    reference = _public_objective(fields, state_a, state_b)
+    reference = _reference_objective(fields, state_a, state_b)
     root = brentq(reference, 40.0, 70.0, xtol=1e-13, rtol=8.9e-16)
     solved = []
     eigensolve = mt.hyperfine._eigensolve
@@ -354,7 +356,7 @@ def test_every_search_reports_its_slope(narb_spec):
 
     fields = default_fields(e_field=0.5)
     eigen = find_magic_angle(fields, (1, 0, 0), (0, 0, 0), bracket=(40.0, 70.0), method="eigen")
-    reference = _public_objective(fields, (1, 0, 0), (0, 0, 0))
+    reference = _reference_objective(fields, (1, 0, 0), (0, 0, 0))
     h = 1e-5
     difference = (reference(eigen.location + h) - reference(eigen.location - h)) / (2 * h)
     assert eigen.slope == pytest.approx(difference, rel=1e-5)

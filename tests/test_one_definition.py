@@ -242,25 +242,26 @@ def test_each_memo_is_listed_with_its_key_and_saving():
 
 LAYERS = (units, angular, errors, potentials, radial, polarizability, hyperfine, magic)
 
-# every name the package exported before it took its layers' lists
+# every name the package exported before it took its layers' lists, less
+# the routes only the tests run (now in tests/oracles.py) and the deleted
+# tabulated-curve input
 EXPORTS = """
-__version__ Unit convert wavelength_nm MAGIC_ANGLE_DEG AngularFactors
+__version__ Unit convert MAGIC_ANGLE_DEG AngularFactors
 ResonanceOffsets angular_factors resonance_offsets rot_tensor_element wigner3j
-MorseCurve PointwiseCurve DipoleFunction CoupledModel calibrate_morse
-load_pointwise RadialGrid RovibBasis dvr_kinetic rovib_basis
+MorseCurve DipoleFunction CoupledModel calibrate_morse
+RadialGrid RovibBasis dvr_kinetic rovib_basis
 radial_matrix_element linewidth Background
-ResonantLine PolarizabilitySpec alpha_analytic alpha_fardetuned
-alpha_sum_over_states validity_notes gamma_from_dipole line_strength alpha_imag
-spec_from_levels MolecularConstants FieldConfiguration HyperfineBasis TERMS
-EigenSolution build_basis build_hamiltonian polarization_operator diagonalize
-eigenstate_polarizability track_states MagicSolution find_magic_detuning
-find_magic_angle calibrate_gamma MagicTrapError UnitError DataFormatError
+ResonantLine PolarizabilitySpec alpha_analytic
+validity_notes line_strength alpha_imag
+MolecularConstants FieldConfiguration HyperfineBasis TERMS
+build_basis build_hamiltonian MagicSolution find_magic_detuning
+find_magic_angle calibrate_gamma MagicTrapError UnitError
 GridError ConfigError PoleProximityError NoRootError CalibrationError
 """.split()
 
 
 def test_package_exports_its_layers_lists():
-    assert len(EXPORTS) == 57
+    assert len(EXPORTS) == 44
     names = magictrap.__all__
     assert names == ["__version__", *(n for layer in LAYERS for n in layer.__all__)]
     assert len(set(names)) == len(names)
@@ -269,6 +270,34 @@ def test_package_exports_its_layers_lists():
         for name in layer.__all__:
             assert getattr(magictrap, name) is getattr(layer, name), name
     assert not {"config", "narb", "cli"} & set(names)
+
+
+def _read_names(src: Path) -> set[str]:
+    """Every name the modules of ``src`` other than ``__init__.py`` read:
+    bare names and attributes loaded, and names imported from a module."""
+    names = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_exported_callable_is_used_in_the_package():
+    """Each function and class a layer exports is used by the package
+    itself, on a subcommand's path or by a name that is; a route only the
+    tests run lives in ``tests/oracles.py``.  Exported constants, such as
+    ``MAGIC_ANGLE_DEG``, are published numbers and need no reader."""
+    read = _read_names(Path(magictrap.__file__).parent)
+    unread = [f"{layer.__name__}.{name}" for layer in LAYERS for name in layer.__all__
+              if callable(getattr(layer, name)) and name not in read]
+    assert not unread, unread
 
 
 def test_one_dense_per_j_solve():

@@ -1,4 +1,4 @@
-"""Potential curves, dipole functions, and table loading."""
+"""Potential curves, dipole functions, and coupled models."""
 
 import math
 
@@ -8,14 +8,13 @@ import pytest
 from magictrap import (
     CalibrationError,
     CoupledModel,
-    DataFormatError,
     DipoleFunction,
     MorseCurve,
-    PointwiseCurve,
     calibrate_morse,
-    load_pointwise,
 )
 from magictrap.units import AMU_TO_ME, HARTREE_TO_CM1
+
+from oracles import harmonic_omega, morse_levels
 
 
 MASS = 18.0  # amu, an arbitrary diatomic-scale reduced mass
@@ -44,8 +43,8 @@ def test_morse_harmonic_omega_is_second_derivative():
     mu = MASS * AMU_TO_ME
     h = 1e-4
     k = (curve(6.0 + h) - 2 * curve(6.0) + curve(6.0 - h)) / h**2
-    assert curve.harmonic_omega(mu) == pytest.approx(math.sqrt(k / mu),
-                                                     rel=1e-6)
+    assert harmonic_omega(curve, mu) == pytest.approx(math.sqrt(k / mu),
+                                                      rel=1e-6)
 
 
 def test_morse_analytic_levels_closed_form():
@@ -53,7 +52,7 @@ def test_morse_analytic_levels_closed_form():
     curve = MorseCurve(label="X", d_e=0.02, a=0.5, r_e=6.0, asymptote=0.003)
     mu = MASS * AMU_TO_ME
     w = curve.a * math.sqrt(2 * curve.d_e / mu)
-    levels = curve.analytic_levels(mu)
+    levels = morse_levels(curve, mu)
     for v, e in enumerate(levels):
         x = w * (v + 0.5)
         assert e == pytest.approx(0.003 - 0.02 + x - x * x / (4 * curve.d_e),
@@ -68,7 +67,7 @@ def test_calibrate_morse_round_trip():
     mu = MASS * AMU_TO_ME
     b_here = 1.0 / (2.0 * mu * curve.r_e**2) * HARTREE_TO_CM1
     assert b_here == pytest.approx(0.06970, rel=1e-12)
-    assert curve.harmonic_omega(mu) * HARTREE_TO_CM1 == pytest.approx(
+    assert harmonic_omega(curve, mu) * HARTREE_TO_CM1 == pytest.approx(
         107.0, rel=1e-12)
     assert curve.d_e * HARTREE_TO_CM1 == pytest.approx(25.0 * 107.0, rel=1e-12)
 
@@ -89,102 +88,12 @@ def test_calibrate_morse_rejects_shallow_wells():
         calibrate_morse(-1.0, 107.0, MASS)
 
 
-def test_pointwise_interpolates_nodes_exactly():
-    r = np.linspace(4.0, 12.0, 40)
-    v = 0.02 * (1 - np.exp(-0.5 * (r - 6.0))) ** 2 - 0.02
-    curve = PointwiseCurve("X", r, v)
-    np.testing.assert_allclose(curve(r), v, atol=1e-14)
-    # between nodes the spline tracks the generator; tight check away
-    # from the steep wall where cubic truncation is visible
-    mid = 0.5 * (r[:-1] + r[1:])
-    ref = 0.02 * (1 - np.exp(-0.5 * (mid - 6.0))) ** 2 - 0.02
-    smooth = mid > 6.0
-    np.testing.assert_allclose(curve(mid[smooth]), ref[smooth], atol=1e-6)
-    np.testing.assert_allclose(curve(mid), ref, atol=5e-4)
-
-
-def test_pointwise_extrapolation_wall_and_asymptote():
-    r = np.linspace(4.0, 12.0, 40)
-    v = 0.02 * (1 - np.exp(-0.5 * (r - 6.0))) ** 2 - 0.02
-    curve = PointwiseCurve("X", r, v)
-    assert curve.asymptote == pytest.approx(v[-1])
-    assert curve(14.0) == pytest.approx(v[-1])
-    # short-range wall grows monotonically inward and stays repulsive
-    inner = curve(np.array([3.8, 3.5, 3.0]))
-    assert inner[0] < inner[1] < inner[2]
-    assert inner[0] > curve(4.0)
-
-
-def test_pointwise_rejects_bad_tables():
-    r = np.linspace(4.0, 12.0, 40)
-    v = np.zeros_like(r)
-    with pytest.raises(DataFormatError):
-        PointwiseCurve("X", r[:5], v[:5])
-    bad = r.copy()
-    bad[10] = bad[9]
-    with pytest.raises(DataFormatError):
-        PointwiseCurve("X", bad, v)
-    with pytest.raises(DataFormatError):
-        PointwiseCurve("X", r, v[:-1])
-
-
-def test_load_pointwise_happy_path(tmp_path):
-    r = np.linspace(4.0, 12.0, 30)
-    v = 0.02 * (1 - np.exp(-0.5 * (r - 6.0))) ** 2 - 0.02
-    lines = ["# R(bohr)  V(hartree)"]
-    lines += [f"{ri:.10f}  {vi:.12e}" for ri, vi in zip(r, v)]
-    lines.insert(5, "")  # blank line is skipped
-    path = tmp_path / "curve.dat"
-    path.write_text("\n".join(lines) + "\n")
-    curve = load_pointwise(path, "X")
-    assert curve.label == "X"
-    np.testing.assert_allclose(curve(r), v, atol=1e-12)
-
-
-def test_load_pointwise_reports_line_numbers(tmp_path):
-    path = tmp_path / "bad.dat"
-    path.write_text("4.0 0.0\n5.0 zero\n")
-    with pytest.raises(DataFormatError) as err:
-        load_pointwise(path, "X")
-    assert "bad.dat:2" in str(err.value)
-
-    path2 = tmp_path / "cols.dat"
-    path2.write_text("4.0 0.0 9.9\n")
-    with pytest.raises(DataFormatError) as err:
-        load_pointwise(path2, "X")
-    assert "cols.dat:1" in str(err.value)
-    assert "3" in str(err.value)
-
-
-def test_load_pointwise_rejects_duplicates_and_short_tables(tmp_path):
-    path = tmp_path / "dup.dat"
-    rows = [f"{4.0 + 0.5 * i:.2f} {-0.01 + 0.001 * i:.4f}" for i in range(10)]
-    rows.append(rows[3])
-    path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(DataFormatError) as err:
-        load_pointwise(path, "X")
-    assert "duplicate" in str(err.value)
-
-    short = tmp_path / "short.dat"
-    short.write_text("4.0 0.0\n5.0 0.1\n")
-    with pytest.raises(DataFormatError):
-        load_pointwise(short, "X")
-
-
 def test_dipole_function_constant_and_connects():
     dip = DipoleFunction.constant(("X", "A"), 1.25)
     assert dip(6.0) == pytest.approx(1.25)
     np.testing.assert_allclose(dip(np.array([5.0, 7.0])), [1.25, 1.25])
     assert dip.connects("X", "A") and dip.connects("A", "X")
     assert not dip.connects("X", "b")
-
-
-def test_dipole_function_from_points():
-    r = np.linspace(4.0, 12.0, 20)
-    d = 1.0 + 0.1 * (r - 6.0)
-    dip = DipoleFunction.from_points(("X", "A"), r, d)
-    assert dip(6.0) == pytest.approx(1.0, abs=1e-10)
-    assert dip(8.0) == pytest.approx(1.2, abs=1e-10)
 
 
 def test_coupled_model_shift():

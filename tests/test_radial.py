@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import full_dvr_levels, uncached
+from oracles import morse_levels, radial_models
 
 from magictrap import (
     CoupledModel,
@@ -166,7 +167,7 @@ def test_morse_spectrum_matches_closed_form():
     curve = MorseCurve(label="X", d_e=0.02, a=0.5, r_e=6.0)
     grid = RadialGrid(3.5, 14.0, 600)
     levels = solve(curve, 0, grid, max_levels=10)
-    exact = curve.analytic_levels(MU)
+    exact = morse_levels(curve, MU)
     assert len(levels) == 10
     for energy, ref in zip(levels.energies, exact):
         assert energy == pytest.approx(ref, rel=1e-9)
@@ -633,7 +634,7 @@ def test_a_dense_solve_holds_one_channel_block():
     n^2 doubles of numpy arrays: the solve keeps no kinetic matrix,
     diagonal or sum beside them."""
     cfg = load_config(overrides=["grid.points=600"])
-    ground = narb.radial_models(cfg)[0]
+    ground = radial_models(cfg)[0]
     grid = cfg.radial_grid()
     peak = _traced_peak(lambda: rovib_basis(ground, 0, cfg.reduced_mass_amu(), grid), grid.n)
     assert peak <= 2.2, peak
@@ -674,7 +675,7 @@ def test_dense_solves_run_once_per_model_key(monkeypatch):
     dense = radial._channel_eigenpairs
     monkeypatch.setattr(radial, "_channel_eigenpairs", counting)
     narb._bases.cache_clear()
-    narb.radial_models(load_config(overrides=["grid.points=300"]))
+    radial_models(load_config(overrides=["grid.points=300"]))
     assert sizes == []
     assert solved() == [300, 600]
     assert solved("molecule.transition_cm1=11290.0", "scan.j_values=2",

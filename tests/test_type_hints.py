@@ -1,4 +1,4 @@
-"""Every annotation in the package resolves.
+"""Every annotation in the package, and in the tests' oracles, resolves.
 
 Each module starts with ``from __future__ import annotations``, so an
 annotation is a string that nothing evaluates: a name deleted from a
@@ -15,6 +15,7 @@ from functools import cached_property
 from pathlib import Path
 
 import magictrap
+import oracles
 
 MODULES = sorted(path.stem for path in Path(magictrap.__file__).parent.glob("*.py")
                  if path.stem != "__init__")
@@ -39,7 +40,8 @@ def _functions(module):
 def test_every_annotation_resolves():
     assert len(MODULES) == 12
     resolved = []
-    for module in map(importlib.import_module, (f"magictrap.{m}" for m in MODULES)):
+    modules = [importlib.import_module(f"magictrap.{m}") for m in MODULES]
+    for module in [*modules, oracles]:
         for name, fn in _functions(module):
             try:
                 typing.get_type_hints(fn)

@@ -18,7 +18,6 @@ from magictrap import (
     Unit,
     UnitError,
     convert,
-    wavelength_nm,
 )
 from magictrap.units import (
     AU_POL_TO_MHZ_PER_WCM2,
@@ -27,6 +26,8 @@ from magictrap.units import (
     HARTREE_TO_CM1,
     HARTREE_TO_GHZ,
 )
+
+from oracles import wavelength_nm
 
 
 def test_polarizability_factor_is_adopted_value():
@@ -104,12 +105,13 @@ def test_energy_chain_closes():
 
 
 def _imports(path: Path):
-    """(line, dotted name, at module level) of each import in ``path``;
-    an import inside a function runs only when the function does."""
+    """(line, dotted name, innermost enclosing function or None at module
+    level) of each import in ``path``; an import inside a function runs
+    only when the function does."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    deferred = {id(node) for fn in ast.walk(tree)
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                for node in ast.walk(fn)}
+    owner = {id(node): fn.name for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -118,7 +120,7 @@ def _imports(path: Path):
         else:
             continue
         for name in names:
-            yield node.lineno, name, id(node) not in deferred
+            yield node.lineno, name, owner.get(id(node))
 
 
 SOURCES = sorted(Path(magictrap.__file__).parent.glob("*.py"))
@@ -136,9 +138,18 @@ def test_no_module_takes_constants_from_scipy():
 def test_no_module_imports_scipy_at_import_time():
     """scipy is imported only inside the functions that use it."""
     found = [f"{path.name}:{line} {name}" for path in SOURCES
-             for line, name, top in _imports(path)
-             if top and (name == "scipy" or name.startswith("scipy."))]
+             for line, name, fn in _imports(path)
+             if fn is None and (name == "scipy" or name.startswith("scipy."))]
     assert not found, found
+
+
+def test_the_one_scipy_import_is_the_assignment_fallback():
+    """The one scipy import in the package is scipy.optimize's assignment
+    solver, inside ``hyperfine._match``, which falls back on it for tied
+    or colliding overlaps."""
+    found = [(path.name, fn, name) for path in SOURCES
+             for _, name, fn in _imports(path) if name.split(".")[0] == "scipy"]
+    assert found == [("hyperfine.py", "_match", "scipy.optimize.linear_sum_assignment")]
 
 
 def _loaded_scipy_modules(code: str) -> list[str]:
