@@ -229,6 +229,12 @@ def _cmd_alpha_scan(cfg: RunConfig):
     per_j = [alpha_analytic(spec, nu, j, m, theta_p) for j in j_values]
     for note in sorted({note for j in j_values for note in validity_notes(spec, nu, j)}):
         logger.warning("note: %s (some scan points)", note)
+    # a detuning that lands on a pole, such as Delta = 0 for J = 0, gives an
+    # infinite cell, written as it is
+    bad = [(j, d) for j, alpha in zip(j_values, per_j) for d in deltas[~np.isfinite(alpha)]]
+    if bad:
+        logger.warning("note: %d non-finite alpha cell%s: %s", len(bad), "s" * (len(bad) > 1),
+                       ", ".join(f"J={j} at {d:g} GHz" for j, d in bad))
     headers = ["detuning_ghz", "j", "m", "alpha_au"]
     columns = _detuning_columns(deltas, j_values, m, per_j)
     summary = (f"alpha(Delta) for J in {list(j_values)}, M={m}: "

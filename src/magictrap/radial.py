@@ -8,14 +8,14 @@ adjustments, and off-diagonal entries fall off as (-1)^(i-j)/(i-j)^2
 with the corresponding interval correction.  Single curves and
 two-channel spin-orbit coupled pairs share the same machinery.
 
-Each solve diagonalizes every channel's n x n block on its own
-(``np.linalg.eigh``).  A single curve's eigenpairs are the model's.  A
-coupled model's channels each keep their eigenstates up to
-:data:`CHANNEL_CUTOFF` above their own asymptote, and one more eigh
-couples them in that basis; an a-posteriori bound on what the dropped
-states could move each bound energy certifies the truncation, and a
-solve whose bound exceeds :data:`TRUNCATION_TOL` keeps every channel
-state instead.  This is the sequential diagonalization-truncation of
+Each solve diagonalizes every channel's n x n block on its own, in
+place through numpy's own LAPACK (:func:`_eigh`).  A single curve's
+eigenpairs are the model's.  A coupled model's channels each keep their
+eigenstates up to :data:`CHANNEL_CUTOFF` above their own asymptote, and
+one more eigh couples them in that basis; an a-posteriori bound on what
+the dropped states could move each bound energy certifies the
+truncation, and a solve whose bound exceeds :data:`TRUNCATION_TOL` keeps
+every channel state instead.  This is the sequential diagonalization-truncation of
 Bacic & Light (Annu. Rev. Phys. Chem. 40, 469 (1989)) applied to the
 channels of the Colbert-Miller DVR (J. Chem. Phys. 96, 1982 (1992)).
 
@@ -40,11 +40,13 @@ reduced masses cross the API boundary in atomic mass units.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
+import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from numbers import Integral
 
 import numpy as np
@@ -369,6 +371,73 @@ class RovibBasis:
         return energies, coeffs
 
 
+@cache
+def _lapack_dsyevd():
+    """The ILP64 LAPACK ``dsyevd`` that numpy's own ``linalg`` calls, bound
+    through ctypes, or None where numpy ships no such symbol (another BLAS,
+    32-bit integers, another platform).
+
+    Keyed on nothing: the first dense solve binds it, which saves the later
+    ones the library load and symbol lookup, 40-120 us each on a 2-core host.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+        # dlsym on the extension also searches the libraries it links
+        dsyevd = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevd_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    dsyevd.restype = None
+    # jobz, uplo, then every other argument by address, then the hidden
+    # lengths of jobz and uplo
+    dsyevd.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_size_t] * 2
+    return dsyevd
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(h)`` to the bit, for an exactly symmetric C-ordered
+    ``h``, which it overwrites.
+
+    Where :func:`_lapack_dsyevd` is bound, dsyevd runs in place on h, read
+    as the Fortran array h^T: jobz V, uplo L and the workspace query are
+    numpy's, and its lower triangle is h's upper one, the same numbers.
+    Its eigenvector columns land as h's rows and are copied out to
+    C-ordered columns once the 2n^2 workspace is freed, so the solve holds
+    3n^2 doubles at its peak, where np.linalg.eigh holds h, its own copy of
+    it, the workspace and its n x n output, 5n^2.  An empty h, or a numpy
+    without that symbol, goes to np.linalg.eigh.  Raises numpy's
+    LinAlgError if dsyevd fails.  The debug line names n, the path and the
+    wall time.
+    """
+    n = len(h)
+    dsyevd = _lapack_dsyevd() if n else None
+    start = time.perf_counter()
+    if dsyevd is None:
+        energies, vectors = np.linalg.eigh(h)
+    else:
+        h = np.require(h, np.float64, "CW")
+        energies = np.empty(n)
+        size, lwork, liwork, info = (ctypes.c_int64(v) for v in (n, -1, -1, 0))
+
+        def call(work, iwork):
+            dsyevd(b"V", b"L", ctypes.byref(size), h.ctypes.data, ctypes.byref(size),
+                   energies.ctypes.data, work.ctypes.data, ctypes.byref(lwork),
+                   iwork.ctypes.data, ctypes.byref(liwork), ctypes.byref(info), 1, 1)
+
+        work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+        call(work, iwork)  # the workspace query
+        lwork.value, liwork.value = int(work[0]), int(iwork[0])
+        work, iwork = np.empty(lwork.value), np.empty(liwork.value, dtype=np.int64)
+        call(work, iwork)
+        del work, iwork
+        if info.value:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        vectors = np.ascontiguousarray(h.T)
+    logger.debug("dense eigh n=%d by %s in %.3f s", n,
+                 "np.linalg.eigh" if dsyevd is None else "dsyevd in place",
+                 time.perf_counter() - start)
+    return energies, vectors
+
+
 def _kept(energies: np.ndarray, top: float) -> int:
     """How many of the ascending ``energies`` a basis keeps:
     :data:`BASIS_STATES_PER_BOUND` per one below ``top``, or all."""
@@ -394,11 +463,12 @@ def _couple(channels, coupling: np.ndarray, kept: tuple[int, int], top: float):
     a, b = u_a[:, :k_a], u_b[:, :k_b]
     h = np.diag(np.concatenate([e_a[:k_a], e_b[:k_b]]))
     cross = h[k_a:, :k_a]
-    cross[...] = b.T @ (coupling[:, None] * a)  # eigh reads the lower triangle
+    cross[...] = b.T @ (coupling[:, None] * a)
+    h[:k_a, k_a:] = cross.T  # exactly symmetric, as _eigh needs
     # |U_kept^T xi U_drop|_F^2: each channel's |xi U_kept|_F^2 less what stays kept
     carried = float(coupling ** 2 @ (np.einsum("ij,ij->i", a, a) + np.einsum("ij,ij->i", b, b))
                     - 2.0 * np.einsum("ij,ij", cross, cross))
-    energies, c = np.linalg.eigh(h)
+    energies, c = _eigh(h)
     del h, cross
     keep = _kept(energies, top)
     psi_a, psi_b = a @ c[:k_a, :keep], b @ c[k_a:, :keep]
@@ -450,25 +520,25 @@ def _channel_eigenpairs(kinetic: Callable[[], np.ndarray], diagonals: list[np.nd
     ``coupling`` is given, are coupled pointwise by it.  ``kinetic()``
     returns a new n x n kinetic matrix T on each call.
 
-    Each block is added into its own T, diagonalized alone and dropped
-    before the next is built: a channel's eigh holds that one n x n block
-    beside LAPACK's copy of it, its 2n^2 workspace and its n x n output,
-    and a coupled pair keeps both channels' n x n eigenvectors through the
-    coupling step.  A single curve's eigenpairs are the model's.  Two
-    channels each keep their states up to :data:`CHANNEL_CUTOFF` above
-    their own asymptote, and one more eigh couples them in that basis
-    (:func:`_couple`); if the truncation bound exceeds
-    :data:`TRUNCATION_TOL`, the coupling step is repeated with every
-    channel state, which is exact.  Returns the :func:`_kept` energies and
-    DVR coefficient columns, the states kept per channel and the
-    truncation bound of the solve returned.
+    Each block is added into its own T, diagonalized alone by
+    :func:`_eigh`, which overwrites it, and dropped before the next is
+    built: a channel's eigh holds that one n x n block and a 2n^2
+    workspace, and a coupled pair keeps both channels' n x n eigenvectors
+    through the coupling step.  A single curve's eigenpairs are the
+    model's.  Two channels each keep their states up to
+    :data:`CHANNEL_CUTOFF` above their own asymptote, and one more eigh
+    couples them in that basis (:func:`_couple`); if the truncation bound
+    exceeds :data:`TRUNCATION_TOL`, the coupling step is repeated with
+    every channel state, which is exact.  Returns the :func:`_kept`
+    energies and DVR coefficient columns, the states kept per channel and
+    the truncation bound of the solve returned.
     """
     n = diagonals[0].size
     channels = []
     for d in diagonals:
         h = kinetic()
         h[np.diag_indices(n)] += d
-        channels.append(np.linalg.eigh(h))
+        channels.append(_eigh(h))
         del h  # before the next kinetic(), so two blocks are never alive at once
     if coupling is None:
         (energies, u), = channels
@@ -499,11 +569,14 @@ def _dense_basis(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
     truncation bound.
 
     The solve's memory grows as n^2 doubles (8n^2 bytes, 11.5 MB at the
-    bundled n = 1200): each channel's eigh holds its one block, LAPACK's
-    copy of it, a 2n^2 workspace and the n x n eigenvectors, and a coupled
-    model keeps both channels' eigenvectors through the coupling eigh,
-    which holds the same four arrays at the kept states' size (1154^2 on
-    the bundled grid).  Nothing else of size n^2 is kept.
+    bundled n = 1200): each channel's eigh holds its one block, which
+    dsyevd overwrites with the eigenvectors, and a 2n^2 workspace, 3n^2 in
+    all, and a coupled model keeps both channels' eigenvectors through the
+    coupling eigh, which holds the same at the kept states' size K (1154
+    on the bundled grid), 4.8n^2 in all.  Nothing else of size n^2 is
+    kept.  ``solve-rovib`` peaks at 103 MB resident at n = 1200 and 218 MB
+    at n = 2400, against 112 and 306 MB through np.linalg.eigh, which
+    also holds its own copy of each matrix and a separate output.
     """
     j = _check_j(j)
     if isinstance(model, CoupledModel):

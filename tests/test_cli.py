@@ -1035,6 +1035,25 @@ def test_a_linewidth_that_overflows_alpha_exits_2(small_config, tmp_path, capsys
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("override, delta", [
+    ("scan.start_ghz=1e-300", 1e-300), ("scan.start_ghz=-1e-300", -1e-300),
+    ("scan.stop_ghz=1e-300", 1e-300), ("scan.stop_ghz=-1e-300", -1e-300),
+    ("scan.points=201", 0.0),
+])
+def test_an_infinite_alpha_cell_is_noted(override, delta, tmp_path, caplog):
+    """A detuning that lands on the J = 0 pole, at either end of the window
+    or at Delta = 0 on the golden 201-point axis, writes its -inf cell with
+    exit 0, and one note gives the count and each such cell's J and
+    detuning."""
+    with caplog.at_level(logging.WARNING, logger="magictrap.cli"):
+        assert main(["alpha-scan", "--out", str(tmp_path), "--override", override]) == 0
+    _, rows = read_rows(tmp_path / "alpha_scan.csv")
+    assert [(float(r[0]), r[1], r[3]) for r in rows
+            if not math.isfinite(float(r[3]))] == [(delta, "0", "-inf")]
+    assert [r.getMessage() for r in caplog.records if "finite" in r.getMessage()] == [
+        f"note: 1 non-finite alpha cell: J=0 at {delta:g} GHz"]
+
+
 @pytest.mark.parametrize("subcommand, module, overrides", [
     ("hyperfine-scan", cli, ["scan.points=4"]),
     ("magic-find", hyperfine, ["magic.kind=angle", "magic.method=eigen"]),

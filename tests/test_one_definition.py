@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import logging
 from pathlib import Path
 
 import pytest
 
 import magictrap
-from magictrap import (angular, errors, hyperfine, magic, polarizability, potentials,
-                       radial, units)
+from magictrap import (angular, errors, hyperfine, magic, narb, polarizability,
+                       potentials, radial, units)
 from magictrap.cli import main
 from magictrap.config import load_config
 
@@ -82,6 +83,24 @@ def test_bundled_defaults_csv_is_golden(case, tmp_path):
     assert main([*argv, "--out", str(tmp_path)]) == 0
     csv = tmp_path / f"{argv[0].replace('-', '_')}.csv"
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("path", ["dsyevd in place", "np.linalg.eigh"])
+def test_radial_goldens_hold_on_both_eigh_paths(path, tmp_path, monkeypatch, caplog):
+    """solve-rovib and imag-scan write their golden bytes with the four
+    dense eighs run in place through numpy's dsyevd and through
+    np.linalg.eigh, the path where numpy ships no such symbol; one debug
+    line per dense solve names the path."""
+    if path == "np.linalg.eigh":
+        monkeypatch.setattr(radial, "_lapack_dsyevd", lambda: None)
+    elif radial._lapack_dsyevd() is None:
+        pytest.skip("numpy ships no ILP64 dsyevd")
+    for case in ("solve-rovib", "imag-scan"):
+        narb._bases.cache_clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="magictrap.radial"):
+            test_bundled_defaults_csv_is_golden(case, tmp_path)
+        assert caplog.text.count(f" by {path} in ") == 4, case
 
 
 def _bundled_values() -> dict[str, float]:
@@ -213,7 +232,8 @@ def test_one_table_decides_the_branch_poles():
 
 
 # the process-global memos, each kept for a measured saving
-MEMOS = ["cli._parser", "config._bundled_sections", "hyperfine._basis", "narb._bases"]
+MEMOS = ["cli._parser", "config._bundled_sections", "hyperfine._basis", "narb._bases",
+         "radial._lapack_dsyevd"]
 
 
 def _memos(path: Path):

@@ -16,6 +16,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import full_dvr_levels, uncached
+from hypothesis import event, given, seed, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from oracles import morse_levels, radial_models
 
 from magictrap import (
@@ -619,8 +622,9 @@ def test_a_failed_certificate_keeps_every_channel_state(monkeypatch, caplog):
 
 def _traced_peak(solve, n):
     """The traced peak of the numpy arrays ``solve()`` keeps alive at once,
-    in n^2 doubles.  tracemalloc sees numpy's data buffers, not LAPACK's
-    own copy and workspace."""
+    in n^2 doubles.  tracemalloc sees numpy's data buffers: with dsyevd run
+    in place (``radial._eigh``) that includes its workspace, so it is the
+    whole footprint; np.linalg.eigh's own copy and workspace it does not see."""
     tracemalloc.start()
     try:
         solve()
@@ -630,22 +634,22 @@ def _traced_peak(solve, n):
 
 
 def test_a_dense_solve_holds_one_channel_block():
-    """A channel's eigh holds its one n x n block and its n x n output, 2.0
-    n^2 doubles of numpy arrays: the solve keeps no kinetic matrix,
-    diagonal or sum beside them."""
+    """A channel's eigh holds its one n x n block, which dsyevd overwrites
+    with the eigenvectors, and its 2n^2 workspace, 3.0 n^2 doubles: the
+    solve keeps no kinetic matrix, diagonal, sum or second copy beside them."""
     cfg = load_config(overrides=["grid.points=600"])
     ground = radial_models(cfg)[0]
     grid = cfg.radial_grid()
     peak = _traced_peak(lambda: rovib_basis(ground, 0, cfg.reduced_mass_amu(), grid), grid.n)
-    assert peak <= 2.2, peak
+    assert peak <= 3.2, peak
 
 
 def test_bundled_truncation_is_certified_and_logged(narb_config, caplog):
     """On the bundled grid the A-b solve keeps part of each channel, and
     its bound lies below the round-off floor; the log line says both.  Its
-    numpy arrays peak at the two channels' eigenvectors and the coupling
-    eigh's input and output, 3.9 n^2 doubles, with no kinetic matrix kept
-    beside them."""
+    memory peaks at the two channels' eigenvectors and the coupling eigh's
+    K x K matrix and 2K^2 workspace (K = 1154 of n = 1200), 4.8 n^2 doubles,
+    with no kinetic matrix kept beside them."""
     with caplog.at_level(logging.INFO, logger="magictrap.radial"):
         peak = _traced_peak(lambda: narb.pinned_models(narb_config),
                             narb_config.radial_grid().n)
@@ -653,7 +657,70 @@ def test_bundled_truncation_is_certified_and_logged(narb_config, caplog):
     assert 0 < k_a < n and 0 < k_b < n == narb_config.radial_grid().n
     assert 0.0 < bound <= radial.TRUNCATION_TOL
     assert "keeping all" not in caplog.text
-    assert peak <= 4.2, peak
+    assert peak <= 5.0, peak
+
+
+def _assert_eigh_is_numpys(h):
+    """``radial._eigh`` of a copy of ``h`` gives ``np.linalg.eigh(h)``: the
+    same shapes and bytes, C-ordered vectors, or the same LinAlgError text."""
+    try:
+        expected = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{re.escape(str(exc))}$"):
+            radial._eigh(h.copy())
+        return "LinAlgError"
+    for got, want in zip(radial._eigh(h.copy()), expected):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    return "finite" if np.all(np.isfinite(expected[1])) else "non-finite"
+
+
+def test_dense_eighs_are_numpys_on_the_bundled_blocks(monkeypatch):
+    """The four dense eighs of the bundled model at n = 300, the A and b
+    channel blocks, their coupling step and the X block, in that order,
+    each take an exactly symmetric matrix and give numpy's bits."""
+    blocks = []
+    eigh = radial._eigh
+    monkeypatch.setattr(radial, "_eigh", lambda h: blocks.append(h.copy()) or eigh(h))
+    narb.pinned_models(load_config(overrides=["grid.points=300"]))
+    monkeypatch.undo()
+    sizes = [len(h) for h in blocks]
+    assert sizes == [300, 300, sizes[2], 300] and 300 < sizes[2] <= 600, sizes
+    for h in blocks:
+        assert np.array_equal(h, h.T)
+        _assert_eigh_is_numpys(h)
+
+
+@st.composite
+def _symmetric(draw):
+    """An exactly symmetric n x n matrix, n from 0, whose lower triangle is
+    drawn: mostly moderate entries, some of any size, inf or NaN."""
+    n = draw(st.integers(0, 12))
+    entries = st.one_of(st.floats(-1e3, 1e3), st.floats(width=64))
+    x = draw(arrays(np.float64, (n, n), elements=entries))
+    return np.where(np.tri(n, dtype=bool), x, x.T)
+
+
+@seed(3401)
+@settings(deadline=None, max_examples=300)
+@given(_symmetric())
+def test_dense_eigh_is_numpys_on_drawn_matrices(h):
+    outcome = _assert_eigh_is_numpys(h)
+    event(f"n = {len(h)}" if len(h) < 2 else outcome)
+
+
+def test_ilp64_openblas_numpy_solves_in_place():
+    """Where numpy's LAPACK is scipy-openblas with 64-bit integers, the
+    dense solves take the in-place dsyevd, so no silent fallback to
+    np.linalg.eigh hides its memory saving; the debug line says so."""
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except TypeError:  # a numpy whose show_config takes no mode
+        pytest.skip("numpy names no LAPACK build")
+    if (lapack.get("name") != "scipy-openblas"
+            or "USE64BITINT" not in lapack.get("openblas configuration", "")):
+        pytest.skip(f"numpy's LAPACK is {lapack.get('name')}, not ILP64 scipy-openblas")
+    assert radial._lapack_dsyevd() is not None
 
 
 def test_dense_solves_run_once_per_model_key(monkeypatch):
