@@ -91,8 +91,8 @@ def _bases(b_v_cm1: float, b_vprime_cm1: float, mass_amu: float,
     """
     ground, model, dipole = _models(b_v_cm1, b_vprime_cm1, mass_amu)
     # the two-channel solve first, so its peak memory does not stack on
-    # what the ground solve leaves allocated: on the bundled grid a process
-    # making both solves peaks at 101 MB resident this way, 103 MB the other
+    # the ground basis: on the bundled grid solve-rovib peaks at 82 MB
+    # resident this way, 85 MB the other
     ab_basis = rovib_basis(model, 1, mass_amu, grid)
     x_basis = rovib_basis(ground, 0, mass_amu, grid)
     return ground, model, dipole, x_basis, ab_basis

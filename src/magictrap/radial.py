@@ -9,10 +9,11 @@ with the corresponding interval correction.  Single curves and
 two-channel spin-orbit coupled pairs share the same machinery.
 
 Each solve diagonalizes every channel's n x n block on its own, in
-place through numpy's own LAPACK (:func:`_eigh`).  A single curve's
-eigenpairs are the model's.  A coupled model's channels each keep their
-eigenstates up to :data:`CHANNEL_CUTOFF` above their own asymptote, and
-one more eigh couples them in that basis; an a-posteriori bound on what
+place through numpy's own LAPACK (:func:`_eigh`), and hands the heap it
+frees back to the OS (:func:`_trim`).  A single curve's eigenpairs are the
+model's.  A coupled model's channels each keep their eigenstates up to
+:data:`CHANNEL_CUTOFF` above their own asymptote, and one more eigh
+couples them in that basis; an a-posteriori bound on what
 the dropped states could move each bound energy certifies the
 truncation, and a solve whose bound exceeds :data:`TRUNCATION_TOL` keeps
 every channel state instead.  This is the sequential diagonalization-truncation of
@@ -43,6 +44,7 @@ from __future__ import annotations
 import ctypes
 import logging
 import math
+import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -50,6 +52,11 @@ from functools import cache, cached_property, partial
 from numbers import Integral
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # no getrusage on this platform
+    resource = None
 
 from .angular import _as_int, _check_j
 from .errors import GridError
@@ -393,6 +400,47 @@ def _lapack_dsyevd():
     return dsyevd
 
 
+@cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, bound through ctypes, or None where the C
+    library has no such symbol (another libc, another platform).
+
+    Keyed on nothing: the first dense solve binds it, which saves the later
+    calls the library handle and symbol lookup, about 18 us each on a
+    2-core host.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    trim.restype = ctypes.c_int
+    trim.argtypes = [ctypes.c_size_t]
+    return trim
+
+
+def _trim() -> None:
+    """Hand the heap's free pages back to the OS, where glibc can.
+
+    glibc raises its mmap threshold to the size of each mmapped block it
+    frees, up to 32 MB, so once the first n x n block and dsyevd workspace
+    go (11.5 and 23 MB at n = 1200), later blocks of that size come from
+    the heap and stay resident when freed.  A solve calls this where such blocks have just
+    gone, so the next ones do not stack on them.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
+def _peak_rss() -> str:
+    """The process's peak resident set size so far, as log text."""
+    if resource is None:
+        return "unknown"
+    # ru_maxrss counts bytes on macOS, KiB elsewhere
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return f"{peak / (2 ** 20 if sys.platform == 'darwin' else 2 ** 10):.1f} MB"
+
+
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh(h)`` to the bit, for an exactly symmetric C-ordered
     ``h``, which it overwrites.
@@ -403,10 +451,11 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Its eigenvector columns land as h's rows and are copied out to
     C-ordered columns once the 2n^2 workspace is freed, so the solve holds
     3n^2 doubles at its peak, where np.linalg.eigh holds h, its own copy of
-    it, the workspace and its n x n output, 5n^2.  An empty h, or a numpy
-    without that symbol, goes to np.linalg.eigh.  Raises numpy's
-    LinAlgError if dsyevd fails.  The debug line names n, the path and the
-    wall time.
+    it, the workspace and its n x n output, 5n^2.  The heap is trimmed
+    (:func:`_trim`) before the workspace is allocated and after it is
+    freed.  An empty h, or a numpy without that symbol, goes to
+    np.linalg.eigh.  Raises numpy's LinAlgError if dsyevd fails.  The debug
+    line names n, the path, the wall time and the process's peak RSS so far.
     """
     n = len(h)
     dsyevd = _lapack_dsyevd() if n else None
@@ -426,15 +475,17 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
         call(work, iwork)  # the workspace query
         lwork.value, liwork.value = int(work[0]), int(iwork[0])
+        _trim()
         work, iwork = np.empty(lwork.value), np.empty(liwork.value, dtype=np.int64)
         call(work, iwork)
         del work, iwork
+        _trim()
         if info.value:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         vectors = np.ascontiguousarray(h.T)
-    logger.debug("dense eigh n=%d by %s in %.3f s", n,
+    logger.debug("dense eigh n=%d by %s in %.3f s, peak RSS %s", n,
                  "np.linalg.eigh" if dsyevd is None else "dsyevd in place",
-                 time.perf_counter() - start)
+                 time.perf_counter() - start, _peak_rss())
     return energies, vectors
 
 
@@ -444,23 +495,34 @@ def _kept(energies: np.ndarray, top: float) -> int:
     return min(energies.size, BASIS_STATES_PER_BOUND * int(np.searchsorted(energies, top)))
 
 
-def _couple(channels, coupling: np.ndarray, kept: tuple[int, int], top: float):
+def _couple(channels: list, coupling: np.ndarray, kept: tuple[int, int], top: float):
     """Lowest eigenpairs of two channels coupled in their kept eigenstates.
 
     ``channels`` holds each channel's ascending (energies, vectors) and
-    ``kept`` how many of each enter.  The Hamiltonian in that basis is
-    diag(E_A, E_b) with U_A^T xi U_b off the diagonal.  Returns the
-    :func:`_kept` energies, their DVR coefficient columns (channel A's
-    rows first) and the :func:`_truncation_bound` of the levels below
-    ``top``, from r_j, the norm of what the coupling carries from kept
-    eigenstate j into the dropped channel states.  The dropped block's
-    spectrum lies above its lowest channel energy less max |xi(R_i)|: the
-    dropped A and b states couple to each other through
-    U_A,drop^T xi U_b,drop, of norm at most max |xi|.
+    ``kept`` how many of each enter; the call empties it, so a caller that
+    holds no other reference lets the n x n eigenvectors go before the
+    coupling eigh.  The Hamiltonian in that basis is diag(E_A, E_b) with
+    U_A^T xi U_b off the diagonal.  Returns the :func:`_kept` energies,
+    their DVR coefficient columns (channel A's rows first) and the
+    :func:`_truncation_bound` of the levels below ``top``, from r_j, the
+    norm of what the coupling carries from kept eigenstate j into the
+    dropped channel states: r_j^2 = |D_a c_b,j|^2 + |D_b c_a,j|^2, with
+    D_a = U_A,drop^T xi U_b,kept and D_b = U_b,drop^T xi U_A,kept formed
+    before the eigh, which is |U_A,drop^T xi psi_b|^2 + |U_b,drop^T xi
+    psi_a|^2 regrouped.  The dropped block's spectrum lies above its
+    lowest channel energy less max |xi(R_i)|: the dropped A and b states
+    couple to each other through U_A,drop^T xi U_b,drop, of norm at most
+    max |xi|.
     """
     (e_a, u_a), (e_b, u_b) = channels
+    channels.clear()
     k_a, k_b = kept
-    a, b = u_a[:, :k_a], u_b[:, :k_b]
+    # the kept columns, C-ordered; all of u where nothing is dropped
+    a, b = np.ascontiguousarray(u_a[:, :k_a]), np.ascontiguousarray(u_b[:, :k_b])
+    d_a = u_a[:, k_a:].T @ (coupling[:, None] * b)
+    del u_a
+    d_b = u_b[:, k_b:].T @ (coupling[:, None] * a)
+    del u_b
     h = np.diag(np.concatenate([e_a[:k_a], e_b[:k_b]]))
     cross = h[k_a:, :k_a]
     cross[...] = b.T @ (coupling[:, None] * a)
@@ -470,11 +532,12 @@ def _couple(channels, coupling: np.ndarray, kept: tuple[int, int], top: float):
                     - 2.0 * np.einsum("ij,ij", cross, cross))
     energies, c = _eigh(h)
     del h, cross
+    _trim()
     keep = _kept(energies, top)
-    psi_a, psi_b = a @ c[:k_a, :keep], b @ c[k_a:, :keep]
-    del c
-    r2 = (np.sum((u_a[:, k_a:].T @ (coupling[:, None] * psi_b)) ** 2, axis=0)
-          + np.sum((u_b[:, k_b:].T @ (coupling[:, None] * psi_a)) ** 2, axis=0))
+    c_a, c_b = c[:k_a, :keep], c[k_a:, :keep]
+    psi_a, psi_b = a @ c_a, b @ c_b
+    r2 = np.sum((d_a @ c_b) ** 2, axis=0) + np.sum((d_b @ c_a) ** 2, axis=0)
+    del c, c_a, c_b
     floor = (min(e_a[k_a:].min(initial=np.inf), e_b[k_b:].min(initial=np.inf))
              - np.max(np.abs(coupling)))
     bound = _truncation_bound(energies, r2, carried, floor, top)
@@ -513,6 +576,21 @@ def _truncation_bound(energies: np.ndarray, r2: np.ndarray, carried: float, floo
     return float(np.max(np.where(share < 1.0, s0 / (1.0 - share), math.inf), initial=0.0))
 
 
+def _channel_blocks(kinetic: Callable[[], np.ndarray], diagonals: list[np.ndarray]) -> list:
+    """Each channel's ascending (energies, vectors): T + diag(d) per
+    ``diagonals`` entry, added into its own new T and diagonalized alone by
+    :func:`_eigh`, which overwrites it.  Each block is dropped before the
+    next is built, so two are never alive at once."""
+    n = diagonals[0].size
+    channels = []
+    for d in diagonals:
+        h = kinetic()
+        h[np.diag_indices(n)] += d
+        channels.append(_eigh(h))
+        del h
+    return channels
+
+
 def _channel_eigenpairs(kinetic: Callable[[], np.ndarray], diagonals: list[np.ndarray],
                         coupling: np.ndarray | None, asymptotes: list[float], top: float):
     """Lowest eigenpairs of the DVR Hamiltonian whose channel blocks are
@@ -520,26 +598,21 @@ def _channel_eigenpairs(kinetic: Callable[[], np.ndarray], diagonals: list[np.nd
     ``coupling`` is given, are coupled pointwise by it.  ``kinetic()``
     returns a new n x n kinetic matrix T on each call.
 
-    Each block is added into its own T, diagonalized alone by
-    :func:`_eigh`, which overwrites it, and dropped before the next is
-    built: a channel's eigh holds that one n x n block and a 2n^2
-    workspace, and a coupled pair keeps both channels' n x n eigenvectors
-    through the coupling step.  A single curve's eigenpairs are the
-    model's.  Two channels each keep their states up to
+    Each block is solved alone (:func:`_channel_blocks`): a channel's eigh
+    holds that one n x n block and a 2n^2 workspace.  A single curve's
+    eigenpairs are the model's.  Two channels each keep their states up to
     :data:`CHANNEL_CUTOFF` above their own asymptote, and one more eigh
-    couples them in that basis (:func:`_couple`); if the truncation bound
-    exceeds :data:`TRUNCATION_TOL`, the coupling step is repeated with
-    every channel state, which is exact.  Returns the :func:`_kept`
-    energies and DVR coefficient columns, the states kept per channel and
-    the truncation bound of the solve returned.
+    couples them in that basis (:func:`_couple`), which is handed the only
+    references to the channels' n x n eigenvectors and keeps just their
+    kept columns and the two dropped-column products through that eigh.
+    If the truncation bound exceeds :data:`TRUNCATION_TOL`, the channel
+    blocks are solved again and coupled with every channel state, which is
+    exact.  Returns the :func:`_kept` energies and DVR coefficient columns,
+    the states kept per channel and the truncation bound of the solve
+    returned.
     """
     n = diagonals[0].size
-    channels = []
-    for d in diagonals:
-        h = kinetic()
-        h[np.diag_indices(n)] += d
-        channels.append(_eigh(h))
-        del h  # before the next kinetic(), so two blocks are never alive at once
+    channels = _channel_blocks(kinetic, diagonals)
     if coupling is None:
         (energies, u), = channels
         keep = _kept(energies, top)
@@ -550,9 +623,11 @@ def _channel_eigenpairs(kinetic: Callable[[], np.ndarray], diagonals: list[np.nd
     energies, vectors, bound = _couple(channels, coupling, kept, top)
     if bound > TRUNCATION_TOL:
         logger.info("truncation bound %.1e Eh above %.0e Eh with %d + %d channel "
-                    "states; keeping all %d + %d", bound, TRUNCATION_TOL, *kept, n, n)
+                    "states; keeping all %d + %d, solving both channel blocks again",
+                    bound, TRUNCATION_TOL, *kept, n, n)
         kept = (n, n)
-        energies, vectors, bound = _couple(channels, coupling, kept, top)
+        energies, vectors, bound = _couple(_channel_blocks(kinetic, diagonals), coupling,
+                                           kept, top)
     return energies, vectors, kept, bound
 
 
@@ -571,12 +646,18 @@ def _dense_basis(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
     The solve's memory grows as n^2 doubles (8n^2 bytes, 11.5 MB at the
     bundled n = 1200): each channel's eigh holds its one block, which
     dsyevd overwrites with the eigenvectors, and a 2n^2 workspace, 3n^2 in
-    all, and a coupled model keeps both channels' eigenvectors through the
-    coupling eigh, which holds the same at the kept states' size K (1154
-    on the bundled grid), 4.8n^2 in all.  Nothing else of size n^2 is
-    kept.  ``solve-rovib`` peaks at 103 MB resident at n = 1200 and 218 MB
-    at n = 2400, against 112 and 306 MB through np.linalg.eigh, which
-    also holds its own copy of each matrix and a separate output.
+    all.  A coupled model's coupling eigh holds the same at the kept
+    states' size K (1154 on the bundled grid) beside the channels' kept
+    columns and the two dropped-column products of :func:`_couple`, 4.25n^2
+    in all; the channels' n x n eigenvectors are gone by then.  Nothing
+    else of size n^2 is kept.  The heap is trimmed (:func:`_trim`) where
+    the solve frees its blocks and once more at its end, so a freed block
+    does not stay resident under the next.  ``solve-rovib`` peaks at 82 MB
+    resident at n = 1200 and 215 MB at n = 2400, against 103 and 218 MB
+    with the freed blocks kept and both eigenvector sets alive through the
+    coupling eigh.  At n = 2400 every block exceeds glibc's 32 MB mmap
+    threshold and goes back to the OS when freed, so the trim finds little,
+    and the peak is the b channel's eigh beside A's eigenvectors, 4n^2.
     """
     j = _check_j(j)
     if isinstance(model, CoupledModel):
@@ -606,6 +687,7 @@ def _dense_basis(model: PotentialCurve | CoupledModel, j: int, mass_amu: float,
         centrifugal=centrifugal, grid=grid, mu=mu,
         channel_labels=labels, potentials=curves, threshold=threshold, shift=shift,
     )
+    _trim()
     return basis, kept, bound
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from magictrap import hyperfine, narb
+from magictrap import hyperfine, narb, radial
 from magictrap.config import RunConfig
 from magictrap.hyperfine import FieldConfiguration, HyperfineBasis, MolecularConstants
 from magictrap.polarizability import (Background, PolarizabilitySpec, ResonantLine,
@@ -242,6 +242,31 @@ def radial_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunct
     constants, with no solve: ``narb.pinned_models`` before its pinning."""
     return narb._models(cfg.get("molecule", "b_v_cm1"), cfg.get("molecule", "b_vprime_cm1"),
                         cfg.reduced_mass_amu())
+
+
+def couple_after_eigh(channels, coupling: np.ndarray, kept: tuple[int, int], top: float):
+    """``radial._couple`` with r_j taken after the coupling eigh, as the
+    dropped channel columns times xi psi: r_j^2 = |U_A,drop^T xi psi_b,j|^2
+    + |U_b,drop^T xi psi_a,j|^2.  It reads ``channels`` without emptying
+    it, so both channels' n x n eigenvectors stay alive through the eigh."""
+    (e_a, u_a), (e_b, u_b) = channels
+    k_a, k_b = kept
+    a, b = u_a[:, :k_a], u_b[:, :k_b]
+    h = np.diag(np.concatenate([e_a[:k_a], e_b[:k_b]]))
+    cross = h[k_a:, :k_a]
+    cross[...] = b.T @ (coupling[:, None] * a)
+    h[:k_a, k_a:] = cross.T
+    carried = float(coupling ** 2 @ (np.einsum("ij,ij->i", a, a) + np.einsum("ij,ij->i", b, b))
+                    - 2.0 * np.einsum("ij,ij", cross, cross))
+    energies, c = radial._eigh(h)
+    keep = radial._kept(energies, top)
+    psi_a, psi_b = a @ c[:k_a, :keep], b @ c[k_a:, :keep]
+    r2 = (np.sum((u_a[:, k_a:].T @ (coupling[:, None] * psi_b)) ** 2, axis=0)
+          + np.sum((u_b[:, k_b:].T @ (coupling[:, None] * psi_a)) ** 2, axis=0))
+    floor = (min(e_a[k_a:].min(initial=np.inf), e_b[k_b:].min(initial=np.inf))
+             - np.max(np.abs(coupling)))
+    bound = radial._truncation_bound(energies, r2, carried, floor, top)
+    return energies[:keep], np.vstack([psi_a, psi_b]), bound
 
 
 def harmonic_omega(curve: MorseCurve, mu: float) -> float:

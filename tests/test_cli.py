@@ -1200,9 +1200,12 @@ EIGEN_ANGLE = ["magic.kind=angle", "magic.method=eigen"]
 def test_out_of_range_value_exits_2_naming_its_key(subcommand, overrides, key,
                                                    tmp_path, capsys, monkeypatch):
     """A value out of range exits 2 naming its key, before any output file
-    is written or any eigensolve runs."""
+    is written or any eigensolve runs: neither np.linalg.eigh nor the
+    dense radial eigh, which runs dsyevd in place, is called."""
     solved = []
     monkeypatch.setattr(np.linalg, "eigh", lambda *args: solved.append(args))
+    eigh = radial._eigh
+    monkeypatch.setattr(radial, "_eigh", lambda h: solved.append(h) or eigh(h))
     argv = [subcommand, "--out", str(tmp_path)]
     for item in overrides:
         argv += ["--override", item]

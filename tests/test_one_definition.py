@@ -8,7 +8,7 @@ literal.  The package's public API has one definition too: its layers'
 a rotational state (J, M) to its index in the hyperfine basis, and one
 table says where the closed-form polarizability has its branch poles,
 and one entry, ``rovib_basis``, solves a radial model.
-Four process-global memos are kept, each for the saving it names.
+Six process-global memos are kept, each for the saving it names.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,32 @@ def test_radial_goldens_hold_on_both_eigh_paths(path, tmp_path, monkeypatch, cap
         with caplog.at_level(logging.DEBUG, logger="magictrap.radial"):
             test_bundled_defaults_csv_is_golden(case, tmp_path)
         assert caplog.text.count(f" by {path} in ") == 4, case
+
+
+@pytest.mark.parametrize("trim", ["malloc_trim", "no trim"])
+def test_radial_goldens_hold_with_and_without_the_heap_trim(trim, tmp_path, monkeypatch,
+                                                           caplog):
+    """solve-rovib and imag-scan write their golden bytes whether the dense
+    solves hand freed heap back to the OS or, where the C library has no
+    malloc_trim, keep it; each dense solve's debug line names the
+    process's peak RSS so far."""
+    trimmed = []
+    if trim == "no trim":
+        monkeypatch.setattr(radial, "_malloc_trim", lambda: None)
+    elif (real := radial._malloc_trim()) is None:
+        pytest.skip("the C library has no malloc_trim")
+    else:
+        monkeypatch.setattr(radial, "_malloc_trim",
+                            lambda: lambda pad: trimmed.append(pad) or real(pad))
+    for case in ("solve-rovib", "imag-scan"):
+        narb._bases.cache_clear()
+        caplog.clear()
+        trimmed.clear()
+        with caplog.at_level(logging.DEBUG, logger="magictrap.radial"):
+            test_bundled_defaults_csv_is_golden(case, tmp_path)
+        assert bool(trimmed) == (trim == "malloc_trim"), case
+        assert len(re.findall(r"dense eigh n=\d+ by .* in \S+ s, peak RSS (\S+ MB|unknown)$",
+                              caplog.text, re.MULTILINE)) == 4, case
 
 
 def _bundled_values() -> dict[str, float]:
@@ -233,7 +260,7 @@ def test_one_table_decides_the_branch_poles():
 
 # the process-global memos, each kept for a measured saving
 MEMOS = ["cli._parser", "config._bundled_sections", "hyperfine._basis", "narb._bases",
-         "radial._lapack_dsyevd"]
+         "radial._lapack_dsyevd", "radial._malloc_trim"]
 
 
 def _memos(path: Path):

@@ -10,7 +10,10 @@ compared with the uncontracted DVR (``conftest.full_dvr_levels``).
 import logging
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +22,7 @@ from conftest import full_dvr_levels, uncached
 from hypothesis import event, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import morse_levels, radial_models
+from oracles import couple_after_eigh, morse_levels, radial_models
 
 from magictrap import (
     CoupledModel,
@@ -620,6 +623,108 @@ def test_a_failed_certificate_keeps_every_channel_state(monkeypatch, caplog):
     _assert_levels_match(basis.levels(0), full)
 
 
+def _coupled_step(model, j, mass, grid, monkeypatch):
+    """The arguments of the coupled ``_channel_eigenpairs`` call of one
+    solve of ``model`` at ``j``: kinetic, diagonals, coupling, asymptotes
+    and top."""
+    calls = []
+    dense = radial._channel_eigenpairs
+    monkeypatch.setattr(radial, "_channel_eigenpairs",
+                        lambda *args: calls.append(args) or dense(*args))
+    radial._dense_basis(model, j, mass, grid)
+    monkeypatch.setattr(radial, "_channel_eigenpairs", dense)
+    return calls[0]
+
+
+def _coupling_case(name):
+    """(model, J, mass, grid, channel cutoff) of one coupling-step case."""
+    if name.startswith("bundled"):
+        cfg = load_config(overrides=[f"grid.points={name.split('=')[-1]}"])
+        return radial_models(cfg)[1], 1, cfg.reduced_mass_amu(), cfg.radial_grid(), 0.2
+    if name == "cutoff 0.01":
+        return _synthetic("R-dependent xi"), 0, MASS, SYNTHETIC_GRID, 0.01
+    return _synthetic(name), 0, MASS, SYNTHETIC_GRID, 0.2
+
+
+def _channels_kept(args, cutoff):
+    """The solved channels of one coupled ``_channel_eigenpairs`` call, its
+    coupling, the states each channel keeps ``cutoff`` above its own
+    asymptote, and its top."""
+    kinetic, diagonals, coupling, asymptotes, top = args
+    channels = radial._channel_blocks(kinetic, diagonals)
+    kept = tuple(int(np.searchsorted(e, asymptote + cutoff))
+                 for (e, _), asymptote in zip(channels, asymptotes))
+    return channels, coupling, kept, top
+
+
+@pytest.mark.parametrize("name", ["bundled n=300", "bundled n=600", "dark offset",
+                                  "R-dependent xi", "cutoff 0.01"])
+def test_the_coupling_step_matches_the_after_eigh_oracle(name, monkeypatch):
+    """``_couple`` forms the dropped-column products before the coupling
+    eigh and gives the energies and vectors of the oracle that takes r_j
+    after it, byte for byte.  Each r_j agrees to 1e-12 of itself above the
+    rounding floor sqrt(n) eps max |xi| of a product U^T xi psi, and the
+    bound to 1e-12 of itself above 1e-12 of the tolerance it is held to.
+    At n = 300 the bundled solve keeps every channel state; the other
+    cases drop states from both channels, the last far too many."""
+    model, j, mass, grid, cutoff = _coupling_case(name)
+    channels, coupling, kept, top = _channels_kept(
+        _coupled_step(model, j, mass, grid, monkeypatch), cutoff)
+    r2 = []
+    bound_of = radial._truncation_bound
+    monkeypatch.setattr(radial, "_truncation_bound",
+                        lambda energies, r2_, *rest: r2.append(r2_) or bound_of(energies, r2_,
+                                                                                *rest))
+    want = couple_after_eigh(channels, coupling, kept, top)
+    handed = list(channels)
+    got = radial._couple(handed, coupling, kept, top)
+    assert handed == []
+    n = grid.n
+    assert kept == (n, n) if name == "bundled n=300" else 0 < min(kept) <= max(kept) < n
+    for new, old in zip(got[:2], want[:2]):
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+    r_new, r_old = np.sqrt(r2[1]), np.sqrt(r2[0])
+    floor = math.sqrt(n) * np.finfo(float).eps * np.max(np.abs(coupling))
+    assert np.all(np.abs(r_new - r_old) <= 1e-12 * r_old + floor)
+    assert abs(got[2] - want[2]) <= 1e-12 * (want[2] + radial.TRUNCATION_TOL)
+
+
+def test_the_coupling_eigh_runs_without_the_channel_eigenvectors(monkeypatch):
+    """Handed the only references, ``_couple`` frees both channels' n x n
+    eigenvectors before its eigh, so they do not stack on its K x K
+    matrix and workspace."""
+    channels, coupling, kept, top = _channels_kept(
+        _coupled_step(*_coupling_case("dark offset")[:4], monkeypatch), radial.CHANNEL_CUTOFF)
+    vectors = [weakref.ref(u) for _, u in channels]
+    alive = []
+    eigh = radial._eigh
+    monkeypatch.setattr(radial, "_eigh",
+                        lambda h: alive.append([ref() is not None for ref in vectors]) or eigh(h))
+    radial._couple(channels, coupling, kept, top)
+    assert alive == [[False, False]]
+
+
+def test_a_refused_truncation_solves_the_channels_again(monkeypatch, caplog):
+    """The first coupling step consumes the channel eigenvectors, so a
+    refused truncation solves both channel blocks again, says so, and
+    returns the bytes of a fresh solve that keeps every channel state."""
+    args = _coupled_step(*_coupling_case("cutoff 0.01")[:4], monkeypatch)
+    sizes = []
+    eigh = radial._eigh
+    monkeypatch.setattr(radial, "_eigh", lambda h: sizes.append(len(h)) or eigh(h))
+    monkeypatch.setattr(radial, "CHANNEL_CUTOFF", 0.01)
+    with caplog.at_level(logging.INFO, logger="magictrap.radial"):
+        refused = radial._channel_eigenpairs(*args)
+    n = SYNTHETIC_GRID.n
+    assert sizes[:2] == [n, n] and sizes[3:] == [n, n, 2 * n] and sizes[2] < n // 2, sizes
+    assert f"keeping all {n} + {n}, solving both channel blocks again" in caplog.text
+    monkeypatch.setattr(radial, "CHANNEL_CUTOFF", math.inf)
+    whole = radial._channel_eigenpairs(*args)
+    assert refused[2:] == whole[2:] == ((n, n), 0.0)
+    for got, want in zip(refused[:2], whole[:2]):
+        assert got.tobytes() == want.tobytes()
+
+
 def _traced_peak(solve, n):
     """The traced peak of the numpy arrays ``solve()`` keeps alive at once,
     in n^2 doubles.  tracemalloc sees numpy's data buffers: with dsyevd run
@@ -647,9 +752,11 @@ def test_a_dense_solve_holds_one_channel_block():
 def test_bundled_truncation_is_certified_and_logged(narb_config, caplog):
     """On the bundled grid the A-b solve keeps part of each channel, and
     its bound lies below the round-off floor; the log line says both.  Its
-    memory peaks at the two channels' eigenvectors and the coupling eigh's
-    K x K matrix and 2K^2 workspace (K = 1154 of n = 1200), 4.8 n^2 doubles,
-    with no kinetic matrix kept beside them."""
+    memory peaks at the coupling eigh's K x K matrix and 2K^2 workspace
+    (K = 1154 of n = 1200), beside the channels' kept columns (K n) and
+    the two dropped-column products (614 x 568 and 632 x 586), 4.25 n^2
+    doubles, with neither channel's n x n eigenvectors nor a kinetic
+    matrix kept beside them (4.79 n^2 with both eigenvector sets)."""
     with caplog.at_level(logging.INFO, logger="magictrap.radial"):
         peak = _traced_peak(lambda: narb.pinned_models(narb_config),
                             narb_config.radial_grid().n)
@@ -657,7 +764,36 @@ def test_bundled_truncation_is_certified_and_logged(narb_config, caplog):
     assert 0 < k_a < n and 0 < k_b < n == narb_config.radial_grid().n
     assert 0.0 < bound <= radial.TRUNCATION_TOL
     assert "keeping all" not in caplog.text
-    assert peak <= 5.0, peak
+    assert peak <= 4.4, peak
+
+
+_SOLVE_ROVIB_RSS = """
+import resource, sys
+from magictrap.cli import main
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert main(["solve-rovib", "--out", sys.argv[1]]) == 0
+print(base, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_solve_rovib_memory_over_the_import(tmp_path):
+    """The bundled solve-rovib (n = 1200) raises a fresh process's peak
+    RSS by at most 5.5 n^2 doubles over what the import left: 4.75 with
+    the heap trimmed where the solve frees its n x n blocks and the channel
+    eigenvectors freed before the coupling eigh, 6.95 with neither, where
+    glibc keeps the freed blocks resident and the later ones stack on them.
+    Through np.linalg.eigh, which allocates its copy and workspace where
+    no trim reaches, it reads 7.1.  ru_maxrss counts KiB on Linux, where
+    glibc's malloc_trim is found."""
+    if radial._malloc_trim() is None or radial._lapack_dsyevd() is None:
+        pytest.skip("no malloc_trim in the C library, or no dsyevd to run in place")
+    n = load_config().radial_grid().n
+    proc = subprocess.run([sys.executable, "-c", _SOLVE_ROVIB_RSS, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    base, peak = map(int, proc.stdout.split()[-2:])
+    over = (peak - base) * 1024 / (8.0 * n * n)
+    assert n == 1200 and over <= 5.5, over
 
 
 def _assert_eigh_is_numpys(h):
