@@ -40,8 +40,11 @@ and logs the smallest matched overlap from one stack of |V_k-1^T V_k|.
 
 ``solve-rovib`` and ``imag-scan`` read each J's levels as one table of
 arrays (``radial.RovibLevels``), and ``imag-scan`` its dipoles and
-linewidths as one array each.  The bases keep each table they solve, so
-in one process ``imag-scan`` reads the tables ``solve-rovib`` solved.
+linewidths as one array each.  The dipole array holds only the pairs
+``alpha_imag`` reads, each X level at J with the A-b levels at J' = J +- 1,
+one quadrature block per (J, J'); every other pair is NaN.  The bases keep
+each table they solve, so in one process ``imag-scan`` reads the tables
+``solve-rovib`` solved.
 
 Exit codes: 0 success, 2 configuration problem (also a run too large
 for memory), 3 numerical failure (no bracketed root, pole proximity,
@@ -58,6 +61,7 @@ import math
 import sys
 from dataclasses import replace
 from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -158,9 +162,11 @@ def _cmd_solve_rovib(cfg: RunConfig):
     def column(name):
         return np.concatenate([getattr(t, name) for t in tables])
 
-    # an X level has its one channel only, so its frac_b is 0
-    fractions = np.concatenate(
-        [np.pad(t.channel_fractions, [(0, 0), (0, 2 - len(t.channel_labels))]) for t in tables])
+    def fraction(c):
+        # an X level has its one channel only, so its frac_b is 0
+        return np.concatenate([t.channel_fractions[:, c] if c < len(t.channel_labels)
+                               else np.zeros(len(t)) for t in tables])
+
     headers = ["state", "v", "j", "energy_cm1", "b_rot_cm1", "frac_a", "frac_b"]
     columns = [
         [t.label for t in tables for _ in range(len(t))],  # "X", or "Ab" for the coupled pair
@@ -168,9 +174,10 @@ def _cmd_solve_rovib(cfg: RunConfig):
         column("j"),
         column("energies") * HARTREE_TO_CM1,
         column("b_rot") * HARTREE_TO_CM1,
-        *fractions.T,
+        fraction(0),
+        fraction(1),
     ]
-    summary = (f"solved {len(fractions)} levels (X and coupled A-b) "
+    summary = (f"solved {len(columns[0])} levels (X and coupled A-b) "
                f"for J in {list(j_values)}")
     return headers, columns, summary
 
@@ -246,20 +253,30 @@ def _cmd_alpha_scan(cfg: RunConfig):
 def _imag_inputs(cfg: RunConfig, j_values):
     """The lowest X level at each J of ``j_values`` and the A-b levels at
     each J' = J +- 1, as two tables, with the (X, A-b) dipole array and
-    the A-b linewidths."""
+    the A-b linewidths.  Only the pairs ``alpha_imag`` reads, J' = J +- 1,
+    hold a dipole, one ``radial_matrix_element`` block per (J, J'); the
+    others are NaN."""
     ground, _, dipole, x_basis, ab_basis = narb.pinned_models(cfg)
     max_levels = cfg.get("scan", "max_levels")
+    j_ground = sorted(set(j_values))
     j_excited = sorted({j + s for j in j_values for s in (-1, 1) if j + s >= 0})
     x_tables = []
-    for j in sorted(set(j_values)):
+    for j in j_ground:
         lowest = x_basis.levels(j, 1)
         if not lowest:
             raise GridError(f"no X level is bound at J = {j} of [scan] j_values")
         x_tables.append(lowest)
-    x_levels = RovibLevels.join(x_tables)
-    ab_levels = RovibLevels.join([ab_basis.levels(jp, max_levels) for jp in j_excited])
-    dipoles = radial_matrix_element(x_levels, dipole, ab_levels, pairs={(0, 0): dipole})
-    return x_levels, ab_levels, dipoles, linewidth(ab_levels, [(ground, dipole)])
+    ab_tables = [ab_basis.levels(jp, max_levels) for jp in j_excited]
+    dipoles = np.full((len(x_tables), sum(map(len, ab_tables))), np.nan)
+    ends = list(accumulate(map(len, ab_tables)))
+    for row, j, lowest in zip(dipoles, j_ground, x_tables):
+        for jp, table, end in zip(j_excited, ab_tables, ends):
+            if abs(jp - j) == 1:
+                row[end - len(table):end] = radial_matrix_element(
+                    lowest, dipole, table, pairs={(0, 0): dipole})[0]
+    ab_levels = RovibLevels.join(ab_tables)
+    return (RovibLevels.join(x_tables), ab_levels, dipoles,
+            linewidth(ab_levels, [(ground, dipole)]))
 
 
 def _pole_refusal(cfg: RunConfig, deltas, j: int, exc: PoleProximityError):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import _check_state, angular_factors, resonance_offsets, rot_tensor_element
+from .angular import _check_state, angular_factors, resonance_offsets, wigner3j
 from .errors import PoleProximityError
 from .radial import RovibLevels
 from .units import C_AU
@@ -199,12 +199,25 @@ def alpha_analytic(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m: 
 
 
 def _polarization_weight(jp: int, j: int, m: int, theta_p: float) -> float:
-    """sum_M' |<J' M'| e.C_1 |J M>|^2 for linear polarization at theta_p."""
+    """sum_M' |<J' M'| e.C_1 |J M>|^2 for linear polarization at theta_p.
+
+    Each element is ``rot_tensor_element(jp, m + q, 1, q, j, m)``, its
+    products in their order, with the reduced symbol (J' 1 J; 0 0 0) and
+    sqrt((2J'+1)(2J+1)) taken once, for integers J' >= 0 and |M| <= J.
+    """
     cos2 = math.cos(theta_p) ** 2
     sin2 = math.sin(theta_p) ** 2
-    w = cos2 * rot_tensor_element(jp, m, 1, 0, j, m) ** 2
+    reduced = wigner3j(jp, 1, j, 0, 0, 0)
+    norm = math.sqrt((2 * jp + 1) * (2 * j + 1))
+
+    def element(q):
+        mp = m + q
+        geom = wigner3j(jp, 1, j, -mp, q, m) * reduced if abs(mp) <= jp else 0.0
+        return (-1.0 if mp % 2 else 1.0) * norm * geom if geom else 0.0
+
+    w = cos2 * element(0) ** 2
     for q in (-1, 1):
-        w += 0.5 * sin2 * rot_tensor_element(jp, m + q, 1, q, j, m) ** 2
+        w += 0.5 * sin2 * element(q) ** 2
     return w
 
 
@@ -212,7 +225,7 @@ def _transitions(x_levels: RovibLevels, ab_levels: RovibLevels, dipoles: np.ndar
                  nu, j, m, theta_p):
     """The polarization weight W of each branch J' = J +- 1 out of (J, M), one
     row (dE, ab index, d, W) per retained line in ``ab_levels`` order, and
-    ``nu`` as a float array, refused within the pole guard of any line.
+    ``nu`` as a float array.  The caller guards the poles (:func:`_guard_poles`).
     """
     j, m = _check_state(j, m)
     ground = np.flatnonzero(x_levels.j == j)
@@ -237,20 +250,32 @@ def _transitions(x_levels: RovibLevels, ab_levels: RovibLevels, dipoles: np.ndar
     de = ab_levels.energies[lines] - x_levels.energies[x_idx]
     rows = list(zip(de.tolist(), lines.tolist(), d.tolist(),
                     [weights[jp] for jp in ab_levels.j[lines].tolist()]))
-    x = np.asarray(nu, dtype=float)
-    _guard_poles(rows, x)
-    return weights, rows, x
+    return weights, rows, np.asarray(nu, dtype=float)
 
 
 def _guard_poles(rows, nu: np.ndarray) -> None:
     """Raise if any photon energy sits within the pole guard of a line,
-    naming the first such point of the first such line."""
+    naming the first such point of the first such line.
+
+    fl(dE - nu) is rounded monotonically, so it never rises as nu does,
+    and over the axis |dE - nu| is least at the two points on either side
+    of dE in sorted order.  Only if one of those lies within the guard of
+    its line are the lines scanned point by point for the first one.
+    """
     uniq = sorted({row[0] for row in rows})
     if len(uniq) > 1:
         scale = min(b - a for a, b in zip(uniq, uniq[1:]))
     else:
         scale = uniq[0] * _SINGLE_LINE_GUARD / _POLE_GUARD
     guard = _POLE_GUARD * scale
+    axis = np.sort(nu, axis=None)
+    if not axis.size:
+        return
+    lines = np.array([row[0] for row in rows])
+    at = np.searchsorted(axis, lines)
+    below, above = axis[np.maximum(at - 1, 0)], axis[np.minimum(at, axis.size - 1)]
+    if not np.any((np.abs(lines - below) < guard) | (np.abs(lines - above) < guard)):
+        return
     for de, *_ in rows:
         near = np.abs(de - nu) < guard
         if np.any(near):
@@ -277,10 +302,17 @@ def alpha_imag(x_levels: RovibLevels, ab_levels: RovibLevels,
     if len(gammas) != len(ab_levels):
         raise ValueError("gammas must align with ab_levels")
     _, rows, x = _transitions(x_levels, ab_levels, dipoles, nu, j, m, theta_p)
+    _guard_poles(rows, x)
     gammas = np.asarray(gammas, dtype=float).tolist()
+    # each line's term in one buffer of the axis' shape, with (h nu)^2 taken
+    # once: each point gets the float operations of -= g d d W / (dE^2 - nu^2)
     total = np.zeros(x.shape)
+    term = np.empty(x.shape)
     # (h nu)^2 is inf where |h nu| is far beyond every line, and Im alpha 0
     with np.errstate(over="ignore"):
+        x2 = x * x
         for de, a_idx, d, w in rows:
-            total -= gammas[a_idx] * d * d * w / (de * de - x * x)
+            np.subtract(de * de, x2, out=term)
+            np.divide(gammas[a_idx] * d * d * w, term, out=term)
+            np.subtract(total, term, out=total)
     return total[()]

@@ -451,17 +451,20 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Its eigenvector columns land as h's rows and are copied out to
     C-ordered columns once the 2n^2 workspace is freed, so the solve holds
     3n^2 doubles at its peak, where np.linalg.eigh holds h, its own copy of
-    it, the workspace and its n x n output, 5n^2.  The heap is trimmed
-    (:func:`_trim`) before the workspace is allocated and after it is
-    freed.  An empty h, or a numpy without that symbol, goes to
-    np.linalg.eigh.  Raises numpy's LinAlgError if dsyevd fails.  The debug
-    line names n, the path, the wall time and the process's peak RSS so far.
+    it, the workspace and its n x n output, 5n^2.  An empty h, or a numpy
+    without that symbol, goes to np.linalg.eigh.  On either path the heap
+    is trimmed (:func:`_trim`) before the eigh allocates its workspace and
+    after the eigh frees it.  Raises numpy's LinAlgError if dsyevd fails.
+    The debug line names n, the path, the wall time and the process's peak
+    RSS so far.
     """
     n = len(h)
     dsyevd = _lapack_dsyevd() if n else None
     start = time.perf_counter()
     if dsyevd is None:
+        _trim()
         energies, vectors = np.linalg.eigh(h)
+        _trim()
     else:
         h = np.require(h, np.float64, "CW")
         energies = np.empty(n)

@@ -13,9 +13,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from magictrap import hyperfine, narb, radial
+from magictrap.angular import rot_tensor_element
 from magictrap.config import RunConfig
+from magictrap.errors import PoleProximityError
 from magictrap.hyperfine import FieldConfiguration, HyperfineBasis, MolecularConstants
-from magictrap.polarizability import (Background, PolarizabilitySpec, ResonantLine,
+from magictrap.polarizability import (_POLE_GUARD, _SINGLE_LINE_GUARD, Background,
+                                      PolarizabilitySpec, ResonantLine, _guard_poles,
                                       _transitions, alpha_analytic, line_strength)
 from magictrap.potentials import CoupledModel, DipoleFunction, MorseCurve
 from magictrap.radial import RovibLevels
@@ -166,12 +169,58 @@ def alpha_sum_over_states(x_levels: RovibLevels, ab_levels: RovibLevels,
     computed from the same 3-j route (never from the closed-form factors).
     """
     weights, rows, x = _transitions(x_levels, ab_levels, dipoles, nu, j, m, theta_p)
+    _guard_poles(rows, x)
     total = np.zeros(x.shape)
     for de, _, d, w in rows:
         total += d * d * w * (1.0 / (de - x) + 1.0 / (de + x))
     if background is not None:
         w = weights.get(j - 1, 0.0) + weights[j + 1]
         total += w * background.anisotropy + background.alpha_perp
+    return total[()]
+
+
+def polarization_weight_by_elements(jp: int, j: int, m: int, theta_p: float) -> float:
+    """``polarizability._polarization_weight`` from three full
+    ``rot_tensor_element`` calls, each taking its own reduced symbol."""
+    cos2 = math.cos(theta_p) ** 2
+    sin2 = math.sin(theta_p) ** 2
+    w = cos2 * rot_tensor_element(jp, m, 1, 0, j, m) ** 2
+    for q in (-1, 1):
+        w += 0.5 * sin2 * rot_tensor_element(jp, m + q, 1, q, j, m) ** 2
+    return w
+
+
+def guard_poles_per_line(rows, nu: np.ndarray) -> None:
+    """``polarizability._guard_poles`` with fresh arrays per line: |dE - nu|
+    and its mask are new arrays for each line."""
+    uniq = sorted({row[0] for row in rows})
+    if len(uniq) > 1:
+        scale = min(b - a for a, b in zip(uniq, uniq[1:]))
+    else:
+        scale = uniq[0] * _SINGLE_LINE_GUARD / _POLE_GUARD
+    guard = _POLE_GUARD * scale
+    for de, *_ in rows:
+        near = np.abs(de - nu) < guard
+        if np.any(near):
+            raise PoleProximityError(
+                f"photon energy within {guard:.3e} Eh of the line at {de:.6e} Eh",
+                point=int(np.argmax(near.ravel())), line=de, guard=guard)
+
+
+def alpha_imag_per_line(x_levels: RovibLevels, ab_levels: RovibLevels,
+                        dipoles: np.ndarray, gammas, nu: float | np.ndarray,
+                        j: int, m: int, theta_p: float = 0.0) -> np.float64 | np.ndarray:
+    """``polarizability.alpha_imag`` as one new array expression per line,
+    (h nu)^2 taken afresh for each, guarded by :func:`guard_poles_per_line`."""
+    if len(gammas) != len(ab_levels):
+        raise ValueError("gammas must align with ab_levels")
+    _, rows, x = _transitions(x_levels, ab_levels, dipoles, nu, j, m, theta_p)
+    guard_poles_per_line(rows, x)
+    gammas = np.asarray(gammas, dtype=float).tolist()
+    total = np.zeros(x.shape)
+    with np.errstate(over="ignore"):
+        for de, a_idx, d, w in rows:
+            total -= gammas[a_idx] * d * d * w / (de * de - x * x)
     return total[()]
 
 

@@ -752,6 +752,21 @@ def test_m_beyond_j_exits_2(subcommand, small_config, tmp_path, capsys, monkeypa
     assert calls == []
 
 
+@pytest.mark.parametrize("points, j_values", [(300, "0,1,2,3"), (600, "5,2"), (300, "1")])
+def test_imag_inputs_hold_the_dipoles_alpha_imag_reads(points, j_values):
+    """Each (X J, A-b J +- 1) pair, the ones alpha_imag reads, holds the
+    bits of one full radial_matrix_element over the two joined tables; every
+    other pair is NaN."""
+    cfg = load_config(overrides=[f"grid.points={points}", f"scan.j_values={j_values}"])
+    x_levels, ab_levels, dipoles, _ = cli._imag_inputs(cfg, cfg.get("scan", "j_values"))
+    dipole = narb.pinned_models(cfg)[2]
+    full = radial.radial_matrix_element(x_levels, dipole, ab_levels, pairs={(0, 0): dipole})
+    read = np.abs(ab_levels.j - x_levels.j[:, None]) == 1
+    assert dipoles.shape == full.shape and read.any()
+    assert dipoles[read].tobytes() == full[read].tobytes()
+    assert np.isnan(dipoles[~read]).all()
+
+
 @pytest.mark.parametrize("j_values", ["20", "0,300"])
 def test_imag_scan_j_beyond_the_3j_limit_exits_2(j_values, small_config, tmp_path,
                                                  capsys, monkeypatch):
@@ -1312,23 +1327,32 @@ def _rejected(name: str, text: str) -> bool:
 
 @seed(33)
 @settings(deadline=None, max_examples=100)
+# a window starting on the J = 0 pole writes one noted -inf cell
+@example(variant=("alpha-scan", []), drawn=[("scan.start_ghz", "0")])
 @given(variant=st.sampled_from(VARIANTS),
        drawn=st.lists(st.sampled_from(DRAWS), max_size=3,
                       unique_by=lambda item: item[0]))
 def test_exit_codes_hold_for_drawn_configs(variant, drawn):
     """A rejected value exits 2 naming its key; anything else exits 0, 2,
-    3 or 4, and exit 0 writes the subcommand's header."""
+    3 or 4, and exit 0 writes the subcommand's header and only finite
+    float cells, or a +-inf cell that the run's non-finite note names by
+    its J and detuning."""
     subcommand, extra = variant
     argv = [subcommand]
     for item in [f"{k}={v}" for k, v in REDUCED.items()] + extra + \
             [f"{k}={v}" for k, v in drawn]:
         argv += ["--override", item]
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out:
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            code = main(argv + ["--out", out])
-        csv_path = Path(out) / (subcommand.replace("-", "_") + ".csv")
-        header = csv_path.read_text().split("\n")[0] if code == 0 else None
+    err, notes = io.StringIO(), io.StringIO()
+    handler = logging.StreamHandler(notes)
+    logging.getLogger("magictrap").addHandler(handler)
+    try:
+        with tempfile.TemporaryDirectory() as out:
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv + ["--out", out])
+            csv_path = Path(out) / (subcommand.replace("-", "_") + ".csv")
+            header, rows = read_rows(csv_path) if code == 0 else (None, None)
+    finally:
+        logging.getLogger("magictrap").removeHandler(handler)
     message = err.getvalue()
     assert "Traceback" not in message
     rejected = [name for name, text in drawn if _rejected(name, text)]
@@ -1339,7 +1363,18 @@ def test_exit_codes_hold_for_drawn_configs(variant, drawn):
     else:
         assert code in (0, 2, 3, 4), message
         if code == 0:
-            assert header == HEADERS[subcommand]
+            assert ",".join(header) == HEADERS[subcommand]
+            named = [(j, float(d)) for j, d in re.findall(r"J=(\d+) at (\S+) GHz",
+                                                          notes.getvalue())]
+            for row in rows:
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:  # a label
+                        continue
+                    assert math.isfinite(value) or math.isinf(value) and any(
+                        j == row[1] and math.isclose(d, float(row[0]), rel_tol=1e-5)
+                        for j, d in named), (row, notes.getvalue())
 
 
 # inputs whose runs meet an IEEE limit that is the right value: a Morse

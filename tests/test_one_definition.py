@@ -17,8 +17,10 @@ import ast
 import hashlib
 import logging
 import re
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import magictrap
@@ -128,6 +130,31 @@ def test_radial_goldens_hold_with_and_without_the_heap_trim(trim, tmp_path, monk
         assert bool(trimmed) == (trim == "malloc_trim"), case
         assert len(re.findall(r"dense eigh n=\d+ by .* in \S+ s, peak RSS (\S+ MB|unknown)$",
                               caplog.text, re.MULTILINE)) == 4, case
+
+
+def test_the_np_linalg_eigh_path_trims_around_each_dense_eigh(tmp_path, monkeypatch):
+    """Where numpy ships no ILP64 dsyevd, each dense solve's np.linalg.eigh
+    is trimmed before it allocates and after it frees, as the in-place
+    path is, and solve-rovib and imag-scan write their golden bytes."""
+    if (real_trim := radial._malloc_trim()) is None:
+        pytest.skip("the C library has no malloc_trim")
+    real_eigh, events = np.linalg.eigh, []
+
+    def eigh(h):
+        if sys._getframe(1).f_code is radial._eigh.__code__:  # a dense solve
+            events.append("E")
+        return real_eigh(h)
+
+    monkeypatch.setattr(radial, "_lapack_dsyevd", lambda: None)
+    monkeypatch.setattr(radial, "_malloc_trim",
+                        lambda: lambda pad: events.append("T") or real_trim(pad))
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    for case in ("solve-rovib", "imag-scan"):
+        narb._bases.cache_clear()
+        events.clear()
+        test_bundled_defaults_csv_is_golden(case, tmp_path)
+        trace = "".join(events)
+        assert trace.count("E") == trace.count("TET") == 4, (case, trace)
 
 
 def _bundled_values() -> dict[str, float]:

@@ -6,10 +6,13 @@ remaining tests pin scaling laws, validity notes, and failure modes.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from magictrap import (
     Background,
@@ -24,11 +27,14 @@ from magictrap import (
     resonance_offsets,
     validity_notes,
 )
+from magictrap.cli import _imag_inputs
+from magictrap.config import load_config
 from magictrap.polarizability import _polarization_weight
 from magictrap.units import HARTREE_TO_CM1, HARTREE_TO_GHZ
 
 from conftest import assert_close
-from oracles import alpha_fardetuned, alpha_sum_over_states, gamma_from_dipole, spec_from_levels
+from oracles import (alpha_fardetuned, alpha_imag_per_line, alpha_sum_over_states,
+                     gamma_from_dipole, polarization_weight_by_elements, spec_from_levels)
 
 
 def test_line_strength_inverts_gamma_from_dipole():
@@ -466,3 +472,97 @@ def test_axis_keeps_the_per_line_float_order(stiff_pair):
                               sums[:, 0])
         assert np.array_equal(alpha_imag(x, ab, d, gammas, axis, j, m, theta),
                               sums[:, 1])
+
+
+def test_polarization_weight_is_the_element_sum_bit_for_bit():
+    """The weight takes the reduced symbol (J' 1 J; 0 0 0) once, and gives
+    the bits of three full ``rot_tensor_element`` calls, up to j = 20."""
+    thetas = (0.0, 0.3, math.radians(MAGIC_ANGLE_DEG), 1.2, math.pi / 2, 2.5, math.pi)
+    for j in range(20):
+        for jp in (j - 1, j + 1):
+            for m in range(-j, j + 1) if jp >= 0 else ():
+                for theta in thetas:
+                    assert (_polarization_weight(jp, j, m, theta).hex()
+                            == polarization_weight_by_elements(jp, j, m, theta).hex()), \
+                        (jp, j, m, theta)
+
+
+@pytest.fixture(scope="module")
+def imag_inputs():
+    """The bundled model's imag-scan inputs on a 300-point grid: X levels at
+    J = 0..3 and 12 A-b levels at each J' = 0..4, 24 lines out of J >= 1."""
+    return _imag_inputs(load_config(overrides=["grid.points=300"]), (0, 1, 2, 3))
+
+
+def _outcome(call):
+    """``call()``'s value, or its refusal as (message, point, line, guard)."""
+    try:
+        return call()
+    except PoleProximityError as exc:
+        return str(exc), exc.point, exc.line, exc.guard
+
+
+def _same(got, want):
+    """One refusal, or one value of one type and shape with the same bits."""
+    if isinstance(want, tuple):
+        return got == want
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+@seed(3601)
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_alpha_imag_is_the_per_line_oracle_bit_for_bit(imag_inputs, data):
+    """The in-place line sum and the sorted-neighbour pole screen give the
+    per-line route's bits, and its refusal (message, point, line and guard),
+    over drawn axes: 0-d, ascending, descending, unsorted and 2-d, with
+    points on, inside, at and just outside a line's guard, +-1e300, +-inf
+    and nan, at zero branch weights and zero linewidths."""
+    x, ab, d, gammas = imag_inputs
+    j = data.draw(st.integers(0, 3), label="j")
+    m = data.draw(st.integers(-j, j), label="m")
+    # theta 0 at |M| = J zeroes the J' = J - 1 weight
+    theta = data.draw(st.sampled_from([0.0, math.pi / 2, math.radians(MAGIC_ANGLE_DEG)])
+                      | st.floats(0.0, math.pi), label="theta")
+    zeros = data.draw(st.sampled_from(["none", "some", "all"]), label="zero gammas")
+    if zeros != "none":
+        gammas = np.where(np.arange(len(ab)) % 2 == 0 if zeros == "some" else True, 0.0, gammas)
+    lines = (ab.energies - x.energies[j])[np.abs(ab.j - j) == 1]
+    guard = 1e-6 * np.min(np.diff(np.unique(lines)))
+    de = data.draw(st.sampled_from(lines.tolist()), label="line")
+    near = st.sampled_from([0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 1e3, 1e6]).flatmap(
+        lambda k: st.sampled_from([de - k * guard, de + k * guard])) | st.sampled_from(
+        [-1.0, 1.0]).map(lambda s: float(np.nextafter(de + s * guard, s * np.inf)))
+    special = st.sampled_from([1e300, -1e300, np.inf, -np.inf, np.nan, 0.0, -0.0])
+    window = st.floats(0.9 * lines.min(), 1.1 * lines.max())
+    points = data.draw(st.lists(near | special | window, max_size=30), label="points")
+    shape = data.draw(st.sampled_from(["0-d", "ascending", "descending", "drawn", "2-d"]),
+                      label="shape")
+    if shape == "0-d":
+        nu = points[0] if points else de + 3.0 * guard
+    else:
+        nu = np.array(points, dtype=float)
+        if shape in ("ascending", "descending"):
+            nu = np.sort(nu)[::1 if shape == "ascending" else -1]
+        elif shape == "2-d" and nu.size % 2 == 0:
+            nu = nu.reshape(2, -1)
+    assert _same(_outcome(lambda: alpha_imag(x, ab, d, gammas, nu, j, m, theta)),
+                 _outcome(lambda: alpha_imag_per_line(x, ab, d, gammas, nu, j, m, theta)))
+
+
+def test_alpha_imag_holds_a_few_axis_buffers(imag_inputs):
+    """One call over P = 200,000 points peaks below 4 float buffers of the
+    axis' shape, 8P bytes each: the pole screen's sorted copy first, then
+    nu^2, one line's term and the total.  A (lines x points) temporary would
+    hold 24 such buffers here, and any per-line stack of two, 5."""
+    x, ab, d, gammas = imag_inputs
+    lines = (ab.energies - x.energies[1])[np.abs(ab.j - 1) == 1]
+    nu = np.linspace(0.9 * lines.min(), 0.999 * lines.min(), 200_000)
+    tracemalloc.start()
+    try:
+        alpha_imag(x, ab, d, gammas, nu, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * nu.size, peak / (8 * nu.size)
