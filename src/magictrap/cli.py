@@ -11,20 +11,24 @@ calibrate       linewidth scale reproducing a target magic detuning
 
 Every run writes ``<subcommand>.csv`` (dashes as underscores) and
 ``effective-config.ini`` into ``--out``.  Output is byte-stable: same
-config, same bytes, given the same BLAS thread count.  With
-``OPENBLAS_NUM_THREADS=1`` the bundled ``imag-scan`` bytes differ from
-those at 2 to 4 threads: ``np.linalg.eigh`` rounds differently on one
-thread, both the radial channel blocks of the dense solves and the
-160 x 160 A-b blocks of the level solves.
+config, same bytes, given the same BLAS thread count and the same
+OpenBLAS kernel family.  With ``OPENBLAS_NUM_THREADS=1`` the bundled
+``imag-scan`` bytes differ from those at 2 to 4 threads:
+``np.linalg.eigh`` rounds differently on one thread, both the radial
+channel blocks of the dense solves and the 160 x 160 A-b blocks of the
+level solves.  Under the AVX2 kernels on an AVX-512 host
+(``OPENBLAS_CORETYPE=Haswell``) the bundled ``hyperfine-scan``,
+``imag-scan`` and eigen ``magic-find`` angle bytes change too.
 
 Each CSV is one header row, then one LF-terminated row per record.
 Floats print with 12 significant digits and a bare exponent
 (``1.00000000000e5``, ``-2.50000000000e-12``, ``nan``, ``-inf``): the
 bytes of ``"%.11e"`` without the exponent's "+" and leading zeros.  Ints
 and bools print as integers, and labels as their text, which may hold
-no ``,``, ``"``, CR, LF or NUL.  A table of 64 rows or more is built as
-one uint8 array (``magictrap.csvtable``), and its floats are rounded in
-one numpy pass:
+no ``,``, ``"``, CR, LF or NUL.  A table of 40 rows or more is built as
+one array of 4-byte words (``magictrap.csvtable``): each cell is whole
+words looked up in tables of formatted pieces, NUL-padded, and its
+floats are rounded in one numpy pass:
 e = floor(log10|x|), and s = |x| 10**(11 - e), taken with a correctly
 rounded power of ten, has 12 integer digits.  The power and the product
 are each rounded within 2**-53 relative, and s <= 1e12, so s lies
@@ -99,10 +103,11 @@ _SEPARATORS = frozenset(",\n\r\"\0")
 logger = logging.getLogger(__name__)
 
 # tables of fewer rows are formatted cell by cell: on a 2-core x86 host the
-# two paths cost the same, ~0.2 ms, at 64 to 96 rows of the alpha-scan,
-# hyperfine-scan and magic-find layouts, and a one-row table costs 0.2 ms
-# in bulk against 0.02 ms cell by cell
-_BULK_ROWS = 64
+# two paths cost the same, 0.07-0.16 ms, at 28 to 44 rows of the
+# alpha-scan, imag-scan, hyperfine-scan, magic-find and solve-rovib
+# layouts, and a one-row table costs 0.07-0.11 ms in bulk against
+# 0.006-0.016 ms cell by cell
+_BULK_ROWS = 40
 
 
 def _column_cells(column) -> list[str]:
@@ -118,7 +123,8 @@ def _column_cells(column) -> list[str]:
         text = text.replace("e+0", "e").replace("e-0", "e-").replace("e+", "e")
         return text.split("\n")[:-1]
     if values.dtype.kind in "biu":
-        return list(map(str, values.astype(int).tolist()))
+        # through Python ints, so a uint64 above 2**63 - 1 stays positive
+        return [str(int(v)) for v in values.tolist()]
     cells = list(map(str, column))
     if not _SEPARATORS.isdisjoint("".join(cells)):
         bad = next(c for c in cells if not _SEPARATORS.isdisjoint(c))
@@ -327,9 +333,7 @@ def _cmd_hyperfine_scan(cfg: RunConfig):
     alphas = _spin_trace(vectors, _light_shift(basis, fields.constants, at.theta_p))
     # full[k]: |V_k^T V_k+1| of each adjacent pair of angles, the one
     # overlap matrix both the match and the logged overlap are read from
-    full = np.empty((len(thetas) - 1, basis.dim, basis.dim))
-    for k in range(len(full)):
-        np.matmul(vectors[k].T, vectors[k + 1], out=full[k])
+    full = np.matmul(vectors[:-1].swapaxes(-2, -1), vectors[1:])
     match = _match(np.abs(full, out=full))
     # order[k, curve]: the eigenstate index that continues each curve at
     # angle k, chained through the matches

@@ -2,6 +2,23 @@
 ``cli._BULK_ROWS`` rows or more.  The ``cli`` docstring states the cell
 format and why the float cells are exact.
 
+A row is a run of 4-byte words.  Each column takes a fixed number of
+them and ends in its separator, "," or LF in the last column.  Cells are
+written as whole words, looked up in tables of formatted pieces, and a
+NUL byte, which no cell holds, fills the places a cell leaves empty:
+
+- a float is six words, ``"___d" ".ddd" "dddd" "dddd"`` (``"__-d"`` if
+  negative) and ``"e-12" "3,__"``, its exponent and separator
+  left-aligned (``_`` a NUL), looked up by its first four digits, the
+  next four, the last four and its exponent;
+- an int column within [-99, 999] is one word per cell, ``"%3d,"``;
+- any other int or text cell, and a float cell that the numpy pass
+  leaves to the per-cell formatter, fills as many words as its column
+  needs, a NUL wherever it has no byte, and its separator last.
+
+The table is filled as (words, rows), one word of every row at a time,
+then read out by rows, and its NUL bytes come out in one step.
+
 ``emit_csv`` imports this module only for such a table.  A process that
 writes only short tables, as a one-row search does, never compiles it:
 without a bytecode cache, the compile leaves the peak RSS after
@@ -9,6 +26,8 @@ without a bytecode cache, the compile leaves the peak RSS after
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -20,136 +39,151 @@ _BULK_MAX = 1e280
 # the widest distance from .5 of a scaled value's fractional part that the
 # bulk path leaves to the per-cell formatter; over 4x the error bound 2.3e-4
 _HALF_MARGIN = 1e-3
-# "dd" of each 0 <= i < 100, then "dddd" of each 0 <= i < 10**4, as ASCII
-# bytes, one uint16 or uint32 per entry
+
+
+def _words(text: str) -> np.ndarray:
+    """``text``, a whole number of 4-byte words with blanks for NUL, as
+    uint32 words: those of cells ending in ",", then of their twins
+    ending in LF."""
+    comma = text.replace(" ", "\0").encode()
+    return np.frombuffer(comma + comma.replace(b",", b"\n"), dtype=np.uint32).reshape(2, -1)
+
+
+# the words of a float cell, for each 0 <= i < 10**4: its digits "dddd",
+# then from 10**4 the same with "." for the first, then from _LEAD the
+# first digit alone, "___d", and from _LEAD + 10**4 with its sign, "__-d";
+# then from _EXPONENT the first exponent word of each exponent + _P0 and
+# 2 * _P0 + 1 further the second, ending in ",", and _LF further the same
+# ending in LF
 _DIGITS2 = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
 _DIGITS4 = np.stack(np.broadcast_arrays(_DIGITS2[:, None], _DIGITS2), axis=-1) \
     .view(np.uint32).ravel()
-# the bytes of a bulk float cell that are the same in every cell
-_FLOAT_LAYOUT = np.frombuffer(b"-0.00000000000e-000", dtype=np.uint8)
-# 10**1 .. 10**19, the bounds of int64 magnitudes of 2 .. 20 digits
+_LEAD, _EXPONENT, _LF = 2 * 10**4, 4 * 10**4 + _P0, 2 * (2 * _P0 + 1)
+_FLOAT_WORDS = np.concatenate([
+    _DIGITS4, _DIGITS4,
+    _words("%4d" * 10 % tuple(range(10)) + "  -%d" * 10 % tuple(range(10)))[0].repeat(1000),
+    _words("e%-7s" * (2 * _P0 + 1) % tuple(f"{k}," for k in range(-_P0, _P0 + 1)))
+    .reshape(2, -1, 2).transpose(0, 2, 1).ravel()])
+_FLOAT_WORDS[10**4:_LEAD].view(np.uint8)[::4] = ord(".")
+# the cells "%3d," of the ints -_SMALL .. 999 by value + _SMALL, ending in
+# "," and in LF
+_SMALL = 99
+_SMALL_INTS = _words("%3d," * (1000 + _SMALL) % tuple(range(-_SMALL, 1000)))
+# 10**1 .. 10**19, the bounds of uint64 magnitudes of 2 .. 20 digits
 _POW10_U64 = 10 ** np.arange(1, 20, dtype=np.uint64)
 
 
-def _digit_groups(groups: np.ndarray) -> np.ndarray:
-    """ASCII digits of an (n, g) array of integers below 10**4, as (n, 4g) bytes."""
-    return _DIGITS4.take(groups.astype(np.intp)).view(np.uint8).reshape(len(groups), -1)
+def _text_words(cells: list[str], end, words: int = 0) -> np.ndarray:
+    """The (k, n) words of ``cells`` in UTF-8, each NUL-padded to k >=
+    ``words`` words that end in its byte of ``end``."""
+    text = cells if "".join(cells).isascii() else [cell.encode() for cell in cells]
+    k = max(words, max(map(len, text), default=0) // 4 + 1)
+    out = np.array(text, dtype=f"S{4 * k}")
+    out.view(np.uint8).reshape(len(text), 4 * k)[:, -1] = end
+    return out.view(np.uint32).reshape(len(text), k).T
 
 
-def _float_cells(x: np.ndarray, column_cells) -> tuple[np.ndarray, np.ndarray]:
-    """Bytes and kept-byte mask, (n, 19) each, of the float64 cells ``x``.
+def _float_cells(x: np.ndarray, column_cells, words: np.ndarray, at: list[int],
+                 end: str) -> None:
+    """Write the (columns, rows) float64 cells ``x`` as six words each
+    into ``words``, column ``c`` from word ``at[c]``, the cells of the last
+    column ending in ``end`` and the others in ",".
 
-    A bulk cell is laid out as sign, first digit, ".", eleven digits, "e",
-    exponent sign and three exponent digits; the mask drops a positive
-    sign and unused exponent places.  Any other cell is written
-    left-aligned by ``column_cells`` and masked by its length.
+    A bulk cell is its sign, first digit, ".", eleven digits, "e",
+    exponent sign and digits.  Any other cell is written by
+    ``column_cells``.
     """
     a = np.abs(x)
     bulk = (a > 1 / _BULK_MAX) & (a < _BULK_MAX)
     a[~bulk] = 1.0
     e = np.floor(np.log10(a)).astype(np.intp)
+    s = a * _POW10[_P0 + 11 - e]
     # log10 rounds up to k just below 10**k: step those down once; a cell
     # still outside [1e11, 1e12] goes to the fallback
-    e -= a * _POW10[_P0 + 11 - e] < 1e11
-    s = a * _POW10[_P0 + 11 - e]
+    down = s < 1e11
+    if down.any():
+        e -= down
+        s = a * _POW10[_P0 + 11 - e]
     m = np.rint(s)
     # s = 1e12 is 1.00000000000e(e + 1) whichever side of 1e12 |x| 10**(11 - e) is
     bulk &= (s >= 1e11) & (s <= 1e12) & (np.abs(s - m) < 0.5 - _HALF_MARGIN)
     carry = m == 1e12  # rounded up to 13 digits
     m[carry] = 1e11
     e += carry
-    hi = np.floor(m / 1e8)
-    m -= hi * 1e8
-    mid = np.floor(m / 1e4)
-    digits = _digit_groups(np.stack((hi, mid, m - mid * 1e4), axis=1))
-    e_abs = np.abs(e)
-    n = len(x)
-    cells = np.empty((n, 19), dtype=np.uint8)
-    cells[:] = _FLOAT_LAYOUT
-    cells[:, 1] = digits[:, 0]
-    cells[:, 3:14] = digits[:, 1:]
-    cells[:, 16:] = _digit_groups(e_abs[:, None])[:, 1:]
-    keep = np.ones((n, 19), dtype=bool)
-    keep[:, 0] = x < 0
-    keep[:, 15] = e < 0
-    keep[:, 16] = e_abs >= 100
-    keep[:, 17] = e_abs >= 10
+    # each cell's six indices in _FLOAT_WORDS, from its 12 digits, 4 by 4
+    index = np.empty((len(x), 6, x.shape[1]), dtype=np.intp)
+    low = m.astype(np.intp)
+    high = low // 10**8
+    low -= high * 10**8
+    np.floor_divide(low, 10**4, out=index[:, 2])
+    np.subtract(low, index[:, 2] * 10**4, out=index[:, 3])
+    np.add(high, 10**4, out=index[:, 1])
+    np.add(high, _LEAD, out=index[:, 0])
+    np.add(index[:, 0], 10**4, out=index[:, 0], where=x < 0)
+    np.add(e, _EXPONENT, out=index[:, 4])
+    if end == "\n":
+        index[-1, 4] += _LF
+    np.add(index[:, 4], 2 * _P0 + 1, out=index[:, 5])
+    # "clip" lets take write into out without a buffer; only the fallback
+    # cells, written over below, can hold an index out of range
+    for c, first in enumerate(at):
+        _FLOAT_WORDS.take(index[c], out=words[first:first + 6], mode="clip")
     if not bulk.all():
-        rest = np.flatnonzero(~bulk)
-        text = [cell.encode() for cell in column_cells(x[rest])]
-        cells[rest] = np.array(text, dtype="S19").view(np.uint8).reshape(-1, 19)
-        keep[rest] = np.arange(19) < np.array(list(map(len, text)))[:, None]
-    return cells, keep
+        column, row = np.nonzero(~bulk)
+        words[np.array(at)[column] + np.arange(6)[:, None], row] = _text_words(
+            column_cells(x[column, row]), np.where(column == len(x) - 1, ord(end), ord(",")), 6)
 
 
-def _int_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bytes and kept-byte mask, (n, 1 + digits) each, of the int64 cells
-    ``v``: a sign, then the digits right-aligned; the mask drops a positive
-    sign and the leading places a cell does not fill."""
-    u = v.view(np.uint64)
-    magnitude = np.where(v < 0, -u, u)  # -u wraps, so int64 min maps to 2**63
+def _int_cells(v: np.ndarray, end: str) -> np.ndarray:
+    """The (k, n) words of the int or bool cells ``v``, each ending in
+    ``end``: one looked-up word each if all lie in [-_SMALL, 999], else a
+    sign and the digits right-aligned."""
+    if -_SMALL <= v.min() and v.max() <= 999:
+        index = np.add(v, _SMALL, dtype=np.intp, casting="unsafe")
+        return _SMALL_INTS[int(end == "\n")].take(index)[None]
+    if v.dtype == np.uint64:
+        negative, magnitude = np.zeros(len(v), dtype=bool), v
+    else:
+        v = v.astype(np.int64)
+        negative, u = v < 0, v.view(np.uint64)
+        magnitude = np.where(negative, -u, u)  # -u wraps, so int64 min maps to 2**63
     count = 1 + np.searchsorted(_POW10_U64, magnitude, side="right")
     width = int(count.max())
     groups = np.empty((len(v), -(-width // 4)), dtype=np.uint64)
     for g in range(groups.shape[1] - 1, -1, -1):
         magnitude, groups[:, g] = np.divmod(magnitude, 10**4)
-    cells = np.empty((len(v), 1 + width), dtype=np.uint8)
-    cells[:, 0] = ord("-")
-    cells[:, 1:] = _digit_groups(groups)[:, -width:]
-    keep = np.empty(cells.shape, dtype=bool)
-    keep[:, 0] = v < 0
-    keep[:, 1:] = np.arange(width) >= (width - count)[:, None]
-    return cells, keep
-
-
-def _text_cells(column, column_cells) -> tuple[np.ndarray, np.ndarray]:
-    """Bytes and kept-byte mask of one column's cells as ``column_cells``
-    writes them, in UTF-8, left-aligned and masked by length."""
-    text = [cell.encode() for cell in column_cells(column)]
-    lengths = np.array(list(map(len, text)))
-    width = max(int(lengths.max()), 1)
-    table = np.array(text, dtype=f"S{width}").view(np.uint8).reshape(len(text), width)
-    return table, np.arange(width) < lengths[:, None]
-
-
-def _kind_cells(arrays: list[np.ndarray], dtype, cells_of) -> list[tuple]:
-    """``cells_of`` over the cells of all ``arrays`` at once, cast to
-    ``dtype``, split back into one (bytes, mask) pair per array."""
-    if not arrays:
-        return []
-    cells, keep = cells_of(np.concatenate(arrays, dtype=dtype, casting="unsafe"))
-    shape = (len(arrays), len(arrays[0]), -1)
-    return list(zip(cells.reshape(shape), keep.reshape(shape)))
+    # sign, digits and end, after the NULs that fill the cell's words
+    cells = np.zeros((len(v), (width + 5) // 4 * 4), dtype=np.uint8)
+    cells[negative, -2 - width] = ord("-")
+    digits = cells[:, -1 - width:-1]
+    digits[:] = _DIGITS4.take(groups.astype(np.intp)).view(np.uint8) \
+        .reshape(len(v), -1)[:, -width:]
+    digits[np.arange(width) < (width - count)[:, None]] = 0
+    cells[:, -1] = ord(end)
+    return cells.view(np.uint32).T
 
 
 def table_bytes(columns: list, rows: int, column_cells) -> bytes:
     """The CSV rows of ``columns``, ``rows`` cells each, LF-terminated.
 
-    Each column becomes a fixed-width block of bytes with a mask of the
-    bytes each cell keeps, all float cells and all int cells of the table
-    formatted at once; the separators go in and the masked-out padding
-    comes out in one step.  ``column_cells`` formats a column cell by
-    cell: it writes the text columns, and the float cells that the numpy
-    pass cannot round beyond doubt.
+    Every column is written as whole words into one (words, rows) array,
+    all float cells of the table rounded at once; the array is read out
+    by rows, and its NUL bytes come out in one step.
+    ``column_cells`` formats a column cell by cell: it writes the text
+    columns, and the float cells that the numpy pass cannot round beyond
+    doubt.
     """
     arrays = [np.asarray(col) for col in columns]
+    ends = [","] * (len(arrays) - 1) + ["\n"]
     floats = [i for i, v in enumerate(arrays) if v.dtype.kind == "f"]
-    ints = [i for i, v in enumerate(arrays) if v.dtype.kind in "biu"]
-    blocks = dict(zip(floats, _kind_cells([arrays[i] for i in floats], np.float64,
-                                          lambda x: _float_cells(x, column_cells))))
-    blocks.update(zip(ints, _kind_cells([arrays[i] for i in ints], np.int64, _int_cells)))
-    blocks = [blocks[i] if i in blocks else _text_cells(col, column_cells)
-              for i, col in enumerate(columns)]
-    # each column's block and the separator after it
-    table = np.empty((rows, sum(cells.shape[1] + 1 for cells, _ in blocks)),
-                     dtype=np.uint8)
-    keep = np.ones(table.shape, dtype=bool)
-    at = 0
-    for cells, kept in blocks:
-        stop = at + cells.shape[1]
-        table[:, at:stop] = cells
-        keep[:, at:stop] = kept
-        table[:, stop] = ord(",")
-        at = stop + 1
-    table[:, -1] = ord("\n")
-    return table[keep].tobytes()
+    blocks = {i: _int_cells(v, ends[i]) if v.dtype.kind in "biu"
+              else _text_words(column_cells(col), ord(ends[i]))
+              for i, (v, col) in enumerate(zip(arrays, columns)) if i not in floats}
+    at = [0, *accumulate(len(blocks[i]) if i in blocks else 6 for i in range(len(arrays)))]
+    words = np.empty((at[-1], rows), dtype=np.uint32)
+    for i, block in blocks.items():
+        words[at[i]:at[i + 1]] = block
+    if floats:
+        _float_cells(np.array([arrays[i] for i in floats], dtype=np.float64), column_cells,
+                     words, [at[i] for i in floats], ends[floats[-1]])
+    return words.T.tobytes().translate(None, b"\0")

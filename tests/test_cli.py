@@ -140,9 +140,10 @@ def written_csv(headers, columns) -> bytes:
 
 
 def bulk_cells(values) -> list[str]:
-    """Float cells as the table writer's numpy pass lays them out."""
-    cells, keep = csvtable._float_cells(np.array(values, dtype=float), cli._column_cells)
-    return [bytes(row[kept]).decode() for row, kept in zip(cells, keep)]
+    """Float cells as the table writer's numpy pass writes them, at any
+    row count."""
+    column = np.array(values, dtype=float)
+    return csvtable.table_bytes([column], len(column), cli._column_cells).decode().split("\n")[:-1]
 
 
 @pytest.fixture
@@ -221,6 +222,61 @@ def test_int64_extremes_match_str():
     values = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 9, 10, -10,
                        9999, 10000, -99999] * 8)
     assert written_csv(["n"], [values]) == oracle_csv(["n"], [values])
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("values, looked_up", [
+    ([7] * 70, True),
+    (np.array([True, False] * 35), True),
+    (list(range(-63, 7)), True),
+    (list(range(-99, 1000)), True),
+    ([-99, 999] * 35, True),
+    ([-100, 0] * 35, False),
+    ([0, 1000] * 35, False),
+    ([INT64.min, 3, INT64.max, -5, 0] * 14, False),
+    (np.array([3, 250, 0] * 30, dtype=np.uint8), True),
+    (np.array([-128, 127] * 35, dtype=np.int8), False),
+])
+def test_int_columns_match_the_per_cell_oracle(values, looked_up):
+    """Constant, bool, negative and int8 columns, ranges just inside and
+    just outside the [-99, 999] lookup, and small values amid the int64
+    extremes write the oracle's cells, in a middle and in the last column."""
+    column = np.asarray(values)
+    assert (len(csvtable._int_cells(column, ",")) == 1) == looked_up
+    assert written_csv(["a", "b"], [column, column]) == oracle_csv(["a", "b"], [column, column])
+
+
+@pytest.mark.parametrize("rows", [2, 70])
+def test_uint64_above_int64_prints_unsigned(rows):
+    """A uint64 column of values 2**63 and above is written unsigned, cell
+    by cell and in bulk."""
+    column = np.array([2**63, 2**64 - 1, 0, 5] * (rows // 2), dtype=np.uint64)[:rows]
+    written = written_csv(["a", "b"], [column, column])
+    assert written == oracle_csv(["a", "b"], [column, column])
+    assert b"9223372036854775808," in written and b"-" not in written
+
+
+@st.composite
+def small_int_column(draw, rows: int):
+    """One column of ``rows`` ints within a span of 40, from below the
+    writer's [-99, 999] lookup to above it, in a signed or unsigned dtype."""
+    dtype = draw(st.sampled_from([np.int64, np.int16, np.uint16, np.uint64]))
+    lo = draw(st.integers(0 if np.dtype(dtype).kind == "u" else -140, 1000))
+    return np.array(draw(st.lists(st.integers(lo, lo + 40), min_size=rows, max_size=rows)),
+                    dtype=dtype)
+
+
+@seed(3701)
+@settings(deadline=None, max_examples=60)
+@given(st.integers(64, 200).flatmap(lambda rows: st.lists(
+    st.one_of(small_int_column(rows), table_column(rows)), min_size=1, max_size=4)))
+def test_small_int_tables_match_the_per_cell_oracle(columns):
+    """Tables of 64 to 200 rows whose int columns mostly take the lookup
+    write the oracle's cells joined by "," and LF."""
+    headers = [f"c{i}" for i in range(len(columns))]
+    assert written_csv(headers, columns) == oracle_csv(headers, columns)
 
 
 def test_seeded_floats_match_percent_format():
