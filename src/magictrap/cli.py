@@ -11,14 +11,12 @@ calibrate       linewidth scale reproducing a target magic detuning
 
 Every run writes ``<subcommand>.csv`` (dashes as underscores) and
 ``effective-config.ini`` into ``--out``.  Output is byte-stable: same
-config, same bytes, given the same BLAS thread count and the same
-OpenBLAS kernel family.  With ``OPENBLAS_NUM_THREADS=1`` the bundled
-``imag-scan`` bytes differ from those at 2 to 4 threads:
-``np.linalg.eigh`` rounds differently on one thread, both the radial
-channel blocks of the dense solves and the 160 x 160 A-b blocks of the
-level solves.  Under the AVX2 kernels on an AVX-512 host
-(``OPENBLAS_CORETYPE=Haswell``) the bundled ``hyperfine-scan``,
-``imag-scan`` and eigen ``magic-find`` angle bytes change too.
+config, same bytes, given the bits of ``radial._eigh``, through which
+every eigensolve goes and which hang on the BLAS thread count and the
+OpenBLAS kernel family.  So the bundled ``imag-scan`` bytes differ at
+``OPENBLAS_NUM_THREADS=1`` from those at 2 to 4 threads, and under the
+AVX2 kernels on an AVX-512 host (``OPENBLAS_CORETYPE=Haswell``) they,
+the ``hyperfine-scan`` bytes and the eigen ``magic-find`` angle bytes change.
 
 Each CSV is one header row, then one LF-terminated row per record.
 Floats print with 12 significant digits and a bare exponent

@@ -25,15 +25,15 @@ polar angles against the magnetic-field axis and lie in the x-z plane,
 so every operator is a real symmetric matrix.  Energies are in MHz.
 ``theta_p`` may be a 1-D array, a scan axis: the theta_p-independent
 terms are built once and every function then carries a leading angle
-axis, ``(..., dim, dim)``, so a whole scan is one batched ``eigh``.
+axis, ``(..., dim, dim)``, so a whole scan is one batched eigensolve.
 A magic-angle search, one angle per Newton step, likewise builds those
 terms once and adds only the light per step (``_angle_solver``); its
-step takes the one-matrix path of ``_eigensolve`` (the checks, ``eigh``
-and the dominant (J, M) index) that the CLI's ``hyperfine-scan`` takes
-on its stack.  Neither fixes the eigenvectors' signs: every output is a
-trace or an overlap magnitude.  From the step's kept eigenpairs it also
-gives d(alpha)/d(theta_p) of the states the search names, when the
-search asks for it.
+step takes ``_eigensolve`` (the checks, the solve by ``radial._eigh``
+and the dominant (J, M) index) on one matrix, as the CLI's
+``hyperfine-scan`` does on its stack.  Neither fixes the eigenvectors'
+signs: every output is a trace or an overlap magnitude.  From the
+step's kept eigenpairs it also gives d(alpha)/d(theta_p) of the states
+the search names, when the search asks for it.
 
 Shielding, rotational Zeeman, centrifugal distortion, spin-rotation and
 spin-spin terms are deliberately left out; they are far below the MHz
@@ -50,6 +50,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import radial
 from .angular import rot_tensor_element
 from .errors import ConfigError
 from .units import _C, _H, NUCLEAR_MAGNETON_MHZ_PER_G
@@ -442,19 +443,17 @@ def _state_slopes(step: tuple, operands: tuple, scale: float,
 
 def _eigensolve(h: np.ndarray, basis: HyperfineBasis
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``eigh`` of a checked matrix or stack ``(..., dim, dim)``, and each
-    eigenvector's dominant (J, M) block as an index into ``basis.rot_states``.
+    """``radial._eigh`` of a checked matrix or stack ``(..., dim, dim)``, and
+    each eigenvector's dominant (J, M) block as an index into ``basis.rot_states``.
 
     Raises ValueError when the shape does not match the basis, when a
     matrix has a non-finite entry or is not symmetric within 1e-10 relative.
-    One matrix, a search step, takes its own path: the checks on Python
-    scalars and the weights in one pass.  Its results and its errors are
-    those of the same matrix as a stack of one, bit for bit.
+    One matrix, a search step, is checked on Python scalars.  Its results and
+    its errors are those of the same matrix as a stack of one, bit for bit.
     """
     h = np.asarray(h, dtype=float)
     if h.shape[-2:] != (basis.dim, basis.dim):
         raise ValueError(f"matrix shape {h.shape} does not match basis dim {basis.dim}")
-    n_rot = len(basis.rot_states)
     if h.ndim == 2:
         top, bottom = float(h.max()), float(h.min())
         if not (math.isfinite(top) and math.isfinite(bottom)):
@@ -462,27 +461,25 @@ def _eigensolve(h: np.ndarray, basis: HyperfineBasis
         # h - h.T is exactly antisymmetric, so its max is its largest |entry|
         if float((h - h.T).max()) > 1e-10 * max(top, -bottom, 1.0):
             raise ValueError(_ASYMMETRIC)
-        energies, vectors = np.linalg.eigh(h)
-        # amplitude^2 with one contiguous row per vector, summed over the
-        # spins of each (J, M) block
-        weights = np.square(vectors.T.reshape(len(h), n_rot, -1), order="C").sum(axis=-1)
-        return energies, vectors, weights.argmax(axis=-1)
-    # the largest |entry|, max(max h, -min h) with no |h| stack; it is inf
-    # or NaN exactly when some entry is
-    scale = np.maximum(np.maximum(h.max(axis=(-2, -1)), -h.min(axis=(-2, -1))), 1.0)
-    if not np.isfinite(scale).all():
-        raise ValueError(_NON_FINITE)
-    asym = h - h.swapaxes(-2, -1)
-    if (np.abs(asym, out=asym).max(axis=(-2, -1)) > 1e-10 * scale).any():
-        raise ValueError(_ASYMMETRIC)
-    del asym
-    energies, vectors = np.linalg.eigh(h)
-    # as above, squared one block at a time, so that beside h and the
-    # vectors only a block's squares are live
-    blocks = vectors.swapaxes(-2, -1).reshape(vectors.shape[:-1] + (n_rot, -1))
-    weights = np.concatenate([np.square(blocks[..., r:r + 1, :], order="C").sum(axis=-1)
-                              for r in range(n_rot)], axis=-1)
-    return energies, vectors, weights.argmax(axis=-1)
+    else:
+        # the largest |entry|, max(max h, -min h) with no |h| stack; it is inf
+        # or NaN exactly when some entry is
+        scale = np.maximum(np.maximum(h.max(axis=(-2, -1)), -h.min(axis=(-2, -1))), 1.0)
+        if not np.isfinite(scale).all():
+            raise ValueError(_NON_FINITE)
+        asym = h - h.swapaxes(-2, -1)
+        if (np.abs(asym, out=asym).max(axis=(-2, -1)) > 1e-10 * scale).any():
+            raise ValueError(_ASYMMETRIC)
+        del asym
+    energies, vectors = radial._eigh(h)
+    # amplitude^2 with one contiguous row per vector, summed over the spins
+    # of each (J, M) block, 8 matrices at a time, so that beside h and the
+    # vectors only their squares are live
+    n_rot = len(basis.rot_states)
+    blocks = vectors.swapaxes(-2, -1).reshape((-1, basis.dim, n_rot, basis.dim // n_rot))
+    weights = np.concatenate([np.square(blocks[k:k + 8], order="C").sum(axis=-1)
+                              for k in range(0, len(blocks), 8)])
+    return energies, vectors, weights.reshape(vectors.shape[:-1] + (n_rot,)).argmax(axis=-1)
 
 
 _NON_FINITE = "Hamiltonian has a non-finite (inf or NaN) entry"

@@ -363,7 +363,7 @@ class RovibBasis:
         m = min(size, 2 * want + 16) if want > 0 and room else size
         floor = min(factor, 0) / (2.0 * self.mu * self.grid.points[0] ** 2)
         while True:
-            energies, coeffs = np.linalg.eigh(np.diag(self.energies[:m]) + factor * cent[:m, :m])
+            energies, coeffs = _eigh(np.diag(self.energies[:m]) + factor * cent[:m, :m])
             if m == size:
                 ratio = 0.0
                 break
@@ -378,6 +378,17 @@ class RovibBasis:
         return energies, coeffs
 
 
+def _bind(library: Callable[[], str | None], name: str, restype, argtypes):
+    """Symbol ``name`` of the library at ``library()`` (None: the process),
+    typed through ctypes, or None where the library or symbol is missing."""
+    try:
+        symbol = getattr(ctypes.CDLL(library()), name)
+    except (OSError, AttributeError, TypeError):
+        return None
+    symbol.restype, symbol.argtypes = restype, argtypes
+    return symbol
+
+
 @cache
 def _lapack_dsyevd():
     """The ILP64 LAPACK ``dsyevd`` that numpy's own ``linalg`` calls, bound
@@ -387,17 +398,10 @@ def _lapack_dsyevd():
     Keyed on nothing: the first dense solve binds it, which saves the later
     ones the library load and symbol lookup, 40-120 us each on a 2-core host.
     """
-    try:
-        from numpy.linalg import _umath_linalg
-        # dlsym on the extension also searches the libraries it links
-        dsyevd = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevd_64_
-    except (ImportError, OSError, AttributeError):
-        return None
-    dsyevd.restype = None
-    # jobz, uplo, then every other argument by address, then the hidden
-    # lengths of jobz and uplo
-    dsyevd.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_size_t] * 2
-    return dsyevd
+    # dlsym on the extension also searches the libraries it links; jobz, uplo,
+    # every other argument by address, then the hidden lengths of jobz and uplo
+    return _bind(lambda: np.linalg._umath_linalg.__file__, "scipy_dsyevd_64_", None,
+                 [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_size_t] * 2)
 
 
 @cache
@@ -409,13 +413,7 @@ def _malloc_trim():
     calls the library handle and symbol lookup, about 18 us each on a
     2-core host.
     """
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (OSError, AttributeError, TypeError):
-        return None
-    trim.restype = ctypes.c_int
-    trim.argtypes = [ctypes.c_size_t]
-    return trim
+    return _bind(lambda: None, "malloc_trim", ctypes.c_int, [ctypes.c_size_t])
 
 
 def _trim() -> None:
@@ -441,11 +439,14 @@ def _peak_rss() -> str:
     return f"{peak / (2 ** 20 if sys.platform == 'darwin' else 2 ** 10):.1f} MB"
 
 
-def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(h)`` to the bit, for an exactly symmetric C-ordered
-    ``h``, which it overwrites.
+def _eigh(h: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(h)`` to the bit, of a matrix or a stack ``(..., n, n)``:
+    every eigensolve of the package, whose bits, and so every output's,
+    hang on the BLAS thread count and the OpenBLAS kernel family.
 
-    Where :func:`_lapack_dsyevd` is bound, dsyevd runs in place on h, read
+    ``overwrite=True`` is the dense radial solves' path, for an exactly
+    symmetric C-ordered ``h``, which it overwrites.  Where
+    :func:`_lapack_dsyevd` is bound, dsyevd runs in place on h, read
     as the Fortran array h^T: jobz V, uplo L and the workspace query are
     numpy's, and its lower triangle is h's upper one, the same numbers.
     Its eigenvector columns land as h's rows and are copied out to
@@ -458,6 +459,8 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The debug line names n, the path, the wall time and the process's peak
     RSS so far.
     """
+    if not overwrite:
+        return np.linalg.eigh(h)
     n = len(h)
     dsyevd = _lapack_dsyevd() if n else None
     start = time.perf_counter()
@@ -533,7 +536,7 @@ def _couple(channels: list, coupling: np.ndarray, kept: tuple[int, int], top: fl
     # |U_kept^T xi U_drop|_F^2: each channel's |xi U_kept|_F^2 less what stays kept
     carried = float(coupling ** 2 @ (np.einsum("ij,ij->i", a, a) + np.einsum("ij,ij->i", b, b))
                     - 2.0 * np.einsum("ij,ij", cross, cross))
-    energies, c = _eigh(h)
+    energies, c = _eigh(h, overwrite=True)
     del h, cross
     _trim()
     keep = _kept(energies, top)
@@ -589,7 +592,7 @@ def _channel_blocks(kinetic: Callable[[], np.ndarray], diagonals: list[np.ndarra
     for d in diagonals:
         h = kinetic()
         h[np.diag_indices(n)] += d
-        channels.append(_eigh(h))
+        channels.append(_eigh(h, overwrite=True))
         del h
     return channels
 

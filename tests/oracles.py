@@ -307,7 +307,7 @@ def couple_after_eigh(channels, coupling: np.ndarray, kept: tuple[int, int], top
     h[:k_a, k_a:] = cross.T
     carried = float(coupling ** 2 @ (np.einsum("ij,ij->i", a, a) + np.einsum("ij,ij->i", b, b))
                     - 2.0 * np.einsum("ij,ij", cross, cross))
-    energies, c = radial._eigh(h)
+    energies, c = radial._eigh(h, overwrite=True)
     keep = radial._kept(energies, top)
     psi_a, psi_b = a @ c[:k_a, :keep], b @ c[k_a:, :keep]
     r2 = (np.sum((u_a[:, k_a:].T @ (coupling[:, None] * psi_b)) ** 2, axis=0)

@@ -616,8 +616,9 @@ def test_level_tables_are_solved_once_per_model(small_config, tmp_path, monkeypa
     overrides = ["scan.j_values=0,1,2,3", "scan.max_levels=12"]
     narb.pinned_models(load_config(small_config, overrides))  # the dense solves, not counted
     sizes = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+    eigh = radial._eigh
+    monkeypatch.setattr(radial, "_eigh", lambda h, overwrite=False: sizes.append(len(h))
+                        or eigh(h, overwrite))
 
     def solved(*more):
         sizes.clear()
@@ -1271,12 +1272,10 @@ EIGEN_ANGLE = ["magic.kind=angle", "magic.method=eigen"]
 def test_out_of_range_value_exits_2_naming_its_key(subcommand, overrides, key,
                                                    tmp_path, capsys, monkeypatch):
     """A value out of range exits 2 naming its key, before any output file
-    is written or any eigensolve runs: neither np.linalg.eigh nor the
-    dense radial eigh, which runs dsyevd in place, is called."""
+    is written or any eigensolve runs: ``radial._eigh``, which every
+    eigensolve goes through, is not called."""
     solved = []
-    monkeypatch.setattr(np.linalg, "eigh", lambda *args: solved.append(args))
-    eigh = radial._eigh
-    monkeypatch.setattr(radial, "_eigh", lambda h: solved.append(h) or eigh(h))
+    monkeypatch.setattr(radial, "_eigh", lambda *args, **kwargs: solved.append(args))
     argv = [subcommand, "--out", str(tmp_path)]
     for item in overrides:
         argv += ["--override", item]

@@ -18,7 +18,7 @@ from magictrap import (
     build_hamiltonian,
     find_magic_angle,
 )
-from magictrap import hyperfine
+from magictrap import hyperfine, radial
 from magictrap.angular import rot_tensor_element
 from magictrap.cli import main
 from magictrap.config import load_config
@@ -668,17 +668,22 @@ def test_polarizability_rejects_a_mismatched_angle_axis():
 
 
 def test_hyperfine_scan_is_one_eigh_call(tmp_path, monkeypatch):
+    """hyperfine-scan solves its angles as one stack through the seam,
+    ``radial._eigh``; alpha-scan, calibrate and the detuning magic-find on
+    the bundled config solve nothing."""
     calls = []
-    eigh = np.linalg.eigh
+    eigh = radial._eigh
 
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+    def counting_eigh(h, overwrite=False):
+        calls.append(np.shape(h))
+        return eigh(h, overwrite)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    assert main(["hyperfine-scan", "--out", str(tmp_path),
-                 "--override", "scan.points=8"]) == 0
-    assert calls == [(8, 64, 64)]
+    monkeypatch.setattr(radial, "_eigh", counting_eigh)
+    for argv, solved in [(["hyperfine-scan", "--override", "scan.points=8"], [(8, 64, 64)]),
+                         (["alpha-scan"], []), (["calibrate"], []), (["magic-find"], [])]:
+        calls.clear()
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert calls == solved, argv
 
 
 def test_no_cli_path_builds_the_dense_operator(tmp_path, monkeypatch):

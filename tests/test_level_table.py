@@ -213,8 +213,9 @@ def test_bundled_block_solves_end_on_the_certified_block(narb_radial, monkeypatc
     for X, as imag-scan asks) X ends on m = 40 (18 at one level) and A-b on
     m = 160, after m = 40 and 80."""
     sizes = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+    eigh = radial._eigh
+    monkeypatch.setattr(radial, "_eigh", lambda h, overwrite=False: sizes.append(len(h))
+                        or eigh(h, overwrite))
     for name, counts, m in [("x", (12, 1), {12: 40, 1: 18}), ("ab", (12,), {12: 160})]:
         basis = uncached(narb_radial[f"{name}_basis"])
         for j in J_RANGE:

@@ -264,13 +264,13 @@ def test_eigen_angle_searches_take_at_most_6_eigensolves_on_average(monkeypatch)
     """Newton steps on the analytic slope: over the cases above Brent
     iteration took about 8 eigensolves per search."""
     counts = []
-    eigensolve = mt.hyperfine._eigensolve
+    eigh = mt.radial._eigh
 
-    def counting(h, basis):
+    def counting(h, overwrite=False):
         counts[-1] += 1
-        return eigensolve(h, basis)
+        return eigh(h, overwrite)
 
-    monkeypatch.setattr(mt.hyperfine, "_eigensolve", counting)
+    monkeypatch.setattr(mt.radial, "_eigh", counting)
     for case in ANGLE_SEARCH_CASES:
         e_field, state_a, state_b = case.values
         counts.append(0)
@@ -285,17 +285,17 @@ def test_eigen_search_computes_slopes_only_at_interior_abscissas(e_field, monkey
     end, so the two states' slopes are computed at each other abscissa
     only: 2 x (eigensolves - 2) state slopes per search."""
     counts = {}
-    eigensolve, state_slopes = mt.hyperfine._eigensolve, mt.hyperfine._state_slopes
+    eigh, state_slopes = mt.radial._eigh, mt.hyperfine._state_slopes
 
-    def counting_eigensolve(h, basis):
+    def counting_eigh(h, overwrite=False):
         counts["solves"] += 1
-        return eigensolve(h, basis)
+        return eigh(h, overwrite)
 
     def counting_slopes(step, operands, scale, states):
         counts["slopes"] += len(states)
         return state_slopes(step, operands, scale, states)
 
-    monkeypatch.setattr(mt.hyperfine, "_eigensolve", counting_eigensolve)
+    monkeypatch.setattr(mt.radial, "_eigh", counting_eigh)
     monkeypatch.setattr(mt.hyperfine, "_state_slopes", counting_slopes)
     for state_a, state_b in BENCH_ANGLE_PAIRS:
         counts.update(solves=0, slopes=0)

@@ -17,7 +17,6 @@ import ast
 import hashlib
 import logging
 import re
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +29,10 @@ from magictrap.cli import main
 from magictrap.config import load_config
 
 # case -> (argv: subcommand and overrides, SHA-256 of the CSV it writes).
-# The digests hold at 2, 3 and 4 BLAS threads.  With OPENBLAS_NUM_THREADS=1
-# np.linalg.eigh rounds the radial channel blocks differently, and the
-# "imag-scan" case gets other bytes (0c1306c0... against 1e084e03...).
+# The digests hold at 2, 3 and 4 BLAS threads.  Their eigensolves, all
+# through radial._eigh, round as the BLAS thread count and the OpenBLAS
+# kernel family make them: with OPENBLAS_NUM_THREADS=1 the "imag-scan"
+# case gets other bytes (0c1306c0... against 1e084e03...).
 # "imag-scan" is pinned on RovibBasis.levels solving each J in a certified
 # leading block of the contracted basis; the whole K x K solve gave
 # 61d61d35..., 4 of its 128 Im alpha cells apart, each by <= 1.4e-12 of itself.
@@ -135,26 +135,30 @@ def test_radial_goldens_hold_with_and_without_the_heap_trim(trim, tmp_path, monk
 def test_the_np_linalg_eigh_path_trims_around_each_dense_eigh(tmp_path, monkeypatch):
     """Where numpy ships no ILP64 dsyevd, each dense solve's np.linalg.eigh
     is trimmed before it allocates and after it frees, as the in-place
-    path is, and solve-rovib and imag-scan write their golden bytes."""
+    path is, and solve-rovib and imag-scan write their golden bytes.  The
+    trace brackets each ``overwrite=True`` call of the seam, a dense solve;
+    the block solves' np.linalg.eigh runs outside any bracket."""
     if (real_trim := radial._malloc_trim()) is None:
         pytest.skip("the C library has no malloc_trim")
-    real_eigh, events = np.linalg.eigh, []
+    real_eigh, real_seam, events = np.linalg.eigh, radial._eigh, []
 
-    def eigh(h):
-        if sys._getframe(1).f_code is radial._eigh.__code__:  # a dense solve
-            events.append("E")
-        return real_eigh(h)
+    def seam(h, overwrite=False):
+        events.append("(" * overwrite)
+        solved = real_seam(h, overwrite)
+        events.append(")" * overwrite)
+        return solved
 
     monkeypatch.setattr(radial, "_lapack_dsyevd", lambda: None)
     monkeypatch.setattr(radial, "_malloc_trim",
                         lambda: lambda pad: events.append("T") or real_trim(pad))
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(radial, "_eigh", seam)
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: events.append("E") or real_eigh(h))
     for case in ("solve-rovib", "imag-scan"):
         narb._bases.cache_clear()
         events.clear()
         test_bundled_defaults_csv_is_golden(case, tmp_path)
         trace = "".join(events)
-        assert trace.count("E") == trace.count("TET") == 4, (case, trace)
+        assert trace.count("(") == trace.count("(TET)") == 4, (case, trace)
 
 
 def _bundled_values() -> dict[str, float]:
@@ -372,6 +376,32 @@ def test_every_exported_callable_is_used_in_the_package():
     unread = [f"{layer.__name__}.{name}" for layer in LAYERS for name in layer.__all__
               if callable(getattr(layer, name)) and name not in read]
     assert not unread, unread
+
+
+def _eigensolver_calls(path: Path):
+    """(line, outermost enclosing function) of each call in ``path`` to a
+    function named ``eigh`` or ``dsyevd``, by bare name or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    # ast.walk goes breadth first, so the outermost function is written last
+    owner = {id(node): fn.name for fn in reversed(list(ast.walk(tree)))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("eigh", "dsyevd"):
+                yield node.lineno, owner.get(id(node))
+
+
+def test_one_seam_runs_every_eigensolve():
+    """Every eigensolve goes through ``radial._eigh``: no other function
+    calls an ``eigh`` (numpy's, scipy's or any other) or LAPACK's
+    ``dsyevd``, so a spy on the seam sees each one."""
+    calls = sorted({(path.name, fn)
+                    for path in sorted(Path(magictrap.__file__).parent.glob("*.py"))
+                    for _, fn in _eigensolver_calls(path)})
+    assert calls == [("radial.py", "_eigh")], calls
 
 
 def test_one_dense_per_j_solve():

@@ -698,8 +698,8 @@ def test_the_coupling_eigh_runs_without_the_channel_eigenvectors(monkeypatch):
     vectors = [weakref.ref(u) for _, u in channels]
     alive = []
     eigh = radial._eigh
-    monkeypatch.setattr(radial, "_eigh",
-                        lambda h: alive.append([ref() is not None for ref in vectors]) or eigh(h))
+    monkeypatch.setattr(radial, "_eigh", lambda h, overwrite=False: alive.append(
+        [ref() is not None for ref in vectors]) or eigh(h, overwrite))
     radial._couple(channels, coupling, kept, top)
     assert alive == [[False, False]]
 
@@ -711,7 +711,8 @@ def test_a_refused_truncation_solves_the_channels_again(monkeypatch, caplog):
     args = _coupled_step(*_coupling_case("cutoff 0.01")[:4], monkeypatch)
     sizes = []
     eigh = radial._eigh
-    monkeypatch.setattr(radial, "_eigh", lambda h: sizes.append(len(h)) or eigh(h))
+    monkeypatch.setattr(radial, "_eigh", lambda h, overwrite=False: sizes.append(len(h))
+                        or eigh(h, overwrite))
     monkeypatch.setattr(radial, "CHANNEL_CUTOFF", 0.01)
     with caplog.at_level(logging.INFO, logger="magictrap.radial"):
         refused = radial._channel_eigenpairs(*args)
@@ -797,15 +798,16 @@ def test_solve_rovib_memory_over_the_import(tmp_path):
 
 
 def _assert_eigh_is_numpys(h):
-    """``radial._eigh`` of a copy of ``h`` gives ``np.linalg.eigh(h)``: the
-    same shapes and bytes, C-ordered vectors, or the same LinAlgError text."""
+    """``radial._eigh`` of a copy of ``h``, overwriting it, gives
+    ``np.linalg.eigh(h)``: the same shapes and bytes, C-ordered vectors, or
+    the same LinAlgError text."""
     try:
         expected = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         with pytest.raises(np.linalg.LinAlgError, match=f"^{re.escape(str(exc))}$"):
-            radial._eigh(h.copy())
+            radial._eigh(h.copy(), overwrite=True)
         return "LinAlgError"
-    for got, want in zip(radial._eigh(h.copy()), expected):
+    for got, want in zip(radial._eigh(h.copy(), overwrite=True), expected):
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
     return "finite" if np.all(np.isfinite(expected[1])) else "non-finite"
@@ -817,7 +819,8 @@ def test_dense_eighs_are_numpys_on_the_bundled_blocks(monkeypatch):
     each take an exactly symmetric matrix and give numpy's bits."""
     blocks = []
     eigh = radial._eigh
-    monkeypatch.setattr(radial, "_eigh", lambda h: blocks.append(h.copy()) or eigh(h))
+    monkeypatch.setattr(radial, "_eigh", lambda h, overwrite=False: blocks.append(h.copy())
+                        or eigh(h, overwrite))
     narb.pinned_models(load_config(overrides=["grid.points=300"]))
     monkeypatch.undo()
     sizes = [len(h) for h in blocks]
