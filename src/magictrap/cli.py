@@ -101,10 +101,10 @@ _SEPARATORS = frozenset(",\n\r\"\0")
 logger = logging.getLogger(__name__)
 
 # tables of fewer rows are formatted cell by cell: on a 2-core x86 host the
-# two paths cost the same, 0.07-0.16 ms, at 28 to 44 rows of the
+# two paths cost the same, 0.04-0.14 ms, at 28 to 40 rows of the
 # alpha-scan, imag-scan, hyperfine-scan, magic-find and solve-rovib
-# layouts, and a one-row table costs 0.07-0.11 ms in bulk against
-# 0.006-0.016 ms cell by cell
+# layouts, and a one-row table costs 0.05-0.08 ms in bulk against
+# 0.006-0.010 ms cell by cell
 _BULK_ROWS = 40
 
 
@@ -113,16 +113,28 @@ def _column_cells(column) -> list[str]:
     12-significant-digit scientific notation with a bare exponent, ints
     and bools as integers, anything else as its text, which must hold no
     separator.  It writes a short table, and the text columns and the
-    float cells the numpy pass cannot round beyond doubt of a long one."""
-    values = np.asarray(column)
-    if values.dtype.kind == "f":
-        text = ("%.11e\n" * values.size) % tuple(values.tolist())
+    float cells the numpy pass cannot round beyond doubt of a long one.
+
+    A one-cell list of a float or an int, a column of a one-row table, is
+    typed by its cell as ``np.asarray`` would type it, with no array made."""
+    cell = column[0] if type(column) is list and len(column) == 1 else None
+    if isinstance(cell, (float, np.floating)):
+        kind, values = "f", column
+    elif isinstance(cell, (int, np.integer, np.bool_)):
+        kind, values = "i", column
+    else:
+        values = np.asarray(column)
+        kind = values.dtype.kind
+        if kind in "fbiu":
+            values = values.tolist()
+    if kind == "f":
+        text = ("%.11e\n" * len(values)) % tuple(values)
         # "%.11e" writes a signed exponent of at least two digits
         text = text.replace("e+0", "e").replace("e-0", "e-").replace("e+", "e")
         return text.split("\n")[:-1]
-    if values.dtype.kind in "biu":
+    if kind in "biu":
         # through Python ints, so a uint64 above 2**63 - 1 stays positive
-        return [str(int(v)) for v in values.tolist()]
+        return [str(int(v)) for v in values]
     cells = list(map(str, column))
     if not _SEPARATORS.isdisjoint("".join(cells)):
         bad = next(c for c in cells if not _SEPARATORS.isdisjoint(c))

@@ -259,24 +259,20 @@ class RunConfig:
         Floats are written with ``repr`` so every bit survives the
         round trip.
         """
-        lines = []
-        for section in SCHEMA:
-            if section not in self.sections:
-                continue
-            lines.append(f"[{section}]")
-            for key in SCHEMA[section]:
-                if key not in self.sections[section]:
-                    continue
-                lines.append(f"{key} = {_format_value(self.sections[section][key])}")
-            lines.append("")
-        _write_output(path, "\n".join(lines).encode())
+        blocks = []
+        for section, schema in SCHEMA.items():
+            keys = self.sections.get(section)
+            if keys is not None:
+                blocks.append(f"[{section}]\n" + "".join([f"{key} = {_format_value(keys[key])}\n"
+                                                          for key in schema if key in keys]))
+        _write_output(path, "\n".join(blocks).encode())
 
 
 def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
     return str(value)
 
 
@@ -288,8 +284,9 @@ def _write_output(path: str | Path, data: bytes) -> None:
     close, several times the cost of writing a new file.  A symlink is
     written through, and where the directory refuses the unlink (a
     sticky directory, say) the file is truncated and written in place.
-    The calls are ``os``'s own, the lstat, unlink and open that the
-    ``pathlib`` methods wrap, on the path converted once.
+    The calls are ``os``'s own, on the path converted once: the lstat and
+    unlink that the ``pathlib`` methods wrap, and the open, write and
+    close that an ``open(path, "wb")`` file object wraps.
     """
     path = os.fspath(path)
     try:
@@ -297,8 +294,13 @@ def _write_output(path: str | Path, data: bytes) -> None:
             os.unlink(path)
     except (FileNotFoundError, PermissionError):
         pass
-    with open(path, "wb") as fh:
-        fh.write(data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def bundled_defaults_path() -> Path:

@@ -176,9 +176,9 @@ def _basis(j_max: int, i_a: float, i_b: float) -> HyperfineBasis:
 
     Keyed on (j_max, i_a, i_b), all it reads of the constants; it holds
     the states and 66 KiB of read-only operators at j_max = 1.  A hit
-    saves each eigen ``magic-find`` (~5.6 ms warm) or ``hyperfine-scan``
-    call a 2.5 ms rebuild on a 2-core host: the C_kq table with its 3-j
-    symbols 1.4 ms, the operators 0.75 ms, the states 46 us.
+    saves each eigen ``magic-find`` (~2.8 ms warm) or ``hyperfine-scan``
+    call a 1.1 ms rebuild on a 2-core host: the C_kq table with its 3-j
+    symbols 0.45 ms, the operators 0.5 ms, the states 18 us.
     """
     rot_states = tuple((j, m) for j in range(j_max + 1) for m in range(-j, j + 1))
     states = tuple((j, m, ma, mb) for j, m in rot_states
@@ -312,7 +312,14 @@ def build_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
 
 def _static_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
                         terms: frozenset[str] | set[str]) -> np.ndarray:
-    """The theta_p-independent terms of ``build_hamiltonian``, one (dim, dim) matrix."""
+    """The theta_p-independent terms of ``build_hamiltonian``, one (dim, dim) matrix.
+
+    Each entry is ((rot + (q_a + q_b)) + zeeman) + stark, added onto 0.0:
+    the rounding the goldens pin.  The dc Stark term (C1) is nonzero only
+    between J of odd difference and the rest only between J of even
+    difference, so stark goes into one rotational block with the rotation
+    and every entry keeps its bits.
+    """
     unknown = set(terms) - TERMS
     if unknown:
         raise ValueError(f"unknown terms {sorted(unknown)}; valid: {sorted(TERMS)}")
@@ -323,14 +330,27 @@ def _static_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
             f"constants' nuclear spins ({c.i_a}, {c.i_b})"
         )
     h = np.zeros((basis.dim, basis.dim))
-    # an infinite constant or field times a zero entry is NaN, which
-    # _eigensolve refuses as a non-finite Hamiltonian
-    if "rotation" in terms:
+    rotation, stark = "rotation" in terms, "stark" in terms
+    if rotation or stark:
+        n_rot = len(basis.rot_states)
+        # an infinite constant or field times a zero entry is NaN, which
+        # _eigensolve refuses as a non-finite Hamiltonian
         with np.errstate(invalid="ignore"):
-            _add_rotational_block(h, np.diag(c.b_v * basis.jj1))
+            if stark:
+                ckq = basis.ckq
+                # -d0 E e . C1 for a field in the x-z plane at polar angle theta_e
+                block = (-(c.d0 * fields.e_field * 1e5 * _DEBYE_V_M_TO_MHZ)) * (
+                    math.cos(fields.theta_e) * ckq[1, 0]
+                    + (math.sin(fields.theta_e) / math.sqrt(2.0)) * (ckq[1, -1] - ckq[1, +1])
+                )
+            else:
+                block = np.zeros((n_rot, n_rot))
+            if rotation:
+                block.reshape(-1)[::n_rot + 1] += c.b_v * basis.jj1
+            _add_rotational_block(h, block)
     if "quadrupole" in terms:
-        # the nuclei are summed first: rot + (q_a + q_b) is the rounding the goldens pin
-        quad = np.zeros_like(h)
+        # the nuclei are summed first: rot + (q_a + q_b)
+        quad = None
         for tensor, i_spin, eqq in zip(basis.quadrupole, (basis.i_a, basis.i_b),
                                        (c.eqq_a, c.eqq_b)):
             if c.quadrupole_denominator == "standard":
@@ -344,21 +364,13 @@ def _static_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
                     f"quadrupole prefactor vanishes for spin {i_spin} "
                     f"({c.quadrupole_denominator} denominator)"
                 )
-            quad += (eqq / denom) * tensor
-        h += quad
+            term = (eqq / denom) * tensor
+            quad = term if quad is None else np.add(quad, term, out=quad)
+        if quad is not None:
+            h += quad
     if "zeeman" in terms:
-        h += np.diag(-(c.g_a * basis.m_a + c.g_b * basis.m_b) * NUCLEAR_MAGNETON_MHZ_PER_G
-                     * fields.b_field)
-    if "stark" in terms:
-        ckq = basis.ckq
-        # e . C1 for a field in the x-z plane at polar angle theta_e
-        direction = (
-            math.cos(fields.theta_e) * ckq[1, 0]
-            + (math.sin(fields.theta_e) / math.sqrt(2.0)) * (ckq[1, -1] - ckq[1, +1])
-        )
-        scale = c.d0 * fields.e_field * 1e5 * _DEBYE_V_M_TO_MHZ
-        with np.errstate(invalid="ignore"):
-            _add_rotational_block(h, -scale * direction)
+        h.reshape(-1)[::basis.dim + 1] += (-(c.g_a * basis.m_a + c.g_b * basis.m_b)
+                                           * NUCLEAR_MAGNETON_MHZ_PER_G * fields.b_field)
     return h
 
 
@@ -370,9 +382,10 @@ def _angle_solver(basis: HyperfineBasis, fields: FieldConfiguration,
     eigenvector's dominant (J, M) as an index into ``basis.rot_states``.
 
     The theta_p-independent terms and parts of the light block are built
-    once; each call copies the terms into one work matrix, adds only the
-    light and takes the one-matrix path of ``_eigensolve``.  The phase
-    convention is skipped: alpha is a trace, bit-identical under v -> -v.
+    once, into one work matrix; each call writes the static terms plus the
+    light onto its spin diagonal and takes the one-matrix path of
+    ``_eigensolve``.  The phase convention is skipped: alpha is a trace,
+    bit-identical under v -> -v.
 
     ``solve.slopes(*states)`` is a function of no arguments that gives
     d(alpha_i)/d(theta_p) per radian of each eigenstate i of ``states`` at
@@ -381,10 +394,11 @@ def _angle_solver(basis: HyperfineBasis, fields: FieldConfiguration,
     does not read.  ``solve.vector(i)`` is eigenvector i of the last call,
     unphased.
     """
-    static = _static_hamiltonian(basis, fields, terms)
-    work = np.empty_like(static)
-    n_rot = len(basis.rot_states)
-    spin_diagonal = _spin_diagonal(work, n_rot)
+    work = _static_hamiltonian(basis, fields, terms)
+    spin_diagonal = _spin_diagonal(work, len(basis.rot_states))
+    # the light goes on the spin diagonal only: each call writes it there
+    # over the static terms, and every other entry keeps them
+    static = spin_diagonal.copy()
     operands = _light_operands(basis, fields.constants)
     light = "polarization" in terms
     scale = -fields.intensity * 1e-6 if light else 0.0
@@ -398,9 +412,8 @@ def _angle_solver(basis: HyperfineBasis, fields: FieldConfiguration,
         theta[0, 0] = theta_p
         cth, sth = float(np.cos(theta)[0, 0]), float(np.sin(theta)[0, 0])
         op = _light_block(operands, cth, sth)
-        np.copyto(work, static)
         if light:
-            np.add(spin_diagonal, (scale * op)[..., None], out=spin_diagonal)
+            np.add(static, (scale * op)[..., None], out=spin_diagonal)
         energies, vectors, dominant = _eigensolve(work, basis)
         last = energies, vectors, op, cth, sth
         return _spin_trace(vectors, op), dominant
@@ -425,18 +438,25 @@ def _state_slopes(step: tuple, operands: tuple, scale: float,
     makes the slope inf or NaN, silently: the caller decides what to do.
     """
     energies, vectors, op, cth, sth = step
+    n_rot = len(op)
     d_op = _light_block_slope(operands, cth, sth)
+    # O' and O stacked: one product gives O' v and O v, each row the sum it
+    # is alone, since a strided v takes numpy's own matmul loop, not BLAS
+    ops = np.concatenate((d_op, op)) if scale else d_op
+    vt = vectors.T
     slopes = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in states:
-            v = vectors[:, i].reshape(op.shape[-1], -1)
-            d_row = vectors.T @ (d_op @ v).ravel()
+            products = ops @ vectors[:, i].reshape(n_rot, -1)
+            d_row = vt @ products[:n_rot].ravel()
             value = float(d_row[i])
             if scale:
-                row = vectors.T @ (op @ v).ravel()
+                row = vt @ products[n_rot:].ravel()
                 gaps = energies[i] - energies
                 gaps[i] = math.inf
-                value += 2.0 * scale * float((row * d_row / gaps).sum())
+                row *= d_row
+                row /= gaps
+                value += 2.0 * scale * float(row.sum())
             slopes.append(value)
     return slopes
 
@@ -454,28 +474,37 @@ def _eigensolve(h: np.ndarray, basis: HyperfineBasis
     h = np.asarray(h, dtype=float)
     if h.shape[-2:] != (basis.dim, basis.dim):
         raise ValueError(f"matrix shape {h.shape} does not match basis dim {basis.dim}")
-    if h.ndim == 2:
-        top, bottom = float(h.max()), float(h.min())
-        if not (math.isfinite(top) and math.isfinite(bottom)):
-            raise ValueError(_NON_FINITE)
-        # h - h.T is exactly antisymmetric, so its max is its largest |entry|
-        if float((h - h.T).max()) > 1e-10 * max(top, -bottom, 1.0):
-            raise ValueError(_ASYMMETRIC)
-    else:
-        # the largest |entry|, max(max h, -min h) with no |h| stack; it is inf
-        # or NaN exactly when some entry is
-        scale = np.maximum(np.maximum(h.max(axis=(-2, -1)), -h.min(axis=(-2, -1))), 1.0)
-        if not np.isfinite(scale).all():
-            raise ValueError(_NON_FINITE)
-        asym = h - h.swapaxes(-2, -1)
-        if (np.abs(asym, out=asym).max(axis=(-2, -1)) > 1e-10 * scale).any():
-            raise ValueError(_ASYMMETRIC)
-        del asym
-    energies, vectors = radial._eigh(h)
-    # amplitude^2 with one contiguous row per vector, summed over the spins
-    # of each (J, M) block, 8 matrices at a time, so that beside h and the
-    # vectors only their squares are live
     n_rot = len(basis.rot_states)
+    if h.ndim == 2:
+        # h - h.T is exactly antisymmetric, so its max is its largest |entry|.
+        # Each non-finite entry of h makes it inf or NaN (inf - inf), so at
+        # most 1e-10, below 1e-10 times the largest |entry| or 1, it passes
+        # both checks
+        with np.errstate(invalid="ignore"):
+            asym = float((h - h.T).max())
+        if not asym <= 1e-10:
+            top, bottom = float(h.max()), float(h.min())
+            if not (math.isfinite(top) and math.isfinite(bottom)):
+                raise ValueError(_NON_FINITE)
+            if asym > 1e-10 * max(top, -bottom, 1.0):
+                raise ValueError(_ASYMMETRIC)
+        energies, vectors = radial._eigh(h)
+        # amplitude^2 with one contiguous row per vector, summed over the
+        # spins of each (J, M) block, as for a stack
+        weights = np.square(vectors.T.reshape(basis.dim, n_rot, -1), order="C").sum(axis=-1)
+        return energies, vectors, weights.argmax(axis=-1)
+    # the largest |entry|, max(max h, -min h) with no |h| stack; it is inf
+    # or NaN exactly when some entry is
+    scale = np.maximum(np.maximum(h.max(axis=(-2, -1)), -h.min(axis=(-2, -1))), 1.0)
+    if not np.isfinite(scale).all():
+        raise ValueError(_NON_FINITE)
+    asym = h - h.swapaxes(-2, -1)
+    if (np.abs(asym, out=asym).max(axis=(-2, -1)) > 1e-10 * scale).any():
+        raise ValueError(_ASYMMETRIC)
+    del asym
+    energies, vectors = radial._eigh(h)
+    # the same, 8 matrices at a time, so that beside h and the vectors only
+    # their squares are live
     blocks = vectors.swapaxes(-2, -1).reshape((-1, basis.dim, n_rot, basis.dim // n_rot))
     weights = np.concatenate([np.square(blocks[k:k + 8], order="C").sum(axis=-1)
                               for k in range(0, len(blocks), 8)])

@@ -196,10 +196,10 @@ def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
     def objective(theta: float) -> tuple[float, Callable[[], float]]:
         alphas, dominant = solve(math.radians(theta))
         i_a, i_b = pick_a(dominant), pick_b(dominant)
-        vectors = solve.vector(i_a), solve.vector(i_b)
+        v_a, v_b = solve.vector(i_a), solve.vector(i_b)
         if picked:
-            near, *before = min(picked, key=lambda p: abs(p[0] - theta))
-            for state, v, u in zip((state_a, state_b), vectors, before):
+            near, u_a, u_b = min(picked, key=lambda p: abs(p[0] - theta))
+            for state, v, u in ((state_a, v_a, u_a), (state_b, v_b, u_b)):
                 overlap = abs(float(v @ u))
                 if overlap < PICK_OVERLAP_MIN:
                     raise NoRootError(
@@ -207,7 +207,7 @@ def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
                         f"{theta:.6f} degrees overlaps the one picked at {near:.6f} "
                         f"degrees by {overlap:.3f}, below {PICK_OVERLAP_MIN}: the label "
                         "names another state in between, so the search cannot follow it")
-        picked.append((theta, *vectors))
+        picked.append((theta, v_a, v_b))
         slopes = solve.slopes(i_a, i_b)
 
         def slope() -> float:
@@ -325,7 +325,8 @@ def _bracketed_root(objective, bracket: tuple[float, float], xtol: float, tol: f
         raise ValueError(f"bracket ({lo}, {hi}) {unit} must have lo < hi")
     end_lo, end_hi = objective(lo), objective(hi)
     f_lo, f_hi = end_lo[0], end_hi[0]
-    if f_lo == 0.0 or f_hi == 0.0 or np.sign(f_lo) == np.sign(f_hi):
+    # a NaN end has no sign and passes, for _rtsafe to refuse
+    if f_lo == 0.0 or f_hi == 0.0 or (f_lo > 0.0 and f_hi > 0.0) or (f_lo < 0.0 and f_hi < 0.0):
         raise NoRootError(
             f"no sign change over ({lo}, {hi}) {unit}: "
             f"f(lo) = {f_lo:.6e}, f(hi) = {f_hi:.6e}{value_unit}"
@@ -353,7 +354,8 @@ def find_magic_detuning(spec: PolarizabilitySpec, j_a: int, j_b: int,
     objective must change sign across it; violations raise
     :class:`PoleProximityError` / :class:`NoRootError` rather than
     returning a nearest-miss root.  The poles are those that
-    ``polarizability._branches`` lists for :func:`alpha_analytic`.
+    ``polarizability._branches`` lists for :func:`alpha_analytic`.  The
+    search evaluates each photon energy it reaches once.
     """
     lo, hi = bracket
     poles = _poles_in_window(spec, (j_a, j_b), m, theta_p, lo, hi)
@@ -362,9 +364,18 @@ def find_magic_detuning(spec: PolarizabilitySpec, j_a: int, j_b: int,
         raise PoleProximityError(f"bracket ({lo}, {hi}) GHz contains poles: {listing}")
 
     slope = _detuning_slope(spec, (j_a, m), (j_b, m), theta_p)
+    ref = spec.reference.energy
+    # f and f' read the detuning only as nu = E_ref + detuning / HARTREE_TO_GHZ,
+    # which resolves it to ~5e-11 GHz: an abscissa at a nu this search has
+    # evaluated gets the f and f' it got there
+    evaluated = {}
 
     def objective(delta: float) -> tuple[float, float]:
-        return _detuning_objective(spec, (j_a, m), (j_b, m), delta, theta_p), slope(delta)
+        nu = ref + delta / HARTREE_TO_GHZ
+        if nu not in evaluated:
+            evaluated[nu] = (_detuning_objective(spec, (j_a, m), (j_b, m), delta, theta_p),
+                             slope(delta))
+        return evaluated[nu]
 
     root, residual, slope_at_root = _bracketed_root(objective, bracket, 1e-12,
                                                     DETUNING_RESIDUAL_TOL, "GHz", " a.u.")

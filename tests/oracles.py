@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from magictrap import hyperfine, narb, radial
+from magictrap import hyperfine, magic, narb, radial
 from magictrap.angular import rot_tensor_element
 from magictrap.config import RunConfig
 from magictrap.errors import PoleProximityError
@@ -152,6 +152,24 @@ def alpha_fardetuned(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m
     """
     lines = tuple(replace(ln, b_rot=0.0) for ln in spec.lines)
     return alpha_analytic(replace(spec, lines=lines, b_v=0.0), nu, j, m, theta_p)
+
+
+def magic_detuning_per_evaluation(spec: PolarizabilitySpec, j_a: int, j_b: int, m: int = 0,
+                                  theta_p: float = 0.0,
+                                  bracket: tuple[float, float] = (30.0, 300.0)
+                                  ) -> tuple[tuple[float, float, float], list[float]]:
+    """The search of :func:`magictrap.find_magic_detuning` with f and f'
+    evaluated afresh at every abscissa: (root, residual, slope) and the
+    detunings evaluated, in order."""
+    slope = magic._detuning_slope(spec, (j_a, m), (j_b, m), theta_p)
+    evaluated = []
+
+    def objective(delta: float) -> tuple[float, float]:
+        evaluated.append(delta)
+        return magic._detuning_objective(spec, (j_a, m), (j_b, m), delta, theta_p), slope(delta)
+
+    return magic._bracketed_root(objective, bracket, 1e-12, magic.DETUNING_RESIDUAL_TOL,
+                                 "GHz", " a.u."), evaluated
 
 
 def alpha_sum_over_states(x_levels: RovibLevels, ab_levels: RovibLevels,

@@ -329,6 +329,53 @@ def test_column_kinds_keep_their_types():
             list(map(old_cell, mixed_row))
 
 
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@seed(3901)
+@settings(deadline=None, max_examples=400)
+@given(st.one_of(
+    LABELS, st.text(max_size=3),
+    st.booleans(), st.booleans().map(np.bool_),
+    st.integers(), st.integers(INT64.min, INT64.max).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64), st.integers(-128, 127).map(np.int8),
+    ANY_FLOAT, ANY_FLOAT.map(np.float64),
+    st.floats(width=32, allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    .map(np.float32)))
+@example(np.uint64(2**63))
+@example(np.uint64(2**64 - 1))
+@example(2**64)
+@example(-2**63 - 1)
+@example(0.0)
+@example(-0.0)
+@example(np.float32(-0.0))
+@example(math.nan)
+@example(np.float32(math.nan))
+@example(math.inf)
+@example(-math.inf)
+@example(np.float32(-math.inf))
+@example(5e-324)
+@example(-2.2250738585072e-308)
+@example(np.float32(1e-45))
+@example(1e300)
+@example(-1e300)
+@example(1e-300)
+@example(-1e-300)
+@example(9.9999999999995e4)
+@example("a,b")
+def test_one_cell_columns_match_the_array_path(cell):
+    """A one-cell list, a one-row table's column, is written from its
+    cell's type with no array made: its cell, or its refusal, is that of
+    the same cell in a one-element array, bit for bit."""
+    def cells(column):
+        try:
+            return cli._column_cells(column)
+        except ValueError as exc:
+            return str(exc)
+
+    assert cells([cell]) == cells(np.asarray([cell]))
+
+
 def test_hyperfine_table_takes_the_numpy_pass(per_cell_floats):
     """A 2048-row hyperfine-scan table sends at most 2% of its float cells
     to the per-cell formatter, and writes the oracle's bytes."""

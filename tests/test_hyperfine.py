@@ -628,6 +628,21 @@ def test_one_matrix_eigensolve_is_a_stack_of_one(e_field, theta_e_deg, terms):
         hyperfine._eigensolve(near[None], basis)[0].tobytes()
 
 
+@pytest.mark.parametrize("e_field", np.linspace(0.10, 2.00, 20).round(2).tolist())
+def test_one_matrix_labels_are_the_stacked_labels(e_field):
+    """A search step's dominant (J, M), one square-and-sum over its own
+    (dim, n_rot, n_spin) copy, is the stacked path's, on the matrices of
+    the bench's eigen searches: 0.10-2.00 kV/cm and 40-70 degrees."""
+    f = fields_with(e_field=e_field)
+    basis = build_basis(1, f.constants)
+    thetas = np.radians(np.linspace(40.0, 70.0, 61))
+    _, _, stacked = hyperfine._eigensolve(build_hamiltonian(basis, replace(f, theta_p=thetas)),
+                                          basis)
+    solve = hyperfine._angle_solver(basis, f, TERMS)
+    for theta, labels in zip(thetas.tolist(), stacked):
+        assert solve(theta)[1].tobytes() == labels.tobytes()
+
+
 def _dense_alphas(vectors, op):
     """Hellmann-Feynman on the dense (dim, dim) operator: the reference."""
     return np.einsum("ij,ik,kj->j", vectors, op, vectors)

@@ -27,7 +27,7 @@ from magictrap.magic import (
     find_magic_detuning,
 )
 
-from oracles import diagonalize, eigenstate_polarizability
+from oracles import diagonalize, eigenstate_polarizability, magic_detuning_per_evaluation
 
 BARE_TERMS = {"rotation", "polarization", "zeeman"}
 
@@ -390,6 +390,32 @@ def test_detuning_search_evaluates_each_abscissa_once(narb_spec, monkeypatch):
     assert abs(sol.location - expected) <= 1e-10
     assert sol.residual == objective(narb_spec, (0, 0), (2, 0), sol.location, 0.0)
     assert len(deltas) >= 3 and len(set(deltas)) == len(deltas)
+
+
+@pytest.mark.parametrize("j_b, evaluations, distinct", [
+    (1, 7, 7), (2, 13, 8), (3, 12, 8), (4, 38, 24), (5, 15, 9)])
+def test_detuning_search_evaluates_each_photon_energy_once(narb_spec, j_b, evaluations,
+                                                           distinct, monkeypatch):
+    """nu = E_ref + detuning / HARTREE_TO_GHZ resolves the detuning only to
+    ~5e-11 GHz, so the bundled ladder's searches come back to a nu they
+    have evaluated.  alpha_analytic runs once per distinct nu and state,
+    and the root, residual and slope are those of the oracle that
+    evaluates f and f' at every abscissa, bit for bit."""
+    oracle, deltas = magic_detuning_per_evaluation(narb_spec, 0, j_b, bracket=(60.0, 140.0))
+    ref = narb_spec.reference.energy
+    assert len(deltas) == evaluations
+    assert len({ref + d / HARTREE_TO_GHZ for d in deltas}) == distinct
+    calls = []
+    alpha = mt.magic.alpha_analytic
+
+    def spy(spec, nu, j, m, theta_p=0.0):
+        calls.append((nu, j))
+        return alpha(spec, nu, j, m, theta_p)
+
+    monkeypatch.setattr(mt.magic, "alpha_analytic", spy)
+    sol = find_magic_detuning(narb_spec, 0, j_b, bracket=(60.0, 140.0))
+    assert sorted(calls) == sorted({(ref + d / HARTREE_TO_GHZ, j) for d in deltas for j in (0, j_b)})
+    assert (sol.location, sol.residual, sol.slope) == oracle
 
 
 @pytest.mark.parametrize("j_b", [1, 2, 3, 4, 5])
