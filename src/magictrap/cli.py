@@ -35,10 +35,11 @@ does wherever the fractional part of s is more than 1e-3 from .5.  The
 cells nearer the tie, ±0, subnormals, nan, ±inf and |x| outside
 (1e-280, 1e280) are formatted by ``"%.11e"`` itself.
 
-``hyperfine-scan`` fixes no eigenvector's sign: its outputs, the
-energies, the dominant (J, M) labels, alpha (a spin trace) and the
-tracking overlaps |<v_k-1|v_k>|, are all bit-identical under v -> -v.  It matches each adjacent pair of angles
-and logs the smallest matched overlap from one stack of |V_k-1^T V_k|.
+``hyperfine-scan`` takes energies, (J, M) labels and alpha from one call
+of ``hyperfine._angle_solver``, the eigen ``magic-find`` step's pipeline,
+on its angle axis; these and the overlaps |<v_k-1|v_k>| are bit-identical
+under v -> -v.  It matches each adjacent pair of angles and logs the
+smallest matched overlap from one stack of |V_k-1^T V_k|.
 
 ``solve-rovib`` and ``imag-scan`` read each J's levels as one table of
 arrays (``radial.RovibLevels``), and ``imag-scan`` its dipoles and
@@ -79,14 +80,7 @@ from .errors import (
     PoleProximityError,
     UnitError,
 )
-from .hyperfine import (
-    _eigensolve,
-    _light_shift,
-    _match,
-    _spin_trace,
-    build_basis,
-    build_hamiltonian,
-)
+from .hyperfine import _angle_solver, _match, build_basis
 from .magic import _angle_method, calibrate_gamma, find_magic_angle, find_magic_detuning
 from .polarizability import alpha_analytic, alpha_imag, validity_notes
 from .radial import RovibLevels, linewidth, radial_matrix_element
@@ -339,8 +333,7 @@ def _cmd_hyperfine_scan(cfg: RunConfig):
     at = replace(fields, theta_p=np.radians(thetas))
     # no phase convention: energies, labels, alpha (a spin trace) and
     # |<v_k-1|v_k>| are all bit-identical under v -> -v
-    energies, vectors, dominant = _eigensolve(build_hamiltonian(basis, at, cfg.terms()), basis)
-    alphas = _spin_trace(vectors, _light_shift(basis, fields.constants, at.theta_p))
+    energies, vectors, dominant, alphas = _angle_solver(basis, at, cfg.terms())(at.theta_p)
     # full[k]: |V_k^T V_k+1| of each adjacent pair of angles, the one
     # overlap matrix both the match and the logged overlap are read from
     full = np.matmul(vectors[:-1].swapaxes(-2, -1), vectors[1:])

@@ -25,15 +25,14 @@ polar angles against the magnetic-field axis and lie in the x-z plane,
 so every operator is a real symmetric matrix.  Energies are in MHz.
 ``theta_p`` may be a 1-D array, a scan axis: the theta_p-independent
 terms are built once and every function then carries a leading angle
-axis, ``(..., dim, dim)``, so a whole scan is one batched eigensolve.
-A magic-angle search, one angle per Newton step, likewise builds those
-terms once and adds only the light per step (``_angle_solver``); its
-step takes ``_eigensolve`` (the checks, the solve by ``radial._eigh``
-and the dominant (J, M) index) on one matrix, as the CLI's
-``hyperfine-scan`` does on its stack.  Neither fixes the eigenvectors'
-signs: every output is a trace or an overlap magnitude.  From the
-step's kept eigenpairs it also gives d(alpha)/d(theta_p) of the states
-the search names, when the search asks for it.
+axis, ``(..., dim, dim)``.  One pipeline, ``_angle_solver``, adds the
+light at each call's angles to those terms and takes the eigenpairs and
+dominant (J, M) of ``_eigensolve`` and alpha of ``_spin_trace``: a
+magic-angle search calls it at one angle per Newton step, the CLI's
+``hyperfine-scan`` once on its whole axis.  Neither fixes the
+eigenvectors' signs: every output is a trace or an overlap magnitude.
+From a one-angle call's kept eigenpairs it also gives d(alpha)/d(theta_p)
+of the states the search names, when the search asks for it.
 
 Shielding, rotational Zeeman, centrifugal distortion, spin-rotation and
 spin-spin terms are deliberately left out; they are far below the MHz
@@ -249,12 +248,6 @@ def _spin_diagonal(h: np.ndarray, n_rot: int) -> np.ndarray:
     return np.einsum("...rsts->...rts", blocks)
 
 
-def _add_rotational_block(h: np.ndarray, block: np.ndarray) -> None:
-    """Add block (x) 1_spin to ``h`` in place; ``block`` is (..., n_rot, n_rot)."""
-    spin_diagonal = _spin_diagonal(h, block.shape[-1])
-    spin_diagonal += block[..., None]
-
-
 def _light_operands(basis: HyperfineBasis, c: MolecularConstants) -> tuple:
     """The theta_p-independent operands of the light block: the isotropic
     part iso * 1, delta = alpha_par - alpha_perp, C20, C2,-1 - C2,+1 and
@@ -288,13 +281,6 @@ def _light_block_slope(operands: tuple, cth: float, sth: float) -> np.ndarray:
     )
 
 
-def _light_shift(basis: HyperfineBasis, c: MolecularConstants,
-                 theta_p: float | np.ndarray) -> np.ndarray:
-    """The rotational block op_rot of the light-shift operator, ``(..., n_rot, n_rot)``."""
-    theta = np.asarray(theta_p, dtype=float)[..., None, None]
-    return _light_block(_light_operands(basis, c), np.cos(theta), np.sin(theta))
-
-
 def build_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
                       terms: frozenset[str] | set[str] = TERMS) -> np.ndarray:
     """Assemble the selected terms; result is real symmetric, in MHz.
@@ -302,12 +288,39 @@ def build_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
     The basis must be built for the constants' nuclear spins.  An array
     ``fields.theta_p`` gives one matrix per angle, ``(..., dim, dim)``.
     """
-    h = _static_hamiltonian(basis, fields, terms)
-    h = np.broadcast_to(h, np.shape(fields.theta_p) + h.shape).copy()
+    static = _static_hamiltonian(basis, fields, terms)
+    # filled, not np.broadcast_to(...).copy(): 4 against 24 us cold on a
+    # 2-core x86 host, which each eigen search pays once
+    h = np.empty(np.shape(fields.theta_p) + static.shape)
+    h[...] = static
     if "polarization" in terms:
-        op = _light_shift(basis, fields.constants, fields.theta_p)
-        _add_rotational_block(h, -fields.intensity * 1e-6 * op)
+        theta = _angles(np.shape(fields.theta_p))
+        theta.flat = fields.theta_p
+        spin_diagonal = _spin_diagonal(h, len(basis.rot_states))
+        _write_light(spin_diagonal, spin_diagonal, -fields.intensity * 1e-6,
+                     _light_operands(basis, fields.constants), theta)
     return h
+
+
+def _angles(shape: tuple) -> np.ndarray:
+    """A buffer for angles of ``shape``, () or (k,), for ``_write_light``:
+    (1, k, 1, 1), whose cos and sin broadcast against (n_rot, n_rot) blocks,
+    or (1,), whose cos and sin are numpy floats (on (1, 1) arrays the light
+    block's scalar arithmetic costs ~4 us more per search step).  np.cos and
+    np.sin of a 0-d array may round differently."""
+    return np.empty((1,) + shape + ((1, 1) if shape else ()))
+
+
+def _write_light(spin_diagonal: np.ndarray, static: np.ndarray, scale: float | None,
+                 operands: tuple, theta: np.ndarray) -> tuple:
+    """op_rot (..., n_rot, n_rot) of the light at the ``_angles`` ``theta``,
+    and cos, sin of theta; unless ``scale`` (MHz per Hz/(W/cm^2)) is None, it
+    first writes ``static`` + scale op_rot (x) 1_spin onto ``spin_diagonal``."""
+    cth, sth = np.cos(theta)[0], np.sin(theta)[0]
+    op = _light_block(operands, cth, sth)
+    if scale is not None:
+        np.add(static, (scale * op)[..., None], out=spin_diagonal)
+    return op, cth, sth
 
 
 def _static_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
@@ -347,7 +360,8 @@ def _static_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
                 block = np.zeros((n_rot, n_rot))
             if rotation:
                 block.reshape(-1)[::n_rot + 1] += c.b_v * basis.jj1
-            _add_rotational_block(h, block)
+            spin_diagonal = _spin_diagonal(h, n_rot)
+            spin_diagonal += block[..., None]
     if "quadrupole" in terms:
         # the nuclei are summed first: rot + (q_a + q_b)
         quad = None
@@ -369,66 +383,64 @@ def _static_hamiltonian(basis: HyperfineBasis, fields: FieldConfiguration,
         if quad is not None:
             h += quad
     if "zeeman" in terms:
-        h.reshape(-1)[::basis.dim + 1] += (-(c.g_a * basis.m_a + c.g_b * basis.m_b)
-                                           * NUCLEAR_MAGNETON_MHZ_PER_G * fields.b_field)
+        # an overflow is an inf or NaN entry, which _eigensolve refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            h.reshape(-1)[::basis.dim + 1] += (-(c.g_a * basis.m_a + c.g_b * basis.m_b)
+                                               * NUCLEAR_MAGNETON_MHZ_PER_G * fields.b_field)
     return h
 
 
 def _angle_solver(basis: HyperfineBasis, fields: FieldConfiguration,
                   terms: frozenset[str] | set[str]):
-    """The step of an eigen magic-angle search: at one scalar theta_p
-    (radians) per call, the polarizabilities of ``_spin_trace`` over
-    ``_eigensolve(build_hamiltonian(...))`` bit for bit, and each
-    eigenvector's dominant (J, M) as an index into ``basis.rot_states``.
+    """The hyperfine pipeline at angles shaped like ``fields.theta_p``, a
+    float for an eigen magic-angle search step or an axis for a scan:
+    ``solve(theta_p)``, in radians, gives ``(energies, vectors, dominant,
+    alphas)`` of ``_eigensolve`` and ``_spin_trace`` over
+    ``build_hamiltonian(...)`` at those angles, bit for bit, with no phase
+    convention (alpha is a trace).  The static terms are built once; each
+    call copies them into one work matrix or stack, writes them plus the
+    light onto its spin diagonal (``_write_light``, as ``build_hamiltonian``
+    does), solves it and then takes its memory for alpha's product op_rot V,
+    so that a scan holds no Hamiltonian stack beside its eigenvectors.
 
-    The theta_p-independent terms and parts of the light block are built
-    once, into one work matrix; each call writes the static terms plus the
-    light onto its spin diagonal and takes the one-matrix path of
-    ``_eigensolve``.  The phase convention is skipped: alpha is a trace,
-    bit-identical under v -> -v.
-
-    ``solve.slopes(*states)`` is a function of no arguments that gives
-    d(alpha_i)/d(theta_p) per radian of each eigenstate i of ``states`` at
-    the last call's angle.  It keeps that call's eigenpairs, so it may be
-    called after later calls, or never: a search computes no slope that it
-    does not read.  ``solve.vector(i)`` is eigenvector i of the last call,
-    unphased.
+    ``solve.slopes(*states)``, after a call at one angle, is a function of
+    no arguments that gives d(alpha_i)/d(theta_p) per radian of each
+    eigenstate i of ``states`` at that angle.  It keeps that call's
+    eigenpairs, so it may be called after later calls, or never: a search
+    computes no slope that it does not read.
     """
-    work = _static_hamiltonian(basis, fields, terms)
-    spin_diagonal = _spin_diagonal(work, len(basis.rot_states))
-    # the light goes on the spin diagonal only: each call writes it there
-    # over the static terms, and every other entry keeps them
-    static = spin_diagonal.copy()
+    work = build_hamiltonian(basis, fields, terms - {"polarization"})
+    n_rot = len(basis.rot_states)
+    spin_diagonal = _spin_diagonal(work, n_rot)
+    # the static terms and their spin diagonal are the same at every angle:
+    # one matrix's copies
+    static = work.reshape((-1,) + work.shape[-2:])[0].copy()
+    static_diagonal = spin_diagonal.reshape((-1,) + spin_diagonal.shape[-3:])[0].copy()
+    product = work.reshape(work.shape[:-2] + (n_rot, -1))
     operands = _light_operands(basis, fields.constants)
-    light = "polarization" in terms
-    scale = -fields.intensity * 1e-6 if light else 0.0
-    # theta_p as the (1, 1) array _light_shift takes np.cos and np.sin of:
-    # for a 0-d argument they may round differently
-    theta = np.empty((1, 1))
+    scale = -fields.intensity * 1e-6 if "polarization" in terms else None
+    theta = _angles(work.shape[:-2])
     last = None  # the last call's energies, vectors, light block and cos, sin of theta_p
 
-    def solve(theta_p: float) -> tuple[np.ndarray, np.ndarray]:
+    def solve(theta_p: float | np.ndarray) -> tuple:
         nonlocal last
-        theta[0, 0] = theta_p
-        cth, sth = float(np.cos(theta)[0, 0]), float(np.sin(theta)[0, 0])
-        op = _light_block(operands, cth, sth)
-        if light:
-            np.add(static, (scale * op)[..., None], out=spin_diagonal)
+        theta.flat = theta_p
+        work[...] = static
+        op, cth, sth = _write_light(spin_diagonal, static_diagonal, scale, operands, theta)
         energies, vectors, dominant = _eigensolve(work, basis)
         last = energies, vectors, op, cth, sth
-        return _spin_trace(vectors, op), dominant
+        return energies, vectors, dominant, _spin_trace(vectors, op, product)
 
     solve.slopes = lambda *states: partial(_state_slopes, last, operands, scale, states)
-    solve.vector = lambda i: last[1][:, i]
     return solve
 
 
-def _state_slopes(step: tuple, operands: tuple, scale: float,
+def _state_slopes(step: tuple, operands: tuple, scale: float | None,
                   states: tuple[int, ...]) -> list[float]:
     """d(alpha_i)/d(theta_p) per radian of each eigenstate i of ``states``,
     from one ``_angle_solver`` step: its energies, vectors, light block
     op_rot and cos, sin of theta_p, with the light term scaled by ``scale``
-    (MHz per Hz/(W/cm^2)).
+    (MHz per Hz/(W/cm^2)), None without it.
 
     Hellmann-Feynman and first-order perturbation of the vector, as in
     Nelson, AIAA J. 14, 1201 (1976).  With O = op_rot (x) 1,
@@ -439,7 +451,8 @@ def _state_slopes(step: tuple, operands: tuple, scale: float,
     """
     energies, vectors, op, cth, sth = step
     n_rot = len(op)
-    d_op = _light_block_slope(operands, cth, sth)
+    # one angle's numpy floats as Python floats, cheaper in scalar arithmetic
+    d_op = _light_block_slope(operands, float(cth), float(sth))
     # O' and O stacked: one product gives O' v and O v, each row the sum it
     # is alone, since a strided v takes numpy's own matmul loop, not BLAS
     ops = np.concatenate((d_op, op)) if scale else d_op
@@ -467,61 +480,53 @@ def _eigensolve(h: np.ndarray, basis: HyperfineBasis
     each eigenvector's dominant (J, M) block as an index into ``basis.rot_states``.
 
     Raises ValueError when the shape does not match the basis, when a
-    matrix has a non-finite entry or is not symmetric within 1e-10 relative.
-    One matrix, a search step, is checked on Python scalars.  Its results and
-    its errors are those of the same matrix as a stack of one, bit for bit.
+    matrix has a non-finite entry (named first in a stack) or is not
+    symmetric within 1e-10 relative.  Every shape takes the same checks,
+    solve and labels: one matrix is a stack of one, bit for bit.
     """
     h = np.asarray(h, dtype=float)
     if h.shape[-2:] != (basis.dim, basis.dim):
         raise ValueError(f"matrix shape {h.shape} does not match basis dim {basis.dim}")
-    n_rot = len(basis.rot_states)
-    if h.ndim == 2:
-        # h - h.T is exactly antisymmetric, so its max is its largest |entry|.
-        # Each non-finite entry of h makes it inf or NaN (inf - inf), so at
-        # most 1e-10, below 1e-10 times the largest |entry| or 1, it passes
-        # both checks
-        with np.errstate(invalid="ignore"):
-            asym = float((h - h.T).max())
-        if not asym <= 1e-10:
-            top, bottom = float(h.max()), float(h.min())
-            if not (math.isfinite(top) and math.isfinite(bottom)):
-                raise ValueError(_NON_FINITE)
-            if asym > 1e-10 * max(top, -bottom, 1.0):
-                raise ValueError(_ASYMMETRIC)
-        energies, vectors = radial._eigh(h)
-        # amplitude^2 with one contiguous row per vector, summed over the
-        # spins of each (J, M) block, as for a stack
-        weights = np.square(vectors.T.reshape(basis.dim, n_rot, -1), order="C").sum(axis=-1)
-        return energies, vectors, weights.argmax(axis=-1)
-    # the largest |entry|, max(max h, -min h) with no |h| stack; it is inf
-    # or NaN exactly when some entry is
-    scale = np.maximum(np.maximum(h.max(axis=(-2, -1)), -h.min(axis=(-2, -1))), 1.0)
-    if not np.isfinite(scale).all():
-        raise ValueError(_NON_FINITE)
-    asym = h - h.swapaxes(-2, -1)
-    if (np.abs(asym, out=asym).max(axis=(-2, -1)) > 1e-10 * scale).any():
-        raise ValueError(_ASYMMETRIC)
+    # h - h^T is exactly antisymmetric, so its max over a matrix is its
+    # largest |entry|, and a non-finite entry of h makes it inf or NaN.  A
+    # max of at most 1e-10 passes every matrix's checks; only a larger one,
+    # or NaN, takes them matrix by matrix
+    with np.errstate(invalid="ignore", over="ignore"):
+        asym = h - h.swapaxes(-2, -1)
+    if not asym.max(initial=0.0) <= 1e-10:
+        # each largest |entry|, inf or NaN exactly where some entry is
+        top = np.maximum(h.max(axis=(-2, -1)), -h.min(axis=(-2, -1)))
+        if not np.isfinite(top).all():
+            raise ValueError(_NON_FINITE)
+        if (asym.max(axis=(-2, -1)) > 1e-10 * np.maximum(top, 1.0)).any():
+            raise ValueError(_ASYMMETRIC)
     del asym
     energies, vectors = radial._eigh(h)
-    # the same, 8 matrices at a time, so that beside h and the vectors only
-    # their squares are live
-    blocks = vectors.swapaxes(-2, -1).reshape((-1, basis.dim, n_rot, basis.dim // n_rot))
-    weights = np.concatenate([np.square(blocks[k:k + 8], order="C").sum(axis=-1)
-                              for k in range(0, len(blocks), 8)])
-    return energies, vectors, weights.reshape(vectors.shape[:-1] + (n_rot,)).argmax(axis=-1)
+    # amplitude^2 with one contiguous row per vector, summed over the spins
+    # of each (J, M) block, 8 matrices at a time, so that beside h and the
+    # vectors only their squares are live; rows is a view
+    n_rot, dim = len(basis.rot_states), basis.dim
+    rows = vectors.swapaxes(-2, -1).reshape(-1, dim, n_rot, dim // n_rot)
+    weights = np.empty(vectors.shape[:-1] + (n_rot,))
+    chunks = weights.reshape(-1, dim, n_rot)
+    for k in range(0, len(rows), 8):
+        np.square(rows[k:k + 8], order="C").sum(axis=-1, out=chunks[k:k + 8])
+    return energies, vectors, weights.argmax(axis=-1)
 
 
 _NON_FINITE = "Hamiltonian has a non-finite (inf or NaN) entry"
 _ASYMMETRIC = "Hamiltonian is not symmetric within 1e-10 relative"
 
 
-def _spin_trace(vectors: np.ndarray, op: np.ndarray) -> np.ndarray:
+def _spin_trace(vectors: np.ndarray, op: np.ndarray, out: np.ndarray | None = None
+                ) -> np.ndarray:
     """alpha_j = sum_s sum_{r,r'} V[r,s,j] op[r,r'] V[r',s,j] per eigenvector j,
-    for ``vectors`` (..., dim, dim) and op_rot ``op`` (..., n_rot, n_rot)."""
+    for ``vectors`` (..., dim, dim) and op_rot ``op`` (..., n_rot, n_rot); the
+    product op_rot V goes into ``out``, (..., n_rot, dim^2 / n_rot), if given."""
     # V as (..., r, (s, j)): sum over r and r' per spin, then over the spins
     v = vectors.reshape(vectors.shape[:-2] + (op.shape[-1], -1))
     # v * (op @ v), multiplied into the product's own array
-    op_v = op @ v
+    op_v = np.matmul(op, v, out=out)
     per_spin = np.multiply(op_v, v, out=op_v).sum(axis=-2)
     return per_spin.reshape(vectors.shape[:-2] + (-1, vectors.shape[-1])).sum(axis=-2)
 

@@ -194,9 +194,9 @@ def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
     picked = []  # (theta, vector of state_a, vector of state_b) per angle evaluated
 
     def objective(theta: float) -> tuple[float, Callable[[], float]]:
-        alphas, dominant = solve(math.radians(theta))
+        _, vectors, dominant, alphas = solve(math.radians(theta))
         i_a, i_b = pick_a(dominant), pick_b(dominant)
-        v_a, v_b = solve.vector(i_a), solve.vector(i_b)
+        v_a, v_b = vectors[:, i_a], vectors[:, i_b]
         if picked:
             near, u_a, u_b = min(picked, key=lambda p: abs(p[0] - theta))
             for state, v, u in ((state_a, v_a, u_a), (state_b, v_b, u_b)):

@@ -66,6 +66,15 @@ class EigenSolution:
         return np.flatnonzero(self.dominant == hyperfine._rot_index(self.basis, label)).tolist()
 
 
+def light_shift(basis: HyperfineBasis, c: MolecularConstants,
+                theta_p: float | np.ndarray) -> np.ndarray:
+    """The rotational block op_rot of the light-shift operator, ``(..., n_rot, n_rot)``,
+    at each angle of ``theta_p`` (radians)."""
+    theta = np.asarray(theta_p, dtype=float)[..., None, None]
+    return hyperfine._light_block(hyperfine._light_operands(basis, c), np.cos(theta),
+                                  np.sin(theta))
+
+
 def polarization_operator(basis: HyperfineBasis, c: MolecularConstants,
                           theta_p: float | np.ndarray) -> np.ndarray:
     """Light-shift operator per unit intensity, in Hz/(W/cm^2).
@@ -78,7 +87,7 @@ def polarization_operator(basis: HyperfineBasis, c: MolecularConstants,
     The library works on the op_rot block; this dense form is the
     reference the tests compare it with.
     """
-    return np.kron(hyperfine._light_shift(basis, c, theta_p),
+    return np.kron(light_shift(basis, c, theta_p),
                    np.eye(basis.dim // len(basis.rot_states)))
 
 
@@ -111,7 +120,7 @@ def eigenstate_polarizability(sol: EigenSolution, fields: FieldConfiguration
             f"theta_p of shape {np.shape(fields.theta_p)} does not match the "
             f"angle axis {sol.energies.shape[:-1]} of the solution"
         )
-    op = hyperfine._light_shift(sol.basis, fields.constants, fields.theta_p)
+    op = light_shift(sol.basis, fields.constants, fields.theta_p)
     return replace(sol, polarizabilities=hyperfine._spin_trace(sol.vectors, op))
 
 

@@ -1061,7 +1061,7 @@ def test_a_run_too_large_for_memory_exits_2(small_config, tmp_path, capsys, monk
         raise MemoryError("Unable to allocate 305. GiB for an array with shape "
                           "(10000000, 64, 64) and data type float64")
 
-    monkeypatch.setattr(cli, "_eigensolve", refuse)
+    monkeypatch.setattr(hyperfine, "_eigensolve", refuse)
     assert main(["hyperfine-scan", "--config", str(small_config), "--out", str(tmp_path),
                  "--override", "scan.points=16"]) == 2
     err = capsys.readouterr().err
@@ -1173,19 +1173,18 @@ def test_an_infinite_alpha_cell_is_noted(override, delta, tmp_path, caplog):
         f"note: 1 non-finite alpha cell: J=0 at {delta:g} GHz"]
 
 
-@pytest.mark.parametrize("subcommand, module, overrides", [
-    ("hyperfine-scan", cli, ["scan.points=4"]),
-    ("magic-find", hyperfine, ["magic.kind=angle", "magic.method=eigen"]),
+@pytest.mark.parametrize("subcommand, overrides", [
+    ("hyperfine-scan", ["scan.points=4"]),
+    ("magic-find", ["magic.kind=angle", "magic.method=eigen"]),
 ], ids=["hyperfine-scan", "eigen-magic-find"])
-def test_an_eigensolve_that_does_not_converge_exits_3(subcommand, module, overrides,
-                                                      small_config, tmp_path, capsys,
-                                                      monkeypatch):
+def test_an_eigensolve_that_does_not_converge_exits_3(subcommand, overrides, small_config,
+                                                      tmp_path, capsys, monkeypatch):
     """LinAlgError derives from ValueError, but it is a numerical failure,
     not a configuration problem."""
     def unconverged(*args):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(module, "_eigensolve", unconverged)
+    monkeypatch.setattr(hyperfine, "_eigensolve", unconverged)
     argv = [subcommand, "--config", str(small_config), "--out", str(tmp_path)]
     for item in overrides:
         argv += ["--override", item]
@@ -1488,12 +1487,21 @@ IEEE_LIMITS = [
       for key in ("b_v_cm1", "b_vprime_cm1")),
     *(("imag-scan", [], f"scan.{key}={value}", 0) for key in ("start_ghz", "stop_ghz")
       for value in ("1e300", "-1e300", "1e308", "-1e308")),
-    *((sub, extra, item, 2)
-      for sub, extra in (("hyperfine-scan", []),
-                         ("magic-find", ["magic.kind=angle", "magic.method=eigen",
-                                         "magic.rank_a=0", "magic.rank_b=0"]))
-      for item in ("molecule.b_v_cm1=1e300", "molecule.b_v_cm1=1e308",
-                   "fields.e_field_kv_cm=1e308")),
+    *((sub, extra, item, code)
+      for sub, extra, finite in (("hyperfine-scan", [], 0),
+                                 ("magic-find", ["magic.kind=angle", "magic.method=eigen",
+                                                 "magic.rank_a=0", "magic.rank_b=0"], 3))
+      for item, code in (
+          *((item, 2) for item in ("molecule.b_v_cm1=1e300", "molecule.b_v_cm1=1e308",
+                                   "fields.e_field_kv_cm=1e308")),
+          # an overflowing Zeeman term is a non-finite Hamiltonian
+          *((f"molecule.{key}={value}", 2) for key in ("g_na", "g_rb")
+            for value in ("1.7e308", "-1.7e308")),
+          ("fields.b_field_gauss=1.7e308", 0),
+          # a finite quadrupole term: the scan's cells stay finite, and the
+          # search's labels move between its bracket ends
+          *((f"molecule.{key}={value}", finite) for key in ("eqq_na_mhz", "eqq_rb_mhz")
+            for value in ("1.7e308", "-1.7e308")))),
 ]
 
 
@@ -1510,6 +1518,7 @@ def test_ieee_limits_raise_no_runtime_warning(subcommand, extra, item, code):
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             assert main(argv + ["--out", out]) == code, err.getvalue()
         if code == 0:
-            rows = list(csv.reader(open(Path(out) / "imag_scan.csv", encoding="utf-8")))
+            table = Path(out) / f"{subcommand.replace('-', '_')}.csv"
+            rows = list(csv.reader(open(table, encoding="utf-8")))
             assert all(math.isfinite(float(row[-1])) for row in rows[1:])
     assert "Warning" not in err.getvalue()

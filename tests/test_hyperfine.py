@@ -18,7 +18,7 @@ from magictrap import (
     build_hamiltonian,
     find_magic_angle,
 )
-from magictrap import hyperfine, radial
+from magictrap import cli, hyperfine, radial
 from magictrap.angular import rot_tensor_element
 from magictrap.cli import main
 from magictrap.config import load_config
@@ -541,7 +541,8 @@ def test_angle_solver_matches_the_public_composition(terms, e_field, theta_e_deg
         one = replace(f, theta_p=theta)
         expected = eigenstate_polarizability(
             diagonalize(build_hamiltonian(basis, one, terms), basis), one)
-        alphas, dominant = solve(theta)
+        energies, _, dominant, alphas = solve(theta)
+        assert np.array_equal(energies, expected.energies)
         assert np.array_equal(alphas, expected.polarizabilities)
         assert tuple(basis.rot_states[i] for i in dominant) == expected.labels
 
@@ -565,7 +566,7 @@ def test_angle_solver_slope_matches_a_central_difference(terms, e_field):
 
     h = 1e-5
     for theta in (40.0, 54.7, 70.0):
-        _, dominant = solve(math.radians(theta))
+        dominant = solve(math.radians(theta))[2]
         for state in ((1, 0, 0), (0, 0, 0), (1, 1, 0)):
             # per degree, as the difference is taken
             slope = math.radians(solve.slopes(_state_picker(basis, state)(dominant))()[0])
@@ -640,7 +641,72 @@ def test_one_matrix_labels_are_the_stacked_labels(e_field):
                                           basis)
     solve = hyperfine._angle_solver(basis, f, TERMS)
     for theta, labels in zip(thetas.tolist(), stacked):
-        assert solve(theta)[1].tobytes() == labels.tobytes()
+        assert solve(theta)[2].tobytes() == labels.tobytes()
+
+
+_NON_FINITE = "Hamiltonian has a non-finite (inf or NaN) entry"
+_ASYMMETRIC = "Hamiltonian is not symmetric within 1e-10 relative"
+
+
+@pytest.mark.parametrize("at", [None, 0, 15, 31], ids=["one", "first", "middle", "last"])
+def test_the_screen_keeps_each_refusal(at):
+    """One h - h^T pass screens a matrix or a stack of 32, and only a failed
+    screen runs the per-matrix checks.  A NaN or inf entry, on or off the
+    diagonal, is refused as non-finite, also beside an asymmetric matrix.
+    An asymmetry above 1e-10 times the largest |entry| or 1 is refused; one
+    below it is solved, with the energies of the lower triangle eigh reads.
+    ``at`` places the bad matrix in the stack; None takes one matrix."""
+    basis = build_basis(1, CONSTANTS)
+    stack = build_hamiltonian(basis, fields_with(e_field=0.5,
+                                                 theta_p=np.radians(np.linspace(0.0, 90.0, 32))))
+    # an upper-triangle entry that is zero, with its mirror, in every matrix
+    i, j = next((i, j) for i, j in np.argwhere((stack == 0.0).all(axis=0)) if i < j)
+
+    def outcome(scale, edits):
+        h = stack * scale
+        bad = h[at] if at is not None else h[7]
+        for (row, col), value in edits:
+            bad[row, col] = value
+        try:
+            energies = hyperfine._eigensolve(bad if at is None else h, basis)[0]
+        except ValueError as err:
+            return str(err)
+        clean = hyperfine._eigensolve(stack[7 if at is None else at] * scale, basis)[0]
+        return "solved" if np.array_equal(energies if at is None else energies[at], clean) \
+            else "other energies"
+
+    # the largest |entry| is about 4.2e3 MHz, or 0.42 at scale 1e-4
+    top = float(np.abs(stack[7 if at is None else at]).max())
+    cases = [
+        ((1.0, [((5, 5), math.nan)]), _NON_FINITE),
+        ((1.0, [((5, 9), math.nan)]), _NON_FINITE),
+        ((1.0, [((5, 5), math.inf)]), _NON_FINITE),
+        ((1.0, [((5, 5), -math.inf)]), _NON_FINITE),
+        ((1.0, [((5, 9), math.inf)]), _NON_FINITE),
+        ((1.0, [((9, 5), -math.inf)]), _NON_FINITE),
+        ((1.0, [((i, j), 1.01e-10 * top)]), _ASYMMETRIC),
+        ((1.0, [((i, j), 0.99e-10 * top)]), "solved"),
+        ((1e-4, [((i, j), 1.01e-10)]), _ASYMMETRIC),
+        ((1e-4, [((i, j), 0.99e-10)]), "solved"),
+        ((1.0, [((i, j), 1e-6 * top), ((5, 9), math.nan)]), _NON_FINITE),
+    ]
+    assert [outcome(*case) for case, _ in cases] == [expected for _, expected in cases]
+    if at is not None:
+        # the asymmetric matrix at ``at`` and a NaN in another
+        h = stack.copy()
+        h[at, i, j] = 1e-6 * top
+        h[(at + 16) % 32, 5, 9] = math.nan
+        with pytest.raises(ValueError) as err:
+            hyperfine._eigensolve(h, basis)
+        assert str(err.value) == _NON_FINITE
+
+
+def test_a_stack_of_no_matrices_solves_to_empty_arrays():
+    """No matrix passes the screen and solves to empty energies, vectors and labels."""
+    basis = build_basis(1, CONSTANTS)
+    energies, vectors, dominant = hyperfine._eigensolve(np.empty((0, 64, 64)), basis)
+    assert (energies.shape, vectors.shape, dominant.shape) == ((0, 64), (0, 64, 64), (0, 64))
+    assert dominant.dtype.kind == "i"
 
 
 def _dense_alphas(vectors, op):
@@ -699,6 +765,25 @@ def test_hyperfine_scan_is_one_eigh_call(tmp_path, monkeypatch):
         calls.clear()
         assert main([*argv, "--out", str(tmp_path)]) == 0
         assert calls == solved, argv
+
+
+@pytest.mark.parametrize("theta_deg", [0.0, 40.0, 54.7, 90.0])
+def test_a_one_angle_scan_is_a_search_step(theta_deg):
+    """The bundled hyperfine-scan at scan.points = 1, a stack of one, gives
+    the energies, the dominant (J, M) and alpha of an eigen search step at
+    that angle, bit for bit: both are one call of the one pipeline."""
+    cfg = load_config(None, ["scan.points=1", f"scan.start_deg={theta_deg}",
+                             f"scan.stop_deg={theta_deg}"])
+    headers, columns, _ = cli._cmd_hyperfine_scan(cfg)
+    fields = cfg.field_configuration()
+    basis = build_basis(1, fields.constants)
+    energies, _, dominant, alphas = hyperfine._angle_solver(basis, fields, cfg.terms())(
+        math.radians(theta_deg))
+    scan = dict(zip(headers, columns))
+    assert scan["energy_mhz"].tobytes() == energies.tobytes()
+    assert scan["alpha_hz_wcm2"].tobytes() == alphas.tobytes()
+    assert list(zip(scan["j"].tolist(), scan["m"].tolist())) == \
+        [basis.rot_states[i] for i in dominant.tolist()]
 
 
 def test_no_cli_path_builds_the_dense_operator(tmp_path, monkeypatch):

@@ -404,6 +404,22 @@ def test_one_seam_runs_every_eigensolve():
     assert calls == [("radial.py", "_eigh")], calls
 
 
+def test_hyperfine_kernels_run_only_in_hyperfine():
+    """The hyperfine pipeline, ``hyperfine._angle_solver``, is the one path
+    from fields to eigenpairs, labels and alpha: no module of the package
+    other than ``hyperfine`` calls its kernels, so the scan and the search
+    cannot fork."""
+    kernels = {"_eigensolve", "_spin_trace", "_light_block", "_static_hamiltonian"}
+    calls = sorted((path.name, name)
+                   for path in sorted(Path(magictrap.__file__).parent.glob("*.py"))
+                   if path.name != "hyperfine.py"
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Call)
+                   for name in [getattr(node.func, "attr", getattr(node.func, "id", None))]
+                   if name in kernels)
+    assert calls == [], calls
+
+
 def test_one_dense_per_j_solve():
     """One entry solves a radial model: ``rovib_basis``, whose levels at its
     reference J are the one-J solve.  It alone calls the dense solve, and no
