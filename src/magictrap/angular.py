@@ -156,9 +156,6 @@ class AngularFactors:
     the polarization angle only through cos^2/sin^2.
     """
 
-    j: int
-    m: int
-    theta_p: float
     a: float
     b: float
 
@@ -206,7 +203,7 @@ def angular_factors(j: int, m: int, theta_p: float) -> AngularFactors:
 
     den_b = 2 * (2 * j + 1) * (2 * j + 3)
     b = ((j * (j + 1) - 3 * m * m) * cos2 + (j + 1) * (j + 2) + m * m) / den_b
-    return AngularFactors(j=j, m=m, theta_p=theta_p, a=a, b=b)
+    return AngularFactors(a=a, b=b)
 
 
 @dataclass(frozen=True)
@@ -219,7 +216,6 @@ class ResonanceOffsets:
     the B constants passed in.
     """
 
-    j: int
     l: float
     r: float
 
@@ -237,4 +233,4 @@ def resonance_offsets(j: int, b_v: float, b_vprime: float) -> ResonanceOffsets:
     jj = j * (j + 1)
     l = jj * b_v - (j * (j - 1) - 2) * b_vprime
     r = jj * b_v - ((j + 1) * (j + 2) - 2) * b_vprime
-    return ResonanceOffsets(j=j, l=l, r=r)
+    return ResonanceOffsets(l=l, r=r)

@@ -12,8 +12,9 @@ NUL byte, which no cell holds, fills the places a cell leaves empty:
   left-aligned (``_`` a NUL), looked up by its first four digits, the
   next four, the last four and its exponent;
 - an int column within [-99, 999] is one word per cell, ``"%3d,"``;
-- any other int or text cell, and a float cell that the numpy pass
-  leaves to the per-cell formatter, fills as many words as its column
+- a text cell, an int cell of a column reaching outside [-99, 999], and
+  a float cell that the numpy pass cannot round beyond doubt are written
+  by the per-cell formatter, each filling as many words as its column
   needs, a NUL wherever it has no byte, and its separator last.
 
 The table is filled as (words, rows), one word of every row at a time,
@@ -69,8 +70,6 @@ _FLOAT_WORDS[10**4:_LEAD].view(np.uint8)[::4] = ord(".")
 # "," and in LF
 _SMALL = 99
 _SMALL_INTS = _words("%3d," * (1000 + _SMALL) % tuple(range(-_SMALL, 1000)))
-# 10**1 .. 10**19, the bounds of uint64 magnitudes of 2 .. 20 digits
-_POW10_U64 = 10 ** np.arange(1, 20, dtype=np.uint64)
 
 
 def _text_words(cells: list[str], end, words: int = 0) -> np.ndarray:
@@ -134,33 +133,14 @@ def _float_cells(x: np.ndarray, column_cells, words: np.ndarray, at: list[int],
             column_cells(x[column, row]), np.where(column == len(x) - 1, ord(end), ord(",")), 6)
 
 
-def _int_cells(v: np.ndarray, end: str) -> np.ndarray:
+def _int_cells(v: np.ndarray, column_cells, end: str) -> np.ndarray:
     """The (k, n) words of the int or bool cells ``v``, each ending in
-    ``end``: one looked-up word each if all lie in [-_SMALL, 999], else a
-    sign and the digits right-aligned."""
+    ``end``: one looked-up word each if all lie in [-_SMALL, 999], else
+    the cells of ``column_cells``."""
     if -_SMALL <= v.min() and v.max() <= 999:
         index = np.add(v, _SMALL, dtype=np.intp, casting="unsafe")
         return _SMALL_INTS[int(end == "\n")].take(index)[None]
-    if v.dtype == np.uint64:
-        negative, magnitude = np.zeros(len(v), dtype=bool), v
-    else:
-        v = v.astype(np.int64)
-        negative, u = v < 0, v.view(np.uint64)
-        magnitude = np.where(negative, -u, u)  # -u wraps, so int64 min maps to 2**63
-    count = 1 + np.searchsorted(_POW10_U64, magnitude, side="right")
-    width = int(count.max())
-    groups = np.empty((len(v), -(-width // 4)), dtype=np.uint64)
-    for g in range(groups.shape[1] - 1, -1, -1):
-        magnitude, groups[:, g] = np.divmod(magnitude, 10**4)
-    # sign, digits and end, after the NULs that fill the cell's words
-    cells = np.zeros((len(v), (width + 5) // 4 * 4), dtype=np.uint8)
-    cells[negative, -2 - width] = ord("-")
-    digits = cells[:, -1 - width:-1]
-    digits[:] = _DIGITS4.take(groups.astype(np.intp)).view(np.uint8) \
-        .reshape(len(v), -1)[:, -width:]
-    digits[np.arange(width) < (width - count)[:, None]] = 0
-    cells[:, -1] = ord(end)
-    return cells.view(np.uint32).T
+    return _text_words(column_cells(v), ord(end))
 
 
 def table_bytes(columns: list, rows: int, column_cells) -> bytes:
@@ -170,13 +150,13 @@ def table_bytes(columns: list, rows: int, column_cells) -> bytes:
     all float cells of the table rounded at once; the array is read out
     by rows, and its NUL bytes come out in one step.
     ``column_cells`` formats a column cell by cell: it writes the text
-    columns, and the float cells that the numpy pass cannot round beyond
-    doubt.
+    columns, the int columns reaching outside [-99, 999], and the float
+    cells that the numpy pass cannot round beyond doubt.
     """
     arrays = [np.asarray(col) for col in columns]
     ends = [","] * (len(arrays) - 1) + ["\n"]
     floats = [i for i, v in enumerate(arrays) if v.dtype.kind == "f"]
-    blocks = {i: _int_cells(v, ends[i]) if v.dtype.kind in "biu"
+    blocks = {i: _int_cells(v, column_cells, ends[i]) if v.dtype.kind in "biu"
               else _text_words(column_cells(col), ord(ends[i]))
               for i, (v, col) in enumerate(zip(arrays, columns)) if i not in floats}
     at = [0, *accumulate(len(blocks[i]) if i in blocks else 6 for i in range(len(arrays)))]

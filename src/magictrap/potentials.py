@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CalibrationError
-from .units import AMU_TO_ME, HARTREE_TO_CM1, Unit, convert
+from .units import AMU_TO_ME, HARTREE_TO_CM1
 
 __all__ = [
     "PotentialCurve",
@@ -84,10 +84,8 @@ class DipoleFunction:
         return {a, b} == set(self.pair)
 
     @classmethod
-    def constant(cls, pair: tuple[str, str], value: float,
-                 unit: Unit = Unit.EA0) -> "DipoleFunction":
-        d = convert(value, unit, Unit.EA0)
-        return cls(pair=tuple(pair), fn=lambda r: np.full_like(np.asarray(r, float), d))
+    def constant(cls, pair: tuple[str, str], value: float) -> "DipoleFunction":
+        return cls(pair=tuple(pair), fn=lambda r: np.full_like(np.asarray(r, float), value))
 
 
 @dataclass(frozen=True)
@@ -109,19 +107,13 @@ class CoupledModel:
         return CoupledModel(self.labels, self.curves, self.coupling, shift)
 
     @classmethod
-    def constant_coupling(cls, labels, curves, xi: float,
-                          shift: float = 0.0) -> "CoupledModel":
-        return cls(
-            labels=tuple(labels),
-            curves=tuple(curves),
-            coupling=lambda r: np.full_like(np.asarray(r, float), xi),
-            shift=shift,
-        )
+    def constant_coupling(cls, labels, curves, xi: float) -> "CoupledModel":
+        return cls(labels=tuple(labels), curves=tuple(curves),
+                   coupling=lambda r: np.full_like(np.asarray(r, float), xi))
 
 
 def calibrate_morse(b_e_cm1: float, omega_e_cm1: float, mass_amu: float,
-                    asymptote: float = 0.0, d_e_cm1: float | None = None,
-                    label: str = "X") -> MorseCurve:
+                    d_e_cm1: float | None = None, label: str = "X") -> MorseCurve:
     """Build a Morse curve matching a rotational constant and frequency.
 
     The equilibrium distance comes from the rigid-rotor relation
@@ -147,4 +139,4 @@ def calibrate_morse(b_e_cm1: float, omega_e_cm1: float, mass_amu: float,
         )
     r_e = 1.0 / math.sqrt(2.0 * mu * b_au)
     a = omega_au * math.sqrt(mu / (2.0 * d_au))
-    return MorseCurve(label=label, d_e=d_au, a=a, r_e=r_e, asymptote=asymptote)
+    return MorseCurve(label=label, d_e=d_au, a=a, r_e=r_e)

@@ -75,8 +75,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# levels closer than this to the dissociation threshold get flagged
-NEAR_THRESHOLD_WINDOW = 1e-6
 BOUND_MARGIN = 1e-10
 MIN_POINTS = 8
 # A contracted basis keeps this many states per level bound at its
@@ -146,9 +144,9 @@ class RadialGrid:
 class RovibLevels:
     """Bound rovibrational levels of one basis, one row per level.
 
-    ``v``, ``j``, ``energies`` (with the model shift), ``b_rot``
-    (<hbar^2 / (2 mu R^2)>, Hartree) and ``near_threshold`` are (L,)
-    arrays, ``channel_fractions`` (L, n_channels) the norm shares, and
+    ``v``, ``j``, ``energies`` (with the model shift) and ``b_rot``
+    (<hbar^2 / (2 mu R^2)>, Hartree) are (L,) arrays,
+    ``channel_fractions`` (L, n_channels) the norm shares, and
     ``wavefunctions`` (L, n_channels, n) amplitude densities psi(R_i),
     sum over channels and points of psi^2 dr = 1, largest-amplitude point
     positive.  A slice gives a table of those rows, and :meth:`join` one
@@ -168,10 +166,8 @@ class RovibLevels:
     wavefunctions: np.ndarray = field(repr=False)
     channel_fractions: np.ndarray = field(repr=False)
     b_rot: np.ndarray = field(repr=False)
-    near_threshold: np.ndarray = field(repr=False)
 
-    _ROWS = ("v", "j", "energies", "wavefunctions", "channel_fractions", "b_rot",
-             "near_threshold")
+    _ROWS = ("v", "j", "energies", "wavefunctions", "channel_fractions", "b_rot")
 
     def __len__(self) -> int:
         return self.energies.size
@@ -299,9 +295,7 @@ class RovibBasis:
             table = self._tables[j, max_levels] = self._table(j, max_levels)
             while sum(t.wavefunctions.nbytes for t in self._tables.values()) > TABLE_CACHE_BYTES:
                 del self._tables[next(iter(self._tables))]
-        energies = table.energies + self.shift
-        near = energies > self.threshold + self.shift - NEAR_THRESHOLD_WINDOW
-        return replace(table, shift=self.shift, energies=energies, near_threshold=near)
+        return replace(table, shift=self.shift, energies=table.energies + self.shift)
 
     def _table(self, j: int, max_levels: int | None) -> RovibLevels:
         """:meth:`levels` without the shift, solved afresh, every array read-only."""
@@ -334,7 +328,6 @@ class RovibBasis:
             shift=0.0, v=np.arange(count), j=np.full(count, j), energies=energies,
             wavefunctions=wavefunctions, channel_fractions=np.sum(psi ** 2, axis=-1),
             b_rot=np.sum(density / (2.0 * self.mu * self.grid.points ** 2), axis=-1),
-            near_threshold=energies > self.threshold - NEAR_THRESHOLD_WINDOW,
         )
         for name in RovibLevels._ROWS:
             getattr(table, name).setflags(write=False)

@@ -244,7 +244,7 @@ def test_int_columns_match_the_per_cell_oracle(values, looked_up):
     just outside the [-99, 999] lookup, and small values amid the int64
     extremes write the oracle's cells, in a middle and in the last column."""
     column = np.asarray(values)
-    assert (len(csvtable._int_cells(column, ",")) == 1) == looked_up
+    assert (len(csvtable._int_cells(column, cli._column_cells, ",")) == 1) == looked_up
     assert written_csv(["a", "b"], [column, column]) == oracle_csv(["a", "b"], [column, column])
 
 
@@ -386,6 +386,20 @@ def test_hyperfine_table_takes_the_numpy_pass(per_cell_floats):
     floats = sum(len(col) for col in columns if np.asarray(col).dtype.kind == "f")
     assert sum(map(len, per_cell_floats)) <= 0.02 * floats
     assert written == oracle_csv(headers, columns)
+
+
+def test_wide_int_columns_write_the_per_cell_bytes(tmp_path, monkeypatch):
+    """An alpha-scan at J = 1000, M = -1000 takes the numpy pass with its
+    j and m columns outside the [-99, 999] lookup, and writes the bytes
+    that the per-cell path writes."""
+    argv = ["alpha-scan", "--override", "scan.j_values=1000", "--override", "scan.m=-1000"]
+    assert main([*argv, "--out", str(tmp_path / "bulk")]) == 0
+    bulk = (tmp_path / "bulk" / "alpha_scan.csv").read_bytes()
+    assert bulk.count(b"\n") - 1 == 512 >= cli._BULK_ROWS
+    assert bulk.splitlines()[1].split(b",")[1:3] == [b"1000", b"-1000"]
+    monkeypatch.setattr(cli, "_BULK_ROWS", 513)
+    assert main([*argv, "--out", str(tmp_path / "cells")]) == 0
+    assert (tmp_path / "cells" / "alpha_scan.csv").read_bytes() == bulk
 
 
 def test_emit_csv_header_only(tmp_path):

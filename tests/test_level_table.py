@@ -40,7 +40,6 @@ class SlowLevel:
     channel_fractions: tuple
     potentials: tuple = field(repr=False)
     shift: float = 0.0
-    near_threshold: bool = False
 
     def rotational_constant(self) -> float:
         r = self.grid.points
@@ -83,7 +82,6 @@ def slow_levels(basis, j, max_levels=None) -> list[SlowLevel]:
     energies = energies[:bound][:max_levels]
     vectors = (basis.vectors[:, :energies.size] if factor == 0
                else basis.vectors[:, :coeffs.shape[0]] @ coeffs[:, :energies.size])
-    near = basis.threshold + basis.shift - radial.NEAR_THRESHOLD_WINDOW
     levels = []
     for v, energy in enumerate(energies + basis.shift):
         channels = vectors[:, v].reshape(-1, basis.grid.n)
@@ -96,7 +94,6 @@ def slow_levels(basis, j, max_levels=None) -> list[SlowLevel]:
             channel_labels=basis.channel_labels,
             channel_fractions=tuple(float(np.sum(ch ** 2)) for ch in channels),
             potentials=basis.potentials, shift=basis.shift,
-            near_threshold=bool(energy > near),
         ))
     return levels
 
@@ -134,13 +131,12 @@ def _assert_table_is(table: RovibLevels, slow: list[SlowLevel]):
     assert np.array_equal(table.v, [lv.v for lv in slow])
     assert np.array_equal(table.j, [lv.j for lv in slow])
     assert np.array_equal(table.b_rot, [lv.rotational_constant() for lv in slow])
-    assert np.array_equal(table.near_threshold, [lv.near_threshold for lv in slow])
     assert table.channel_fractions.shape == (len(slow), len(table.channel_labels))
     for i, ref in enumerate(slow):
         row = table[i:i + 1]
         assert len(row) == 1
         assert (row.label, row.v[0], row.j[0]) == (ref.label, ref.v, ref.j)
-        assert row.energies[0] == ref.energy and row.near_threshold[0] == ref.near_threshold
+        assert row.energies[0] == ref.energy
         assert np.array_equal(row.wavefunctions[0], ref.wavefunction)
         assert tuple(row.channel_fractions[0].tolist()) == ref.channel_fractions
         assert row.b_rot[0] == ref.rotational_constant()
@@ -257,7 +253,7 @@ def test_kept_tables_equal_uncached_solves(narb_radial, name):
 
 def test_kept_tables_are_read_only(narb_radial):
     """Every array a basis keeps is read-only, in the table it keeps and in
-    each table it returns; the shifted energies and flags are the caller's."""
+    each table it returns; the shifted energies are the caller's."""
     basis = narb_radial["ab_basis"]
     table = basis.levels(2, 12)
     for name in ("v", "j", "wavefunctions", "channel_fractions", "b_rot"):
@@ -267,7 +263,7 @@ def test_kept_tables_are_read_only(narb_radial):
         for name in RovibLevels._ROWS:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(kept, name)[...] = 0
-    assert table.energies.flags.writeable and table.near_threshold.flags.writeable
+    assert table.energies.flags.writeable
 
 
 def test_kept_tables_stay_within_their_bytes(narb_radial, monkeypatch):

@@ -88,45 +88,59 @@ def test_bundled_defaults_csv_is_golden(case, tmp_path):
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
 
 
+# the goldens that solve radial models; the tests below rerun them on the
+# other eigh and heap paths and compare with the default path's bytes, so
+# their digests are pinned once, above
+RADIAL = ("solve-rovib", "imag-scan")
+
+
+def _radial_csv(case: str, out: Path) -> bytes:
+    """The CSV that golden ``case``'s argv writes, its bases solved afresh."""
+    narb._bases.cache_clear()
+    argv = GOLDEN[case][0]
+    assert main([*argv, "--out", str(out)]) == 0
+    return (out / f"{argv[0].replace('-', '_')}.csv").read_bytes()
+
+
 @pytest.mark.parametrize("path", ["dsyevd in place", "np.linalg.eigh"])
 def test_radial_goldens_hold_on_both_eigh_paths(path, tmp_path, monkeypatch, caplog):
-    """solve-rovib and imag-scan write their golden bytes with the four
-    dense eighs run in place through numpy's dsyevd and through
+    """solve-rovib and imag-scan write the default path's bytes with the
+    four dense eighs run in place through numpy's dsyevd and through
     np.linalg.eigh, the path where numpy ships no such symbol; one debug
     line per dense solve names the path."""
+    if path == "dsyevd in place" and radial._lapack_dsyevd() is None:
+        pytest.skip("numpy ships no ILP64 dsyevd")
+    default = {case: _radial_csv(case, tmp_path) for case in RADIAL}
     if path == "np.linalg.eigh":
         monkeypatch.setattr(radial, "_lapack_dsyevd", lambda: None)
-    elif radial._lapack_dsyevd() is None:
-        pytest.skip("numpy ships no ILP64 dsyevd")
-    for case in ("solve-rovib", "imag-scan"):
-        narb._bases.cache_clear()
+    for case in RADIAL:
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="magictrap.radial"):
-            test_bundled_defaults_csv_is_golden(case, tmp_path)
+            assert _radial_csv(case, tmp_path) == default[case], case
         assert caplog.text.count(f" by {path} in ") == 4, case
 
 
 @pytest.mark.parametrize("trim", ["malloc_trim", "no trim"])
 def test_radial_goldens_hold_with_and_without_the_heap_trim(trim, tmp_path, monkeypatch,
                                                            caplog):
-    """solve-rovib and imag-scan write their golden bytes whether the dense
-    solves hand freed heap back to the OS or, where the C library has no
-    malloc_trim, keep it; each dense solve's debug line names the
+    """solve-rovib and imag-scan write the default path's bytes whether the
+    dense solves hand freed heap back to the OS or, where the C library has
+    no malloc_trim, keep it; each dense solve's debug line names the
     process's peak RSS so far."""
+    if (real := radial._malloc_trim()) is None and trim == "malloc_trim":
+        pytest.skip("the C library has no malloc_trim")
+    default = {case: _radial_csv(case, tmp_path) for case in RADIAL}
     trimmed = []
     if trim == "no trim":
         monkeypatch.setattr(radial, "_malloc_trim", lambda: None)
-    elif (real := radial._malloc_trim()) is None:
-        pytest.skip("the C library has no malloc_trim")
     else:
         monkeypatch.setattr(radial, "_malloc_trim",
                             lambda: lambda pad: trimmed.append(pad) or real(pad))
-    for case in ("solve-rovib", "imag-scan"):
-        narb._bases.cache_clear()
+    for case in RADIAL:
         caplog.clear()
         trimmed.clear()
         with caplog.at_level(logging.DEBUG, logger="magictrap.radial"):
-            test_bundled_defaults_csv_is_golden(case, tmp_path)
+            assert _radial_csv(case, tmp_path) == default[case], case
         assert bool(trimmed) == (trim == "malloc_trim"), case
         assert len(re.findall(r"dense eigh n=\d+ by .* in \S+ s, peak RSS (\S+ MB|unknown)$",
                               caplog.text, re.MULTILINE)) == 4, case
@@ -135,11 +149,12 @@ def test_radial_goldens_hold_with_and_without_the_heap_trim(trim, tmp_path, monk
 def test_the_np_linalg_eigh_path_trims_around_each_dense_eigh(tmp_path, monkeypatch):
     """Where numpy ships no ILP64 dsyevd, each dense solve's np.linalg.eigh
     is trimmed before it allocates and after it frees, as the in-place
-    path is, and solve-rovib and imag-scan write their golden bytes.  The
-    trace brackets each ``overwrite=True`` call of the seam, a dense solve;
-    the block solves' np.linalg.eigh runs outside any bracket."""
+    path is, and solve-rovib and imag-scan write the default path's bytes.
+    The trace brackets each ``overwrite=True`` call of the seam, a dense
+    solve; the block solves' np.linalg.eigh runs outside any bracket."""
     if (real_trim := radial._malloc_trim()) is None:
         pytest.skip("the C library has no malloc_trim")
+    default = {case: _radial_csv(case, tmp_path) for case in RADIAL}
     real_eigh, real_seam, events = np.linalg.eigh, radial._eigh, []
 
     def seam(h, overwrite=False):
@@ -153,10 +168,9 @@ def test_the_np_linalg_eigh_path_trims_around_each_dense_eigh(tmp_path, monkeypa
                         lambda: lambda pad: events.append("T") or real_trim(pad))
     monkeypatch.setattr(radial, "_eigh", seam)
     monkeypatch.setattr(np.linalg, "eigh", lambda h: events.append("E") or real_eigh(h))
-    for case in ("solve-rovib", "imag-scan"):
-        narb._bases.cache_clear()
+    for case in RADIAL:
         events.clear()
-        test_bundled_defaults_csv_is_golden(case, tmp_path)
+        assert _radial_csv(case, tmp_path) == default[case], case
         trace = "".join(events)
         assert trace.count("(") == trace.count("(TET)") == 4, (case, trace)
 

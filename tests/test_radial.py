@@ -242,13 +242,6 @@ def test_coarse_grid_raises_grid_error():
         rovib_basis(deep, 0, MASS, coarse)
 
 
-def test_near_threshold_flag():
-    curve = MorseCurve(label="X", d_e=0.02, a=0.5, r_e=6.0)
-    grid = RadialGrid(3.5, 14.0, 300)
-    levels = solve(curve, 0, grid, max_levels=3)
-    assert not levels.near_threshold.any()
-
-
 def test_coupled_decoupled_limit_matches_singles():
     up = MorseCurve(label="A", d_e=0.02, a=0.5, r_e=6.0, asymptote=0.0)
     dn = MorseCurve(label="b", d_e=0.018, a=0.45, r_e=6.4, asymptote=0.0)
@@ -386,7 +379,6 @@ def _assert_levels_match(levels, full):
         rel = _rel(getattr(levels, name), getattr(full, name))
         assert np.all(rel <= 1e-10), (name, full.j[0], full.v[~(rel <= 1e-10)])
     assert np.allclose(levels.channel_fractions, full.channel_fractions, rtol=0.0, atol=1e-10)
-    assert np.array_equal(levels.near_threshold, full.near_threshold)
 
 
 @pytest.mark.parametrize("name", ["x", "ab"])
