@@ -3,16 +3,17 @@
 A magic condition is a zero of the differential polarizability between
 two states changed by one knob: the trap-laser detuning (rotational
 state pairs, closed-form polarizability) or the linear-polarization
-angle (hyperfine eigenstate pairs).  Every search is one bracketed
-Newton-bisection (``rtsafe``): it takes Newton steps on the objective's
-slope, and bisects the bracket where a step would leave it or stall.
-The slope is in closed form for the detuning (the derivative of the
-branch poles' sum) and the bare angle (A + B is affine in cos^2), and the
-Hellmann-Feynman slope of each step's eigenpairs for the eigen angle.  The
-search reads a bracket end's slope only when it returns that end, so the
-eigen angle search defers it: each step keeps its eigenpairs, and the
-slopes of the two named states are computed at each interior abscissa
-and at an end only if the end is the root.
+angle (hyperfine eigenstate pairs).  Every search is one call of
+``_bracketed_root``, a bracketed Newton-bisection (``rtsafe``): it takes
+Newton steps on the objective's slope, and bisects the bracket where a step
+would leave it or stall.  Every objective returns its value and its slope
+as a function of no arguments, which the search calls only where it reads
+the slope: at each interior abscissa, and at a bracket end only if that
+end is the root.
+The slope is in closed form for the detuning (the derivative of the branch
+poles' sum) and the bare angle (A + B is affine in cos^2), and the
+Hellmann-Feynman slope of each step's kept eigenpairs for the eigen angle,
+so the eigen search computes the two named states' slopes nowhere else.
 
 Detunings are in GHz relative to the reference line of the
 :class:`~magictrap.polarizability.PolarizabilitySpec`; angles are in
@@ -162,32 +163,33 @@ def _state_picker(basis, state):
     return pick
 
 
-def _angle_objective(fields: FieldConfiguration, state_a, state_b, terms,
-                     j_max: int | None):
-    """The search's objective of theta in degrees: alpha_a - alpha_b and its
-    slope per degree, by the bare closed form (``j_max`` None) or in the
-    ``j_max`` hyperfine basis.  The hyperfine slope is a function of no
-    arguments over the step's kept eigenpairs, which ``_rtsafe`` calls only
-    where it reads the slope.
+def _bare_objective(fields: FieldConfiguration, state_a, state_b):
+    """The search's objective of theta in degrees by the bare closed form:
+    alpha_a - alpha_b and its slope per degree, a function of no arguments."""
+    # A + B is affine in cos^2(theta): d/d(theta) is -(total(0) - total(90)) sin 2 theta
+    c = fields.constants
+    swing = (c.alpha_par - c.alpha_perp) * sum(
+        sign * (angular_factors(j, m, 0.0).total - angular_factors(j, m, math.pi / 2).total)
+        for sign, (j, m, *_) in ((1.0, state_a), (-1.0, state_b)))
 
-    In the hyperfine basis each state's eigenvector is checked against the
-    one picked for it at the nearest angle evaluated before: an overlap
-    below :data:`PICK_OVERLAP_MIN` means the (J, M, rank) label has moved to
+    def objective(theta: float) -> tuple[float, Callable[[], float]]:
+        value = (_bare_alpha(fields, state_a[0], state_a[1], theta)
+                 - _bare_alpha(fields, state_b[0], state_b[1], theta))
+        return value, lambda: -math.radians(swing * math.sin(2.0 * math.radians(theta)))
+
+    return objective
+
+
+def _eigen_objective(fields: FieldConfiguration, state_a, state_b, terms, j_max: int):
+    """The search's objective of theta in degrees in the ``j_max`` hyperfine
+    basis: alpha_a - alpha_b and its slope per degree, a function of no
+    arguments over the step's kept eigenpairs.
+
+    Each state's eigenvector is checked against the one picked for it at
+    the nearest angle evaluated before: an overlap below
+    :data:`PICK_OVERLAP_MIN` means the (J, M, rank) label has moved to
     another state in between, and raises :class:`NoRootError`.
     """
-    if j_max is None:
-        # A + B is affine in cos^2(theta): d/d(theta) is -(total(0) - total(90)) sin 2 theta
-        c = fields.constants
-        swing = (c.alpha_par - c.alpha_perp) * sum(
-            sign * (angular_factors(j, m, 0.0).total - angular_factors(j, m, math.pi / 2).total)
-            for sign, (j, m, *_) in ((1.0, state_a), (-1.0, state_b)))
-
-        def bare(theta: float) -> tuple[float, float]:
-            value = (_bare_alpha(fields, state_a[0], state_a[1], theta)
-                     - _bare_alpha(fields, state_b[0], state_b[1], theta))
-            return value, -math.radians(swing * math.sin(2.0 * math.radians(theta)))
-
-        return bare
     basis = build_basis(j_max, fields.constants)
     solve = _angle_solver(basis, fields, terms)
     pick_a, pick_b = _state_picker(basis, state_a), _state_picker(basis, state_b)
@@ -252,19 +254,13 @@ def _checked(x: float, fx) -> float:
     return fx
 
 
-def _slope(df) -> float:
-    """A slope given as a float, or as a function of no arguments that computes it."""
-    return df() if callable(df) else df
-
-
-def _rtsafe(f_df, a: float, b: float, end_a: tuple, end_b: tuple, xtol: float,
-            maxiter: int = MAXITER) -> tuple[float, float, float]:
-    """Root of f between ``a`` and ``b``, f at that root and f' there, given
-    ``end_a`` = (f(a), f'(a)) and ``end_b`` = (f(b), f'(b)), with f(a) and
-    f(b) nonzero and of opposite signs; ``f_df(x)`` returns f(x) and f'(x).
-    Each f' is a float or a function of no arguments that computes it: the
-    ends' slopes are read only when an end is returned, and each evaluated
-    abscissa's slope once, as it is evaluated.
+def _bracketed_root(objective, bracket: tuple[float, float], xtol: float, tol: float,
+                    unit: str, value_unit: str = "") -> tuple[float, float, float]:
+    """Root of ``objective`` inside ``bracket`` (in ``unit``), its residual
+    and the slope there.  ``objective(x)`` returns f(x) and a function of no
+    arguments that computes f'(x).  Each abscissa is evaluated once and its
+    slope read at most once: an interior abscissa's as it is evaluated, an
+    end's only when that end, unmoved, is the root.
 
     Newton-bisection as ``rtsafe`` (Press et al., Numerical Recipes, 3rd
     ed., section 9.4): from the midpoint, each step is Newton's when it
@@ -273,75 +269,73 @@ def _rtsafe(f_df, a: float, b: float, end_a: tuple, end_b: tuple, xtol: float,
     Unlike ``rtsafe``, every evaluation narrows the bracket.  Once the next
     Newton step is shorter than ``xtol`` the root is the last abscissa
     evaluated; once the bracket is, it is the end with the smaller |f|,
-    as in Brent's method.  Either way the f and f' returned are f and f'
-    there.  Raises ValueError where f is NaN and :class:`NoRootError` after
-    ``maxiter`` steps without convergence.
+    as in Brent's method.  Either way the residual and slope returned are
+    f and f' there.
+
+    Raises ValueError unless lo < hi and where f is NaN, and
+    :class:`NoRootError` where an end is itself a root, without a sign
+    change, after :data:`MAXITER` steps without convergence or when
+    |residual| > ``tol`` (in ``value_unit``).
     """
-    # (x, f, f') at the ends, f(lo) < 0 < f(hi); lo > hi where f falls
-    lo, hi = (a, _checked(a, end_a[0]), end_a[1]), (b, _checked(b, end_b[0]), end_b[1])
+    a, b = bracket
+    if not a < b:
+        raise ValueError(f"bracket ({a}, {b}) {unit} must have lo < hi")
+    (f_a, df_a), (f_b, df_b) = objective(a), objective(b)
+    for name, end, f_end in (("lo", a, f_a), ("hi", b, f_b)):
+        if f_end == 0.0:
+            raise NoRootError(
+                f"bracket end {name} = {end} {unit} lies on a root (f = 0): move it off "
+                "the root, so that the root lies strictly inside the bracket")
+    # a NaN end has no sign and passes, for _checked to refuse
+    if (f_a > 0.0 and f_b > 0.0) or (f_a < 0.0 and f_b < 0.0):
+        raise NoRootError(
+            f"no sign change over ({a}, {b}) {unit}: "
+            f"f(lo) = {f_a:.6e}, f(hi) = {f_b:.6e}{value_unit}"
+        )
+    # (x, f, slope function) at the ends, f(lo) < 0 < f(hi); lo > hi where f falls
+    lo, hi = (a, _checked(a, f_a), df_a), (b, _checked(b, f_b), df_b)
     if lo[1] > 0.0:
         lo, hi = hi, lo
-    x, step_old, step = 0.5 * (a + b), abs(b - a), abs(b - a)
-    for _ in range(maxiter):
-        fx, dfx = f_df(x)
-        fx, dfx = _checked(x, fx), _slope(dfx)
+    x, step_old, step = 0.5 * (a + b), b - a, b - a
+    for _ in range(MAXITER):
+        fx, df = objective(x)
+        fx, dfx = _checked(x, fx), df()
         if fx == 0.0:
-            return x, fx, dfx
+            break
+        # an evaluated abscissa keeps the slope read there, so none is read twice
         if fx < 0.0:
-            lo = x, fx, dfx
+            lo = x, fx, lambda dfx=dfx: dfx
         else:
-            hi = x, fx, dfx
+            hi = x, fx, lambda dfx=dfx: dfx
         newton = fx / dfx if math.isfinite(dfx) and dfx != 0.0 else math.nan
         # NaN fails both tests
         if min(lo[0], hi[0]) < x - newton < max(lo[0], hi[0]) and 2.0 * abs(newton) <= step_old:
             if abs(newton) < xtol:
-                return x, fx, dfx
+                break
             dx = newton
         else:
             if abs(hi[0] - lo[0]) < xtol:
                 other = hi if fx < 0.0 else lo
                 if abs(other[1]) < abs(fx):
-                    return other[0], other[1], _slope(other[2])
-                return x, fx, dfx
+                    x, fx, dfx = other[0], other[1], other[2]()
+                break
             dx = x - 0.5 * (lo[0] + hi[0])
         step_old, step = step, abs(dx)
         x -= dx
-    raise NoRootError(f"Newton-bisection did not converge in {maxiter} steps "
-                      f"(last x = {x:.6e}, f = {fx:.6e})")
-
-
-def _bracketed_root(objective, bracket: tuple[float, float], xtol: float, tol: float,
-                    unit: str, value_unit: str = "") -> tuple[float, float, float]:
-    """Root of ``objective`` inside ``bracket`` (in ``unit``), its residual
-    and the slope there, by ``_rtsafe``; ``objective`` returns f and its
-    derivative, a float or a function of no arguments that computes it.
-
-    Raises ValueError unless lo < hi, and :class:`NoRootError` without a
-    sign change, without convergence or when |residual| > ``tol`` (in
-    ``value_unit``).  Each abscissa is evaluated once.
-    """
-    lo, hi = bracket
-    if not lo < hi:
-        raise ValueError(f"bracket ({lo}, {hi}) {unit} must have lo < hi")
-    end_lo, end_hi = objective(lo), objective(hi)
-    f_lo, f_hi = end_lo[0], end_hi[0]
-    # a NaN end has no sign and passes, for _rtsafe to refuse
-    if f_lo == 0.0 or f_hi == 0.0 or (f_lo > 0.0 and f_hi > 0.0) or (f_lo < 0.0 and f_hi < 0.0):
-        raise NoRootError(
-            f"no sign change over ({lo}, {hi}) {unit}: "
-            f"f(lo) = {f_lo:.6e}, f(hi) = {f_hi:.6e}{value_unit}"
-        )
-    root, residual, slope = _rtsafe(objective, lo, hi, end_lo, end_hi, xtol)
-    if abs(residual) > tol:
+    else:
+        raise NoRootError(f"Newton-bisection did not converge in {MAXITER} steps "
+                          f"(last x = {x:.6e}, f = {fx:.6e})")
+    # the root is x, its residual fx and the slope there dfx
+    if abs(fx) > tol:
         # only an eigenstate with a degenerate partner has an inf or NaN slope
-        cause = ("" if math.isfinite(slope) else
-                 f"; the slope there is {slope}, so a named state is degenerate "
+        cause = ("" if math.isfinite(dfx) else
+                 f"; the slope there is {dfx}, so a named state is degenerate "
                  "and names no single eigenstate")
         raise NoRootError(
-            f"root at {root:.6f} {unit} fails the residual check: "
-            f"|{residual:.3e}| > {tol}{value_unit}{cause}"
+            f"root at {x:.6f} {unit} fails the residual check: "
+            f"|{fx:.3e}| > {tol}{value_unit}{cause}"
         )
-    return root, residual, slope
+    return x, fx, dfx
 
 
 def find_magic_detuning(spec: PolarizabilitySpec, j_a: int, j_b: int,
@@ -367,14 +361,15 @@ def find_magic_detuning(spec: PolarizabilitySpec, j_a: int, j_b: int,
     ref = spec.reference.energy
     # f and f' read the detuning only as nu = E_ref + detuning / HARTREE_TO_GHZ,
     # which resolves it to ~5e-11 GHz: an abscissa at a nu this search has
-    # evaluated gets the f and f' it got there
+    # evaluated gets the f and f' it got there.  f' is computed with f, so
+    # an overflowing slope raises where its abscissa is evaluated
     evaluated = {}
 
-    def objective(delta: float) -> tuple[float, float]:
+    def objective(delta: float) -> tuple[float, Callable[[], float]]:
         nu = ref + delta / HARTREE_TO_GHZ
         if nu not in evaluated:
-            evaluated[nu] = (_detuning_objective(spec, (j_a, m), (j_b, m), delta, theta_p),
-                             slope(delta))
+            value, d = _detuning_objective(spec, (j_a, m), (j_b, m), delta, theta_p), slope(delta)
+            evaluated[nu] = value, lambda: d
         return evaluated[nu]
 
     root, residual, slope_at_root = _bracketed_root(objective, bracket, 1e-12,
@@ -402,8 +397,8 @@ def find_magic_angle(fields: FieldConfiguration, state_a, state_b,
     quadrupole or dc Stark term breaks the bare picture.
 
     Both find the root to 1e-8 degrees inside ``bracket`` by Newton-bisection
-    (``_rtsafe``) on the slope per degree, which the solution reports as
-    ``slope``: in closed form for "bare", Hellmann-Feynman for "eigen".
+    (``_bracketed_root``) on the slope per degree, which the solution reports
+    as ``slope``: in closed form for "bare", Hellmann-Feynman for "eigen".
     """
     eigen = _angle_method(fields, terms, method) == "eigen"
     lo, hi = bracket
@@ -413,7 +408,8 @@ def find_magic_angle(fields: FieldConfiguration, state_a, state_b,
         if not eigen and len(state) > 2 and state[2] != 0:
             raise ValueError(f"{name} = {state[2]} names no state: the bare method "
                              "has one state per (J, M), rank 0")
-    objective = _angle_objective(fields, state_a, state_b, terms, j_max if eigen else None)
+    objective = (_eigen_objective(fields, state_a, state_b, terms, j_max) if eigen
+                 else _bare_objective(fields, state_a, state_b))
     root, residual, slope = _bracketed_root(objective, bracket, 1e-8, ANGLE_RESIDUAL_TOL,
                                             "degrees")
     return MagicSolution(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -173,9 +174,10 @@ def magic_detuning_per_evaluation(spec: PolarizabilitySpec, j_a: int, j_b: int, 
     slope = magic._detuning_slope(spec, (j_a, m), (j_b, m), theta_p)
     evaluated = []
 
-    def objective(delta: float) -> tuple[float, float]:
+    def objective(delta: float) -> tuple[float, Callable[[], float]]:
         evaluated.append(delta)
-        return magic._detuning_objective(spec, (j_a, m), (j_b, m), delta, theta_p), slope(delta)
+        value, d = magic._detuning_objective(spec, (j_a, m), (j_b, m), delta, theta_p), slope(delta)
+        return value, lambda: d
 
     return magic._bracketed_root(objective, bracket, 1e-12, magic.DETUNING_RESIDUAL_TOL,
                                  "GHz", " a.u."), evaluated

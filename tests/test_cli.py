@@ -990,10 +990,26 @@ EIGEN_ANGLE_ARGS = ["--override", "magic.kind=angle", "--override", "magic.metho
 def test_unconverged_newton_search_exits_3(search_args, tmp_path, capsys, monkeypatch):
     """The step limit hit inside a search is a numerical failure, not a
     traceback."""
-    rtsafe = magic._rtsafe
-    monkeypatch.setattr(magic, "_rtsafe", lambda *args: rtsafe(*args, maxiter=2))
+    monkeypatch.setattr(magic, "MAXITER", 2)
     assert main(["magic-find", "--out", str(tmp_path), *search_args]) == 3
     assert "Newton-bisection did not converge in 2 steps" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_a_bracket_end_on_the_root_exits_3_saying_to_move_it(tmp_path, capsys):
+    """Without a dc field the bare (1, 0)/(0, 0) objective is exactly zero at
+    54.735610317245346 degrees: a bracket that starts there holds no root
+    strictly inside, and the message says so, not that f has no sign
+    change."""
+    assert main(["magic-find", "--out", str(tmp_path),
+                 "--override", "magic.kind=angle", "--override", "magic.method=bare",
+                 "--override", "fields.e_field_kv_cm=0",
+                 "--override", "magic.j_a=1", "--override", "magic.j_b=0",
+                 "--override", "magic.bracket_lo_deg=54.735610317245346"]) == 3
+    err = capsys.readouterr().err
+    assert ("numerical error: bracket end lo = 54.735610317245346 degrees lies on a root "
+            "(f = 0): move it off the root" in err)
+    assert "no sign change" not in err
     assert not list(tmp_path.glob("*.csv"))
 
 

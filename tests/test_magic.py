@@ -20,8 +20,8 @@ from magictrap.magic import (
     ANGLE_RESIDUAL_TOL,
     DETUNING_RESIDUAL_TOL,
     MagicSolution,
+    _bracketed_root,
     _poles_in_window,
-    _rtsafe,
     calibrate_gamma,
     find_magic_angle,
     find_magic_detuning,
@@ -61,6 +61,19 @@ def test_magic_angle_bracket_without_root():
     with pytest.raises(NoRootError, match=r"no sign change over \(0.0, 30.0\)"):
         find_magic_angle(fields, (1, 0), (0, 0), bracket=(0.0, 30.0),
                          terms=BARE_TERMS)
+
+
+@pytest.mark.parametrize("bracket, end", [((0.5, 2.0), "lo = 0.5"), ((-1.0, 0.5), "hi = 0.5")],
+                         ids=["lo", "hi"])
+def test_a_bracket_end_on_the_root_is_named_and_not_searched(bracket, end):
+    """An end where f is exactly zero is a root on the bracket, not inside
+    it: the search names that end and asks for it to be moved."""
+    def objective(x):
+        return x - 0.5, lambda: 1.0
+
+    with pytest.raises(NoRootError, match=rf"bracket end {end} x lies on a root \(f = 0\): "
+                                          "move it off the root"):
+        _bracketed_root(objective, bracket, 1e-10, 1e-9, "x")
 
 
 def test_magic_angle_bracket_validation():
@@ -307,25 +320,30 @@ def test_eigen_search_computes_slopes_only_at_interior_abscissas(e_field, monkey
 
 
 def test_newton_bisection_reads_an_end_slope_only_when_it_returns_the_end():
-    """A slope may be a function of no arguments: _rtsafe calls it only where
-    it reads the slope, each evaluated abscissa's as it is evaluated and an
-    end's only when that end, unmoved, is the root."""
+    """Every slope is a function of no arguments: _bracketed_root calls it
+    only where it reads the slope, each evaluated abscissa's as it is
+    evaluated and an end's only when that end, unmoved, is the root."""
     called = []
 
     def deferred(x, value):
         return lambda: called.append(x) or value
 
-    def f_df(x):
-        # no usable slope: the bracket is halved down to its end at 0
-        return x - 1e-12, deferred(x, math.nan)
+    ends = {0.0: 7.0, 1.0: 9.0}
 
-    root, f_root, slope = _rtsafe(f_df, 0.0, 1.0, (-1e-12, deferred(0.0, 7.0)),
-                                  (1.0 - 1e-12, deferred(1.0, 9.0)), 1e-10)
+    def objective(x):
+        # no usable slope inside: the bracket is halved down to its end at 0
+        return x - 1e-12, deferred(x, ends.get(x, math.nan))
+
+    root, f_root, slope = _bracketed_root(objective, (0.0, 1.0), 1e-10, 1e-11, "x")
     assert (root, f_root, slope) == (0.0, -1e-12, 7.0)
     assert called.count(0.0) == 1 and 1.0 not in called
     assert len(called) == len(set(called))
-    # plain floats at the ends as before
-    assert _rtsafe(f_df, 0.0, 1.0, (-1e-12, 7.0), (1.0 - 1e-12, 9.0), 1e-10)[2] == 7.0
+
+    # slopes that were plain floats at the ends: constant functions
+    def constant(x):
+        return x - 1e-12, lambda: ends.get(x, math.nan)
+
+    assert _bracketed_root(constant, (0.0, 1.0), 1e-10, 1e-11, "x")[2] == 7.0
 
 
 def test_every_search_reports_its_slope(narb_spec):
@@ -438,13 +456,12 @@ def test_newton_bisection_halves_the_bracket_without_a_usable_slope(useless):
     with the smaller |f|, returned with f there."""
     evaluated = {}
 
-    def f_df(x):
+    def objective(x):
         evaluated[x] = math.tanh(3.0 * (x - 0.4))
-        return evaluated[x], useless
+        return evaluated[x], lambda: useless
 
     # the last abscissa evaluated is the end with the larger |f| here
-    a, b = -1.0, 2.0
-    root, f_root, slope = _rtsafe(f_df, a, b, f_df(a), f_df(b), 1e-10)
+    root, f_root, slope = _bracketed_root(objective, (-1.0, 2.0), 1e-10, 1e-9, "x")
     assert abs(root - 0.4) < 1e-10 and f_root == evaluated[root]
     lo = max(x for x, fx in evaluated.items() if fx < 0.0)
     hi = min(x for x, fx in evaluated.items() if fx > 0.0)

@@ -4,7 +4,8 @@ A golden test pins the CSV bytes the bundled defaults produce, so a
 change to how the model is built cannot move a number unnoticed, and a
 source scan checks that no module repeats a bundled measured value as a
 literal.  The package's public API has one definition too: its layers'
-``__all__`` lists.  One function writes the output files, one maps
+``__all__`` lists, and the package reads every function and class that a
+module defines.  One function writes the output files, one maps
 a rotational state (J, M) to its index in the hyperfine basis, and one
 table says where the closed-form polarizability has its branch poles,
 and one entry, ``rovib_basis``, solves a radial model.
@@ -389,6 +390,20 @@ def test_every_exported_callable_is_used_in_the_package():
     read = _read_names(Path(magictrap.__file__).parent)
     unread = [f"{layer.__name__}.{name}" for layer in LAYERS for name in layer.__all__
               if callable(getattr(layer, name)) and name not in read]
+    assert not unread, unread
+
+
+def test_every_module_level_definition_is_read_in_the_package():
+    """Each function and class at the top level of a module, private or
+    exported, is read by some module of the package, by bare name, as an
+    attribute or through a ``from`` import: a dead helper fails here as a
+    dead export fails above."""
+    src = Path(magictrap.__file__).parent
+    read = _read_names(src)
+    unread = [f"{path.stem}.{node.name}" for path in sorted(src.glob("*.py"))
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name not in read]
     assert not unread, unread
 
 
