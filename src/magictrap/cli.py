@@ -70,7 +70,6 @@ from pathlib import Path
 import numpy as np
 
 from . import narb
-from .angular import _MAX_TWO_J
 from .config import RunConfig, _write_output, load_config
 from .errors import (
     CalibrationError,
@@ -217,19 +216,6 @@ def _scan_m(cfg: RunConfig) -> int:
     return m
 
 
-def _imag_j_values(cfg: RunConfig) -> tuple[int, ...]:
-    """[scan] j_values, checked before any solve: imag-scan couples each J
-    to J + 1, which the 3-j symbols must reach."""
-    j_values = cfg.get("scan", "j_values")
-    too_high = [j for j in j_values if 2 * (j + 1) > _MAX_TWO_J]
-    if too_high:
-        raise ConfigError(
-            f"[scan] j_values has J = {too_high[0]}, but imag-scan couples J to "
-            f"J + 1, and 3-j symbols are supported up to j = {_MAX_TWO_J // 2}"
-        )
-    return j_values
-
-
 def _detuning_columns(deltas, j_values, m: int, per_j):
     """(detuning, J, M, value) columns of a scan: the axis once per J."""
     n = len(deltas)
@@ -303,7 +289,7 @@ def _pole_refusal(cfg: RunConfig, deltas, j: int, exc: PoleProximityError):
 
 def _cmd_imag_scan(cfg: RunConfig):
     m = _scan_m(cfg)
-    j_values = _imag_j_values(cfg)
+    j_values = cfg.get("scan", "j_values")
     x_levels, ab_levels, dipoles, gammas = _imag_inputs(cfg, j_values)
     theta_p = math.radians(cfg.get("fields", "theta_p_deg"))
     deltas, nu = _detuning_axis(cfg)

@@ -12,8 +12,10 @@ where D is the detuning from the (J = 0 -> J' = 1) line of the band
 and A, B are the closed-form angular factors.  Its poles are listed
 once, by ``_branches``, which the magic-detuning pole guard reads too.
 The tests check it against the explicit sum over solver levels, with
-both rotating and counter-rotating denominators.  :func:`alpha_imag`
-sums the imaginary part over retained solver levels.
+both rotating and counter-rotating denominators and branch weights from
+3-j symbols.  :func:`alpha_imag` sums the imaginary part over retained
+solver levels, each line weighted by its branch's A or B, so both parts
+of one level read the same closed-form weights.
 
 Convention: polarizabilities are returned in atomic units.  The
 resonant prefactor is the light-shift-per-intensity expression; mapped
@@ -37,12 +39,11 @@ the closed forms leave their window.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import _check_state, angular_factors, resonance_offsets, wigner3j
+from .angular import _check_state, angular_factors, resonance_offsets
 from .errors import PoleProximityError
 from .radial import RovibLevels
 from .units import C_AU
@@ -198,34 +199,12 @@ def alpha_analytic(spec: PolarizabilitySpec, nu: float | np.ndarray, j: int, m: 
     return total[()]
 
 
-def _polarization_weight(jp: int, j: int, m: int, theta_p: float) -> float:
-    """sum_M' |<J' M'| e.C_1 |J M>|^2 for linear polarization at theta_p.
-
-    Each element is ``rot_tensor_element(jp, m + q, 1, q, j, m)``, its
-    products in their order, with the reduced symbol (J' 1 J; 0 0 0) and
-    sqrt((2J'+1)(2J+1)) taken once, for integers J' >= 0 and |M| <= J.
-    """
-    cos2 = math.cos(theta_p) ** 2
-    sin2 = math.sin(theta_p) ** 2
-    reduced = wigner3j(jp, 1, j, 0, 0, 0)
-    norm = math.sqrt((2 * jp + 1) * (2 * j + 1))
-
-    def element(q):
-        mp = m + q
-        geom = wigner3j(jp, 1, j, -mp, q, m) * reduced if abs(mp) <= jp else 0.0
-        return (-1.0 if mp % 2 else 1.0) * norm * geom if geom else 0.0
-
-    w = cos2 * element(0) ** 2
-    for q in (-1, 1):
-        w += 0.5 * sin2 * element(q) ** 2
-    return w
-
-
 def _transitions(x_levels: RovibLevels, ab_levels: RovibLevels, dipoles: np.ndarray,
                  nu, j, m, theta_p):
-    """The polarization weight W of each branch J' = J +- 1 out of (J, M), one
-    row (dE, ab index, d, W) per retained line in ``ab_levels`` order, and
-    ``nu`` as a float array.  The caller guards the poles (:func:`_guard_poles`).
+    """One row (dE, ab index, d, W) per retained line out of (J, M), in
+    ``ab_levels`` order, with W the branch weight A (J' = J - 1) or B
+    (J' = J + 1) of :func:`angular_factors`, and ``nu`` as a float array.
+    The caller guards the poles (:func:`_guard_poles`).
     """
     j, m = _check_state(j, m)
     ground = np.flatnonzero(x_levels.j == j)
@@ -236,8 +215,6 @@ def _transitions(x_levels: RovibLevels, ab_levels: RovibLevels, dipoles: np.ndar
     if dipoles.shape != (len(x_levels), len(ab_levels)):
         raise ValueError(f"dipoles has shape {dipoles.shape}, not "
                          f"({len(x_levels)}, {len(ab_levels)})")
-    weights = {jp: _polarization_weight(jp, j, m, theta_p)
-               for jp in (j - 1, j + 1) if jp >= 0}
     lines = np.flatnonzero(np.abs(ab_levels.j - j) == 1)
     if not lines.size:
         raise ValueError(f"no retained lines couple to J = {j}")
@@ -248,9 +225,10 @@ def _transitions(x_levels: RovibLevels, ab_levels: RovibLevels, dipoles: np.ndar
             "provide all J' = J +- 1 moments"
         )
     de = ab_levels.energies[lines] - x_levels.energies[x_idx]
+    fac = angular_factors(j, m, theta_p)
     rows = list(zip(de.tolist(), lines.tolist(), d.tolist(),
-                    [weights[jp] for jp in ab_levels.j[lines].tolist()]))
-    return weights, rows, np.asarray(nu, dtype=float)
+                    [fac.b if jp > j else fac.a for jp in ab_levels.j[lines].tolist()]))
+    return rows, np.asarray(nu, dtype=float)
 
 
 def _guard_poles(rows, nu: np.ndarray) -> None:
@@ -292,6 +270,8 @@ def alpha_imag(x_levels: RovibLevels, ab_levels: RovibLevels,
 
         Im alpha = - sum_f gamma_f |d_f|^2 W_f / ((E_f - E_i)^2 - (h nu)^2)
 
+    where W_f is the :func:`angular_factors` weight of line f's branch, A
+    for J' = J - 1 and B for J' = J + 1, as in :func:`alpha_analytic`.
     ``dipoles[x, a]`` is the vibrationally averaged transition dipole
     (e a0) between row x of ``x_levels`` and row a of ``ab_levels``; only
     the pairs with J' = J +- 1 are read, and each must be finite.
@@ -301,7 +281,7 @@ def alpha_imag(x_levels: RovibLevels, ab_levels: RovibLevels,
     """
     if len(gammas) != len(ab_levels):
         raise ValueError("gammas must align with ab_levels")
-    _, rows, x = _transitions(x_levels, ab_levels, dipoles, nu, j, m, theta_p)
+    rows, x = _transitions(x_levels, ab_levels, dipoles, nu, j, m, theta_p)
     _guard_poles(rows, x)
     gammas = np.asarray(gammas, dtype=float).tolist()
     # each line's term in one buffer of the axis' shape, with (h nu)^2 taken

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from magictrap import hyperfine, magic, narb, radial
-from magictrap.angular import rot_tensor_element
+from magictrap.angular import _check_state, rot_tensor_element
 from magictrap.config import RunConfig
 from magictrap.errors import PoleProximityError
 from magictrap.hyperfine import FieldConfiguration, HyperfineBasis, MolecularConstants
@@ -193,14 +193,36 @@ def alpha_sum_over_states(x_levels: RovibLevels, ab_levels: RovibLevels,
     ``dipoles[x, a]`` is the vibrationally averaged transition dipole
     (e a0) between row x of ``x_levels`` and row a of ``ab_levels``;
     only the pairs with J' = J +- 1 are read, and each must be finite.
-    Both rotating and counter-rotating denominators are kept.  The
-    quasi-static background, when given, is added with angular weights
-    computed from the same 3-j route (never from the closed-form factors).
+    Both rotating and counter-rotating denominators are kept.  Each line
+    and the quasi-static background, when given, take their angular
+    weights from :func:`polarization_weight_by_elements`, the 3-j route:
+    the lines are read here, not through ``polarizability._transitions``,
+    so no weight comes from the closed-form factors.
     """
-    weights, rows, x = _transitions(x_levels, ab_levels, dipoles, nu, j, m, theta_p)
+    j, m = _check_state(j, m)
+    ground = np.flatnonzero(x_levels.j == j)
+    if not ground.size:
+        raise ValueError(f"no ground level with J = {j} among x_levels")
+    dipoles = np.asarray(dipoles, dtype=float)
+    if dipoles.shape != (len(x_levels), len(ab_levels)):
+        raise ValueError(f"dipoles has shape {dipoles.shape}, not "
+                         f"({len(x_levels)}, {len(ab_levels)})")
+    weights = {jp: polarization_weight_by_elements(jp, j, m, theta_p)
+               for jp in (j - 1, j + 1) if jp >= 0}
+    lines = np.flatnonzero(np.abs(ab_levels.j - j) == 1)
+    if not lines.size:
+        raise ValueError(f"no retained lines couple to J = {j}")
+    d = dipoles[ground[0], lines]
+    if not np.all(np.isfinite(d)):
+        raise ValueError(f"missing dipole for pair (x={ground[0]}, "
+                         f"ab={lines[~np.isfinite(d)][0]})")
+    de = ab_levels.energies[lines] - x_levels.energies[ground[0]]
+    rows = list(zip(de.tolist(), d.tolist(),
+                    [weights[jp] for jp in ab_levels.j[lines].tolist()]))
+    x = np.asarray(nu, dtype=float)
     _guard_poles(rows, x)
     total = np.zeros(x.shape)
-    for de, _, d, w in rows:
+    for de, d, w in rows:
         total += d * d * w * (1.0 / (de - x) + 1.0 / (de + x))
     if background is not None:
         w = weights.get(j - 1, 0.0) + weights[j + 1]
@@ -209,8 +231,11 @@ def alpha_sum_over_states(x_levels: RovibLevels, ab_levels: RovibLevels,
 
 
 def polarization_weight_by_elements(jp: int, j: int, m: int, theta_p: float) -> float:
-    """``polarizability._polarization_weight`` from three full
-    ``rot_tensor_element`` calls, each taking its own reduced symbol."""
+    """sum_M' |<J' M'| e.C_1 |J M>|^2 for linear polarization at theta_p,
+    from three full ``rot_tensor_element`` calls, each taking its own
+    reduced symbol: the 3-j route to the branch weight that
+    ``angular.angular_factors`` gives in closed form (A at J' = J - 1,
+    B at J' = J + 1)."""
     cos2 = math.cos(theta_p) ** 2
     sin2 = math.sin(theta_p) ** 2
     w = cos2 * rot_tensor_element(jp, m, 1, 0, j, m) ** 2
@@ -243,7 +268,7 @@ def alpha_imag_per_line(x_levels: RovibLevels, ab_levels: RovibLevels,
     (h nu)^2 taken afresh for each, guarded by :func:`guard_poles_per_line`."""
     if len(gammas) != len(ab_levels):
         raise ValueError("gammas must align with ab_levels")
-    _, rows, x = _transitions(x_levels, ab_levels, dipoles, nu, j, m, theta_p)
+    rows, x = _transitions(x_levels, ab_levels, dipoles, nu, j, m, theta_p)
     guard_poles_per_line(rows, x)
     gammas = np.asarray(gammas, dtype=float).tolist()
     total = np.zeros(x.shape)

@@ -885,22 +885,29 @@ def test_imag_inputs_hold_the_dipoles_alpha_imag_reads(points, j_values):
     assert np.isnan(dipoles[~read]).all()
 
 
-@pytest.mark.parametrize("j_values", ["20", "0,300"])
-def test_imag_scan_j_beyond_the_3j_limit_exits_2(j_values, small_config, tmp_path,
-                                                 capsys, monkeypatch):
-    """imag-scan couples J to J + 1, so J + 1 must stay within the 3-j
-    symbols' j <= 20: refused naming the key, before any dense solve."""
-    calls = []
-    dense = radial._channel_eigenpairs
-    monkeypatch.setattr(radial, "_channel_eigenpairs",
-                        lambda *args: calls.append(args) or dense(*args))
+@pytest.mark.parametrize("j", [20, 25, 40])
+def test_imag_scan_runs_past_the_3j_symbols_range(j, small_config, tmp_path):
+    """Im alpha reads the closed-form branch weights, which hold at any J,
+    so a J whose J + 1 lies beyond the 3-j symbols' j <= 20 is scanned.
+    The lines out of J = 20, 25 and 40 lie above 80 GHz, so on 20-80 GHz
+    each cell is negative."""
     assert main(["imag-scan", "--config", str(small_config), "--out", str(tmp_path),
-                 "--override", "grid.points=300",
-                 "--override", f"scan.j_values={j_values}"]) == 2
-    err = capsys.readouterr().err
-    assert "[scan] j_values" in err and f"J = {j_values.split(',')[-1]}" in err
+                 "--override", "grid.points=300", "--override", "scan.stop_ghz=80",
+                 "--override", f"scan.j_values={j}"]) == 0
+    header, rows = read_rows(tmp_path / "imag_scan.csv")
+    assert header == ["detuning_ghz", "j", "m", "im_alpha_au"]
+    assert len(rows) == 9 and {row[1] for row in rows} == {str(j)}
+    assert all(float(row[3]) < 0.0 for row in rows)
+
+
+def test_imag_scan_at_a_j_with_no_bound_level_exits_3(small_config, tmp_path, capsys):
+    """A J with no bound X level is a numerical failure that names the key,
+    however far it lies past the 3-j symbols' range."""
+    assert main(["imag-scan", "--config", str(small_config), "--out", str(tmp_path),
+                 "--override", "grid.points=300", "--override", "scan.j_values=0,300"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical error: no X level is bound at J = 300 of [scan] j_values\n")
     assert not list(tmp_path.glob("*.csv"))
-    assert calls == []
 
 
 @pytest.mark.parametrize("points", [5, 201])

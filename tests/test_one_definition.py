@@ -8,7 +8,8 @@ literal.  The package's public API has one definition too: its layers'
 module defines.  One function writes the output files, one maps
 a rotational state (J, M) to its index in the hyperfine basis, and one
 table says where the closed-form polarizability has its branch poles,
-and one entry, ``rovib_basis``, solves a radial model.
+and one entry, ``rovib_basis``, solves a radial model; only ``angular``
+reads the 3-j symbols.
 Six process-global memos are kept, each for the saving it names.
 """
 
@@ -447,6 +448,22 @@ def test_hyperfine_kernels_run_only_in_hyperfine():
                    for name in [getattr(node.func, "attr", getattr(node.func, "id", None))]
                    if name in kernels)
     assert calls == [], calls
+
+
+def test_only_angular_reads_the_3j_symbols():
+    """A branch weight has one route in the package, ``angular_factors``:
+    no module other than ``angular`` reads ``wigner3j``, by bare name, as
+    an attribute or through a ``from`` import, so a second 3-j route to a
+    weight cannot grow beside it."""
+    readers = sorted({path.name
+                      for path in sorted(Path(magictrap.__file__).parent.glob("*.py"))
+                      if path.name != "angular.py"
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if (isinstance(node, ast.Name) and node.id == "wigner3j")
+                      or (isinstance(node, ast.Attribute) and node.attr == "wigner3j")
+                      or (isinstance(node, ast.ImportFrom)
+                          and any(alias.name == "wigner3j" for alias in node.names))})
+    assert readers == [], readers
 
 
 def test_one_dense_per_j_solve():

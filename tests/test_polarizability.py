@@ -1,19 +1,23 @@
 """Dynamic polarizability: closed form vs explicit state sum.
 
-The two routes share no code beyond the 3-j machinery, so their
-agreement on the same level data is the main correctness check.  The
-remaining tests pin scaling laws, validity notes, and failure modes.
+The two routes share no angular code: the closed forms read the branch
+weights A and B of ``angular_factors``, the state sum builds its weights
+from 3-j symbols, so their agreement on the same level data is the main
+correctness check.  The remaining tests pin scaling laws, validity
+notes, and failure modes.
 """
 
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from magictrap import angular, polarizability
 from magictrap import (
     Background,
     MAGIC_ANGLE_DEG,
@@ -29,7 +33,7 @@ from magictrap import (
 )
 from magictrap.cli import _imag_inputs
 from magictrap.config import load_config
-from magictrap.polarizability import _polarization_weight
+from magictrap.polarizability import _transitions
 from magictrap.units import HARTREE_TO_CM1, HARTREE_TO_GHZ
 
 from conftest import assert_close
@@ -340,15 +344,18 @@ def test_transitions_require_complete_inputs(stiff_pair):
     ab = stiff_pair["ab"]
     d = stiff_pair["dipoles"]
     nu = stiff_pair["spec"].reference.energy + 100.0 / HARTREE_TO_GHZ
-    with pytest.raises(ValueError):
-        alpha_sum_over_states(x, ab, d, nu, 9, 0)  # no such ground J
+    gammas = [1e-12] * len(ab)
     missing = d.copy()
     missing[0, 1] = np.nan  # the J = 0 -> J' = 1 moment
-    with pytest.raises(ValueError) as err:
-        alpha_sum_over_states(x, ab, missing, nu, 0, 0)
-    assert "dipole" in str(err.value)
-    with pytest.raises(ValueError, match="dipoles has shape"):
-        alpha_sum_over_states(x, ab, d[:, 1:], nu, 0, 0)
+    # the state sum reads its lines apart from the kernel, so each refuses
+    for route in (alpha_sum_over_states,
+                  lambda x, ab, d, nu, j, m: alpha_imag(x, ab, d, gammas, nu, j, m)):
+        with pytest.raises(ValueError, match="no ground level"):
+            route(x, ab, d, nu, 9, 0)  # no such ground J
+        with pytest.raises(ValueError, match="missing dipole"):
+            route(x, ab, missing, nu, 0, 0)
+        with pytest.raises(ValueError, match="dipoles has shape"):
+            route(x, ab, d[:, 1:], nu, 0, 0)
     # M = 1 has no J = 0 state: both state sums refuse it, as the closed
     # forms do, instead of summing zero weights
     for call in (lambda: alpha_sum_over_states(x, ab, d, nu, 0, 1),
@@ -441,16 +448,20 @@ def _closed_form_by_hand(spec, nu, j, m, theta):
 
 
 def _state_sums_by_hand(stiff_pair, gammas, nu, j, m, theta):
-    """Real and imaginary state sums at one float ``nu``, line by line."""
+    """Real and imaginary state sums at one float ``nu``, line by line: the
+    real sum with the oracle's 3-j weights, the imaginary sum with the
+    kernel's closed-form A (J' = J - 1) and B (J' = J + 1)."""
     x, ab, d = stiff_pair["x"], stiff_pair["ab"], stiff_pair["dipoles"]
     e_x = float(x.energies[j])
+    fac = angular_factors(j, m, theta)
     real = imag = 0.0
     for ai, (e_ab, jp) in enumerate(zip(ab.energies.tolist(), ab.j.tolist())):
         if abs(jp - j) == 1:
             de = e_ab - e_x
             dd = float(d[j, ai])
-            w = _polarization_weight(jp, j, m, theta)
+            w = polarization_weight_by_elements(jp, j, m, theta)
             real += dd * dd * w * (1.0 / (de - nu) + 1.0 / (de + nu))
+            w = fac.b if jp > j else fac.a
             imag -= gammas[ai] * dd * dd * w / (de * de - nu * nu)
     return real, imag
 
@@ -474,17 +485,104 @@ def test_axis_keeps_the_per_line_float_order(stiff_pair):
                               sums[:, 1])
 
 
-def test_polarization_weight_is_the_element_sum_bit_for_bit():
-    """The weight takes the reduced symbol (J' 1 J; 0 0 0) once, and gives
-    the bits of three full ``rot_tensor_element`` calls, up to j = 20."""
+class _Ladder:
+    """One level at each J = 0..20, as much of a level table as
+    ``_transitions`` reads: ``j``, ``energies`` and the length."""
+
+    def __init__(self, energy):
+        self.j = np.arange(21)
+        self.energies = energy + 1e-3 * self.j
+
+    def __len__(self):
+        return self.j.size
+
+
+def _squared_3j(j1, j2, j3, m1, m2, m3):
+    """The square of the 3-j symbol of integer arguments, exactly, by
+    Racah's sum in fractions."""
+    if (m1 + m2 + m3 or not abs(j1 - j2) <= j3 <= j1 + j2
+            or any(abs(mm) > jj for jj, mm in ((j1, m1), (j2, m2), (j3, m3)))):
+        return Fraction(0)
+    f = math.factorial
+    pref = Fraction(f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(-j1 + j2 + j3),
+                    f(j1 + j2 + j3 + 1)) * (f(j1 + m1) * f(j1 - m1) * f(j2 + m2)
+                                            * f(j2 - m2) * f(j3 + m3) * f(j3 - m3))
+    total = sum(Fraction((-1) ** t, f(t) * f(j3 - j2 + m1 + t) * f(j3 - j1 - m2 + t)
+                         * f(j1 + j2 - j3 - t) * f(j1 - m1 - t) * f(j2 + m2 - t))
+                for t in range(max(0, j2 - j3 - m1, j1 - j3 + m2),
+                               min(j1 + j2 - j3, j1 - m1, j2 + m2) + 1))
+    return pref * total * total
+
+
+def _exact_weight(jp, j, m, theta):
+    """sum_M' |<J' M'| e.C_1 |J M>|^2 in exact rationals, on the float
+    cos^2 and sin^2 of ``theta`` that both weight routes take."""
+    cos2 = Fraction(math.cos(theta) ** 2)
+    sin2 = Fraction(math.sin(theta) ** 2)
+    reduced = (2 * jp + 1) * (2 * j + 1) * _squared_3j(jp, 1, j, 0, 0, 0)
+    element = [reduced * _squared_3j(jp, 1, j, -(m + q), q, m) for q in (-1, 0, 1)]
+    return cos2 * element[1] + sin2 / 2 * (element[0] + element[2])
+
+
+def test_transitions_weights_match_the_3j_route_and_exact_values():
+    """Each line's weight in ``_transitions`` is the closed-form A or B of
+    its branch, within 6 ulp of the 3-j route's weight, for every (J, M)
+    up to J = 19 at 7 angles; against exact rationals on the same float
+    cos^2 and sin^2, the closed form is within 5 ulp (measured 4.47, at
+    J' = 20 out of J = 19, |M| = 19, theta = 0.3) and the 3-j route
+    within 6 (measured 6.0, as are the two routes apart).  An exact zero
+    is a zero on both routes."""
     thetas = (0.0, 0.3, math.radians(MAGIC_ANGLE_DEG), 1.2, math.pi / 2, 2.5, math.pi)
+    x, ab = _Ladder(0.0), _Ladder(0.1)
+    dipoles = np.ones((len(x), len(ab)))
+    checked = 0
     for j in range(20):
-        for jp in (j - 1, j + 1):
-            for m in range(-j, j + 1) if jp >= 0 else ():
-                for theta in thetas:
-                    assert (_polarization_weight(jp, j, m, theta).hex()
-                            == polarization_weight_by_elements(jp, j, m, theta).hex()), \
-                        (jp, j, m, theta)
+        for m in range(-j, j + 1):
+            for theta in thetas:
+                rows, _ = _transitions(x, ab, dipoles, 0.0, j, m, theta)
+                fac = angular_factors(j, m, theta)
+                assert [(int(ab.j[a]), w) for _, a, _, w in rows] == (
+                    [(j - 1, fac.a)] if j else []) + [(j + 1, fac.b)]
+                for _, a, _, w in rows:
+                    jp = int(ab.j[a])
+                    oracle = polarization_weight_by_elements(jp, j, m, theta)
+                    exact = _exact_weight(jp, j, m, theta)
+                    case = (jp, j, m, theta)
+                    if exact == 0:
+                        assert w == oracle == 0.0, case
+                        continue
+                    ulp = Fraction(math.ulp(float(exact)))
+                    assert abs(w - oracle) <= 6 * math.ulp(oracle), case
+                    assert abs(Fraction(w) - exact) <= 5 * ulp, case
+                    assert abs(Fraction(oracle) - exact) <= 6 * ulp, case
+                    checked += 1
+    assert checked > 5_000
+
+
+def test_sum_route_reads_no_closed_form_weight(stiff_pair, monkeypatch):
+    """The state sum's line and background weights come from the 3-j route
+    alone: with ``angular_factors`` raising, in ``angular`` and where
+    ``polarizability`` reads it, the sum keeps its bits, while the kernel
+    that reads the closed form refuses."""
+    x, ab, d = stiff_pair["x"], stiff_pair["ab"], stiff_pair["dipoles"]
+    bg = stiff_pair["background"]
+
+    def values():
+        return [alpha_sum_over_states(x, ab, d, _sum_axis(stiff_pair, j), j, m, theta,
+                                      background=background)
+                for j, m, theta in AXIS_CASES for background in (None, bg)]
+
+    want = values()
+
+    def closed_form(*args):
+        raise AssertionError("closed-form branch weights read")
+
+    monkeypatch.setattr(angular, "angular_factors", closed_form)
+    monkeypatch.setattr(polarizability, "angular_factors", closed_form)
+    got = values()
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    with pytest.raises(AssertionError, match="closed-form"):
+        alpha_imag(x, ab, d, [1e-12] * len(ab), _sum_axis(stiff_pair, 1), 1, 0)
 
 
 @pytest.fixture(scope="module")
