@@ -31,9 +31,9 @@ e = floor(log10|x|), and s = |x| 10**(11 - e), taken with a correctly
 rounded power of ten, has 12 integer digits.  The power and the product
 are each rounded within 2**-53 relative, and s <= 1e12, so s lies
 within 2.3e-4 of its exact value, and ``rint(s)`` rounds as ``"%.11e"``
-does wherever the fractional part of s is more than 1e-3 from .5.  The
-cells nearer the tie, ±0, subnormals, nan, ±inf and |x| outside
-(1e-280, 1e280) are formatted by ``"%.11e"`` itself.
+does wherever the fractional part of s is more than 1e-3 from .5, and
+±0 is looked up whole.  The cells nearer the tie, subnormals, nan, ±inf
+and |x| outside (1e-280, 1e280) are formatted by ``"%.11e"`` itself.
 
 ``hyperfine-scan`` takes energies, (J, M) labels and alpha from one call
 of ``hyperfine._angle_solver``, the eigen ``magic-find`` step's pipeline,

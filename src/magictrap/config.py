@@ -257,15 +257,30 @@ class RunConfig:
         """Write the effective configuration; re-ingesting it is exact.
 
         Floats are written with ``repr`` so every bit survives the
-        round trip.
+        round trip.  A value that is the bundled default's own object
+        is written as that key's line, formatted at the first dump of
+        the process; a config read from a file holds no such value, so
+        its dump loads no bundled defaults.
         """
+        lines = _bundled_lines() if _bundled_sections.cache_info().currsize else {}
         blocks = []
         for section, schema in SCHEMA.items():
             keys = self.sections.get(section)
-            if keys is not None:
-                blocks.append(f"[{section}]\n" + "".join([f"{key} = {_format_value(keys[key])}\n"
-                                                          for key in schema if key in keys]))
+            if keys is None:
+                continue
+            known = lines.get(section, {})
+            block = [f"[{section}]\n"]
+            for key in schema:
+                if key in keys:
+                    value = keys[key]
+                    default, line = known.get(key, (_MISSING, ""))
+                    block.append(line if value is default else _line(key, value))
+            blocks.append("".join(block))
         _write_output(path, "\n".join(blocks).encode())
+
+
+def _line(key: str, value) -> str:
+    return f"{key} = {_format_value(value)}\n"
 
 
 def _format_value(value) -> str:
@@ -344,7 +359,7 @@ def load_config(path: str | Path | None = None,
     key and the rule; requiredness is checked by the consuming subcommand.
     """
     if path is None:
-        src, base = _bundled_sections()
+        src, base, _ = _bundled_sections()
         # fresh inner dicts: the cached defaults are never handed out
         return RunConfig(source=src,
                          sections=_merged(base, _validated(_raw_overrides(overrides), src)))
@@ -359,13 +374,27 @@ def _merged(base: dict, over: dict) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _bundled_sections() -> tuple[str, dict[str, dict[str, object]]]:
-    """The bundled defaults' path and their validated sections; callers
-    copy, never mutate, them.  Keyed on nothing; a hit saves resolving
-    the path and reading and validating the INI, 0.37 ms per
-    ``load_config`` call timed hot, ~41 ms of 111 in-process CLI calls."""
+def _bundled_sections() -> tuple[str, dict[str, dict[str, object]],
+                                 dict[str, dict[str, tuple[object, str]]]]:
+    """The bundled defaults' path, their validated sections, which callers
+    copy, never mutate, and each key's (value, dump line), empty until
+    the first :meth:`RunConfig.dump` fills it.  Keyed on nothing; a hit
+    saves resolving the path and reading and validating the INI, 0.37 ms
+    per ``load_config`` call timed hot, ~41 ms of 111 in-process CLI
+    calls, and the lines save formatting each default key on every dump,
+    11 us of 38 per ``effective-config.ini`` timed hot."""
     src = str(bundled_defaults_path())
-    return src, _validated(_read(src), src)
+    return src, _validated(_read(src), src), {}
+
+
+def _bundled_lines() -> dict[str, dict[str, tuple[object, str]]]:
+    """The memo's (value, dump line) of each bundled key, built on the
+    first call."""
+    _, sections, lines = _bundled_sections()
+    if not lines:
+        lines.update((section, {key: (value, _line(key, value)) for key, value in keys.items()})
+                     for section, keys in sections.items())
+    return lines
 
 
 def _read(src: str) -> _Raw:

@@ -7,10 +7,10 @@ them and ends in its separator, "," or LF in the last column.  Cells are
 written as whole words, looked up in tables of formatted pieces, and a
 NUL byte, which no cell holds, fills the places a cell leaves empty:
 
-- a float is six words, ``"___d" ".ddd" "dddd" "dddd"`` (``"__-d"`` if
-  negative) and ``"e-12" "3,__"``, its exponent and separator
-  left-aligned (``_`` a NUL), looked up by its first four digits, the
-  next four, the last four and its exponent;
+- a float, ±0 included, is six words, ``"___d" ".ddd" "dddd" "dddd"``
+  (``"__-d"`` if its sign bit is set) and ``"e-12" "3,__"``, its exponent
+  and separator left-aligned (``_`` a NUL), looked up by its first four
+  digits, the next four, the last four and its exponent;
 - an int column within [-99, 999] is one word per cell, ``"%3d,"``;
 - a text cell, an int cell of a column reaching outside [-99, 999], and
   a float cell that the numpy pass cannot round beyond doubt are written
@@ -89,10 +89,11 @@ def _float_cells(x: np.ndarray, column_cells, words: np.ndarray, at: list[int],
     column ending in ``end`` and the others in ",".
 
     A bulk cell is its sign, first digit, ".", eleven digits, "e",
-    exponent sign and digits.  Any other cell is written by
-    ``column_cells``.
+    exponent sign and digits; ±0 is ``"0.00000000000e0"`` with the sign
+    of its sign bit.  Any other cell is written by ``column_cells``.
     """
     a = np.abs(x)
+    zero = a == 0.0
     bulk = (a > 1 / _BULK_MAX) & (a < _BULK_MAX)
     a[~bulk] = 1.0
     e = np.floor(np.log10(a)).astype(np.intp)
@@ -109,6 +110,9 @@ def _float_cells(x: np.ndarray, column_cells, words: np.ndarray, at: list[int],
     carry = m == 1e12  # rounded up to 13 digits
     m[carry] = 1e11
     e += carry
+    # a zero took a = 1, so e = 0: its digits are all 0
+    m[zero] = 0.0
+    bulk |= zero
     # each cell's six indices in _FLOAT_WORDS, from its 12 digits, 4 by 4
     index = np.empty((len(x), 6, x.shape[1]), dtype=np.intp)
     low = m.astype(np.intp)
@@ -118,7 +122,7 @@ def _float_cells(x: np.ndarray, column_cells, words: np.ndarray, at: list[int],
     np.subtract(low, index[:, 2] * 10**4, out=index[:, 3])
     np.add(high, 10**4, out=index[:, 1])
     np.add(high, _LEAD, out=index[:, 0])
-    np.add(index[:, 0], 10**4, out=index[:, 0], where=x < 0)
+    np.add(index[:, 0], 10**4, out=index[:, 0], where=np.signbit(x))
     np.add(e, _EXPONENT, out=index[:, 4])
     if end == "\n":
         index[-1, 4] += _LF

@@ -120,8 +120,10 @@ def pinned_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunct
     polarization angle or M, or runs ``solve-rovib`` then ``imag-scan``
     through ``cli.main``, and the benchmark's in-process passes.  The
     ``magictrap`` command runs one subcommand per process, so it still
-    pays both solves each run.  A warm call makes no eigensolve: the two
-    levels it reads lie at the bases' reference J.
+    pays both solves each run.  The two reference energies are the
+    bases' own lowest eigenvalues, E_X(0, 0) and E(v'=0, J'=1) at their
+    reference J, so a call reads no level table and a warm call makes
+    no eigensolve.
     """
     grid = cfg.radial_grid()
     hits = _bases.cache_info().hits
@@ -133,6 +135,6 @@ def pinned_models(cfg: RunConfig) -> tuple[MorseCurve, CoupledModel, DipoleFunct
                     "on the n=%d grid", x_basis.size, ab_basis.label,
                     ab_basis.size, grid.n)
     shift = float(cfg.get("molecule", "transition_cm1") / HARTREE_TO_CM1
-                  + x_basis.levels(0, 1).energies[0] - ab_basis.levels(1, 1).energies[0])
+                  + x_basis.energies[0] - ab_basis.energies[0])
     return (ground, model.with_shift(shift), dipole, x_basis,
             ab_basis.with_shift(shift))

@@ -283,9 +283,11 @@ class RovibBasis:
         as one table: the lowest ``max_levels`` of them, or all.
 
         The table is the one kept under (J, ``max_levels``), solved on the
-        first call, with ``shift`` added to its energies; its other arrays
-        are the kept, read-only ones.  ``max_levels`` is None or an integer
-        of at least 1; anything else raises ValueError.
+        first call.  An unshifted view (``shift`` 0.0) returns the kept,
+        read-only table itself; a shifted one a table with ``shift`` added
+        to its energies and the kept, read-only arrays otherwise.
+        ``max_levels`` is None or an integer of at least 1; anything else
+        raises ValueError.
         """
         j = _check_j(j)
         if max_levels is not None:
@@ -295,6 +297,8 @@ class RovibBasis:
             table = self._tables[j, max_levels] = self._table(j, max_levels)
             while sum(t.wavefunctions.nbytes for t in self._tables.values()) > TABLE_CACHE_BYTES:
                 del self._tables[next(iter(self._tables))]
+        if not self.shift:
+            return table
         return replace(table, shift=self.shift, energies=table.energies + self.shift)
 
     def _table(self, j: int, max_levels: int | None) -> RovibLevels:
@@ -757,6 +761,7 @@ def linewidth(levels: RovibLevels,
     r = levels.grid.points
     dr = levels.grid.dr
     gamma = np.zeros(len(levels))
+    density = np.empty((len(levels), levels.grid.n))  # one channel's psi^2 at a time
     for target_curve, dip in decay_targets:
         v_t = np.asarray(target_curve(r), dtype=float)
         below = levels.energies < float(np.min(v_t))
@@ -771,5 +776,7 @@ def linewidth(levels: RovibLevels,
             v_c = np.asarray(levels.potentials[c](r), dtype=float) + levels.shift
             de = v_c - v_t
             rate_r = (4.0 / 3.0) * np.abs(de) ** 3 * dip(r) ** 2 / C_AU ** 3
-            gamma += np.sum(levels.wavefunctions[:, c] ** 2 * rate_r, axis=-1) * dr
+            np.square(levels.wavefunctions[:, c], out=density)
+            density *= rate_r
+            gamma += np.sum(density, axis=-1) * dr
     return gamma

@@ -199,12 +199,14 @@ def test_column_formatting_matches_fmt12(value):
 
 
 # floats the numpy pass cannot round beyond doubt: ties at the twelfth
-# digit, zeros, subnormals, non-finite values and |x| outside (1e-280, 1e280)
-FALLBACK_FLOATS = [100000000000.5, 999999999999.5, -1.000000000005e-7, 0.0, -0.0, 5e-324, -1.5e-310,
+# digit, subnormals, non-finite values and |x| outside (1e-280, 1e280)
+FALLBACK_FLOATS = [100000000000.5, 999999999999.5, -1.000000000005e-7, 5e-324, -1.5e-310,
                    math.nan, math.inf, -math.inf, 1e280, -1e280, 1e-280, -1e-280,
                    float(np.nextafter(1e280, math.inf)), float(np.nextafter(1e-280, 0.0))]
-# floats it rounds itself, next to the edges of its range and of a decade
-EDGE_FLOATS = [9.9999999999995e4, float(np.nextafter(1e280, 0.0)),
+# floats it writes itself: ±0, looked up whole, and floats next to the
+# edges of its range and of a decade
+ZEROS = [0.0, -0.0]
+EDGE_FLOATS = [*ZEROS, 9.9999999999995e4, float(np.nextafter(1e280, 0.0)),
                float(np.nextafter(1e-280, 1.0)),
                *(float(np.nextafter(10.0**k, side)) for k in range(-30, 31)
                  for side in (-math.inf, math.inf))]
@@ -300,7 +302,7 @@ LABELS = st.text(st.characters(blacklist_categories=("Cs",),
 
 def table_column(rows: int):
     """One column of ``rows`` floats, ints, bools or labels."""
-    floats = st.one_of(st.floats(), st.floats(-1e6, 1e6), st.sampled_from(FALLBACK_FLOATS))
+    floats = st.one_of(st.floats(), st.floats(-1e6, 1e6), st.sampled_from(FALLBACK_FLOATS + ZEROS))
     ints = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
     return st.one_of(
         st.lists(floats, min_size=rows, max_size=rows).map(np.array),
@@ -310,14 +312,45 @@ def table_column(rows: int):
     )
 
 
+def solve_rovib_shaped_table(levels: int = 12, j_values=(0, 1, 2, 3)) -> list:
+    """A table shaped as ``solve-rovib`` writes it: a label column, int v
+    and J columns and four float columns, each J's X rows then its A-b
+    rows, the X rows' frac_b zeros, one of them -0.0.  Its nonzero floats
+    have at most 8 significant digits, so none lies near a tie at the
+    twelfth."""
+    rng = np.random.default_rng(4401)
+    rows = 2 * levels * len(j_values)
+    x = np.tile(np.repeat([True, False], levels), len(j_values))
+    frac_b = np.where(x, 0.0, np.round(rng.uniform(0.0, 1.0, rows), 8))
+    frac_b[levels - 1] = -0.0
+    return [["X" if is_x else "Ab" for is_x in x],
+            np.tile(np.arange(levels), 2 * len(j_values)),
+            np.repeat(np.array(j_values), 2 * levels),
+            np.round(rng.uniform(-5000.0, 12000.0, rows), 3),
+            np.round(rng.uniform(0.05, 0.08, rows), 9),
+            np.where(x, 1.0, 1.0 - frac_b),
+            frac_b]
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 300).flatmap(
     lambda rows: st.lists(table_column(rows), min_size=1, max_size=5)))
+@example(solve_rovib_shaped_table())
 def test_tables_match_the_per_cell_oracle(columns):
     """Mixed tables of 0 to 300 rows, under and over the row count that
-    picks the numpy pass, write the oracle's cells joined by "," and LF."""
+    picks the numpy pass, and a ``solve-rovib``-shaped table, write the
+    oracle's cells joined by "," and LF."""
     headers = [f"c{i}" for i in range(len(columns))]
     assert written_csv(headers, columns) == oracle_csv(headers, columns)
+
+
+def test_solve_rovib_shaped_table_formats_no_float_cell_by_cell(per_cell_floats):
+    """The X rows' ±0 frac_b cells are written from the word tables, so
+    only the label column goes through the per-cell formatter."""
+    columns = solve_rovib_shaped_table()
+    headers = [f"c{i}" for i in range(len(columns))]
+    assert written_csv(headers, columns) == oracle_csv(headers, columns)
+    assert per_cell_floats == []
 
 
 def test_column_kinds_keep_their_types():

@@ -239,3 +239,67 @@ def test_bundled_overrides_build_no_configparser(monkeypatch):
     config._bundled_sections.cache_clear()
     load_config()
     assert len(built) == 1
+
+
+def _plain_dump(cfg: RunConfig) -> bytes:
+    """The effective config as the per-key formatter ``RunConfig.dump``
+    replaced writes it: every key's value formatted on every dump."""
+    def text(value) -> str:
+        if isinstance(value, float):
+            return repr(value)
+        if isinstance(value, tuple):
+            return ",".join(map(str, value))
+        return str(value)
+
+    blocks = [f"[{section}]\n" + "".join(f"{key} = {text(keys[key])}\n"
+                                         for key in schema if key in keys)
+              for section, schema in SCHEMA.items()
+              if (keys := cfg.sections.get(section)) is not None]
+    return "\n".join(blocks).encode()
+
+
+@pytest.mark.parametrize("fresh", [True, False])
+@pytest.mark.parametrize("overrides", [
+    [], ["scan.m=0"], ["molecule.transition_cm1=11306.123456"],
+    ["scan.j_values=0,1,2,3", "molecule.transition_cm1=11302.5"]])
+def test_bundled_dumps_write_the_plain_formatter_bytes(overrides, fresh, tmp_path):
+    """A bundled run, an override equal to its bundled value, and float
+    and list overrides dump the plain formatter's bytes, on the first dump
+    of a process and on a later one."""
+    if fresh:
+        config._bundled_sections.cache_clear()
+    cfg = load_config(overrides=overrides)
+    for path in (tmp_path / "first.ini", tmp_path / "second.ini"):
+        cfg.dump(path)
+        assert path.read_bytes() == _plain_dump(cfg)
+
+
+def test_a_dump_formats_every_value_not_the_bundled_object(tmp_path):
+    """A value that is not the bundled default's own object is formatted
+    anew, even where it equals the default: -0.0 for 0.0, 1.0 for 1."""
+    load_config().dump(tmp_path / "warm.ini")
+    cfg = load_config()
+    cfg.sections["fields"]["e_field_kv_cm"] = -0.0
+    cfg.sections["scan"]["m"] = 7
+    cfg.sections["scan"]["max_levels"] = 12.0
+    cfg.dump(tmp_path / "changed.ini")
+    written = (tmp_path / "changed.ini").read_bytes()
+    assert written == _plain_dump(cfg)
+    for line in (b"e_field_kv_cm = -0.0\n", b"m = 7\n", b"max_levels = 12.0\n"):
+        assert line in written
+
+
+def test_a_file_config_dumps_the_plain_bytes_and_loads_no_defaults(tmp_path, monkeypatch):
+    """A ``--config`` file's dump writes the plain formatter's bytes, and in
+    a process that never loaded the bundled defaults it does not load them."""
+    path = tmp_path / "small.ini"
+    path.write_text(SMALL_CONFIG)
+    for cleared in (True, False):
+        if cleared:
+            config._bundled_sections.cache_clear()
+        else:
+            load_config()
+        cfg = load_config(path, ["molecule.transition_cm1=11306.4"])
+        cfg.dump(tmp_path / "effective.ini")
+        assert (tmp_path / "effective.ini").read_bytes() == _plain_dump(cfg)
+        assert config._bundled_sections.cache_info().currsize == int(not cleared)

@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 from conftest import uncached
 
-from magictrap import RovibLevels, linewidth, radial, radial_matrix_element
+from magictrap import RovibLevels, linewidth, narb, radial, radial_matrix_element
+from magictrap.config import load_config
 from magictrap.errors import GridError
-from magictrap.units import C_AU
+from magictrap.units import C_AU, HARTREE_TO_CM1
 
 J_RANGE = range(7)
 MAX_LEVELS = (1, 3, 12, None)
@@ -264,6 +265,44 @@ def test_kept_tables_are_read_only(narb_radial):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(kept, name)[...] = 0
     assert table.energies.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["x", "ab"])
+def test_an_unshifted_view_returns_the_kept_table(narb_radial, name):
+    """An unshifted view (shift 0.0 or -0.0) returns the kept table itself,
+    every array read-only.  A shifted view returns a table of its own whose
+    energies are the kept ones plus the shift, bit for bit, and whose other
+    arrays are the kept ones."""
+    basis = narb_radial[f"{name}_basis"]
+    shift = narb_radial["ab_basis"].shift
+    shifted = basis.with_shift(shift)
+    for j in (0, 1, 3):
+        for max_levels in (1, 12, None):
+            for zero in (0.0, -0.0):
+                table = basis.with_shift(zero).levels(j, max_levels)
+                assert table is basis._tables[j, max_levels]
+                for row in RovibLevels._ROWS:
+                    assert not getattr(table, row).flags.writeable, row
+            moved = shifted.levels(j, max_levels)
+            assert moved is not table and moved.shift == shift
+            assert moved.energies.tobytes() == (table.energies + shift).tobytes()
+            for row in RovibLevels._ROWS:
+                if row != "energies":
+                    assert getattr(moved, row) is getattr(table, row), row
+
+
+def test_pinned_shift_is_the_reference_levels_formula():
+    """``pinned_models`` reads its two reference energies off the bases'
+    lowest eigenvalues; its shift is the level-table formula, E_X(0, 0)
+    from ``levels(0, 1)`` and E(v'=0, J'=1) from ``levels(1, 1)``, to the
+    bit, on the bundled config and on the benchmark's rovib seed-7 line."""
+    for overrides in ([], ["molecule.transition_cm1=11310.255402"]):
+        cfg = load_config(overrides=overrides)
+        _, model, _, x_basis, ab_basis = narb.pinned_models(cfg)
+        shift = float(cfg.get("molecule", "transition_cm1") / HARTREE_TO_CM1
+                      + x_basis.levels(0, 1).energies[0]
+                      - ab_basis.with_shift(0.0).levels(1, 1).energies[0])
+        assert ab_basis.shift.hex() == model.shift.hex() == shift.hex()
 
 
 def test_kept_tables_stay_within_their_bytes(narb_radial, monkeypatch):
